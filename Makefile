@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-alloc bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-metrics soak cluster-chaos cluster-chaos-long
+.PHONY: build test check fmt-check race bench bench-alloc bench-check bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-metrics soak cluster-chaos cluster-chaos-long
 
 build:
 	$(GO) build ./...
@@ -9,13 +9,18 @@ test:
 	$(GO) test ./...
 
 # check is the pre-PR gate (run it before every pull request; CI runs the
-# same thing): vet, the metrics-docs cross-check, plus the full test suite
-# under the race detector. The race run covers the internal/parallel worker
-# pool, the session-resilience chaos suites and every experiment driver
-# fanning units across it.
-check: lint-metrics
+# same thing): formatting, vet, the metrics-docs cross-check, plus the full
+# test suite under the race detector. The race run covers the
+# internal/parallel worker pool, the session-resilience chaos suites and every
+# experiment driver fanning units across it.
+check: fmt-check lint-metrics
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# fmt-check fails when any Go file is not gofmt-clean, naming the files.
+fmt-check:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # lint-metrics cross-checks the harp_* metrics registered in code against
 # the table in OBSERVABILITY.md, both directions. See OBSERVABILITY.md.
@@ -85,6 +90,14 @@ bench:
 # CI benchmark-smoke job runs).
 bench-alloc:
 	$(GO) run ./cmd/harp-bench -enforce -out BENCH_alloc.json
+
+# bench-check runs the repository benchmark (BENCHMARK.json, benchmark/README.md)
+# for three seconds per workload. It is a correctness gate, not a timing
+# verdict: the run exits non-zero when an operation fails or an output check
+# (the activation checks, the sampled check.CheckAllocations over the standing
+# decisions, the energy_x guards) is violated. Builds into .bench_build/.
+bench-check:
+	bash benchmark/run.sh --seconds 3
 
 # bench-parallel compares the sequential and fanned-out Fig. 6 runs; on a
 # multi-core host the parallel variant should be several times faster with

@@ -195,8 +195,21 @@ func TestUploadDescriptionDrivesAllocation(t *testing.T) {
 		t.Fatalf("UploadDescription: %v", err)
 	}
 
-	// The upload triggers a reallocation whose decision reflects the table.
+	// UploadDescription is an unacknowledged write: the registration's own
+	// activation says nothing about whether the server has applied the upload
+	// yet. Wait on the condition under test — the uploaded points are in the
+	// RM's table — and only then require the allocation they drive.
 	deadline := time.Now().Add(2 * time.Second)
+	for {
+		tbl, err := srv.TableSnapshot("mg.C/7")
+		if err == nil && tbl.MeasuredCount() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("uploaded points not in the RM's table (last snapshot error: %v)", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	for {
 		if act, ok := client.Activation(); ok && len(act.Cores) > 0 {
 			break
@@ -205,13 +218,6 @@ func TestUploadDescriptionDrivesAllocation(t *testing.T) {
 			t.Fatal("no post-upload activation")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	tbl, err := srv.TableSnapshot("mg.C/7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.MeasuredCount() == 0 {
-		t.Error("uploaded points not in the RM's table")
 	}
 }
 

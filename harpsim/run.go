@@ -235,16 +235,16 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 	}
 
 	h := &harpHarness{
-		machine:      machine,
-		mgr:          mgr,
-		mon:          mon,
-		opts:         opts,
-		managed:      make(map[string]*sim.Proc),
-		energyAt:     make(map[string]float64),
-		stableAtSec:  -1,
-		restartCount: make(map[string]int),
-		liveness:     opts.Liveness,
-		faults:       opts.Faults.Cursor(),
+		machine:       machine,
+		mgr:           mgr,
+		mon:           mon,
+		opts:          opts,
+		managed:       make(map[string]*sim.Proc),
+		energyAt:      make(map[string]float64),
+		stableAtSec:   -1,
+		restartCount:  make(map[string]int),
+		liveness:      opts.Liveness,
+		faults:        opts.Faults.Cursor(),
 		sessionUp:     make(map[string]bool),
 		lastSeen:      make(map[string]time.Duration),
 		muted:         make(map[string]*muteState),

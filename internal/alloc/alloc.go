@@ -111,9 +111,11 @@ type Allocator struct {
 	incFullEvery  int
 	incDriftBound float64
 	incPins       map[string]*pinnedApp
+	incSeq        uint64 // pin-epoch of the last solve that refreshed the pins
 	incSinceFull  int
 	incBaseSlack  float64
 	incHaveBase   bool
+	incScratch    incScratch
 
 	// overBudget, when set, is polled between subgradient iterations; a
 	// true return cuts the λ loop off early (repair still makes the
@@ -144,6 +146,7 @@ type solverScratch struct {
 	lambdaPrev []float64
 	demand     []int
 	remaining  []int
+	nextFree   []int
 	reps       [][]lagRep
 	repBuf     []lagRep
 	fdBuf      []float64
@@ -165,6 +168,11 @@ func growInts(buf []int, n int) []int {
 	}
 	return buf[:n]
 }
+
+// roomFor is the capacity to allocate when a retained per-application buffer
+// must grow to n entries: headroom for arrivals, so a population creeping
+// upward reallocates a buffer now and then rather than on every solve.
+func roomFor(n int) int { return n + n/4 + 16 }
 
 // growFloats is growInts for float64 slices.
 func growFloats(buf []float64, n int) []float64 {
@@ -246,6 +254,8 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	}
 	if a.inc {
 		a.incPins = make(map[string]*pinnedApp)
+		// Never nil: a nil Stats.Changed reads as "everything moved".
+		a.incScratch.changed = make([]int, 0, 16)
 	}
 	a.fpBase = a.fingerprintBase()
 	if a.metrics != nil {
@@ -331,6 +341,17 @@ type Stats struct {
 	// applications kept their standing allocation, Resolved went through the
 	// residual re-solve (both 0 for full solves).
 	Pinned, Resolved int
+	// Changed is the solve's delta: the input positions, ascending, whose
+	// allocation may differ from the one the previous successful solve
+	// returned for the same application ID. Applications that solve did not
+	// contain are always listed; departed ones have no position and are not.
+	// It is a superset of the true difference — a listed position may turn
+	// out identical — and never misses one. nil means "assume every position
+	// moved": cold, warm, cached and capped solves report nil, as does any
+	// solver that does not track deltas. An empty non-nil slice means nothing
+	// moved. Owned by the allocator like the allocations themselves:
+	// read-only, valid until its next solve.
+	Changed []int `json:"-"`
 }
 
 // Allocate selects one operating point per application and assigns concrete
@@ -344,12 +365,25 @@ func (a *Allocator) Allocate(apps []AppInput) ([]Allocation, error) {
 // AllocateWithStats is Allocate plus solver statistics, and emits an
 // EvAllocationComputed event when the allocator has a tracer.
 //
-// With the solution cache enabled, a Fingerprint hit returns the memoised
-// []Allocation directly — zero heap allocations, Stats.Source = SourceCached
-// — and the returned slice is shared with the cache: callers must not mutate
-// it (the Manager clones what it pushes). Misses run the full pipeline and
-// memoise the result.
+// Result ownership: the returned allocations, their grant lists and
+// Stats.Changed belong to the allocator. They are read-only for the caller
+// and valid until the allocator's next solve — a cache hit returns the
+// memoised slice itself (zero heap allocations, Stats.Source = SourceCached),
+// an incremental merge returns a buffer the next merge overwrites. Grant
+// lists are the exception in the caller's favour: once built they are never
+// written again, so a caller may keep a []CoreGrant (the Manager's pushed
+// decisions do) — but must copy anything else it wants to outlive the next
+// solve. Misses run the full pipeline and memoise the result.
 func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
+	return a.solve(apps, nil, nil)
+}
+
+// solve is AllocateWithStats for a caller that may own the result buffer —
+// Sharded, which merges its children's domains into one positional slice.
+// With dst set, an incremental merge writes allocation i straight to
+// dst[pos[i]] and returns a nil slice, so the merged domain is never held
+// twice; every other path returns its own slice for the caller to place.
+func (a *Allocator) solve(apps []AppInput, dst []Allocation, pos []int) ([]Allocation, Stats, error) {
 	var stats Stats
 	if len(apps) == 0 {
 		return nil, stats, nil
@@ -397,7 +431,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 	// exist and only a small changed set of applications differs, re-solve
 	// just that set against the residual capacity. Falls through to the full
 	// pipeline when ineligible, on drift or on the full-solve cadence.
-	if out, incStats, ok, err := a.tryIncremental(apps, capacity); ok || err != nil {
+	if out, incStats, ok, err := a.tryIncremental(apps, capacity, dst, pos); ok || err != nil {
 		solveSpan.End()
 		if err != nil {
 			return nil, stats, err
@@ -1154,7 +1188,7 @@ func (e *CapacityError) Error() string {
 // scratch-arena memory — because the solution cache retains its result
 // beyond the solve.
 func (a *Allocator) assignCores(states []*appState) ([]Allocation, error) {
-	return a.assignCoresAvail(states, nil)
+	return a.assignCoresAvail(states, nil, nil)
 }
 
 // assignCoresAvail is assignCores against an explicit per-kind availability:
@@ -1167,7 +1201,10 @@ func (a *Allocator) assignCores(states []*appState) ([]Allocation, error) {
 // no free cores at all wraps around its full range instead (the cores are
 // time-shared anyway, and a co-allocated grant may legally overlap pinned
 // isolated allocations).
-func (a *Allocator) assignCoresAvail(states []*appState, avail [][]int) ([]Allocation, error) {
+//
+// out, when non-nil, receives the allocations (len(out) == len(states)) in
+// place of a fresh slice; the grant lists are built fresh either way.
+func (a *Allocator) assignCoresAvail(states []*appState, avail [][]int, out []Allocation) ([]Allocation, error) {
 	coreAt := func(kindIdx, slot int) int {
 		if avail == nil {
 			lo, _ := a.plat.CoreRange(platform.KindID(kindIdx))
@@ -1182,8 +1219,12 @@ func (a *Allocator) assignCoresAvail(states []*appState, avail [][]int) ([]Alloc
 		}
 		return len(avail[kindIdx])
 	}
-	nextFree := make([]int, len(a.plat.Kinds))
-	out := make([]Allocation, len(states))
+	a.scratch.nextFree = growInts(a.scratch.nextFree, len(a.plat.Kinds))
+	nextFree := a.scratch.nextFree
+	clear(nextFree)
+	if out == nil {
+		out = make([]Allocation, len(states))
+	}
 	for si, st := range states {
 		if st.chosen < 0 || st.chosen >= len(st.cands) {
 			return nil, errors.New("alloc: internal: no chosen candidate")

@@ -22,6 +22,16 @@ package alloc
 // for oscillating workloads without retaining unbounded history.
 const DefaultCacheSize = 64
 
+// cacheMaxAllocations bounds how many Allocation records the cache retains
+// across all of its entries — what DefaultCacheSize solutions of a
+// 256-application population hold. The entry count alone is no memory bound:
+// at churn scale one solution is thousands of records, a fingerprint almost
+// never repeats, and 64 of them per allocator were tens of megabytes of
+// never-hit state that kept growing with every cadence full solve. Under the
+// budget the least recently used solutions go first; the newest one is always
+// admitted, so "same inputs as the last full solve" still hits at any scale.
+const cacheMaxAllocations = DefaultCacheSize * 256
+
 // CacheStats is a point-in-time view of the solution cache's accounting.
 type CacheStats struct {
 	// Size and Cap are the current and maximum entry counts.
@@ -65,6 +75,7 @@ type solutionCache struct {
 	entries    map[Fingerprint]*cacheEntry
 	head, tail *cacheEntry // head = most recently used
 	cap        int
+	weight     int // Allocation records held across entries
 	hits       uint64
 	misses     uint64
 	evictions  uint64
@@ -91,26 +102,30 @@ func (c *solutionCache) get(fp Fingerprint) *cacheEntry {
 }
 
 // put inserts (or refreshes) a solution, evicting the least recently used
-// entries at capacity; it returns how many entries were evicted.
+// entries at the entry capacity or the cacheMaxAllocations budget; it returns
+// how many entries were evicted.
 func (c *solutionCache) put(fp Fingerprint, allocs []Allocation, stats Stats) int {
 	if e, ok := c.entries[fp]; ok {
+		c.weight += len(allocs) - len(e.allocs)
 		e.allocs, e.stats = allocs, stats
 		c.moveToFront(e)
 		return 0
 	}
 	evicted := 0
-	for len(c.entries) >= c.cap {
+	for len(c.entries) >= c.cap || c.weight+len(allocs) > cacheMaxAllocations {
 		lru := c.tail
 		if lru == nil {
 			break
 		}
 		c.unlink(lru)
 		delete(c.entries, lru.key)
+		c.weight -= len(lru.allocs)
 		c.evictions++
 		evicted++
 	}
 	e := &cacheEntry{key: fp, allocs: allocs, stats: stats}
 	c.entries[fp] = e
+	c.weight += len(allocs)
 	c.pushFront(e)
 	return evicted
 }

@@ -30,6 +30,15 @@ package alloc
 // every merged solution still satisfies the structural invariants
 // (check.CheckAllocations) because pins are fragments of previously valid
 // solutions and the re-solve only consumes capacity the pins left free.
+//
+// A merge is also where the allocator knows exactly what moved: only the
+// re-solved positions (and applications the previous solve did not contain)
+// can differ from the previous answer, so they are reported in
+// Stats.Changed and the Manager pushes only those. The merged solution is
+// written into a buffer the Allocator keeps and reuses — see the
+// result-ownership rule on AllocateWithStats — and every per-solve work list
+// lives in incScratch, so a steady-state merge allocates only the grants of
+// the applications it re-solved.
 
 import (
 	"math"
@@ -79,36 +88,64 @@ type pinnedApp struct {
 	// under; any difference marks the application as changed.
 	tableHi, tableLo uint64
 	maxUtility       float64
-	// alloc is the standing allocation (grants owned by the pin).
+	// alloc is the standing allocation. Its grants are owned by the pin and
+	// never written again once set: allocations handed to the caller — and
+	// the decisions the Manager pushes from them — alias the same array.
 	alloc Allocation
-	// demand is the per-kind isolated core demand (nil for co-allocated
-	// pins, which hold no exclusive capacity).
-	demand []int
 	// chosenCost and minCost feed the drift bound.
 	chosenCost float64
 	minCost    float64
+	// seen is the pin-epoch (Allocator.incSeq) of the last solve that
+	// contained the application. A pin the previous solve did not refresh
+	// still describes a valid fragment, but the caller's view of the
+	// application may have moved on since, so it is reported as changed.
+	seen uint64
+}
+
+// incScratch holds the incremental path's per-solve work lists, reused
+// across solves: out is the merged solution handed back to the caller (valid
+// until the next solve), the rest never escapes.
+type incScratch struct {
+	out        []Allocation
+	solved     []Allocation
+	pins       []*pinnedApp
+	inResolve  []bool
+	resolveIdx []int
+	changed    []int
+	residual   []int
+	pinnedCore []bool
+	avail      [][]int
 }
 
 // tryIncremental attempts the incremental path for one solve. ok reports
 // whether the merged solution should be returned; ok=false with a nil error
 // means "run the full pipeline" (ineligible, cadence, drift, oversized
-// changed set or an internal inconsistency).
-func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocation, Stats, bool, error) {
+// changed set or an internal inconsistency). The merged solution goes to the
+// Allocator's retained buffer, or — when the caller brought dst — to
+// dst[pos[i]], in which case the returned slice is nil.
+func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Allocation, pos []int) ([]Allocation, Stats, bool, error) {
 	if !a.inc || len(a.incPins) == 0 || a.incSinceFull >= a.incFullEvery {
 		return nil, Stats{}, false, nil
 	}
 	nk := len(capacity)
+	sc := &a.incScratch
 
-	// Pass 1: which inputs changed since they were pinned?
-	inResolve := make([]bool, len(apps))
-	resolveIdx := make([]int, 0, 16)
+	// Pass 1: which inputs changed since they were pinned? One map lookup per
+	// application; the later passes reuse the pin pointers.
+	if cap(sc.pins) < len(apps) {
+		sc.pins = make([]*pinnedApp, roomFor(len(apps)))
+		sc.inResolve = make([]bool, cap(sc.pins))
+	}
+	pins, inResolve := sc.pins[:len(apps)], sc.inResolve[:len(apps)]
+	resolveIdx := sc.resolveIdx[:0]
 	for i := range apps {
 		app := &apps[i]
 		if app.Table == nil {
 			return nil, Stats{}, false, nil // full path reports the error
 		}
-		pin, ok := a.incPins[app.ID]
-		if ok {
+		pin := a.incPins[app.ID]
+		pins[i], inResolve[i] = pin, false
+		if pin != nil {
 			hi, lo := a.hashTable(app.Table)
 			if hi == pin.tableHi && lo == pin.tableLo && app.MaxUtility == pin.maxUtility {
 				continue
@@ -127,48 +164,53 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 		if budget == 0 {
 			break
 		}
-		if inResolve[i] {
-			continue
-		}
-		if pin := a.incPins[apps[i].ID]; pin.alloc.CoAllocated {
+		if !inResolve[i] && pins[i].alloc.CoAllocated {
 			inResolve[i] = true
 			resolveIdx = append(resolveIdx, i)
 			budget--
 		}
 	}
 	slices.Sort(resolveIdx)
+	sc.resolveIdx = resolveIdx
 
 	if 2*len(resolveIdx) > len(apps) {
 		return nil, Stats{}, false, nil // full pipeline is cheaper from here
 	}
 
 	// Residual capacity and the concrete free cores the pins leave behind.
-	residual := make([]int, nk)
+	sc.residual = growInts(sc.residual, nk)
+	residual := sc.residual
 	copy(residual, capacity)
-	pinnedCores := make(map[int]bool)
+	if nc := a.plat.NumCores(); len(sc.pinnedCore) != nc {
+		sc.pinnedCore = make([]bool, nc)
+		sc.avail = make([][]int, nk)
+	}
+	pinnedCore := sc.pinnedCore
+	clear(pinnedCore)
 	for i := range apps {
-		if inResolve[i] {
+		if inResolve[i] || pins[i].alloc.CoAllocated {
 			continue
 		}
-		pin := a.incPins[apps[i].ID]
-		if pin.alloc.CoAllocated {
-			continue
+		al := &pins[i].alloc
+		for k := range residual {
+			residual[k] -= al.Point.Vector.Cores(platform.KindID(k))
 		}
-		for k, d := range pin.demand {
-			residual[k] -= d
-		}
-		for _, g := range pin.alloc.Grants {
-			pinnedCores[g.Core] = true
+		for _, g := range al.Grants {
+			if g.Core < 0 || g.Core >= len(pinnedCore) {
+				return nil, Stats{}, false, nil // pin off the platform; full solve
+			}
+			pinnedCore[g.Core] = true
 		}
 	}
-	avail := make([][]int, nk)
+	avail := sc.avail
 	for k := range a.plat.Kinds {
 		if residual[k] < 0 {
 			return nil, Stats{}, false, nil // pins no longer fit; full solve
 		}
+		avail[k] = avail[k][:0]
 		lo, hi := a.plat.CoreRange(platform.KindID(k))
 		for c := lo; c < hi; c++ {
-			if !pinnedCores[c] {
+			if !pinnedCore[c] {
 				avail[k] = append(avail[k], c)
 			}
 		}
@@ -192,57 +234,81 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 		iters = a.selectPoints(states, residual, nil)
 		a.refine(states, residual)
 		var err error
-		solved, err = a.assignCoresAvail(states, avail)
+		if cap(sc.solved) < len(states) {
+			sc.solved = make([]Allocation, len(states))
+		}
+		solved, err = a.assignCoresAvail(states, avail, sc.solved[:len(states)])
 		if err != nil {
 			return nil, Stats{}, false, nil // inconsistent; full solve recovers
 		}
 	}
 
-	// Merge in input order (the CheckAllocations contract) and measure the
-	// merged solution's cost slack for the drift bound.
-	out := make([]Allocation, len(apps))
+	// Merge in input order (the CheckAllocations contract), measure the merged
+	// solution's cost slack for the drift bound, and collect what may have
+	// moved: the re-solved positions plus pins the previous solve did not
+	// contain.
+	var out []Allocation
+	if dst == nil {
+		if cap(sc.out) < len(apps) {
+			sc.out = make([]Allocation, roomFor(len(apps)))
+		}
+		out = sc.out[:len(apps)]
+		dst = out
+	}
+	changed := sc.changed[:0]
 	var chosenSum, minSum float64
+	coAllocated := 0
 	ri := 0
 	for i := range apps {
+		at := i
+		if pos != nil {
+			at = pos[i]
+		}
 		if inResolve[i] {
-			out[i] = solved[ri]
+			dst[at] = solved[ri]
 			st := states[ri]
 			chosenSum += st.cands[st.chosen].cost
 			minSum += a.tableInfo(apps[i].Table).minCost
+			changed = append(changed, i)
 			ri++
-			continue
+		} else {
+			pin := pins[i]
+			dst[at] = pin.alloc
+			chosenSum += pin.chosenCost
+			minSum += pin.minCost
+			if pin.seen != a.incSeq {
+				changed = append(changed, i)
+			}
+			pin.seen = a.incSeq + 1
 		}
-		pin := a.incPins[apps[i].ID]
-		out[i] = pin.alloc
-		chosenSum += pin.chosenCost
-		minSum += pin.minCost
+		if dst[at].CoAllocated {
+			coAllocated++
+		}
 	}
+	sc.changed = changed[:0]
 	slack := (1 + chosenSum) / (1 + minSum)
 	if a.incHaveBase && slack > a.incDriftBound*a.incBaseSlack+1e-9 {
 		return nil, Stats{}, false, nil // drifted past the bound; full solve
 	}
 
+	a.incSeq++
 	for ri, i := range resolveIdx {
 		st := states[ri]
-		a.setPin(&apps[i], out[i], st.cands[st.chosen].cost)
+		a.setPin(&apps[i], solved[ri], st.cands[st.chosen].cost)
 	}
 	a.prunePins(apps)
 	a.incSinceFull++
 
-	stats := Stats{
+	return out, Stats{
 		Apps:        len(apps),
 		Candidates:  cands,
 		LambdaIters: iters,
+		CoAllocated: coAllocated,
 		Source:      SourceIncremental,
 		Pinned:      len(apps) - len(resolveIdx),
 		Resolved:    len(resolveIdx),
-	}
-	for i := range out {
-		if out[i].CoAllocated {
-			stats.CoAllocated++
-		}
-	}
-	return out, stats, true, nil
+		Changed:     changed,
+	}, true, nil
 }
 
 // rememberFullSolve re-pins every application at the full solve's (or cache
@@ -255,12 +321,12 @@ func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation) {
 	if a.incPins == nil {
 		a.incPins = make(map[string]*pinnedApp, len(apps))
 	}
+	a.incSeq++
 	var chosenSum, minSum float64
 	for i := range apps {
 		cost := a.chosenCostOf(&apps[i], &allocs[i])
-		a.setPin(&apps[i], allocs[i], cost)
 		chosenSum += cost
-		minSum += a.incPins[apps[i].ID].minCost
+		minSum += a.setPin(&apps[i], allocs[i], cost).minCost
 	}
 	a.prunePins(apps)
 	a.incSinceFull = 0
@@ -283,9 +349,11 @@ func (a *Allocator) chosenCostOf(app *AppInput, al *Allocation) float64 {
 	return c
 }
 
-// setPin records one application's standing allocation. Grants are cloned so
-// pins never alias the solution cache or solver scratch.
-func (a *Allocator) setPin(app *AppInput, al Allocation, chosenCost float64) {
+// setPin records one application's standing allocation as of the current
+// pin-epoch. The pin shares the allocation's grants with the caller's result
+// and, after a full solve, with the solution cache: all three treat a grant
+// list as immutable once built, so nothing is copied.
+func (a *Allocator) setPin(app *AppInput, al Allocation, chosenCost float64) *pinnedApp {
 	info := a.tableInfo(app.Table)
 	pin := a.incPins[app.ID]
 	if pin == nil {
@@ -296,17 +364,9 @@ func (a *Allocator) setPin(app *AppInput, al Allocation, chosenCost float64) {
 	pin.maxUtility = app.MaxUtility
 	pin.minCost = info.minCost
 	pin.chosenCost = chosenCost
-	pin.alloc = Allocation{
-		ID:          al.ID,
-		Point:       al.Point,
-		Grants:      append([]CoreGrant(nil), al.Grants...),
-		CoAllocated: al.CoAllocated,
-	}
-	if al.CoAllocated {
-		pin.demand = nil
-	} else {
-		pin.demand = al.Point.Vector.CoreDemand()
-	}
+	pin.alloc = al
+	pin.seen = a.incSeq
+	return pin
 }
 
 // prunePins drops pins for departed applications once the map outgrows the

@@ -13,8 +13,11 @@ package alloc
 // produced, and it satisfies the same structural invariants
 // (check.CheckAllocations) because isolated grants stay inside their
 // domain's kinds and co-allocated grants are exempt from overlap rules.
-// Domains are connected components of the "shares a kind" relation,
-// computed per solve with a small union-find over kinds.
+// Domains are connected components of the "shares a kind" relation, found
+// with a small union-find over the distinct footprints. Membership — each
+// domain's position list and input slice — the merged solution and the delta
+// are kept between solves and refilled in place, so partitioning allocates
+// nothing once the population has been seen.
 //
 // Children are keyed by domain kind-mask and persist across solves, so each
 // domain keeps its own solution cache, warm-start λ and incremental pin
@@ -26,6 +29,11 @@ package alloc
 // deterministic and bounded — one extra pass, then the result is accepted
 // and the residual overshoot is left to the manager's power governor.
 //
+// The children's deltas (Stats.Changed) are mapped back to input positions
+// and merged; a domain whose child reports none — a full or cached solve, a
+// capped reconcile, or a child that sat out the previous solve because its
+// domain was empty — contributes all of its positions.
+//
 // Sharded implements the core.Allocator interface. It deliberately does not
 // forward SetOverBudget or the cache export hooks: the degradation ladder
 // and state snapshots operate on a single allocator, and a manager that
@@ -35,6 +43,7 @@ package alloc
 
 import (
 	"math"
+	"slices"
 
 	"github.com/harp-rm/harp/internal/parallel"
 	"github.com/harp-rm/harp/internal/platform"
@@ -50,13 +59,23 @@ type Sharded struct {
 
 	// children persist per domain kind-mask so caches, warm starts and
 	// incremental pins survive across epochs as long as the partition is
-	// stable.
-	children map[uint64]*Allocator
+	// stable. solves numbers this allocator's solves.
+	children map[uint64]*shardChild
+	solves   uint64
 
 	// footMemo memoises per-table footprint masks, keyed by the table's
 	// process-unique ID and invalidated by (version, v*) — the tableMemo
 	// idiom from fingerprint.go.
 	footMemo map[uint64]footEntry
+
+	// Partition state and the merged result, retained and refilled in place
+	// each solve (see the result-ownership rule on Allocator.AllocateWithStats).
+	masks   []uint64
+	parent  []int
+	domOf   []int     // union-find root kind -> index into doms, -1 = none yet
+	doms    []*domain // doms[:nd] are this solve's domains
+	out     []Allocation
+	changed []int
 }
 
 type footEntry struct {
@@ -80,7 +99,8 @@ func NewSharded(plat *platform.Platform, parallelism int, powerCapW float64, opt
 		parallelism: parallelism,
 		powerCapW:   powerCapW,
 		childOpts:   opts,
-		children:    make(map[uint64]*Allocator),
+		children:    make(map[uint64]*shardChild),
+		changed:     make([]int, 0, 16), // never nil: a nil delta reads as "everything moved"
 		footMemo:    make(map[uint64]footEntry),
 	}
 	if _, err := s.child(s.allKindsMask()); err != nil {
@@ -93,16 +113,38 @@ func (s *Sharded) allKindsMask() uint64 {
 	return (uint64(1) << uint(len(s.plat.Kinds))) - 1
 }
 
-func (s *Sharded) child(mask uint64) (*Allocator, error) {
+// shardChild is one domain's persistent Allocator and the number of the
+// solve it last took part in.
+type shardChild struct {
+	*Allocator
+	ran uint64
+}
+
+func (s *Sharded) child(mask uint64) (*shardChild, error) {
 	if c, ok := s.children[mask]; ok {
 		return c, nil
 	}
-	c, err := New(s.plat, s.childOpts...)
+	a, err := New(s.plat, s.childOpts...)
 	if err != nil {
 		return nil, err
 	}
+	c := &shardChild{Allocator: a}
 	s.children[mask] = c
 	return c, nil
+}
+
+// delta returns the child's Stats.Changed for the solve it just ran and
+// marks it as having run. A child's delta is relative to its own previous
+// solve: when it sat out the solve before this one (its domain was empty, or
+// another child took the whole input), the caller's previous answer for its
+// applications came from elsewhere and there is no delta.
+func (s *Sharded) delta(c *shardChild, stats *Stats) []int {
+	consecutive := c.ran+1 == s.solves
+	c.ran = s.solves
+	if !consecutive {
+		return nil
+	}
+	return stats.Changed
 }
 
 // footprint returns the bitmask of kinds any usable point of the table
@@ -149,43 +191,53 @@ func (s *Sharded) footprint(app *AppInput) uint64 {
 }
 
 // domain is one connected component of the shares-a-kind relation: the kinds
-// it owns and the positions (input order) of the applications inside it.
+// it owns, the positions (input order) of the applications inside it, their
+// inputs, and — during a solve — its child and the child's result.
 type domain struct {
-	mask uint64
-	idx  []int
+	mask   uint64
+	idx    []int
+	inputs []AppInput
+	child  *shardChild
+	allocs []Allocation
+	stats  Stats
 }
 
-// AllocateWithStats implements core.Allocator: partition, solve domains in
-// parallel, merge positionally, then run the power-budget coordinator.
-func (s *Sharded) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
+// partition assigns every application to its domain and returns how many
+// domains this solve has (s.doms[:n], ordered by first appearance — a
+// deterministic order independent of parallelism, the parallel.Run contract).
+func (s *Sharded) partition(apps []AppInput) int {
 	nk := len(s.plat.Kinds)
-	if len(apps) == 0 || nk > 64 {
-		// Degenerate platform widths fall back to a single whole-platform
-		// solve (no production platform has >64 core kinds).
-		c, err := s.child(s.allKindsMask())
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return c.AllocateWithStats(apps)
+	if s.parent == nil {
+		s.parent = make([]int, nk)
+		s.domOf = make([]int, nk)
 	}
-
-	// Union-find over kinds: each application's footprint links its kinds.
-	parent := make([]int, nk)
+	parent := s.parent
 	for k := range parent {
 		parent[k] = k
 	}
-	var find func(int) int
-	find = func(k int) int {
+	find := func(k int) int {
 		for parent[k] != k {
 			parent[k] = parent[parent[k]]
 			k = parent[k]
 		}
 		return k
 	}
-	masks := make([]uint64, len(apps))
+	if cap(s.masks) < len(apps) {
+		s.masks = make([]uint64, roomFor(len(apps)))
+	}
+	masks := s.masks[:len(apps)]
+
+	// Union-find over kinds: each footprint links its kinds. Linking is
+	// idempotent, so a footprint equal to the previous application's — the
+	// common case, populations run a handful of distinct tables — is skipped.
+	var last uint64
 	for i := range apps {
 		m := s.footprint(&apps[i])
 		masks[i] = m
+		if m == last {
+			continue
+		}
+		last = m
 		first := -1
 		for k := 0; k < nk; k++ {
 			if m&(1<<uint(k)) == 0 {
@@ -199,82 +251,105 @@ func (s *Sharded) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error
 		}
 	}
 
-	// Collect domains ordered by their lowest kind — a deterministic order
-	// independent of parallelism (the parallel.Map contract).
-	domOf := make(map[int]int, nk)
-	var doms []*domain
+	for k := range s.domOf {
+		s.domOf[k] = -1
+	}
+	nd := 0
 	for i := range apps {
 		root := find(lowestKind(masks[i]))
-		di, ok := domOf[root]
-		if !ok {
-			di = len(doms)
-			domOf[root] = di
-			doms = append(doms, &domain{})
-		}
-		doms[di].mask |= masks[i]
-		doms[di].idx = append(doms[di].idx, i)
-	}
-	// Domain masks must cover their whole component, not just the kinds the
-	// surviving apps touch, so the child key is stable while membership
-	// fluctuates.
-	for _, d := range doms {
-		root := find(lowestKind(d.mask))
-		var full uint64
-		for k := 0; k < nk; k++ {
-			if find(k) == root {
-				full |= 1 << uint(k)
+		di := s.domOf[root]
+		if di < 0 {
+			di = nd
+			nd++
+			s.domOf[root] = di
+			if di == len(s.doms) {
+				s.doms = append(s.doms, &domain{})
+			}
+			d := s.doms[di]
+			d.idx, d.inputs = d.idx[:0], d.inputs[:0]
+			// The mask covers the whole component, not just the kinds the
+			// surviving apps touch, so the child key is stable while
+			// membership fluctuates.
+			d.mask = 0
+			for k := 0; k < nk; k++ {
+				if find(k) == root {
+					d.mask |= 1 << uint(k)
+				}
 			}
 		}
-		d.mask = full
+		d := s.doms[di]
+		d.idx = append(d.idx, i)
+		d.inputs = append(d.inputs, apps[i])
 	}
+	return nd
+}
 
-	if len(doms) == 1 {
-		// One domain: plain delegation, child source preserved (a sharded
-		// manager on a single-kind platform behaves exactly like an
-		// unsharded one).
-		c, err := s.child(doms[0].mask)
+// AllocateWithStats implements core.Allocator: partition, solve domains in
+// parallel, merge positionally, then run the power-budget coordinator. The
+// result-ownership rule of Allocator.AllocateWithStats applies.
+func (s *Sharded) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
+	nk := len(s.plat.Kinds)
+	if len(apps) == 0 || nk > 64 {
+		// Degenerate platform widths fall back to a single whole-platform
+		// solve (no production platform has >64 core kinds).
+		c, err := s.child(s.allKindsMask())
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		return c.AllocateWithStats(apps)
+		return s.solveChild(c, apps)
 	}
 
-	// Materialise children and per-domain inputs before fanning out —
-	// workers must not touch shared maps.
-	children := make([]*Allocator, len(doms))
-	inputs := make([][]AppInput, len(doms))
-	for di, d := range doms {
+	nd := s.partition(apps)
+	doms := s.doms[:nd]
+	for _, d := range doms {
+		// Materialise children before fanning out — workers must not touch
+		// shared maps.
 		c, err := s.child(d.mask)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		children[di] = c
-		in := make([]AppInput, len(d.idx))
-		for j, i := range d.idx {
-			in[j] = apps[i]
-		}
-		inputs[di] = in
+		d.child = c
+	}
+	if nd == 1 {
+		// One domain: plain delegation, child source and delta preserved (a
+		// sharded manager on a single-kind platform behaves exactly like an
+		// unsharded one).
+		return s.solveChild(doms[0].child, apps)
 	}
 
-	type domResult struct {
-		allocs []Allocation
-		stats  Stats
+	// Children write into the merged, positional result (the
+	// CheckAllocations contract): an incremental merge places its domain
+	// directly, any other child solve returns a slice that is placed here.
+	if cap(s.out) < len(apps) {
+		s.out = make([]Allocation, roomFor(len(apps)))
 	}
-	results, err := parallel.Map(s.parallelism, len(doms), func(di int) (domResult, error) {
-		al, st, err := children[di].AllocateWithStats(inputs[di])
-		return domResult{allocs: al, stats: st}, err
+	out := s.out[:len(apps)]
+	place := func(d *domain) {
+		for j, i := range d.idx {
+			out[i] = d.allocs[j]
+		}
+		d.allocs = nil // the child owns it
+	}
+	s.solves++
+	err := parallel.Run(s.parallelism, nd, func(di int) (err error) {
+		d := doms[di]
+		d.allocs, d.stats, err = d.child.solve(d.inputs, out, d.idx)
+		return err
 	})
 	if err != nil {
 		return nil, Stats{}, err
+	}
+	for _, d := range doms {
+		if d.allocs != nil {
+			place(d)
+		}
 	}
 
 	// Power-budget coordinator: one proportional-scaling reconcile round.
 	if s.powerCapW > 0 {
 		total := 0.0
-		for _, r := range results {
-			for i := range r.allocs {
-				total += r.allocs[i].Point.Power
-			}
+		for i := range out {
+			total += out[i].Point.Power
 		}
 		if total > s.powerCapW {
 			scale := s.powerCapW / total
@@ -285,31 +360,56 @@ func (s *Sharded) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error
 					capped[k] = 1
 				}
 			}
-			results, err = parallel.Map(s.parallelism, len(doms), func(di int) (domResult, error) {
-				al, st, err := children[di].AllocateCapped(inputs[di], capped)
-				return domResult{allocs: al, stats: st}, err
+			err = parallel.Run(s.parallelism, nd, func(di int) (err error) {
+				d := doms[di]
+				d.allocs, d.stats, err = d.child.AllocateCapped(d.inputs, capped)
+				return err
 			})
 			if err != nil {
 				return nil, Stats{}, err
 			}
+			for _, d := range doms {
+				place(d)
+			}
 		}
 	}
 
-	// Merge positionally back into input order (the CheckAllocations
-	// contract) and aggregate stats.
-	out := make([]Allocation, len(apps))
+	// Aggregate stats and map the children's deltas to input positions.
+	changed := s.changed[:0]
 	stats := Stats{Apps: len(apps), Source: SourceSharded}
-	for di, d := range doms {
-		r := results[di]
-		for j, i := range d.idx {
-			out[i] = r.allocs[j]
+	whole := 0 // domains without a delta
+	for _, d := range doms {
+		stats.Candidates += d.stats.Candidates
+		stats.LambdaIters += d.stats.LambdaIters
+		stats.CoAllocated += d.stats.CoAllocated
+		stats.Pinned += d.stats.Pinned
+		stats.Resolved += d.stats.Resolved
+		if moved := s.delta(d.child, &d.stats); moved == nil {
+			changed = append(changed, d.idx...)
+			whole++
+		} else {
+			for _, j := range moved {
+				changed = append(changed, d.idx[j])
+			}
 		}
-		stats.Candidates += r.stats.Candidates
-		stats.LambdaIters += r.stats.LambdaIters
-		stats.CoAllocated += r.stats.CoAllocated
-		stats.Pinned += r.stats.Pinned
-		stats.Resolved += r.stats.Resolved
+		d.stats.Changed = nil // the child owns it
 	}
+	s.changed = changed[:0]
+	if whole < nd {
+		slices.Sort(changed)
+		stats.Changed = changed
+	}
+	return out, stats, nil
+}
+
+// solveChild delegates a whole solve to one child.
+func (s *Sharded) solveChild(c *shardChild, apps []AppInput) ([]Allocation, Stats, error) {
+	s.solves++
+	out, stats, err := c.AllocateWithStats(apps)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	stats.Changed = s.delta(c, &stats)
 	return out, stats, nil
 }
 

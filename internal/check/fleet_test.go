@@ -45,8 +45,12 @@ func TestCheckFleetViolations(t *testing.T) {
 			want:   "standing power",
 		},
 		"caps-over-budget": {
-			mutate: func(v *FleetView) { v.Machines[0].CapW = 60; v.Machines[0].AdmittedW = 0; v.Machines[0].StandingPowerW = 0 },
-			want:   "fleet budget",
+			mutate: func(v *FleetView) {
+				v.Machines[0].CapW = 60
+				v.Machines[0].AdmittedW = 0
+				v.Machines[0].StandingPowerW = 0
+			},
+			want: "fleet budget",
 		},
 		"duplicate-machine": {
 			mutate: func(v *FleetView) { v.Machines[2].ID = "m0" },

@@ -213,14 +213,14 @@ func TestRegisterRollbackRestoresContinuityState(t *testing.T) {
 	}
 	// Simulate recovered continuity state: the instance deregistered before
 	// (ended) and announced a phase before an RM restart (priorPhase).
-	m.ended["s0"] = struct{}{}
+	m.ended.add("s0")
 	m.priorPhase["s0"] = "steady"
 
 	counting.fail = true
 	if err := m.Register("s0", "app", workload.Scalable, false); err == nil {
 		t.Fatal("registration succeeded although the solver failed")
 	}
-	if _, ok := m.ended["s0"]; !ok {
+	if !m.ended.has("s0") {
 		t.Fatal("rollback lost m.ended: retry will not count as a reconnect")
 	}
 	if phase := m.priorPhase["s0"]; phase != "steady" {
@@ -261,16 +261,16 @@ func TestDeregisterStormCompactsOrder(t *testing.T) {
 	if len(m.order) > n {
 		t.Fatalf("order grew to %d entries, tombstones not compacted", len(m.order))
 	}
-	for _, id := range m.order {
-		if id != "" && m.sessions[id] == nil {
-			t.Fatalf("ghost order entry %q survives deregistration", id)
+	for _, s := range m.order {
+		if s != nil && m.sessions[s.instance] != s {
+			t.Fatalf("ghost order entry %q survives deregistration", s.instance)
 		}
 	}
 	if err := m.Register("s000", "app", workload.Scalable, false); err != nil {
 		t.Fatalf("re-registration after storm: %v", err)
 	}
-	if idx, ok := m.orderIdx["s000"]; !ok || m.order[idx] != "s000" {
-		t.Fatal("order index out of sync after storm + re-registration")
+	if s := m.sessions["s000"]; s == nil || m.order[s.slot] != s {
+		t.Fatal("order slot out of sync after storm + re-registration")
 	}
 }
 

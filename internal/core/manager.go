@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/harp-rm/harp/internal/alloc"
@@ -102,10 +101,29 @@ type SessionInfo struct {
 	Exploring bool
 }
 
-// Allocator solves the MMKP for the manager. *alloc.Allocator is the
-// production implementation; the indirection exists so correctness tests can
-// inject failing or instrumented solvers and verify that allocation errors
-// surface in the decision journal instead of turning into bad decisions.
+// Allocator solves the MMKP for the manager. *alloc.Allocator and
+// *alloc.Sharded are the production implementations; the indirection exists
+// so correctness tests can inject failing or instrumented solvers and verify
+// that allocation errors surface in the decision journal instead of turning
+// into bad decisions.
+//
+// The contract beyond the signature:
+//
+//   - Order. The result has one allocation per input, in input order.
+//   - Ownership. The returned allocations, their grant lists and
+//     Stats.Changed belong to the solver: the Manager only reads them, and
+//     only until it calls the solver again. What it keeps beyond that — a
+//     pushed Decision — holds its own clone of the vector and shares the grant
+//     list, which a solver must therefore never write again once returned.
+//     A wrapper that forwards a solve (the benchmark's tracing seam does)
+//     passes allocations and Stats through untouched.
+//   - Delta. Stats.Changed, when non-nil, lists the input positions whose
+//     allocation may differ from the solver's previous successful answer for
+//     the same ID (see alloc.Stats). The Manager then pushes only those
+//     sessions, plus the ones whose standing decision is not simply the
+//     solver's answer (epoch.go). nil — what any solver that does not track
+//     deltas returns — makes the epoch walk every session, which is always
+//     correct.
 type Allocator interface {
 	AllocateWithStats(apps []alloc.AppInput) ([]alloc.Allocation, alloc.Stats, error)
 }
@@ -225,6 +243,17 @@ type session struct {
 	phase              string
 	liveness           Liveness
 
+	// Epoch-pipeline bookkeeping (epoch.go). slot is the session's index in
+	// Manager.order; inputIdx its position in the solve input set, valid
+	// while the set is not stale (-1 while quarantined). dirty marks a
+	// session listed in Manager.dirty: the next push walk must visit it even
+	// if the solver reports its allocation unchanged. gone marks a
+	// deregistered session that a work list may still reference.
+	slot     int
+	inputIdx int
+	dirty    bool
+	gone     bool
+
 	// Telemetry state: the last smoothed sample, and the session's gauges
 	// cached at registration so the 50 ms hot path skips the GaugeVec map.
 	lastUtility float64
@@ -240,15 +269,37 @@ type Manager struct {
 	sessions  map[string]*session
 	explorers map[string]*explore.Explorer // per application name; persists across sessions
 	// order preserves registration order for deterministic solves. Removal
-	// tombstones the slot ("" entries, skipped by every iterator) and
+	// tombstones the slot (nil entries, skipped by every iterator) and
 	// compacts when half the slice is dead, so a deregistration storm is
-	// amortised O(1) per event instead of the old O(N) scan. orderIdx maps
-	// instance -> live slot; orderDead counts tombstones.
-	order     []string
-	orderIdx  map[string]int
+	// amortised O(1) per event instead of the old O(N) scan. A session knows
+	// its slot; orderDead counts tombstones.
+	order     []*session
 	orderDead int
 	seq       int
 	onDecide  []func(Decision)
+
+	// The epoch pipeline's standing state (epoch.go): the solve input set in
+	// solve order with the session behind each position, the sessions the
+	// next push walk must visit whatever the solver's delta says, and whether
+	// that delta may be trusted at all.
+	inputs      []alloc.AppInput
+	inputSess   []*session
+	inputsStale bool
+	dirty       []*session
+	deltaOK     bool
+	visit       []*session // push-walk scratch
+	usedCores   []bool     // exploration-pool scratch
+
+	// Aggregates over the standing decisions, maintained where a decision
+	// changes (setStanding) and where liveness changes, so neither the epoch
+	// path nor a gauge ever rescans the sessions: the summed predicted power
+	// (the epoch's power budget), how many sessions hold each physical core in
+	// isolation and how many distinct cores that is, and the live-session
+	// count.
+	standingPowerW float64
+	coreHolders    []int32
+	coresGranted   int
+	liveSessions   int
 
 	// Coalescing state (coalesce.go): one pending epoch batching the
 	// mutating events since the last solve.
@@ -256,9 +307,10 @@ type Manager struct {
 	pendingTrigger string
 	pendingEvents  int
 	pendingTicks   int
-	// ended remembers instances that deregistered, so a re-registration of
-	// the same instance can be counted as a session resumption.
-	ended map[string]struct{}
+	// ended remembers the instances that deregistered most recently, so a
+	// re-registration of the same instance can be counted as a session
+	// resumption. Bounded: see recentSet.
+	ended *recentSet
 	// priorPhase remembers the last announced phase of sessions recovered
 	// from durable state (ImportState), restored when the client reconnects.
 	priorPhase map[string]string
@@ -283,13 +335,14 @@ type Manager struct {
 
 	// Degradation-ladder state (see solveWithLadder). fallback is the
 	// greedy rung-2 solver, built only alongside the default allocator;
-	// lastGood is a clone of the most recent healthy solve's allocations;
+	// haveGood records that some solve has produced allocations, i.e. that
+	// the standing decisions are a last-known-good worth holding (rung 3);
 	// forceDegraded counts pending injected solver stalls; lastEpochErr is
 	// the sticky message of the last failed or degraded epoch; lastRung is
 	// the rung that resolved the most recent epoch ("" = healthy); the
 	// deadline pair arms the allocator's over-budget probe per solve.
 	fallback      Allocator
-	lastGood      []alloc.Allocation
+	haveGood      bool
 	forceDegraded int
 	lastEpochErr  string
 	lastRung      string
@@ -361,14 +414,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.EpochBudget = DefaultEpochBudget
 	}
 	m := &Manager{
-		cfg:       cfg,
-		allocator: allocator,
-		fallback:  fallback,
-		sessions:  make(map[string]*session),
-		explorers: make(map[string]*explore.Explorer),
-		ended:      make(map[string]struct{}),
-		priorPhase: make(map[string]string),
-		orderIdx:   make(map[string]int),
+		cfg:         cfg,
+		allocator:   allocator,
+		fallback:    fallback,
+		sessions:    make(map[string]*session),
+		explorers:   make(map[string]*explore.Explorer),
+		ended:       newRecentSet(recentDepartures),
+		priorPhase:  make(map[string]string),
+		coreHolders: make([]int32, cfg.Platform.NumCores()),
+		usedCores:   make([]bool, cfg.Platform.NumCores()),
 	}
 	if cfg.LatencyClock != nil && cfg.EpochBudget > 0 {
 		if da, ok := allocator.(interface{ SetOverBudget(func() bool) }); ok {
@@ -427,13 +481,14 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 		adaptivity: adaptivity,
 		ownUtility: ownUtility,
 		explorer:   m.explorerFor(app),
+		inputIdx:   -1,
 	}
 	// Stash the restart-continuity state the registration consumes so a
 	// failed solve can restore it: without the stash, a failed registration
 	// followed by a successful retry loses the resumed phase and the
 	// reconnect count.
 	priorPhase, hadPrior := m.priorPhase[instance]
-	_, wasEnded := m.ended[instance]
+	wasEnded := m.ended.has(instance)
 	if hadPrior {
 		// The instance existed before an RM restart; resume its announced
 		// phase so the journal and status views stay continuous.
@@ -441,7 +496,9 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 		delete(m.priorPhase, instance)
 	}
 	m.sessions[instance] = s
-	m.orderAdd(instance)
+	m.orderAdd(s)
+	m.markDirty(s) // no standing decision yet: the next walk must reach it
+	m.inputsStale = true
 	m.cfg.Tracer.Emit(telemetry.Event{
 		Kind:     telemetry.EvSessionRegistered,
 		Instance: instance,
@@ -453,8 +510,8 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 		s.utilGauge = mt.SessionUtility.With(instance)
 		s.powerGauge = mt.SessionPower.With(instance)
 	}
-	delete(m.ended, instance)
-	m.updateLiveGauge()
+	m.ended.remove(instance)
+	m.liveChanged(+1)
 	rerr := m.epochAfter("register")
 	if rerr != nil && !m.cfg.Coalesce.Enabled {
 		// Roll the half-registered session back out: the caller reports the
@@ -463,8 +520,7 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 		// has already recorded the error epoch. (With coalescing the session
 		// stays — a flush failure covers many sessions, and evicting the one
 		// that tripped the dirty bound would be arbitrary; see coalesce.go.)
-		delete(m.sessions, instance)
-		m.orderRemove(instance)
+		m.forget(s)
 		if mt := m.cfg.Metrics; mt != nil {
 			mt.Sessions.Set(float64(len(m.sessions)))
 			// Release the per-instance label series cached on the session
@@ -478,9 +534,8 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 			m.priorPhase[instance] = priorPhase
 		}
 		if wasEnded {
-			m.ended[instance] = struct{}{}
+			m.ended.add(instance)
 		}
-		m.updateLiveGauge()
 		return rerr
 	}
 	// Counted only once the registration sticks — a rolled-back attempt is
@@ -499,35 +554,48 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 	return rerr
 }
 
-// orderAdd appends an instance to the deterministic solve order.
-func (m *Manager) orderAdd(instance string) {
-	m.orderIdx[instance] = len(m.order)
-	m.order = append(m.order, instance)
+// orderAdd appends a session to the deterministic solve order.
+func (m *Manager) orderAdd(s *session) {
+	s.slot = len(m.order)
+	m.order = append(m.order, s)
 }
 
-// orderRemove tombstones the instance's slot in O(1) and compacts the slice
+// orderRemove tombstones the session's slot in O(1) and compacts the slice
 // once half of it is dead, keeping removal amortised O(1) per event.
-func (m *Manager) orderRemove(instance string) {
-	idx, ok := m.orderIdx[instance]
-	if !ok {
-		return
-	}
-	delete(m.orderIdx, instance)
-	m.order[idx] = ""
+func (m *Manager) orderRemove(s *session) {
+	m.order[s.slot] = nil
 	m.orderDead++
 	if m.orderDead*2 < len(m.order) {
 		return
 	}
 	live := m.order[:0]
-	for _, id := range m.order {
-		if id == "" {
+	for _, o := range m.order {
+		if o == nil {
 			continue
 		}
-		m.orderIdx[id] = len(live)
-		live = append(live, id)
+		o.slot = len(live)
+		live = append(live, o)
 	}
+	clear(m.order[len(live):]) // drop the tail's references
 	m.order = live
 	m.orderDead = 0
+}
+
+// forget removes a session from the registry, the solve order and every
+// aggregate it contributed to — the part of a departure (or of a rolled-back
+// registration) that is bookkeeping rather than protocol.
+func (m *Manager) forget(s *session) {
+	delete(m.sessions, s.instance)
+	m.orderRemove(s)
+	m.setStanding(s, nil)
+	if s.liveness == LivenessLive {
+		m.liveChanged(-1)
+	}
+	s.gone = true
+	m.inputsStale = true
+	if len(m.sessions) == 0 {
+		m.standingPowerW = 0 // no rounding residue outlives the last session
+	}
 }
 
 // UploadTable merges operating points supplied by the application itself
@@ -544,6 +612,7 @@ func (m *Manager) UploadTable(instance string, t *opoint.Table) error {
 		return err
 	}
 	s.explorer.SeedTable(t)
+	m.inputsStale = true // every session of the application solves against a new table
 	rerr := m.epochAfter("table-upload")
 	m.appendRecord(store.Record{Kind: store.RecTable, Instance: instance, App: s.app, Table: t})
 	return rerr
@@ -571,10 +640,9 @@ func (m *Manager) deregister(instance, trigger string, kind telemetry.EventKind)
 	if err != nil {
 		return err
 	}
-	delete(m.sessions, instance)
-	m.ended[instance] = struct{}{}
+	m.forget(s)
+	m.ended.add(instance)
 	m.cfg.Energy.EndSession(instance)
-	m.orderRemove(instance)
 	m.cfg.Tracer.Emit(telemetry.Event{
 		Kind:     kind,
 		Instance: instance,
@@ -585,7 +653,6 @@ func (m *Manager) deregister(instance, trigger string, kind telemetry.EventKind)
 		mt.SessionUtility.Delete(instance)
 		mt.SessionPower.Delete(instance)
 	}
-	m.updateLiveGauge()
 	if len(m.sessions) == 0 {
 		if mt := m.cfg.Metrics; mt != nil {
 			mt.CoresGranted.Set(0)
@@ -612,7 +679,7 @@ func (m *Manager) SetLiveness(instance string, l Liveness, reason string) error 
 		return nil
 	}
 	old := s.liveness
-	s.liveness = l
+	m.setLiveness(s, l)
 	var kind telemetry.EventKind
 	switch {
 	case l == LivenessQuarantined:
@@ -636,7 +703,6 @@ func (m *Manager) SetLiveness(instance string, l Liveness, reason string) error 
 			mt.SessionsReadmitted.Inc()
 		}
 	}
-	m.updateLiveGauge()
 	switch {
 	case l == LivenessQuarantined:
 		// Freeze learning: an in-flight exploration measurement would mix
@@ -660,19 +726,31 @@ func (m *Manager) Liveness(instance string) (Liveness, error) {
 	return s.liveness, nil
 }
 
-// updateLiveGauge recounts the sessions in the live state.
-func (m *Manager) updateLiveGauge() {
-	mt := m.cfg.Metrics
-	if mt == nil {
-		return
+// setLiveness moves a session between health states and keeps what hangs
+// off the state current: the live-session gauge, and — when the session
+// enters or leaves quarantine — the solve input set (quarantined sessions are
+// not solved for) and the next push walk, which must park or restore it.
+func (m *Manager) setLiveness(s *session, l Liveness) {
+	old := s.liveness
+	s.liveness = l
+	switch {
+	case old == LivenessLive:
+		m.liveChanged(-1)
+	case l == LivenessLive:
+		m.liveChanged(+1)
 	}
-	live := 0
-	for _, s := range m.sessions {
-		if s.liveness == LivenessLive {
-			live++
-		}
+	if (old == LivenessQuarantined) != (l == LivenessQuarantined) {
+		m.inputsStale = true
+		m.markDirty(s)
 	}
-	mt.SessionsLive.Set(float64(live))
+}
+
+// liveChanged adjusts the live-session count and its gauge.
+func (m *Manager) liveChanged(delta int) {
+	m.liveSessions += delta
+	if mt := m.cfg.Metrics; mt != nil {
+		mt.SessionsLive.Set(float64(m.liveSessions))
+	}
 }
 
 // Measure feeds one smoothed (utility, power) sample for a session
@@ -730,6 +808,7 @@ func (m *Manager) Measure(instance string, utility, power float64) error {
 		if !done {
 			return nil
 		}
+		m.inputsStale = true // the committed point changes the application's table
 		var rerr error
 		switch {
 		case s.explorer.Stage() == explore.StageStable:
@@ -799,691 +878,6 @@ func (m *Manager) PhaseChange(instance, phase string) error {
 	return rerr
 }
 
-// Reallocate recomputes allocations for all sessions and pushes changed
-// decisions. It is invoked on registration, exits, graduation to the stable
-// stage, and the periodic stable-stage cadence.
-func (m *Manager) Reallocate() error {
-	return m.reallocate("manual")
-}
-
-// reallocate is Reallocate with the trigger label for the decision journal
-// and trace events.
-func (m *Manager) reallocate(trigger string) error {
-	// Any full solve satisfies a queued coalesced epoch — absorb it so an
-	// inline trigger (cadence, graduation, manual) never leaves a stale
-	// pending flush behind.
-	m.absorbPending()
-	if len(m.sessions) == 0 {
-		return nil
-	}
-	var t0 time.Duration
-	timed := m.cfg.LatencyClock != nil
-	if timed {
-		t0 = m.cfg.LatencyClock()
-	}
-
-	ep := m.cfg.Tracer.BeginPhase(telemetry.PhaseEpoch, m.epochHist)
-	defer ep.End()
-
-	// Quarantined sessions are excluded from the solve: their cores shrink
-	// to zero (a parked decision) and the survivors absorb the capacity.
-	snap := m.cfg.Tracer.BeginPhase(telemetry.PhaseSnapshot, m.snapshotHist)
-	inputs := make([]alloc.AppInput, 0, len(m.sessions))
-	for _, id := range m.order {
-		if id == "" {
-			continue // tombstoned order slot (orderRemove)
-		}
-		s := m.sessions[id]
-		if s.liveness == LivenessQuarantined {
-			continue
-		}
-		inputs = append(inputs, alloc.AppInput{ID: id, Table: s.explorer.PredictedTable()})
-	}
-	snap.End()
-	var allocs []alloc.Allocation
-	var stats alloc.Stats
-	staleOnly := false
-	if len(inputs) > 0 {
-		sr := m.solveWithLadder(inputs)
-		if sr.hardErr != nil {
-			// Custom-allocator fail-fast semantics: the solve failure pushes
-			// nothing — every session keeps its standing decision — and is
-			// journalled as an error epoch so operators see the gap in the
-			// decision stream instead of a silently missing epoch.
-			m.recordEpochError(trigger, sr.hardErr)
-			return fmt.Errorf("core: allocate: %w", sr.hardErr)
-		}
-		if sr.frozen {
-			// Ladder rung 4: no usable allocation exists at all. Standing
-			// decisions stay frozen (pushing zeros would strand running
-			// applications for a transient solver fault) and the epoch
-			// records the gap.
-			m.lastSolveSource = alloc.SourceFrozen
-			m.recordEpochWith(trigger, 0, alloc.SourceFrozen, sr.errMsg)
-			return nil
-		}
-		allocs, stats, staleOnly = sr.allocs, sr.stats, sr.stale
-		if stats.Source != "" {
-			m.lastSolveSource = stats.Source
-		}
-	}
-	pushSpan := m.cfg.Tracer.BeginPhase(telemetry.PhasePush, m.pushHist)
-	byID := make(map[string]alloc.Allocation, len(allocs))
-	for _, al := range allocs {
-		byID[al.ID] = al
-	}
-
-	// Free cores per kind = capacity − cores granted to isolated sessions.
-	free := make(map[platform.KindID][]int)
-	used := make(map[int]bool)
-	for _, al := range allocs {
-		if al.CoAllocated {
-			continue
-		}
-		for _, g := range al.Grants {
-			used[g.Core] = true
-		}
-	}
-	for kindIdx := range m.cfg.Platform.Kinds {
-		lo, hi := m.cfg.Platform.CoreRange(platform.KindID(kindIdx))
-		for c := lo; c < hi; c++ {
-			if !used[c] {
-				free[platform.KindID(kindIdx)] = append(free[platform.KindID(kindIdx)], c)
-			}
-		}
-	}
-
-	// Count exploring sessions to split the free cores evenly (§5.3).
-	var exploring []*session
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		s := m.sessions[id]
-		if s.liveness == LivenessQuarantined {
-			continue
-		}
-		s.coAllocated = byID[id].CoAllocated
-		if m.exploring(s) && !s.coAllocated {
-			exploring = append(exploring, s)
-		}
-	}
-
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		s := m.sessions[id]
-		if s.liveness == LivenessQuarantined {
-			s.explorer.Abort()
-			s.pool = nil
-			s.bound = nil
-			s.coAllocated = false
-			m.pushParked(s)
-			continue
-		}
-		al, ok := byID[id]
-		if !ok && staleOnly {
-			// Stale replay (ladder rung 3): sessions absent from the
-			// last-known-good allocation keep their standing decision
-			// rather than being pushed to zero.
-			continue
-		}
-		m.pushSession(s, al, free, len(exploring))
-	}
-	pushSpan.End()
-
-	if timed {
-		if mt := m.cfg.Metrics; mt != nil {
-			mt.AllocLatency.Observe((m.cfg.LatencyClock() - t0).Seconds())
-		}
-	}
-	if mt := m.cfg.Metrics; mt != nil {
-		mt.Reallocations.Inc()
-		mt.CoresGranted.Set(float64(m.grantedCores()))
-	}
-	m.recordEpoch(trigger, stats.LambdaIters, stats.Source)
-	return nil
-}
-
-// solveResult is one epoch's outcome from the degradation ladder.
-type solveResult struct {
-	allocs []alloc.Allocation
-	stats  alloc.Stats
-	// stale marks a rung-3 replay: sessions missing from allocs keep their
-	// standing decisions instead of being pushed to zero.
-	stale bool
-	// frozen marks rung 4: nothing usable, push no decisions at all.
-	frozen bool
-	// errMsg is the triggering failure, journalled on frozen epochs.
-	errMsg string
-	// hardErr carries a custom-allocator solve error through unchanged
-	// (fail-fast semantics; no fallback rungs apply).
-	hardErr error
-}
-
-// solveWithLadder runs the epoch's solve through the degradation ladder:
-//
-//  1. the deadline-bounded primary solve (the subgradient loop cuts off
-//     early when EpochBudget is exceeded on the LatencyClock);
-//  2. a greedy fallback solve when the primary errors, panics or stalls;
-//  3. the last-known-good allocation replayed;
-//  4. pushes frozen entirely.
-//
-// Rungs 2–4 are journalled via Stats.Source, counted per rung in
-// harp_epoch_degraded_total and traced as EvEpochDegraded. A panicking
-// solve additionally quarantines the session whose inputs reproduce the
-// panic (poisonous-table isolation) before falling down the ladder.
-func (m *Manager) solveWithLadder(inputs []alloc.AppInput) solveResult {
-	var cause error
-	if m.forceDegraded > 0 {
-		// An injected stall skips the primary solve outright, exactly as a
-		// wedged solver would look from the epoch loop's side.
-		m.forceDegraded--
-		cause = errSolverStalled
-	} else {
-		allocs, stats, pv, err := m.solvePrimary(inputs)
-		switch {
-		case pv != nil:
-			inputs = m.quarantinePanicking(inputs, pv)
-			cause = fmt.Errorf("core: solver panic: %s", truncatePanic(pv))
-		case err == nil:
-			m.lastRung = ""
-			m.lastGood = cloneAllocs(allocs)
-			return solveResult{allocs: allocs, stats: stats}
-		case m.fallback == nil:
-			// Custom allocators keep their fail-fast error contract.
-			return solveResult{hardErr: err}
-		default:
-			cause = err
-		}
-	}
-
-	// Rung 2: greedy fallback. Cheap, deterministic, and independent of
-	// the primary solver's cache and warm state.
-	if m.fallback != nil {
-		if allocs, stats, pv, err := m.runAllocator(m.fallback, inputs); err == nil && pv == nil {
-			stats.Source = alloc.SourceDegradedGreedy
-			stats.LambdaIters = 0
-			m.markRung(alloc.SourceDegradedGreedy, cause)
-			m.lastGood = cloneAllocs(allocs)
-			return solveResult{allocs: allocs, stats: stats}
-		}
-	}
-
-	// Rung 3: replay the last-known-good allocation.
-	if len(m.lastGood) > 0 {
-		m.markRung(alloc.SourceDegradedStale, cause)
-		return solveResult{
-			allocs: cloneAllocs(m.lastGood),
-			stats:  alloc.Stats{Source: alloc.SourceDegradedStale},
-			stale:  true,
-		}
-	}
-
-	// Rung 4: freeze.
-	m.markRung(alloc.SourceFrozen, cause)
-	return solveResult{frozen: true, errMsg: cause.Error()}
-}
-
-// solvePrimary runs the primary allocator with the epoch deadline armed
-// and panic containment on.
-func (m *Manager) solvePrimary(inputs []alloc.AppInput) ([]alloc.Allocation, alloc.Stats, any, error) {
-	if m.cfg.LatencyClock != nil && m.cfg.EpochBudget > 0 {
-		m.deadlineAt = m.cfg.LatencyClock() + m.cfg.EpochBudget
-		m.deadlineArmed = true
-		defer func() { m.deadlineArmed = false }()
-	}
-	return m.runAllocator(m.allocator, inputs)
-}
-
-// runAllocator invokes one solver with panic containment; panicked is the
-// recovered panic value (nil when the solve returned normally).
-func (m *Manager) runAllocator(a Allocator, inputs []alloc.AppInput) (allocs []alloc.Allocation, stats alloc.Stats, panicked any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			allocs, stats, err = nil, alloc.Stats{}, nil
-			panicked = r
-		}
-	}()
-	allocs, stats, err = a.AllocateWithStats(inputs)
-	return
-}
-
-// quarantinePanicking attributes a solve panic by probing each input alone
-// against the primary solver, quarantines the offenders, and returns the
-// surviving inputs. When no single input reproduces the panic (an
-// interaction, or a non-deterministic fault) the inputs are returned
-// unchanged and the ladder handles the epoch without isolation.
-func (m *Manager) quarantinePanicking(inputs []alloc.AppInput, pv any) []alloc.AppInput {
-	survivors := make([]alloc.AppInput, 0, len(inputs))
-	poisonous := false
-	for _, in := range inputs {
-		if _, _, probePV, _ := m.runAllocator(m.allocator, []alloc.AppInput{in}); probePV != nil {
-			m.quarantineForPanic(in.ID, probePV)
-			poisonous = true
-			continue
-		}
-		survivors = append(survivors, in)
-	}
-	if !poisonous {
-		return inputs
-	}
-	return survivors
-}
-
-// quarantineForPanic moves a session into quarantine without triggering a
-// nested reallocation — the surrounding epoch parks it in its own push
-// phase, exactly like a liveness quarantine.
-func (m *Manager) quarantineForPanic(instance string, pv any) {
-	s, ok := m.sessions[instance]
-	if !ok || s.liveness == LivenessQuarantined {
-		return
-	}
-	s.liveness = LivenessQuarantined
-	s.explorer.Abort()
-	s.stableMeasurements = 0
-	m.cfg.Tracer.Emit(telemetry.Event{
-		Kind:     telemetry.EvSessionPanicked,
-		Instance: instance,
-		App:      s.app,
-		Stage:    truncatePanic(pv),
-	})
-	if mt := m.cfg.Metrics; mt != nil {
-		mt.SessionsQuarantined.Inc()
-	}
-	m.updateLiveGauge()
-}
-
-// markRung accounts one degraded epoch: the rung counter, the epoch
-// failure counter, the sticky error surfaces and an EvEpochDegraded trace
-// event.
-func (m *Manager) markRung(rung string, cause error) {
-	m.lastRung = rung
-	m.lastEpochErr = cause.Error()
-	if mt := m.cfg.Metrics; mt != nil {
-		mt.EpochFailures.Inc()
-		mt.EpochDegraded.With(rung).Inc()
-	}
-	m.cfg.Tracer.Emit(telemetry.Event{
-		Kind:  telemetry.EvEpochDegraded,
-		Stage: rung,
-	})
-}
-
-// cloneAllocs deep-copies an allocation set. Cache hits share slices with
-// the allocator's cache, and the last-known-good copy must outlive any
-// churn there.
-func cloneAllocs(in []alloc.Allocation) []alloc.Allocation {
-	out := make([]alloc.Allocation, len(in))
-	for i, al := range in {
-		out[i] = al
-		out[i].Grants = append([]alloc.CoreGrant(nil), al.Grants...)
-	}
-	return out
-}
-
-// truncatePanic renders a recovered panic value bounded for trace and
-// status surfaces.
-func truncatePanic(pv any) string {
-	s := fmt.Sprintf("%v", pv)
-	const max = 120
-	if len(s) > max {
-		s = s[:max] + "…"
-	}
-	return s
-}
-
-// pushSession pushes one session's epoch outcome with panic containment:
-// a session whose table or decision path panics is quarantined
-// (poisonous-table isolation) and parked, instead of the panic killing
-// the epoch loop and every other session with it.
-func (m *Manager) pushSession(s *session, al alloc.Allocation, free map[platform.KindID][]int, nExploring int) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantineForPanic(s.instance, r)
-			func() {
-				defer func() {
-					if recover() != nil {
-						// Even the parked push panicked; drop the standing
-						// decision so the session cannot hold ghost grants.
-						s.last = nil
-					}
-				}()
-				m.pushParked(s)
-			}()
-		}
-	}()
-	if m.exploring(s) && !s.coAllocated {
-		m.setExplorationPool(s, al, free, nExploring)
-		if err := m.startExploration(s); err != nil {
-			// Nothing left to explore within the bound; run the base
-			// allocation as-is.
-			s.explorer.Abort()
-			m.pushBase(s, al)
-		}
-		return
-	}
-	s.explorer.Abort()
-	s.pool = nil
-	s.bound = nil
-	m.pushBase(s, al)
-}
-
-// ForceDegradedSolves makes the next n reallocation epochs skip the
-// primary solver as if it had stalled past its deadline, walking the
-// degradation ladder instead. Count-based and clock-free, so harpsim's
-// solver-stall faults reproduce bit-identically on the virtual clock.
-func (m *Manager) ForceDegradedSolves(n int) {
-	if n > 0 {
-		m.forceDegraded += n
-	}
-}
-
-// LastEpochError returns the sticky message of the most recent failed or
-// degraded epoch (empty while every epoch has been healthy).
-func (m *Manager) LastEpochError() string { return m.lastEpochErr }
-
-// DegradedRung returns the degradation-ladder rung that resolved the most
-// recent epoch (alloc.SourceDegradedGreedy, SourceDegradedStale or
-// SourceFrozen; empty when the last solve was healthy).
-func (m *Manager) DegradedRung() string { return m.lastRung }
-
-// LastSolveSource reports where the most recent epoch's solution came from
-// (alloc.SourceCold, alloc.SourceWarm, alloc.SourceCached or a
-// degradation-ladder rung; empty before the first solve).
-func (m *Manager) LastSolveSource() string { return m.lastSolveSource }
-
-// AllocCacheStats reports the allocator's solution-cache accounting, or the
-// zero value when the configured allocator has no cache.
-func (m *Manager) AllocCacheStats() alloc.CacheStats {
-	if c, ok := m.allocator.(interface{ CacheStats() alloc.CacheStats }); ok {
-		return c.CacheStats()
-	}
-	return alloc.CacheStats{}
-}
-
-// grantedCores counts the distinct physical cores held by spatially
-// isolated standing decisions.
-func (m *Manager) grantedCores() int {
-	used := make(map[int]bool)
-	for _, s := range m.sessions {
-		if s.last == nil || s.last.CoAllocated {
-			continue
-		}
-		for _, g := range s.last.Grants {
-			used[g.Core] = true
-		}
-	}
-	return len(used)
-}
-
-// recordEpoch writes one decision-journal record covering the decisions
-// accumulated in pendingOut since the previous epoch; source labels where
-// the epoch's solution came from (empty for epochs without a solve).
-func (m *Manager) recordEpoch(trigger string, lambdaIters int, source string) {
-	m.recordEpochWith(trigger, lambdaIters, source, "")
-}
-
-// recordEpochError journals a failed reallocation: an epoch with no outputs
-// and the allocator's error, so the journal explains why no decisions were
-// pushed for the trigger.
-func (m *Manager) recordEpochError(trigger string, allocErr error) {
-	m.recordEpochWith(trigger, 0, "", allocErr.Error())
-}
-
-func (m *Manager) recordEpochWith(trigger string, lambdaIters int, source, errMsg string) {
-	if !m.cfg.Journal.Enabled() && m.cfg.Energy == nil {
-		return
-	}
-	var budget float64
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		if s := m.sessions[id]; s.last != nil {
-			budget += s.last.PredictedPowerW
-		}
-	}
-	// The epoch's predicted system power is the fleet budget the energy
-	// ledger accrues overrun against until the next epoch moves it.
-	m.cfg.Energy.SetBudget(budget)
-	if m.cfg.Journal.Enabled() {
-		rec := telemetry.EpochRecord{
-			AtSec:        m.cfg.Tracer.Now().Seconds(),
-			Trigger:      trigger,
-			LambdaIters:  lambdaIters,
-			SolveSource:  source,
-			PowerBudgetW: budget,
-			Error:        errMsg,
-			Inputs:       make([]telemetry.EpochInput, 0, len(m.order)),
-			Outputs:      m.pendingOut,
-		}
-		if led := m.cfg.Energy; led != nil {
-			tot := led.Totals()
-			rec.EnergyJ = tot.Joules
-			rec.BudgetHeadroomW = budget - tot.PowerW
-		}
-		for _, id := range m.order {
-			if id == "" {
-				continue
-			}
-			s := m.sessions[id]
-			rec.Inputs = append(rec.Inputs, telemetry.EpochInput{
-				Instance: s.instance,
-				App:      s.app,
-				Stage:    s.explorer.Stage().String(),
-				Utility:  s.lastUtility,
-				PowerW:   s.lastPower,
-				Measured: s.explorer.Table().MeasuredCount(),
-			})
-		}
-		m.pendingOut = nil
-		jsp := m.cfg.Tracer.BeginPhase(telemetry.PhaseJournal, m.journalHist)
-		_ = m.cfg.Journal.Record(rec) // sticky error readable via Journal.Err
-		jsp.End()
-	}
-	if m.cfg.Energy != nil {
-		// Persist the ledger once per epoch: a crash loses at most the
-		// accrual since this record, so recovered joules stay monotone.
-		m.appendRecord(store.Record{Kind: store.RecEnergy, Energy: m.cfg.Energy.Export()})
-	}
-}
-
-// exploring reports whether a session is still learning.
-func (m *Manager) exploring(s *session) bool {
-	return !m.cfg.DisableExploration && s.explorer.Stage() != explore.StageStable
-}
-
-// setExplorationPool gives the session its base cores plus an even share of
-// the free cores.
-func (m *Manager) setExplorationPool(s *session, al alloc.Allocation, free map[platform.KindID][]int, nExploring int) {
-	pool := make(map[platform.KindID][]int, len(m.cfg.Platform.Kinds))
-	for _, g := range al.Grants {
-		kind, err := m.cfg.Platform.KindOf(g.Core)
-		if err != nil {
-			continue
-		}
-		pool[kind] = append(pool[kind], g.Core)
-	}
-	if nExploring > 0 {
-		for kind, cores := range free {
-			share := len(cores) / nExploring
-			take := share
-			if take > len(cores) {
-				take = len(cores)
-			}
-			pool[kind] = append(pool[kind], cores[:take]...)
-			free[kind] = cores[take:]
-		}
-	}
-	s.pool = pool
-	s.bound = make([]int, len(m.cfg.Platform.Kinds))
-	for kind, cores := range pool {
-		s.bound[kind] = len(cores)
-	}
-}
-
-// startExploration picks the session's next configuration and pushes it.
-func (m *Manager) startExploration(s *session) error {
-	if s.bound == nil {
-		return explore.ErrNoCandidates
-	}
-	rv, err := s.explorer.Next(s.bound)
-	if err != nil {
-		return err
-	}
-	grants, err := m.grantsFromPool(s, rv)
-	if err != nil {
-		return err
-	}
-	m.push(s, Decision{
-		Instance:  s.instance,
-		Vector:    rv,
-		Threads:   m.threadsFor(s, rv),
-		Grants:    grants,
-		Exploring: true,
-	})
-	return nil
-}
-
-// grantsFromPool maps an exploration vector onto the session's reserved
-// cores.
-func (m *Manager) grantsFromPool(s *session, rv platform.ResourceVector) ([]alloc.CoreGrant, error) {
-	var grants []alloc.CoreGrant
-	for kindIdx, counts := range rv.Counts {
-		kind := platform.KindID(kindIdx)
-		next := 0
-		for tIdx, cores := range counts {
-			for c := 0; c < cores; c++ {
-				if next >= len(s.pool[kind]) {
-					return nil, fmt.Errorf("core: exploration vector %v exceeds pool of %s", rv, s.instance)
-				}
-				grants = append(grants, alloc.CoreGrant{Core: s.pool[kind][next], Threads: tIdx + 1})
-				next++
-			}
-		}
-	}
-	return grants, nil
-}
-
-// pushParked pushes the zero allocation a quarantined session holds: no
-// cores, no thread change. Threads stays 0 ("leave unchanged") so a resumed
-// application does not thrash its parallelisation on readmission.
-func (m *Manager) pushParked(s *session) {
-	m.push(s, Decision{
-		Instance: s.instance,
-		Vector:   platform.NewResourceVector(m.cfg.Platform),
-	})
-}
-
-// pushBase pushes an allocator decision unchanged.
-func (m *Manager) pushBase(s *session, al alloc.Allocation) {
-	m.push(s, Decision{
-		Instance:        s.instance,
-		Vector:          al.Point.Vector.Clone(),
-		Threads:         m.threadsFor(s, al.Point.Vector),
-		Grants:          al.Grants,
-		CoAllocated:     al.CoAllocated,
-		PredictedPowerW: al.Point.Power,
-	})
-}
-
-// threadsFor derives the parallelisation degree from a vector: scalable and
-// custom applications match threads to granted hardware threads; static
-// applications cannot be rescaled (§4.1.3).
-func (m *Manager) threadsFor(s *session, rv platform.ResourceVector) int {
-	if s.adaptivity == workload.Static {
-		return 0
-	}
-	return rv.Threads()
-}
-
-// push emits a decision if it differs from the session's last one.
-func (m *Manager) push(s *session, d Decision) {
-	if s.last != nil && sameDecision(*s.last, d) {
-		return
-	}
-	m.seq++
-	d.Seq = m.seq
-	s.last = &d
-	if m.cfg.Tracer.Enabled() { // guard: Key() builds a string
-		m.cfg.Tracer.Emit(telemetry.Event{
-			Kind:        telemetry.EvDecisionPushed,
-			Instance:    d.Instance,
-			App:         s.app,
-			Vector:      d.Vector.Key(),
-			Seq:         d.Seq,
-			Power:       d.PredictedPowerW,
-			Exploring:   d.Exploring,
-			CoAllocated: d.CoAllocated,
-			Vals:        [4]float64{float64(d.Threads), float64(len(d.Grants))},
-		})
-	}
-	if mt := m.cfg.Metrics; mt != nil {
-		mt.Decisions.Inc()
-		if d.Exploring {
-			mt.ExplorationSteps.Inc()
-		}
-	}
-	if m.cfg.Journal.Enabled() {
-		m.pendingOut = append(m.pendingOut, telemetry.EpochOutput{
-			Instance:    d.Instance,
-			Seq:         d.Seq,
-			Vector:      d.Vector.Key(),
-			Threads:     d.Threads,
-			Cores:       len(d.Grants),
-			Exploring:   d.Exploring,
-			CoAllocated: d.CoAllocated,
-			PredPowerW:  d.PredictedPowerW,
-		})
-	}
-	for _, fn := range m.onDecide {
-		fn(d)
-	}
-}
-
-func sameDecision(a, b Decision) bool {
-	if !a.Vector.Equal(b.Vector) || a.Threads != b.Threads ||
-		a.CoAllocated != b.CoAllocated || a.Exploring != b.Exploring ||
-		len(a.Grants) != len(b.Grants) {
-		return false
-	}
-	// Fast path: the allocator assigns cores deterministically, so an
-	// unchanged decision usually repeats the grant list element for element.
-	// Only a positional mismatch pays for the clone+sort order-insensitive
-	// compare — at churn scale, push runs once per session per epoch.
-	same := true
-	for i := range a.Grants {
-		if a.Grants[i] != b.Grants[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		return true
-	}
-	ag := append([]alloc.CoreGrant(nil), a.Grants...)
-	bg := append([]alloc.CoreGrant(nil), b.Grants...)
-	sortGrants(ag)
-	sortGrants(bg)
-	for i := range ag {
-		if ag[i] != bg[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortGrants(gs []alloc.CoreGrant) {
-	sort.Slice(gs, func(i, j int) bool {
-		if gs[i].Core != gs[j].Core {
-			return gs[i].Core < gs[j].Core
-		}
-		return gs[i].Threads < gs[j].Threads
-	})
-}
-
 // session looks up a registered session.
 func (m *Manager) session(instance string) (*session, error) {
 	s, ok := m.sessions[instance]
@@ -1520,11 +914,10 @@ func (m *Manager) AllStable() bool {
 // order.
 func (m *Manager) Sessions() []SessionInfo {
 	out := make([]SessionInfo, 0, len(m.sessions))
-	for _, id := range m.order {
-		if id == "" {
-			continue
+	for _, s := range m.order {
+		if s == nil {
+			continue // tombstoned order slot (orderRemove)
 		}
-		s := m.sessions[id]
 		stage := s.explorer.Stage()
 		if m.cfg.DisableExploration {
 			stage = explore.StageStable
@@ -1555,22 +948,12 @@ func (m *Manager) Sessions() []SessionInfo {
 	return out
 }
 
-// StandingPowerW sums the predicted power of every session's standing
+// StandingPowerW is the summed predicted power of every session's standing
 // decision — the same quantity the epoch recorder reports as the budget
-// numerator. The fleet coordinator reads it per machine to grade actual
-// load against the distributed per-machine power cap.
-func (m *Manager) StandingPowerW() float64 {
-	total := 0.0
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		if s := m.sessions[id]; s.last != nil {
-			total += s.last.PredictedPowerW
-		}
-	}
-	return total
-}
+// numerator, kept current as decisions change (setStanding). The fleet
+// coordinator reads it per machine to grade actual load against the
+// distributed per-machine power cap.
+func (m *Manager) StandingPowerW() float64 { return m.standingPowerW }
 
 // Table returns a snapshot of a session's learned operating points —
 // harpctl uses this, and Fig. 8 snapshots it every 5 s.

@@ -45,11 +45,10 @@ func (m *Manager) ExportState() *store.State {
 	for app, e := range m.explorers {
 		st.Tables[app] = e.Table().Clone()
 	}
-	for _, id := range m.order {
-		if id == "" {
+	for _, s := range m.order {
+		if s == nil {
 			continue // tombstoned order slot (orderRemove)
 		}
-		s := m.sessions[id]
 		st.Sessions = append(st.Sessions, store.SessionState{
 			Instance:   s.instance,
 			App:        s.app,
@@ -107,8 +106,11 @@ func (m *Manager) ImportState(st *store.State, rec store.Recovery) error {
 		}
 		m.explorerFor(app).SeedTable(tbl)
 	}
+	// Every recovered session may come back; make room for all of them on
+	// top of the ordinary departures.
+	m.ended.reserve(len(st.Sessions) + recentDepartures)
 	for _, ss := range st.Sessions {
-		m.ended[ss.Instance] = struct{}{}
+		m.ended.add(ss.Instance)
 		if ss.Phase != "" {
 			if m.priorPhase == nil {
 				m.priorPhase = make(map[string]string)
