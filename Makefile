@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check race bench bench-alloc bench-check bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-metrics soak cluster-chaos cluster-chaos-long
+.PHONY: build test check fmt-check race bench-check bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-metrics soak cluster-chaos cluster-chaos-long
 
 build:
 	$(GO) build ./...
@@ -76,20 +76,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWrite$$' -fuzztime 10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 10s ./internal/store/
-
-# bench runs the experiment-level benchmarks, then regenerates
-# BENCH_alloc.json (the committed allocator performance record — see
-# PERFORMANCE.md) while enforcing the allocator's performance contracts:
-# 0 allocs/op and >= 10x speedup on the cache-hit path, and warm starts
-# never costing λ iterations.
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) run ./cmd/harp-bench -enforce -out BENCH_alloc.json
-
-# bench-alloc regenerates and enforces only the allocator record (what the
-# CI benchmark-smoke job runs).
-bench-alloc:
-	$(GO) run ./cmd/harp-bench -enforce -out BENCH_alloc.json
 
 # bench-check runs the repository benchmark (BENCHMARK.json, benchmark/README.md)
 # for three seconds per workload. It is a correctness gate, not a timing

@@ -1,22 +1,22 @@
 package harpsim
 
-// Open-loop churn harness: the 10k-session scale proof for coalesced epochs,
-// incremental re-solves and sharded solving (ISSUE 9). Unlike Run, which
-// simulates application execution on the virtual machine, RunChurn drives a
-// core.Manager directly with a seeded stream of mutating events — Poisson
-// session arrivals, exponential-ish departures, table uploads and phase
-// changes — on a virtual 50 ms tick, and measures the wall-clock latency of
-// every epoch the manager actually solves. The event stream is a pure
-// function of the seed, so two same-seed runs produce byte-identical
-// decision journals; sampled epochs are differentially verified against
-// check.CheckAllocations through an instrumented allocator wrapper.
+// Open-loop churn driver for coalesced epochs, incremental re-solves and
+// sharded solving (ISSUE 9). Unlike Run, which simulates application
+// execution on the virtual machine, RunChurn drives a core.Manager directly
+// with a seeded stream of mutating events — Poisson session arrivals,
+// exponential-ish departures, table uploads and phase changes — on a virtual
+// 50 ms tick, and counts the epochs the manager actually solves. It reads no
+// wall clock: the event stream is a pure function of the seed, so two
+// same-seed runs produce byte-identical decision journals; sampled epochs are
+// differentially verified against check.CheckAllocations through an
+// instrumented allocator wrapper. Epoch latency at scale is the repository
+// benchmark's to measure (churn-10k in benchmark/README.md).
 
 import (
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/harp-rm/harp/internal/alloc"
@@ -28,11 +28,9 @@ import (
 	"github.com/harp-rm/harp/internal/workload"
 )
 
-// ChurnOptions configures one open-loop churn run.
+// ChurnOptions configures one open-loop churn run on ChurnPlatform(4, 8) —
+// four core kinds, so sharding forms real domains.
 type ChurnOptions struct {
-	// Platform is the machine (nil selects ChurnPlatform(4, 8) — four core
-	// kinds so sharding forms real domains).
-	Platform *platform.Platform
 	// Sessions is the target concurrent session population (ramped up
 	// before the measured phase).
 	Sessions int
@@ -43,21 +41,15 @@ type ChurnOptions struct {
 	// Seed drives every random choice; same seed, same event stream, same
 	// journal bytes.
 	Seed int64
-	// Coalesce is the manager's coalescing policy (zero = solve per event,
-	// the historical behaviour the benchmark's "before" column measures).
+	// Coalesce is the manager's coalescing policy (zero = every mutating
+	// event solves inline, so epochs track events one-for-one).
 	Coalesce core.CoalescePolicy
-	// Sharded solves kind-footprint domains in parallel; ShardParallelism
-	// bounds its workers (<= 0 = one per CPU).
-	Sharded          bool
-	ShardParallelism int
+	// Sharded solves kind-footprint domains in parallel, one worker per CPU.
+	Sharded bool
 	// Incremental enables the allocator's incremental re-solve path.
 	Incremental bool
-	// CacheSize sizes the allocator's solution cache (0 = default,
-	// negative = off).
-	CacheSize int
-	// Journal receives the decision journal (nil disables). Journaling is
-	// O(sessions) per epoch, so large-population benchmark runs leave it
-	// nil and the byte-identity test runs at a smaller population.
+	// Journal receives the decision journal (nil disables); the same-seed
+	// tests compare its bytes across runs.
 	Journal io.Writer
 	// VerifyEvery differentially verifies every n-th solved epoch against
 	// check.CheckAllocations (0 disables).
@@ -78,10 +70,6 @@ type ChurnResult struct {
 	SolveSources map[string]int
 	// Verified counts epochs that passed the CheckAllocations oracle.
 	Verified int
-	// P50/P99/Max are wall-clock latencies of the calls (events and ticks)
-	// in which at least one solve ran — the epoch latency the 50 ms tick
-	// bounds.
-	P50, P99, Max time.Duration
 }
 
 // ChurnPlatform builds a synthetic multi-kind machine for churn runs: kinds
@@ -137,10 +125,7 @@ func (v *verifyingAllocator) AllocateWithStats(apps []alloc.AppInput) ([]alloc.A
 
 // RunChurn executes one seeded churn run. See ChurnOptions.
 func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
-	plat := opts.Platform
-	if plat == nil {
-		plat = ChurnPlatform(4, 8)
-	}
+	plat := ChurnPlatform(4, 8)
 	if opts.Sessions < 1 {
 		return nil, fmt.Errorf("harpsim: churn with %d sessions", opts.Sessions)
 	}
@@ -158,19 +143,14 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	tracer := telemetry.NewTracer(16)
 	tracer.SetClock(func() time.Duration { return now })
 
-	var allocOpts []alloc.Option
-	cacheSize := opts.CacheSize
-	if cacheSize == 0 {
-		cacheSize = alloc.DefaultCacheSize
-	}
-	allocOpts = append(allocOpts,
-		alloc.WithCache(cacheSize),
+	allocOpts := []alloc.Option{
+		alloc.WithCache(alloc.DefaultCacheSize),
 		alloc.WithIncremental(opts.Incremental),
-	)
+	}
 	var inner core.Allocator
 	var err error
 	if opts.Sharded {
-		inner, err = alloc.NewSharded(plat, opts.ShardParallelism, 0, allocOpts...)
+		inner, err = alloc.NewSharded(plat, 0, 0, allocOpts...)
 	} else {
 		inner, err = alloc.New(plat, allocOpts...)
 	}
@@ -197,21 +177,16 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &ChurnResult{SolveSources: make(map[string]int)}
-	var latencies []time.Duration
 	var live []string
 	nextID := 0
 	verified := 0
 
-	// timed wraps one manager call, attributing its wall-clock duration to
-	// epoch latency iff a solve actually ran inside it, and running the
-	// sampled oracle check.
-	timed := func(fn func() error) error {
+	// counted wraps one manager call, counting the epochs solved inside it and
+	// running the sampled oracle check.
+	counted := func(fn func() error) error {
 		before := verifier.solves
-		t0 := time.Now()
 		err := fn()
-		d := time.Since(t0)
 		if verifier.solves > before {
-			latencies = append(latencies, d)
 			res.Epochs += verifier.solves - before
 			res.SolveSources[sourceLabel(verifier.lastSource)]++
 			if opts.VerifyEvery > 0 && verifier.solves%opts.VerifyEvery == 0 {
@@ -228,13 +203,13 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 		id := fmt.Sprintf("s%06d", nextID)
 		app := fmt.Sprintf("churn-app-%d", nextID%(4*len(plat.Kinds)))
 		nextID++
-		if err := timed(func() error {
+		if err := counted(func() error {
 			return mgr.Register(id, app, workload.Scalable, false)
 		}); err != nil {
 			return err
 		}
 		tbl := churnTable(plat, app)
-		if err := timed(func() error { return mgr.UploadTable(id, tbl) }); err != nil {
+		if err := counted(func() error { return mgr.UploadTable(id, tbl) }); err != nil {
 			return err
 		}
 		live = append(live, id)
@@ -249,7 +224,7 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 			return nil, err
 		}
 	}
-	if err := timed(mgr.Tick); err != nil {
+	if err := counted(mgr.Tick); err != nil {
 		return nil, err
 	}
 	now += core.AdaptationTick
@@ -270,13 +245,13 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 				id := live[i]
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
-				if err := timed(func() error { return mgr.Deregister(id) }); err != nil {
+				if err := counted(func() error { return mgr.Deregister(id) }); err != nil {
 					return nil, err
 				}
 				res.Events++
 			default:
 				id := live[rng.Intn(len(live))]
-				if err := timed(func() error { return mgr.PhaseChange(id, fmt.Sprintf("ph%d", tick%4)) }); err != nil {
+				if err := counted(func() error { return mgr.PhaseChange(id, fmt.Sprintf("ph%d", tick%4)) }); err != nil {
 					return nil, err
 				}
 				res.Events++
@@ -285,18 +260,17 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 		if len(live) > res.PeakSessions {
 			res.PeakSessions = len(live)
 		}
-		if err := timed(mgr.Tick); err != nil {
+		if err := counted(mgr.Tick); err != nil {
 			return nil, err
 		}
 		now += core.AdaptationTick
 	}
-	if err := timed(mgr.Flush); err != nil {
+	if err := counted(mgr.Flush); err != nil {
 		return nil, err
 	}
 
 	res.FinalSessions = len(live)
 	res.Verified = verified
-	res.P50, res.P99, res.Max = percentiles(latencies)
 	return res, nil
 }
 
@@ -354,17 +328,4 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		k++
 	}
-}
-
-func percentiles(ds []time.Duration) (p50, p99, max time.Duration) {
-	if len(ds) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) time.Duration {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return at(0.50), at(0.99), sorted[len(sorted)-1]
 }

@@ -199,11 +199,6 @@ type Config struct {
 	// ShardParallelism bounds the sharded allocator's worker count
 	// (<= 0 = one per CPU). Ignored unless ShardedAlloc.
 	ShardParallelism int
-	// PowerCapW, when > 0, arms the sharded allocator's power-budget
-	// coordinator: when the summed chosen-point power exceeds the cap, every
-	// domain is re-solved once against proportionally scaled capacities.
-	// Ignored unless ShardedAlloc.
-	PowerCapW float64
 	// AllocIncremental enables the default allocator's incremental re-solve
 	// path: unchanged sessions stay pinned at their standing allocations and
 	// only the changed set re-optimises against the residual capacity.
@@ -321,8 +316,9 @@ type Manager struct {
 	pendingOut []telemetry.EpochOutput
 
 	// lastSolveSource remembers where the most recent solve's solution came
-	// from ("cold", "warm" or "cached") for status surfaces; empty before
-	// the first solve.
+	// from (an alloc.Source* value: cold, warm, cached, incremental, sharded
+	// or a degradation-ladder rung) for status surfaces; empty before the
+	// first solve.
 	lastSolveSource string
 
 	// Flight-recorder phase histograms, resolved once at construction so the
@@ -375,7 +371,7 @@ func NewManager(cfg Config) (*Manager, error) {
 			// Children share the metrics bundle (its instruments are atomic)
 			// but not the tracer: parallel children would interleave ring
 			// events nondeterministically.
-			allocator, err = alloc.NewSharded(cfg.Platform, cfg.ShardParallelism, cfg.PowerCapW,
+			allocator, err = alloc.NewSharded(cfg.Platform, cfg.ShardParallelism, 0,
 				alloc.WithMetrics(cfg.Metrics),
 				alloc.WithCache(cacheSize),
 				alloc.WithWarmStart(cfg.AllocWarmStart),

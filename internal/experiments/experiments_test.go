@@ -335,6 +335,9 @@ func TestFigClusterShapes(t *testing.T) {
 	if res.Cells["dynamic-faults"].Migrations == 0 {
 		t.Error("faulted arm recorded no migrations — the kill never forced a re-home")
 	}
+	if df := res.Cells["dynamic-faults"]; df.EnergyJ >= st.EnergyJ {
+		t.Errorf("faulted dynamic energy %.1fJ >= static %.1fJ — the win did not survive machine and coordinator kills", df.EnergyJ, st.EnergyJ)
+	}
 	var buf bytes.Buffer
 	res.Format(&buf)
 	for _, want := range []string{"fleet energy", "static", "dynamic-faults", "budget held"} {
