@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check race bench-check bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-metrics soak cluster-chaos cluster-chaos-long
+.PHONY: build test check fmt-check race bench-check bench-record bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-metrics soak cluster-chaos cluster-chaos-long
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,13 @@ fuzz-smoke:
 # decisions, the energy_x guards) is violated. Builds into .bench_build/.
 bench-check:
 	bash benchmark/run.sh --seconds 3
+
+# bench-record appends this checkout's benchmark numbers — every workload at
+# seed 1, the contract's 20 s — to the committed bench-history.jsonl, one
+# line per workload. Run it for every change that claims or risks a
+# performance difference, and commit the lines with the change.
+bench-record:
+	bash scripts/bench-record.sh
 
 # bench-parallel compares the sequential and fanned-out Fig. 6 runs; on a
 # multi-core host the parallel variant should be several times faster with

@@ -93,11 +93,10 @@ type Allocator struct {
 	tracer  *telemetry.Tracer
 	metrics *telemetry.Metrics
 
-	// Solution cache (cache.go) and input fingerprinting (Fingerprint.go).
+	// Solution cache (cache.go) and input fingerprinting (fingerprint.go).
 	cacheSize int
 	cache     *solutionCache
 	fpBase    Fingerprint
-	tableMemo map[uint64]tableHashEntry
 
 	// Warm-start state (warmstart.go).
 	warm       bool
@@ -598,14 +597,9 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 	}
 	usable := a.scratch.usable[:0]
 	for _, op := range app.Table.Points {
-		if op.Vector.IsZero() {
-			continue
+		if op.Usable(vstar) {
+			usable = append(usable, op)
 		}
-		cost := op.Cost(vstar)
-		if math.IsInf(cost, 1) || math.IsNaN(cost) {
-			continue
-		}
-		usable = append(usable, op)
 	}
 	a.scratch.usable = usable[:0]
 	var points []opoint.OperatingPoint

@@ -81,7 +81,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	fp, _ = a.fingerprintInputs(base[:1])
 	record("subset", fp)
 
-	// Table content: an Upsert bumps the version and changes the hash.
+	// Table content: an Upsert drops the table facts and changes the hash.
 	mutated := cacheInputs(t, p)
 	pt := mutated[0].Table.Points[0]
 	pt.Utility *= 1.5
@@ -104,7 +104,7 @@ func TestFingerprintTracksTableVersion(t *testing.T) {
 	inputs := cacheInputs(t, p)
 	fp0, _ := a.fingerprintInputs(inputs)
 
-	// Mutate through Upsert: the memoised hash must refresh via the version.
+	// Mutate through Upsert: the table's memoised hash must refresh.
 	pt := inputs[0].Table.Points[0]
 	pt.Power += 1.0
 	inputs[0].Table.Upsert(pt)
@@ -114,7 +114,7 @@ func TestFingerprintTracksTableVersion(t *testing.T) {
 	}
 
 	// Restore the original point value: content equality must restore the
-	// Fingerprint even though the version moved on.
+	// Fingerprint even though the table was mutated twice.
 	pt.Power -= 1.0
 	inputs[0].Table.Upsert(pt)
 	fp2, _ := a.fingerprintInputs(inputs)

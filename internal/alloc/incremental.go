@@ -2,8 +2,8 @@ package alloc
 
 // Incremental re-solves: the churn-scale answer to "one session changed, why
 // re-optimise all N?". The Allocator pins every application's standing
-// allocation after a successful solve (fingerprinted per table version, the
-// PR 6 machinery). When the next solve's inputs differ only in a small
+// allocation after a successful solve, with the content hash of the table
+// it was solved under. When the next solve's inputs differ only in a small
 // changed set — new applications, departed ones, tables whose content hash
 // moved — the unchanged applications stay pinned at their standing
 // allocations and only the changed set, plus a bounded neighbourhood of
@@ -92,7 +92,10 @@ type pinnedApp struct {
 	// never written again once set: allocations handed to the caller — and
 	// the decisions the Manager pushes from them — alias the same array.
 	alloc Allocation
-	// chosenCost and minCost feed the drift bound.
+	// chosenCost and minCost feed the drift bound. minCost is the table's
+	// own (opoint.Facts.MinCost, at the table's v*): the bound is a heuristic
+	// trigger, so a caller-side MaxUtility override is deliberately not
+	// folded in.
 	chosenCost float64
 	minCost    float64
 	// seen is the pin-epoch (Allocator.incSeq) of the last solve that
@@ -146,8 +149,8 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Alloca
 		pin := a.incPins[app.ID]
 		pins[i], inResolve[i] = pin, false
 		if pin != nil {
-			hi, lo := a.hashTable(app.Table)
-			if hi == pin.tableHi && lo == pin.tableLo && app.MaxUtility == pin.maxUtility {
+			f := app.Table.Facts()
+			if f.Hi == pin.tableHi && f.Lo == pin.tableLo && app.MaxUtility == pin.maxUtility {
 				continue
 			}
 		}
@@ -268,7 +271,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Alloca
 			dst[at] = solved[ri]
 			st := states[ri]
 			chosenSum += st.cands[st.chosen].cost
-			minSum += a.tableInfo(apps[i].Table).minCost
+			minSum += apps[i].Table.Facts().MinCost
 			changed = append(changed, i)
 			ri++
 		} else {
@@ -354,15 +357,15 @@ func (a *Allocator) chosenCostOf(app *AppInput, al *Allocation) float64 {
 // and, after a full solve, with the solution cache: all three treat a grant
 // list as immutable once built, so nothing is copied.
 func (a *Allocator) setPin(app *AppInput, al Allocation, chosenCost float64) *pinnedApp {
-	info := a.tableInfo(app.Table)
+	f := app.Table.Facts()
 	pin := a.incPins[app.ID]
 	if pin == nil {
 		pin = &pinnedApp{}
 		a.incPins[app.ID] = pin
 	}
-	pin.tableHi, pin.tableLo = info.hi, info.lo
+	pin.tableHi, pin.tableLo = f.Hi, f.Lo
 	pin.maxUtility = app.MaxUtility
-	pin.minCost = info.minCost
+	pin.minCost = f.MinCost
 	pin.chosenCost = chosenCost
 	pin.alloc = al
 	pin.seen = a.incSeq

@@ -121,7 +121,7 @@ func TestIncrementalPinsUnchangedApps(t *testing.T) {
 	}
 	assertStructurallyValid(t, p, inputs, first)
 
-	// Mutate one table (version bump → fingerprint change).
+	// Mutate one table (new content hash → fingerprint change).
 	inputs[2].Table.Upsert(opoint.OperatingPoint{
 		Vector:   vecOf(t, p, 1, 3),
 		Utility:  9,

@@ -42,7 +42,6 @@ package alloc
 // worker touches exactly one child.
 
 import (
-	"math"
 	"slices"
 
 	"github.com/harp-rm/harp/internal/parallel"
@@ -63,11 +62,6 @@ type Sharded struct {
 	children map[uint64]*shardChild
 	solves   uint64
 
-	// footMemo memoises per-table footprint masks, keyed by the table's
-	// process-unique ID and invalidated by (version, v*) — the tableMemo
-	// idiom from fingerprint.go.
-	footMemo map[uint64]footEntry
-
 	// Partition state and the merged result, retained and refilled in place
 	// each solve (see the result-ownership rule on Allocator.AllocateWithStats).
 	masks   []uint64
@@ -76,12 +70,6 @@ type Sharded struct {
 	doms    []*domain // doms[:nd] are this solve's domains
 	out     []Allocation
 	changed []int
-}
-
-type footEntry struct {
-	version uint64
-	vstar   float64
-	mask    uint64
 }
 
 // NewSharded creates a sharded allocator. parallelism <= 0 means one worker
@@ -101,7 +89,6 @@ func NewSharded(plat *platform.Platform, parallelism int, powerCapW float64, opt
 		childOpts:   opts,
 		children:    make(map[uint64]*shardChild),
 		changed:     make([]int, 0, 16), // never nil: a nil delta reads as "everything moved"
-		footMemo:    make(map[uint64]footEntry),
 	}
 	if _, err := s.child(s.allKindsMask()); err != nil {
 		return nil, err
@@ -155,38 +142,19 @@ func (s *Sharded) footprint(app *AppInput) uint64 {
 	if app.Table == nil {
 		return s.allKindsMask()
 	}
-	vstar := app.MaxUtility
-	if vstar <= 0 {
-		vstar = app.Table.MaxUtility()
-	}
-	id := app.Table.ID()
-	v := app.Table.Version()
-	if e, ok := s.footMemo[id]; ok && e.version == v && e.vstar == vstar {
-		return e.mask
-	}
 	var mask uint64
-	for i := range app.Table.Points {
-		p := &app.Table.Points[i]
-		if p.Vector.IsZero() {
-			continue
-		}
-		c := p.Cost(vstar)
-		if math.IsInf(c, 1) || math.IsNaN(c) {
-			continue
-		}
-		for kind := range p.Vector.Counts {
-			if p.Vector.Cores(platform.KindID(kind)) > 0 {
-				mask |= 1 << uint(kind)
+	if f := app.Table.Facts(); app.MaxUtility <= 0 || app.MaxUtility == f.VStar {
+		mask = f.Footprint
+	} else {
+		for i := range app.Table.Points {
+			if p := &app.Table.Points[i]; p.Usable(app.MaxUtility) {
+				mask |= p.Vector.KindMask()
 			}
 		}
 	}
 	if mask == 0 {
 		mask = 1 << uint(len(s.plat.Kinds)-1) // fallbackCandidate's kind
 	}
-	if len(s.footMemo) >= tableMemoCap {
-		clear(s.footMemo)
-	}
-	s.footMemo[id] = footEntry{version: v, vstar: vstar, mask: mask}
 	return mask
 }
 

@@ -107,13 +107,12 @@ type Explorer struct {
 	utilSum    float64
 	powerSum   float64
 
-	// predTable memoises PredictedTable for the table version it was built
-	// from: between new measurements the models, and hence the predictions,
-	// are unchanged, so the allocator can reuse the same table (and its
-	// memoised Pareto front) across reallocations.
-	predTable   *opoint.Table
-	predVersion uint64
-	predOK      bool
+	// predTable memoises PredictedTable until the explorer's own table
+	// changes: between new measurements the models, and hence the
+	// predictions, are unchanged, so the allocator can reuse the same table
+	// (and its memoised facts) across reallocations. SeedTable and a
+	// committed Record — the only writers of the table — reset it to nil.
+	predTable *opoint.Table
 }
 
 // New creates an explorer for the application on the given platform.
@@ -140,6 +139,7 @@ func (e *Explorer) SeedTable(t *opoint.Table) {
 		op.Measured = true
 		e.table.Upsert(op)
 	}
+	e.predTable = nil
 }
 
 // Table returns the live operating-point table (measured points only).
@@ -226,6 +226,7 @@ func (e *Explorer) Record(utility, power float64) (done bool, err error) {
 		Measured: true,
 		Samples:  e.samples,
 	})
+	e.predTable = nil
 	if e.cfg.Tracer.Enabled() {
 		e.cfg.Tracer.Emit(telemetry.Event{
 			Kind:     telemetry.EvTableUpdated,
@@ -255,14 +256,10 @@ func (e *Explorer) Abort() { e.hasCurrent = false }
 // repeated calls (one per reallocation) return the same table; callers must
 // treat it as read-only.
 func (e *Explorer) PredictedTable() *opoint.Table {
-	if e.predOK && e.predVersion == e.table.Version() {
-		return e.predTable
+	if e.predTable == nil {
+		e.predTable = e.predictedTable()
 	}
-	out := e.predictedTable()
-	e.predTable = out
-	e.predVersion = e.table.Version()
-	e.predOK = true
-	return out
+	return e.predTable
 }
 
 // predictedTable builds the prediction table uncached.

@@ -237,6 +237,46 @@ func TestPredictedTableInitialStage(t *testing.T) {
 	}
 }
 
+// PredictedTable is one table between mutations of the explorer's own table
+// and a fresh one after SeedTable and after a committed Record; a sample
+// that does not complete a point leaves it alone.
+func TestPredictedTableMemo(t *testing.T) {
+	plat := platform.OdroidXU3()
+	e := New(plat, "x", Config{MeasurementsPerPoint: 2})
+	empty := e.PredictedTable()
+	if e.PredictedTable() != empty {
+		t.Fatal("PredictedTable rebuilt without a mutation")
+	}
+
+	seed := &opoint.Table{App: "x", Platform: plat.Name}
+	seed.Upsert(opoint.OperatingPoint{Vector: platform.EnumerateVectors(plat, 0)[0], Utility: 3, Power: 1})
+	e.SeedTable(seed)
+	seeded := e.PredictedTable()
+	if seeded == empty || len(seeded.Points) != 1 {
+		t.Fatalf("after SeedTable: same table %v, %d points; want a fresh 1-point table", seeded == empty, len(seeded.Points))
+	}
+
+	if _, err := e.Next([]int{4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if done, err := e.Record(5, 2); err != nil || done {
+		t.Fatalf("first of two samples: done %v, err %v", done, err)
+	}
+	if e.PredictedTable() != seeded {
+		t.Fatal("an uncommitted sample rebuilt the prediction")
+	}
+	if done, err := e.Record(5, 2); err != nil || !done {
+		t.Fatalf("second sample: done %v, err %v", done, err)
+	}
+	recorded := e.PredictedTable()
+	if recorded == seeded || len(recorded.Points) != 2 {
+		t.Fatalf("after a committed Record: same table %v, %d points; want a fresh 2-point table", recorded == seeded, len(recorded.Points))
+	}
+	if e.PredictedTable() != recorded {
+		t.Fatal("PredictedTable rebuilt without a mutation")
+	}
+}
+
 func TestStageString(t *testing.T) {
 	tests := []struct {
 		give Stage

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/harp-rm/harp/internal/platform"
@@ -47,15 +46,26 @@ func (o OperatingPoint) Cost(maxUtility float64) float64 {
 	return o.Power / (vhat * vhat)
 }
 
+// Usable reports whether the allocator may select the point under v*: a
+// non-zero vector with a finite cost. Points failing it — zero vectors,
+// zero-power measurements, non-positive utilities — never become candidates.
+func (o OperatingPoint) Usable(maxUtility float64) bool {
+	if o.Vector.IsZero() {
+		return false
+	}
+	c := o.Cost(maxUtility)
+	return !math.IsInf(c, 1) && !math.IsNaN(c)
+}
+
 // Table is an application's set of operating points.
 //
-// The table memoises derived data (the runtime Pareto front, v*, validation)
-// because the allocator re-derives them on every reallocation — the dominant
-// cost of a simulated HARP run. All mutations must go through Upsert/Sort, or
-// call Invalidate after modifying Points directly; see DESIGN.md
-// ("Pareto-cache invariant"). Tables must not be mutated while another
-// goroutine reads them, but concurrent read-only use (including ParetoPoints)
-// is safe.
+// The table memoises its derived Facts (content hash, v*, footprint, Pareto
+// front) and its last clean validation, because the allocator reads them for
+// every application on every reallocation. All mutations must go through
+// Upsert/Sort, or call Invalidate after modifying Points in place; appends
+// that change len(Points) are detected without it. See DESIGN.md ("Table
+// facts"). Tables must not be mutated while another goroutine reads them,
+// but concurrent read-only use is safe and lock-free.
 type Table struct {
 	// App names the application the table belongs to.
 	App string `json:"app"`
@@ -64,87 +74,109 @@ type Table struct {
 	// Points holds the operating points in no particular order.
 	Points []OperatingPoint `json:"points"`
 
-	// mu guards the memoised derived state below.
-	mu sync.Mutex
-	// id is the table's process-unique identity, assigned lazily by ID().
-	id uint64
-	// version counts mutations; derived caches are keyed on it.
-	version uint64
-	// front is the cached runtime Pareto front; frontLen detects direct
-	// appends to Points that bypassed Upsert/Invalidate.
-	front    []OperatingPoint
-	frontOK  bool
-	frontLen int
-	// maxUtility caches MaxUtility.
-	maxUtility    float64
-	maxUtilityOK  bool
-	maxUtilityLen int
-	// validatedFor remembers the platform name the table last validated
-	// cleanly against.
-	validatedFor string
-	validatedOK  bool
-	validatedLen int
+	// facts is nil until the first read after a mutation, valid until the
+	// first clean Validate. Concurrent first readers compute equal values,
+	// so whichever store lands last wins and no lock is needed.
+	facts atomic.Pointer[Facts]
+	valid atomic.Pointer[validation]
+}
+
+// Facts are the values derived from one table content. They are computed
+// once, on the first read after a mutation, and are read-only. The Pareto
+// front — the one fact that is super-linear to compute and that the
+// allocator reads only for the applications it re-solves — is filled in on
+// the first ParetoPoints call.
+type Facts struct {
+	// Hi and Lo are the 128-bit content hash over everything the allocator
+	// reads from a table: app and platform names, and per point in order its
+	// utility, power, measured flag and vector.
+	Hi, Lo uint64
+	// VStar is the maximum utility across the table (0 if empty).
+	VStar float64
+	// MinCost is the cheapest usable point's cost at VStar; 0 when no point
+	// is usable (the allocator's free fallback candidate).
+	MinCost float64
+	// Footprint is the bitmask of core kinds any point usable at VStar
+	// demands; 0 when no point is usable.
+	Footprint uint64
+	// n is the len(Points) the facts describe.
+	n int
+	// front is the runtime Pareto front, nil until ParetoPoints.
+	front atomic.Pointer[[]OperatingPoint]
+}
+
+// validation remembers the platform a table content last validated cleanly
+// against, and the len(Points) it covered.
+type validation struct {
+	plat *platform.Platform
+	n    int
 }
 
 // Invalidate drops every memoised derived value. Callers that modify Points
-// directly (rather than through Upsert) must call it before the next
-// ParetoPoints/MaxUtility/Validate, otherwise stale caches may be served.
-// Length changes are detected automatically; in-place edits are not.
+// in place (rather than through Upsert) must call it before the next read of
+// a derived value, otherwise stale values may be served. Length changes are
+// detected automatically; in-place edits are not.
 func (t *Table) Invalidate() {
-	t.mu.Lock()
-	t.bumpLocked()
-	t.mu.Unlock()
+	t.facts.Store(nil)
+	t.valid.Store(nil)
 }
 
-// bumpLocked invalidates all caches; t.mu must be held.
-func (t *Table) bumpLocked() {
-	t.version++
-	t.frontOK = false
-	t.maxUtilityOK = false
-	t.validatedOK = false
-}
-
-// Version returns the table's mutation counter — callers (e.g. the runtime
-// explorer) use it to memoise their own derived structures.
-func (t *Table) Version() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.version
-}
-
-// tableIDs hands out process-unique table identities; see ID.
-var tableIDs atomic.Uint64
-
-// ID returns a process-unique identity for the table, assigned on first
-// call. Derived caches outside the table (the allocator's fingerprint memo,
-// the sharded allocator's footprint memo) key on it instead of the pointer:
-// a *Table key can be poisoned when a freed table's address is reused by a
-// new table at the same version — clones in particular all restart at
-// version 0, so under session churn (predicted tables being rebuilt and
-// dropped every epoch) a pointer key validated only by version may serve a
-// stale entry for a different table. Identities are never reused, so an ID
-// hit is always the same table. Clones do not inherit the ID.
-func (t *Table) ID() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.id == 0 {
-		t.id = tableIDs.Add(1)
+// Facts returns the table's derived values, computing them on the first
+// read after a mutation.
+func (t *Table) Facts() *Facts {
+	if f := t.facts.Load(); f != nil && f.n == len(t.Points) {
+		return f
 	}
-	return t.id
+	f := &Facts{n: len(t.Points)}
+	h := NewHasher()
+	h.Str(t.App)
+	h.Str(t.Platform)
+	h.U64(uint64(len(t.Points)))
+	for i := range t.Points {
+		p := &t.Points[i]
+		h.F64(p.Utility)
+		h.F64(p.Power)
+		if p.Measured {
+			h.U64(1)
+		} else {
+			h.U64(0)
+		}
+		h.U64(uint64(len(p.Vector.Counts)))
+		for _, counts := range p.Vector.Counts {
+			h.U64(uint64(len(counts)))
+			for _, c := range counts {
+				h.U64(uint64(c))
+			}
+		}
+		if p.Utility > f.VStar {
+			f.VStar = p.Utility
+		}
+	}
+	f.Hi, f.Lo = h.Hi, h.Lo
+	haveMin := false
+	for i := range t.Points {
+		p := &t.Points[i]
+		if !p.Usable(f.VStar) {
+			continue
+		}
+		if c := p.Cost(f.VStar); !haveMin || c < f.MinCost {
+			f.MinCost, haveMin = c, true
+		}
+		f.Footprint |= p.Vector.KindMask()
+	}
+	t.facts.Store(f)
+	return f
 }
 
 // Validate checks the table against a platform description. A clean result
-// is memoised per platform name until the table changes.
+// is memoised for that platform until the table changes.
 func (t *Table) Validate(p *platform.Platform) error {
 	if t.App == "" {
 		return errors.New("opoint: table without application name")
 	}
-	t.mu.Lock()
-	if t.validatedOK && t.validatedFor == p.Name && t.validatedLen == len(t.Points) {
-		t.mu.Unlock()
+	if v := t.valid.Load(); v != nil && v.plat == p && v.n == len(t.Points) {
 		return nil
 	}
-	t.mu.Unlock()
 	for i, op := range t.Points {
 		if err := op.Vector.Validate(p); err != nil {
 			return fmt.Errorf("opoint: %s point %d: %w", t.App, i, err)
@@ -154,32 +186,12 @@ func (t *Table) Validate(p *platform.Platform) error {
 				t.App, i, op.Utility, op.Power)
 		}
 	}
-	t.mu.Lock()
-	t.validatedOK = true
-	t.validatedFor = p.Name
-	t.validatedLen = len(t.Points)
-	t.mu.Unlock()
+	t.valid.Store(&validation{plat: p, n: len(t.Points)})
 	return nil
 }
 
 // MaxUtility returns v*, the maximum utility across the table (0 if empty).
-func (t *Table) MaxUtility() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.maxUtilityOK && t.maxUtilityLen == len(t.Points) {
-		return t.maxUtility
-	}
-	var max float64
-	for _, op := range t.Points {
-		if op.Utility > max {
-			max = op.Utility
-		}
-	}
-	t.maxUtility = max
-	t.maxUtilityOK = true
-	t.maxUtilityLen = len(t.Points)
-	return max
-}
+func (t *Table) MaxUtility() float64 { return t.Facts().VStar }
 
 // Lookup returns the point with the given resource vector, if present.
 func (t *Table) Lookup(rv platform.ResourceVector) (OperatingPoint, bool) {
@@ -215,8 +227,8 @@ func (t *Table) MeasuredCount() int {
 }
 
 // Sort orders points deterministically by vector key. Order matters to the
-// memoised Pareto front (duplicate-objective ties keep the earliest point),
-// so sorting invalidates the caches.
+// content hash and the Pareto front (duplicate-objective ties keep the
+// earliest point), so sorting invalidates the facts.
 func (t *Table) Sort() {
 	sort.Slice(t.Points, func(i, j int) bool {
 		return t.Points[i].Vector.Key() < t.Points[j].Vector.Key()
@@ -334,16 +346,15 @@ func RuntimeObjectives(op OperatingPoint) []float64 {
 }
 
 // ParetoPoints filters the table down to its runtime Pareto front. The front
-// is memoised until the table changes; callers must treat the returned slice
-// as read-only (the allocator and harpctl only iterate it).
+// is memoised with the table's facts until the table changes; callers must
+// treat the returned slice as read-only (the allocator and harpctl only
+// iterate it).
 func (t *Table) ParetoPoints() []OperatingPoint {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.frontOK && t.frontLen == len(t.Points) {
-		return t.front
+	f := t.Facts()
+	if front := f.front.Load(); front != nil {
+		return *front
 	}
-	t.front = Pareto(t.Points, RuntimeObjectives)
-	t.frontOK = true
-	t.frontLen = len(t.Points)
-	return t.front
+	front := Pareto(t.Points, RuntimeObjectives)
+	f.front.Store(&front)
+	return front
 }

@@ -125,6 +125,18 @@ func (rv ResourceVector) Cores(kind KindID) int {
 	return n
 }
 
+// KindMask returns the bitmask of kinds the vector demands cores of (bit k
+// for kind k).
+func (rv ResourceVector) KindMask() uint64 {
+	var m uint64
+	for kind := range rv.Counts {
+		if rv.Cores(KindID(kind)) > 0 {
+			m |= 1 << uint(kind)
+		}
+	}
+	return m
+}
+
 // TotalCores returns the number of physical cores in use across all kinds.
 func (rv ResourceVector) TotalCores() int {
 	var n int
