@@ -1,138 +1,14 @@
 package main
 
-// `harpctl status -json` and `harpctl fleet`: machine-readable status with
-// a stable field set, and the cross-machine operator view. Both decode the
-// daemon's raw control response into typed documents so the emitted JSON
-// is a contract of this file, not whatever the daemon happens to send.
+// `harpctl fleet`: the cross-machine operator view, one row per machine
+// built from each daemon's harp.Status and health report.
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"time"
 )
-
-// statusSchema versions the `status -json` document; bump on any
-// incompatible field change.
-const statusSchema = 1
-
-// statusSession is one session row of the status document.
-type statusSession struct {
-	Instance  string  `json:"instance"`
-	App       string  `json:"app"`
-	Stage     string  `json:"stage"`
-	Phase     string  `json:"phase,omitempty"`
-	Liveness  string  `json:"liveness"`
-	AgeSec    float64 `json:"age_sec"`
-	Utility   float64 `json:"utility"`
-	PowerW    float64 `json:"power_w"`
-	Vector    string  `json:"vector,omitempty"`
-	Threads   int     `json:"threads"`
-	Cores     int     `json:"cores"`
-	Exploring bool    `json:"exploring,omitempty"`
-}
-
-// statusCache is the allocation-cache block of the status document.
-type statusCache struct {
-	Size      int     `json:"size"`
-	Cap       int     `json:"cap"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Evictions uint64  `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-// statusDoc is the `status -json` contract.
-type statusDoc struct {
-	Schema         int             `json:"schema"`
-	Generation     uint64          `json:"generation"`
-	UptimeSec      float64         `json:"uptime_sec"`
-	SolveSource    string          `json:"solve_source,omitempty"`
-	JournalError   string          `json:"journal_error,omitempty"`
-	TracerDropped  uint64          `json:"tracer_dropped,omitempty"`
-	DegradedRung   string          `json:"degraded_rung,omitempty"`
-	LastEpochError string          `json:"last_epoch_error,omitempty"`
-	StoreDegraded  bool            `json:"store_degraded,omitempty"`
-	AllocCache     *statusCache    `json:"alloc_cache,omitempty"`
-	FleetPowerW    float64         `json:"fleet_power_w"`
-	BudgetW        float64         `json:"budget_w"`
-	Sessions       []statusSession `json:"sessions"`
-}
-
-// statusFromResponse maps the daemon's raw control response onto the
-// stable document.
-func statusFromResponse(resp map[string]json.RawMessage) (*statusDoc, error) {
-	var sessions []struct {
-		Instance         string
-		App              string
-		Stage            string
-		Phase            string
-		Liveness         int
-		LastReportAgeSec float64
-		Utility          float64
-		Power            float64
-		Vector           string
-		Threads          int
-		Cores            int
-		Exploring        bool
-	}
-	if err := json.Unmarshal(resp["sessions"], &sessions); err != nil {
-		return nil, err
-	}
-	doc := &statusDoc{Schema: statusSchema, Sessions: []statusSession{}}
-	_ = json.Unmarshal(resp["generation"], &doc.Generation)
-	_ = json.Unmarshal(resp["uptime_sec"], &doc.UptimeSec)
-	_ = json.Unmarshal(resp["solve_source"], &doc.SolveSource)
-	_ = json.Unmarshal(resp["journal_error"], &doc.JournalError)
-	_ = json.Unmarshal(resp["tracer_dropped"], &doc.TracerDropped)
-	_ = json.Unmarshal(resp["degraded_rung"], &doc.DegradedRung)
-	_ = json.Unmarshal(resp["last_epoch_error"], &doc.LastEpochError)
-	_ = json.Unmarshal(resp["store_degraded"], &doc.StoreDegraded)
-	var cache statusCache
-	if err := json.Unmarshal(resp["alloc_cache"], &cache); err == nil && cache.Cap > 0 {
-		doc.AllocCache = &cache
-	}
-	var energy struct {
-		FleetPowerW float64 `json:"fleet_power_w"`
-		BudgetW     float64 `json:"budget_w"`
-	}
-	_ = json.Unmarshal(resp["energy"], &energy)
-	doc.FleetPowerW = energy.FleetPowerW
-	doc.BudgetW = energy.BudgetW
-	for _, s := range sessions {
-		doc.Sessions = append(doc.Sessions, statusSession{
-			Instance:  s.Instance,
-			App:       s.App,
-			Stage:     s.Stage,
-			Phase:     s.Phase,
-			Liveness:  livenessName(s.Liveness),
-			AgeSec:    s.LastReportAgeSec,
-			Utility:   s.Utility,
-			PowerW:    s.Power,
-			Vector:    s.Vector,
-			Threads:   s.Threads,
-			Cores:     s.Cores,
-			Exploring: s.Exploring,
-		})
-	}
-	return doc, nil
-}
-
-// renderStatusJSON prints the stable status document for `status -json`.
-func renderStatusJSON(out io.Writer, resp map[string]json.RawMessage) error {
-	doc, err := statusFromResponse(resp)
-	if err != nil {
-		return err
-	}
-	pretty, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, string(pretty))
-	return nil
-}
 
 // fleetRow is one machine in the `fleet` view. Unreachable machines carry
 // the dial error instead of failing the whole command — during an incident
@@ -149,30 +25,22 @@ type fleetRow struct {
 	Degraded    string  `json:"degraded_rung,omitempty"`
 }
 
-// fleetQuery collects one machine's row; overridable in tests.
-var fleetQuery = func(sock string) fleetRow {
+// fleetQuery collects one machine's row.
+func fleetQuery(sock string) fleetRow {
 	row := fleetRow{Machine: sock}
-	resp, err := query(sock, map[string]any{"op": "sessions"})
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	doc, err := statusFromResponse(resp)
+	st, err := queryStatus(sock)
 	if err != nil {
 		row.Error = err.Error()
 		return row
 	}
 	row.Up = true
-	row.Sessions = len(doc.Sessions)
-	row.FleetPowerW = doc.FleetPowerW
-	row.BudgetW = doc.BudgetW
-	row.UptimeSec = doc.UptimeSec
-	row.Degraded = doc.DegradedRung
-	if hr, err := query(sock, map[string]any{"op": "health"}); err == nil {
-		var rep healthReport
-		if json.Unmarshal(hr["health"], &rep) == nil {
-			row.Health = rep.Status
-		}
+	row.Sessions = len(st.Sessions)
+	row.FleetPowerW = st.FleetPowerW
+	row.BudgetW = st.BudgetW
+	row.UptimeSec = st.UptimeSec
+	row.Degraded = st.DegradedRung
+	if rep, err := queryHealth(sock); err == nil {
+		row.Health = string(rep.Status)
 	}
 	return row
 }
@@ -198,11 +66,9 @@ func runFleet(args []string, out io.Writer) error {
 		rows = append(rows, row)
 	}
 	if *asJSON {
-		pretty, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
+		if err := printJSON(out, rows); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, string(pretty))
 	} else {
 		fmt.Fprintf(out, "%-32s %-6s %-10s %8s %9s %10s %8s  %s\n",
 			"MACHINE", "STATE", "HEALTH", "SESSIONS", "POWER[W]", "BUDGET[W]", "UP", "NOTES")
@@ -218,7 +84,7 @@ func runFleet(args []string, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "%-32s %-6s %-10s %8d %9.1f %10.1f %8s  %s\n",
 				r.Machine, "up", orDash(r.Health), r.Sessions, r.FleetPowerW, r.BudgetW,
-				(time.Duration(r.UptimeSec * float64(time.Second))).Round(time.Second), notes)
+				uptime(r.UptimeSec), notes)
 		}
 	}
 	if down > 0 {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/harp-rm/harp/harp"
 )
 
 // TestStatusJSONStableFields pins the `status -json` contract: schema
@@ -31,12 +33,12 @@ func TestStatusJSONStableFields(t *testing.T) {
 			t.Errorf("status -json missing field %q:\n%s", field, buf.String())
 		}
 	}
-	var parsed statusDoc
+	var parsed harp.Status
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatal(err)
 	}
-	if parsed.Schema != statusSchema {
-		t.Errorf("schema = %d, want %d", parsed.Schema, statusSchema)
+	if parsed.Schema != harp.StatusSchema {
+		t.Errorf("schema = %d, want %d", parsed.Schema, harp.StatusSchema)
 	}
 	if len(parsed.Sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(parsed.Sessions))

@@ -20,15 +20,18 @@
 // probes: 0 ok, 1 degraded, 2 unhealthy.
 // `top` refreshes a per-session energy/efficiency view every -interval
 // (-n bounds the number of frames; 0 runs until interrupted).
-// `status -json` emits a versioned machine-readable document with a
-// stable field set, for monitoring pipelines that must survive harpctl
-// upgrades.
+// `status`, `status -json`, `top` and `fleet` all render the harp.Status
+// document the daemon answers the `sessions` op with; `status -json`
+// prints it as a versioned machine-readable document with a stable field
+// set, for monitoring pipelines that must survive harpctl upgrades.
+// `sessions`, `table` and `trace dump` print the daemon's reply as is.
 // `fleet` queries several machines' control sockets and renders one row
 // per machine — the operator's cross-fleet view; unreachable machines get
 // a down row instead of failing the whole command.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -38,6 +41,9 @@ import (
 	"os"
 	"strconv"
 	"time"
+
+	"github.com/harp-rm/harp/harp"
+	"github.com/harp-rm/harp/internal/telemetry"
 )
 
 const usage = "usage: harpctl [-control PATH] sessions | status [-json] | health [-exit-code] | top [-interval D] [-n N] | table <instance> | trace tail [n] | trace dump | fleet [-json] <socket>..."
@@ -72,21 +78,24 @@ func run(args []string, out io.Writer) error {
 		return errors.New(usage)
 	}
 
-	req := map[string]any{"op": rest[0]}
-	render := renderJSON
 	switch rest[0] {
 	case "sessions":
+		return dump(out, *controlPath, map[string]any{"op": "sessions"})
 	case "status":
 		sfs := flag.NewFlagSet("harpctl status", flag.ContinueOnError)
 		asJSON := sfs.Bool("json", false, "emit a machine-readable status document with a stable field set")
 		if err := sfs.Parse(rest[1:]); err != nil {
 			return err
 		}
-		req["op"] = "sessions"
-		render = renderStatus
-		if *asJSON {
-			render = renderStatusJSON
+		st, err := queryStatus(*controlPath)
+		if err != nil {
+			return err
 		}
+		if *asJSON {
+			return printJSON(out, st)
+		}
+		renderStatus(out, st)
+		return nil
 	case "fleet":
 		return runFleet(rest[1:], out)
 	case "health":
@@ -95,17 +104,18 @@ func run(args []string, out io.Writer) error {
 		if err := hfs.Parse(rest[1:]); err != nil {
 			return err
 		}
-		req["op"] = "health"
-		render = func(out io.Writer, resp map[string]json.RawMessage) error {
-			return renderHealthMode(out, resp, *exitCode)
+		rep, err := queryHealth(*controlPath)
+		if err != nil {
+			return err
 		}
+		return renderHealth(out, rep, *exitCode)
 	case "top":
 		return runTop(*controlPath, rest[1:], out)
 	case "table":
 		if len(rest) != 2 {
 			return errors.New("usage: harpctl table <instance>")
 		}
-		req["instance"] = rest[1]
+		return dump(out, *controlPath, map[string]any{"op": "table", "instance": rest[1]})
 	case "trace":
 		if len(rest) < 2 {
 			return errors.New("usage: harpctl trace tail [n] | trace dump")
@@ -120,47 +130,80 @@ func run(args []string, out io.Writer) error {
 				}
 				n = v
 			}
-			req["n"] = n
-			render = renderTrace
+			var tr traceReply
+			if err := query(*controlPath, map[string]any{"op": "trace", "n": n}, &tr); err != nil {
+				return err
+			}
+			renderTrace(out, tr)
+			return nil
 		case "dump":
-			req["n"] = 0
+			return dump(out, *controlPath, map[string]any{"op": "trace", "n": 0})
 		default:
 			return fmt.Errorf("unknown trace subcommand %q", rest[1])
 		}
 	default:
 		return fmt.Errorf("unknown command %q", rest[0])
 	}
-
-	resp, err := query(*controlPath, req)
-	if err != nil {
-		return err
-	}
-	return render(out, resp)
 }
 
 // query performs one request/response exchange with the harpd control
-// socket.
-func query(controlPath string, req map[string]any) (map[string]json.RawMessage, error) {
+// socket and decodes the reply into reply. A daemon error reply
+// ({"error": "..."}) becomes the returned error.
+func query(controlPath string, req map[string]any, reply any) error {
 	conn, err := net.Dial("unix", controlPath)
 	if err != nil {
-		return nil, fmt.Errorf("connect to harpd: %w", err)
+		return fmt.Errorf("connect to harpd: %w", err)
 	}
 	defer conn.Close()
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		return nil, err
+		return err
 	}
-	var resp map[string]json.RawMessage
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		return nil, err
+	var raw json.RawMessage
+	if err := json.NewDecoder(conn).Decode(&raw); err != nil {
+		return err
 	}
-	if errMsg, ok := resp["error"]; ok {
-		return nil, fmt.Errorf("harpd: %s", errMsg)
+	var failed struct {
+		Error string `json:"error"`
 	}
-	return resp, nil
+	if json.Unmarshal(raw, &failed) == nil && failed.Error != "" {
+		return fmt.Errorf("harpd: %s", failed.Error)
+	}
+	return json.Unmarshal(raw, reply)
 }
 
-func renderJSON(out io.Writer, resp map[string]json.RawMessage) error {
-	pretty, err := json.MarshalIndent(resp, "", "  ")
+// queryStatus fetches the daemon's status document.
+func queryStatus(controlPath string) (harp.Status, error) {
+	var st harp.Status
+	err := query(controlPath, map[string]any{"op": "sessions"}, &st)
+	return st, err
+}
+
+// queryHealth fetches the daemon's self-assessment.
+func queryHealth(controlPath string) (harp.HealthReport, error) {
+	var reply struct {
+		Health harp.HealthReport `json:"health"`
+	}
+	err := query(controlPath, map[string]any{"op": "health"}, &reply)
+	return reply.Health, err
+}
+
+// dump prints the daemon's reply to req, indented.
+func dump(out io.Writer, controlPath string, req map[string]any) error {
+	var raw json.RawMessage
+	if err := query(controlPath, req, &raw); err != nil {
+		return err
+	}
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, raw, "", "  "); err != nil {
+		return err
+	}
+	fmt.Fprintln(out, pretty.String())
+	return nil
+}
+
+// printJSON prints v as indented JSON.
+func printJSON(out io.Writer, v any) error {
+	pretty, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -168,118 +211,59 @@ func renderJSON(out io.Writer, resp map[string]json.RawMessage) error {
 	return nil
 }
 
+// uptime renders a status document's uptime to the second.
+func uptime(sec float64) time.Duration {
+	return time.Duration(sec * float64(time.Second)).Round(time.Second)
+}
+
 // renderStatus prints the RM header (generation, uptime) and the per-session
 // utility/power/allocation table behind `harpctl status`.
-func renderStatus(out io.Writer, resp map[string]json.RawMessage) error {
-	var sessions []struct {
-		Instance         string
-		App              string
-		Stage            string
-		Phase            string
-		Liveness         int
-		LastReportAgeSec float64
-		Utility          float64
-		Power            float64
-		Vector           string
-		Threads          int
-		Cores            int
-		Exploring        bool
-	}
-	if err := json.Unmarshal(resp["sessions"], &sessions); err != nil {
-		return err
-	}
-	var generation uint64
-	var uptimeSec float64
-	_ = json.Unmarshal(resp["generation"], &generation)
-	_ = json.Unmarshal(resp["uptime_sec"], &uptimeSec)
+func renderStatus(out io.Writer, st harp.Status) {
 	gen := "-" // zero means the daemon runs without a state dir
-	if generation > 0 {
-		gen = strconv.FormatUint(generation, 10)
+	if st.Generation > 0 {
+		gen = strconv.FormatUint(st.Generation, 10)
 	}
-	fmt.Fprintf(out, "rm generation %s, up %s\n",
-		gen, (time.Duration(uptimeSec * float64(time.Second))).Round(time.Second))
-	var cache struct {
-		Size      int     `json:"size"`
-		Cap       int     `json:"cap"`
-		Hits      uint64  `json:"hits"`
-		Misses    uint64  `json:"misses"`
-		Evictions uint64  `json:"evictions"`
-		HitRate   float64 `json:"hit_rate"`
-	}
-	var solveSource string
-	_ = json.Unmarshal(resp["alloc_cache"], &cache)
-	_ = json.Unmarshal(resp["solve_source"], &solveSource)
-	if solveSource == "" {
-		solveSource = "-" // no solve yet (or a pre-cache daemon)
-	}
-	if cache.Cap > 0 {
+	fmt.Fprintf(out, "rm generation %s, up %s\n", gen, uptime(st.UptimeSec))
+	// An empty source means no solve yet.
+	if c := st.AllocCache; c != nil {
 		fmt.Fprintf(out, "alloc cache %d/%d, hit rate %.1f%% (%d hits, %d misses, %d evictions), last solve %s\n",
-			cache.Size, cache.Cap, 100*cache.HitRate, cache.Hits, cache.Misses, cache.Evictions, solveSource)
+			c.Size, c.Cap, 100*c.HitRate, c.Hits, c.Misses, c.Evictions, orDash(st.SolveSource))
 	} else {
-		fmt.Fprintf(out, "alloc cache off, last solve %s\n", solveSource)
+		fmt.Fprintf(out, "alloc cache off, last solve %s\n", orDash(st.SolveSource))
 	}
 	// Telemetry health: the first sticky journal error and the tracer's
 	// eviction count — both zero on a healthy daemon.
-	var journalErr string
-	var dropped uint64
-	_ = json.Unmarshal(resp["journal_error"], &journalErr)
-	_ = json.Unmarshal(resp["tracer_dropped"], &dropped)
-	if journalErr != "" {
-		fmt.Fprintf(out, "journal ERROR: %s\n", journalErr)
+	if st.JournalError != "" {
+		fmt.Fprintf(out, "journal ERROR: %s\n", st.JournalError)
 	}
-	if dropped > 0 {
-		fmt.Fprintf(out, "tracer dropped %d events\n", dropped)
+	if st.TracerDropped > 0 {
+		fmt.Fprintf(out, "tracer dropped %d events\n", st.TracerDropped)
 	}
 	// Overload surface: the degradation-ladder rung that resolved the last
 	// epoch, the sticky last epoch error, and durability-degraded storage.
-	var degradedRung, lastEpochErr string
-	var storeDegraded bool
-	_ = json.Unmarshal(resp["degraded_rung"], &degradedRung)
-	_ = json.Unmarshal(resp["last_epoch_error"], &lastEpochErr)
-	_ = json.Unmarshal(resp["store_degraded"], &storeDegraded)
-	if degradedRung != "" {
-		fmt.Fprintf(out, "last epoch DEGRADED via %s\n", degradedRung)
+	if st.DegradedRung != "" {
+		fmt.Fprintf(out, "last epoch DEGRADED via %s\n", st.DegradedRung)
 	}
-	if lastEpochErr != "" {
-		fmt.Fprintf(out, "last epoch error: %s\n", lastEpochErr)
+	if st.LastEpochError != "" {
+		fmt.Fprintf(out, "last epoch error: %s\n", st.LastEpochError)
 	}
-	if storeDegraded {
+	if st.StoreDegraded {
 		fmt.Fprintln(out, "store DEGRADED: write retries exhausted, snapshots suspended")
 	}
-	if len(sessions) == 0 {
+	if len(st.Sessions) == 0 {
 		fmt.Fprintln(out, "no sessions")
-		return nil
+		return
 	}
 	fmt.Fprintf(out, "%-22s %-14s %-11s %-11s %6s %10s %9s  %-12s %7s %5s\n",
 		"INSTANCE", "APP", "STAGE", "LIVENESS", "AGE", "UTILITY", "POWER[W]", "VECTOR", "THREADS", "CORES")
-	for _, s := range sessions {
+	for _, s := range st.Sessions {
 		stage := s.Stage
 		if s.Exploring {
 			stage += "*"
 		}
-		vector := s.Vector
-		if vector == "" {
-			vector = "-"
-		}
 		fmt.Fprintf(out, "%-22s %-14s %-11s %-11s %6s %10.1f %9.1f  %-12s %7d %5d\n",
-			s.Instance, s.App, stage, livenessName(s.Liveness), ageLabel(s.LastReportAgeSec),
-			s.Utility, s.Power, vector, s.Threads, s.Cores)
-	}
-	return nil
-}
-
-// livenessName renders the numeric core.Liveness enum carried over the
-// control socket.
-func livenessName(l int) string {
-	switch l {
-	case 0:
-		return "live"
-	case 1:
-		return "suspect"
-	case 2:
-		return "quarantined"
-	default:
-		return fmt.Sprintf("state-%d", l)
+			s.Instance, s.App, stage, s.Liveness, ageLabel(s.AgeSec),
+			s.Utility, s.PowerW, orDash(s.Vector), s.Threads, s.Cores)
 	}
 }
 
@@ -292,22 +276,16 @@ func ageLabel(sec float64) string {
 	return fmt.Sprintf("%.1fs", sec)
 }
 
+// traceReply is the daemon's answer to the trace op.
+type traceReply struct {
+	Events  []telemetry.Event `json:"events"`
+	Total   uint64            `json:"total"`
+	Dropped uint64            `json:"dropped"`
+}
+
 // renderTrace prints one line per event for `harpctl trace tail`.
-func renderTrace(out io.Writer, resp map[string]json.RawMessage) error {
-	var events []struct {
-		At       time.Duration `json:"at"`
-		Kind     string        `json:"kind"`
-		Instance string        `json:"instance"`
-		Vector   string        `json:"vector"`
-		Stage    string        `json:"stage"`
-		Seq      int           `json:"seq"`
-		Utility  float64       `json:"utility"`
-		Power    float64       `json:"power"`
-	}
-	if err := json.Unmarshal(resp["events"], &events); err != nil {
-		return err
-	}
-	for _, ev := range events {
+func renderTrace(out io.Writer, tr traceReply) {
+	for _, ev := range tr.Events {
 		line := fmt.Sprintf("%12s  %-20s %-22s", ev.At, ev.Kind, ev.Instance)
 		if ev.Vector != "" {
 			line += " vector=" + ev.Vector
@@ -323,39 +301,15 @@ func renderTrace(out io.Writer, resp map[string]json.RawMessage) error {
 		}
 		fmt.Fprintln(out, line)
 	}
-	var total, dropped uint64
-	_ = json.Unmarshal(resp["total"], &total)
-	_ = json.Unmarshal(resp["dropped"], &dropped)
 	fmt.Fprintf(out, "%d events shown (%d emitted, %d evicted from the ring)\n",
-		len(events), total, dropped)
-	return nil
+		len(tr.Events), tr.Total, tr.Dropped)
 }
 
-// healthReport mirrors harp.HealthReport over the control socket.
-type healthReport struct {
-	Status string `json:"status"`
-	Checks []struct {
-		Name   string `json:"name"`
-		Status string `json:"status"`
-		Detail string `json:"detail"`
-	} `json:"checks"`
-}
-
-// renderHealth prints the daemon's self-assessment one check per line and
-// fails the command (exit 1) when the overall status is unhealthy, so
-// scripts can gate on it.
-func renderHealth(out io.Writer, resp map[string]json.RawMessage) error {
-	return renderHealthMode(out, resp, false)
-}
-
-// renderHealthMode is renderHealth with the -exit-code behaviour: the
-// grade maps onto the exit status (0 ok, 1 degraded, 2 unhealthy) instead
-// of only failing on unhealthy.
-func renderHealthMode(out io.Writer, resp map[string]json.RawMessage, exitCode bool) error {
-	var rep healthReport
-	if err := json.Unmarshal(resp["health"], &rep); err != nil {
-		return err
-	}
+// renderHealth prints the daemon's self-assessment one check per line. By
+// default it fails the command (exit 1) only when the daemon is unhealthy,
+// so scripts can gate on it; with exitCode the grade maps onto the exit
+// status instead: 0 ok, 1 degraded, 2 unhealthy.
+func renderHealth(out io.Writer, rep harp.HealthReport, exitCode bool) error {
 	fmt.Fprintf(out, "status: %s\n", rep.Status)
 	for _, c := range rep.Checks {
 		line := fmt.Sprintf("  %-15s %s", c.Name, c.Status)
@@ -366,14 +320,14 @@ func renderHealthMode(out io.Writer, resp map[string]json.RawMessage, exitCode b
 	}
 	if exitCode {
 		switch rep.Status {
-		case "degraded":
+		case harp.HealthDegraded:
 			return exitError{code: 1}
-		case "unhealthy":
+		case harp.HealthUnhealthy:
 			return exitError{code: 2}
 		}
 		return nil
 	}
-	if rep.Status == "unhealthy" {
+	if rep.Status == harp.HealthUnhealthy {
 		return errors.New("daemon is unhealthy")
 	}
 	return nil
@@ -393,16 +347,14 @@ func runTop(controlPath string, args []string, out io.Writer) error {
 		return fmt.Errorf("top: bad interval %s", *interval)
 	}
 	for i := 0; ; i++ {
-		resp, err := query(controlPath, map[string]any{"op": "sessions"})
+		st, err := queryStatus(controlPath)
 		if err != nil {
 			return err
 		}
 		if i > 0 {
 			fmt.Fprint(out, "\x1b[2J\x1b[H") // clear screen, home cursor
 		}
-		if err := renderTop(out, resp); err != nil {
-			return err
-		}
+		renderTop(out, st)
 		if *frames > 0 && i+1 >= *frames {
 			return nil
 		}
@@ -411,87 +363,37 @@ func runTop(controlPath string, args []string, out io.Writer) error {
 }
 
 // renderTop prints one top frame: a fleet header (uptime, budget headroom,
-// epoch latency, cache hit rate, telemetry health) and a per-session table
-// joining the session summaries with their energy rows.
-func renderTop(out io.Writer, resp map[string]json.RawMessage) error {
-	var sessions []struct {
-		Instance string
-		App      string
-		Liveness int
-		Utility  float64
-		Power    float64
-		Cores    int
+// epoch latency, cache hit rate, telemetry health) and a per-session
+// energy table.
+func renderTop(out io.Writer, st harp.Status) {
+	hitRate := 0.0
+	if st.AllocCache != nil {
+		hitRate = st.AllocCache.HitRate
 	}
-	if err := json.Unmarshal(resp["sessions"], &sessions); err != nil {
-		return err
-	}
-	var energy struct {
-		FleetJoules      float64 `json:"fleet_joules"`
-		FleetUtilitySec  float64 `json:"fleet_utility_sec"`
-		FleetPowerW      float64 `json:"fleet_power_w"`
-		BudgetW          float64 `json:"budget_w"`
-		BudgetHeadroomW  float64 `json:"budget_headroom_w"`
-		BudgetOverrunSec float64 `json:"budget_overrun_sec"`
-		Sessions         []struct {
-			Instance   string  `json:"instance"`
-			Joules     float64 `json:"joules"`
-			UtilitySec float64 `json:"utility_sec"`
-			PowerW     float64 `json:"power_w"`
-			Efficiency float64 `json:"efficiency"`
-		} `json:"sessions"`
-	}
-	_ = json.Unmarshal(resp["energy"], &energy)
-	var uptimeSec, epochP99 float64
-	var solveSource, journalErr string
-	var dropped uint64
-	_ = json.Unmarshal(resp["uptime_sec"], &uptimeSec)
-	_ = json.Unmarshal(resp["epoch_p99_sec"], &epochP99)
-	_ = json.Unmarshal(resp["solve_source"], &solveSource)
-	_ = json.Unmarshal(resp["journal_error"], &journalErr)
-	_ = json.Unmarshal(resp["tracer_dropped"], &dropped)
-	var cache struct {
-		HitRate float64 `json:"hit_rate"`
-	}
-	_ = json.Unmarshal(resp["alloc_cache"], &cache)
-
-	fmt.Fprintf(out, "harp top — up %s, %d sessions\n",
-		(time.Duration(uptimeSec * float64(time.Second))).Round(time.Second), len(sessions))
+	fmt.Fprintf(out, "harp top — up %s, %d sessions\n", uptime(st.UptimeSec), len(st.Sessions))
 	fmt.Fprintf(out, "power %.1fW / budget %.1fW (headroom %.1fW, overrun %.1fs)  fleet %.1fJ\n",
-		energy.FleetPowerW, energy.BudgetW, energy.BudgetHeadroomW, energy.BudgetOverrunSec, energy.FleetJoules)
+		st.FleetPowerW, st.BudgetW, st.BudgetW-st.FleetPowerW, st.BudgetOverrunSec, st.FleetJoules)
 	fmt.Fprintf(out, "epoch p99 %.2fms, cache hit rate %.1f%%, last solve %s, tracer dropped %d\n",
-		epochP99*1e3, 100*cache.HitRate, orDash(solveSource), dropped)
-	if journalErr != "" {
-		fmt.Fprintf(out, "journal ERROR: %s\n", journalErr)
+		st.EpochP99Sec*1e3, 100*hitRate, orDash(st.SolveSource), st.TracerDropped)
+	if st.JournalError != "" {
+		fmt.Fprintf(out, "journal ERROR: %s\n", st.JournalError)
 	}
-	var degradedRung string
-	var storeDegraded bool
-	_ = json.Unmarshal(resp["degraded_rung"], &degradedRung)
-	_ = json.Unmarshal(resp["store_degraded"], &storeDegraded)
-	if degradedRung != "" {
-		fmt.Fprintf(out, "DEGRADED: last epoch via %s\n", degradedRung)
+	if st.DegradedRung != "" {
+		fmt.Fprintf(out, "DEGRADED: last epoch via %s\n", st.DegradedRung)
 	}
-	if storeDegraded {
+	if st.StoreDegraded {
 		fmt.Fprintln(out, "store DEGRADED: snapshots suspended")
 	}
-	if len(sessions) == 0 {
+	if len(st.Sessions) == 0 {
 		fmt.Fprintln(out, "no sessions")
-		return nil
-	}
-	byInstance := map[string]int{}
-	for i, se := range energy.Sessions {
-		byInstance[se.Instance] = i
+		return
 	}
 	fmt.Fprintf(out, "%-22s %-14s %10s %9s %10s %10s %5s %-11s\n",
 		"INSTANCE", "APP", "UTILITY", "POWER[W]", "ENERGY[J]", "EFF[u/J]", "CORES", "LIVENESS")
-	for _, s := range sessions {
-		joules, eff := 0.0, 0.0
-		if i, ok := byInstance[s.Instance]; ok {
-			joules, eff = energy.Sessions[i].Joules, energy.Sessions[i].Efficiency
-		}
+	for _, s := range st.Sessions {
 		fmt.Fprintf(out, "%-22s %-14s %10.1f %9.1f %10.1f %10.3f %5d %-11s\n",
-			s.Instance, s.App, s.Utility, s.Power, joules, eff, s.Cores, livenessName(s.Liveness))
+			s.Instance, s.App, s.Utility, s.PowerW, s.Joules, s.Efficiency, s.Cores, s.Liveness)
 	}
-	return nil
 }
 
 // orDash substitutes "-" for an empty string in rendered fields.

@@ -9,9 +9,45 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/harp-rm/harp/harp"
+	"github.com/harp-rm/harp/internal/core"
+	"github.com/harp-rm/harp/internal/opoint"
+	"github.com/harp-rm/harp/internal/telemetry"
 )
 
-// fakeHarpd answers control requests the way harpd's control listener does.
+// fakeStatus is the status document the fake daemon serves.
+var fakeStatus = harp.Status{
+	Schema:         harp.StatusSchema,
+	Generation:     3,
+	UptimeSec:      125,
+	SolveSource:    "cached",
+	JournalError:   "disk full",
+	TracerDropped:  7,
+	DegradedRung:   "degraded-greedy",
+	LastEpochError: "core: solver stalled past its deadline budget",
+	StoreDegraded:  true,
+	AllocCache: &harp.CacheStatus{
+		Size: 2, Cap: 64, Hits: 17, Misses: 3, Evictions: 1, HitRate: 0.85,
+	},
+	FleetPowerW:      37.5,
+	BudgetW:          60,
+	EpochP99Sec:      0.0021,
+	FleetJoules:      120.5,
+	BudgetOverrunSec: 0,
+	Sessions: []harp.SessionStatus{{
+		Instance: "ep.C/1", App: "ep.C", Stage: "stable",
+		Liveness: core.LivenessLive.String(), AgeSec: 0.2,
+		Utility: 123.4, PowerW: 37.5, Vector: "P6", Threads: 6, Cores: 3,
+		Joules: 120.5, Efficiency: 7.469,
+	}, {
+		Instance: "cg.C/2", App: "cg.C", Stage: "stable",
+		Liveness: core.LivenessQuarantined.String(), AgeSec: 4.8,
+	}},
+}
+
+// fakeHarpd answers control requests the way harpd's control listener does,
+// with the same typed documents.
 func fakeHarpd(t *testing.T) string {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "ctl.sock")
@@ -39,62 +75,31 @@ func fakeHarpd(t *testing.T) string {
 				enc := json.NewEncoder(conn)
 				switch req.Op {
 				case "sessions":
-					_ = enc.Encode(map[string]any{"generation": 3, "uptime_sec": 125.0,
-						"alloc_cache": map[string]any{
-							"size": 2, "cap": 64, "hits": 17, "misses": 3,
-							"evictions": 1, "hit_rate": 0.85,
-						},
-						"solve_source":     "cached",
-						"tracer_dropped":   7,
-						"journal_error":    "disk full",
-						"last_epoch_error": "core: solver stalled past its deadline budget",
-						"degraded_rung":    "degraded-greedy",
-						"store_degraded":   true,
-						"epoch_p99_sec":    0.0021,
-						"energy": map[string]any{
-							"fleet_joules": 120.5, "fleet_utility_sec": 900.0,
-							"fleet_power_w": 37.5, "budget_w": 60.0,
-							"budget_headroom_w": 22.5, "budget_overrun_sec": 0.0,
-							"sessions": []map[string]any{{
-								"instance": "ep.C/1", "joules": 120.5, "utility_sec": 900.0,
-								"power_w": 37.5, "efficiency": 7.469,
-							}},
-						},
-						"sessions": []map[string]any{{
-							"Instance": "ep.C/1", "App": "ep.C", "Stage": "stable",
-							"Liveness": 0, "LastReportAgeSec": 0.2,
-							"Utility": 123.4, "Power": 37.5,
-							"Vector": "P6", "Threads": 6, "Cores": 3,
-						}, {
-							"Instance": "cg.C/2", "App": "cg.C", "Stage": "stable",
-							"Liveness": 2, "LastReportAgeSec": 4.8,
-							"Utility": 0.0, "Power": 0.0,
-							"Vector": "", "Threads": 0, "Cores": 0,
-						}}})
+					_ = enc.Encode(fakeStatus)
 				case "trace":
 					_ = enc.Encode(map[string]any{
-						"events": []map[string]any{{
-							"at": 1500 * time.Millisecond, "kind": "decision-pushed",
-							"instance": "ep.C/1", "vector": "P6", "seq": 3,
+						"events": []telemetry.Event{{
+							At: 1500 * time.Millisecond, Kind: telemetry.EvDecisionPushed,
+							Instance: "ep.C/1", Vector: "P6", Seq: 3,
 						}},
 						"total": 42, "dropped": 2,
 					})
 				case "table":
 					if req.Instance == "ghost" {
-						_ = enc.Encode(map[string]string{"error": "unknown session"})
+						_ = enc.Encode(map[string]string{"error": "core: unknown session: ghost"})
 						return
 					}
-					_ = enc.Encode(map[string]any{"table": map[string]any{"app": req.Instance}})
+					_ = enc.Encode(map[string]any{"table": &opoint.Table{App: req.Instance}})
 				case "health":
-					_ = enc.Encode(map[string]any{"health": map[string]any{
-						"status": "degraded",
-						"checks": []map[string]any{
-							{"name": "measure-jitter", "status": "ok", "detail": "p99 0.4ms"},
-							{"name": "tracer", "status": "degraded", "detail": "7 events evicted from the ring"},
+					_ = enc.Encode(map[string]any{"health": harp.HealthReport{
+						Status: harp.HealthDegraded,
+						Checks: []harp.HealthCheck{
+							{Name: "measure-jitter", Status: harp.HealthOK, Detail: "p99 0.4ms"},
+							{Name: "tracer", Status: harp.HealthDegraded, Detail: "7 events evicted from the ring"},
 						},
 					}})
 				default:
-					_ = enc.Encode(map[string]string{"error": "unknown op"})
+					_ = enc.Encode(map[string]string{"error": "unknown op " + req.Op})
 				}
 			}()
 		}
@@ -108,8 +113,10 @@ func TestSessionsCommand(t *testing.T) {
 	if err := run([]string{"-control", sock, "sessions"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "ep.C/1") {
-		t.Errorf("output missing session: %s", buf.String())
+	for _, want := range []string{`"instance": "ep.C/1"`, `"liveness": "quarantined"`, `"joules": 120.5`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("sessions dump missing %s:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -127,8 +134,9 @@ func TestTableCommand(t *testing.T) {
 func TestServerErrorSurfaces(t *testing.T) {
 	sock := fakeHarpd(t)
 	var buf bytes.Buffer
-	if err := run([]string{"-control", sock, "table", "ghost"}, &buf); err == nil {
-		t.Error("server error not surfaced")
+	err := run([]string{"-control", sock, "table", "ghost"}, &buf)
+	if err == nil || err.Error() != "harpd: core: unknown session: ghost" {
+		t.Errorf("err = %v, want the daemon's message unquoted", err)
 	}
 }
 
@@ -196,8 +204,7 @@ func TestHealthCommand(t *testing.T) {
 // itself fail, so scripts can gate on the exit code.
 func TestHealthUnhealthyFailsCommand(t *testing.T) {
 	var buf bytes.Buffer
-	raw, _ := json.Marshal(map[string]any{"status": "unhealthy", "checks": []map[string]any{}})
-	err := renderHealth(&buf, map[string]json.RawMessage{"health": raw})
+	err := renderHealth(&buf, harp.HealthReport{Status: harp.HealthUnhealthy}, false)
 	if err == nil {
 		t.Fatal("unhealthy report did not fail the command")
 	}
@@ -223,11 +230,10 @@ func TestHealthExitCode(t *testing.T) {
 
 	// The grade-to-code map, exercised directly for all three grades.
 	for _, tc := range []struct {
-		status string
+		status harp.HealthStatus
 		code   int
-	}{{"ok", 0}, {"degraded", 1}, {"unhealthy", 2}} {
-		raw, _ := json.Marshal(map[string]any{"status": tc.status, "checks": []map[string]any{}})
-		err := renderHealthMode(&bytes.Buffer{}, map[string]json.RawMessage{"health": raw}, true)
+	}{{harp.HealthOK, 0}, {harp.HealthDegraded, 1}, {harp.HealthUnhealthy, 2}} {
+		err := renderHealth(&bytes.Buffer{}, harp.HealthReport{Status: tc.status}, true)
 		if tc.code == 0 {
 			if err != nil {
 				t.Errorf("status %s: err = %v, want nil", tc.status, err)
@@ -296,12 +302,6 @@ func TestStatusWithoutLivenessTracking(t *testing.T) {
 	}
 	if got := ageLabel(1.25); got != "1.2s" {
 		t.Errorf("ageLabel(1.25) = %q, want 1.2s", got)
-	}
-	if got := livenessName(1); got != "suspect" {
-		t.Errorf("livenessName(1) = %q, want suspect", got)
-	}
-	if got := livenessName(9); got != "state-9" {
-		t.Errorf("livenessName(9) = %q, want state-9", got)
 	}
 }
 

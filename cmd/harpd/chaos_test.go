@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -105,47 +104,20 @@ func fullDescription(t *testing.T, plat *platform.Platform, prof *workload.Profi
 	return buf.Bytes()
 }
 
-// sessionView is the control-socket session summary the chaos test asserts on.
-type sessionView struct {
-	Instance string `json:"Instance"`
-	Stage    string `json:"Stage"`
-	Measured int    `json:"Measured"`
-	Phase    string `json:"Phase"`
-}
-
 // daemonState asks the control socket for the session list plus the RM
 // generation.
-func daemonState(t *testing.T, ctlSock string) (sessions []sessionView, generation uint64) {
+func daemonState(t *testing.T, ctlSock string) (sessions []harp.SessionStatus, generation uint64) {
 	t.Helper()
-	resp := controlRequest(t, ctlSock, map[string]string{"op": "sessions"})
-	if err := json.Unmarshal(resp["sessions"], &sessions); err != nil {
-		t.Fatalf("sessions: %v (%s)", err, resp["sessions"])
-	}
-	if err := json.Unmarshal(resp["generation"], &generation); err != nil {
-		t.Fatalf("generation: %v (%s)", err, resp["generation"])
-	}
-	return sessions, generation
-}
-
-// daemonEnergy reads the fleet joule accumulator off the sessions op.
-func daemonEnergy(t *testing.T, ctlSock string) float64 {
-	t.Helper()
-	resp := controlRequest(t, ctlSock, map[string]string{"op": "sessions"})
-	var e struct {
-		FleetJoules float64 `json:"fleet_joules"`
-	}
-	if err := json.Unmarshal(resp["energy"], &e); err != nil {
-		t.Fatalf("energy: %v (%s)", err, resp["energy"])
-	}
-	return e.FleetJoules
+	st := controlStatus(t, ctlSock)
+	return st.Sessions, st.Generation
 }
 
 // waitForDaemonSession polls the control socket until the instance satisfies
 // ok.
-func waitForDaemonSession(t *testing.T, ctlSock, instance string, ok func(sessionView) bool) sessionView {
+func waitForDaemonSession(t *testing.T, ctlSock, instance string, ok func(harp.SessionStatus) bool) harp.SessionStatus {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	var last []sessionView
+	var last []harp.SessionStatus
 	for {
 		sessions, _ := daemonState(t, ctlSock)
 		for _, s := range sessions {
@@ -219,13 +191,13 @@ func TestHarpdKill9WarmRestart(t *testing.T) {
 	if err := c1.NotifyPhase("solve"); err != nil {
 		t.Fatal(err)
 	}
-	taught := waitForDaemonSession(t, ctlSock, "ep.C/41", func(s sessionView) bool {
+	taught := waitForDaemonSession(t, ctlSock, "ep.C/41", func(s harp.SessionStatus) bool {
 		return s.Stage == "stable" && s.Phase == "solve"
 	})
 	if _, gen := daemonState(t, ctlSock); gen != 1 {
 		t.Fatalf("generation = %d, want 1", gen)
 	}
-	energyBefore := daemonEnergy(t, ctlSock)
+	energyBefore := controlStatus(t, ctlSock).FleetJoules
 
 	// The crash: no exit message, no final snapshot — recovery must come
 	// from the boot checkpoint and the WAL alone.
@@ -238,7 +210,7 @@ func TestHarpdKill9WarmRestart(t *testing.T) {
 		t.Fatalf("dial generation 2: %v\n%s", err, gen2.out.String())
 	}
 	defer c2.Close()
-	resumed := waitForDaemonSession(t, ctlSock, "ep.C/41", func(s sessionView) bool {
+	resumed := waitForDaemonSession(t, ctlSock, "ep.C/41", func(s harp.SessionStatus) bool {
 		return s.Stage == "stable"
 	})
 	if resumed.Measured < taught.Measured {
@@ -252,7 +224,7 @@ func TestHarpdKill9WarmRestart(t *testing.T) {
 	}
 	// The joule account is monotone across the crash: the recovered ledger
 	// resumes from the journalled accumulators, never from zero below them.
-	if energyAfter := daemonEnergy(t, ctlSock); energyAfter < energyBefore {
+	if energyAfter := controlStatus(t, ctlSock).FleetJoules; energyAfter < energyBefore {
 		t.Fatalf("fleet joules shrank across kill -9: %.6f -> %.6f", energyBefore, energyAfter)
 	}
 

@@ -8,13 +8,18 @@
 //	harpd -platform intel -socket /run/harp.sock -control /run/harpctl.sock \
 //	      -config /etc/harp [-no-exploration] [-liveness] \
 //	      [-suspect-after 1s -quarantine-after 3s -reap-after 10s] \
-//	      [-telemetry 127.0.0.1:9140] [-journal /var/log/harp/journal.jsonl] \
-//	      [-state-dir /var/lib/harp] [-max-sessions 64]
-//	      [-alloc-cache 64] [-alloc-warm-start=false] [-epoch-budget 20ms]
+//	      [-write-timeout 2s] [-telemetry 127.0.0.1:9140] \
+//	      [-journal /var/log/harp/journal.jsonl] [-trace-buffer 4096] \
+//	      [-state-dir /var/lib/harp] [-max-sessions 64] [-epoch-budget 20ms]
 //
 // -liveness enables session health tracking (suspect → quarantine → reap,
 // see RESILIENCE.md); the three deadline flags tune it and imply -liveness on
 // their own. harpctl status shows each session's state and report age.
+//
+// -write-timeout bounds each message write to a session socket;
+// -epoch-budget bounds each epoch's solve before the degradation ladder
+// engages (RESILIENCE.md). The solver always runs with a 64-entry solution
+// cache and warm starts.
 //
 // -state-dir makes the daemon durable: learned operating-point tables and
 // session context are recovered from the directory's snapshot + write-ahead
@@ -79,8 +84,6 @@ func run(args []string) error {
 		traceBuffer   = fs.Int("trace-buffer", 0, "event ring capacity for harpctl trace (0 = default)")
 		stateDir      = fs.String("state-dir", "", "directory for durable RM state (snapshot + WAL); restarts resume learned tables (empty = off)")
 		maxSessions   = fs.Int("max-sessions", 0, "admission cap on concurrent sessions (0 = unlimited)")
-		allocCache    = fs.Int("alloc-cache", 0, "fingerprinted solution-cache capacity (0 = default, negative = off)")
-		allocWarm     = fs.Bool("alloc-warm-start", true, "seed each solve's subgradient iteration from the previous epoch's multipliers")
 		epochBudget   = fs.Duration("epoch-budget", 0, "deadline budget per epoch solve before the degradation ladder engages (0 = default, negative = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -123,8 +126,7 @@ func run(args []string) error {
 		Energy:             energy,
 		StateDir:           *stateDir,
 		MaxSessions:        *maxSessions,
-		AllocCacheSize:     *allocCache,
-		AllocWarmStart:     *allocWarm,
+		AllocWarmStart:     true,
 		EpochBudget:        *epochBudget,
 	})
 	if err != nil {
@@ -265,9 +267,10 @@ func (c *controlListener) serve() {
 }
 
 // handle answers one request per connection: a JSON object
-// {"op": "sessions"}, {"op": "table", "instance": "..."},
-// {"op": "trace", "n": 100} (n = 0 dumps the whole ring) or
-// {"op": "health"}.
+// {"op": "sessions"} (answered with a harp.Status document),
+// {"op": "table", "instance": "..."}, {"op": "trace", "n": 100} (n = 0
+// dumps the whole ring) or {"op": "health"}. Failures answer
+// {"error": "..."}.
 func (c *controlListener) handle(conn net.Conn) {
 	defer conn.Close()
 	var req struct {
@@ -283,59 +286,7 @@ func (c *controlListener) handle(conn net.Conn) {
 	}
 	switch req.Op {
 	case "sessions":
-		cs := c.srv.AllocCacheStats()
-		resp := map[string]any{
-			"sessions":   c.srv.Sessions(),
-			"generation": c.srv.Generation(),
-			"uptime_sec": c.srv.Uptime().Seconds(),
-			"alloc_cache": map[string]any{
-				"size":      cs.Size,
-				"cap":       cs.Cap,
-				"hits":      cs.Hits,
-				"misses":    cs.Misses,
-				"evictions": cs.Evictions,
-				"hit_rate":  cs.HitRate(),
-			},
-			"solve_source":   c.srv.LastSolveSource(),
-			"tracer_dropped": c.tracer.Dropped(),
-		}
-		if err := c.srv.JournalError(); err != nil {
-			resp["journal_error"] = err.Error()
-		}
-		if msg := c.srv.LastEpochError(); msg != "" {
-			resp["last_epoch_error"] = msg
-		}
-		if rung := c.srv.DegradedRung(); rung != "" {
-			resp["degraded_rung"] = rung
-		}
-		if c.srv.StoreDegraded() {
-			resp["store_degraded"] = true
-		}
-		if mt := c.srv.Metrics(); mt != nil {
-			resp["epoch_p99_sec"] = mt.AllocLatency.Quantile(0.99)
-		}
-		tot := c.srv.EnergyTotals()
-		energy := map[string]any{
-			"fleet_joules":       tot.Joules,
-			"fleet_utility_sec":  tot.UtilityS,
-			"fleet_power_w":      tot.PowerW,
-			"budget_w":           tot.BudgetW,
-			"budget_headroom_w":  tot.BudgetW - tot.PowerW,
-			"budget_overrun_sec": tot.OverrunSec,
-		}
-		var rows []map[string]any
-		for _, se := range c.srv.EnergySessions() {
-			rows = append(rows, map[string]any{
-				"instance":    se.Instance,
-				"joules":      se.Joules,
-				"utility_sec": se.UtilityS,
-				"power_w":     se.PowerW,
-				"efficiency":  se.Efficiency(),
-			})
-		}
-		energy["sessions"] = rows
-		resp["energy"] = energy
-		_ = enc.Encode(resp)
+		_ = enc.Encode(c.srv.Status())
 	case "table":
 		tbl, err := c.srv.TableSnapshot(req.Instance)
 		if err != nil {

@@ -2,11 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -67,7 +71,17 @@ func waitSock(t *testing.T, path string) {
 	}
 }
 
+// controlRequest sends req to the control socket and decodes the reply into
+// a map of its top-level fields.
 func controlRequest(t *testing.T, sock string, req map[string]string) map[string]json.RawMessage {
+	t.Helper()
+	var resp map[string]json.RawMessage
+	control(t, sock, req, &resp)
+	return resp
+}
+
+// control sends req to the control socket and decodes the reply into reply.
+func control(t *testing.T, sock string, req map[string]string, reply any) {
 	t.Helper()
 	conn, err := net.Dial("unix", sock)
 	if err != nil {
@@ -77,19 +91,27 @@ func controlRequest(t *testing.T, sock string, req map[string]string) map[string
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		t.Fatal(err)
 	}
-	var resp map[string]json.RawMessage
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+	if err := json.NewDecoder(conn).Decode(reply); err != nil {
 		t.Fatal(err)
 	}
-	return resp
+}
+
+// controlStatus asks the control socket for the status document.
+func controlStatus(t *testing.T, sock string) harp.Status {
+	t.Helper()
+	var st harp.Status
+	control(t, sock, map[string]string{"op": "sessions"}, &st)
+	if st.Schema != harp.StatusSchema {
+		t.Fatalf("status schema = %d, want %d", st.Schema, harp.StatusSchema)
+	}
+	return st
 }
 
 func TestControlSessionsReflectsClients(t *testing.T) {
 	appSock, ctlSock := startDaemonPieces(t)
 
-	resp := controlRequest(t, ctlSock, map[string]string{"op": "sessions"})
-	if _, ok := resp["sessions"]; !ok {
-		t.Fatalf("sessions missing: %v", resp)
+	if st := controlStatus(t, ctlSock); len(st.Sessions) != 0 {
+		t.Fatalf("sessions = %+v before any client", st.Sessions)
 	}
 
 	client, err := harp.Dial(appSock, harp.Registration{App: "x", PID: 5, Adaptivity: harp.Static})
@@ -100,37 +122,22 @@ func TestControlSessionsReflectsClients(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp = controlRequest(t, ctlSock, map[string]string{"op": "sessions"})
-		var sessions []map[string]any
-		if err := json.Unmarshal(resp["sessions"], &sessions); err != nil {
-			t.Fatal(err)
-		}
-		if len(sessions) == 1 {
+		st := controlStatus(t, ctlSock)
+		if len(st.Sessions) == 1 && st.Sessions[0].Instance == "x/5" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sessions = %v, want one", sessions)
+			t.Fatalf("sessions = %+v, want x/5", st.Sessions)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestControlSessionsReportsAllocCache checks the status surface of the
-// solution cache: the sessions response carries the cache counters (cap = the
-// default size) and, once a registration has triggered a solve, the last
-// epoch's solve source.
 func TestControlSessionsReportsAllocCache(t *testing.T) {
 	appSock, ctlSock := startDaemonPieces(t)
 
-	resp := controlRequest(t, ctlSock, map[string]string{"op": "sessions"})
-	var cache struct {
-		Cap int `json:"cap"`
-	}
-	if err := json.Unmarshal(resp["alloc_cache"], &cache); err != nil {
-		t.Fatalf("alloc_cache: %v (%s)", err, resp["alloc_cache"])
-	}
-	if cache.Cap != 64 {
-		t.Fatalf("alloc cache cap = %d, want the default 64", cache.Cap)
+	if c := controlStatus(t, ctlSock).AllocCache; c == nil || c.Cap != 64 {
+		t.Fatalf("alloc cache = %+v, want the default capacity 64", c)
 	}
 
 	client, err := harp.Dial(appSock, harp.Registration{App: "z", PID: 7, Adaptivity: harp.Scalable})
@@ -141,9 +148,7 @@ func TestControlSessionsReportsAllocCache(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp = controlRequest(t, ctlSock, map[string]string{"op": "sessions"})
-		var src string
-		_ = json.Unmarshal(resp["solve_source"], &src)
+		src := controlStatus(t, ctlSock).SolveSource
 		if src == "cold" || src == "warm" || src == "cached" {
 			break
 		}
@@ -329,18 +334,56 @@ func TestControlHealthAndEnergy(t *testing.T) {
 		t.Fatalf("empty health report: %+v", rep)
 	}
 
-	resp = controlRequest(t, ctlSock, map[string]string{"op": "sessions"})
-	var energy struct {
-		FleetJoules float64          `json:"fleet_joules"`
-		Sessions    []map[string]any `json:"sessions"`
+	st := controlStatus(t, ctlSock)
+	if len(st.Sessions) != 1 || st.Sessions[0].Liveness != "live" {
+		t.Fatalf("sessions = %+v, want he/9 live", st.Sessions)
 	}
-	if err := json.Unmarshal(resp["energy"], &energy); err != nil {
-		t.Fatalf("energy: %v (%s)", err, resp["energy"])
+	if st.FleetJoules < 0 || st.EpochP99Sec < 0 {
+		t.Fatalf("energy/latency fields = %.3f J, %.6f s", st.FleetJoules, st.EpochP99Sec)
 	}
-	if _, ok := resp["tracer_dropped"]; !ok {
-		t.Fatalf("tracer_dropped missing: %v", resp)
+}
+
+// TestUsageNamesEveryFlag: the usage block of the package doc names exactly
+// the flags run registers, so neither can drift from the other.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := resp["epoch_p99_sec"]; !ok {
-		t.Fatalf("epoch_p99_sec missing: %v", resp)
+	_, block, ok := strings.Cut(f.Doc.Text(), "Usage:\n\n")
+	if !ok {
+		t.Fatal("package doc has no usage block")
+	}
+	documented := map[string]bool{}
+	flagRef := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z-]*)`)
+	for _, line := range strings.Split(block, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break // the block is the indented run after "Usage:"
+		}
+		for _, m := range flagRef.FindAllStringSubmatch(line, -1) {
+			documented[m[1]] = true
+		}
+	}
+
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`fs\.\w+\("([a-z-]+)"`).FindAllSubmatch(src, -1) {
+		registered[string(m[1])] = true
+	}
+	if len(registered) == 0 {
+		t.Fatal("found no registered flags in main.go")
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("flag -%s is registered but not in the usage block", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("usage block names -%s, which run does not register", name)
+		}
 	}
 }

@@ -75,6 +75,8 @@ type HealthReport struct {
 // report ok with a "disabled" detail rather than being omitted, so the
 // check list is stable for scrapers.
 func (s *Server) Health() HealthReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	rep := HealthReport{Status: HealthOK}
 	add := func(name string, st HealthStatus, detail string) {
 		rep.Checks = append(rep.Checks, HealthCheck{Name: name, Status: st, Detail: detail})

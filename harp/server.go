@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/core"
 	"github.com/harp-rm/harp/internal/explore"
 	"github.com/harp-rm/harp/internal/opoint"
@@ -97,10 +96,6 @@ type ServerConfig struct {
 	// MaxSessions caps concurrently registered sessions (0 = unlimited).
 	// Over-cap registrations are acked with core.ErrTooManySessions.
 	MaxSessions int
-	// AllocCacheSize sizes the allocator's fingerprinted solution cache:
-	// 0 selects the default capacity, negative disables caching. Ignored
-	// when Allocator is set.
-	AllocCacheSize int
 	// AllocWarmStart seeds each solve's subgradient iteration from the
 	// previous epoch's λ vector (fewer iterations on perturbed inputs; see
 	// PERFORMANCE.md). Ignored when Allocator is set.
@@ -232,7 +227,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Metrics:            cfg.Metrics,
 		Energy:             cfg.Energy,
 		MaxSessions:        cfg.MaxSessions,
-		AllocCacheSize:     cfg.AllocCacheSize,
 		AllocWarmStart:     cfg.AllocWarmStart,
 		EpochBudget:        cfg.EpochBudget,
 		LatencyClock:       func() time.Duration { return time.Since(start) },
@@ -381,6 +375,11 @@ func (s *Server) Close() error {
 func (s *Server) Sessions() []core.SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.sessionsLocked()
+}
+
+// sessionsLocked is Sessions for callers holding s.mu.
+func (s *Server) sessionsLocked() []core.SessionInfo {
 	infos := s.mgr.Sessions()
 	now := time.Now()
 	for i := range infos {
@@ -412,54 +411,6 @@ func (s *Server) Generation() uint64 {
 	return s.store.Generation()
 }
 
-// Uptime is the time since the server was created (for harpctl status).
-func (s *Server) Uptime() time.Duration {
-	return time.Since(s.start)
-}
-
-// AllocCacheStats reports the allocator's solution-cache accounting (zero
-// value when caching is disabled or a custom allocator is in use).
-func (s *Server) AllocCacheStats() alloc.CacheStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgr.AllocCacheStats()
-}
-
-// LastSolveSource reports where the most recent epoch's allocation came
-// from: "cold", "warm", "cached" or a degradation-ladder rung (empty
-// before the first solve).
-func (s *Server) LastSolveSource() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgr.LastSolveSource()
-}
-
-// LastEpochError returns the sticky message of the most recent failed or
-// degraded epoch (empty while every epoch has been healthy).
-func (s *Server) LastEpochError() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgr.LastEpochError()
-}
-
-// DegradedRung returns the degradation-ladder rung that resolved the most
-// recent epoch (empty when the last solve was healthy).
-func (s *Server) DegradedRung() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgr.DegradedRung()
-}
-
-// StoreDegraded reports whether the durable-state store has exhausted its
-// write retries and entered durability-degraded mode (always false without
-// a StateDir).
-func (s *Server) StoreDegraded() bool {
-	if s.store == nil {
-		return false
-	}
-	return s.store.Degraded()
-}
-
 // StoreRecovery reports how the state directory was recovered at startup.
 // ok is false without a StateDir.
 func (s *Server) StoreRecovery() (rec store.Recovery, ok bool) {
@@ -469,24 +420,9 @@ func (s *Server) StoreRecovery() (rec store.Recovery, ok bool) {
 	return s.store.Recovery(), true
 }
 
-// Metrics returns the server's instrument bundle (nil when metrics are
-// disabled) — the health surface and harpd's control ops read it.
-func (s *Server) Metrics() *telemetry.Metrics { return s.cfg.Metrics }
-
-// JournalError returns the decision journal's sticky write error, if any
-// (nil without a journal or while it is healthy).
-func (s *Server) JournalError() error { return s.cfg.Journal.Err() }
-
-// TracerDropped returns how many events the tracer ring has evicted.
-func (s *Server) TracerDropped() uint64 { return s.cfg.Tracer.Dropped() }
-
 // EnergyTotals returns the fleet energy accumulators (zero without a
 // ledger).
 func (s *Server) EnergyTotals() telemetry.EnergyTotals { return s.cfg.Energy.Totals() }
-
-// EnergySessions returns the per-session energy rows sorted by instance
-// (nil without a ledger).
-func (s *Server) EnergySessions() []telemetry.SessionEnergy { return s.cfg.Energy.Sessions() }
 
 // measureLoop is the 50 ms monitoring cadence; each tick also runs the
 // liveness sweep when a policy is configured.

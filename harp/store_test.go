@@ -295,7 +295,7 @@ func TestServerEnergySurvivesRestart(t *testing.T) {
 	// Conservation: the per-session rows plus the retired accumulator must
 	// account for every fleet joule exactly (one lock guards both sides).
 	var sum float64
-	for _, se := range srv1.EnergySessions() {
+	for _, se := range led1.Sessions() {
 		sum += se.Joules
 	}
 	if diff := sum + before.RetiredJoules - before.Joules; diff > 1e-9 || diff < -1e-9 {

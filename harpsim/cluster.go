@@ -135,7 +135,6 @@ func RunCluster(opts ClusterOptions) (*ClusterResult, error) {
 		FleetBudgetW:   opts.FleetBudgetW,
 		Static:         opts.Static,
 		Verify:         opts.Verify,
-		Coalesce:       core.CoalescePolicy{Enabled: true},
 		Tracer:         tracer,
 		Journal:        opts.Journal,
 		MachineJournal: opts.MachineJournal,

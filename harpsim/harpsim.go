@@ -112,7 +112,22 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// Options tunes a run. The zero value selects the paper's defaults.
+// registrationDelay models the libharp startup/registration cost before an
+// application is managed.
+const registrationDelay = 150 * time.Millisecond
+
+// taxBase and taxPerApp model HARP's management overhead as a fraction of
+// useful progress per managed application: overall tax =
+// taxBase + taxPerApp·(managed−1), reproducing §6.6's < 1 % single-app /
+// ≈ 2.5 % multi-app overhead.
+const (
+	taxBase   = 0.004
+	taxPerApp = 0.005
+)
+
+// Options tunes a run. The zero value selects the paper's defaults; the
+// stable-stage reallocation cadence is core.DefaultReallocEvery (the
+// paper's 100 measurements).
 type Options struct {
 	// Policy selects the management policy (required).
 	Policy Policy
@@ -125,21 +140,10 @@ type Options struct {
 	Horizon time.Duration
 	// Seed drives measurement noise.
 	Seed int64
-	// RegistrationDelay models the libharp startup/registration cost before
-	// an application is managed; zero selects 150 ms.
-	RegistrationDelay time.Duration
 	// MeasureEvery is the monitoring cadence; zero selects 50 ms (§5.3).
 	MeasureEvery time.Duration
 	// Explore tunes runtime exploration.
 	Explore explore.Config
-	// ReallocEvery is the stable-stage reallocation cadence in
-	// measurements; zero selects the paper's 100.
-	ReallocEvery int
-	// TaxBase and TaxPerApp model HARP's management overhead as a fraction
-	// of useful progress per managed application: overall tax =
-	// TaxBase + TaxPerApp·(managed−1). Zeros select 0.4 % and 0.5 %,
-	// reproducing §6.6's < 1 % single-app / ≈ 2.5 % multi-app overhead.
-	TaxBase, TaxPerApp float64
 	// RecordTimeline captures every applied allocation decision in
 	// Result.Timeline — the raw material for allocation Gantt charts and
 	// for debugging management behaviour.
@@ -212,20 +216,11 @@ func (o Options) withDefaults() Options {
 	if o.Horizon == 0 {
 		o.Horizon = 30 * time.Minute
 	}
-	if o.RegistrationDelay == 0 {
-		o.RegistrationDelay = 150 * time.Millisecond
-	}
 	if o.MeasureEvery == 0 {
 		o.MeasureEvery = 50 * time.Millisecond
 	}
 	if o.Governor == 0 {
 		o.Governor = sim.GovernorPowersave
-	}
-	if o.TaxBase == 0 {
-		o.TaxBase = 0.004
-	}
-	if o.TaxPerApp == 0 {
-		o.TaxPerApp = 0.005
 	}
 	return o
 }

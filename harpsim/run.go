@@ -195,7 +195,6 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 		Explore:            opts.Explore,
 		OfflineTables:      opts.OfflineTables,
 		DisableExploration: disableExplore,
-		ReallocEvery:       opts.ReallocEvery,
 		Tracer:             opts.Tracer,
 		Journal:            opts.Journal,
 		Metrics:            opts.Metrics,
@@ -280,7 +279,7 @@ func (h *harpHarness) buildTopology() {
 // whose library is still initialising.
 func (h *harpHarness) scheduleRegistration(p *sim.Proc) {
 	var cancel func()
-	cancel = h.machine.Every(h.opts.RegistrationDelay, func(time.Duration) {
+	cancel = h.machine.Every(registrationDelay, func(time.Duration) {
 		cancel()
 		h.register(p)
 	})
@@ -314,7 +313,7 @@ func (h *harpHarness) retax() {
 	n := len(h.managed)
 	tax := 0.0
 	if n > 0 {
-		tax = h.opts.TaxBase + h.opts.TaxPerApp*float64(n-1)
+		tax = taxBase + taxPerApp*float64(n-1)
 	}
 	for _, p := range h.managed {
 		_ = h.machine.SetRateTax(p.ID(), tax)

@@ -34,6 +34,10 @@ const (
 	Greedy
 )
 
+// lagrangianIters bounds the subgradient iteration (it usually stops
+// earlier, at the λ fixpoint).
+const lagrangianIters = 60
+
 // String implements fmt.Stringer.
 func (m Method) String() string {
 	switch m {
@@ -89,7 +93,6 @@ type Allocation struct {
 type Allocator struct {
 	plat    *platform.Platform
 	method  Method
-	iters   int
 	tracer  *telemetry.Tracer
 	metrics *telemetry.Metrics
 
@@ -193,11 +196,6 @@ func WithMethod(m Method) Option {
 	return optionFunc(func(a *Allocator) { a.method = m })
 }
 
-// WithIterations sets the subgradient iteration count (default 60).
-func WithIterations(n int) Option {
-	return optionFunc(func(a *Allocator) { a.iters = n })
-}
-
 // WithTracer emits an EvAllocationComputed event per solver run (nil
 // disables tracing).
 func WithTracer(t *telemetry.Tracer) Option {
@@ -232,15 +230,12 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Allocator{plat: plat, method: Lagrangian, iters: 60}
+	a := &Allocator{plat: plat, method: Lagrangian}
 	for _, o := range opts {
 		o.apply(a)
 	}
 	if a.method != Lagrangian && a.method != Greedy {
 		return nil, fmt.Errorf("alloc: bad method %d", a.method)
-	}
-	if a.iters < 1 {
-		return nil, fmt.Errorf("alloc: iterations %d", a.iters)
 	}
 	if a.cacheSize > 0 {
 		a.cache = newSolutionCache(a.cacheSize)
@@ -346,7 +341,7 @@ type Stats struct {
 	// contain are always listed; departed ones have no position and are not.
 	// It is a superset of the true difference — a listed position may turn
 	// out identical — and never misses one. nil means "assume every position
-	// moved": cold, warm, cached and capped solves report nil, as does any
+	// moved": cold, warm and cached solves report nil, as does any
 	// solver that does not track deltas. An empty non-nil slice means nothing
 	// moved. Owned by the allocator like the allocations themselves:
 	// read-only, valid until its next solve.
@@ -484,47 +479,6 @@ func (a *Allocator) solve(apps []AppInput, dst []Allocation, pos []int) ([]Alloc
 	}
 	a.rememberFullSolve(apps, out)
 	a.emitTrace(stats)
-	return out, stats, nil
-}
-
-// AllocateCapped solves against an explicit per-kind core capacity instead
-// of the platform's (capacity[k] <= the kind's core count). The sharded
-// allocator's power-budget coordinator uses it to shrink a domain's
-// footprint; the solution cache and the incremental path are bypassed — the
-// fingerprint does not cover capacity overrides — but pins are refreshed so
-// later incremental merges start from what was returned.
-func (a *Allocator) AllocateCapped(apps []AppInput, capacity []int) ([]Allocation, Stats, error) {
-	var stats Stats
-	if len(apps) == 0 {
-		return nil, stats, nil
-	}
-	if len(capacity) != len(a.plat.Kinds) {
-		return nil, stats, fmt.Errorf("alloc: capped solve with %d capacities for %d kinds", len(capacity), len(a.plat.Kinds))
-	}
-	states := a.scratch.ensureStates(len(apps))
-	for i, app := range apps {
-		if app.Table == nil {
-			return nil, stats, fmt.Errorf("alloc: app %q without operating-point table", app.ID)
-		}
-		if err := a.buildState(states[i], app); err != nil {
-			return nil, stats, err
-		}
-		stats.Candidates += len(states[i].cands)
-	}
-	stats.Apps = len(apps)
-	stats.Source = SourceCold
-	stats.LambdaIters = a.selectPoints(states, capacity, nil)
-	a.refine(states, capacity)
-	out, err := a.assignCores(states)
-	if err != nil {
-		return nil, stats, err
-	}
-	for _, al := range out {
-		if al.CoAllocated {
-			stats.CoAllocated++
-		}
-	}
-	a.rememberFullSolve(apps, out)
 	return out, stats, nil
 }
 
@@ -769,8 +723,8 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 
 	s.demand = growInts(s.demand, nk)
 	demand := s.demand
-	iters := a.iters
-	for it := 0; it < a.iters; it++ {
+	iters := lagrangianIters
+	for it := 0; it < lagrangianIters; it++ {
 		if it > 0 && a.overBudget != nil && a.overBudget() {
 			// Deadline cutoff (degradation-ladder rung 1): keep the
 			// selection from the previous iteration rather than miss the
@@ -802,10 +756,10 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 		copy(prev, lambda)
 		step := scale * 2 / float64(it+2)
 		for k := range lambda {
-			// A platform kind always has capacity >= 1, but residual solves
-			// (incremental re-solves, power-capped reconciles) can present a
-			// kind whose capacity is fully pinned away; normalise by 1 there
-			// so the over-demand signal stays finite.
+			// A platform kind always has capacity >= 1, but incremental
+			// re-solves can present a kind whose residual capacity is fully
+			// pinned away; normalise by 1 there so the over-demand signal
+			// stays finite.
 			denom := float64(capacity[k])
 			if denom <= 0 {
 				denom = 1

@@ -42,9 +42,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(platform.OdroidXU3(), WithMethod(Method(9))); err == nil {
 		t.Error("bad method accepted")
 	}
-	if _, err := New(platform.OdroidXU3(), WithIterations(0)); err == nil {
-		t.Error("zero iterations accepted")
-	}
 	bad := platform.OdroidXU3()
 	bad.Kinds = nil
 	if _, err := New(bad); err == nil {

@@ -207,13 +207,6 @@ func TestChangedNilForFullSolves(t *testing.T) {
 	if !slices.Contains(stats.Changed, 0) {
 		t.Fatalf("Changed = %v does not list the application whose table changed", stats.Changed)
 	}
-	_, stats, err = a.AllocateCapped(inputs, []int{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Changed != nil {
-		t.Fatalf("capped solve reported a delta: %v", stats.Changed)
-	}
 }
 
 // TestIncrementalMergeSteadyStateAllocations pins what the delta pipeline is

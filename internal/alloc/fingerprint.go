@@ -33,7 +33,7 @@ func (a *Allocator) fingerprintBase() Fingerprint {
 		h.U64(uint64(k.SMT))
 	}
 	h.U64(uint64(a.method))
-	h.U64(uint64(a.iters))
+	h.U64(lagrangianIters)
 	return Fingerprint(h)
 }
 

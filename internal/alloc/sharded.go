@@ -21,18 +21,14 @@ package alloc
 //
 // Children are keyed by domain kind-mask and persist across solves, so each
 // domain keeps its own solution cache, warm-start λ and incremental pin
-// state (whatever options the Sharded allocator was built with). A thin
-// power-budget coordinator runs after the parallel solves: when the summed
-// chosen-point power exceeds the configured cap, every domain is re-solved
-// once against proportionally scaled per-kind capacities (AllocateCapped),
-// which pushes each domain toward cheaper points. The reconcile round is
-// deterministic and bounded — one extra pass, then the result is accepted
-// and the residual overshoot is left to the manager's power governor.
+// state (whatever options the Sharded allocator was built with). Power is
+// not coordinated across domains: the manager's power governor owns the
+// budget, exactly as for an unsharded allocator.
 //
 // The children's deltas (Stats.Changed) are mapped back to input positions
-// and merged; a domain whose child reports none — a full or cached solve, a
-// capped reconcile, or a child that sat out the previous solve because its
-// domain was empty — contributes all of its positions.
+// and merged; a domain whose child reports none — a full or cached solve, or
+// a child that sat out the previous solve because its domain was empty —
+// contributes all of its positions.
 //
 // Sharded implements the core.Allocator interface. It deliberately does not
 // forward SetOverBudget or the cache export hooks: the degradation ladder
@@ -42,6 +38,7 @@ package alloc
 // worker touches exactly one child.
 
 import (
+	"fmt"
 	"slices"
 
 	"github.com/harp-rm/harp/internal/parallel"
@@ -53,7 +50,6 @@ import (
 type Sharded struct {
 	plat        *platform.Platform
 	parallelism int
-	powerCapW   float64
 	childOpts   []Option
 
 	// children persist per domain kind-mask so caches, warm starts and
@@ -73,10 +69,14 @@ type Sharded struct {
 }
 
 // NewSharded creates a sharded allocator. parallelism <= 0 means one worker
-// per CPU; powerCapW <= 0 disables the power-budget coordinator; opts are
-// applied to every child Allocator (method, cache, warm start, incremental,
-// metrics...).
+// per CPU; opts are applied to every child Allocator (method, cache, warm
+// start, incremental, metrics...). powerCapW must be 0: power across
+// domains is the manager's power governor's job, and the parameter remains
+// only because existing callers pass it positionally.
 func NewSharded(plat *platform.Platform, parallelism int, powerCapW float64, opts ...Option) (*Sharded, error) {
+	if powerCapW != 0 {
+		return nil, fmt.Errorf("alloc: sharded power cap %g W is unsupported (pass 0)", powerCapW)
+	}
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,7 +85,6 @@ func NewSharded(plat *platform.Platform, parallelism int, powerCapW float64, opt
 	s := &Sharded{
 		plat:        plat,
 		parallelism: parallelism,
-		powerCapW:   powerCapW,
 		childOpts:   opts,
 		children:    make(map[uint64]*shardChild),
 		changed:     make([]int, 0, 16), // never nil: a nil delta reads as "everything moved"
@@ -253,8 +252,8 @@ func (s *Sharded) partition(apps []AppInput) int {
 }
 
 // AllocateWithStats implements core.Allocator: partition, solve domains in
-// parallel, merge positionally, then run the power-budget coordinator. The
-// result-ownership rule of Allocator.AllocateWithStats applies.
+// parallel and merge positionally. The result-ownership rule of
+// Allocator.AllocateWithStats applies.
 func (s *Sharded) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
 	nk := len(s.plat.Kinds)
 	if len(apps) == 0 || nk > 64 {
@@ -292,12 +291,6 @@ func (s *Sharded) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error
 		s.out = make([]Allocation, roomFor(len(apps)))
 	}
 	out := s.out[:len(apps)]
-	place := func(d *domain) {
-		for j, i := range d.idx {
-			out[i] = d.allocs[j]
-		}
-		d.allocs = nil // the child owns it
-	}
 	s.solves++
 	err := parallel.Run(s.parallelism, nd, func(di int) (err error) {
 		d := doms[di]
@@ -308,38 +301,13 @@ func (s *Sharded) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error
 		return nil, Stats{}, err
 	}
 	for _, d := range doms {
-		if d.allocs != nil {
-			place(d)
+		if d.allocs == nil {
+			continue // an incremental merge placed its domain directly
 		}
-	}
-
-	// Power-budget coordinator: one proportional-scaling reconcile round.
-	if s.powerCapW > 0 {
-		total := 0.0
-		for i := range out {
-			total += out[i].Point.Power
+		for j, i := range d.idx {
+			out[i] = d.allocs[j]
 		}
-		if total > s.powerCapW {
-			scale := s.powerCapW / total
-			capped := make([]int, nk)
-			for k := range s.plat.Kinds {
-				capped[k] = int(float64(s.plat.Kinds[k].Count) * scale)
-				if capped[k] < 1 {
-					capped[k] = 1
-				}
-			}
-			err = parallel.Run(s.parallelism, nd, func(di int) (err error) {
-				d := doms[di]
-				d.allocs, d.stats, err = d.child.AllocateCapped(d.inputs, capped)
-				return err
-			})
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			for _, d := range doms {
-				place(d)
-			}
-		}
+		d.allocs = nil // the child owns it
 	}
 
 	// Aggregate stats and map the children's deltas to input positions.

@@ -176,46 +176,14 @@ func TestShardedBridgingAppMergesDomains(t *testing.T) {
 	assertStructurallyValid(t, p, inputs, allocs)
 }
 
-// TestShardedPowerCapReconcile pins the power-budget coordinator: when the
-// merged chosen power exceeds the cap, the capped reconcile round runs and
-// the result is still structurally valid with reduced total power.
-func TestShardedPowerCapReconcile(t *testing.T) {
+// TestShardedRejectsPowerCap: the positional power-cap parameter only
+// accepts 0 now that no cross-domain power coordinator exists.
+func TestShardedRejectsPowerCap(t *testing.T) {
 	p := shardTestPlatform(t, 2)
-	inputs := shardTestInputs(t, p, 8)
-
-	free, err := NewSharded(p, 2, 0)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewSharded(p, 2, 10); err == nil {
+		t.Fatal("NewSharded accepted a non-zero power cap")
 	}
-	uncapped, _, err := free.AllocateWithStats(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := 0.0
-	for i := range uncapped {
-		budget += uncapped[i].Point.Power
-	}
-	if budget <= 0 {
-		t.Fatal("uncapped run drew no power; test platform misconfigured")
-	}
-
-	capped, err := NewSharded(p, 2, budget/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs, stats, err := capped.AllocateWithStats(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Source != SourceSharded {
-		t.Fatalf("source = %q, want %q", stats.Source, SourceSharded)
-	}
-	assertStructurallyValid(t, p, inputs, allocs)
-	total := 0.0
-	for i := range allocs {
-		total += allocs[i].Point.Power
-	}
-	if total > budget {
-		t.Fatalf("reconciled power %.2f W exceeds the uncapped draw %.2f W", total, budget)
+	if _, err := NewSharded(p, 2, 0); err != nil {
+		t.Fatalf("NewSharded with no cap: %v", err)
 	}
 }

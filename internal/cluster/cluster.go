@@ -75,9 +75,9 @@ const DefaultDeadAfter = 3
 // ticks.
 const DefaultSnapshotEvery = 5
 
-// DefaultMigrateBatch bounds migration starts per tick, so a drain spreads
-// over several ticks and kill-during-migration is a real window.
-const DefaultMigrateBatch = 4
+// migrateBatch bounds migration starts per tick, so a drain spreads over
+// several ticks and kill-during-migration is a real window.
+const migrateBatch = 4
 
 // Config configures a Fleet.
 type Config struct {
@@ -94,9 +94,6 @@ type Config struct {
 	// SnapshotEvery is the standby shipping cadence in ticks (0 selects
 	// DefaultSnapshotEvery).
 	SnapshotEvery int
-	// MigrateBatch bounds migration starts per tick (0 selects
-	// DefaultMigrateBatch).
-	MigrateBatch int
 	// Static disables bin-packing and migration: sessions are spread
 	// round-robin over fixed budget/N partitions. The Fig-style experiment's
 	// baseline.
@@ -104,8 +101,6 @@ type Config struct {
 	// Verify runs check.CheckFleet at the end of every tick and fails the
 	// tick on a violation. Chaos suites turn it on.
 	Verify bool
-	// Coalesce is each machine manager's epoch-coalescing policy.
-	Coalesce core.CoalescePolicy
 	// Tracer receives cluster transition events (and the machine managers'
 	// events); its clock is the harness's virtual clock. May be nil.
 	Tracer *telemetry.Tracer
@@ -131,9 +126,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if c.MigrateBatch <= 0 {
-		c.MigrateBatch = DefaultMigrateBatch
 	}
 	return nil
 }
@@ -279,7 +271,7 @@ func New(cfg Config) (*Fleet, error) {
 			Platform:           cfg.Platform,
 			Allocator:          a,
 			DisableExploration: true,
-			Coalesce:           cfg.Coalesce,
+			Coalesce:           core.CoalescePolicy{Enabled: true},
 			Tracer:             cfg.Tracer,
 			Journal:            journal,
 		})
@@ -684,7 +676,7 @@ func (f *Fleet) planDrain() {
 	c.drainSrc = src.id
 }
 
-// startMigrations begins up to MigrateBatch moves off the drain source (or
+// startMigrations begins up to migrateBatch moves off the drain source (or
 // off any machine whose admitted demand exceeds its cap — the hot case,
 // defensive against future cap shrinking). Remove-then-add: the session
 // deregisters from its source and its demand is reserved on the target
@@ -698,7 +690,7 @@ func (f *Fleet) startMigrations() error {
 			continue
 		}
 		for _, inst := range sortedInstances(c.registry) {
-			if started >= f.cfg.MigrateBatch {
+			if started >= migrateBatch {
 				return nil
 			}
 			rec := c.registry[inst]

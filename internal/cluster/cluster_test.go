@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/harp-rm/harp/internal/check"
-	"github.com/harp-rm/harp/internal/core"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/workload"
@@ -55,7 +54,6 @@ func testFleet(t *testing.T, machines int, budgetW float64, mut func(*Config)) *
 		Platform:     testPlat(),
 		FleetBudgetW: budgetW,
 		Verify:       true,
-		Coalesce:     core.CoalescePolicy{Enabled: true},
 	}
 	if mut != nil {
 		mut(&cfg)

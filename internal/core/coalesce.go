@@ -51,11 +51,9 @@ type CoalescePolicy struct {
 	// Enabled turns coalescing on.
 	Enabled bool
 	// MaxDirty flushes the pending epoch immediately once this many mutating
-	// events have accumulated (0 selects DefaultCoalesceMaxDirty).
+	// events have accumulated (0 selects DefaultCoalesceMaxDirty). Tests
+	// lower it to exercise the bound; production uses the default.
 	MaxDirty int
-	// MaxPendingTicks is how many adaptation ticks a pending epoch may wait
-	// before Tick flushes it (0 selects 1: flush on the next tick).
-	MaxPendingTicks int
 }
 
 func (p CoalescePolicy) maxDirty() int {
@@ -63,13 +61,6 @@ func (p CoalescePolicy) maxDirty() int {
 		return p.MaxDirty
 	}
 	return DefaultCoalesceMaxDirty
-}
-
-func (p CoalescePolicy) maxTicks() int {
-	if p.MaxPendingTicks > 0 {
-		return p.MaxPendingTicks
-	}
-	return 1
 }
 
 // epochAfter is the epoch trigger for mutating operations: solve inline when
@@ -85,7 +76,6 @@ func (m *Manager) epochAfter(trigger string) error {
 	} else {
 		m.pendingEpoch = true
 		m.pendingTrigger = trigger
-		m.pendingTicks = 0
 	}
 	if m.pendingEvents >= m.cfg.Coalesce.maxDirty() {
 		return m.flushPending()
@@ -93,20 +83,10 @@ func (m *Manager) epochAfter(trigger string) error {
 	return nil
 }
 
-// Tick advances the coalescing clock by one adaptation tick (the embedding
-// layer's 50 ms loop calls it once per tick) and flushes the pending epoch
-// once it has waited MaxPendingTicks. A no-op without a pending epoch or
-// with coalescing disabled.
-func (m *Manager) Tick() error {
-	if !m.pendingEpoch {
-		return nil
-	}
-	m.pendingTicks++
-	if m.pendingTicks >= m.cfg.Coalesce.maxTicks() {
-		return m.flushPending()
-	}
-	return nil
-}
+// Tick is the adaptation tick (the embedding layer's 50 ms loop calls it
+// once per tick): a pending epoch waits for at most one tick, so Tick is
+// Flush. A no-op without a pending epoch or with coalescing disabled.
+func (m *Manager) Tick() error { return m.Flush() }
 
 // Flush forces the pending coalesced epoch to solve now; a no-op when
 // nothing is pending. Embedding layers call it before snapshots or shutdown
@@ -157,5 +137,4 @@ func (m *Manager) resetPending() {
 	m.pendingEpoch = false
 	m.pendingTrigger = ""
 	m.pendingEvents = 0
-	m.pendingTicks = 0
 }

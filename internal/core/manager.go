@@ -301,7 +301,6 @@ type Manager struct {
 	pendingEpoch   bool
 	pendingTrigger string
 	pendingEvents  int
-	pendingTicks   int
 	// ended remembers the instances that deregistered most recently, so a
 	// re-registration of the same instance can be counted as a session
 	// resumption. Bounded: see recentSet.

@@ -19,6 +19,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"sync"
 	"time"
 )
@@ -175,6 +176,23 @@ func (k EventKind) String() string {
 // streams (harpctl trace dump) are readable without the constant table.
 func (k EventKind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
+}
+
+// UnmarshalJSON is MarshalJSON's inverse, so control-socket clients decode
+// Events directly. An unknown name decodes to the zero kind.
+func (k *EventKind) UnmarshalJSON(b []byte) error {
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return err
+	}
+	*k = 0
+	for c := EvSessionRegistered; c <= EvClusterFailover; c++ {
+		if c.String() == name {
+			*k = c
+			break
+		}
+	}
+	return nil
 }
 
 // Event is one typed trace record. It is a plain value struct so emitting

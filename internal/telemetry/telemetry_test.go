@@ -287,3 +287,22 @@ func TestEventKindStrings(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// TestEventKindJSONRoundTrip: every kind decodes back from its JSON name,
+// and an unknown name decodes to the zero kind instead of failing.
+func TestEventKindJSONRoundTrip(t *testing.T) {
+	for k := EvSessionRegistered; k <= EvClusterFailover; k++ {
+		b, err := json.Marshal(Event{Kind: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev Event
+		if err := json.Unmarshal(b, &ev); err != nil || ev.Kind != k {
+			t.Errorf("kind %s: decoded %v, err %v", k, ev.Kind, err)
+		}
+	}
+	var k EventKind = EvDecisionPushed
+	if err := json.Unmarshal([]byte(`"from-the-future"`), &k); err != nil || k != 0 {
+		t.Errorf("unknown name: kind %v, err %v", k, err)
+	}
+}
