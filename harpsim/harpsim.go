@@ -144,9 +144,10 @@ type Options struct {
 	MeasureEvery time.Duration
 	// Explore tunes runtime exploration.
 	Explore explore.Config
-	// RecordTimeline captures every applied allocation decision in
-	// Result.Timeline — the raw material for allocation Gantt charts and
-	// for debugging management behaviour.
+	// RecordTimeline captures every applied allocation decision, and the
+	// session end of every reaped or exited application, in Result.Timeline
+	// — the raw material for allocation Gantt charts, timeline isolation
+	// checks and debugging management behaviour.
 	RecordTimeline bool
 	// Tracer receives the run's structured adaptation-loop events (HARP
 	// policies only; nil disables). Its clock is rebound to the machine's
@@ -250,8 +251,8 @@ type Result struct {
 	// StableAfterSec is when every application reached the stable stage
 	// (−1 if not applicable or never reached).
 	StableAfterSec float64
-	// Timeline holds the applied decisions when Options.RecordTimeline is
-	// set (HARP policies only).
+	// Timeline holds the applied decisions and session ends when
+	// Options.RecordTimeline is set (HARP policies only).
 	Timeline []TimelineEvent
 	// RMRestarts counts injected rm-crash faults the RM recovered from.
 	RMRestarts int

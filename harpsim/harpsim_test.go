@@ -282,15 +282,30 @@ func TestTimelineRecording(t *testing.T) {
 	if len(res.Timeline) < 2 {
 		t.Fatalf("timeline has %d events, want at least one per app", len(res.Timeline))
 	}
-	seen := make(map[string]bool)
+	// Applied decisions carry a vector; the session-end event recorded at
+	// each application's exit carries neither a vector nor cores.
+	seen, ended := make(map[string]bool), make(map[string]bool)
 	for _, ev := range res.Timeline {
-		if ev.AtSec < 0 || ev.VectorKey == "" {
+		switch {
+		case ev.AtSec < 0:
 			t.Errorf("malformed event %+v", ev)
+		case ev.VectorKey == "":
+			if len(ev.Cores) != 0 || ended[ev.Instance] {
+				t.Errorf("malformed session end %+v", ev)
+			}
+			ended[ev.Instance] = true
+		default:
+			if ended[ev.Instance] {
+				t.Errorf("decision %+v after the session ended", ev)
+			}
+			seen[ev.Instance] = true
 		}
-		seen[ev.Instance] = true
 	}
 	if !seen["cg.C"] || !seen["mg.C"] {
 		t.Errorf("timeline missing instances: %v", seen)
+	}
+	if !ended["cg.C"] || !ended["mg.C"] {
+		t.Errorf("timeline missing session ends: %v", ended)
 	}
 	// Baseline policies record nothing.
 	plain := mustRun(t, sc, Options{Policy: PolicyCFS, RecordTimeline: true})
@@ -302,8 +317,11 @@ func TestTimelineRecording(t *testing.T) {
 func TestHARPOverheadIsHARPButInert(t *testing.T) {
 	sc := intelScenario(t, "cg.C")
 	res := mustRun(t, sc, Options{Policy: PolicyHARPOverhead, RecordTimeline: true})
-	// Decisions are dropped in libharp, so no timeline events are applied.
-	if len(res.Timeline) != 0 {
-		t.Errorf("overhead mode applied %d decisions", len(res.Timeline))
+	// Decisions are dropped in libharp, so the timeline holds only the
+	// application's session end.
+	for _, ev := range res.Timeline {
+		if ev.VectorKey != "" || len(ev.Cores) != 0 {
+			t.Errorf("overhead mode applied decision %+v", ev)
+		}
 	}
 }

@@ -139,15 +139,13 @@ func TestSimJournalMatchesPushedInvariant(t *testing.T) {
 
 // TestSimTimelineIsolationFaultFree covers the quiet path: a run with no
 // faults and no liveness pressure must, of course, also satisfy the isolation
-// invariants end to end. An empty fault plan turns on session-clearing
-// timeline events (exit/deregister) without injecting anything — a
-// decision-only timeline cannot be replayed for standing allocations.
+// invariants end to end. The timeline's session ends (exit/deregister) are
+// what lets the check replay standing allocations.
 func TestSimTimelineIsolationFaultFree(t *testing.T) {
 	sc := intelScenario(t, "ep.C", "cg.C", "ft.C")
 	tables := OfflineDSETables(sc.Platform, sc.Apps)
 	res := mustRun(t, sc, Options{
 		Policy: PolicyHARPOffline, OfflineTables: tables, Seed: 1, RecordTimeline: true,
-		Faults: faultsim.Generate(1, nil, 10*time.Second, 0),
 	})
 	if len(res.Timeline) == 0 {
 		t.Fatal("run recorded no timeline")

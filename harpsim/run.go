@@ -153,10 +153,6 @@ type harpHarness struct {
 	sessionUp map[string]bool
 	lastSeen  map[string]time.Duration
 	muted     map[string]*muteState
-	// trackSessions adds session-clearing events (reap, deregister, exit) to
-	// the timeline so chaos tests can replay standing allocations. Only set
-	// for resilience runs, keeping legacy timelines decision-only.
-	trackSessions bool
 
 	// repeat-mode state (LearnTables)
 	repeat       bool
@@ -215,22 +211,21 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 	}
 
 	h := &harpHarness{
-		machine:       machine,
-		mgr:           mgr,
-		mon:           mon,
-		opts:          opts,
-		managed:       make(map[string]*sim.Proc),
-		energyAt:      make(map[string]float64),
-		stableAtSec:   -1,
-		restartCount:  make(map[string]int),
-		liveness:      opts.Liveness,
-		faults:        opts.Faults.Cursor(),
-		sessionUp:     make(map[string]bool),
-		lastSeen:      make(map[string]time.Duration),
-		muted:         make(map[string]*muteState),
-		trackSessions: opts.Liveness.Enabled() || opts.Faults != nil,
-		coreCfg:       coreCfg,
-		st:            st,
+		machine:      machine,
+		mgr:          mgr,
+		mon:          mon,
+		opts:         opts,
+		managed:      make(map[string]*sim.Proc),
+		energyAt:     make(map[string]float64),
+		stableAtSec:  -1,
+		restartCount: make(map[string]int),
+		liveness:     opts.Liveness,
+		faults:       opts.Faults.Cursor(),
+		sessionUp:    make(map[string]bool),
+		lastSeen:     make(map[string]time.Duration),
+		muted:        make(map[string]*muteState),
+		coreCfg:      coreCfg,
+		st:           st,
 	}
 	h.buildTopology()
 
@@ -586,9 +581,7 @@ func (h *harpHarness) onExit(p *sim.Proc) {
 		h.energyAt[p.Name()] = h.mon.Untrack(p.ID())
 		if h.sessionUp[p.Name()] {
 			_ = h.mgr.Deregister(p.Name())
-			if h.trackSessions {
-				h.recordTimeline(p.Name(), "", 0, nil, false, false)
-			}
+			h.recordTimeline(p.Name(), "", 0, nil, false, false)
 		}
 		delete(h.managed, p.Name())
 		delete(h.sessionUp, p.Name())

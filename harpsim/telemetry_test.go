@@ -52,8 +52,10 @@ func TestSimJournalMatchesDecisions(t *testing.T) {
 	if len(pushed) == 0 {
 		t.Fatal("run pushed no decisions")
 	}
-	if len(res.Timeline) == 0 || len(res.Timeline) > len(pushed) {
-		t.Errorf("timeline has %d events, pushed %d decisions", len(res.Timeline), len(pushed))
+	// The timeline is the applied decisions plus one session end per exited
+	// application.
+	if len(res.Timeline) == 0 || len(res.Timeline) > len(pushed)+len(sc.Apps) {
+		t.Errorf("timeline has %d events, pushed %d decisions for %d apps", len(res.Timeline), len(pushed), len(sc.Apps))
 	}
 
 	epochs, err := telemetry.ReadJournal(bytes.NewReader(journal))

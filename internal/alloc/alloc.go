@@ -56,9 +56,6 @@ type AppInput struct {
 	ID string
 	// Table is the application's operating points (measured + predicted).
 	Table *opoint.Table
-	// MaxUtility overrides v* for cost normalisation; 0 derives it from the
-	// table.
-	MaxUtility float64
 }
 
 // CoreGrant assigns one physical core with a number of hardware threads.
@@ -545,10 +542,7 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 	if err := app.Table.Validate(a.plat); err != nil {
 		return err
 	}
-	vstar := app.MaxUtility
-	if vstar <= 0 {
-		vstar = app.Table.MaxUtility()
-	}
+	vstar := app.Table.MaxUtility()
 	usable := a.scratch.usable[:0]
 	for _, op := range app.Table.Points {
 		if op.Usable(vstar) {
@@ -1252,11 +1246,9 @@ func smallestDemand(cands []candidate) int {
 func TotalCost(allocs []Allocation, inputs []AppInput) float64 {
 	vstar := make(map[string]float64, len(inputs))
 	for _, in := range inputs {
-		v := in.MaxUtility
-		if v <= 0 && in.Table != nil {
-			v = in.Table.MaxUtility()
+		if in.Table != nil {
+			vstar[in.ID] = in.Table.MaxUtility()
 		}
-		vstar[in.ID] = v
 	}
 	var sum float64
 	for _, al := range allocs {

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,14 @@ func cacheInputs(t *testing.T, p *platform.Platform) []AppInput {
 		inputs = append(inputs, AppInput{ID: prof.Name, Table: tableFor(p, prof)})
 	}
 	return inputs
+}
+
+// renamed copies the inputs with the first app's ID suffixed by i: a
+// distinct fingerprint over the same tables.
+func renamed(in []AppInput, i int) []AppInput {
+	out := append([]AppInput(nil), in...)
+	out[0].ID = fmt.Sprintf("%s-%d", out[0].ID, i)
+	return out
 }
 
 func TestFingerprintStability(t *testing.T) {
@@ -65,12 +74,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	renamed[0].ID = "bt2"
 	fp, _ := a.fingerprintInputs(renamed)
 	record("renamed app", fp)
-
-	// v* override.
-	vstar := append([]AppInput(nil), base...)
-	vstar[0].MaxUtility = 123.0
-	fp, _ = a.fingerprintInputs(vstar)
-	record("MaxUtility override", fp)
 
 	// App order (the solver is order-sensitive through repair).
 	swapped := []AppInput{base[1], base[0]}
@@ -184,11 +187,9 @@ func TestSolutionCacheEviction(t *testing.T) {
 	a := newAllocator(t, p, WithCache(2))
 	base := cacheInputs(t, p)
 
-	// Three distinct fingerprints through distinct MaxUtility overrides.
+	// Three distinct fingerprints through distinct app IDs.
 	for i := 1; i <= 3; i++ {
-		in := append([]AppInput(nil), base...)
-		in[0].MaxUtility = float64(i * 100)
-		if _, _, err := a.AllocateWithStats(in); err != nil {
+		if _, _, err := a.AllocateWithStats(renamed(base, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,13 +200,10 @@ func TestSolutionCacheEviction(t *testing.T) {
 	// The oldest entry (i=1) was evicted; i=3 and i=2 remain. Probe the
 	// resident entry first — probing the evicted one is itself a miss that
 	// inserts and evicts again.
-	in := append([]AppInput(nil), base...)
-	in[0].MaxUtility = 200
-	if _, st, _ := a.AllocateWithStats(in); st.Source != SourceCached {
+	if _, st, _ := a.AllocateWithStats(renamed(base, 2)); st.Source != SourceCached {
 		t.Fatal("resident entry missed")
 	}
-	in[0].MaxUtility = 100
-	if _, st, _ := a.AllocateWithStats(in); st.Source == SourceCached {
+	if _, st, _ := a.AllocateWithStats(renamed(base, 1)); st.Source == SourceCached {
 		t.Fatal("evicted entry served")
 	}
 }
@@ -241,9 +239,7 @@ func TestCacheMetrics(t *testing.T) {
 	if _, _, err := a.AllocateWithStats(base); err != nil { // hit
 		t.Fatal(err)
 	}
-	in := append([]AppInput(nil), base...)
-	in[0].MaxUtility = 42
-	if _, _, err := a.AllocateWithStats(in); err != nil { // miss + eviction
+	if _, _, err := a.AllocateWithStats(renamed(base, 1)); err != nil { // miss + eviction
 		t.Fatal(err)
 	}
 	if got := m.AllocCacheHits.Value(); got != 1 {

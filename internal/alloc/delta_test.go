@@ -130,9 +130,6 @@ func runDeltaScenario(t *testing.T, p *platform.Platform, solver deltaSolver, se
 			i := rng.Intn(len(inputs))
 			kinds := []int{rng.Intn(nk)} // may move the app to another domain
 			inputs[i].Table = deltaTable(p, inputs[i].ID, kinds, 3+float64(rng.Intn(8)))
-		case roll < 9:
-			i := rng.Intn(len(inputs))
-			inputs[i].MaxUtility = float64(rng.Intn(3)) * 7
 		default:
 			// nothing changed: the delta should be empty, not nil
 		}

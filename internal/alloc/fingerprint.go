@@ -4,8 +4,7 @@ import "github.com/harp-rm/harp/internal/opoint"
 
 // Fingerprint is a 128-bit content hash of one complete solve input: the
 // platform's capacity layout, the solver configuration and — per application,
-// in order — the ID, the v* override and the full operating-point table
-// contents. Two inputs with equal fingerprints produce bit-identical
+// in order — the ID and the full operating-point table contents. Two inputs with equal fingerprints produce bit-identical
 // allocations (the solver is deterministic in its inputs), which is what
 // makes memoising whole solutions sound. 128 bits keep the accidental
 // collision probability negligible at cache-realistic populations.
@@ -50,7 +49,6 @@ func (a *Allocator) fingerprintInputs(apps []AppInput) (fp Fingerprint, ok bool)
 		}
 		f := app.Table.Facts()
 		h.Str(app.ID)
-		h.F64(app.MaxUtility)
 		h.U64(f.Hi)
 		h.U64(f.Lo)
 	}

@@ -54,7 +54,6 @@ func TestFingerprintMixerSoundness(t *testing.T) {
 	}
 
 	flipString("app ID", func(in []AppInput) *string { return &in[1].ID })
-	flipFloat("v* override", func(in []AppInput) *float64 { return &in[0].MaxUtility })
 	flipFloat("utility", func(in []AppInput) *float64 { return &in[0].Table.Points[3].Utility })
 	flipFloat("power", func(in []AppInput) *float64 { return &in[1].Table.Points[5].Power })
 	check("measured flag", func(in []AppInput) { in[0].Table.Points[2].Measured = !in[0].Table.Points[2].Measured })

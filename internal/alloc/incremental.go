@@ -84,18 +84,15 @@ func WithIncrementalCadence(every int) Option {
 // to detect change, free its capacity and account drift without touching its
 // table.
 type pinnedApp struct {
-	// tableHi/tableLo and maxUtility identify the inputs the pin was solved
-	// under; any difference marks the application as changed.
+	// tableHi/tableLo identify the table the pin was solved under; any
+	// difference marks the application as changed.
 	tableHi, tableLo uint64
-	maxUtility       float64
 	// alloc is the standing allocation. Its grants are owned by the pin and
 	// never written again once set: allocations handed to the caller — and
 	// the decisions the Manager pushes from them — alias the same array.
 	alloc Allocation
-	// chosenCost and minCost feed the drift bound. minCost is the table's
-	// own (opoint.Facts.MinCost, at the table's v*): the bound is a heuristic
-	// trigger, so a caller-side MaxUtility override is deliberately not
-	// folded in.
+	// chosenCost and minCost feed the drift bound; minCost is the table's
+	// own (opoint.Facts.MinCost, at the table's v*).
 	chosenCost float64
 	minCost    float64
 	// seen is the pin-epoch (Allocator.incSeq) of the last solve that
@@ -150,7 +147,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Alloca
 		pins[i], inResolve[i] = pin, false
 		if pin != nil {
 			f := app.Table.Facts()
-			if f.Hi == pin.tableHi && f.Lo == pin.tableLo && app.MaxUtility == pin.maxUtility {
+			if f.Hi == pin.tableHi && f.Lo == pin.tableLo {
 				continue
 			}
 		}
@@ -341,11 +338,7 @@ func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation) {
 // unusable points such as the free fallback candidate, mirroring
 // buildState).
 func (a *Allocator) chosenCostOf(app *AppInput, al *Allocation) float64 {
-	vstar := app.MaxUtility
-	if vstar <= 0 {
-		vstar = app.Table.MaxUtility()
-	}
-	c := al.Point.Cost(vstar)
+	c := al.Point.Cost(app.Table.MaxUtility())
 	if math.IsInf(c, 0) || math.IsNaN(c) {
 		return 0
 	}
@@ -364,7 +357,6 @@ func (a *Allocator) setPin(app *AppInput, al Allocation, chosenCost float64) *pi
 		a.incPins[app.ID] = pin
 	}
 	pin.tableHi, pin.tableLo = f.Hi, f.Lo
-	pin.maxUtility = app.MaxUtility
 	pin.minCost = f.MinCost
 	pin.chosenCost = chosenCost
 	pin.alloc = al

@@ -88,11 +88,7 @@ func assertStructurallyValid(t *testing.T, p *platform.Platform, inputs []AppInp
 func totalCost(inputs []AppInput, allocs []Allocation) float64 {
 	sum := 0.0
 	for i, al := range allocs {
-		vstar := inputs[i].MaxUtility
-		if vstar <= 0 {
-			vstar = inputs[i].Table.MaxUtility()
-		}
-		if c := al.Point.Cost(vstar); c == c && !al.Point.Vector.IsZero() { // skip NaN / fallback
+		if c := al.Point.Cost(inputs[i].Table.MaxUtility()); c == c && !al.Point.Vector.IsZero() { // skip NaN / fallback
 			sum += c
 		}
 	}

@@ -140,16 +140,7 @@ func (s *Sharded) footprint(app *AppInput) uint64 {
 	if app.Table == nil {
 		return s.allKindsMask()
 	}
-	var mask uint64
-	if f := app.Table.Facts(); app.MaxUtility <= 0 || app.MaxUtility == f.VStar {
-		mask = f.Footprint
-	} else {
-		for i := range app.Table.Points {
-			if p := &app.Table.Points[i]; p.Usable(app.MaxUtility) {
-				mask |= p.Vector.KindMask()
-			}
-		}
-	}
+	mask := app.Table.Facts().Footprint
 	if mask == 0 {
 		mask = 1 << uint(len(s.plat.Kinds)-1) // fallbackCandidate's kind
 	}

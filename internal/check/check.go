@@ -63,11 +63,8 @@ func FromInputs(p *platform.Platform, inputs []alloc.AppInput) Instance {
 	}
 	for _, in := range inputs {
 		app := App{ID: in.ID}
-		vstar := in.MaxUtility
-		if vstar <= 0 && in.Table != nil {
-			vstar = in.Table.MaxUtility()
-		}
 		if in.Table != nil {
+			vstar := in.Table.MaxUtility()
 			for _, op := range in.Table.Points {
 				if op.Vector.IsZero() {
 					continue
@@ -110,7 +107,7 @@ func FormatInstance(p *platform.Platform, inputs []alloc.AppInput) string {
 	}
 	b.WriteByte('\n')
 	for _, in := range inputs {
-		fmt.Fprintf(&b, "app %s (maxUtility=%g):\n", in.ID, in.MaxUtility)
+		fmt.Fprintf(&b, "app %s:\n", in.ID)
 		if in.Table == nil {
 			b.WriteString("  <nil table>\n")
 			continue

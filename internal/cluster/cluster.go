@@ -9,9 +9,8 @@
 // by distributing per-machine power caps, migrates sessions off hot or
 // dying machines with the PR 3 reconnect contract (re-register + table and
 // phase replay, transparent to the application), and survives its own
-// death: a standby promotes itself from the last shipped snapshot
-// (internal/store cluster codec) and reconciles against the machines that
-// still answer.
+// death: a standby promotes itself from its copy of the last shipped
+// ledger and reconciles against the machines that still answer.
 //
 // # Budget soundness
 //
@@ -29,23 +28,24 @@
 // # Determinism
 //
 // Every coordinator decision iterates sorted state (machine index order,
-// instance-sorted registry walks), so same-seed harness runs produce
-// byte-identical cluster journals and shipments — the chaos suites compare
-// them. Like core.Manager, a Fleet is not goroutine-safe; one driver
-// owns it.
+// the instance-sorted ledger), so same-seed harness runs produce
+// byte-identical cluster journals — the chaos suites compare them. Like
+// core.Manager, a Fleet is not goroutine-safe; one driver owns it.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/harp-rm/harp/internal/check"
 	"github.com/harp-rm/harp/internal/core"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
-	"github.com/harp-rm/harp/internal/store"
 	"github.com/harp-rm/harp/internal/telemetry"
 	"github.com/harp-rm/harp/internal/workload"
 )
@@ -174,26 +174,29 @@ type migration struct {
 }
 
 // coordinator is the (replaceable) fleet brain. All its state is rebuilt
-// on failover from the last shipment plus machine reconciliation.
+// on failover from the standby's copy plus machine reconciliation.
 type coordinator struct {
-	registry map[string]*sessionRec
-	// admitted is the per-machine worst-case demand ledger.
+	// ledger is every session the coordinator knows — placed, in flight or
+	// awaiting re-home — sorted by instance.
+	ledger []*sessionRec
+	// admitted is the per-machine sum of admitted worst-case demand.
 	admitted map[string]float64
 	caps     map[string]float64
 	// dead is the coordinator's belief (declared machines), which can lag
 	// the killed ground truth by up to DeadAfter ticks.
 	dead     map[string]bool
 	inflight []migration
-	epoch    uint64
 	// drainSrc is the machine currently being consolidated away ("" when
 	// no drain is active).
 	drainSrc string
 	promoted bool
 }
 
-// standby holds what a coordinator replacement starts from.
+// standby holds what a coordinator replacement starts from: a copy of the
+// ledger and the dead set as of the last ship.
 type standby struct {
-	lastShipment []byte
+	ledger []sessionRec
+	dead   map[string]bool
 }
 
 // Stats counts fleet transitions since construction.
@@ -230,18 +233,20 @@ type Fleet struct {
 	cfg      Config
 	machines []*machine
 	coord    *coordinator
-	standby  *standby
+	standby  standby
 	// coordKilled marks the window between KillCoordinator and the next
 	// tick's promotion.
 	coordKilled bool
 	// arrivals is the client-side queue: specs submitted but not yet
 	// placed. It survives coordinator death — clients retry registration.
 	arrivals []SessionSpec
-	tick     uint64
-	stats    Stats
-	health   Health
-	jw       io.Writer
-	jerr     error
+	// queued is the set of instances in arrivals.
+	queued map[string]bool
+	tick   uint64
+	stats  Stats
+	health Health
+	jw     io.Writer
+	jerr   error
 }
 
 // New builds a fleet: machines m0..m(N-1), a fresh coordinator, an empty
@@ -250,7 +255,7 @@ func New(cfg Config) (*Fleet, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, standby: &standby{}, jw: cfg.Journal}
+	f := &Fleet{cfg: cfg, queued: make(map[string]bool), jw: cfg.Journal}
 	for i := 0; i < cfg.Machines; i++ {
 		id := fmt.Sprintf("m%d", i)
 		var journal *telemetry.Journal
@@ -282,12 +287,38 @@ func New(cfg Config) (*Fleet, error) {
 
 func (f *Fleet) newCoordinator(promoted bool) *coordinator {
 	return &coordinator{
-		registry: make(map[string]*sessionRec),
 		admitted: make(map[string]float64),
 		caps:     make(map[string]float64),
 		dead:     make(map[string]bool),
 		promoted: promoted,
 	}
+}
+
+// find binary-searches the ledger: the index of instance's record, or the
+// index it would be inserted at.
+func (c *coordinator) find(instance string) (int, bool) {
+	return slices.BinarySearchFunc(c.ledger, instance, func(rec *sessionRec, inst string) int {
+		return strings.Compare(rec.spec.Instance, inst)
+	})
+}
+
+// lookup returns instance's ledger record (nil if unknown).
+func (c *coordinator) lookup(instance string) *sessionRec {
+	if i, ok := c.find(instance); ok {
+		return c.ledger[i]
+	}
+	return nil
+}
+
+// put inserts rec at its sorted ledger position, replacing any record of
+// the same instance.
+func (c *coordinator) put(rec *sessionRec) {
+	i, ok := c.find(rec.spec.Instance)
+	if ok {
+		c.ledger[i] = rec
+		return
+	}
+	c.ledger = slices.Insert(c.ledger, i, rec)
 }
 
 // maxDemandW is the worst-case admission bound: the maximum power over the
@@ -327,15 +358,11 @@ func (f *Fleet) Submit(spec SessionSpec) error {
 	if f.coordKilled {
 		return ErrNoCoordinator
 	}
-	if _, ok := f.coord.registry[spec.Instance]; ok {
+	if f.queued[spec.Instance] || f.coord.lookup(spec.Instance) != nil {
 		return ErrDuplicateSession
 	}
-	for i := range f.arrivals {
-		if f.arrivals[i].Instance == spec.Instance {
-			return ErrDuplicateSession
-		}
-	}
 	f.arrivals = append(f.arrivals, spec)
+	f.queued[spec.Instance] = true
 	return nil
 }
 
@@ -346,17 +373,18 @@ func (f *Fleet) Deregister(instance string) error {
 	if f.coordKilled {
 		return ErrNoCoordinator
 	}
-	for i := range f.arrivals {
-		if f.arrivals[i].Instance == instance {
-			f.arrivals = append(f.arrivals[:i], f.arrivals[i+1:]...)
-			return nil
-		}
+	if f.queued[instance] {
+		i := slices.IndexFunc(f.arrivals, func(s SessionSpec) bool { return s.Instance == instance })
+		f.arrivals = slices.Delete(f.arrivals, i, i+1)
+		delete(f.queued, instance)
+		return nil
 	}
 	c := f.coord
-	rec, ok := c.registry[instance]
+	idx, ok := c.find(instance)
 	if !ok {
 		return ErrUnknownSession
 	}
+	rec := c.ledger[idx]
 	if rec.machine != "" {
 		c.admitted[rec.machine] -= rec.demandW
 		if rec.inflight {
@@ -372,7 +400,7 @@ func (f *Fleet) Deregister(instance string) error {
 			}
 		}
 	}
-	delete(c.registry, instance)
+	c.ledger = slices.Delete(c.ledger, idx, idx+1)
 	f.stats.Exits++
 	f.journal(journalRec{Tick: f.tick, Ev: "exit", Instance: instance, Machine: rec.machine})
 	return nil
@@ -385,14 +413,13 @@ func (f *Fleet) PhaseChange(instance, phase string) error {
 	if f.coordKilled {
 		return ErrNoCoordinator
 	}
-	for i := range f.arrivals {
-		if f.arrivals[i].Instance == instance {
-			f.arrivals[i].Phase = phase
-			return nil
-		}
+	if f.queued[instance] {
+		i := slices.IndexFunc(f.arrivals, func(s SessionSpec) bool { return s.Instance == instance })
+		f.arrivals[i].Phase = phase
+		return nil
 	}
-	rec, ok := f.coord.registry[instance]
-	if !ok {
+	rec := f.coord.lookup(instance)
+	if rec == nil {
 		return ErrUnknownSession
 	}
 	rec.spec.Phase = phase
@@ -431,7 +458,7 @@ func (f *Fleet) Owner(instance string) string {
 	if f.coord == nil {
 		return ""
 	}
-	if rec, ok := f.coord.registry[instance]; ok && !rec.inflight {
+	if rec := f.coord.lookup(instance); rec != nil && !rec.inflight {
 		return rec.machine
 	}
 	return ""
@@ -476,9 +503,7 @@ func (f *Fleet) Tick() error {
 		}
 	}
 	if f.tick%uint64(f.cfg.SnapshotEvery) == 0 {
-		if err := f.ship(); err != nil {
-			return err
-		}
+		f.ship()
 	}
 	return f.grade()
 }
@@ -527,7 +552,7 @@ func (f *Fleet) redistributeCaps() {
 
 // heartbeats delivers this tick's heartbeats from non-killed machines and
 // declares machines dead once DeadAfter ticks pass without one. A declared
-// machine's sessions go back to the placement queue (registry entries with
+// machine's sessions go back to the placement queue (ledger entries with
 // machine == "") and its manager is discarded.
 func (f *Fleet) heartbeats() {
 	c := f.coord
@@ -543,8 +568,7 @@ func (f *Fleet) heartbeats() {
 		c.dead[m.id] = true
 		m.mgr = nil
 		orphans := 0
-		for _, inst := range sortedInstances(c.registry) {
-			rec := c.registry[inst]
+		for _, rec := range c.ledger {
 			if rec.machine != m.id {
 				continue
 			}
@@ -552,7 +576,7 @@ func (f *Fleet) heartbeats() {
 			// the same way owned sessions are orphaned: back to the queue.
 			if rec.inflight {
 				for i := range c.inflight {
-					if c.inflight[i].instance == inst {
+					if c.inflight[i].instance == rec.spec.Instance {
 						c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
 						break
 					}
@@ -586,7 +610,7 @@ func (f *Fleet) completeMigrations() error {
 	moves := c.inflight
 	c.inflight = nil
 	for _, mv := range moves {
-		rec := c.registry[mv.instance]
+		rec := c.lookup(mv.instance)
 		m := f.byID(mv.to)
 		if m == nil || m.mgr == nil || c.dead[mv.to] {
 			c.admitted[mv.to] -= rec.demandW
@@ -647,8 +671,7 @@ func (f *Fleet) planDrain() {
 	if len(head) == 0 {
 		return
 	}
-	for _, inst := range sortedInstances(c.registry) {
-		rec := c.registry[inst]
+	for _, rec := range c.ledger {
 		if rec.machine != src.id {
 			continue
 		}
@@ -683,11 +706,11 @@ func (f *Fleet) startMigrations() error {
 		if src.id != c.drainSrc && !over {
 			continue
 		}
-		for _, inst := range sortedInstances(c.registry) {
+		for _, rec := range c.ledger {
 			if started >= migrateBatch {
 				return nil
 			}
-			rec := c.registry[inst]
+			inst := rec.spec.Instance
 			if rec.machine != src.id || rec.inflight {
 				continue
 			}
@@ -756,13 +779,12 @@ func (f *Fleet) staticTarget(instance string) *machine {
 	return f.machines[h%len(f.machines)]
 }
 
-// place admits the placement queue: first the registry's unplaced sessions
+// place admits the placement queue: first the ledger's unplaced sessions
 // (orphans being re-homed, instance order), then the arrival queue in
 // submission order. Unplaceable sessions stay queued and retry next tick.
 func (f *Fleet) place() error {
 	c := f.coord
-	for _, inst := range sortedInstances(c.registry) {
-		rec := c.registry[inst]
+	for _, rec := range c.ledger {
 		if rec.machine != "" {
 			continue
 		}
@@ -785,7 +807,8 @@ func (f *Fleet) place() error {
 			remaining = append(remaining, spec)
 			continue
 		}
-		c.registry[spec.Instance] = rec
+		c.put(rec)
+		delete(f.queued, spec.Instance)
 	}
 	f.arrivals = remaining
 	return nil
@@ -845,108 +868,49 @@ func (f *Fleet) registerOn(m *machine, rec *sessionRec) error {
 	return nil
 }
 
-// ship encodes the coordinator's state and hands it to the standby — the
-// PR 5 snapshot shape on the wire (store cluster codec).
-func (f *Fleet) ship() error {
-	raw, err := store.EncodeClusterState(f.exportState())
-	if err != nil {
-		return fmt.Errorf("cluster: ship: %w", err)
-	}
-	f.standby.lastShipment = raw
-	f.coord.epoch++
-	f.stats.Shipments++
-	f.journal(journalRec{Tick: f.tick, Ev: "ship", N: len(raw)})
-	return nil
-}
-
-// exportState renders the coordinator ledger as a store.ClusterState with
-// sorted machines and sessions. In-flight sessions export unplaced: a
-// coordinator recovering from this shipment must re-home them, never
-// assume the add half completed.
-func (f *Fleet) exportState() *store.ClusterState {
+// ship hands the standby a copy of the coordinator's ledger and dead set.
+// Records are copied by value, so later ledger changes never reach the
+// standby; spec tables stay shared, as nothing in the fleet writes to one
+// (machine managers copy the points on upload). Every session ships
+// unplaced: at promotion the surviving machines are the only authority on
+// ownership, so in particular an in-flight session is re-homed, never
+// assumed to have completed its add half.
+func (f *Fleet) ship() {
 	c := f.coord
-	cs := &store.ClusterState{
-		Epoch:        c.epoch,
-		Tick:         f.tick,
-		FleetBudgetW: f.cfg.FleetBudgetW,
+	ledger := make([]sessionRec, len(c.ledger))
+	for i, rec := range c.ledger {
+		ledger[i] = sessionRec{spec: rec.spec, demandW: rec.demandW}
 	}
-	for _, m := range f.machines {
-		cs.Machines = append(cs.Machines, store.ClusterMachine{
-			ID:    m.id,
-			CapW:  c.caps[m.id],
-			Alive: !c.dead[m.id],
-		})
-	}
-	for _, inst := range sortedInstances(c.registry) {
-		rec := c.registry[inst]
-		mach := rec.machine
-		if rec.inflight {
-			mach = ""
-		}
-		cs.Sessions = append(cs.Sessions, store.ClusterSession{
-			Instance:   rec.spec.Instance,
-			App:        rec.spec.App,
-			Adaptivity: rec.spec.Adaptivity.String(),
-			OwnUtility: rec.spec.OwnUtility,
-			Phase:      rec.spec.Phase,
-			Machine:    mach,
-			DemandW:    rec.demandW,
-			Table:      rec.spec.Table,
-		})
-	}
-	return cs
+	f.standby = standby{ledger: ledger, dead: maps.Clone(c.dead)}
+	f.stats.Shipments++
+	f.journal(journalRec{Tick: f.tick, Ev: "ship", N: len(ledger)})
 }
 
-// promote replaces the dead coordinator: decode the standby's last
-// shipment, then reconcile against every machine that still answers —
-// machines are the authority on ownership, the shipment on sessions that
-// are currently nowhere. Anything in neither (placed and migrated away
-// entirely inside the shipping interval) is recovered by the client's own
+// promote replaces the dead coordinator: start from the standby's copy,
+// then reconcile against every machine that still answers — machines are
+// the authority on ownership, the copy on sessions that are currently
+// nowhere. Anything in neither (placed and migrated away entirely inside
+// the shipping interval) is recovered by the client's own
 // re-registration, like any control-plane loss.
 func (f *Fleet) promote() error {
 	c := f.newCoordinator(true)
-	recovered, orphans := 0, 0
-	if raw := f.standby.lastShipment; raw != nil {
-		cs, err := store.DecodeClusterState(raw)
-		if err != nil {
-			return fmt.Errorf("cluster: promote: %w", err)
-		}
-		c.epoch = cs.Epoch
-		for i := range cs.Machines {
-			if !cs.Machines[i].Alive {
-				c.dead[cs.Machines[i].ID] = true
-			}
-		}
-		for i := range cs.Sessions {
-			s := &cs.Sessions[i]
-			ad, err := core.ParseAdaptivity(s.Adaptivity)
-			if err != nil {
-				return fmt.Errorf("cluster: promote: %w", err)
-			}
-			c.registry[s.Instance] = &sessionRec{
-				spec: SessionSpec{
-					Instance:   s.Instance,
-					App:        s.App,
-					Adaptivity: ad,
-					OwnUtility: s.OwnUtility,
-					Phase:      s.Phase,
-					Table:      s.Table,
-				},
-				demandW: s.DemandW,
-			}
-			recovered++
-		}
+	for id := range f.standby.dead {
+		c.dead[id] = true
 	}
+	// The standby is discarded below, so the new ledger adopts its records.
+	c.ledger = make([]*sessionRec, len(f.standby.ledger))
+	for i := range f.standby.ledger {
+		c.ledger[i] = &f.standby.ledger[i]
+	}
+	recovered := len(c.ledger)
 	// Reconcile: live machines are authoritative for ownership and state.
-	owned := make(map[string]string)
 	for _, m := range f.machines {
 		if m.killed || m.mgr == nil || c.dead[m.id] {
 			continue
 		}
 		for _, si := range m.mgr.Sessions() {
-			owned[si.Instance] = m.id
-			rec, ok := c.registry[si.Instance]
-			if !ok {
+			rec := c.lookup(si.Instance)
+			if rec == nil {
 				tbl, err := m.mgr.Table(si.Instance)
 				if err != nil {
 					return fmt.Errorf("cluster: promote reconcile: %w", err)
@@ -966,31 +930,24 @@ func (f *Fleet) promote() error {
 					},
 					demandW: demand,
 				}
-				c.registry[si.Instance] = rec
+				c.put(rec)
 			}
 			rec.machine = m.id
 			rec.spec.Phase = si.Phase
 		}
 	}
-	for _, inst := range sortedInstances(c.registry) {
-		rec := c.registry[inst]
-		if m, ok := owned[inst]; ok {
-			rec.machine = m
+	orphans := 0
+	for _, rec := range c.ledger {
+		if rec.machine == "" {
+			orphans++
 			continue
 		}
-		rec.machine, rec.inflight = "", false
-		orphans++
-	}
-	for _, inst := range sortedInstances(c.registry) {
-		rec := c.registry[inst]
-		if rec.machine != "" {
-			c.admitted[rec.machine] += rec.demandW
-		}
+		c.admitted[rec.machine] += rec.demandW
 	}
 	f.coord = c
 	f.coordKilled = false
 	f.redistributeCaps()
-	f.standby = &standby{}
+	f.standby = standby{}
 	f.stats.Failovers++
 	f.journal(journalRec{Tick: f.tick, Ev: "failover", N: recovered, Orphans: orphans})
 	f.emit(telemetry.Event{Kind: telemetry.EvClusterFailover, Vals: [4]float64{float64(recovered), float64(orphans)}})
@@ -1036,10 +993,9 @@ func (f *Fleet) Unowned() []string {
 		out = append(out, f.arrivals[i].Instance)
 	}
 	if f.coord != nil {
-		for _, inst := range sortedInstances(f.coord.registry) {
-			rec := f.coord.registry[inst]
+		for _, rec := range f.coord.ledger {
 			if rec.machine == "" || rec.inflight {
-				out = append(out, inst)
+				out = append(out, rec.spec.Instance)
 			}
 		}
 	}
@@ -1106,12 +1062,3 @@ func (f *Fleet) emit(ev telemetry.Event) {
 // JournalErr reports the first cluster-journal write error (nil when the
 // journal is healthy or disabled).
 func (f *Fleet) JournalErr() error { return f.jerr }
-
-func sortedInstances(registry map[string]*sessionRec) []string {
-	out := make([]string, 0, len(registry))
-	for inst := range registry {
-		out = append(out, inst)
-	}
-	sort.Strings(out)
-	return out
-}

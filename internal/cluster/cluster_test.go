@@ -139,7 +139,18 @@ func TestSubmitValidation(t *testing.T) {
 	if err := f.Submit(spec); !errors.Is(err, ErrDuplicateSession) {
 		t.Fatalf("queued duplicate: %v", err)
 	}
+	// Deregistering a queued arrival takes it off the queue: resubmitting it
+	// is admitted.
+	if err := f.Deregister("a"); err != nil {
+		t.Fatalf("deregister queued arrival: %v", err)
+	}
+	if err := f.Submit(spec); err != nil {
+		t.Fatalf("resubmit after deregistering the queued arrival: %v", err)
+	}
 	mustTick(t, f, 1)
+	if f.Owner("a") == "" {
+		t.Fatal("resubmitted arrival not placed")
+	}
 	if err := f.Submit(spec); !errors.Is(err, ErrDuplicateSession) {
 		t.Fatalf("placed duplicate: %v", err)
 	}
@@ -330,6 +341,90 @@ func TestKillDuringMigrationAborts(t *testing.T) {
 	}
 	if err := check.CheckFleet(f.View()); err != nil {
 		t.Fatalf("CheckFleet: %v", err)
+	}
+}
+
+// TestStandbyCopyIsolated ships, then changes the live coordinator — a
+// deregistration, a new placement, a migration start and phase changes —
+// before killing it. The promoted ledger must be the shipment reconciled
+// against the machines: none of the post-ship changes may reach it through
+// records shared with the dead coordinator's ledger.
+func TestStandbyCopyIsolated(t *testing.T) {
+	var journal bytes.Buffer
+	f := testFleet(t, 2, 24, func(c *Config) { // caps 12 W each
+		c.SnapshotEvery = 1 << 30 // ships only when the test says so
+		c.Journal = &journal
+	})
+	for i := 0; i < 5; i++ {
+		if err := f.Submit(testSpec(f.cfg.Platform, fmt.Sprintf("s%d", i), 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustTick(t, f, 1) // best-fit at 3 W: s0..s3 fill m0, s4 spills onto m1
+	f.ship()
+	shipped := map[string]sessionRec{}
+	for _, rec := range f.standby.ledger {
+		shipped[rec.spec.Instance] = rec
+	}
+
+	// Post-ship changes. The departure of s0 opens 3 W on m0, so the next
+	// tick drains m1 by starting s4's migration to m0, and places the new
+	// s5 on the emptied m1.
+	if err := f.Deregister("s0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(testSpec(f.cfg.Platform, "s5", 3)); err != nil {
+		t.Fatal(err)
+	}
+	mustTick(t, f, 1)
+	if len(f.coord.inflight) != 1 || f.coord.inflight[0].instance != "s4" || f.Owner("s5") != "m1" {
+		t.Fatalf("want s4 in flight and s5 on m1; inflight %+v, s5 on %q", f.coord.inflight, f.Owner("s5"))
+	}
+	for _, inst := range []string{"s1", "s4"} { // s1 forwarded to m0, s4 recorded only
+		if err := f.PhaseChange(inst, "late"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.KillCoordinator()
+	mustTick(t, f, 1)
+
+	// The shipment reconciled against the machines: s1..s3 stay on m0 with
+	// the machine's phases, s5 is recovered from m1 (and, later in the
+	// tick, drained again), and s0 (deregistered after the ship) and s4 (in
+	// flight) come back from the shipment as orphans with their shipped
+	// phases.
+	if !strings.Contains(journal.String(), `"ev":"failover","n":5,"orphans":2}`) {
+		t.Fatalf("failover line wants 5 recovered, 2 orphans:\n%s", journal.String())
+	}
+	var got []string
+	for _, rec := range f.coord.ledger {
+		got = append(got, rec.spec.Instance)
+	}
+	if want := "s0 s1 s2 s3 s4 s5"; strings.Join(got, " ") != want {
+		t.Fatalf("promoted ledger %v, want %s", got, want)
+	}
+	for _, rec := range f.coord.ledger {
+		inst := rec.spec.Instance
+		if (inst == "s1" || inst == "s2" || inst == "s3") && rec.machine != "m0" {
+			t.Errorf("%s on %q, want m0", inst, rec.machine)
+		}
+		want, ok := shipped[inst]
+		if !ok {
+			continue // s5: recovered from its machine, not from the shipment
+		}
+		if inst == "s1" {
+			want.spec.Phase = "late" // the machine is authoritative for owned sessions
+		}
+		if rec.spec != want.spec || rec.demandW != want.demandW {
+			t.Errorf("%s promoted as %+v, want the shipped %+v", inst, *rec, want)
+		}
+	}
+	for _, m := range f.machines {
+		for _, si := range m.mgr.Sessions() {
+			if si.Instance == "s4" && si.Phase != "" {
+				t.Errorf("s4 re-homed on %s with phase %q, want the shipped empty phase", m.id, si.Phase)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/harp-rm/harp/internal/store"
 	"github.com/harp-rm/harp/internal/telemetry"
-	"github.com/harp-rm/harp/internal/workload"
 )
 
 // ErrTooManySessions is returned by Register when the MaxSessions admission
@@ -187,20 +186,6 @@ func (m *Manager) appendRecord(rec store.Record) {
 	}
 	rec.Seq = m.seq
 	_ = m.cfg.Store.Append(rec)
-}
-
-// ParseAdaptivity maps the durable string form back to the workload enum
-// (inverse of workload.Adaptivity.String).
-func ParseAdaptivity(s string) (workload.Adaptivity, error) {
-	switch s {
-	case "static":
-		return workload.Static, nil
-	case "scalable":
-		return workload.Scalable, nil
-	case "custom":
-		return workload.Custom, nil
-	}
-	return 0, fmt.Errorf("core: unknown adaptivity %q", s)
 }
 
 // rejectRegistration journals, traces and counts an admission-control

@@ -278,15 +278,3 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal("ImportState with live sessions accepted")
 	}
 }
-
-func TestParseAdaptivityRoundTrip(t *testing.T) {
-	for _, a := range []workload.Adaptivity{workload.Static, workload.Scalable, workload.Custom} {
-		got, err := ParseAdaptivity(a.String())
-		if err != nil || got != a {
-			t.Fatalf("ParseAdaptivity(%q) = %v, %v", a.String(), got, err)
-		}
-	}
-	if _, err := ParseAdaptivity("bogus"); err == nil {
-		t.Fatal("bogus adaptivity accepted")
-	}
-}

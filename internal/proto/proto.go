@@ -96,8 +96,8 @@ type RegisterAck struct {
 }
 
 // OperatingPoints uploads an application description's points (§4.1.1
-// step 2). The table travels by pointer: opoint.Table guards its memoised
-// derived state with a mutex and must not be copied by value.
+// step 2). The table travels by pointer: opoint.Table memoises its derived
+// state behind atomic pointers and must not be copied by value.
 type OperatingPoints struct {
 	Table *opoint.Table `json:"table"`
 }

@@ -19,6 +19,9 @@ const (
 	// DefaultMigrationStall is the progress lost when the resource manager
 	// moves a process to different cores (cache refill, thread migration).
 	DefaultMigrationStall = 8 * time.Millisecond
+	// rebalanceEvery is how often the OS scheduler re-places threads even
+	// without topology changes (load-balancing ticks).
+	rebalanceEvery = 200 * time.Millisecond
 )
 
 // ErrMachineIdle is returned by RunUntilIdle when no process finishes within
@@ -47,13 +50,6 @@ func WithMigrationStall(d time.Duration) Option {
 	return optionFunc(func(m *Machine) { m.migrationStall = d })
 }
 
-// WithRebalance sets how often the OS scheduler re-places threads even
-// without topology changes (load-balancing ticks). Zero disables periodic
-// rebalancing.
-func WithRebalance(d time.Duration) Option {
-	return optionFunc(func(m *Machine) { m.rebalanceEvery = d })
-}
-
 type ticker struct {
 	period time.Duration
 	next   time.Duration
@@ -71,7 +67,6 @@ type Machine struct {
 	quantum        time.Duration
 	governor       Governor
 	migrationStall time.Duration
-	rebalanceEvery time.Duration
 	lastPlace      time.Duration
 
 	now       time.Duration
@@ -107,7 +102,6 @@ func New(plat *platform.Platform, sched Scheduler, opts ...Option) (*Machine, er
 		quantum:        DefaultQuantum,
 		governor:       GovernorPowersave,
 		migrationStall: DefaultMigrationStall,
-		rebalanceEvery: 200 * time.Millisecond,
 		procs:          make(map[ProcID]*Proc),
 		placement:      make(map[ProcID][]HWThread),
 	}
@@ -333,7 +327,7 @@ func (m *Machine) OnExit(id ProcID, fn func(*Proc)) error {
 
 // Step advances the machine by one quantum.
 func (m *Machine) Step() error {
-	if m.rebalanceEvery > 0 && m.now-m.lastPlace >= m.rebalanceEvery {
+	if m.now-m.lastPlace >= rebalanceEvery {
 		m.dirty = true
 	}
 	if m.dirty {
