@@ -39,12 +39,13 @@ race:
 
 # invariants runs the correctness harness (see CORRECTNESS.md): the exact
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
-# and the full-run invariant suites over simulated chaos runs and random
-# Manager operation sequences. Failures print a shrunk counterexample and a
-# one-line repro; set HARP_CHECK_ARTIFACTS to also write it to a file.
+# the incremental solver's delta contract, and the full-run invariant suites
+# over simulated chaos runs and random Manager operation sequences. Failures
+# print a shrunk counterexample and a one-line repro; set HARP_CHECK_ARTIFACTS
+# to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation' \
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff' \
 		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/
 
 # invariants-long is the nightly sweep: the same harness over an order of

@@ -1,16 +1,16 @@
 package harpsim
 
-// Open-loop churn driver for coalesced epochs, incremental re-solves and
-// sharded solving (ISSUE 9). Unlike Run, which simulates application
-// execution on the virtual machine, RunChurn drives a core.Manager directly
-// with a seeded stream of mutating events — Poisson session arrivals,
-// exponential-ish departures, table uploads and phase changes — on a virtual
-// 50 ms tick, and counts the epochs the manager actually solves. It reads no
-// wall clock: the event stream is a pure function of the seed, so two
-// same-seed runs produce byte-identical decision journals; sampled epochs are
-// differentially verified against check.CheckAllocations through an
-// instrumented allocator wrapper. Epoch latency at scale is the repository
-// benchmark's to measure (churn-10k in benchmark/README.md).
+// Open-loop churn driver for coalesced epochs and incremental re-solves.
+// Unlike Run, which simulates application execution on the virtual machine,
+// RunChurn drives a core.Manager directly with a seeded stream of mutating
+// events — Poisson session arrivals, exponential-ish departures, table
+// uploads and phase changes — on a virtual 50 ms tick, and counts the epochs
+// the manager actually solves. It reads no wall clock: the event stream is a
+// pure function of the seed, so two same-seed runs produce byte-identical
+// decision journals; sampled epochs are differentially verified against
+// check.CheckAllocations through an instrumented allocator wrapper. Epoch
+// latency at scale is the repository benchmark's to measure (churn-10k in
+// benchmark/README.md).
 
 import (
 	"fmt"
@@ -29,7 +29,7 @@ import (
 )
 
 // ChurnOptions configures one open-loop churn run on ChurnPlatform(4, 8) —
-// four core kinds, so sharding forms real domains.
+// four core kinds, each application's table on one of them (churnTable).
 type ChurnOptions struct {
 	// Sessions is the target concurrent session population (ramped up
 	// before the measured phase).
@@ -44,8 +44,6 @@ type ChurnOptions struct {
 	// Coalesce is the manager's coalescing policy (zero = every mutating
 	// event solves inline, so epochs track events one-for-one).
 	Coalesce core.CoalescePolicy
-	// Sharded solves kind-footprint domains in parallel, one worker per CPU.
-	Sharded bool
 	// Incremental enables the allocator's incremental re-solve path.
 	Incremental bool
 	// Journal receives the decision journal (nil disables); the same-seed
@@ -66,15 +64,16 @@ type ChurnResult struct {
 	PeakSessions  int
 	FinalSessions int
 	// SolveSources counts epochs by Stats.Source (cold, cached,
-	// incremental, sharded, ...).
+	// incremental, ...).
 	SolveSources map[string]int
 	// Verified counts epochs that passed the CheckAllocations oracle.
 	Verified int
 }
 
 // ChurnPlatform builds a synthetic multi-kind machine for churn runs: kinds
-// core kinds with coresPer cores each, no SMT. Several kinds matter — the
-// sharded allocator's domains follow kind footprints.
+// core kinds with coresPer cores each, no SMT. Each kind is a separate
+// resource dimension of the MMKP, so several kinds exercise multi-dimensional
+// capacity and the per-kind residuals of incremental merges.
 func ChurnPlatform(kinds, coresPer int) *platform.Platform {
 	p := &platform.Platform{
 		Name:            fmt.Sprintf("churn-%dx%d", kinds, coresPer),
@@ -143,17 +142,10 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	tracer := telemetry.NewTracer(16)
 	tracer.SetClock(func() time.Duration { return now })
 
-	allocOpts := []alloc.Option{
+	inner, err := alloc.New(plat,
 		alloc.WithCache(alloc.DefaultCacheSize),
 		alloc.WithIncremental(opts.Incremental),
-	}
-	var inner core.Allocator
-	var err error
-	if opts.Sharded {
-		inner, err = alloc.NewSharded(plat, 0, 0, allocOpts...)
-	} else {
-		inner, err = alloc.New(plat, allocOpts...)
-	}
+	)
 	if err != nil {
 		return nil, err
 	}
@@ -282,12 +274,12 @@ func sourceLabel(s string) string {
 }
 
 // churnTable builds a small synthetic operating-point table whose vectors
-// live entirely on one core kind (chosen by app identity), so kind
-// footprints partition the population into sharding domains. Utilities vary
-// per app so tables — and hence fingerprints — differ; the content is a pure
-// function of the app name, because the manager shares one explorer table
-// per application and a re-registration that uploaded different content
-// would rewrite it for every live session of that app.
+// live entirely on one core kind (chosen by app identity), so the population
+// spreads over every kind of ChurnPlatform. Utilities vary per app so tables
+// — and hence fingerprints — differ; the content is a pure function of the
+// app name, because the manager shares one explorer table per application
+// and a re-registration that uploaded different content would rewrite it for
+// every live session of that app.
 func churnTable(plat *platform.Platform, app string) *opoint.Table {
 	kind := hashString(app) % len(plat.Kinds)
 	t := &opoint.Table{App: app, Platform: plat.Name}

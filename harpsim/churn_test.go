@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/core"
 )
 
 // TestChurnSameSeedByteIdenticalJournals pins the determinism contract at the
-// system level: two runs with the same seed — coalescing, incremental solves
-// and sharded solving all enabled — must emit byte-identical decision
+// system level: two runs with the same seed — coalescing and incremental
+// solves both enabled — must emit byte-identical decision
 // journals, because every random choice flows from the seed and all
 // timestamps come from the virtual clock.
 func TestChurnSameSeedByteIdenticalJournals(t *testing.T) {
@@ -21,7 +22,6 @@ func TestChurnSameSeedByteIdenticalJournals(t *testing.T) {
 			EventsPerTick: 3,
 			Seed:          42,
 			Coalesce:      core.CoalescePolicy{Enabled: true},
-			Sharded:       true,
 			Incremental:   true,
 			Journal:       &buf,
 		})
@@ -120,7 +120,6 @@ func TestChurnOracleVerification(t *testing.T) {
 		EventsPerTick: 3,
 		Seed:          11,
 		Coalesce:      core.CoalescePolicy{Enabled: true},
-		Sharded:       true,
 		Incremental:   true,
 		VerifyEvery:   2,
 	})
@@ -130,7 +129,7 @@ func TestChurnOracleVerification(t *testing.T) {
 	if res.Verified == 0 {
 		t.Fatal("no epochs were oracle-verified")
 	}
-	if res.SolveSources["sharded"] == 0 {
-		t.Fatalf("no sharded epochs recorded: %v", res.SolveSources)
+	if res.SolveSources[alloc.SourceIncremental] == 0 {
+		t.Fatalf("no incremental epochs recorded: %v", res.SolveSources)
 	}
 }

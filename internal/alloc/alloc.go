@@ -257,6 +257,15 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	return a, nil
 }
 
+// NewSharded returns New(plat, opts...); the worker count and power cap are
+// ignored.
+//
+// Deprecated: the sharded solver is gone. This shim remains only for callers
+// that still pass its positional arguments.
+func NewSharded(plat *platform.Platform, _ int, _ float64, opts ...Option) (*Allocator, error) {
+	return New(plat, opts...)
+}
+
 // candidate is an operating point with its precomputed cost and demand.
 type candidate struct {
 	op     opoint.OperatingPoint
@@ -291,10 +300,6 @@ const (
 	// re-solve of the changed applications against the residual capacity
 	// (see incremental.go).
 	SourceIncremental = "incremental"
-	// SourceSharded is a solve partitioned into independent allocation
-	// domains by platform-kind footprint and solved in parallel (see
-	// sharded.go). Single-domain sharded solves keep the child's source.
-	SourceSharded = "sharded"
 
 	// The remaining sources are degradation-ladder rungs, produced by
 	// core.Manager (not this package's solver) when the primary solve
@@ -326,7 +331,7 @@ type Stats struct {
 	// CoAllocated counts applications that ended up sharing cores.
 	CoAllocated int
 	// Source tells where the solution came from: SourceCold, SourceWarm,
-	// SourceCached, SourceIncremental or SourceSharded.
+	// SourceCached or SourceIncremental.
 	Source string
 	// Pinned and Resolved break an incremental solve down: Pinned
 	// applications kept their standing allocation, Resolved went through the
@@ -366,15 +371,6 @@ func (a *Allocator) Allocate(apps []AppInput) ([]Allocation, error) {
 // decisions do) — but must copy anything else it wants to outlive the next
 // solve. Misses run the full pipeline and memoise the result.
 func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
-	return a.solve(apps, nil, nil)
-}
-
-// solve is AllocateWithStats for a caller that may own the result buffer —
-// Sharded, which merges its children's domains into one positional slice.
-// With dst set, an incremental merge writes allocation i straight to
-// dst[pos[i]] and returns a nil slice, so the merged domain is never held
-// twice; every other path returns its own slice for the caller to place.
-func (a *Allocator) solve(apps []AppInput, dst []Allocation, pos []int) ([]Allocation, Stats, error) {
 	var stats Stats
 	if len(apps) == 0 {
 		return nil, stats, nil
@@ -422,7 +418,7 @@ func (a *Allocator) solve(apps []AppInput, dst []Allocation, pos []int) ([]Alloc
 	// exist and only a small changed set of applications differs, re-solve
 	// just that set against the residual capacity. Falls through to the full
 	// pipeline when ineligible, on drift or on the full-solve cadence.
-	if out, incStats, ok, err := a.tryIncremental(apps, capacity, dst, pos); ok || err != nil {
+	if out, incStats, ok, err := a.tryIncremental(apps, capacity); ok || err != nil {
 		solveSpan.End()
 		if err != nil {
 			return nil, stats, err

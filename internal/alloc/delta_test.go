@@ -44,52 +44,63 @@ func equalAllocation(a, b Allocation) bool {
 		a.Point.Vector.Equal(b.Point.Vector) && slices.Equal(a.Grants, b.Grants)
 }
 
-// deltaSolver is the part of *Allocator and *Sharded the delta contract is
-// about.
-type deltaSolver interface {
-	AllocateWithStats([]AppInput) ([]Allocation, Stats, error)
+// deltaTestPlatform is a three-kind machine with eight cores per kind.
+func deltaTestPlatform(t *testing.T) *platform.Platform {
+	t.Helper()
+	p := &platform.Platform{
+		Name:            "delta-test",
+		MemBWGips:       50,
+		EnergySensors:   "package",
+		SimultaneousPMU: true,
+	}
+	for k := 0; k < 3; k++ {
+		p.Kinds = append(p.Kinds, platform.CoreKind{
+			Name:        fmt.Sprintf("K%d", k),
+			Count:       8,
+			SMT:         1,
+			MaxFreqGHz:  3 - 0.5*float64(k),
+			MinFreqGHz:  0.5,
+			IPC:         2 - 0.3*float64(k),
+			ActiveWatts: 2 - 0.4*float64(k),
+			IdleWatts:   0.1,
+			SleepWatts:  0.01,
+		})
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestChangedCoversTrueDiff drives random populations through the
-// incremental and the sharded solver — arrivals, departures, departed
-// applications coming back, table changes (including ones that move an
-// application to another sharding domain), v* overrides, co-allocation
-// pressure (so the neighbourhood lifts), a short full-solve cadence and a
-// drift bound tight enough to fall back — and checks the delta contract after
-// every solve: whenever Stats.Changed is non-nil it is ascending, in range,
-// and contains every position whose allocation differs from the previous
-// answer for the same ID (or whose ID the previous solve did not contain).
+// incremental solver — arrivals, departures, departed applications coming
+// back, table changes (including ones that move an application to another
+// core kind), co-allocation pressure (so the neighbourhood lifts), a short
+// full-solve cadence and a drift bound tight enough to fall back — and checks
+// the delta contract after every solve: whenever Stats.Changed is non-nil it
+// is ascending, in range, and contains every position whose allocation
+// differs from the previous answer for the same ID (or whose ID the previous
+// solve did not contain). The p<n> level solves each step's population n
+// times, holding each repeat to the same contract against the answer before
+// it; the repeats reach the cache and shift the full-solve cadence against
+// the population changes.
 func TestChangedCoversTrueDiff(t *testing.T) {
-	p := shardTestPlatform(t, 3)
-	build := map[string]func(t *testing.T, parallelism int) deltaSolver{
-		"incremental": func(t *testing.T, _ int) deltaSolver {
-			a, err := New(p, WithIncremental(true), WithIncrementalCadence(7), WithCache(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.incDriftBound = 1.02
-			return a
-		},
-		"sharded": func(t *testing.T, parallelism int) deltaSolver {
-			s, err := NewSharded(p, parallelism, 0, WithIncremental(true), WithIncrementalCadence(7), WithCache(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-	}
-	for name, mk := range build {
-		for _, parallelism := range []int{1, 2} {
-			for seed := int64(0); seed < 6; seed++ {
-				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, parallelism, seed), func(t *testing.T) {
-					runDeltaScenario(t, p, mk(t, parallelism), seed)
-				})
-			}
+	p := deltaTestPlatform(t)
+	for _, passes := range []int{1, 2} {
+		for seed := int64(0); seed < 6; seed++ {
+			t.Run(fmt.Sprintf("incremental/p%d/seed%d", passes, seed), func(t *testing.T) {
+				a, err := New(p, WithIncremental(true), WithIncrementalCadence(7), WithCache(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.incDriftBound = 1.02
+				runDeltaScenario(t, p, a, seed, passes)
+			})
 		}
 	}
 }
 
-func runDeltaScenario(t *testing.T, p *platform.Platform, solver deltaSolver, seed int64) {
+func runDeltaScenario(t *testing.T, p *platform.Platform, solver *Allocator, seed int64, passes int) {
 	rng := rand.New(rand.NewSource(seed))
 	nk := len(p.Kinds)
 	var inputs []AppInput
@@ -99,7 +110,7 @@ func runDeltaScenario(t *testing.T, p *platform.Platform, solver deltaSolver, se
 		id := fmt.Sprintf("app%03d", nextID)
 		nextID++
 		kinds := []int{rng.Intn(nk)}
-		if rng.Intn(6) == 0 { // a bridging application merges two domains
+		if rng.Intn(6) == 0 { // a two-kind application
 			kinds = append(kinds, (kinds[0]+1)%nk)
 		}
 		inputs = append(inputs, AppInput{ID: id, Table: deltaTable(p, id, kinds, 4+float64(rng.Intn(5)))})
@@ -128,45 +139,47 @@ func runDeltaScenario(t *testing.T, p *platform.Platform, solver deltaSolver, se
 			departed = slices.Delete(departed, i, i+1)
 		case roll < 8:
 			i := rng.Intn(len(inputs))
-			kinds := []int{rng.Intn(nk)} // may move the app to another domain
+			kinds := []int{rng.Intn(nk)} // may move the app to another kind
 			inputs[i].Table = deltaTable(p, inputs[i].ID, kinds, 3+float64(rng.Intn(8)))
 		default:
 			// nothing changed: the delta should be empty, not nil
 		}
 
-		allocs, stats, err := solver.AllocateWithStats(inputs)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		assertStructurallyValid(t, p, inputs, allocs)
-		sources[stats.Source]++
+		for pass := 0; pass < passes; pass++ {
+			allocs, stats, err := solver.AllocateWithStats(inputs)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			assertStructurallyValid(t, p, inputs, allocs)
+			sources[stats.Source]++
 
-		if stats.Changed != nil {
-			deltas++
-			if !slices.IsSorted(stats.Changed) {
-				t.Fatalf("step %d (%s): Changed not ascending: %v", step, stats.Source, stats.Changed)
-			}
-			listed := make(map[int]bool, len(stats.Changed))
-			for _, i := range stats.Changed {
-				if i < 0 || i >= len(inputs) || listed[i] {
-					t.Fatalf("step %d (%s): bad or repeated position %d in %v", step, stats.Source, i, stats.Changed)
+			if stats.Changed != nil {
+				deltas++
+				if !slices.IsSorted(stats.Changed) {
+					t.Fatalf("step %d (%s): Changed not ascending: %v", step, stats.Source, stats.Changed)
 				}
-				listed[i] = true
-			}
-			for i, al := range allocs {
-				was, known := prev[al.ID]
-				if (!known || !equalAllocation(was, al)) && !listed[i] {
-					t.Fatalf("step %d (%s): %s at position %d moved (known=%v) but Changed = %v",
-						step, stats.Source, al.ID, i, known, stats.Changed)
+				listed := make(map[int]bool, len(stats.Changed))
+				for _, i := range stats.Changed {
+					if i < 0 || i >= len(inputs) || listed[i] {
+						t.Fatalf("step %d (%s): bad or repeated position %d in %v", step, stats.Source, i, stats.Changed)
+					}
+					listed[i] = true
 				}
-				if known && was.CoAllocated && !al.CoAllocated {
-					lifted++
+				for i, al := range allocs {
+					was, known := prev[al.ID]
+					if (!known || !equalAllocation(was, al)) && !listed[i] {
+						t.Fatalf("step %d (%s): %s at position %d moved (known=%v) but Changed = %v",
+							step, stats.Source, al.ID, i, known, stats.Changed)
+					}
+					if known && was.CoAllocated && !al.CoAllocated {
+						lifted++
+					}
 				}
 			}
-		}
-		clear(prev)
-		for _, al := range allocs {
-			prev[al.ID] = snapshotAllocation(al)
+			clear(prev)
+			for _, al := range allocs {
+				prev[al.ID] = snapshotAllocation(al)
+			}
 		}
 	}
 	if deltas == 0 {

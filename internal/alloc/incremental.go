@@ -121,9 +121,8 @@ type incScratch struct {
 // whether the merged solution should be returned; ok=false with a nil error
 // means "run the full pipeline" (ineligible, cadence, drift, oversized
 // changed set or an internal inconsistency). The merged solution goes to the
-// Allocator's retained buffer, or — when the caller brought dst — to
-// dst[pos[i]], in which case the returned slice is nil.
-func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Allocation, pos []int) ([]Allocation, Stats, bool, error) {
+// Allocator's retained buffer.
+func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocation, Stats, bool, error) {
 	if !a.inc || len(a.incPins) == 0 || a.incSinceFull >= a.incFullEvery {
 		return nil, Stats{}, false, nil
 	}
@@ -247,25 +246,17 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Alloca
 	// solution's cost slack for the drift bound, and collect what may have
 	// moved: the re-solved positions plus pins the previous solve did not
 	// contain.
-	var out []Allocation
-	if dst == nil {
-		if cap(sc.out) < len(apps) {
-			sc.out = make([]Allocation, roomFor(len(apps)))
-		}
-		out = sc.out[:len(apps)]
-		dst = out
+	if cap(sc.out) < len(apps) {
+		sc.out = make([]Allocation, roomFor(len(apps)))
 	}
+	out := sc.out[:len(apps)]
 	changed := sc.changed[:0]
 	var chosenSum, minSum float64
 	coAllocated := 0
 	ri := 0
 	for i := range apps {
-		at := i
-		if pos != nil {
-			at = pos[i]
-		}
 		if inResolve[i] {
-			dst[at] = solved[ri]
+			out[i] = solved[ri]
 			st := states[ri]
 			chosenSum += st.cands[st.chosen].cost
 			minSum += apps[i].Table.Facts().MinCost
@@ -273,7 +264,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Alloca
 			ri++
 		} else {
 			pin := pins[i]
-			dst[at] = pin.alloc
+			out[i] = pin.alloc
 			chosenSum += pin.chosenCost
 			minSum += pin.minCost
 			if pin.seen != a.incSeq {
@@ -281,7 +272,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int, dst []Alloca
 			}
 			pin.seen = a.incSeq + 1
 		}
-		if dst[at].CoAllocated {
+		if out[i].CoAllocated {
 			coAllocated++
 		}
 	}

@@ -224,37 +224,3 @@ func TestCoalescedEpochTriggerLabels(t *testing.T) {
 		t.Fatalf("burst epoch not labelled coalesced; journal: %s", jbuf.String())
 	}
 }
-
-// TestShardedManagerConfig pins the Config wiring: ShardedAlloc builds a
-// sharded default allocator and the manager solves through it.
-func TestShardedManagerConfig(t *testing.T) {
-	p := churnTestPlatform(t)
-	m, err := NewManager(Config{
-		Platform:           p,
-		DisableExploration: true,
-		ShardedAlloc:       true,
-		ShardParallelism:   2,
-		AllocIncremental:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two sessions on disjoint kinds → two domains → sharded solve.
-	for i, kind := range []int{0, 1} {
-		id := fmt.Sprintf("s%d", i)
-		if err := m.Register(id, fmt.Sprintf("app%d", i), workload.Scalable, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.UploadTable(id, churnTestTable(t, p, fmt.Sprintf("app%d", i), kind, 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.LastSolveSource(); got != alloc.SourceSharded {
-		t.Fatalf("solve source = %q, want %q", got, alloc.SourceSharded)
-	}
-	for _, info := range m.Sessions() {
-		if s := m.sessions[info.Instance]; s.last == nil || len(s.last.Grants) == 0 {
-			t.Fatalf("session %s has no grants from the sharded solve", info.Instance)
-		}
-	}
-}

@@ -61,9 +61,9 @@ func (r *solutionRecorder) AllocateWithStats(apps []alloc.AppInput) ([]alloc.All
 	return allocs, stats, nil
 }
 
-// deltaHarness is a Manager over a short-cadence incremental solver (plain
-// or sharded), with the recorder in front of both the primary solver and a
-// greedy rung-2 fallback.
+// deltaHarness is a Manager over a short-cadence incremental solver, with
+// the recorder in front of both the primary solver and a greedy rung-2
+// fallback.
 type deltaHarness struct {
 	t        *testing.T
 	p        *platform.Platform
@@ -76,17 +76,10 @@ type deltaHarness struct {
 	mt       *telemetry.Metrics
 }
 
-func newDeltaHarness(t *testing.T, sharded bool, pol CoalescePolicy) *deltaHarness {
+func newDeltaHarness(t *testing.T, pol CoalescePolicy) *deltaHarness {
 	t.Helper()
 	p := churnTestPlatform(t)
-	opts := []alloc.Option{alloc.WithIncremental(true), alloc.WithIncrementalCadence(6), alloc.WithCache(8)}
-	var inner Allocator
-	var err error
-	if sharded {
-		inner, err = alloc.NewSharded(p, 2, 0, opts...)
-	} else {
-		inner, err = alloc.New(p, opts...)
-	}
+	inner, err := alloc.New(p, alloc.WithIncremental(true), alloc.WithIncrementalCadence(6), alloc.WithCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,32 +202,31 @@ func (h *deltaHarness) checkAggregates(step int) {
 
 // TestDeltaEpochsMatchFullSolution is the delta contract at the Manager:
 // random Register/Deregister/UploadTable/PhaseChange/SetLiveness/Measure
-// sequences, coalesced and inline, over the incremental and the sharded
-// solver, across incremental merges, cadence full solves, cache hits and
+// sequences, coalesced and inline, over the incremental solver, across
+// incremental merges, cadence full solves, cache hits and
 // forced degraded-greedy and degraded-stale epochs. After every epoch every
 // session's standing decision must equal the solver's full solution — a push
 // the walk skipped because "nothing changed there" is exactly what this
 // design can get wrong — the structural invariants must hold over the
 // standing decisions, and the maintained gauges must equal a recount.
 func TestDeltaEpochsMatchFullSolution(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		for _, coalesced := range []bool{false, true} {
+	for _, coalesced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("coalesced=%v", coalesced), func(t *testing.T) {
 			for seed := int64(0); seed < 6; seed++ {
-				name := fmt.Sprintf("sharded=%v/coalesced=%v/seed=%d", sharded, coalesced, seed)
-				t.Run(name, func(t *testing.T) {
-					runDeltaEpochs(t, sharded, coalesced, seed)
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					runDeltaEpochs(t, coalesced, seed)
 				})
 			}
-		}
+		})
 	}
 }
 
-func runDeltaEpochs(t *testing.T, sharded, coalesced bool, seed int64) {
-	h := newDeltaHarness(t, sharded, CoalescePolicy{Enabled: coalesced, MaxDirty: 5})
+func runDeltaEpochs(t *testing.T, coalesced bool, seed int64) {
+	h := newDeltaHarness(t, CoalescePolicy{Enabled: coalesced, MaxDirty: 5})
 	m := h.m
 	rng := rand.New(rand.NewSource(seed))
 	table := func(app int) *opoint.Table {
-		// Apps 0-2 live on P cores, 3-5 on E cores: two sharding domains.
+		// Apps 0-2 live on P cores, 3-5 on E cores.
 		// The utility varies, so a re-upload changes every session of the app.
 		tbl := &opoint.Table{App: fmt.Sprintf("app%d", app), Platform: h.p.Name}
 		u := 4 + float64(rng.Intn(6))
@@ -349,13 +341,13 @@ func runDeltaEpochs(t *testing.T, sharded, coalesced bool, seed int64) {
 }
 
 // churnScaleManager ramps n sessions (eight applications, four per core
-// kind) onto a coalescing Manager over the sharded incremental solver — the
+// kind) onto a coalescing Manager over the incremental solver — the
 // churn-10k configuration in miniature. cadence is the solver's full-solve
 // cadence (0 = its default).
 func churnScaleManager(t *testing.T, n, cadence int) (*Manager, []*opoint.Table) {
 	t.Helper()
 	p := churnTestPlatform(t)
-	solver, err := alloc.NewSharded(p, 1, 0,
+	solver, err := alloc.New(p,
 		alloc.WithCache(alloc.DefaultCacheSize), alloc.WithIncremental(true), alloc.WithIncrementalCadence(cadence))
 	if err != nil {
 		t.Fatal(err)
@@ -427,8 +419,8 @@ func TestSteadyStateTickAllocationsDoNotScale(t *testing.T) {
 			if err := m.Tick(); err != nil {
 				t.Fatal(err)
 			}
-			if src := m.LastSolveSource(); src != alloc.SourceSharded {
-				t.Fatalf("tick solved %q, want the sharded incremental path", src)
+			if src := m.LastSolveSource(); src != alloc.SourceIncremental {
+				t.Fatalf("tick solved %q, want the incremental path", src)
 			}
 		}
 		for i := 0; i < 8; i++ {

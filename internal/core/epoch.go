@@ -561,8 +561,8 @@ func (m *Manager) LastEpochError() string { return m.lastEpochErr }
 func (m *Manager) DegradedRung() string { return m.lastRung }
 
 // LastSolveSource reports where the most recent epoch's solution came from
-// (alloc.SourceCold, SourceWarm, SourceCached, SourceIncremental,
-// SourceSharded or a degradation-ladder rung; empty before the first solve).
+// (alloc.SourceCold, SourceWarm, SourceCached, SourceIncremental or a
+// degradation-ladder rung; empty before the first solve).
 func (m *Manager) LastSolveSource() string { return m.lastSolveSource }
 
 // AllocCacheStats reports the allocator's solution-cache accounting, or the

@@ -101,11 +101,11 @@ type SessionInfo struct {
 	Exploring bool
 }
 
-// Allocator solves the MMKP for the manager. *alloc.Allocator and
-// *alloc.Sharded are the production implementations; the indirection exists
-// so tests and harnesses can inject failing or instrumented solvers. Whoever
-// built it, a solve that errors, panics or breaks the contract below
-// degrades the epoch (solveWithLadder) instead of failing it.
+// Allocator solves the MMKP for the manager. *alloc.Allocator is the
+// production implementation; the indirection exists so tests and harnesses
+// can inject failing or instrumented solvers. Whoever built it, a solve that
+// errors, panics or breaks the contract below degrades the epoch
+// (solveWithLadder) instead of failing it.
 //
 // The contract beyond the signature:
 //
@@ -188,14 +188,13 @@ type Config struct {
 	// dirty-event bound. The zero value preserves solve-per-event behaviour.
 	// See coalesce.go.
 	Coalesce CoalescePolicy
-	// ShardedAlloc replaces the default allocator with an alloc.Sharded that
-	// partitions sessions into kind-footprint domains and solves them in
-	// parallel. Ignored when Allocator is set. The sharded allocator does not
-	// support the deadline probe (it assumes a single solver), so
-	// EpochBudget's early cutoff is inactive with it; the other rungs are not.
+	// ShardedAlloc once selected a sharded allocator.
+	//
+	// Deprecated: ignored; the default allocator is the only one.
 	ShardedAlloc bool
-	// ShardParallelism bounds the sharded allocator's worker count
-	// (<= 0 = one per CPU). Ignored unless ShardedAlloc.
+	// ShardParallelism once bounded the sharded allocator's worker count.
+	//
+	// Deprecated: ignored.
 	ShardParallelism int
 	// AllocIncremental enables the default allocator's incremental re-solve
 	// path: unchanged sessions stay pinned at their standing allocations and
@@ -311,9 +310,9 @@ type Manager struct {
 	pendingOut []telemetry.EpochOutput
 
 	// lastSolveSource remembers where the most recent solve's solution came
-	// from (an alloc.Source* value: cold, warm, cached, incremental, sharded
-	// or a degradation-ladder rung) for status surfaces; empty before the
-	// first solve.
+	// from (an alloc.Source* value: cold, warm, cached, incremental or a
+	// degradation-ladder rung) for status surfaces; empty before the first
+	// solve.
 	lastSolveSource string
 
 	// Flight-recorder phase histograms, resolved once at construction so the
@@ -361,25 +360,13 @@ func NewManager(cfg Config) (*Manager, error) {
 			cacheSize = alloc.DefaultCacheSize
 		}
 		var err error
-		if cfg.ShardedAlloc {
-			// Children share the metrics bundle (its instruments are atomic)
-			// but not the tracer: parallel children would interleave ring
-			// events nondeterministically.
-			allocator, err = alloc.NewSharded(cfg.Platform, cfg.ShardParallelism, 0,
-				alloc.WithMetrics(cfg.Metrics),
-				alloc.WithCache(cacheSize),
-				alloc.WithWarmStart(cfg.AllocWarmStart),
-				alloc.WithIncremental(cfg.AllocIncremental),
-			)
-		} else {
-			allocator, err = alloc.New(cfg.Platform,
-				alloc.WithTracer(cfg.Tracer),
-				alloc.WithMetrics(cfg.Metrics),
-				alloc.WithCache(cacheSize),
-				alloc.WithWarmStart(cfg.AllocWarmStart),
-				alloc.WithIncremental(cfg.AllocIncremental),
-			)
-		}
+		allocator, err = alloc.New(cfg.Platform,
+			alloc.WithTracer(cfg.Tracer),
+			alloc.WithMetrics(cfg.Metrics),
+			alloc.WithCache(cacheSize),
+			alloc.WithWarmStart(cfg.AllocWarmStart),
+			alloc.WithIncremental(cfg.AllocIncremental),
+		)
 		if err != nil {
 			return nil, err
 		}

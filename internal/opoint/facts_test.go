@@ -52,7 +52,7 @@ func TestFactsFollowEveryMutator(t *testing.T) {
 		fresh := tbl.Clone()
 		want, wantFront := fresh.Facts(), fresh.ParetoPoints()
 		if got.Hi != want.Hi || got.Lo != want.Lo || got.VStar != want.VStar ||
-			got.MinCost != want.MinCost || got.Footprint != want.Footprint ||
+			got.MinCost != want.MinCost ||
 			!reflect.DeepEqual(front, wantFront) {
 			t.Fatalf("%s: facts %+v front %v, fresh computation %+v front %v", st.name, got, front, want, wantFront)
 		}
@@ -72,22 +72,18 @@ func TestFactsFollowEveryMutator(t *testing.T) {
 	}
 }
 
-// Facts of a table whose every point is unusable carry the fallback
-// markers, and the footprint covers exactly the usable points' kinds.
+// Facts of a table whose every point is unusable carry the fallback marker,
+// and MinCost counts only usable points.
 func TestFactsUsability(t *testing.T) {
 	p := platform.RaptorLake()
 	tbl := &Table{App: "x"}
 	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{2}), Utility: 8, Power: 0})
-	if f := tbl.Facts(); f.MinCost != 0 || f.Footprint != 0 {
-		t.Fatalf("no usable point: MinCost %g, Footprint %b; want 0, 0", f.MinCost, f.Footprint)
+	if f := tbl.Facts(); f.MinCost != 0 {
+		t.Fatalf("no usable point: MinCost %g, want 0", f.MinCost)
 	}
 	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{1, 0}, []int{0}), Utility: 4, Power: 2})
-	f := tbl.Facts()
-	if want := uint64(1 << 0); f.Footprint != want {
-		t.Errorf("Footprint = %b, want %b (the zero-power E point is unusable)", f.Footprint, want)
-	}
-	if want := tbl.Points[1].Cost(8); f.MinCost != want {
-		t.Errorf("MinCost = %g, want %g", f.MinCost, want)
+	if want, f := tbl.Points[1].Cost(8), tbl.Facts(); f.MinCost != want {
+		t.Errorf("MinCost = %g, want %g (the zero-power E point is unusable)", f.MinCost, want)
 	}
 }
 
@@ -125,7 +121,7 @@ func TestFactsConcurrentFirstRead(t *testing.T) {
 	done.Wait()
 	for i, f := range got[1:] {
 		if f.Hi != got[0].Hi || f.Lo != got[0].Lo || f.VStar != got[0].VStar ||
-			f.MinCost != got[0].MinCost || f.Footprint != got[0].Footprint ||
+			f.MinCost != got[0].MinCost ||
 			!reflect.DeepEqual(fronts[i+1], fronts[0]) {
 			t.Fatalf("reader %d computed different facts", i+1)
 		}

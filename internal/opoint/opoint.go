@@ -96,9 +96,6 @@ type Facts struct {
 	// MinCost is the cheapest usable point's cost at VStar; 0 when no point
 	// is usable (the allocator's free fallback candidate).
 	MinCost float64
-	// Footprint is the bitmask of core kinds any point usable at VStar
-	// demands; 0 when no point is usable.
-	Footprint uint64
 	// n is the len(Points) the facts describe.
 	n int
 	// front is the runtime Pareto front, nil until ParetoPoints.
@@ -162,7 +159,6 @@ func (t *Table) Facts() *Facts {
 		if c := p.Cost(f.VStar); !haveMin || c < f.MinCost {
 			f.MinCost, haveMin = c, true
 		}
-		f.Footprint |= p.Vector.KindMask()
 	}
 	t.facts.Store(f)
 	return f
