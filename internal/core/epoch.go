@@ -512,6 +512,7 @@ func (m *Manager) pushSession(s *session, w *pushWalk) {
 		s.explorer.Abort()
 		s.pool = nil
 		s.bound = nil
+		s.boundExhausted = false
 		s.coAllocated = false
 		m.pushParked(s)
 		return
@@ -527,9 +528,10 @@ func (m *Manager) pushSession(s *session, w *pushWalk) {
 	}
 	if m.exploring(s) && !s.coAllocated {
 		m.setExplorationPool(s, al, w.free, w.nExploring)
-		if err := m.startExploration(s); err != nil {
+		s.boundExhausted = m.startExploration(s) != nil
+		if s.boundExhausted {
 			// Nothing left to explore within the bound; run the base
-			// allocation as-is.
+			// allocation as-is until a reallocation re-derives the bound.
 			s.explorer.Abort()
 			m.pushBase(s, al)
 		}
@@ -538,6 +540,7 @@ func (m *Manager) pushSession(s *session, w *pushWalk) {
 	s.explorer.Abort()
 	s.pool = nil
 	s.bound = nil
+	s.boundExhausted = false
 	m.pushBase(s, al)
 }
 

@@ -227,6 +227,11 @@ type session struct {
 	// session may roam in, and its per-kind size (the exploration bound).
 	pool  map[platform.KindID][]int
 	bound []int
+	// boundExhausted marks an exploring session whose last push walk found
+	// no unmeasured configuration within its bound. Its samples count
+	// toward the ReallocEvery cadence, as a stable session's do, until a
+	// walk re-derives the bound, instead of forcing a solve every sample.
+	boundExhausted bool
 
 	stableMeasurements int
 	coAllocated        bool
@@ -691,8 +696,9 @@ func (m *Manager) liveChanged(delta int) {
 
 // Measure feeds one smoothed (utility, power) sample for a session
 // (§4.1.1 step 4; the embedding layer samples at 50 ms). Exploring sessions
-// fold it into the configuration under measurement; stable sessions count it
-// toward the periodic reallocation cadence.
+// fold it into the configuration under measurement; stable sessions, and
+// exploring ones with nothing left to explore in their bound, count it toward
+// the periodic reallocation cadence.
 func (m *Manager) Measure(instance string, utility, power float64) error {
 	s, err := m.session(instance)
 	if err != nil {
@@ -728,7 +734,9 @@ func (m *Manager) Measure(instance string, utility, power float64) error {
 		// (§4.2.2, Limitations).
 		return nil
 	}
-	if m.exploring(s) {
+	// A session whose bound is exhausted is never measuring (the walk that
+	// marked it aborted its point); only a reallocation can widen the bound.
+	if m.exploring(s) && !s.boundExhausted {
 		cur, measuring := s.explorer.Current()
 		if !measuring {
 			// Not currently measuring (e.g. just seeded); start a point.
