@@ -45,7 +45,7 @@ race:
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff' \
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit' \
 		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/
 
 # invariants-long is the nightly sweep: the same harness over an order of

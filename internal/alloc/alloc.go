@@ -145,6 +145,8 @@ type solverScratch struct {
 	lambdaPrev []float64
 	demand     []int
 	remaining  []int
+	limit      []int
+	stride     []int
 	nextFree   []int
 	reps       [][]lagRep
 	repBuf     []lagRep
@@ -286,6 +288,9 @@ type appState struct {
 	// other state is an internal accounting bug surfaced as *CapacityError.
 	coalloc   bool
 	demandBuf []int
+	// grid is improve's first-fit lookup over cands (see buildFit), carved
+	// from gridBuf and rebuilt per improve call; nil when the state has none.
+	grid, gridBuf []int32
 }
 
 // Solve sources reported in Stats.Source and journaled per epoch.
@@ -807,27 +812,19 @@ func (a *Allocator) repair(states []*appState, capacity []int) {
 	a.scratch.remaining = growInts(a.scratch.remaining, len(capacity))
 	remaining := a.scratch.remaining
 	copy(remaining, capacity)
-	fits := func(demand []int) bool {
-		for k, d := range demand {
-			if d > remaining[k] {
-				return false
-			}
-		}
-		return true
-	}
 	take := func(demand []int) {
 		for k, d := range demand {
 			remaining[k] -= d
 		}
 	}
 	for _, st := range states {
-		if st.chosen >= 0 && fits(st.cands[st.chosen].demand) {
+		if st.chosen >= 0 && fitsWithin(st.cands[st.chosen].demand, remaining) {
 			take(st.cands[st.chosen].demand)
 			continue
 		}
 		found := -1
-		for i, c := range st.cands { // cands sorted by cost
-			if fits(c.demand) {
+		for i := range st.cands { // cands sorted by cost
+			if fitsWithin(st.cands[i].demand, remaining) {
 				found = i
 				break
 			}
@@ -862,8 +859,9 @@ const (
 // covers — are unaffected.
 const rescueMaxDeferred = 32
 
-// pairMoveMaxApps bounds the pairwise-exchange neighbourhood of improve: the
-// scan is O(N² × candidates²), which is noise for oracle-sized instances but
+// pairMoveMaxApps bounds the pairwise-exchange neighbourhood of improve: a
+// pass looks up a partner for every (app, cheaper candidate, other app)
+// triple, O(N² × candidates), which is noise for oracle-sized instances but
 // would dwarf the solve itself at churn scale. Single moves still run at any
 // size.
 const pairMoveMaxApps = 64
@@ -950,11 +948,12 @@ func (a *Allocator) rescue(states []*appState, capacity []int) {
 				}
 				dfs(oi+1, switches, ci, delta) // leave others[oi] as is
 				o := others[oi]
-				cur := o.cands[o.chosen]
-				for alt, oc := range o.cands {
+				cur := &o.cands[o.chosen]
+				for alt := range o.cands {
 					if alt == o.chosen {
 						continue
 					}
+					oc := &o.cands[alt]
 					for k := 0; k < nk; k++ {
 						need[k] += oc.demand[k] - cur.demand[k]
 					}
@@ -966,9 +965,9 @@ func (a *Allocator) rescue(states []*appState, capacity []int) {
 					}
 				}
 			}
-			for ci, c := range st.cands {
-				for k := 0; k < nk; k++ {
-					need[k] = c.demand[k] - remaining[k]
+			for ci := range st.cands {
+				for k, d := range st.cands[ci].demand {
+					need[k] = d - remaining[k]
 				}
 				dfs(0, 0, ci, 0)
 			}
@@ -993,14 +992,33 @@ func (a *Allocator) rescue(states []*appState, capacity []int) {
 // whose release would let app B take a far cheaper point, a local optimum no
 // single move escapes (found by the differential oracle; see CORRECTNESS.md).
 //
+// Both neighbourhoods take the first move of a fixed scan order — states in
+// order, each state's candidates by index — and candidates are cost-sorted,
+// so the search can stop early without changing which move is taken:
+//
+//   - a candidate no cheaper than the chosen one ends the search for a
+//     cheaper point, since every later candidate is no cheaper either;
+//   - for a fixed move of app a and partner b, the summed cost change
+//     (na−ca)+(nb−cb) never decreases as nb's index grows (float rounding is
+//     monotone), so the first partner candidate the scan would accept is the
+//     lowest-index candidate other than b's chosen one that fits, and the
+//     exchange happens only if that candidate also lowers the summed cost.
+//
+// The second point turns the partner scan into a lookup (see partner), so a
+// pairwise pass costs O(apps² × cheaper candidates) lookups instead of the
+// O(apps² × candidates²) scan; TestImproveMatchesScan holds improve to that
+// scan move for move.
+//
 // Every accepted move strictly decreases the summed cost while the per-kind
 // capacity deltas keep remaining non-negative, so spatial isolation is
 // preserved move by move — in particular a kind with zero remaining capacity
 // only ever admits combinations that shrink or hold its demand — and the
 // strictly decreasing cost over a finite assignment space bounds the loop.
 func (a *Allocator) improve(states []*appState, capacity []int) {
-	a.scratch.remaining = growInts(a.scratch.remaining, len(capacity))
-	remaining := a.scratch.remaining
+	nk := len(capacity)
+	s := &a.scratch
+	s.remaining = growInts(s.remaining, nk)
+	remaining := s.remaining
 	copy(remaining, capacity)
 	for _, st := range states {
 		if st.chosen < 0 {
@@ -1016,19 +1034,20 @@ func (a *Allocator) improve(states []*appState, capacity []int) {
 		}
 	}
 	apply := func(st *appState, i int) {
-		cur := st.cands[st.chosen]
+		cur := st.cands[st.chosen].demand
 		for k, d := range st.cands[i].demand {
-			remaining[k] -= d - cur.demand[k]
+			remaining[k] -= d - cur[k]
 		}
 		st.chosen = i
 	}
 	singleMove := func() bool {
 		moved := false
 		for _, st := range states {
-			cur := st.cands[st.chosen]
-			for i, c := range st.cands {
-				if i == st.chosen || c.cost >= cur.cost {
-					continue
+			cur := &st.cands[st.chosen]
+			for i := range st.cands {
+				c := &st.cands[i]
+				if c.cost >= cur.cost {
+					break // cost-sorted: nothing cheaper from here on
 				}
 				ok := true
 				for k, d := range c.demand {
@@ -1046,52 +1065,170 @@ func (a *Allocator) improve(states []*appState, capacity []int) {
 		}
 		return moved
 	}
+	if len(states) > pairMoveMaxApps {
+		for singleMove() {
+		}
+		return
+	}
+	s.limit = growInts(s.limit, 2*nk)
+	base, limit := s.limit[:nk], s.limit[nk:]
+	cells := s.fitStrides(capacity)
+	for _, st := range states {
+		st.grid = nil
+		if cells > 0 && cells <= fitGridCellsPerCand*len(st.cands) {
+			st.buildFit(capacity, s.stride, cells)
+		}
+	}
 	pairMove := func() bool {
 		for ai, sa := range states {
-			ca := sa.cands[sa.chosen]
-			for i, na := range sa.cands {
-				if i == sa.chosen || na.cost >= ca.cost {
-					continue
+			ca := &sa.cands[sa.chosen]
+			for i := range sa.cands {
+				na := &sa.cands[i]
+				if na.cost >= ca.cost {
+					break // cost-sorted: nothing cheaper from here on
+				}
+				gain := na.cost - ca.cost
+				for k := range base {
+					base[k] = remaining[k] - na.demand[k] + ca.demand[k]
 				}
 				for bi, sb := range states {
 					if bi == ai {
 						continue
 					}
-					cb := sb.cands[sb.chosen]
-					for j, nb := range sb.cands {
-						if j == sb.chosen {
-							continue
-						}
-						if (na.cost-ca.cost)+(nb.cost-cb.cost) >= 0 {
-							continue
-						}
-						ok := true
-						for k := range remaining {
-							delta := na.demand[k] - ca.demand[k] + nb.demand[k] - cb.demand[k]
-							if delta > remaining[k] {
-								ok = false
-								break
-							}
-						}
-						if ok {
-							apply(sa, i)
-							apply(sb, j)
-							return true
-						}
+					cb := sb.cands[sb.chosen].demand
+					for k := range limit {
+						limit[k] = base[k] + cb[k]
+					}
+					if j := sb.partner(gain, limit, s.stride); j >= 0 {
+						apply(sa, i)
+						apply(sb, j)
+						return true
 					}
 				}
 			}
 		}
 		return false
 	}
-	for {
-		if singleMove() {
-			continue
+	for singleMove() || pairMove() {
+	}
+}
+
+// fitGridCellsPerCand bounds a state's first-fit grid relative to its
+// candidate count. Past it — a platform with many kinds, a table with few
+// points — building the grid would outweigh the partner scans it saves, and
+// partner scans the candidates instead.
+const fitGridCellsPerCand = 4
+
+// fitStrides lays out the first-fit grid for capacity — cell index Σ d[k] ×
+// stride[k] over demand vectors d with 0 ≤ d[k] ≤ capacity[k] — into
+// s.stride, and returns the cell count, or 0 past math.MaxInt32 cells.
+func (s *solverScratch) fitStrides(capacity []int) int {
+	s.stride = growInts(s.stride, len(capacity))
+	cells := 1
+	for k, c := range capacity {
+		s.stride[k] = cells
+		if cells > math.MaxInt32/(c+1) {
+			return 0
 		}
-		if len(states) > pairMoveMaxApps || !pairMove() {
-			return
+		cells *= c + 1
+	}
+	return cells
+}
+
+// fitNone marks an empty cell of the first-fit grid.
+const fitNone = math.MaxInt32
+
+// buildFit prepares partner's lookup: st.grid holds, for every demand vector
+// within capacity, the lowest candidate index whose demand fits within it in
+// every kind. Each candidate lands on its own demand cell, then a
+// prefix-minimum sweep along every kind spreads it to all the cells above.
+// Candidates exceeding capacity are left out: partner's limits never exceed
+// the capacity improve was given, which for incremental re-solves is the
+// residual.
+//
+// The grid depends only on the candidates and the capacity, so one build
+// serves every pairMove pass of an improve call.
+func (st *appState) buildFit(capacity, stride []int, cells int) {
+	if cap(st.gridBuf) < cells {
+		st.gridBuf = make([]int32, cells)
+	}
+	g := st.gridBuf[:cells]
+	for i := range g {
+		g[i] = fitNone
+	}
+	for j := len(st.cands) - 1; j >= 0; j-- { // lowest index written last
+		if d := st.cands[j].demand; fitsWithin(d, capacity) {
+			g[cellOf(d, stride)] = int32(j)
 		}
 	}
+	for k, sk := range stride {
+		span := sk * (capacity[k] + 1)
+		for x := 0; x < cells; x++ {
+			if x%span >= sk { // coordinate k > 0: fold in the cell below along k
+				g[x] = min(g[x], g[x-sk])
+			}
+		}
+	}
+	st.grid = g
+}
+
+// cellOf is the first-fit grid cell of demand vector d.
+func cellOf(d, stride []int) int {
+	c := 0
+	for k, x := range d {
+		c += x * stride[k]
+	}
+	return c
+}
+
+// partner answers pairMove's question for state st as the partner b: given
+// the first mover's cost change gain and the per-kind limit b's new demand
+// must fit within, it returns the candidate the historical scan — every
+// j ≠ chosen in index order, taking the first with gain+(nb−cb) < 0 and a
+// fitting demand — would take, or -1. That is the lowest fitting index other
+// than chosen, provided it passes the cost test (see improve). b's chosen
+// candidate itself never fits when pairMove runs — it would mean the first
+// mover fits alone, a single move singleMove has already ruled out — so the
+// grid's lowest fitting index is the answer; should it be chosen after all,
+// the scan answers instead. Without a grid the scan always answers, stopping
+// at the first candidate that fails the cost test.
+func (st *appState) partner(gain float64, limit, stride []int) int {
+	cb := st.cands[st.chosen].cost
+	if st.grid != nil {
+		j := fitNone
+		if !slices.ContainsFunc(limit, func(l int) bool { return l < 0 }) {
+			j = int(st.grid[cellOf(limit, stride)])
+		}
+		if j != st.chosen {
+			if j == fitNone || gain+(st.cands[j].cost-cb) >= 0 {
+				return -1
+			}
+			return j
+		}
+	}
+	for j := range st.cands {
+		if j == st.chosen {
+			continue
+		}
+		nb := &st.cands[j]
+		if gain+(nb.cost-cb) >= 0 {
+			return -1
+		}
+		if fitsWithin(nb.demand, limit) {
+			return j
+		}
+	}
+	return -1
+}
+
+// fitsWithin reports whether demand[k] <= limit[k] in every kind.
+func fitsWithin(demand, limit []int) bool {
+	for k, d := range demand {
+		if d > limit[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // CapacityError reports that assigning spatially isolated cores ran past a
@@ -1224,9 +1361,9 @@ func (a *Allocator) assignCoresAvail(states []*appState, avail [][]int, out []Al
 func smallestDemand(cands []candidate) int {
 	best := 0
 	bestCores := math.MaxInt
-	for i, c := range cands {
+	for i := range cands {
 		var cores int
-		for _, d := range c.demand {
+		for _, d := range cands[i].demand {
 			cores += d
 		}
 		if cores < bestCores {

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/opoint"
@@ -118,6 +119,57 @@ func BenchmarkAllocateWarmStart(b *testing.B) {
 		}
 		if st.Source != SourceWarm {
 			b.Fatalf("solve source = %q, want %q", st.Source, SourceWarm)
+		}
+	}
+}
+
+// BenchmarkAllocateRetable8 is the solver's share of a table re-upload on a
+// busy daemon: eight Intel applications with full 764-point tables, the
+// first jittered by ±1 % per point as a re-measured description would be,
+// solved by an allocator configured as the daemon's (solution cache, warm
+// start). Every iteration rewrites one useless point of the first table with
+// a unique utility stamp, so the fingerprint never repeats and every solve
+// is a cache miss that rebuilds the table's Pareto front, as an upload does.
+func BenchmarkAllocateRetable8(b *testing.B) {
+	plat := platform.RaptorLake()
+	rng := rand.New(rand.NewSource(1))
+	var inputs []AppInput
+	for i, name := range []string{"ep.C", "mg.C", "cg.C", "ft.C", "sp.C", "bt.C", "lu.C", "ua.C"} {
+		prof, err := workload.ByName(workload.IntelApps(), name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl := tableFor(plat, prof)
+		if i == 0 {
+			for p := range tbl.Points {
+				tbl.Points[p].Utility *= 0.99 + 0.02*rng.Float64()
+				tbl.Points[p].Power *= 0.99 + 0.02*rng.Float64()
+			}
+		}
+		inputs = append(inputs, AppInput{ID: name, Table: tbl})
+	}
+	active := inputs[0].Table
+	stamp := 0 // the point with the most cores: never worth choosing
+	for p, op := range active.Points {
+		if op.Vector.TotalCores() > active.Points[stamp].Vector.TotalCores() {
+			stamp = p
+		}
+	}
+	a, err := New(plat, WithCache(DefaultCacheSize), WithWarmStart(true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		active.Points[stamp].Utility = 1 + float64(i)*1e-9
+		active.Invalidate()
+		_, st, err := a.AllocateWithStats(inputs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Source == SourceCached {
+			b.Fatal("stamped solve served from the cache")
 		}
 	}
 }

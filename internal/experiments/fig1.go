@@ -120,14 +120,14 @@ func markFig1Pareto(points []Fig1Point) {
 	for i := range idx {
 		idx[i] = i
 	}
-	front := opoint.Pareto(idx, func(i int) []float64 {
+	front := opoint.Pareto(idx, func(dst []float64, i int) []float64 {
 		p := points[i]
-		return []float64{
+		return append(dst,
 			p.TimeSec,
 			p.EnergyJ,
 			float64(p.Vector.Cores(0)),
 			float64(p.Vector.Cores(1)),
-		}
+		)
 	})
 	for _, i := range front {
 		points[i].Pareto = true

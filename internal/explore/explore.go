@@ -135,10 +135,7 @@ func New(plat *platform.Platform, app string, cfg Config) *Explorer {
 // SeedTable merges offline-generated operating points (e.g. from a
 // description file) into the explorer's table as measured points.
 func (e *Explorer) SeedTable(t *opoint.Table) {
-	for _, op := range t.Points {
-		op.Measured = true
-		e.table.Upsert(op)
-	}
+	e.table.UpsertAll(t.Points, true)
 	e.predTable = nil
 }
 

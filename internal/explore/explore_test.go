@@ -2,6 +2,8 @@ package explore
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/opoint"
@@ -349,5 +351,54 @@ func TestRefinementTargetsNegativePredictions(t *testing.T) {
 	}
 	if rv.Key() != "4|4" {
 		t.Errorf("refinement picked %s, want the negative-prediction config 4|4", rv.Key())
+	}
+}
+
+// SeedTable merges an upload in one pass that tries each point's own index
+// first; the table it leaves must be exactly the one a per-point Upsert loop
+// leaves — same points, same order — whether the upload repeats the table's
+// order, arrives shuffled, or carries the same vector twice, and whether the
+// explorer's table starts empty or already holds measurements.
+func TestSeedTableMatchesUpsertLoop(t *testing.T) {
+	plat := platform.RaptorLake()
+	vectors := platform.EnumerateVectors(plat, 0)
+	r := rand.New(rand.NewSource(1))
+	upload := func(perm []int) *opoint.Table {
+		tbl := &opoint.Table{App: "x", Platform: plat.Name}
+		for _, i := range perm {
+			tbl.Points = append(tbl.Points, opoint.OperatingPoint{
+				Vector: vectors[i], Utility: r.Float64() * 10, Power: r.Float64() * 50,
+			})
+		}
+		return tbl
+	}
+	inOrder := make([]int, 200)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	uploads := map[string][]*opoint.Table{
+		"same-order":  {upload(inOrder), upload(inOrder)},
+		"shuffled":    {upload(inOrder), upload(r.Perm(200))},
+		"grown":       {upload(inOrder[:120]), upload(inOrder)},
+		"duplicates":  {upload([]int{3, 1, 3, 2, 1, 3}), upload([]int{1, 3, 3, 0})},
+		"other-start": {upload(r.Perm(50)), upload(inOrder[:80]), upload(r.Perm(80))},
+	}
+	for name, seq := range uploads {
+		e := New(plat, "x", Config{})
+		want := &opoint.Table{App: "x", Platform: plat.Name}
+		for _, up := range seq {
+			e.SeedTable(up)
+			for _, op := range up.Points {
+				op.Measured = true
+				want.Upsert(op)
+			}
+			if !reflect.DeepEqual(e.Table().Points, want.Points) {
+				t.Fatalf("%s: seeded table differs from the Upsert loop's\ngot  %v\nwant %v", name, e.Table().Points, want.Points)
+			}
+			// Facts memoised before a same-length re-upload must not survive it.
+			if gf, wf := e.Table().Facts(), want.Facts(); gf.Hi != wf.Hi || gf.Lo != wf.Lo {
+				t.Fatalf("%s: seeded table's facts are stale", name)
+			}
+		}
 	}
 }

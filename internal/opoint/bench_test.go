@@ -37,6 +37,20 @@ func BenchmarkParetoFilter(b *testing.B) {
 	}
 }
 
+// BenchmarkPareto764 measures one unmemoised front computation over a
+// full-size table, as the allocator runs it when a table holds unusable
+// points.
+func BenchmarkPareto764(b *testing.B) {
+	tbl := benchTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if front := Pareto(tbl.Points, RuntimeObjectives); len(front) == 0 {
+			b.Fatal("empty front")
+		}
+	}
+}
+
 // BenchmarkTableLookup measures point lookup by resource vector.
 func BenchmarkTableLookup(b *testing.B) {
 	tbl := benchTable(b)

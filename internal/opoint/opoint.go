@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -202,6 +203,32 @@ func (t *Table) Lookup(rv platform.ResourceVector) (OperatingPoint, bool) {
 // Upsert inserts the point or replaces an existing one with the same vector.
 func (t *Table) Upsert(op OperatingPoint) {
 	defer t.Invalidate()
+	t.upsert(op, -1)
+}
+
+// UpsertAll upserts every point of ops in order, marking each measured when
+// measured is set, and invalidates the table once. On a table whose vectors
+// are distinct — which Upsert and UpsertAll keep them — the result equals
+// an Upsert loop. It is built for re-uploads: a description arrives in its
+// own enumeration order, so each point is first tried against the slot at
+// its own index, and merging a table into one holding the same vectors costs
+// O(n) comparisons instead of O(n²).
+func (t *Table) UpsertAll(ops []OperatingPoint, measured bool) {
+	defer t.Invalidate()
+	for i, op := range ops {
+		op.Measured = op.Measured || measured
+		t.upsert(op, i)
+	}
+}
+
+// upsert is Upsert without the invalidation, trying index hint before the
+// scan (hint < 0: no hint). With distinct vectors a hit there is the only
+// match, so the hint never changes the outcome.
+func (t *Table) upsert(op OperatingPoint, hint int) {
+	if hint >= 0 && hint < len(t.Points) && t.Points[hint].Vector.Equal(op.Vector) {
+		t.Points[hint] = op
+		return
+	}
 	for i := range t.Points {
 		if t.Points[i].Vector.Equal(op.Vector) {
 			t.Points[i] = op
@@ -245,51 +272,56 @@ func (t *Table) Clone() *Table {
 // Pareto returns the subset of xs that is Pareto-optimal under the given
 // objectives, all minimised. A point is kept unless another point is no
 // worse in every objective and strictly better in at least one; duplicated
-// objective rows keep a single representative.
+// objective rows keep a single representative, the earliest in xs. The front
+// comes out in lexicographic objective order.
+//
+// objectives appends x's objective row to dst and returns the extended
+// slice; every row must have the same length. The rows of one call share a
+// single buffer, so extraction costs no allocation per point.
 //
 // Implementation: points are processed in lexicographic objective order. Any
 // dominator of a point precedes it in that order, and by transitivity a
 // non-dominated dominator exists on the running front, so each point only
 // needs to be checked against the (small) front built so far. This is the
 // allocator's hot path — tables can hold hundreds of points per application.
-func Pareto[T any](xs []T, objectives func(T) []float64) []T {
+func Pareto[T any](xs []T, objectives func(dst []float64, x T) []float64) []T {
 	if len(xs) == 0 {
 		return nil
 	}
-	type entry struct {
-		obj []float64
-		idx int
+	flat := objectives(nil, xs[0])
+	width := len(flat)
+	flat = slices.Grow(flat, width*(len(xs)-1))
+	for _, x := range xs[1:] {
+		flat = objectives(flat, x)
 	}
-	entries := make([]entry, len(xs))
-	for i, x := range xs {
-		entries[i] = entry{obj: objectives(x), idx: i}
+	row := func(i int) []float64 { return flat[i*width : (i+1)*width : (i+1)*width] }
+	order := make([]int, len(xs))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].obj, entries[j].obj
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := slices.Compare(row(i), row(j)); c != 0 {
+			return c
 		}
-		return entries[i].idx < entries[j].idx
+		return i - j
 	})
 
-	var front []entry
-	for _, e := range entries {
+	front := order[:0] // the front only ever trails the scan
+	for _, i := range order {
 		dominated := false
 		for _, f := range front {
-			if d := dominanceOf(f.obj, e.obj); d == strictlyDominates || d == equalObjectives {
+			if d := dominanceOf(row(f), row(i)); d == strictlyDominates || d == equalObjectives {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			front = append(front, e)
+			front = append(front, i)
 		}
 	}
 	out := make([]T, len(front))
-	for i, f := range front {
-		out[i] = xs[f.idx]
+	for n, i := range front {
+		out[n] = xs[i]
 	}
 	return out
 }
@@ -302,43 +334,34 @@ const (
 	equalObjectives
 )
 
-// dominanceOf reports how a relates to b for minimisation objectives.
+// dominanceOf reports how a relates to b for minimisation objectives. It
+// returns as soon as a is worse in one objective, which is the common case
+// when a point is checked against a front it belongs on.
 func dominanceOf(a, b []float64) dominance {
-	allLEQ := true
 	anyLT := false
-	allEQ := true
 	for k := range a {
 		if a[k] > b[k] {
-			allLEQ = false
+			return noDominance
 		}
 		if a[k] < b[k] {
 			anyLT = true
 		}
-		if a[k] != b[k] {
-			allEQ = false
-		}
 	}
-	switch {
-	case allLEQ && anyLT:
+	if anyLT {
 		return strictlyDominates
-	case allEQ:
-		return equalObjectives
-	default:
-		return noDominance
 	}
+	return equalObjectives
 }
 
 // RuntimeObjectives is the objective extractor used by the runtime allocator
 // (§4.2.2): minimise power, maximise utility (negated), and minimise the
-// per-kind core footprint.
-func RuntimeObjectives(op OperatingPoint) []float64 {
-	demand := op.Vector.CoreDemand()
-	objs := make([]float64, 0, 2+len(demand))
-	objs = append(objs, -op.Utility, op.Power)
-	for _, d := range demand {
-		objs = append(objs, float64(d))
+// per-kind core footprint. It appends op's row to dst (see Pareto).
+func RuntimeObjectives(dst []float64, op OperatingPoint) []float64 {
+	dst = append(dst, -op.Utility, op.Power)
+	for kind := range op.Vector.Counts {
+		dst = append(dst, float64(op.Vector.Cores(platform.KindID(kind))))
 	}
-	return objs
+	return dst
 }
 
 // ParetoPoints filters the table down to its runtime Pareto front. The front

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -161,7 +162,7 @@ func TestParetoSimple(t *testing.T) {
 		{3, 4}, // dominated by {3,3} and {2,4}
 		{5, 5}, // dominated
 	}
-	front := Pareto(pts, func(p pt) []float64 { return []float64{p.a, p.b} })
+	front := Pareto(pts, func(dst []float64, p pt) []float64 { return append(dst, p.a, p.b) })
 	if len(front) != 3 {
 		t.Fatalf("front size = %d, want 3: %v", len(front), front)
 	}
@@ -170,14 +171,14 @@ func TestParetoSimple(t *testing.T) {
 func TestParetoKeepsOneOfDuplicates(t *testing.T) {
 	type pt struct{ a float64 }
 	pts := []pt{{1}, {1}, {2}}
-	front := Pareto(pts, func(p pt) []float64 { return []float64{p.a} })
+	front := Pareto(pts, func(dst []float64, p pt) []float64 { return append(dst, p.a) })
 	if len(front) != 1 || front[0].a != 1 {
 		t.Fatalf("front = %v, want exactly one {1}", front)
 	}
 }
 
 func TestParetoEmpty(t *testing.T) {
-	if got := Pareto(nil, func(int) []float64 { return nil }); got != nil {
+	if got := Pareto(nil, func(dst []float64, _ int) []float64 { return dst }); got != nil {
 		t.Fatalf("Pareto(nil) = %v, want nil", got)
 	}
 }
@@ -192,7 +193,7 @@ func TestParetoProperty(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{float64(r.Intn(6)), float64(r.Intn(6)), float64(r.Intn(6))}
 		}
-		front := Pareto(pts, func(p []float64) []float64 { return p })
+		front := Pareto(pts, func(dst, p []float64) []float64 { return append(dst, p...) })
 		if len(front) == 0 {
 			return false
 		}
@@ -309,5 +310,71 @@ func TestLoadDir(t *testing.T) {
 	empty, err := LoadDir(filepath.Join(dir, "missing"))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("LoadDir(missing) = (%v, %v), want empty map", empty, err)
+	}
+}
+
+// TestParetoMatchesBruteForce pins Pareto against the definition, checked
+// the O(n²) way on random tables with repeated objective rows: a point stays
+// unless another strictly dominates it or an earlier one has the same row,
+// and the front comes out in lexicographic objective order, ties by input
+// position.
+func TestParetoMatchesBruteForce(t *testing.T) {
+	p := platform.RaptorLake()
+	vectors := platform.EnumerateVectors(p, 0)
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pool := 5 + int(seed%40) // few vectors: equal rows and ties are common
+		pts := make([]OperatingPoint, 1+r.Intn(120))
+		for i := range pts {
+			if i > 0 && r.Intn(4) == 0 {
+				pts[i] = pts[r.Intn(i)] // a duplicate objective row
+			} else {
+				pts[i] = OperatingPoint{
+					Vector:  vectors[r.Intn(pool)],
+					Utility: float64(r.Intn(8)),
+					Power:   float64(r.Intn(8)),
+				}
+			}
+			pts[i].Samples = i // tells duplicates apart: the earliest must stay
+
+		}
+		rows := make([][]float64, len(pts))
+		for i, op := range pts {
+			rows[i] = RuntimeObjectives(nil, op)
+		}
+		dominates := func(a, b []float64) bool { // a strictly dominates b
+			strict := false
+			for k := range a {
+				if a[k] > b[k] {
+					return false
+				}
+				strict = strict || a[k] < b[k]
+			}
+			return strict
+		}
+		var want []int
+		for i := range pts {
+			keep := true
+			for j := range pts {
+				if dominates(rows[j], rows[i]) || (j < i && slices.Equal(rows[j], rows[i])) {
+					keep = false
+					break
+				}
+			}
+			if keep {
+				want = append(want, i)
+			}
+		}
+		slices.SortStableFunc(want, func(i, j int) int { return slices.Compare(rows[i], rows[j]) })
+
+		got := Pareto(pts, RuntimeObjectives)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: front has %d points, brute force %d", seed, len(got), len(want))
+		}
+		for n, i := range want {
+			if got[n].Samples != i {
+				t.Fatalf("seed %d: front[%d] = %+v, brute force has point %d %+v", seed, n, got[n], i, pts[i])
+			}
+		}
 	}
 }
