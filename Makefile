@@ -39,13 +39,14 @@ race:
 
 # invariants runs the correctness harness (see CORRECTNESS.md): the exact
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
-# the incremental solver's delta contract, and the full-run invariant suites
+# the incremental solver's delta contract and its positional pins against
+# the map-keyed reference merge, and the full-run invariant suites
 # over simulated chaos runs and random Manager operation sequences. Failures
 # print a shrunk counterexample and a one-line repro; set HARP_CHECK_ARTIFACTS
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit' \
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestPositionalPinsMatchMapPins' \
 		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/
 
 # invariants-long is the nightly sweep: the same harness over an order of

@@ -2,6 +2,10 @@ package harpsim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/alloc"
@@ -131,5 +135,55 @@ func TestChurnOracleVerification(t *testing.T) {
 	}
 	if res.SolveSources[alloc.SourceIncremental] == 0 {
 		t.Fatalf("no incremental epochs recorded: %v", res.SolveSources)
+	}
+}
+
+// churnJournalDigests are the SHA-256 digests of RunChurn's decision journal
+// for 300 sessions × 200 ticks at four events per tick, incremental solving
+// on, keyed by seed and epoch mode. They pin "decisions unchanged" across
+// refactors of the epoch pipeline and the solver: a change that moves a
+// decision on purpose updates them and says why.
+var churnJournalDigests = map[string]string{
+	"seed1/coalesced":  "c547e96bc3ae75bd798d9a317d3eaf54551f2e8023f3fc43ea0bdc9bddd12628",
+	"seed1/inline":     "d16d209ce6f204ec1483c4d25f66b2cf4b01238c8742c5b34fbc30d1cbbd1907",
+	"seed7/coalesced":  "169d82dc1ba5122ae406a901835dbc069ca1637f74a2c67675420413a17bbc7b",
+	"seed7/inline":     "8007519f7e523de5264a081322d8b93e5cf3077b09abbd1b531c6054bbae374e",
+	"seed42/coalesced": "884b10c81871dad30b0c542cc7e58783b5d8ce752fe89e03992cfe1924ac1109",
+	"seed42/inline":    "ca36b731cb187a5e145bb34f0bcb1b3e10bd754fc4e868f7045afe4512d59c5c",
+}
+
+// TestChurnJournalDigests replays the pinned RunChurn configurations and
+// compares their journal digests. Floating-point results may differ in the
+// last bit on other architectures (fused multiply-add), so it runs on amd64
+// only.
+func TestChurnJournalDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("journal digests are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		for _, coalesce := range []bool{true, false} {
+			mode := "inline"
+			if coalesce {
+				mode = "coalesced"
+			}
+			key := fmt.Sprintf("seed%d/%s", seed, mode)
+			t.Run(key, func(t *testing.T) {
+				h := sha256.New()
+				if _, err := RunChurn(ChurnOptions{
+					Sessions:      300,
+					Ticks:         200,
+					EventsPerTick: 4,
+					Seed:          seed,
+					Coalesce:      core.CoalescePolicy{Enabled: coalesce},
+					Incremental:   true,
+					Journal:       h,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != churnJournalDigests[key] {
+					t.Errorf("journal digest %s, pinned %s", got, churnJournalDigests[key])
+				}
+			})
+		}
 	}
 }

@@ -103,17 +103,15 @@ type Allocator struct {
 	prevLambda []float64
 	havePrev   bool
 
-	// Incremental re-solve state (incremental.go): standing allocations
-	// pinned per application, the epochs since the last full solve, and the
+	// Incremental re-solve state (incremental.go): the previous successful
+	// solve by input position, the merges since the last full solve, and the
 	// cost-slack baseline the drift bound compares against.
 	inc           bool
 	incFullEvery  int
 	incDriftBound float64
-	incPins       map[string]*pinnedApp
-	incSeq        uint64 // pin-epoch of the last solve that refreshed the pins
+	pins          pinSet
 	incSinceFull  int
 	incBaseSlack  float64
-	incHaveBase   bool
 	incScratch    incScratch
 
 	// overBudget, when set, is polled between subgradient iterations; a
@@ -162,23 +160,16 @@ func (s *solverScratch) ensureStates(n int) []*appState {
 	return s.states[:n]
 }
 
-// growInts returns buf resized to n, reallocating only when it must.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
+// resize returns buf with length n, keeping its first min(n, len(buf))
+// elements and zeroing any it drops. It reallocates only when it must, with
+// append's headroom, so a retained per-application buffer under arrivals
+// grows now and then rather than on every solve.
+func resize[T any](buf []T, n int) []T {
+	if n > cap(buf) {
+		return append(buf, make([]T, n-len(buf))...)
 	}
-	return buf[:n]
-}
-
-// roomFor is the capacity to allocate when a retained per-application buffer
-// must grow to n entries: headroom for arrivals, so a population creeping
-// upward reallocates a buffer now and then rather than on every solve.
-func roomFor(n int) int { return n + n/4 + 16 }
-
-// growFloats is growInts for float64 slices.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+	if n < len(buf) {
+		clear(buf[n:])
 	}
 	return buf[:n]
 }
@@ -229,7 +220,8 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Allocator{plat: plat, method: Lagrangian}
+	a := &Allocator{plat: plat, method: Lagrangian,
+		incFullEvery: DefaultIncrementalFullEvery, incDriftBound: DefaultIncrementalDriftBound}
 	for _, o := range opts {
 		o.apply(a)
 	}
@@ -239,16 +231,9 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	if a.cacheSize > 0 {
 		a.cache = newSolutionCache(a.cacheSize)
 	}
-	if a.incFullEvery < 1 {
-		a.incFullEvery = DefaultIncrementalFullEvery
-	}
-	if a.incDriftBound <= 0 {
-		a.incDriftBound = DefaultIncrementalDriftBound
-	}
 	if a.inc {
-		a.incPins = make(map[string]*pinnedApp)
 		// Never nil: a nil Stats.Changed reads as "everything moved".
-		a.incScratch.changed = make([]int, 0, 16)
+		a.incScratch.resolveIdx = make([]int, 0, 16)
 	}
 	a.fpBase = a.fingerprintBase()
 	if a.metrics != nil {
@@ -370,11 +355,11 @@ func (a *Allocator) Allocate(apps []AppInput) ([]Allocation, error) {
 // Stats.Changed belong to the allocator. They are read-only for the caller
 // and valid until the allocator's next solve — a cache hit returns the
 // memoised slice itself (zero heap allocations, Stats.Source = SourceCached),
-// an incremental merge returns a buffer the next merge overwrites. Grant
-// lists are the exception in the caller's favour: once built they are never
-// written again, so a caller may keep a []CoreGrant (the Manager's pushed
-// decisions do) — but must copy anything else it wants to outlive the next
-// solve. Misses run the full pipeline and memoise the result.
+// an incremental merge its pinned solution, which the next solve
+// overwrites. Grant lists are the exception in the caller's favour: once
+// built they are never written again, so a caller may keep a []CoreGrant
+// (the Manager's pushed decisions do) — but must copy anything else it wants
+// to outlive the next solve. Misses run the full pipeline and memoise it.
 func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
 	var stats Stats
 	if len(apps) == 0 {
@@ -411,7 +396,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 	}
 
 	s := &a.scratch
-	s.capacity = growInts(s.capacity, len(a.plat.Kinds))
+	s.capacity = resize(s.capacity, len(a.plat.Kinds))
 	capacity := s.capacity
 	for k, kind := range a.plat.Kinds {
 		capacity[k] = kind.Count
@@ -564,10 +549,8 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 	// Size the demand arena up front: carving then never reallocates, so the
 	// candidates' demand slices stay valid.
 	nk := len(a.plat.Kinds)
-	if need := max(len(points), 1) * nk; cap(st.demandBuf) < need {
-		st.demandBuf = make([]int, 0, need)
-	}
-	buf := st.demandBuf[:0]
+	st.demandBuf = slices.Grow(st.demandBuf[:0], max(len(points), 1)*nk)
+	buf := st.demandBuf
 	for _, op := range points {
 		start := len(buf)
 		for kind := range op.Vector.Counts {
@@ -647,7 +630,7 @@ type lagRep struct {
 func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []float64) int {
 	nk := len(capacity)
 	s := &a.scratch
-	s.lambda = growFloats(s.lambda, nk)
+	s.lambda = resize(s.lambda, nk)
 	lambda := s.lambda
 	if warm != nil {
 		copy(lambda, warm)
@@ -656,7 +639,7 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 			lambda[k] = 0
 		}
 	}
-	s.lambdaPrev = growFloats(s.lambdaPrev, nk)
+	s.lambdaPrev = resize(s.lambdaPrev, nk)
 	prev := s.lambdaPrev
 
 	// Scale for the multiplier updates: typical cost per core.
@@ -679,18 +662,10 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 	// Representatives are carved from per-solve arenas whose capacity is
 	// ensured up front (total candidates bounds the representative count),
 	// so carving never reallocates and the slices stay valid.
-	if cap(s.repBuf) < totalCands {
-		s.repBuf = make([]lagRep, 0, totalCands)
-	}
-	repBuf := s.repBuf[:0]
-	if cap(s.fdBuf) < totalCands*nk {
-		s.fdBuf = make([]float64, 0, totalCands*nk)
-	}
-	fdBuf := s.fdBuf[:0]
-	if cap(s.reps) < len(states) {
-		s.reps = make([][]lagRep, len(states))
-	}
-	reps := s.reps[:len(states)]
+	s.repBuf = slices.Grow(s.repBuf[:0], totalCands)
+	s.fdBuf = slices.Grow(s.fdBuf[:0], totalCands*nk)
+	s.reps = resize(s.reps, len(states))
+	repBuf, fdBuf, reps := s.repBuf, s.fdBuf, s.reps
 	if s.seen == nil {
 		s.seen = make(map[uint64]bool)
 	}
@@ -716,7 +691,7 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 	}
 	s.repBuf, s.fdBuf = repBuf, fdBuf
 
-	s.demand = growInts(s.demand, nk)
+	s.demand = resize(s.demand, nk)
 	demand := s.demand
 	iters := lagrangianIters
 	for it := 0; it < lagrangianIters; it++ {
@@ -809,7 +784,7 @@ func demandKey(demand []int) (key uint64, ok bool) {
 // the cheapest fitting candidate; applications with no fitting candidate are
 // deferred to co-allocation (chosen stays, CoAllocated set later).
 func (a *Allocator) repair(states []*appState, capacity []int) {
-	a.scratch.remaining = growInts(a.scratch.remaining, len(capacity))
+	a.scratch.remaining = resize(a.scratch.remaining, len(capacity))
 	remaining := a.scratch.remaining
 	copy(remaining, capacity)
 	take := func(demand []int) {
@@ -1017,7 +992,7 @@ func (a *Allocator) rescue(states []*appState, capacity []int) {
 func (a *Allocator) improve(states []*appState, capacity []int) {
 	nk := len(capacity)
 	s := &a.scratch
-	s.remaining = growInts(s.remaining, nk)
+	s.remaining = resize(s.remaining, nk)
 	remaining := s.remaining
 	copy(remaining, capacity)
 	for _, st := range states {
@@ -1070,7 +1045,7 @@ func (a *Allocator) improve(states []*appState, capacity []int) {
 		}
 		return
 	}
-	s.limit = growInts(s.limit, 2*nk)
+	s.limit = resize(s.limit, 2*nk)
 	base, limit := s.limit[:nk], s.limit[nk:]
 	cells := s.fitStrides(capacity)
 	for _, st := range states {
@@ -1123,7 +1098,7 @@ const fitGridCellsPerCand = 4
 // stride[k] over demand vectors d with 0 ≤ d[k] ≤ capacity[k] — into
 // s.stride, and returns the cell count, or 0 past math.MaxInt32 cells.
 func (s *solverScratch) fitStrides(capacity []int) int {
-	s.stride = growInts(s.stride, len(capacity))
+	s.stride = resize(s.stride, len(capacity))
 	cells := 1
 	for k, c := range capacity {
 		s.stride[k] = cells
@@ -1294,7 +1269,7 @@ func (a *Allocator) assignCoresAvail(states []*appState, avail [][]int, out []Al
 		}
 		return len(avail[kindIdx])
 	}
-	a.scratch.nextFree = growInts(a.scratch.nextFree, len(a.plat.Kinds))
+	a.scratch.nextFree = resize(a.scratch.nextFree, len(a.plat.Kinds))
 	nextFree := a.scratch.nextFree
 	clear(nextFree)
 	if out == nil {

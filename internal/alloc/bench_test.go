@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -196,5 +197,69 @@ func TestBenchCacheHitZeroAllocsRegime(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("production-size cache-hit solve allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// BenchmarkIncrementalMerge10k is the incremental merge at churn scale:
+// 10 000 applications on a four-kind, eight-cores-per-kind machine, each
+// with one of sixteen shared two-point tables on one kind (the shape of
+// harpsim.ChurnPlatform(4, 8) and its churn tables). Each iteration departs
+// two to four applications at random positions, appends as many at the
+// tail, and merges; the cadence full solve and the cache are off, so every
+// solve is a merge. The input edits run inside the timed loop.
+func BenchmarkIncrementalMerge10k(b *testing.B) {
+	plat := &platform.Platform{Name: "merge-4x8", MemBWGips: 50, EnergySensors: "package", SimultaneousPMU: true}
+	for k := 0; k < 4; k++ {
+		plat.Kinds = append(plat.Kinds, platform.CoreKind{
+			Name: fmt.Sprintf("K%d", k), Count: 8, SMT: 1,
+			MaxFreqGHz: 3 - 0.2*float64(k), MinFreqGHz: 0.5, IPC: 2 - 0.1*float64(k),
+			ActiveWatts: 2 - 0.2*float64(k), IdleWatts: 0.2, SleepWatts: 0.02,
+		})
+	}
+	tables := make([]*opoint.Table, 16)
+	for i := range tables {
+		tbl := &opoint.Table{App: fmt.Sprintf("app%d", i), Platform: plat.Name}
+		for cores := 1; cores <= 2; cores++ {
+			rv := platform.NewResourceVector(plat)
+			rv.Counts[i%4][0] = cores
+			tbl.Upsert(opoint.OperatingPoint{Vector: rv, Utility: (4 + 0.25*float64(i%7)) * float64(cores) * 0.8, Power: 1.5 * float64(cores), Measured: true})
+		}
+		tables[i] = tbl
+	}
+	next := 0
+	arrival := func() AppInput {
+		next++
+		return AppInput{ID: fmt.Sprintf("s%06d", next), Table: tables[next%len(tables)]}
+	}
+	inputs := make([]AppInput, 10000)
+	for i := range inputs {
+		inputs[i] = arrival()
+	}
+	a, err := New(plat, WithIncremental(true), WithIncrementalCadence(1<<30), WithCache(-1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := a.AllocateWithStats(inputs); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 2 + rng.Intn(3)
+		for k := 0; k < n; k++ {
+			at := rng.Intn(len(inputs))
+			inputs = append(inputs[:at], inputs[at+1:]...)
+		}
+		for k := 0; k < n; k++ {
+			inputs = append(inputs, arrival())
+		}
+		_, st, err := a.AllocateWithStats(inputs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Source != SourceIncremental {
+			b.Fatalf("solve %d: source %q, want a merge", i, st.Source)
+		}
 	}
 }

@@ -1,14 +1,18 @@
 package alloc
 
 // Incremental re-solves: the churn-scale answer to "one session changed, why
-// re-optimise all N?". The Allocator pins every application's standing
-// allocation after a successful solve, with the content hash of the table
-// it was solved under. When the next solve's inputs differ only in a small
-// changed set — new applications, departed ones, tables whose content hash
-// moved — the unchanged applications stay pinned at their standing
-// allocations and only the changed set, plus a bounded neighbourhood of
-// co-allocated pins that might now fit in isolation, is re-optimised against
-// the residual capacity the pins leave free.
+// re-optimise all N?". The Allocator keeps its previous successful solve by
+// input position in flat arrays (pinSet): per position the application ID,
+// the content hash of the table it was solved under, its costs and its
+// allocation. The next solve aligns its input to those positions by ID
+// (align); when the inputs differ only in a small changed set — new
+// applications, departed ones, tables whose content hash moved — the
+// unchanged applications stay pinned at their standing allocations and only
+// the changed set, plus a bounded neighbourhood of co-allocated pins that
+// might now fit in isolation, is re-optimised against the residual capacity
+// the pins leave free. An ID the previous solve did not contain is re-solved
+// even if an older solve contained it, so re-admission never depends on
+// what else left in between.
 //
 // Guard rails keep the merged solution honest:
 //
@@ -32,17 +36,17 @@ package alloc
 // solutions and the re-solve only consumes capacity the pins left free.
 //
 // A merge is also where the allocator knows exactly what moved: only the
-// re-solved positions (and applications the previous solve did not contain)
-// can differ from the previous answer, so they are reported in
-// Stats.Changed and the Manager pushes only those. The merged solution is
-// written into a buffer the Allocator keeps and reuses — see the
-// result-ownership rule on AllocateWithStats — and every per-solve work list
-// lives in incScratch, so a steady-state merge allocates only the grants of
-// the applications it re-solved.
+// re-solved positions can differ from the previous answer, so they are
+// reported in Stats.Changed and the Manager pushes only those. The merge
+// happens in place (place), and the pins' allocations are the result handed
+// back — see the result-ownership rule on AllocateWithStats. Every per-solve
+// work list lives in incScratch, so a steady-state merge allocates only the
+// grants of the applications it re-solved.
 
 import (
 	"math"
 	"slices"
+	"strings"
 
 	"github.com/harp-rm/harp/internal/platform"
 )
@@ -59,6 +63,9 @@ const (
 	// incremental re-solve: the likeliest candidates to be lifted back into
 	// spatial isolation when a change freed capacity.
 	incNeighbourhood = 8
+	// incLookAhead is how far past the alignment cursor the walk looks for
+	// an input's ID before it falls back to an index.
+	incLookAhead = 64
 )
 
 // WithIncremental enables incremental re-solves (default off). Incremental
@@ -80,38 +87,140 @@ func WithIncrementalCadence(every int) Option {
 	})
 }
 
-// pinnedApp is one application's standing allocation with everything needed
-// to detect change, free its capacity and account drift without touching its
-// table.
-type pinnedApp struct {
-	// tableHi/tableLo identify the table the pin was solved under; any
-	// difference marks the application as changed.
-	tableHi, tableLo uint64
-	// alloc is the standing allocation. Its grants are owned by the pin and
-	// never written again once set: allocations handed to the caller — and
-	// the decisions the Manager pushes from them — alias the same array.
-	alloc Allocation
-	// chosenCost and minCost feed the drift bound; minCost is the table's
-	// own (opoint.Facts.MinCost, at the table's v*).
-	chosenCost float64
-	minCost    float64
-	// seen is the pin-epoch (Allocator.incSeq) of the last solve that
-	// contained the application. A pin the previous solve did not refresh
-	// still describes a valid fragment, but the caller's view of the
-	// application may have moved on since, so it is reported as changed.
-	seen uint64
+// pinSet is the previous successful solve by input position: everything a
+// merge needs to detect change, free capacity and account drift without
+// touching a table. The allocations' grants are shared with the caller's
+// results and the solution cache; all treat a grant list as immutable once
+// built, so nothing is deep-copied.
+type pinSet struct {
+	id      []string
+	hi, lo  []uint64 // the content hash of the table the pin was solved under
+	chosen  []float64
+	minCost []float64 // the table's own (opoint.Facts.MinCost, at its v*)
+	coAlloc []bool
+	alloc   []Allocation
+}
+
+func (s *pinSet) resize(n int) {
+	s.id, s.hi, s.lo = resize(s.id, n), resize(s.hi, n), resize(s.lo, n)
+	s.chosen, s.minCost = resize(s.chosen, n), resize(s.minCost, n)
+	s.coAlloc, s.alloc = resize(s.coAlloc, n), resize(s.alloc, n)
+}
+
+// set records position i's standing allocation and returns the table's
+// minimum cost.
+func (s *pinSet) set(i int, app *AppInput, al Allocation, chosenCost float64) float64 {
+	f := app.Table.Facts()
+	s.id[i], s.hi[i], s.lo[i] = app.ID, f.Hi, f.Lo
+	s.chosen[i], s.minCost[i] = chosenCost, f.MinCost
+	s.coAlloc[i], s.alloc[i] = al.CoAllocated, al
+	return f.MinCost
+}
+
+// move copies the n pins at positions from.. of src to positions to.. of s;
+// src may share s's arrays, with overlapping ranges.
+func (s *pinSet) move(to int, src *pinSet, from, n int) {
+	copy(s.id[to:to+n], src.id[from:from+n])
+	copy(s.hi[to:to+n], src.hi[from:from+n])
+	copy(s.lo[to:to+n], src.lo[from:from+n])
+	copy(s.chosen[to:to+n], src.chosen[from:from+n])
+	copy(s.minCost[to:to+n], src.minCost[from:from+n])
+	copy(s.coAlloc[to:to+n], src.coAlloc[from:from+n])
+	copy(s.alloc[to:to+n], src.alloc[from:from+n])
+}
+
+// align maps every input to the position its ID held in the previous solve
+// (src[i], -1 when that solve did not contain it), exactly, whatever the
+// edit. A cursor walks the previous positions: an input keeps the pin at the
+// cursor or, stepping over departures, one within the look-ahead; once every
+// previous position is matched the remaining inputs are new. Past a failed
+// look-ahead the unmatched positions are sorted by ID and the remaining
+// inputs looked up. inPlace reports a mapping that is increasing and never
+// moves a pin toward the back — departures and tail arrivals, not inserts or
+// reorders — so place can apply it in place.
+func (a *Allocator) align(apps []AppInput) (src []int32, inPlace bool) {
+	sc := &a.incScratch
+	ids, unmatched := a.pins.id, sc.unmatched[:0]
+	sc.src = resize(sc.src, len(apps))
+	src = sc.src
+	p, i := 0, 0
+	for ; i < len(apps); i++ {
+		end := min(len(ids), p+incLookAhead+1)
+		q := p
+		for q < end && ids[q] != apps[i].ID {
+			q++
+		}
+		if q == end && (p < len(ids) || len(unmatched) > 0) {
+			break
+		}
+		src[i] = -1
+		if q < end {
+			for ; p < q; p++ {
+				unmatched = append(unmatched, idAt{ids[p], int32(p)})
+			}
+			src[i] = int32(q)
+			p++
+		}
+	}
+	inPlace = true
+	if i < len(apps) {
+		for k := p; k < len(ids); k++ {
+			unmatched = append(unmatched, idAt{ids[k], int32(k)})
+		}
+		byID := func(e idAt, id string) int { return strings.Compare(e.id, id) }
+		slices.SortFunc(unmatched, func(x, y idAt) int { return byID(x, y.id) })
+		for last := int32(p - 1); i < len(apps); i++ {
+			src[i] = -1
+			if j, ok := slices.BinarySearchFunc(unmatched, apps[i].ID, byID); ok && unmatched[j].pos >= 0 {
+				src[i], unmatched[j].pos = unmatched[j].pos, -1
+				inPlace = inPlace && src[i] > last && int(src[i]) >= i
+				last = src[i]
+			}
+		}
+	}
+	clear(unmatched)
+	sc.unmatched = unmatched[:0]
+	return src, inPlace
+}
+
+// idAt is a previous position and the ID it held.
+type idAt struct {
+	id  string
+	pos int32
+}
+
+// place moves every kept pin to its new position: src[i] is where position
+// i's pin sits now, or -1 when position i is re-solved (the caller sets it).
+// Each run of consecutive pins moves in one copy. An inPlace mapping moves
+// runs only toward the front, in ascending order, so no run overwrites a pin
+// still to move; any other is gathered into new arrays.
+func (a *Allocator) place(src []int32, inPlace bool) {
+	from := a.pins
+	if !inPlace {
+		a.pins = pinSet{}
+		a.pins.resize(len(src))
+	}
+	for i := 0; i < len(src); {
+		p, j := src[i], i+1
+		for j < len(src) && p >= 0 && src[j] == p+int32(j-i) {
+			j++
+		}
+		if p >= 0 && (int(p) != i || !inPlace) {
+			a.pins.move(i, &from, int(p), j-i)
+		}
+		i = j
+	}
+	a.pins.resize(len(src))
 }
 
 // incScratch holds the incremental path's per-solve work lists, reused
-// across solves: out is the merged solution handed back to the caller (valid
-// until the next solve), the rest never escapes.
+// across solves; only resolveIdx escapes, as Stats.Changed (valid until the
+// next solve).
 type incScratch struct {
-	out        []Allocation
+	src        []int32
+	unmatched  []idAt
 	solved     []Allocation
-	pins       []*pinnedApp
-	inResolve  []bool
 	resolveIdx []int
-	changed    []int
 	residual   []int
 	pinnedCore []bool
 	avail      [][]int
@@ -120,56 +229,37 @@ type incScratch struct {
 // tryIncremental attempts the incremental path for one solve. ok reports
 // whether the merged solution should be returned; ok=false with a nil error
 // means "run the full pipeline" (ineligible, cadence, drift, oversized
-// changed set or an internal inconsistency). The merged solution goes to the
-// Allocator's retained buffer.
+// changed set or an internal inconsistency), and leaves the pins as they
+// were. The merged solution is the pin arrays' allocations.
 func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocation, Stats, bool, error) {
-	if !a.inc || len(a.incPins) == 0 || a.incSinceFull >= a.incFullEvery {
+	pins := &a.pins
+	if !a.inc || len(pins.id) == 0 || a.incSinceFull >= a.incFullEvery {
 		return nil, Stats{}, false, nil
 	}
-	nk := len(capacity)
 	sc := &a.incScratch
 
-	// Pass 1: which inputs changed since they were pinned? One map lookup per
-	// application; the later passes reuse the pin pointers.
-	if cap(sc.pins) < len(apps) {
-		sc.pins = make([]*pinnedApp, roomFor(len(apps)))
-		sc.inResolve = make([]bool, cap(sc.pins))
-	}
-	pins, inResolve := sc.pins[:len(apps)], sc.inResolve[:len(apps)]
+	// Re-solve (src[i] = -1) what changed since the previous solve, and the
+	// first few pinned co-allocated applications: they hold no exclusive
+	// capacity, so re-solving them can only lift them toward isolation.
+	src, inPlace := a.align(apps)
 	resolveIdx := sc.resolveIdx[:0]
-	for i := range apps {
-		app := &apps[i]
-		if app.Table == nil {
+	budget := incNeighbourhood
+	for i, p := range src {
+		if apps[i].Table == nil {
 			return nil, Stats{}, false, nil // full path reports the error
 		}
-		pin := a.incPins[app.ID]
-		pins[i], inResolve[i] = pin, false
-		if pin != nil {
-			f := app.Table.Facts()
-			if f.Hi == pin.tableHi && f.Lo == pin.tableLo {
+		if p >= 0 {
+			f := apps[i].Table.Facts()
+			same := f.Hi == pins.hi[p] && f.Lo == pins.lo[p]
+			if same && pins.coAlloc[p] && budget > 0 {
+				budget-- // a neighbour joins
+			} else if same {
 				continue
 			}
+			src[i] = -1
 		}
-		inResolve[i] = true
 		resolveIdx = append(resolveIdx, i)
 	}
-
-	// Pass 2: bounded neighbourhood — the first few pinned co-allocated
-	// applications join the re-solve. They hold no exclusive capacity, so
-	// re-solving them can only lift them toward isolation when the change
-	// (or a departure) freed cores.
-	budget := incNeighbourhood
-	for i := range apps {
-		if budget == 0 {
-			break
-		}
-		if !inResolve[i] && pins[i].alloc.CoAllocated {
-			inResolve[i] = true
-			resolveIdx = append(resolveIdx, i)
-			budget--
-		}
-	}
-	slices.Sort(resolveIdx)
 	sc.resolveIdx = resolveIdx
 
 	if 2*len(resolveIdx) > len(apps) {
@@ -177,20 +267,15 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 	}
 
 	// Residual capacity and the concrete free cores the pins leave behind.
-	sc.residual = growInts(sc.residual, nk)
-	residual := sc.residual
-	copy(residual, capacity)
-	if nc := a.plat.NumCores(); len(sc.pinnedCore) != nc {
-		sc.pinnedCore = make([]bool, nc)
-		sc.avail = make([][]int, nk)
-	}
-	pinnedCore := sc.pinnedCore
+	residual := append(sc.residual[:0], capacity...)
+	pinnedCore := resize(sc.pinnedCore, a.plat.NumCores())
 	clear(pinnedCore)
-	for i := range apps {
-		if inResolve[i] || pins[i].alloc.CoAllocated {
+	sc.residual, sc.pinnedCore, sc.avail = residual, pinnedCore, resize(sc.avail, len(capacity))
+	for _, p := range src {
+		if p < 0 || pins.coAlloc[p] {
 			continue
 		}
-		al := &pins[i].alloc
+		al := &pins.alloc[p]
 		for k := range residual {
 			residual[k] -= al.Point.Vector.Cores(platform.KindID(k))
 		}
@@ -232,65 +317,47 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 	if len(resolveIdx) > 0 {
 		iters = a.selectPoints(states, residual, nil)
 		a.refine(states, residual)
+		sc.solved = resize(sc.solved, len(states))
 		var err error
-		if cap(sc.solved) < len(states) {
-			sc.solved = make([]Allocation, len(states))
-		}
-		solved, err = a.assignCoresAvail(states, avail, sc.solved[:len(states)])
-		if err != nil {
+		if solved, err = a.assignCoresAvail(states, avail, sc.solved); err != nil {
 			return nil, Stats{}, false, nil // inconsistent; full solve recovers
 		}
 	}
 
-	// Merge in input order (the CheckAllocations contract), measure the merged
-	// solution's cost slack for the drift bound, and collect what may have
-	// moved: the re-solved positions plus pins the previous solve did not
-	// contain.
-	if cap(sc.out) < len(apps) {
-		sc.out = make([]Allocation, roomFor(len(apps)))
-	}
-	out := sc.out[:len(apps)]
-	changed := sc.changed[:0]
+	// Measure the merged solution's cost slack for the drift bound, summed
+	// in input order, before anything is committed.
 	var chosenSum, minSum float64
-	coAllocated := 0
 	ri := 0
-	for i := range apps {
-		if inResolve[i] {
-			out[i] = solved[ri]
-			st := states[ri]
-			chosenSum += st.cands[st.chosen].cost
-			minSum += apps[i].Table.Facts().MinCost
-			changed = append(changed, i)
-			ri++
-		} else {
-			pin := pins[i]
-			out[i] = pin.alloc
-			chosenSum += pin.chosenCost
-			minSum += pin.minCost
-			if pin.seen != a.incSeq {
-				changed = append(changed, i)
-			}
-			pin.seen = a.incSeq + 1
+	for i, p := range src {
+		if p >= 0 {
+			chosenSum += pins.chosen[p]
+			minSum += pins.minCost[p]
+			continue
 		}
-		if out[i].CoAllocated {
-			coAllocated++
-		}
+		st := states[ri]
+		chosenSum += st.cands[st.chosen].cost
+		minSum += apps[i].Table.Facts().MinCost
+		ri++
 	}
-	sc.changed = changed[:0]
 	slack := (1 + chosenSum) / (1 + minSum)
-	if a.incHaveBase && slack > a.incDriftBound*a.incBaseSlack+1e-9 {
+	if slack > a.incDriftBound*a.incBaseSlack+1e-9 {
 		return nil, Stats{}, false, nil // drifted past the bound; full solve
 	}
 
-	a.incSeq++
+	// Commit: merge in input order (the CheckAllocations contract).
+	a.place(src, inPlace)
 	for ri, i := range resolveIdx {
 		st := states[ri]
-		a.setPin(&apps[i], solved[ri], st.cands[st.chosen].cost)
+		pins.set(i, &apps[i], solved[ri], st.cands[st.chosen].cost)
 	}
-	a.prunePins(apps)
 	a.incSinceFull++
-
-	return out, Stats{
+	coAllocated := 0
+	for _, c := range pins.coAlloc {
+		if c {
+			coAllocated++
+		}
+	}
+	return pins.alloc, Stats{
 		Apps:        len(apps),
 		Candidates:  cands,
 		LambdaIters: iters,
@@ -298,31 +365,27 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 		Source:      SourceIncremental,
 		Pinned:      len(apps) - len(resolveIdx),
 		Resolved:    len(resolveIdx),
-		Changed:     changed,
+		Changed:     resolveIdx,
 	}, true, nil
 }
 
-// rememberFullSolve re-pins every application at the full solve's (or cache
+// rememberFullSolve re-pins every position at the full solve's (or cache
 // hit's) allocations and re-anchors the drift baseline and the full-solve
 // cadence. A no-op unless incremental solving is enabled.
 func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation) {
 	if !a.inc || len(allocs) != len(apps) {
 		return
 	}
-	if a.incPins == nil {
-		a.incPins = make(map[string]*pinnedApp, len(apps))
-	}
-	a.incSeq++
+	pins := &a.pins
+	pins.resize(len(apps))
 	var chosenSum, minSum float64
 	for i := range apps {
 		cost := a.chosenCostOf(&apps[i], &allocs[i])
 		chosenSum += cost
-		minSum += a.setPin(&apps[i], allocs[i], cost).minCost
+		minSum += pins.set(i, &apps[i], allocs[i], cost)
 	}
-	a.prunePins(apps)
 	a.incSinceFull = 0
 	a.incBaseSlack = (1 + chosenSum) / (1 + minSum)
-	a.incHaveBase = true
 }
 
 // chosenCostOf recomputes an allocation's cost under the app's v* (0 for
@@ -336,47 +399,9 @@ func (a *Allocator) chosenCostOf(app *AppInput, al *Allocation) float64 {
 	return c
 }
 
-// setPin records one application's standing allocation as of the current
-// pin-epoch. The pin shares the allocation's grants with the caller's result
-// and, after a full solve, with the solution cache: all three treat a grant
-// list as immutable once built, so nothing is copied.
-func (a *Allocator) setPin(app *AppInput, al Allocation, chosenCost float64) *pinnedApp {
-	f := app.Table.Facts()
-	pin := a.incPins[app.ID]
-	if pin == nil {
-		pin = &pinnedApp{}
-		a.incPins[app.ID] = pin
-	}
-	pin.tableHi, pin.tableLo = f.Hi, f.Lo
-	pin.minCost = f.MinCost
-	pin.chosenCost = chosenCost
-	pin.alloc = al
-	pin.seen = a.incSeq
-	return pin
-}
-
-// prunePins drops pins for departed applications once the map outgrows the
-// live population — departed pins are unreachable (lookups go by current
-// input IDs), so this is memory hygiene under session churn, not
-// correctness.
-func (a *Allocator) prunePins(apps []AppInput) {
-	if len(a.incPins) <= 2*len(apps)+16 {
-		return
-	}
-	keep := make(map[string]bool, len(apps))
-	for i := range apps {
-		keep[apps[i].ID] = true
-	}
-	for id := range a.incPins {
-		if !keep[id] {
-			delete(a.incPins, id)
-		}
-	}
-}
-
 // IncrementalStats reports the incremental solver's bookkeeping: how many
 // merges have run since the last full solve and how many applications are
-// currently pinned.
+// pinned — the previous successful solve's population.
 func (a *Allocator) IncrementalStats() (sinceFull, pinned int) {
-	return a.incSinceFull, len(a.incPins)
+	return a.incSinceFull, len(a.pins.id)
 }

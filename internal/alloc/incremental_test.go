@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/opoint"
@@ -292,5 +293,51 @@ func TestIncrementalOffIsByteStable(t *testing.T) {
 	}
 	if since, pinned := a.IncrementalStats(); since != 0 || pinned != 0 {
 		t.Fatalf("incremental bookkeeping (%d, %d) active although the option is off", since, pinned)
+	}
+}
+
+// TestReadmissionIsResolved pins the re-admission rule: an application the
+// previous solve did not contain is re-solved when it returns, however many
+// other applications left while it was away. Pins keyed by ID used to keep
+// its old pin until enough unrelated departures pruned the map, so the same
+// return was pinned or re-solved depending on that count; both sides of the
+// old prune boundary (2n+16 pins) must now solve it alike.
+func TestReadmissionIsResolved(t *testing.T) {
+	p := incTestPlatform(t)
+	comeback := func(churn int) Stats {
+		a, err := New(p, WithIncremental(true), WithIncrementalCadence(1<<30), WithCache(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solve := func(inputs []AppInput) Stats {
+			t.Helper()
+			allocs, stats, err := a.AllocateWithStats(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStructurallyValid(t, p, inputs, allocs)
+			if _, pinned := a.IncrementalStats(); pinned != len(inputs) {
+				t.Fatalf("%d pins after a solve of %d inputs", pinned, len(inputs))
+			}
+			return stats
+		}
+		inputs := incTestInputs(t, p, 4)
+		solve(inputs)
+		away := inputs[1]
+		inputs = slices.Delete(inputs, 1, 2)
+		solve(inputs)
+		for k := 0; k < churn; k++ {
+			id := fmt.Sprintf("churn%02d", k)
+			inputs[len(inputs)-1] = AppInput{ID: id, Table: incTestTable(t, p, id, 1, 4)}
+			solve(inputs)
+		}
+		return solve(append(inputs, away))
+	}
+	few, many := comeback(2), comeback(30)
+	for _, st := range []Stats{few, many} {
+		if st.Source != SourceIncremental || st.Resolved != 1 || st.Pinned != 3 || !slices.Equal(st.Changed, []int{3}) {
+			t.Fatalf("returning application: source %q, resolved %d, pinned %d, changed %v; want it alone re-solved",
+				st.Source, st.Resolved, st.Pinned, st.Changed)
+		}
 	}
 }

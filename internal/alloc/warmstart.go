@@ -39,10 +39,7 @@ func (a *Allocator) warmLambda(nk int) []float64 {
 
 // rememberLambda retains a solve's final λ for the next warm start.
 func (a *Allocator) rememberLambda(lambda []float64) {
-	if cap(a.prevLambda) < len(lambda) {
-		a.prevLambda = make([]float64, len(lambda))
-	}
-	a.prevLambda = a.prevLambda[:len(lambda)]
+	a.prevLambda = resize(a.prevLambda, len(lambda))
 	copy(a.prevLambda, lambda)
 	a.havePrev = true
 }

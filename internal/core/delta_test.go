@@ -143,7 +143,8 @@ func (h *deltaHarness) checkAgainstSolution(step int, rung string) {
 			continue
 		}
 		al, ok := byID[s.instance]
-		if !ok || s.inputIdx < 0 || h.rec.inputs[s.inputIdx].ID != s.instance {
+		pos := h.m.inputPos(s)
+		if !ok || pos < 0 || h.rec.inputs[pos].ID != s.instance {
 			h.t.Fatalf("step %d (%s): %s missing from the recorded solve", step, rung, s.instance)
 		}
 		d := s.last
@@ -159,7 +160,7 @@ func (h *deltaHarness) checkAgainstSolution(step int, rung string) {
 		if s.coAllocated != al.CoAllocated {
 			h.t.Fatalf("step %d (%s): %s co-allocation flag %v, solver said %v", step, rung, s.instance, s.coAllocated, al.CoAllocated)
 		}
-		inputs = append(inputs, h.rec.inputs[s.inputIdx])
+		inputs = append(inputs, h.rec.inputs[pos])
 		standing = append(standing, alloc.Allocation{ID: s.instance, Point: al.Point, Grants: d.Grants, CoAllocated: d.CoAllocated})
 	}
 	if err := check.CheckAllocations(h.p, inputs, standing); err != nil {

@@ -6,11 +6,14 @@ package core
 // Three pieces of standing state make that possible:
 //
 //   - The solve input set (Manager.inputs, one position per non-quarantined
-//     session in registration order) is kept between epochs. The operations
-//     that change it — Register, Deregister, a quarantine or readmission, a
-//     table upload, a committed exploration point — mark it stale, and the
-//     next epoch refreshes it in place; an epoch that follows a phase change
-//     or a cadence trigger reuses it untouched.
+//     session in registration order) is kept between epochs, and the next
+//     epoch applies what changed to it: a registration appends a position at
+//     the tail, a deregistration removes its position, and a table upload or
+//     a committed exploration point that changed an application's predicted
+//     table refreshes the tables. Only a quarantine or readmission, an
+//     insert or removal mid-order, rebuilds the set from Manager.order. An
+//     epoch that follows a phase change or a cadence trigger reuses the set
+//     untouched, and none dereferences the sessions it did not change.
 //   - The solver says what moved (alloc.Stats.Changed): the positions whose
 //     allocation may differ from its previous answer. The push walk visits
 //     those plus the Manager's own dirty list — sessions whose standing
@@ -34,6 +37,7 @@ package core
 // even if that decision is "hold what stands".
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -112,17 +116,62 @@ func (m *Manager) reallocate(trigger string) {
 	m.recordEpoch(trigger, sr.stats.LambdaIters, sr.stats.Source)
 }
 
+// inputPos is what the Manager keeps per solve input position besides the
+// solver's input: the session, its registration number (ascending along the
+// set, so a position is found by binary search) and its application's
+// explorer (the source of the position's table).
+type inputPos struct {
+	s   *session
+	ord uint64
+	exp *explore.Explorer
+}
+
+// inputEdits are the changes to the solve input set that the next epoch
+// applies (a registration appends its position at once).
+type inputEdits struct {
+	// rebuild redoes the set from Manager.order; the other edits are then
+	// moot.
+	rebuild bool
+	// gone lists the positions of deregistered sessions.
+	gone []int
+	// retable marks an application's predicted table changed.
+	retable bool
+}
+
+// appendInput gives a registered session the tail position of the solve
+// input set.
+func (m *Manager) appendInput(s *session) {
+	m.inputs = append(m.inputs, alloc.AppInput{ID: s.instance, Table: s.explorer.PredictedTable()})
+	m.inputAt = append(m.inputAt, inputPos{s: s, ord: s.ord, exp: s.explorer})
+}
+
 // syncInputs brings the solve input set up to date: every non-quarantined
 // session in registration order, with the table its application currently
-// predicts. A no-op unless a mutation marked the set stale; otherwise one
-// pass over the solve order that refills the retained slices in place.
+// predicts. It applies the edits made since the last epoch in place —
+// removing the departed positions one copy per run, refreshing the tables
+// that moved — and rebuilds the set from Manager.order only after a
+// quarantine or readmission.
 func (m *Manager) syncInputs() {
-	if !m.inputsStale {
-		return
+	ed := &m.edits
+	if ed.rebuild {
+		m.rebuildInputs()
+	} else {
+		m.dropGone(ed.gone)
+		if ed.retable {
+			for i := range m.inputs {
+				if t := m.inputAt[i].exp.PredictedTable(); t != m.inputs[i].Table {
+					m.inputs[i].Table = t
+				}
+			}
+		}
 	}
-	m.inputsStale = false
+	*ed = inputEdits{gone: ed.gone[:0]}
+}
+
+// rebuildInputs refills the solve input set from Manager.order.
+func (m *Manager) rebuildInputs() {
 	was := len(m.inputs)
-	inputs, sess := m.inputs[:0], m.inputSess[:0]
+	inputs, at := m.inputs[:0], m.inputAt[:0]
 	for _, s := range m.order {
 		if s == nil {
 			continue // tombstoned order slot (orderRemove)
@@ -131,19 +180,51 @@ func (m *Manager) syncInputs() {
 			// Quarantined sessions are excluded from the solve: their cores
 			// shrink to zero (a parked decision) and the survivors absorb
 			// the capacity.
-			s.inputIdx = -1
 			continue
 		}
-		s.inputIdx = len(inputs)
 		inputs = append(inputs, alloc.AppInput{ID: s.instance, Table: s.explorer.PredictedTable()})
-		sess = append(sess, s)
+		at = append(at, inputPos{s: s, ord: s.ord, exp: s.explorer})
 	}
 	if len(inputs) < was {
 		// Same backing array, shorter set: drop the tail's references.
 		clear(m.inputs[len(inputs):was])
-		clear(m.inputSess[len(sess):was])
+		clear(m.inputAt[len(at):was])
 	}
-	m.inputs, m.inputSess = inputs, sess
+	m.inputs, m.inputAt = inputs, at
+}
+
+// dropGone removes the given positions from the solve input set, moving
+// each run of survivors down in one copy.
+func (m *Manager) dropGone(gone []int) {
+	if len(gone) == 0 {
+		return
+	}
+	slices.Sort(gone)
+	n := len(m.inputs)
+	w := gone[0]
+	for k, g := range gone {
+		end := n
+		if k+1 < len(gone) {
+			end = gone[k+1]
+		}
+		copy(m.inputAt[w:], m.inputAt[g+1:end])
+		w += copy(m.inputs[w:], m.inputs[g+1:end])
+	}
+	clear(m.inputs[w:n])
+	clear(m.inputAt[w:n])
+	m.inputs, m.inputAt = m.inputs[:w], m.inputAt[:w]
+}
+
+// inputPos returns the session's position in the solve input set as of its
+// last update, or -1 when the set does not hold it.
+func (m *Manager) inputPos(s *session) int {
+	i, ok := slices.BinarySearchFunc(m.inputAt, s.ord, func(p inputPos, ord uint64) int {
+		return cmp.Compare(p.ord, ord)
+	})
+	if ok && m.inputAt[i].s == s {
+		return i
+	}
+	return -1
 }
 
 // markDirty lists a session for the next push walk regardless of the
@@ -266,8 +347,8 @@ func (m *Manager) checkResult(allocs []alloc.Allocation, changed []int, delta bo
 		}
 	}
 	for _, s := range m.dirty {
-		if !s.gone && s.inputIdx >= 0 {
-			if err := misplaced(s.inputIdx); err != nil {
+		if i := m.inputPos(s); i >= 0 {
+			if err := misplaced(i); err != nil {
 				return err
 			}
 		}
@@ -307,7 +388,7 @@ func (m *Manager) runAllocator(a Allocator, inputs []alloc.AppInput) (allocs []a
 func (m *Manager) quarantinePanicking() {
 	for i := range m.inputs {
 		if _, _, pv, _ := m.runAllocator(m.allocator, m.inputs[i:i+1:i+1]); pv != nil {
-			m.quarantineForPanic(m.inputSess[i], pv)
+			m.quarantineForPanic(m.inputAt[i].s, pv)
 		}
 	}
 	m.syncInputs()
@@ -381,15 +462,31 @@ func (m *Manager) pushEpoch(sr *solveResult) {
 	w := pushWalk{allocs: sr.allocs, stale: sr.stale}
 	full := !sr.primary || !m.deltaOK || sr.stats.Changed == nil
 	visit := m.order
-	if !full {
+	if full {
+		// Both lists run in registration order: one cursor finds every
+		// session's position.
+		i := 0
+		for _, s := range visit {
+			if s == nil {
+				continue
+			}
+			s.inputIdx = -1
+			if i < len(m.inputAt) && m.inputAt[i].s == s {
+				s.inputIdx = i
+				i++
+			}
+		}
+	} else {
 		visit = m.visit[:0]
 		for _, i := range sr.stats.Changed {
-			if s := m.inputSess[i]; !s.dirty { // dirty sessions join below
+			if s := m.inputAt[i].s; !s.dirty { // dirty sessions join below
+				s.inputIdx = i
 				visit = append(visit, s)
 			}
 		}
 		for _, s := range m.dirty {
 			if !s.gone {
+				s.inputIdx = m.inputPos(s)
 				visit = append(visit, s)
 			}
 		}

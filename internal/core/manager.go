@@ -239,12 +239,15 @@ type session struct {
 	liveness           Liveness
 
 	// Epoch-pipeline bookkeeping (epoch.go). slot is the session's index in
-	// Manager.order; inputIdx its position in the solve input set, valid
-	// while the set is not stale (-1 while quarantined). dirty marks a
-	// session listed in Manager.dirty: the next push walk must visit it even
-	// if the solver reports its allocation unchanged. gone marks a
-	// deregistered session that a work list may still reference.
+	// Manager.order; ord its registration number, which only grows along
+	// Manager.order and never changes; inputIdx its position in the solve
+	// input set, set by the push walk that visits it (-1 while
+	// quarantined). dirty marks a session listed in Manager.dirty: the next
+	// push walk must visit it even if the solver reports its allocation
+	// unchanged. gone marks a deregistered session that a work list may
+	// still reference.
 	slot     int
+	ord      uint64
 	inputIdx int
 	dirty    bool
 	gone     bool
@@ -270,20 +273,22 @@ type Manager struct {
 	// its slot; orderDead counts tombstones.
 	order     []*session
 	orderDead int
+	nextOrd   uint64
 	seq       int
 	onDecide  []func(Decision)
 
 	// The epoch pipeline's standing state (epoch.go): the solve input set in
-	// solve order with the session behind each position, the sessions the
-	// next push walk must visit whatever the solver's delta says, and whether
-	// that delta may be trusted at all.
-	inputs      []alloc.AppInput
-	inputSess   []*session
-	inputsStale bool
-	dirty       []*session
-	deltaOK     bool
-	visit       []*session // push-walk scratch
-	usedCores   []bool     // exploration-pool scratch
+	// solve order with what the Manager keeps per position, the edits made
+	// to it since the last epoch, the sessions the next push walk must visit
+	// whatever the solver's delta says, and whether that delta may be
+	// trusted at all.
+	inputs    []alloc.AppInput
+	inputAt   []inputPos
+	edits     inputEdits
+	dirty     []*session
+	deltaOK   bool
+	visit     []*session // push-walk scratch
+	usedCores []bool     // exploration-pool scratch
 
 	// Aggregates over the standing decisions, maintained where a decision
 	// changes (setStanding) and where liveness changes, so neither the epoch
@@ -476,7 +481,7 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 	m.sessions[instance] = s
 	m.orderAdd(s)
 	m.markDirty(s) // no standing decision yet: the next walk must reach it
-	m.inputsStale = true
+	m.appendInput(s)
 	m.cfg.Tracer.Emit(telemetry.Event{
 		Kind:     telemetry.EvSessionRegistered,
 		Instance: instance,
@@ -508,6 +513,8 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 // orderAdd appends a session to the deterministic solve order.
 func (m *Manager) orderAdd(s *session) {
 	s.slot = len(m.order)
+	s.ord = m.nextOrd
+	m.nextOrd++
 	m.order = append(m.order, s)
 }
 
@@ -545,8 +552,9 @@ func (m *Manager) UploadTable(instance string, t *opoint.Table) error {
 	if err := t.Validate(m.cfg.Platform); err != nil {
 		return err
 	}
-	s.explorer.SeedTable(t)
-	m.inputsStale = true // every session of the application solves against a new table
+	if s.explorer.SeedTable(t) {
+		m.edits.retable = true // every session of the application solves against a new table
+	}
 	m.epochAfter("table-upload")
 	m.appendRecord(store.Record{Kind: store.RecTable, Instance: instance, App: s.app, Table: t})
 	return nil
@@ -574,6 +582,9 @@ func (m *Manager) deregister(instance, trigger string, kind telemetry.EventKind)
 	if err != nil {
 		return err
 	}
+	if i := m.inputPos(s); i >= 0 {
+		m.edits.gone = append(m.edits.gone, i)
+	}
 	delete(m.sessions, instance)
 	m.orderRemove(s)
 	m.setStanding(s, nil)
@@ -581,7 +592,6 @@ func (m *Manager) deregister(instance, trigger string, kind telemetry.EventKind)
 		m.liveChanged(-1)
 	}
 	s.gone = true
-	m.inputsStale = true
 	m.ended.add(instance)
 	m.cfg.Energy.EndSession(instance)
 	m.cfg.Tracer.Emit(telemetry.Event{
@@ -681,7 +691,7 @@ func (m *Manager) setLiveness(s *session, l Liveness) {
 		m.liveChanged(+1)
 	}
 	if (old == LivenessQuarantined) != (l == LivenessQuarantined) {
-		m.inputsStale = true
+		m.edits.rebuild = true // a mid-order removal or insert
 		m.markDirty(s)
 	}
 }
@@ -750,7 +760,7 @@ func (m *Manager) Measure(instance string, utility, power float64) error {
 		if !done {
 			return nil
 		}
-		m.inputsStale = true // the committed point changes the application's table
+		m.edits.retable = true // the committed point changes the application's table
 		if s.explorer.Stage() == explore.StageStable {
 			// Graduation: pick the cost-optimal allocation system-wide.
 			m.reallocate("graduation")

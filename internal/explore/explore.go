@@ -110,8 +110,9 @@ type Explorer struct {
 	// predTable memoises PredictedTable until the explorer's own table
 	// changes: between new measurements the models, and hence the
 	// predictions, are unchanged, so the allocator can reuse the same table
-	// (and its memoised facts) across reallocations. SeedTable and a
-	// committed Record — the only writers of the table — reset it to nil.
+	// (and its memoised facts) across reallocations. A SeedTable that changed
+	// the table and a committed Record — the only writers of the table —
+	// reset it to nil.
 	predTable *opoint.Table
 }
 
@@ -133,10 +134,15 @@ func New(plat *platform.Platform, app string, cfg Config) *Explorer {
 }
 
 // SeedTable merges offline-generated operating points (e.g. from a
-// description file) into the explorer's table as measured points.
-func (e *Explorer) SeedTable(t *opoint.Table) {
-	e.table.UpsertAll(t.Points, true)
+// description file) into the explorer's table as measured points, and
+// reports whether the table changed. An identical re-upload changes nothing:
+// PredictedTable keeps returning the same table.
+func (e *Explorer) SeedTable(t *opoint.Table) bool {
+	if !e.table.UpsertAll(t.Points, true) {
+		return false
+	}
 	e.predTable = nil
+	return true
 }
 
 // Table returns the live operating-point table (measured points only).

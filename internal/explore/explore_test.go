@@ -354,6 +354,44 @@ func TestRefinementTargetsNegativePredictions(t *testing.T) {
 	}
 }
 
+// An identical re-upload — every arrival of an application re-sends its
+// description — changes nothing, so it keeps the predicted table and the
+// table's memoised facts; a changed upload replaces both.
+func TestIdenticalUploadKeepsPredictedTable(t *testing.T) {
+	plat := platform.RaptorLake()
+	vectors := platform.EnumerateVectors(plat, 0)
+	upload := func(utility float64) *opoint.Table {
+		tbl := &opoint.Table{App: "x", Platform: plat.Name}
+		for i, rv := range vectors[:5] {
+			tbl.Upsert(opoint.OperatingPoint{Vector: rv, Utility: utility + float64(i), Power: 2 + float64(i)})
+		}
+		return tbl
+	}
+	e := New(plat, "x", Config{})
+	if !e.SeedTable(upload(3)) {
+		t.Fatal("the first upload reported no change")
+	}
+	first := e.PredictedTable()
+	facts := e.Table().Facts()
+
+	if e.SeedTable(upload(3)) {
+		t.Fatal("an identical re-upload reported a change")
+	}
+	if e.PredictedTable() != first {
+		t.Fatal("an identical re-upload replaced the predicted table")
+	}
+	if e.Table().Facts() != facts {
+		t.Fatal("an identical re-upload dropped the table's facts")
+	}
+
+	if !e.SeedTable(upload(4)) {
+		t.Fatal("a changed upload reported no change")
+	}
+	if changed := e.PredictedTable(); changed == first || changed.Facts().Hi == first.Facts().Hi {
+		t.Fatalf("after a changed upload: same table %v; want a fresh table with new content", changed == first)
+	}
+}
+
 // SeedTable merges an upload in one pass that tries each point's own index
 // first; the table it leaves must be exactly the one a per-point Upsert loop
 // leaves — same points, same order — whether the upload repeats the table's

@@ -207,35 +207,51 @@ func (t *Table) Upsert(op OperatingPoint) {
 }
 
 // UpsertAll upserts every point of ops in order, marking each measured when
-// measured is set, and invalidates the table once. On a table whose vectors
-// are distinct — which Upsert and UpsertAll keep them — the result equals
-// an Upsert loop. It is built for re-uploads: a description arrives in its
-// own enumeration order, so each point is first tried against the slot at
-// its own index, and merging a table into one holding the same vectors costs
-// O(n) comparisons instead of O(n²).
-func (t *Table) UpsertAll(ops []OperatingPoint, measured bool) {
-	defer t.Invalidate()
+// measured is set, and reports whether any point of the table changed. On a
+// table whose vectors are distinct — which Upsert and UpsertAll keep them —
+// the result equals an Upsert loop. It is built for re-uploads: a
+// description arrives in its own enumeration order, so each point is first
+// tried against the slot at its own index, and merging a table into one
+// holding the same vectors costs O(n) comparisons instead of O(n²). An
+// upload that changes nothing leaves the table — and its memoised facts —
+// as it was.
+func (t *Table) UpsertAll(ops []OperatingPoint, measured bool) (changed bool) {
 	for i, op := range ops {
 		op.Measured = op.Measured || measured
-		t.upsert(op, i)
+		if t.upsert(op, i) {
+			changed = true
+		}
 	}
+	if changed {
+		t.Invalidate()
+	}
+	return changed
 }
 
 // upsert is Upsert without the invalidation, trying index hint before the
-// scan (hint < 0: no hint). With distinct vectors a hit there is the only
-// match, so the hint never changes the outcome.
-func (t *Table) upsert(op OperatingPoint, hint int) {
-	if hint >= 0 && hint < len(t.Points) && t.Points[hint].Vector.Equal(op.Vector) {
-		t.Points[hint] = op
-		return
-	}
-	for i := range t.Points {
-		if t.Points[i].Vector.Equal(op.Vector) {
-			t.Points[i] = op
-			return
+// scan (hint < 0: no hint), and reports whether the table changed. With
+// distinct vectors a hit there is the only match, so the hint never changes
+// the outcome.
+func (t *Table) upsert(op OperatingPoint, hint int) bool {
+	i := hint
+	if i < 0 || i >= len(t.Points) || !t.Points[i].Vector.Equal(op.Vector) {
+		i = -1
+		for j := range t.Points {
+			if t.Points[j].Vector.Equal(op.Vector) {
+				i = j
+				break
+			}
 		}
 	}
-	t.Points = append(t.Points, op)
+	if i < 0 {
+		t.Points = append(t.Points, op)
+		return true
+	}
+	if old := &t.Points[i]; old.Utility == op.Utility && old.Power == op.Power && old.Measured == op.Measured && old.Samples == op.Samples {
+		return false // same vector, same values: nothing to write
+	}
+	t.Points[i] = op
+	return true
 }
 
 // MeasuredCount returns the number of measured (not predicted) points.
