@@ -40,13 +40,15 @@ race:
 # invariants runs the correctness harness (see CORRECTNESS.md): the exact
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
 # the incremental solver's delta contract and its positional pins against
-# the map-keyed reference merge, and the full-run invariant suites
-# over simulated chaos runs and random Manager operation sequences. Failures
+# the map-keyed reference merge, the full-run invariant suites
+# over simulated chaos runs and random Manager operation sequences, and the
+# pinned decision-journal digests of the paper's Fig. 6 scenarios and of the
+# simulated fleet. Failures
 # print a shrunk counterexample and a one-line repro; set HARP_CHECK_ARTIFACTS
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestPositionalPinsMatchMapPins' \
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestPositionalPinsMatchMapPins|TestPaperJournalDigests|TestClusterJournalDigests' \
 		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/
 
 # invariants-long is the nightly sweep: the same harness over an order of

@@ -31,8 +31,8 @@
 //
 // The daemon always keeps a ring buffer of adaptation-loop events (harpctl
 // trace) and a metrics registry. -telemetry additionally serves them over
-// HTTP: /metrics (Prometheus text format), /debug/vars (expvar) and
-// /debug/pprof/ (runtime profiles). -journal appends one JSONL record per
+// HTTP: /metrics (Prometheus text format), /debug/vars (the Go runtime's
+// expvar memstats) and /debug/pprof/ (runtime profiles). -journal appends one JSONL record per
 // decision epoch to the given file.
 //
 // Without a real perf/RAPL sampler (not available in this repository's
@@ -207,10 +207,10 @@ func livenessPolicy(enabled bool, suspect, quarantine, reap time.Duration) (core
 	return p, nil
 }
 
-// telemetryMux serves the observability endpoints: Prometheus text,
-// expvar, the health surface, and the standard pprof profiles.
+// telemetryMux serves the observability endpoints: Prometheus text, the
+// runtime's expvar memstats, the health surface, and the standard pprof
+// profiles.
 func telemetryMux(reg *telemetry.Registry, srv *harp.Server) *http.ServeMux {
-	reg.PublishExpvar("harp")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -281,8 +281,8 @@ func TestTelemetryMuxEndpoints(t *testing.T) {
 		!strings.Contains(body, "# TYPE harp_decisions_total counter") {
 		t.Errorf("/metrics incomplete:\n%s", body)
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, "harp") {
-		t.Errorf("/debug/vars missing registry:\n%s", body)
+	if body := get("/debug/vars"); !strings.Contains(body, `"memstats"`) {
+		t.Errorf("/debug/vars missing memstats:\n%s", body)
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ index incomplete:\n%s", body)

@@ -26,7 +26,6 @@ func TestChaosLiveSockets(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		Platform:           platform.RaptorLake(),
 		DisableExploration: true,
-		MeasureEvery:       10 * time.Millisecond,
 		WriteTimeout:       200 * time.Millisecond,
 		Metrics:            mt,
 		Liveness: core.LivenessPolicy{
@@ -38,6 +37,7 @@ func TestChaosLiveSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.measureEvery = 10 * time.Millisecond
 	sock := filepath.Join(t.TempDir(), "harp.sock")
 	ln, err := net.Listen("unix", sock)
 	if err != nil {

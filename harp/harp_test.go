@@ -25,8 +25,14 @@ func (s fixedSampler) Sample(int) (float64, float64, error) {
 	return s.utility, s.power, nil
 }
 
+// measureEvery shortens a test server's monitoring cadence; startServer
+// applies it before Serve starts the measure loop.
+func measureEvery(d time.Duration) func(*Server) {
+	return func(s *Server) { s.measureEvery = d }
+}
+
 // startServer spins up a server on a temp socket and returns its path.
-func startServer(t *testing.T, cfg ServerConfig) (*Server, string) {
+func startServer(t *testing.T, cfg ServerConfig, setup ...func(*Server)) (*Server, string) {
 	t.Helper()
 	if cfg.Platform == nil {
 		cfg.Platform = platform.RaptorLake()
@@ -34,6 +40,9 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
+	}
+	for _, f := range setup {
+		f(srv)
 	}
 	sock := filepath.Join(t.TempDir(), "harp.sock")
 	errc := make(chan error, 1)
@@ -65,8 +74,15 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 
 func offlineDescription(t *testing.T, plat *platform.Platform, prof *workload.Profile) []byte {
 	t.Helper()
+	return description(t, plat, prof, 2)
+}
+
+// description is a description file over every configuration with at most
+// maxCoresPerKind cores of each kind (≤ 0: the whole configuration space).
+func description(t *testing.T, plat *platform.Platform, prof *workload.Profile, maxCoresPerKind int) []byte {
+	t.Helper()
 	tbl := &opoint.Table{App: prof.Name, Platform: plat.Name}
-	for _, rv := range platform.EnumerateVectors(plat, 2) {
+	for _, rv := range platform.EnumerateVectors(plat, maxCoresPerKind) {
 		ev := workload.EvaluateVector(plat, prof, rv)
 		tbl.Upsert(opoint.OperatingPoint{Vector: rv, Utility: ev.Utility, Power: ev.PowerWatts})
 	}
@@ -321,9 +337,8 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 
 func TestReportUtility(t *testing.T) {
 	srv, sock := startServer(t, ServerConfig{
-		Sampler:      fixedSampler{utility: 0, power: 30},
-		MeasureEvery: 10 * time.Millisecond,
-	})
+		Sampler: fixedSampler{utility: 0, power: 30},
+	}, measureEvery(10*time.Millisecond))
 	client, err := Dial(sock, Registration{App: "tf", PID: 4, Adaptivity: Scalable, OwnUtility: true})
 	if err != nil {
 		t.Fatal(err)
@@ -367,9 +382,8 @@ func TestUtilityRequestPoll(t *testing.T) {
 	// An own-utility session that never pushes gets polled by the RM; the
 	// client answers via the OnUtilityRequest callback.
 	_, sock := startServer(t, ServerConfig{
-		Sampler:      fixedSampler{utility: 0, power: 25},
-		MeasureEvery: 10 * time.Millisecond,
-	})
+		Sampler: fixedSampler{utility: 0, power: 25},
+	}, measureEvery(10*time.Millisecond))
 	var polls int32
 	client, err := Dial(sock, Registration{
 		App:        "poll-me",

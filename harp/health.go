@@ -86,13 +86,13 @@ func (s *Server) Health() HealthReport {
 	}
 
 	if mt := s.cfg.Metrics; mt != nil {
-		cadence := s.cfg.MeasureEvery.Seconds()
+		cadence := s.measureEvery.Seconds()
 		p99 := mt.MeasureJitter.Quantile(0.99)
 		switch {
-		case cadence > 0 && p99 > cadence:
+		case p99 > cadence:
 			add("measure-jitter", HealthUnhealthy,
 				fmt.Sprintf("p99 %.1fms exceeds the %.0fms cadence", p99*1e3, cadence*1e3))
-		case cadence > 0 && p99 > cadence/2:
+		case p99 > cadence/2:
 			add("measure-jitter", HealthDegraded,
 				fmt.Sprintf("p99 %.1fms exceeds half the %.0fms cadence", p99*1e3, cadence*1e3))
 		default:

@@ -45,14 +45,13 @@ func rawRegister(t *testing.T, sock, app string, pid int) net.Conn {
 func TestReaperCollectsSilentClient(t *testing.T) {
 	mt := telemetry.NewMetrics(telemetry.NewRegistry())
 	srv, sock := startServer(t, ServerConfig{
-		MeasureEvery: 10 * time.Millisecond,
-		Metrics:      mt,
+		Metrics: mt,
 		Liveness: core.LivenessPolicy{
 			SuspectAfter:    30 * time.Millisecond,
 			QuarantineAfter: 60 * time.Millisecond,
 			ReapAfter:       300 * time.Millisecond,
 		},
-	})
+	}, measureEvery(10*time.Millisecond))
 	conn := rawRegister(t, sock, "silent", 100)
 	defer conn.Close() // stays open for the whole test: EOF never fires
 
@@ -82,14 +81,13 @@ func TestReaperCollectsSilentClient(t *testing.T) {
 func TestIdleClientSurvivesViaHeartbeat(t *testing.T) {
 	mt := telemetry.NewMetrics(telemetry.NewRegistry())
 	srv, sock := startServer(t, ServerConfig{
-		MeasureEvery: 10 * time.Millisecond,
-		Metrics:      mt,
+		Metrics: mt,
 		Liveness: core.LivenessPolicy{
 			SuspectAfter:    50 * time.Millisecond,
 			QuarantineAfter: 300 * time.Millisecond,
 			ReapAfter:       time.Second,
 		},
-	})
+	}, measureEvery(10*time.Millisecond))
 	client, err := Dial(sock, Registration{App: "idle", PID: 101, Adaptivity: Static})
 	if err != nil {
 		t.Fatal(err)

@@ -11,16 +11,12 @@ import (
 	"time"
 
 	"github.com/harp-rm/harp/internal/core"
-	"github.com/harp-rm/harp/internal/explore"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/proto"
 	"github.com/harp-rm/harp/internal/store"
 	"github.com/harp-rm/harp/internal/telemetry"
 )
-
-// DefaultMeasureEvery is the monitoring cadence (§5.3: 50 ms).
-const DefaultMeasureEvery = 50 * time.Millisecond
 
 // DefaultWriteTimeout bounds one framed write to a session connection, so a
 // stuck client cannot wedge the decision-push path.
@@ -58,10 +54,6 @@ type ServerConfig struct {
 	// drives learning (power-less sessions never leave the initial stage,
 	// so offline tables become the only knowledge source).
 	Sampler Sampler
-	// MeasureEvery overrides the monitoring cadence (0 = 50 ms).
-	MeasureEvery time.Duration
-	// Explore tunes the runtime exploration engine.
-	Explore explore.Config
 	// Tracer receives structured adaptation-loop events (nil disables
 	// tracing). Timestamps are wall time since server creation.
 	Tracer *telemetry.Tracer
@@ -159,6 +151,9 @@ func (sess *serverSession) alive(now time.Time) {
 type Server struct {
 	cfg   ServerConfig
 	start time.Time
+	// measureEvery is the monitoring cadence, core.AdaptationTick (§5.3);
+	// tests shorten it before Serve.
+	measureEvery time.Duration
 
 	mu       sync.Mutex
 	mgr      *core.Manager
@@ -179,9 +174,6 @@ type Server struct {
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Platform == nil {
 		return nil, errors.New("harp: server config without platform")
-	}
-	if cfg.MeasureEvery == 0 {
-		cfg.MeasureEvery = DefaultMeasureEvery
 	}
 	if err := cfg.Liveness.Validate(); err != nil {
 		return nil, err
@@ -211,7 +203,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	mgr, st, err := core.OpenManager(core.Config{
 		Platform:           cfg.Platform,
 		Allocator:          cfg.Allocator,
-		Explore:            cfg.Explore,
 		OfflineTables:      offline,
 		DisableExploration: cfg.DisableExploration,
 		Tracer:             cfg.Tracer,
@@ -227,14 +218,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		start:    start,
-		mgr:      mgr,
-		sessions: make(map[string]*serverSession),
-		store:    st,
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		cfg:          cfg,
+		start:        start,
+		measureEvery: core.AdaptationTick,
+		mgr:          mgr,
+		sessions:     make(map[string]*serverSession),
+		store:        st,
+		conns:        make(map[net.Conn]struct{}),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	mgr.OnDecision(s.pushDecision)
 	return s, nil
@@ -405,7 +397,7 @@ func (s *Server) EnergyTotals() telemetry.EnergyTotals { return s.cfg.Energy.Tot
 // liveness sweep when a policy is configured.
 func (s *Server) measureLoop() {
 	defer close(s.done)
-	ticker := time.NewTicker(s.cfg.MeasureEvery)
+	ticker := time.NewTicker(s.measureEvery)
 	defer ticker.Stop()
 	last := time.Now()
 	for {
@@ -413,7 +405,7 @@ func (s *Server) measureLoop() {
 		case <-ticker.C:
 			if mt := s.cfg.Metrics; mt != nil {
 				now := time.Now()
-				jitter := now.Sub(last) - s.cfg.MeasureEvery
+				jitter := now.Sub(last) - s.measureEvery
 				if jitter < 0 {
 					jitter = -jitter
 				}
@@ -454,7 +446,7 @@ func (s *Server) measureOnce() {
 					have = true
 				}
 			}
-			stale := !sess.hasUtility || now.Sub(sess.lastReport) > 4*s.cfg.MeasureEvery
+			stale := !sess.hasUtility || now.Sub(sess.lastReport) > 4*s.measureEvery
 			if stale && sess.ready {
 				// Periodically request the current utility from libharp
 				// (§4.1.1 step 4) when the application has not pushed one

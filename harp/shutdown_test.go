@@ -74,13 +74,13 @@ func TestDoubleCloseIdempotent(t *testing.T) {
 func TestCloseUnderChurn(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		srv, err := NewServer(ServerConfig{
-			Platform:     platform.RaptorLake(),
-			Sampler:      fixedSampler{utility: 90, power: 25},
-			MeasureEvery: time.Millisecond, // hammer the measure loop
+			Platform: platform.RaptorLake(),
+			Sampler:  fixedSampler{utility: 90, power: 25},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv.measureEvery = time.Millisecond // hammer the measure loop
 		sock := filepath.Join(t.TempDir(), fmt.Sprintf("churn%d.sock", round))
 		errc := make(chan error, 1)
 		go func() { errc <- srv.ListenAndServe(sock) }()

@@ -16,9 +16,8 @@ import (
 // session's joules are joined onto its row.
 func TestStatusOfLiveServer(t *testing.T) {
 	srv, sock := startServer(t, ServerConfig{
-		Sampler:      fixedSampler{utility: 80, power: 20},
-		MeasureEvery: 10 * time.Millisecond,
-		Energy:       telemetry.NewEnergyLedger(),
+		Sampler: fixedSampler{utility: 80, power: 20},
+		Energy:  telemetry.NewEnergyLedger(),
 		// A suspect session is pinged every sweep until QuarantineAfter; the
 		// wide window lets the live client's pong land even under -race.
 		Liveness: core.LivenessPolicy{
@@ -26,7 +25,7 @@ func TestStatusOfLiveServer(t *testing.T) {
 			QuarantineAfter: 500 * time.Millisecond,
 			ReapAfter:       time.Minute,
 		},
-	})
+	}, measureEvery(10*time.Millisecond))
 	client, err := Dial(sock, Registration{App: "alive", PID: 1, Adaptivity: Static})
 	if err != nil {
 		t.Fatal(err)

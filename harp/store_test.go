@@ -64,12 +64,13 @@ func TestServerWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := offlineDescription(t, plat, prof)
+	// The whole configuration space: the upload alone graduates the session
+	// to the stable stage.
+	desc := description(t, plat, prof, 0)
 
 	srv1, sock1 := startServer(t, ServerConfig{
 		Platform: plat,
 		StateDir: stateDir,
-		Explore:  explore.Config{MeasurementsPerPoint: 1, StableAfter: 5},
 	})
 	if got := srv1.Generation(); got != 1 {
 		t.Fatalf("first generation = %d, want 1", got)
@@ -95,7 +96,6 @@ func TestServerWarmRestart(t *testing.T) {
 	srv2, sock2 := startServer(t, ServerConfig{
 		Platform: plat,
 		StateDir: stateDir,
-		Explore:  explore.Config{MeasurementsPerPoint: 1, StableAfter: 5},
 	})
 	if got := srv2.Generation(); got != 2 {
 		t.Fatalf("second generation = %d, want 2", got)
@@ -220,10 +220,9 @@ func TestServerCloseSnapshotAfterLastEpoch(t *testing.T) {
 func TestServerCloseRacesInFlightMeasure(t *testing.T) {
 	stateDir := filepath.Join(t.TempDir(), "state")
 	srv, sock := startServer(t, ServerConfig{
-		StateDir:     stateDir,
-		Sampler:      fixedSampler{utility: 80, power: 20},
-		MeasureEvery: time.Millisecond,
-	})
+		StateDir: stateDir,
+		Sampler:  fixedSampler{utility: 80, power: 20},
+	}, measureEvery(time.Millisecond))
 	c, err := Dial(sock, Registration{App: "racer", PID: 5, Adaptivity: Scalable, OwnUtility: true})
 	if err != nil {
 		t.Fatal(err)
@@ -273,11 +272,10 @@ func TestServerEnergySurvivesRestart(t *testing.T) {
 
 	led1 := telemetry.NewEnergyLedger()
 	srv1, sock1 := startServer(t, ServerConfig{
-		StateDir:     stateDir,
-		Sampler:      sampler,
-		MeasureEvery: time.Millisecond,
-		Energy:       led1,
-	})
+		StateDir: stateDir,
+		Sampler:  sampler,
+		Energy:   led1,
+	}, measureEvery(time.Millisecond))
 	c1, err := Dial(sock1, Registration{App: "joule", PID: 11, Adaptivity: Scalable})
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +304,10 @@ func TestServerEnergySurvivesRestart(t *testing.T) {
 
 	led2 := telemetry.NewEnergyLedger()
 	srv2, sock2 := startServer(t, ServerConfig{
-		StateDir:     stateDir,
-		Sampler:      sampler,
-		MeasureEvery: time.Millisecond,
-		Energy:       led2,
-	})
+		StateDir: stateDir,
+		Sampler:  sampler,
+		Energy:   led2,
+	}, measureEvery(time.Millisecond))
 	recovered := srv2.EnergyTotals()
 	if recovered.Joules < before.Joules {
 		t.Fatalf("fleet joules shrank across restart: %.6f -> %.6f", before.Joules, recovered.Joules)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/harp-rm/harp/internal/core"
-	"github.com/harp-rm/harp/internal/explore"
 	"github.com/harp-rm/harp/internal/faultsim"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/parallel"
@@ -125,9 +124,15 @@ const (
 	taxPerApp = 0.005
 )
 
-// Options tunes a run. The zero value selects the paper's defaults; the
-// stable-stage reallocation cadence is core.DefaultReallocEvery (the
-// paper's 100 measurements).
+// runHorizon bounds every simulation: a scenario whose applications have
+// not all finished by then fails.
+const runHorizon = 30 * time.Minute
+
+// Options tunes a run. The zero value selects the paper's parameters: the
+// monitor samples every core.AdaptationTick (50 ms), exploration uses the
+// explore.Config defaults, the stable-stage reallocation cadence is
+// core.DefaultReallocEvery (100 measurements), and the run is bounded by 30
+// virtual minutes.
 type Options struct {
 	// Policy selects the management policy (required).
 	Policy Policy
@@ -136,14 +141,8 @@ type Options struct {
 	OfflineTables map[string]*opoint.Table
 	// Governor is the DVFS governor model; zero selects powersave.
 	Governor sim.Governor
-	// Horizon bounds the simulation; zero selects 30 virtual minutes.
-	Horizon time.Duration
 	// Seed drives measurement noise.
 	Seed int64
-	// MeasureEvery is the monitoring cadence; zero selects 50 ms (§5.3).
-	MeasureEvery time.Duration
-	// Explore tunes runtime exploration.
-	Explore explore.Config
 	// RecordTimeline captures every applied allocation decision, and the
 	// session end of every reaped or exited application, in Result.Timeline
 	// — the raw material for allocation Gantt charts, timeline isolation
@@ -214,12 +213,6 @@ type TimelineEvent struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Horizon == 0 {
-		o.Horizon = 30 * time.Minute
-	}
-	if o.MeasureEvery == 0 {
-		o.MeasureEvery = 50 * time.Millisecond
-	}
 	if o.Governor == 0 {
 		o.Governor = sim.GovernorPowersave
 	}

@@ -247,7 +247,6 @@ func TestOverloadSoak(t *testing.T) {
 		Policy:         PolicyHARPOffline,
 		OfflineTables:  tables,
 		Seed:           101,
-		Horizon:        horizon + time.Minute,
 		Liveness:       chaosLiveness(),
 		Faults:         plan,
 		StateDir:       dir,
@@ -256,6 +255,9 @@ func TestOverloadSoak(t *testing.T) {
 		Metrics:        mt,
 		RecordTimeline: true,
 	})
+	if bound := (horizon + time.Minute).Seconds(); res.MakespanSec > bound {
+		t.Fatalf("soak makespan %.1f s, bound %.0f s", res.MakespanSec, bound)
+	}
 	assertNoDoubleGrant(t, res.Timeline)
 
 	epochs, err := telemetry.ReadJournal(bytes.NewReader(journal.Bytes()))

@@ -68,7 +68,7 @@ func Run(sc Scenario, opts Options) (*Result, error) {
 		}
 		return nil, err
 	}
-	if err := machine.RunUntilIdle(opts.Horizon); err != nil {
+	if err := machine.RunUntilIdle(runHorizon); err != nil {
 		if harness != nil {
 			harness.abandonStore()
 		}
@@ -188,7 +188,6 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 	disableExplore := opts.Policy == PolicyHARPOffline || !sc.Platform.SimultaneousPMU
 	coreCfg := core.Config{
 		Platform:           sc.Platform,
-		Explore:            opts.Explore,
 		OfflineTables:      opts.OfflineTables,
 		DisableExploration: disableExplore,
 		Tracer:             opts.Tracer,
@@ -232,7 +231,7 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 	mgr.OnDecision(h.applyDecision)
 	machine.OnProcStart(h.scheduleRegistration)
 	machine.OnProcExit(h.onExit)
-	machine.Every(opts.MeasureEvery, h.measureTick)
+	machine.Every(core.AdaptationTick, h.measureTick)
 	return h, nil
 }
 
@@ -444,7 +443,7 @@ func (h *harpHarness) injectFaults(now time.Duration) {
 		case faultsim.KindDropout:
 			h.muted[f.Target] = &muteState{until: now + f.Duration, reconnect: true}
 		case faultsim.KindDisconnect:
-			h.muted[f.Target] = &muteState{until: now + h.opts.MeasureEvery, reconnect: true}
+			h.muted[f.Target] = &muteState{until: now + core.AdaptationTick, reconnect: true}
 		}
 	}
 }
@@ -452,7 +451,7 @@ func (h *harpHarness) injectFaults(now time.Duration) {
 // faultTicks converts an RM-fault duration into a count of measure ticks
 // (minimum one): how many solves or writes the fault covers.
 func (h *harpHarness) faultTicks(d time.Duration) int {
-	n := int(d / h.opts.MeasureEvery)
+	n := int(d / core.AdaptationTick)
 	if n < 1 {
 		n = 1
 	}

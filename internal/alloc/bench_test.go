@@ -235,10 +235,11 @@ func BenchmarkIncrementalMerge10k(b *testing.B) {
 	for i := range inputs {
 		inputs[i] = arrival()
 	}
-	a, err := New(plat, WithIncremental(true), WithIncrementalCadence(1<<30), WithCache(-1))
+	a, err := New(plat, WithIncremental(true), WithCache(-1))
 	if err != nil {
 		b.Fatal(err)
 	}
+	a.incFullEvery = 1 << 30
 	if _, _, err := a.AllocateWithStats(inputs); err != nil {
 		b.Fatal(err)
 	}

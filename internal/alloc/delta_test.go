@@ -89,10 +89,11 @@ func TestChangedCoversTrueDiff(t *testing.T) {
 	for _, passes := range []int{1, 2} {
 		for seed := int64(0); seed < 6; seed++ {
 			t.Run(fmt.Sprintf("incremental/p%d/seed%d", passes, seed), func(t *testing.T) {
-				a, err := New(p, WithIncremental(true), WithIncrementalCadence(7), WithCache(4))
+				a, err := New(p, WithIncremental(true), WithCache(4))
 				if err != nil {
 					t.Fatal(err)
 				}
+				a.incFullEvery = 7
 				a.incDriftBound = 1.02
 				runDeltaScenario(t, p, a, seed, passes)
 			})
@@ -214,10 +215,11 @@ func TestChangedNilForFullSolves(t *testing.T) {
 func TestIncrementalMergeSteadyStateAllocations(t *testing.T) {
 	p := incTestPlatform(t)
 	perMerge := func(n int) float64 {
-		a, err := New(p, WithIncremental(true), WithIncrementalCadence(1<<30), WithCache(-1))
+		a, err := New(p, WithIncremental(true), WithCache(-1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		a.incFullEvery = 1 << 30
 		inputs := incTestInputs(t, p, n)
 		if _, _, err := a.AllocateWithStats(inputs); err != nil {
 			t.Fatal(err)

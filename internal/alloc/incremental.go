@@ -77,16 +77,6 @@ func WithIncremental(on bool) Option {
 	return optionFunc(func(a *Allocator) { a.inc = on })
 }
 
-// WithIncrementalCadence overrides the full-solve cadence (default
-// DefaultIncrementalFullEvery; values < 1 are ignored).
-func WithIncrementalCadence(every int) Option {
-	return optionFunc(func(a *Allocator) {
-		if every >= 1 {
-			a.incFullEvery = every
-		}
-	})
-}
-
 // pinSet is the previous successful solve by input position: everything a
 // merge needs to detect change, free capacity and account drift without
 // touching a table. The allocations' grants are shared with the caller's

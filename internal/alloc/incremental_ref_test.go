@@ -36,11 +36,11 @@ type refPin struct {
 // full-solve cadence and drift bound, and the map-keyed reference configured
 // alike.
 func NewIncrementalPair(p *platform.Platform, cadence int, drift float64, opts ...Option) (*Allocator, *MapPins, error) {
-	opts = append(opts, WithIncrementalCadence(cadence))
 	a, err := New(p, append(opts, WithIncremental(true))...)
 	if err != nil {
 		return nil, nil, err
 	}
+	a.incFullEvery = cadence
 	a.incDriftBound = drift
 	b, err := New(p, opts...)
 	if err != nil {

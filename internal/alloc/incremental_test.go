@@ -177,10 +177,11 @@ func vecOf(t *testing.T, p *platform.Platform, kind, cores int) platform.Resourc
 // pipeline again.
 func TestIncrementalFullSolveCadence(t *testing.T) {
 	p := incTestPlatform(t)
-	a, err := New(p, WithIncremental(true), WithIncrementalCadence(2), WithCache(-1))
+	a, err := New(p, WithIncremental(true), WithCache(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.incFullEvery = 2
 	inputs := incTestInputs(t, p, 4)
 	sources := []string{}
 	for i := 0; i < 5; i++ {
@@ -305,10 +306,11 @@ func TestIncrementalOffIsByteStable(t *testing.T) {
 func TestReadmissionIsResolved(t *testing.T) {
 	p := incTestPlatform(t)
 	comeback := func(churn int) Stats {
-		a, err := New(p, WithIncremental(true), WithIncrementalCadence(1<<30), WithCache(-1))
+		a, err := New(p, WithIncremental(true), WithCache(-1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		a.incFullEvery = 1 << 30
 		solve := func(inputs []AppInput) Stats {
 			t.Helper()
 			allocs, stats, err := a.AllocateWithStats(inputs)

@@ -87,12 +87,6 @@ type Config struct {
 	// FleetBudgetW is the fleet-wide power budget, distributed across the
 	// alive machines as per-machine caps. 0 disables budget enforcement.
 	FleetBudgetW float64
-	// DeadAfter is the missed-heartbeat count that declares a machine dead
-	// (0 selects DefaultDeadAfter).
-	DeadAfter int
-	// SnapshotEvery is the standby shipping cadence in ticks (0 selects
-	// DefaultSnapshotEvery).
-	SnapshotEvery int
 	// Static disables bin-packing and migration: sessions are spread
 	// round-robin over fixed budget/N partitions. The Fig-style experiment's
 	// baseline.
@@ -113,18 +107,12 @@ type Config struct {
 	MachineJournal func(id string) io.Writer
 }
 
-func (c *Config) withDefaults() error {
+func (c *Config) validate() error {
 	if c.Machines < 1 {
 		return fmt.Errorf("cluster: fleet of %d machines", c.Machines)
 	}
 	if c.Platform == nil {
 		return errors.New("cluster: config without platform")
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = DefaultDeadAfter
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = DefaultSnapshotEvery
 	}
 	return nil
 }
@@ -183,7 +171,7 @@ type coordinator struct {
 	admitted map[string]float64
 	caps     map[string]float64
 	// dead is the coordinator's belief (declared machines), which can lag
-	// the killed ground truth by up to DeadAfter ticks.
+	// the killed ground truth by up to DefaultDeadAfter ticks.
 	dead     map[string]bool
 	inflight []migration
 	// drainSrc is the machine currently being consolidated away ("" when
@@ -247,15 +235,19 @@ type Fleet struct {
 	health Health
 	jw     io.Writer
 	jerr   error
+	// deadAfter and snapshotEvery are DefaultDeadAfter and
+	// DefaultSnapshotEvery; tests shorten or stretch them.
+	deadAfter, snapshotEvery int
 }
 
 // New builds a fleet: machines m0..m(N-1), a fresh coordinator, an empty
 // standby.
 func New(cfg Config) (*Fleet, error) {
-	if err := cfg.withDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, queued: make(map[string]bool), jw: cfg.Journal}
+	f := &Fleet{cfg: cfg, queued: make(map[string]bool), jw: cfg.Journal,
+		deadAfter: DefaultDeadAfter, snapshotEvery: DefaultSnapshotEvery}
 	for i := 0; i < cfg.Machines; i++ {
 		id := fmt.Sprintf("m%d", i)
 		var journal *telemetry.Journal
@@ -502,7 +494,7 @@ func (f *Fleet) Tick() error {
 			return fmt.Errorf("cluster: machine %s tick: %w", m.id, err)
 		}
 	}
-	if f.tick%uint64(f.cfg.SnapshotEvery) == 0 {
+	if f.tick%uint64(f.snapshotEvery) == 0 {
 		f.ship()
 	}
 	return f.grade()
@@ -551,7 +543,7 @@ func (f *Fleet) redistributeCaps() {
 }
 
 // heartbeats delivers this tick's heartbeats from non-killed machines and
-// declares machines dead once DeadAfter ticks pass without one. A declared
+// declares machines dead once deadAfter ticks pass without one. A declared
 // machine's sessions go back to the placement queue (ledger entries with
 // machine == "") and its manager is discarded.
 func (f *Fleet) heartbeats() {
@@ -562,7 +554,7 @@ func (f *Fleet) heartbeats() {
 		}
 	}
 	for _, m := range f.machines {
-		if c.dead[m.id] || f.tick-m.lastBeat < uint64(f.cfg.DeadAfter) {
+		if c.dead[m.id] || f.tick-m.lastBeat < uint64(f.deadAfter) {
 			continue
 		}
 		c.dead[m.id] = true

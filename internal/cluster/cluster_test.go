@@ -185,7 +185,7 @@ func TestMachineKillRehomesSessions(t *testing.T) {
 	if err := f.KillMachine(victim); err != nil {
 		t.Fatal(err)
 	}
-	// Declaration after DeadAfter missed beats, re-home on the same tick.
+	// Declaration after DefaultDeadAfter missed beats, re-home on the same tick.
 	mustTick(t, f, DefaultDeadAfter+1)
 	if f.Stats().MachineDeaths != 1 {
 		t.Fatalf("machine deaths = %d, want 1", f.Stats().MachineDeaths)
@@ -207,10 +207,8 @@ func TestMachineKillRehomesSessions(t *testing.T) {
 
 func TestCoordinatorFailoverRecoversPlacements(t *testing.T) {
 	var journal bytes.Buffer
-	f := testFleet(t, 3, 30, func(c *Config) {
-		c.SnapshotEvery = 2
-		c.Journal = &journal
-	})
+	f := testFleet(t, 3, 30, func(c *Config) { c.Journal = &journal })
+	f.snapshotEvery = 2
 	for i := 0; i < 5; i++ {
 		if err := f.Submit(testSpec(f.cfg.Platform, fmt.Sprintf("s%d", i), 3)); err != nil {
 			t.Fatalf("Submit: %v", err)
@@ -298,7 +296,8 @@ func TestDrainConsolidatesAndMigrates(t *testing.T) {
 }
 
 func TestKillDuringMigrationAborts(t *testing.T) {
-	f := testFleet(t, 3, 30, func(c *Config) { c.DeadAfter = 1 })
+	f := testFleet(t, 3, 30, nil)
+	f.deadAfter = 1
 	// Two 4 W sessions fill m0 to 8/10, so the 3 W session spills to m1.
 	// Deregistering a1 then opens 6 W of headroom on m0, making m1
 	// drainable.
@@ -333,7 +332,7 @@ func TestKillDuringMigrationAborts(t *testing.T) {
 	if err := f.KillMachine(target); err != nil {
 		t.Fatal(err)
 	}
-	// DeadAfter=1: next tick declares the target dead, aborts the flight
+	// deadAfter=1: next tick declares the target dead, aborts the flight
 	// and re-homes; every tick in between must keep the invariants.
 	mustTick(t, f, 4)
 	if m := f.Owner("b0"); m == "" || m == target {
@@ -351,10 +350,9 @@ func TestKillDuringMigrationAborts(t *testing.T) {
 // records shared with the dead coordinator's ledger.
 func TestStandbyCopyIsolated(t *testing.T) {
 	var journal bytes.Buffer
-	f := testFleet(t, 2, 24, func(c *Config) { // caps 12 W each
-		c.SnapshotEvery = 1 << 30 // ships only when the test says so
-		c.Journal = &journal
-	})
+	// Caps 12 W each; the standby ships only when the test says so.
+	f := testFleet(t, 2, 24, func(c *Config) { c.Journal = &journal })
+	f.snapshotEvery = 1 << 30
 	for i := 0; i < 5; i++ {
 		if err := f.Submit(testSpec(f.cfg.Platform, fmt.Sprintf("s%d", i), 3)); err != nil {
 			t.Fatal(err)
@@ -431,10 +429,8 @@ func TestStandbyCopyIsolated(t *testing.T) {
 func TestJournalDeterminism(t *testing.T) {
 	run := func() string {
 		var buf bytes.Buffer
-		f := testFleet(t, 3, 30, func(c *Config) {
-			c.Journal = &buf
-			c.SnapshotEvery = 2
-		})
+		f := testFleet(t, 3, 30, func(c *Config) { c.Journal = &buf })
+		f.snapshotEvery = 2
 		for i := 0; i < 6; i++ {
 			if err := f.Submit(testSpec(f.cfg.Platform, fmt.Sprintf("s%d", i), 3)); err != nil {
 				t.Fatal(err)

@@ -129,7 +129,7 @@ func TestCacheChurnNeverStale(t *testing.T) {
 						return nil
 					})
 				default:
-					both("Reallocate", func(m *Manager) error { return m.Reallocate() })
+					both("Reallocate", func(m *Manager) error { m.reallocate("manual"); return nil })
 				}
 				if !reflect.DeepEqual(cached.dec, fresh.dec) {
 					t.Fatalf("op %d: cached manager's decisions diverge from the cache-less manager's\ncached: %+v\nfresh:  %+v",

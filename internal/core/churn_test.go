@@ -86,7 +86,7 @@ func TestRegistrationStormCoalescesToOneEpoch(t *testing.T) {
 	if counting.solves != 0 {
 		t.Fatalf("storm ran %d inline solves, want 0 (all deferred)", counting.solves)
 	}
-	pending, events := m.PendingEpoch()
+	pending, events := m.pendingEpoch, m.pendingEvents
 	if !pending || events != storm {
 		t.Fatalf("pending=%v events=%d, want pending with %d events", pending, events, storm)
 	}
@@ -96,7 +96,7 @@ func TestRegistrationStormCoalescesToOneEpoch(t *testing.T) {
 	if counting.solves != 1 {
 		t.Fatalf("flush ran %d solves, want exactly 1", counting.solves)
 	}
-	if pending, _ := m.PendingEpoch(); pending {
+	if m.pendingEpoch {
 		t.Fatal("epoch still pending after flush")
 	}
 	// Every session must have received a decision from the single coalesced
@@ -109,10 +109,11 @@ func TestRegistrationStormCoalescesToOneEpoch(t *testing.T) {
 }
 
 // TestCoalesceDirtyBoundFlushesInline pins the staleness bound: the pending
-// epoch flushes as soon as MaxDirty events accumulate, without waiting for a
+// epoch flushes as soon as maxDirty events accumulate, without waiting for a
 // tick.
 func TestCoalesceDirtyBoundFlushesInline(t *testing.T) {
-	m, counting := newCoalescingManager(t, CoalescePolicy{Enabled: true, MaxDirty: 10})
+	m, counting := newCoalescingManager(t, CoalescePolicy{Enabled: true})
+	m.maxDirty = 10
 	for i := 0; i < 25; i++ {
 		if err := m.Register(fmt.Sprintf("s%03d", i), "app", workload.Scalable, false); err != nil {
 			t.Fatal(err)
@@ -123,26 +124,24 @@ func TestCoalesceDirtyBoundFlushesInline(t *testing.T) {
 	if counting.solves != 2 {
 		t.Fatalf("dirty bound ran %d solves for 25 events, want 2", counting.solves)
 	}
-	if pending, events := m.PendingEpoch(); !pending || events != 5 {
+	if pending, events := m.pendingEpoch, m.pendingEvents; !pending || events != 5 {
 		t.Fatalf("pending=%v events=%d, want 5 residual events pending", pending, events)
 	}
 }
 
 // TestInlineSolveAbsorbsPendingEpoch pins the interaction between coalesced
-// and inline epochs: a manual Reallocate (or cadence solve) covers all
+// and inline epochs: a manual reallocation (or cadence solve) covers all
 // sessions, so the queued epoch is satisfied, not double-solved.
 func TestInlineSolveAbsorbsPendingEpoch(t *testing.T) {
 	m, counting := newCoalescingManager(t, CoalescePolicy{Enabled: true})
 	if err := m.Register("s0", "app", workload.Scalable, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Reallocate(); err != nil {
-		t.Fatal(err)
-	}
+	m.reallocate("manual")
 	if counting.solves != 1 {
 		t.Fatalf("%d solves, want 1 (inline solve absorbs the pending epoch)", counting.solves)
 	}
-	if pending, _ := m.PendingEpoch(); pending {
+	if m.pendingEpoch {
 		t.Fatal("pending epoch not absorbed by inline solve")
 	}
 	if err := m.Tick(); err != nil {

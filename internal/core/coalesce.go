@@ -14,9 +14,9 @@ package core
 //
 //   - Mutating ops return without solving (unless their event hits the
 //     dirty bound and flushes inline).
-//   - Measure-triggered epochs (exploration, graduation, cadence) and manual
-//     Reallocate stay inline; a pending epoch is absorbed by any inline
-//     solve, since every solve covers all sessions.
+//   - Measure-triggered epochs (exploration, graduation, cadence) stay
+//     inline; a pending epoch is absorbed by any inline solve, since every
+//     solve covers all sessions.
 //
 // The coalesced trigger label is the sole event's trigger when exactly one
 // event is pending, or "coalesced" when a burst was batched, so journals
@@ -44,17 +44,6 @@ const TriggerCoalesced = "coalesced"
 type CoalescePolicy struct {
 	// Enabled turns coalescing on.
 	Enabled bool
-	// MaxDirty flushes the pending epoch immediately once this many mutating
-	// events have accumulated (0 selects DefaultCoalesceMaxDirty). Tests
-	// lower it to exercise the bound; production uses the default.
-	MaxDirty int
-}
-
-func (p CoalescePolicy) maxDirty() int {
-	if p.MaxDirty > 0 {
-		return p.MaxDirty
-	}
-	return DefaultCoalesceMaxDirty
 }
 
 // epochAfter is the epoch trigger for mutating operations: solve inline when
@@ -72,7 +61,7 @@ func (m *Manager) epochAfter(trigger string) {
 		m.pendingEpoch = true
 		m.pendingTrigger = trigger
 	}
-	if m.pendingEvents >= m.cfg.Coalesce.maxDirty() {
+	if m.pendingEvents >= m.maxDirty {
 		m.flushPending()
 	}
 }
@@ -93,12 +82,6 @@ func (m *Manager) Flush() error {
 	return nil
 }
 
-// PendingEpoch reports whether a coalesced epoch is queued and how many
-// mutating events it covers.
-func (m *Manager) PendingEpoch() (pending bool, events int) {
-	return m.pendingEpoch, m.pendingEvents
-}
-
 // flushPending runs the batched epoch. The deferred-events metric counts
 // events beyond the first — the solves coalescing saved.
 func (m *Manager) flushPending() {
@@ -114,7 +97,7 @@ func (m *Manager) flushPending() {
 }
 
 // absorbPending folds a queued coalesced epoch into an inline solve that is
-// about to run anyway (cadence, graduation, manual Reallocate): every solve
+// about to run anyway (cadence, graduation): every solve
 // covers all sessions, so the pending epoch is satisfied and all its events
 // count as coalesced. Called from reallocate.
 func (m *Manager) absorbPending() {

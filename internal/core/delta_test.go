@@ -61,9 +61,9 @@ func (r *solutionRecorder) AllocateWithStats(apps []alloc.AppInput) ([]alloc.All
 	return allocs, stats, nil
 }
 
-// deltaHarness is a Manager over a short-cadence incremental solver, with
-// the recorder in front of both the primary solver and a greedy rung-2
-// fallback.
+// deltaHarness is a Manager with a short reallocation cadence over the
+// incremental solver, with the recorder in front of both the primary solver
+// and a greedy rung-2 fallback.
 type deltaHarness struct {
 	t        *testing.T
 	p        *platform.Platform
@@ -79,7 +79,7 @@ type deltaHarness struct {
 func newDeltaHarness(t *testing.T, pol CoalescePolicy) *deltaHarness {
 	t.Helper()
 	p := churnTestPlatform(t)
-	inner, err := alloc.New(p, alloc.WithIncremental(true), alloc.WithIncrementalCadence(6), alloc.WithCache(8))
+	inner, err := alloc.New(p, alloc.WithIncremental(true), alloc.WithCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,6 @@ func newDeltaHarness(t *testing.T, pol CoalescePolicy) *deltaHarness {
 		Platform:           p,
 		Allocator:          h.primary,
 		DisableExploration: true,
-		ReallocEvery:       4,
 		Coalesce:           pol,
 		Journal:            telemetry.NewJournal(h.jbuf),
 		Metrics:            h.mt,
@@ -103,6 +102,7 @@ func newDeltaHarness(t *testing.T, pol CoalescePolicy) *deltaHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.m.reallocEvery = 4
 	// The harness records the greedy rung's solutions too, and fails it to
 	// reach rung 3.
 	h.m.fallback = h.fallback
@@ -204,8 +204,9 @@ func (h *deltaHarness) checkAggregates(step int) {
 // TestDeltaEpochsMatchFullSolution is the delta contract at the Manager:
 // random Register/Deregister/UploadTable/PhaseChange/SetLiveness/Measure
 // sequences, coalesced and inline, over the incremental solver, across
-// incremental merges, cadence full solves, cache hits and
-// forced degraded-greedy and degraded-stale epochs. After every epoch every
+// incremental merges, full solves (drift fallbacks, and the solver's own
+// cadence where a run reaches it), cache hits and forced degraded-greedy and
+// degraded-stale epochs. After every epoch every
 // session's standing decision must equal the solver's full solution — a push
 // the walk skipped because "nothing changed there" is exactly what this
 // design can get wrong — the structural invariants must hold over the
@@ -223,8 +224,9 @@ func TestDeltaEpochsMatchFullSolution(t *testing.T) {
 }
 
 func runDeltaEpochs(t *testing.T, coalesced bool, seed int64) {
-	h := newDeltaHarness(t, CoalescePolicy{Enabled: coalesced, MaxDirty: 5})
+	h := newDeltaHarness(t, CoalescePolicy{Enabled: coalesced})
 	m := h.m
+	m.maxDirty = 5
 	rng := rand.New(rand.NewSource(seed))
 	table := func(app int) *opoint.Table {
 		// Apps 0-2 live on P cores, 3-5 on E cores.
@@ -277,12 +279,12 @@ func runDeltaEpochs(t *testing.T, coalesced bool, seed int64) {
 		case roll < 17:
 			forced = alloc.SourceDegradedGreedy
 			m.ForceDegradedSolves(1)
-			err = m.Reallocate()
+			m.reallocate("manual")
 		case roll < 18:
 			forced = alloc.SourceDegradedStale
 			m.ForceDegradedSolves(1)
 			h.fallback.fail = true
-			err = m.Reallocate()
+			m.reallocate("manual")
 			h.fallback.fail = false
 		default:
 			err = m.Tick()
@@ -316,7 +318,7 @@ func runDeltaEpochs(t *testing.T, coalesced bool, seed int64) {
 		case forced == alloc.SourceDegradedGreedy && rung != forced:
 			t.Fatalf("step %d: forced a greedy epoch, ladder resolved %q", step, rung)
 		}
-		if pending, _ := m.PendingEpoch(); pending {
+		if m.pendingEpoch {
 			// Events queued after the last solve: the solution is not about
 			// the current session set yet.
 			continue
@@ -343,13 +345,11 @@ func runDeltaEpochs(t *testing.T, coalesced bool, seed int64) {
 
 // churnScaleManager ramps n sessions (eight applications, four per core
 // kind) onto a coalescing Manager over the incremental solver — the
-// churn-10k configuration in miniature. cadence is the solver's full-solve
-// cadence (0 = its default).
-func churnScaleManager(t *testing.T, n, cadence int) (*Manager, []*opoint.Table) {
+// churn-10k configuration in miniature.
+func churnScaleManager(t *testing.T, n int) (*Manager, []*opoint.Table) {
 	t.Helper()
 	p := churnTestPlatform(t)
-	solver, err := alloc.New(p,
-		alloc.WithCache(alloc.DefaultCacheSize), alloc.WithIncremental(true), alloc.WithIncrementalCadence(cadence))
+	solver, err := alloc.New(p, alloc.WithCache(alloc.DefaultCacheSize), alloc.WithIncremental(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,13 +388,10 @@ func churnScaleManager(t *testing.T, n, cadence int) (*Manager, []*opoint.Table)
 // retained state; only what changed allocates.
 func TestSteadyStateTickAllocationsDoNotScale(t *testing.T) {
 	perTick := func(n int) float64 {
-		// No cadence full solve in the window: a full solve builds (and the
-		// solution cache keeps) a fresh solution, which is O(sessions) by
-		// design and amortised over the cadence.
-		m, tables := churnScaleManager(t, n, 1<<30)
+		m, tables := churnScaleManager(t, n)
 		next := n
 		oldest := 0
-		tick := func() {
+		step := func() {
 			for i := 0; i < 2; i++ {
 				if err := m.Deregister(fmt.Sprintf("s%05d", oldest)); err != nil {
 					t.Fatal(err)
@@ -420,9 +417,21 @@ func TestSteadyStateTickAllocationsDoNotScale(t *testing.T) {
 			if err := m.Tick(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		tick := func() {
+			step()
 			if src := m.LastSolveSource(); src != alloc.SourceIncremental {
 				t.Fatalf("tick solved %q, want the incremental path", src)
 			}
+		}
+		// No cadence full solve in the window: a full solve builds (and the
+		// solution cache keeps) a fresh solution, which is O(sessions) by
+		// design and amortised over the cadence. The window starts right
+		// after one, and its 49 ticks are fewer than the
+		// alloc.DefaultIncrementalFullEvery merges to the next.
+		step()
+		for m.LastSolveSource() == alloc.SourceIncremental {
+			step()
 		}
 		for i := 0; i < 8; i++ {
 			tick() // settle buffers, memo tables and the order slice
@@ -442,7 +451,7 @@ func TestSteadyStateTickAllocationsDoNotScale(t *testing.T) {
 // the pipeline reuses. Every decision is deep-copied at push time and
 // compared with the retained original 200 epochs of churn later.
 func TestRetainedDecisionsStayIntact(t *testing.T) {
-	m, tables := churnScaleManager(t, 300, 0)
+	m, tables := churnScaleManager(t, 300)
 	type kept struct{ live, atPush Decision }
 	var all []kept
 	m.OnDecision(func(d Decision) {
@@ -505,12 +514,13 @@ func TestEndedSetIsBounded(t *testing.T) {
 	m, err := NewManager(Config{
 		Platform:           churnTestPlatform(t),
 		DisableExploration: true,
-		Coalesce:           CoalescePolicy{Enabled: true, MaxDirty: 1 << 30},
+		Coalesce:           CoalescePolicy{Enabled: true},
 		Metrics:            mt,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.maxDirty = 1 << 30
 	for i := 0; i < 50000; i++ {
 		id := fmt.Sprintf("pid-%d", i)
 		if err := m.Register(id, "app", workload.Scalable, false); err != nil {
@@ -630,7 +640,7 @@ func TestPushPanicIsContained(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"bad", "worse"} {
-		if l, _ := m.Liveness(id); l != LivenessQuarantined {
+		if l := m.sessions[id].liveness; l != LivenessQuarantined {
 			t.Errorf("%s liveness = %v, want quarantined", id, l)
 		}
 	}
@@ -654,9 +664,7 @@ func TestPushPanicIsContained(t *testing.T) {
 	if panicked != 2 {
 		t.Errorf("%d EvSessionPanicked events, want 2", panicked)
 	}
-	if err := m.Reallocate(); err != nil {
-		t.Fatalf("Reallocate after containment: %v", err)
-	}
+	m.reallocate("manual")
 	if m.coresGranted != 2 {
 		t.Errorf("coresGranted = %d, want 2 (a and z; the quarantined pair hold nothing)", m.coresGranted)
 	}

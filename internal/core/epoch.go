@@ -50,21 +50,15 @@ import (
 	"github.com/harp-rm/harp/internal/workload"
 )
 
-// Reallocate recomputes allocations for all sessions and pushes changed
-// decisions. It is invoked on registration, exits, graduation to the stable
+// reallocate recomputes allocations for all sessions and pushes changed
+// decisions; trigger labels the epoch in the decision journal and trace
+// events. It is invoked on registration, exits, graduation to the stable
 // stage, and the periodic stable-stage cadence. A failed solve degrades the
-// epoch (see solveWithLadder); the error result is always nil.
-func (m *Manager) Reallocate() error {
-	m.reallocate("manual")
-	return nil
-}
-
-// reallocate is Reallocate with the trigger label for the decision journal
-// and trace events.
+// epoch (see solveWithLadder); it never fails.
 func (m *Manager) reallocate(trigger string) {
 	// Any full solve satisfies a queued coalesced epoch — absorb it so an
-	// inline trigger (cadence, graduation, manual) never leaves a stale
-	// pending flush behind.
+	// inline trigger (cadence, graduation) never leaves a stale pending
+	// flush behind.
 	m.absorbPending()
 	if len(m.sessions) == 0 {
 		return

@@ -58,13 +58,13 @@ func TestExhaustedBoundWaitsForCadence(t *testing.T) {
 	m, err := NewManager(Config{
 		Platform:      p,
 		Allocator:     pinned,
-		ReallocEvery:  reallocEvery,
-		Explore:       explore.Config{MeasurementsPerPoint: 1},
 		OfflineTables: map[string]*opoint.Table{"hog": full},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.explore.MeasurementsPerPoint = 1
+	m.reallocEvery = reallocEvery
 	rec := newRecorder(m)
 	for _, id := range []string{"hog", "x"} {
 		if err := m.Register(id, id, workload.Scalable, false); err != nil {

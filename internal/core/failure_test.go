@@ -143,9 +143,7 @@ func TestSolverFailuresDegradeTheEpoch(t *testing.T) {
 				checkStandingDecisions(t, m)
 
 				fa.fault = ""
-				if err := m.Reallocate(); err != nil {
-					t.Fatal(err)
-				}
+				m.reallocate("manual")
 				if rung := m.DegradedRung(); rung != "" {
 					t.Errorf("healed solver still degraded to %q", rung)
 				}

@@ -155,9 +155,7 @@ func TestManagerInvariantsRandomOps(t *testing.T) {
 						}
 					}
 				default:
-					if err := h.m.Reallocate(); err != nil {
-						t.Fatalf("op %d: Reallocate: %v", h.op, err)
-					}
+					h.m.reallocate("manual")
 				}
 				if err := check.CheckTimelineIsolation(p, h.timeline); err != nil {
 					t.Fatalf("op %d: %v", h.op, err)
@@ -220,9 +218,7 @@ func TestManagerSameSeedDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 			default:
-				if err := h.m.Reallocate(); err != nil {
-					t.Fatal(err)
-				}
+				h.m.reallocate("manual")
 			}
 		}
 		return h.jbuf.Bytes()

@@ -107,7 +107,7 @@ func TestQuarantineShrinksCoresAndReadmitRestores(t *testing.T) {
 	if len(parked.Grants) != 0 || !parked.Vector.IsZero() {
 		t.Fatalf("quarantined session kept cores: %+v", parked)
 	}
-	if got, _ := m.Liveness("ep-1"); got != LivenessQuarantined {
+	if got := m.sessions["ep-1"].liveness; got != LivenessQuarantined {
 		t.Errorf("liveness = %v, want quarantined", got)
 	}
 	// The survivor must absorb the freed capacity (or at least keep cores).
@@ -151,7 +151,7 @@ func TestReapReallocatesSurvivors(t *testing.T) {
 	if err := m.Reap("ep-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Liveness("ep-1"); err == nil {
+	if _, ok := m.sessions["ep-1"]; ok {
 		t.Error("reaped session still registered")
 	}
 	if mt.SessionsReaped.Value() != 1 {

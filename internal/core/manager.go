@@ -134,8 +134,6 @@ type Config struct {
 	Platform *platform.Platform
 	// Allocator solves the MMKP; nil builds a default Lagrangian allocator.
 	Allocator Allocator
-	// Explore tunes runtime exploration.
-	Explore explore.Config
 	// OfflineTables maps application names to pre-generated operating-point
 	// tables (the /etc/harp directory, §4.3).
 	OfflineTables map[string]*opoint.Table
@@ -143,9 +141,6 @@ type Config struct {
 	// configuration, mandatory on platforms without simultaneous PMU access
 	// such as the Odroid XU3-E (§6.4).
 	DisableExploration bool
-	// ReallocEvery is the stable-stage reallocation cadence in
-	// measurements; 0 selects DefaultReallocEvery.
-	ReallocEvery int
 	// Tracer receives structured adaptation-loop events (nil disables
 	// tracing). It is also handed to the explorers and, when Allocator is
 	// nil, to the default allocator.
@@ -229,7 +224,7 @@ type session struct {
 	bound []int
 	// boundExhausted marks an exploring session whose last push walk found
 	// no unmeasured configuration within its bound. Its samples count
-	// toward the ReallocEvery cadence, as a stable session's do, until a
+	// toward the reallocation cadence, as a stable session's do, until a
 	// walk re-derives the bound, instead of forcing a solve every sample.
 	boundExhausted bool
 
@@ -266,6 +261,14 @@ type Manager struct {
 	allocator Allocator
 	sessions  map[string]*session
 	explorers map[string]*explore.Explorer // per application name; persists across sessions
+	// explore configures every explorer the Manager creates, reallocEvery
+	// is the stable-stage reallocation cadence in measurements and maxDirty
+	// the coalesced epoch's dirty-event bound: the paper's parameters
+	// (explore.Config{Tracer: cfg.Tracer}, DefaultReallocEvery,
+	// DefaultCoalesceMaxDirty), which tests override.
+	explore      explore.Config
+	reallocEvery int
+	maxDirty     int
 	// order preserves registration order for deterministic solves. Removal
 	// tombstones the slot (nil entries, skipped by every iterator) and
 	// compacts when half the slice is dead, so a deregistration storm is
@@ -388,28 +391,22 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Explore.Tracer == nil {
-		cfg.Explore.Tracer = cfg.Tracer
-	}
-	if cfg.ReallocEvery == 0 {
-		cfg.ReallocEvery = DefaultReallocEvery
-	}
-	if cfg.ReallocEvery < 1 {
-		return nil, fmt.Errorf("core: realloc cadence %d", cfg.ReallocEvery)
-	}
 	if cfg.EpochBudget == 0 {
 		cfg.EpochBudget = DefaultEpochBudget
 	}
 	m := &Manager{
-		cfg:         cfg,
-		allocator:   allocator,
-		fallback:    fallback,
-		sessions:    make(map[string]*session),
-		explorers:   make(map[string]*explore.Explorer),
-		ended:       newRecentSet(recentDepartures),
-		priorPhase:  make(map[string]string),
-		coreHolders: make([]int32, cfg.Platform.NumCores()),
-		usedCores:   make([]bool, cfg.Platform.NumCores()),
+		cfg:          cfg,
+		allocator:    allocator,
+		fallback:     fallback,
+		sessions:     make(map[string]*session),
+		explorers:    make(map[string]*explore.Explorer),
+		explore:      explore.Config{Tracer: cfg.Tracer},
+		reallocEvery: DefaultReallocEvery,
+		maxDirty:     DefaultCoalesceMaxDirty,
+		ended:        newRecentSet(recentDepartures),
+		priorPhase:   make(map[string]string),
+		coreHolders:  make([]int32, cfg.Platform.NumCores()),
+		usedCores:    make([]bool, cfg.Platform.NumCores()),
 	}
 	if cfg.LatencyClock != nil && cfg.EpochBudget > 0 {
 		if da, ok := allocator.(interface{ SetOverBudget(func() bool) }); ok {
@@ -436,7 +433,7 @@ func (m *Manager) explorerFor(app string) *explore.Explorer {
 	if e, ok := m.explorers[app]; ok {
 		return e
 	}
-	e := explore.New(m.cfg.Platform, app, m.cfg.Explore)
+	e := explore.New(m.cfg.Platform, app, m.explore)
 	if tbl, ok := m.cfg.OfflineTables[app]; ok {
 		e.SeedTable(tbl)
 	}
@@ -668,15 +665,6 @@ func (m *Manager) SetLiveness(instance string, l Liveness, reason string) error 
 	return nil
 }
 
-// Liveness returns a session's health state.
-func (m *Manager) Liveness(instance string) (Liveness, error) {
-	s, err := m.session(instance)
-	if err != nil {
-		return 0, err
-	}
-	return s.liveness, nil
-}
-
 // setLiveness moves a session between health states and keeps what hangs
 // off the state current: the live-session gauge, and — when the session
 // enters or leaves quarantine — the solve input set (quarantined sessions are
@@ -781,7 +769,7 @@ func (m *Manager) Measure(instance string, utility, power float64) error {
 	}
 
 	s.stableMeasurements++
-	if s.stableMeasurements >= m.cfg.ReallocEvery {
+	if s.stableMeasurements >= m.reallocEvery {
 		s.stableMeasurements = 0
 		m.reallocate("cadence")
 	}
@@ -922,13 +910,4 @@ func (m *Manager) LearnedTables() map[string]*opoint.Table {
 		out[app] = e.Table().Clone()
 	}
 	return out
-}
-
-// OwnUtility reports whether the session supplies its own utility metric.
-func (m *Manager) OwnUtility(instance string) (bool, error) {
-	s, err := m.session(instance)
-	if err != nil {
-		return false, err
-	}
-	return s.ownUtility, nil
 }

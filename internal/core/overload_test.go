@@ -80,9 +80,7 @@ func TestSolverStallFallsBackToGreedy(t *testing.T) {
 	}
 
 	m.ForceDegradedSolves(1)
-	if err := m.Reallocate(); err != nil {
-		t.Fatalf("Reallocate under stall: %v", err)
-	}
+	m.reallocate("manual")
 	rec := lastRecord(t, jbuf)
 	if rec.SolveSource != alloc.SourceDegradedGreedy {
 		t.Errorf("stalled epoch SolveSource = %q, want %q", rec.SolveSource, alloc.SourceDegradedGreedy)
@@ -105,9 +103,7 @@ func TestSolverStallFallsBackToGreedy(t *testing.T) {
 
 	// The next epoch solves normally: the rung clears, the sticky error
 	// stays for harpctl status.
-	if err := m.Reallocate(); err != nil {
-		t.Fatalf("Reallocate after stall: %v", err)
-	}
+	m.reallocate("manual")
 	if rec := lastRecord(t, jbuf); rec.SolveSource == alloc.SourceDegradedGreedy {
 		t.Error("healthy epoch still journalled as degraded")
 	}
@@ -155,9 +151,7 @@ func TestStallWithoutFallbackReplaysLastGood(t *testing.T) {
 	}
 
 	m.ForceDegradedSolves(1)
-	if err := m.Reallocate(); err != nil {
-		t.Fatalf("Reallocate under stall: %v", err)
-	}
+	m.reallocate("manual")
 	if jr := lastRecord(t, jbuf); jr.SolveSource != alloc.SourceDegradedStale {
 		t.Errorf("SolveSource = %q, want %q", jr.SolveSource, alloc.SourceDegradedStale)
 	}
@@ -208,9 +202,7 @@ func TestStallWithNothingFreezesPushes(t *testing.T) {
 	}
 
 	// The stall was one epoch; the session recovers on the next solve.
-	if err := m.Reallocate(); err != nil {
-		t.Fatalf("Reallocate after frozen epoch: %v", err)
-	}
+	m.reallocate("manual")
 	if _, pushed := rec.last["ep-1"]; !pushed {
 		t.Error("no decision after the stall lifted")
 	}
@@ -280,9 +272,7 @@ func TestSolverPanicQuarantinesPoisonousSession(t *testing.T) {
 
 	// Subsequent epochs run clean: the quarantined session's inputs are
 	// excluded, so the solver no longer panics.
-	if err := m.Reallocate(); err != nil {
-		t.Fatalf("Reallocate after quarantine: %v", err)
-	}
+	m.reallocate("manual")
 	if got := m.DegradedRung(); got != "" {
 		t.Errorf("DegradedRung after quarantine = %q, want empty (clean solve)", got)
 	}

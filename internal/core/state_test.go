@@ -37,12 +37,12 @@ func TestWarmRestartThroughStore(t *testing.T) {
 	}
 	m1, err := NewManager(Config{
 		Platform: platform.RaptorLake(),
-		Explore:  explore.Config{MeasurementsPerPoint: 1, StableAfter: 5},
 		Store:    st1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m1.explore.MeasurementsPerPoint, m1.explore.StableAfter = 1, 5
 	newRecorder(m1)
 	if err := m1.Register("ep-1", "ep.C", workload.Scalable, false); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,6 @@ func TestWarmRestartThroughStore(t *testing.T) {
 	tracer := telemetry.NewTracer(64)
 	m2, err := NewManager(Config{
 		Platform: platform.RaptorLake(),
-		Explore:  explore.Config{MeasurementsPerPoint: 1, StableAfter: 5},
 		Store:    st2,
 		Tracer:   tracer,
 		Metrics:  telemetry.NewMetrics(telemetry.NewRegistry()),
@@ -77,6 +76,7 @@ func TestWarmRestartThroughStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m2.explore.MeasurementsPerPoint, m2.explore.StableAfter = 1, 5
 	newRecorder(m2)
 	if err := m2.ImportState(st2.RecoveredState(), st2.Recovery()); err != nil {
 		t.Fatal(err)
@@ -203,12 +203,12 @@ func TestSnapshotToWritesAfterLastEpoch(t *testing.T) {
 	journal := telemetry.NewJournal(&jbuf)
 	m, err := NewManager(Config{
 		Platform: platform.RaptorLake(),
-		Explore:  explore.Config{MeasurementsPerPoint: 1, StableAfter: 5},
 		Journal:  journal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.explore.MeasurementsPerPoint, m.explore.StableAfter = 1, 5
 	newRecorder(m)
 	if err := m.Register("ep-1", "ep.C", workload.Scalable, false); err != nil {
 		t.Fatal(err)
@@ -236,11 +236,11 @@ func TestSnapshotToWritesAfterLastEpoch(t *testing.T) {
 func TestExportImportRoundTrip(t *testing.T) {
 	m1, err := NewManager(Config{
 		Platform: platform.RaptorLake(),
-		Explore:  explore.Config{MeasurementsPerPoint: 1, StableAfter: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m1.explore.MeasurementsPerPoint, m1.explore.StableAfter = 1, 5
 	newRecorder(m1)
 	if err := m1.Register("ep-1", "ep.C", workload.Scalable, true); err != nil {
 		t.Fatal(err)
@@ -256,11 +256,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 	m2, err := NewManager(Config{
 		Platform: platform.RaptorLake(),
-		Explore:  explore.Config{MeasurementsPerPoint: 1, StableAfter: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m2.explore.MeasurementsPerPoint, m2.explore.StableAfter = 1, 5
 	if err := m2.ImportState(exported, store.Recovery{Generation: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,6 @@ type Config struct {
 	// MeasurementsPerPoint is how many samples are folded into one operating
 	// point before moving on (paper: 20 at 50 ms intervals).
 	MeasurementsPerPoint int
-	// RefinementAfter is the number of measured points needed to fit a
-	// preliminary model. Zero derives it from the model's parameter count.
-	RefinementAfter int
 	// StableAfter is the number of distinct measured configurations at which
 	// the application enters the stable stage (paper: 25).
 	StableAfter int
@@ -78,7 +75,7 @@ type Config struct {
 	Instance string
 }
 
-func (c Config) withDefaults(nFeatures int) Config {
+func (c Config) withDefaults() Config {
 	if c.MeasurementsPerPoint <= 0 {
 		c.MeasurementsPerPoint = 20
 	}
@@ -88,10 +85,6 @@ func (c Config) withDefaults(nFeatures int) Config {
 	if c.Model == nil {
 		c.Model = func() regress.Model { return regress.NewPolynomial(2) }
 	}
-	if c.RefinementAfter <= 0 {
-		// Enough points to determine a degree-2 fit on this feature width.
-		c.RefinementAfter = regress.NewPolynomial(2).MinSamples(nFeatures)
-	}
 	return c
 }
 
@@ -100,6 +93,10 @@ type Explorer struct {
 	plat  *platform.Platform
 	cfg   Config
 	table *opoint.Table
+	// refinementAfter is the number of measured points needed to fit a
+	// preliminary model: enough to determine a degree-2 fit on the
+	// platform's feature width.
+	refinementAfter int
 
 	current    platform.ResourceVector
 	hasCurrent bool
@@ -118,18 +115,19 @@ type Explorer struct {
 
 // New creates an explorer for the application on the given platform.
 func New(plat *platform.Platform, app string, cfg Config) *Explorer {
-	nf := len(platform.NewResourceVector(plat).Features())
-	cfg = cfg.withDefaults(nf)
+	cfg = cfg.withDefaults()
 	// A platform whose whole configuration space is smaller than the stable
 	// threshold is stable once the space is exhausted (the Odroid has only
 	// 24 coarse configurations).
 	if space := len(platform.EnumerateVectors(plat, 0)); space < cfg.StableAfter {
 		cfg.StableAfter = space
 	}
+	nf := len(platform.NewResourceVector(plat).Features())
 	return &Explorer{
-		plat:  plat,
-		cfg:   cfg,
-		table: &opoint.Table{App: app, Platform: plat.Name},
+		plat:            plat,
+		cfg:             cfg,
+		table:           &opoint.Table{App: app, Platform: plat.Name},
+		refinementAfter: regress.NewPolynomial(2).MinSamples(nf),
 	}
 }
 
@@ -156,7 +154,7 @@ func (e *Explorer) Stage() Stage {
 	switch {
 	case n >= e.cfg.StableAfter:
 		return StageStable
-	case n >= e.cfg.RefinementAfter:
+	case n >= e.refinementAfter:
 		return StageRefinement
 	default:
 		return StageInitial

@@ -327,10 +327,10 @@ func TestRefinementTargetsNegativePredictions(t *testing.T) {
 	plat := platform.OdroidXU3()
 	e := New(plat, "x", Config{
 		MeasurementsPerPoint: 1,
-		RefinementAfter:      2,
 		StableAfter:          20,
 		Model:                func() regress.Model { return &negModel{} },
 	})
+	e.refinementAfter = 2
 	caps := []int{4, 4}
 	// Two quick measurements to enter the refinement stage, steering away
 	// from the rigged configuration (the farthest-point stage would pick it

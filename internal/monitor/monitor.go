@@ -9,7 +9,6 @@ package monitor
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -29,20 +28,9 @@ type optionFunc func(*Monitor)
 
 func (f optionFunc) apply(m *Monitor) { f(m) }
 
-// WithNoise sets the relative standard deviation of measurement noise
-// (perf sampling jitter, RAPL quantisation). Default 0.03.
-func WithNoise(sigma float64) Option {
-	return optionFunc(func(m *Monitor) { m.noise = sigma })
-}
-
 // WithSeed seeds the deterministic noise generator.
 func WithSeed(seed int64) Option {
 	return optionFunc(func(m *Monitor) { m.rng = rand.New(rand.NewSource(seed)) })
-}
-
-// WithSmoothing overrides the EMA smoothing factor.
-func WithSmoothing(alpha float64) Option {
-	return optionFunc(func(m *Monitor) { m.alpha = alpha })
 }
 
 // WithTracer emits an EvMonitorSample event per Sample tick carrying the
@@ -96,8 +84,7 @@ type Monitor struct {
 	machine     *sim.Machine
 	gamma       []float64 // per-kind power coefficient relative to the most efficient kind
 	static      float64   // estimated static (idle + uncore) watts subtracted before attribution
-	noise       float64
-	alpha       float64
+	noise       float64   // relative σ of perf/RAPL measurement noise: 0.03, tests override it
 	rng         *rand.Rand
 	tracer      *telemetry.Tracer
 	measureHist *telemetry.Histogram
@@ -154,7 +141,6 @@ func New(machine *sim.Machine, opts ...Option) (*Monitor, error) {
 		gamma:      gamma,
 		static:     static,
 		noise:      0.03,
-		alpha:      DefaultSmoothing,
 		rng:        rand.New(rand.NewSource(1)),
 		apps:       make(map[sim.ProcID]*appState),
 		lastEnergy: machine.Energy(),
@@ -162,9 +148,6 @@ func New(machine *sim.Machine, opts ...Option) (*Monitor, error) {
 	}
 	for _, o := range opts {
 		o.apply(m)
-	}
-	if m.noise < 0 || m.alpha <= 0 || m.alpha > 1 {
-		return nil, fmt.Errorf("monitor: bad noise %g or smoothing %g", m.noise, m.alpha)
 	}
 	return m, nil
 }
@@ -177,8 +160,8 @@ func (m *Monitor) Track(id sim.ProcID) error {
 	}
 	m.apps[id] = &appState{
 		last:     p.Counters(),
-		ipsEMA:   mathx.NewEMA(m.alpha),
-		powerEMA: mathx.NewEMA(m.alpha),
+		ipsEMA:   mathx.NewEMA(DefaultSmoothing),
+		powerEMA: mathx.NewEMA(DefaultSmoothing),
 	}
 	return nil
 }

@@ -36,13 +36,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Error("nil machine accepted")
 	}
-	m := newMachine(t, platform.RaptorLake())
-	if _, err := New(m, WithNoise(-1)); err == nil {
-		t.Error("negative noise accepted")
-	}
-	if _, err := New(m, WithSmoothing(2)); err == nil {
-		t.Error("smoothing > 1 accepted")
-	}
 }
 
 func TestSampleMeasuresIPSAndPower(t *testing.T) {
@@ -51,10 +44,11 @@ func TestSampleMeasuresIPSAndPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := New(m, WithNoise(0), WithSeed(7))
+	mon, err := New(m, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	mon.noise = 0
 	if err := mon.Track(p.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +110,11 @@ func TestAttributionSplitsByActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := New(m, WithNoise(0))
+	mon, err := New(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mon.noise = 0
 	for _, id := range []sim.ProcID{big.ID(), sm.ID()} {
 		if err := mon.Track(id); err != nil {
 			t.Fatal(err)
@@ -150,10 +145,11 @@ func TestAttributionUsesKindCoefficients(t *testing.T) {
 		if err := m.SetAffinity(p.ID(), m.HWThreadsOfKind(kind)[:4]); err != nil {
 			t.Fatal(err)
 		}
-		mon, err := New(m, WithNoise(0))
+		mon, err := New(m)
 		if err != nil {
 			t.Fatal(err)
 		}
+		mon.noise = 0
 		if err := mon.Track(p.ID()); err != nil {
 			t.Fatal(err)
 		}
@@ -180,10 +176,11 @@ func TestAttributionAccuracy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon, err := New(m, WithNoise(0))
+			mon, err := New(m)
 			if err != nil {
 				t.Fatal(err)
 			}
+			mon.noise = 0
 			if err := mon.Track(p.ID()); err != nil {
 				t.Fatal(err)
 			}
@@ -212,10 +209,11 @@ func TestUntrackReturnsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := New(m, WithNoise(0))
+	mon, err := New(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mon.noise = 0
 	if err := mon.Track(p.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +239,11 @@ func TestSmoothingAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := New(m, WithNoise(0.1), WithSeed(3))
+	mon, err := New(m, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	mon.noise = 0.1
 	if err := mon.Track(p.ID()); err != nil {
 		t.Fatal(err)
 	}

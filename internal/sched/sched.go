@@ -113,12 +113,11 @@ func (CFS) Place(topo []sim.HWInfo, procs []sim.ProcView) map[sim.ProcID][]sim.H
 // EAS models the Linux Energy-Aware Scheduler used on the Odroid XU3-E:
 // PELT-style task utilisation steers low-utilisation tasks to the LITTLE
 // island and keeps compute-saturated tasks on big cores (§3.1).
-type EAS struct {
-	// BigThreshold is the per-thread utilisation above which a task is
-	// considered to need a big core. Linux uses ~80 % of LITTLE capacity;
-	// 0 selects the default of 0.65.
-	BigThreshold float64
-}
+type EAS struct{}
+
+// easBigThreshold is the per-thread utilisation above which a task is
+// considered to need a big core. Linux uses ~80 % of LITTLE capacity.
+const easBigThreshold = 0.65
 
 var _ sim.Scheduler = EAS{}
 
@@ -126,11 +125,7 @@ var _ sim.Scheduler = EAS{}
 func (EAS) Name() string { return "eas" }
 
 // Place implements sim.Scheduler.
-func (e EAS) Place(topo []sim.HWInfo, procs []sim.ProcView) map[sim.ProcID][]sim.HWThread {
-	threshold := e.BigThreshold
-	if threshold == 0 {
-		threshold = 0.65
-	}
+func (EAS) Place(topo []sim.HWInfo, procs []sim.ProcView) map[sim.ProcID][]sim.HWThread {
 	return placeGreedy(topo, procs, func(p sim.ProcView, kind platform.KindID) float64 {
 		util := p.AvgThreadUtil
 		if util == 0 {
@@ -138,7 +133,7 @@ func (e EAS) Place(topo []sim.HWInfo, procs []sim.ProcView) map[sim.ProcID][]sim
 			util = 1
 		}
 		// Kind 0 is big, later kinds are smaller/more efficient.
-		if util >= threshold {
+		if util >= easBigThreshold {
 			if kind == 0 {
 				return 1.3
 			}
@@ -159,10 +154,11 @@ func (e EAS) Place(topo []sim.HWInfo, procs []sim.ProcView) map[sim.ProcID][]sim
 // ITD derives from instruction mix at nanosecond granularity.
 type ITD struct {
 	Platform *platform.Platform
-	// BenefitThreshold is the P/E speed ratio above which a thread is
-	// steered to P-cores. 0 selects the default of 1.35.
-	BenefitThreshold float64
 }
+
+// itdBenefitThreshold is the P/E speed ratio above which a thread is
+// steered to P-cores.
+const itdBenefitThreshold = 1.35
 
 var _ sim.Scheduler = ITD{}
 
@@ -171,13 +167,9 @@ func (ITD) Name() string { return "itd" }
 
 // Place implements sim.Scheduler.
 func (s ITD) Place(topo []sim.HWInfo, procs []sim.ProcView) map[sim.ProcID][]sim.HWThread {
-	threshold := s.BenefitThreshold
-	if threshold == 0 {
-		threshold = 1.35
-	}
 	return placeGreedy(topo, procs, func(p sim.ProcView, kind platform.KindID) float64 {
 		benefit := s.pBenefit(p)
-		if benefit >= threshold {
+		if benefit >= itdBenefitThreshold {
 			// Classified as P-favouring (high ITD performance score on P).
 			if kind == 0 {
 				return 1.6

@@ -35,19 +35,9 @@ type optionFunc func(*Machine)
 
 func (f optionFunc) apply(m *Machine) { f(m) }
 
-// WithQuantum sets the simulation time step.
-func WithQuantum(q time.Duration) Option {
-	return optionFunc(func(m *Machine) { m.quantum = q })
-}
-
 // WithGovernor selects the DVFS/idle governor model.
 func WithGovernor(g Governor) Option {
 	return optionFunc(func(m *Machine) { m.governor = g })
-}
-
-// WithMigrationStall sets the stall charged on RM-driven reconfiguration.
-func WithMigrationStall(d time.Duration) Option {
-	return optionFunc(func(m *Machine) { m.migrationStall = d })
 }
 
 type ticker struct {
@@ -64,7 +54,6 @@ type Machine struct {
 	plat           *platform.Platform
 	topo           []HWInfo
 	sched          Scheduler
-	quantum        time.Duration
 	governor       Governor
 	migrationStall time.Duration
 	lastPlace      time.Duration
@@ -99,7 +88,6 @@ func New(plat *platform.Platform, sched Scheduler, opts ...Option) (*Machine, er
 	m := &Machine{
 		plat:           plat,
 		sched:          sched,
-		quantum:        DefaultQuantum,
 		governor:       GovernorPowersave,
 		migrationStall: DefaultMigrationStall,
 		procs:          make(map[ProcID]*Proc),
@@ -107,9 +95,6 @@ func New(plat *platform.Platform, sched Scheduler, opts ...Option) (*Machine, er
 	}
 	for _, o := range opts {
 		o.apply(m)
-	}
-	if m.quantum <= 0 {
-		return nil, fmt.Errorf("sim: quantum %v", m.quantum)
 	}
 	if m.governor < GovernorPowersave || m.governor > GovernorPerformance {
 		return nil, fmt.Errorf("sim: bad governor %d", m.governor)
@@ -146,9 +131,6 @@ func (m *Machine) Governor() Governor { return m.governor }
 
 // Now returns the current virtual time.
 func (m *Machine) Now() time.Duration { return m.now }
-
-// Quantum returns the simulation time step.
-func (m *Machine) Quantum() time.Duration { return m.quantum }
 
 // Topology returns a copy of the hardware-thread table.
 func (m *Machine) Topology() []HWInfo {
@@ -335,7 +317,7 @@ func (m *Machine) Step() error {
 			return err
 		}
 	}
-	dt := m.quantum.Seconds()
+	dt := DefaultQuantum.Seconds()
 
 	// Hardware-thread loads and per-core busy sibling counts.
 	for i := range m.loads {
@@ -441,7 +423,7 @@ func (m *Machine) Step() error {
 				p.counters.UsefulGI += p.workLeft
 				p.workLeft = 0
 				p.done = true
-				p.finishedAt = m.now + time.Duration(frac*float64(m.quantum))
+				p.finishedAt = m.now + time.Duration(frac*float64(DefaultQuantum))
 				finished = append(finished, p.id)
 			} else {
 				p.workLeft -= adv
@@ -480,7 +462,7 @@ func (m *Machine) Step() error {
 		m.energy.PackageJ += kindJ
 	}
 
-	m.now += m.quantum
+	m.now += DefaultQuantum
 
 	// Retire finished processes.
 	for _, pid := range finished {

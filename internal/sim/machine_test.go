@@ -60,9 +60,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(platform.RaptorLake(), nil); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	if _, err := New(platform.RaptorLake(), spreadSched{}, WithQuantum(-time.Millisecond)); err == nil {
-		t.Error("negative quantum accepted")
-	}
 	if _, err := New(platform.RaptorLake(), spreadSched{}, WithGovernor(Governor(99))); err == nil {
 		t.Error("bogus governor accepted")
 	}
@@ -260,7 +257,8 @@ func TestSetThreadsRules(t *testing.T) {
 }
 
 func TestMigrationStallPausesProgress(t *testing.T) {
-	m := newTestMachine(t, WithMigrationStall(100*time.Millisecond))
+	m := newTestMachine(t)
+	m.migrationStall = 100 * time.Millisecond
 	p, err := m.Start(computeProfile(1e6), "")
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -263,8 +262,8 @@ type metric struct {
 	hv   *HistogramVec
 }
 
-// Registry holds named metrics and renders them in Prometheus text format
-// or as an expvar map. The zero Registry is not usable; construct with
+// Registry holds named metrics and renders them in Prometheus text format.
+// The zero Registry is not usable; construct with
 // NewRegistry. A nil *Registry hands out nil instruments, which are valid
 // no-ops, so optional instrumentation needs no guards.
 type Registry struct {
@@ -466,68 +465,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 func formatFloat(v float64) string {
 	s := fmt.Sprintf("%g", v)
 	return s
-}
-
-// snapshot returns a plain map view of every metric for expvar.
-func (r *Registry) snapshot() map[string]any {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	ms := make([]*metric, 0, len(r.order))
-	for _, n := range r.order {
-		ms = append(ms, r.metrics[n])
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]any, len(ms))
-	for _, m := range ms {
-		switch {
-		case m.c != nil:
-			out[m.name] = m.c.Value()
-		case m.cv != nil:
-			m.cv.mu.Lock()
-			sub := make(map[string]uint64, len(m.cv.vals))
-			for k, c := range m.cv.vals {
-				sub[k] = c.Value()
-			}
-			m.cv.mu.Unlock()
-			out[m.name] = sub
-		case m.fc != nil:
-			out[m.name] = m.fc.Value()
-		case m.g != nil:
-			out[m.name] = m.g.Value()
-		case m.gv != nil:
-			m.gv.mu.Lock()
-			sub := make(map[string]float64, len(m.gv.vals))
-			for k, g := range m.gv.vals {
-				sub[k] = g.Value()
-			}
-			m.gv.mu.Unlock()
-			out[m.name] = sub
-		case m.h != nil:
-			out[m.name] = map[string]any{"count": m.h.Count(), "sum": m.h.Sum()}
-		case m.hv != nil:
-			m.hv.mu.Lock()
-			sub := make(map[string]any, len(m.hv.vals))
-			for k, h := range m.hv.vals {
-				sub[k] = map[string]any{"count": h.Count(), "sum": h.Sum()}
-			}
-			m.hv.mu.Unlock()
-			out[m.name] = sub
-		}
-	}
-	return out
-}
-
-// PublishExpvar publishes the registry under the given expvar name
-// (served at /debug/vars). Publishing the same name twice is a no-op
-// rather than the package-level panic, so tests can build many servers.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.snapshot() }))
 }
 
 // Default bucket layouts for the adaptation loop's latencies.

@@ -1,8 +1,8 @@
 // Package telemetry makes HARP's 50 ms adaptation loop observable
 // (measure → learn → allocate → push, §5.3): a ring-buffered structured
-// event tracer, a metrics registry exported in Prometheus text format and
-// via expvar, a per-epoch JSONL decision journal, and a Chrome trace_event
-// exporter for Perfetto/about:tracing.
+// event tracer, a metrics registry exported in Prometheus text format, a
+// per-epoch JSONL decision journal, and a Chrome trace_event exporter for
+// Perfetto/about:tracing.
 //
 // All of it is stdlib-only and built around two rules:
 //

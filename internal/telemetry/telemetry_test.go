@@ -174,19 +174,6 @@ func TestPrometheusText(t *testing.T) {
 	}
 }
 
-func TestExpvarPublishIdempotent(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("v_total", "").Inc()
-	r.PublishExpvar("harp-test-metrics")
-	// A second publication (e.g. another server in the same process) must
-	// not panic.
-	NewRegistry().PublishExpvar("harp-test-metrics")
-	snap := r.snapshot()
-	if snap["v_total"] != uint64(1) {
-		t.Errorf("snapshot = %v", snap)
-	}
-}
-
 func TestJournalRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
