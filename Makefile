@@ -80,11 +80,12 @@ cluster-chaos-long:
 	HARP_CLUSTER_LONG=1 $(GO) test -race -count=1 -v -run 'TestClusterMultiSeedSweep' ./harpsim/
 
 # fuzz-smoke briefly runs each wire-protocol and durable-state fuzzer —
-# enough to catch framing regressions on every push without a dedicated
-# fuzzing farm.
+# enough to catch framing regressions, and any drift of the codec's fast
+# paths from encoding/json, on every push without a dedicated fuzzing farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzWrite$$' -fuzztime 10s ./internal/proto/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOperatingPoints$$' -fuzztime 10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 10s ./internal/store/
 
@@ -96,9 +97,10 @@ fuzz-smoke:
 bench-check:
 	bash benchmark/run.sh --seconds 3
 
-# bench-record appends this checkout's benchmark numbers — every workload at
-# seed 1, the contract's 20 s — to the committed bench-history.jsonl, one
-# line per workload. Run it for every change that claims or risks a
+# bench-record appends this checkout's benchmark numbers — every workload
+# three times at seed 1, the contract's 20 s — to the committed
+# bench-history.jsonl, one line per workload with each metric's median, min
+# and max. Run it for every change that claims or risks a
 # performance difference, and commit the lines with the change.
 bench-record:
 	bash scripts/bench-record.sh

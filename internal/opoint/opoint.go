@@ -250,6 +250,9 @@ func (t *Table) upsert(op OperatingPoint, hint int) bool {
 	if old := &t.Points[i]; old.Utility == op.Utility && old.Power == op.Power && old.Measured == op.Measured && old.Samples == op.Samples {
 		return false // same vector, same values: nothing to write
 	}
+	// Keep the stored, equal vector: a decoded upload's vectors share one
+	// backing array (internal/proto), which one adopted vector would pin.
+	op.Vector = t.Points[i].Vector
 	t.Points[i] = op
 	return true
 }

@@ -80,10 +80,15 @@ func TestTableLookupUpsert(t *testing.T) {
 	if len(tbl.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(tbl.Points))
 	}
-	// Upsert with the same vector replaces.
-	tbl.Upsert(OperatingPoint{Vector: v1, Utility: 12, Power: 6, Measured: true})
+	// Upsert with an equal vector replaces the values but keeps the stored
+	// vector, so the table never pins the caller's backing array.
+	stored := tbl.Points[0].Vector.Counts
+	tbl.Upsert(OperatingPoint{Vector: v1.Clone(), Utility: 12, Power: 6, Measured: true})
 	if len(tbl.Points) != 2 {
 		t.Fatalf("points after replace = %d, want 2", len(tbl.Points))
+	}
+	if &tbl.Points[0].Vector.Counts[0] != &stored[0] {
+		t.Error("replacing a point adopted the caller's vector instead of keeping the stored one")
 	}
 	got, ok := tbl.Lookup(v1)
 	if !ok || got.Utility != 12 || !got.Measured {

@@ -29,6 +29,7 @@ func seedFrames(f *testing.F) {
 	})
 	add(MsgUtilityReport, UtilityReport{Seq: 3, Utility: 42.5})
 	add(MsgPhaseChange, PhaseChange{Phase: "stage-2"})
+	add(MsgOperatingPoints, OperatingPoints{Table: smallTable()})
 	add(MsgUtilityRequest, nil)
 	add(MsgExit, nil)
 	add(MsgPing, nil)
@@ -51,10 +52,25 @@ func seedFrames(f *testing.F) {
 
 // FuzzRead feeds arbitrary byte streams to the frame reader: it must never
 // panic, every accepted envelope must carry a type, and accepted envelopes
-// must survive a re-encode/re-read round trip.
+// must survive a re-encode/re-read round trip. The same bytes, taken as one
+// frame's payload, hold the hand-parsed envelope to json.Unmarshal: whatever
+// parseEnvelope accepts, json.Unmarshal decodes to the same envelope.
 func FuzzRead(f *testing.F) {
 	seedFrames(f)
+	f.Add([]byte(`{"type":"exit","body":null}`))
+	f.Add([]byte(`{"type":"x","body": 1}`))
+	f.Add([]byte(`{"type":"x","body":1,"type":"y"}`))
+	f.Add([]byte(`{"type":"\u0078"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if env, ok := parseEnvelope(data); ok {
+			var want Envelope
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("parseEnvelope accepted a payload json.Unmarshal rejects (%v): %q", err, data)
+			}
+			if !reflect.DeepEqual(env, want) {
+				t.Fatalf("parseEnvelope = %+v, json.Unmarshal = %+v for %q", env, want, data)
+			}
+		}
 		r := bytes.NewReader(data)
 		for i := 0; i < 64; i++ {
 			env, err := Read(r)
@@ -84,8 +100,9 @@ func FuzzRead(f *testing.F) {
 }
 
 // FuzzWrite drives the framer with arbitrary message types and JSON bodies:
-// whenever Write accepts, Read must hand back the same type and an
-// equivalent body.
+// Write must accept and reject what the reference encoder does, with
+// byte-identical frames, and whenever it accepts, Read must hand back the
+// same type and an equivalent body.
 func FuzzWrite(f *testing.F) {
 	f.Add(string(MsgRegister), []byte(`{"pid":1,"app":"x","adaptivity":"static"}`))
 	f.Add(string(MsgActivate), []byte(`{"seq":1,"vectorKey":"1|2","cores":[{"core":0,"threads":1}]}`))
@@ -98,9 +115,17 @@ func FuzzWrite(f *testing.F) {
 		if len(body) > 0 {
 			payload = json.RawMessage(body)
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, MsgType(typ), payload); err != nil {
+		var buf, ref bytes.Buffer
+		err := Write(&buf, MsgType(typ), payload)
+		refErr := writeReference(&ref, MsgType(typ), payload)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Write err = %v, reference err = %v", err, refErr)
+		}
+		if err != nil {
 			return // invalid JSON bodies and oversized frames are rejected
+		}
+		if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+			t.Fatalf("frame differs from the reference encoder's:\n got %q\nwant %q", buf.Bytes(), ref.Bytes())
 		}
 		env, err := Read(&buf)
 		if typ == "" {

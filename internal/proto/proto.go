@@ -3,9 +3,19 @@
 // sockets. The paper uses protobuf; the protocol shape (registration,
 // operating-point upload, activation pushes, utility polling) is preserved
 // while the encoding stays stdlib-only.
+//
+// The codec does one write per frame out and one scan per frame in. Write
+// marshals the body once and sends header and envelope in a single w.Write.
+// Read parses the envelope shape Write produces by hand, validates the body
+// with one json.Valid scan and copies it out of the frame buffer. DecodeBody
+// decodes an operating-points upload in a single pass into exactly sized
+// storage (table.go). Any other shape falls back to encoding/json, which
+// defines what decodes and how; the fast paths are held to it by
+// differential fuzzers.
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -136,14 +146,17 @@ type PhaseChange struct {
 	Phase string `json:"phase"`
 }
 
-// Write frames and writes one message. The type must be valid UTF-8: JSON
-// encoding silently replaces invalid bytes with U+FFFD, which would change
-// the type in transit (found by FuzzWrite).
+// Write frames and writes one message: the 4-byte big-endian length, then
+// {"type":<type>,"body":<body>} with "body" omitted for a nil body. The body
+// is marshalled once, straight into an exactly sized frame buffer, and the
+// frame goes out in one w.Write. The type must be valid UTF-8: JSON encoding
+// silently replaces invalid bytes with U+FFFD, which would change the type in
+// transit (found by FuzzWrite).
 func Write(w io.Writer, typ MsgType, body any) error {
 	if !utf8.ValidString(string(typ)) {
 		return fmt.Errorf("proto: message type %q is not valid UTF-8", typ)
 	}
-	var raw json.RawMessage
+	var raw []byte
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
@@ -151,29 +164,63 @@ func Write(w io.Writer, typ MsgType, body any) error {
 		}
 		raw = b
 	}
-	frame, err := json.Marshal(Envelope{Type: typ, Body: raw})
-	if err != nil {
-		return fmt.Errorf("proto: marshal envelope: %w", err)
+	// The type's JSON literal: quoted as is when it needs no escape, which
+	// holds for every protocol type, else through the encoder.
+	var quoted []byte
+	typeLen := len(typ) + 2
+	if !plainType(typ) {
+		b, err := json.Marshal(string(typ))
+		if err != nil {
+			return fmt.Errorf("proto: marshal envelope: %w", err)
+		}
+		quoted, typeLen = b, len(b)
 	}
-	if len(frame) > MaxFrame {
+	const typeKey, bodyKey = `{"type":`, `,"body":`
+	n := len(typeKey) + typeLen + 1
+	if len(raw) > 0 {
+		n += len(bodyKey) + len(raw)
+	}
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(frame)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("proto: write header: %w", err)
+	frame := make([]byte, 4, 4+n)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame = append(frame, typeKey...)
+	if quoted != nil {
+		frame = append(frame, quoted...)
+	} else {
+		frame = append(frame, '"')
+		frame = append(frame, typ...)
+		frame = append(frame, '"')
 	}
+	if len(raw) > 0 {
+		frame = append(frame, bodyKey...)
+		frame = append(frame, raw...)
+	}
+	frame = append(frame, '}')
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("proto: write frame: %w", err)
 	}
 	return nil
 }
 
+// plainType reports whether json.Marshal quotes typ verbatim: printable
+// ASCII without the characters it escapes.
+func plainType(typ MsgType) bool {
+	for i := 0; i < len(typ); i++ {
+		if c := typ[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
 // Read reads one framed message. io.EOF is returned verbatim on a clean
 // close before the header. Each call allocates a fresh frame buffer; loops
 // reading many messages from one connection should use a Reader instead.
 func Read(r io.Reader) (Envelope, error) {
-	n, err := readHeader(r)
+	var header [4]byte
+	n, err := readHeader(r, header[:])
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -182,13 +229,15 @@ func Read(r io.Reader) (Envelope, error) {
 }
 
 // Reader reads framed messages from a single connection, reusing one frame
-// buffer across calls. Decoding is safe despite the reuse: Envelope.Body is
-// a json.RawMessage, whose UnmarshalJSON copies the bytes out of the frame
-// buffer, so nothing returned by Read aliases it. A Reader is not safe for
-// concurrent use — one per connection, like the read loop that owns it.
+// buffer across calls. Decoding is safe despite the reuse: readFrame copies
+// Envelope.Body out of the frame buffer into an allocation of its own (on
+// the fallback path json.RawMessage's UnmarshalJSON makes that copy), so
+// nothing returned by Read aliases it. A Reader is not safe for concurrent
+// use — one per connection, like the read loop that owns it.
 type Reader struct {
-	r   io.Reader
-	buf []byte
+	r      io.Reader
+	header [4]byte
+	buf    []byte
 }
 
 // NewReader wraps r for buffer-reusing frame reads.
@@ -200,7 +249,7 @@ func NewReader(r io.Reader) *Reader {
 // per-frame buffer allocation once the buffer has grown to the connection's
 // working frame size.
 func (rd *Reader) Read() (Envelope, error) {
-	n, err := readHeader(rd.r)
+	n, err := readHeader(rd.r, rd.header[:])
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -210,30 +259,34 @@ func (rd *Reader) Read() (Envelope, error) {
 	return readFrame(rd.r, rd.buf[:n])
 }
 
-// readHeader reads and validates the 4-byte length prefix.
-func readHeader(r io.Reader) (uint32, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+// readHeader reads and validates the 4-byte length prefix into header.
+func readHeader(r io.Reader, header []byte) (uint32, error) {
+	if _, err := io.ReadFull(r, header); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, io.EOF
 		}
 		return 0, fmt.Errorf("proto: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(header[:])
+	n := binary.BigEndian.Uint32(header)
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
 	return n, nil
 }
 
-// readFrame fills buf from r and decodes the envelope it holds.
+// readFrame fills buf from r and decodes the envelope it holds: by hand for
+// the shape Write produces, through encoding/json for anything else.
 func readFrame(r io.Reader, buf []byte) (Envelope, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Envelope{}, fmt.Errorf("proto: read frame: %w", err)
 	}
-	var env Envelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return Envelope{}, fmt.Errorf("proto: decode envelope: %w", err)
+	env, ok := parseEnvelope(buf)
+	if !ok {
+		var fallback Envelope // declared here so only this path allocates it
+		if err := json.Unmarshal(buf, &fallback); err != nil {
+			return Envelope{}, fmt.Errorf("proto: decode envelope: %w", err)
+		}
+		env = fallback
 	}
 	if env.Type == "" {
 		return Envelope{}, errors.New("proto: envelope without type")
@@ -241,7 +294,66 @@ func readFrame(r io.Reader, buf []byte) (Envelope, error) {
 	return env, nil
 }
 
+// parseEnvelope decodes {"type":"<string>"} and {"type":"<string>","body":
+// <value>} — exactly what Write produces for a type without escapes — with
+// one json.Valid scan of the body, which it copies out of buf. ok is false
+// for every other shape, including whitespace around the body; json.Unmarshal
+// then decides, and on what parseEnvelope accepts the two agree (FuzzRead).
+func parseEnvelope(buf []byte) (env Envelope, ok bool) {
+	const typeKey, bodyKey = `{"type":"`, `,"body":`
+	if !bytes.HasPrefix(buf, []byte(typeKey)) || buf[len(buf)-1] != '}' {
+		return Envelope{}, false
+	}
+	rest := buf[len(typeKey):]
+	end := plainStringEnd(rest)
+	if end < 0 {
+		return Envelope{}, false
+	}
+	env.Type = MsgType(rest[:end])
+	rest = rest[end+1:]
+	if len(rest) == 1 { // only the closing brace: a bodyless message
+		return env, true
+	}
+	if !bytes.HasPrefix(rest, []byte(bodyKey)) {
+		return Envelope{}, false
+	}
+	body := rest[len(bodyKey) : len(rest)-1]
+	if len(body) == 0 || isSpace(body[0]) || isSpace(body[len(body)-1]) || !json.Valid(body) {
+		return Envelope{}, false
+	}
+	env.Body = make(json.RawMessage, len(body))
+	copy(env.Body, body)
+	return env, true
+}
+
+// plainStringEnd returns the index of the quote closing the JSON string
+// whose contents start b, or -1 when the string is unterminated, holds an
+// escape or a control character, or is not valid UTF-8 (encoding/json would
+// rewrite it).
+func plainStringEnd(b []byte) int {
+	for i, c := range b {
+		switch {
+		case c == '"':
+			if !utf8.Valid(b[:i]) {
+				return -1
+			}
+			return i
+		case c == '\\' || c < 0x20:
+			return -1
+		}
+	}
+	return -1
+}
+
+// isSpace reports whether c is JSON insignificant whitespace.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
+}
+
 // DecodeBody unmarshals an envelope's body into out after checking the type.
+// An operating-points upload into an empty *OperatingPoints takes the
+// single-pass decoder first (decodeTable); every other body, and any upload
+// that decoder declines, goes through json.Unmarshal.
 func DecodeBody(env Envelope, want MsgType, out any) error {
 	if env.Type != want {
 		return fmt.Errorf("%w: got %q, want %q", ErrUnknownType, env.Type, want)
@@ -251,6 +363,12 @@ func DecodeBody(env Envelope, want MsgType, out any) error {
 	}
 	if len(env.Body) == 0 {
 		return fmt.Errorf("proto: %s without body", want)
+	}
+	if up, ok := out.(*OperatingPoints); ok && up.Table == nil {
+		if tbl, ok := decodeTable(env.Body); ok {
+			up.Table = tbl
+			return nil
+		}
 	}
 	if err := json.Unmarshal(env.Body, out); err != nil {
 		return fmt.Errorf("proto: decode %s: %w", want, err)

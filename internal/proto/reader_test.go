@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"github.com/harp-rm/harp/internal/opoint"
 )
 
 // frames encodes the given messages back-to-back as they would appear on a
@@ -72,6 +70,30 @@ func TestReaderReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestParsedEnvelopeDoesNotAlias pins the copy on the hand-parsed envelope
+// path: Body holds bytes of its own, not a window of the frame buffer.
+func TestParsedEnvelopeDoesNotAlias(t *testing.T) {
+	raw := benchTable(t)
+	rd := NewReader(bytes.NewReader(raw))
+	env, err := rd.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := parseEnvelope(rd.buf); !ok {
+		t.Fatal("the upload frame did not take the hand-parsed envelope path")
+	}
+	before := string(env.Body)
+	for i := range rd.buf {
+		rd.buf[i] = 0
+	}
+	if string(env.Body) != before {
+		t.Fatal("Envelope.Body aliases the Reader's frame buffer")
+	}
+	if cap(env.Body) != len(env.Body) {
+		t.Fatalf("Envelope.Body cap %d, len %d", cap(env.Body), len(env.Body))
+	}
+}
+
 // TestReaderRejectsOversizedFrame mirrors Read's MaxFrame check.
 func TestReaderRejectsOversizedFrame(t *testing.T) {
 	raw := []byte{0xff, 0xff, 0xff, 0xff}
@@ -80,20 +102,10 @@ func TestReaderRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-// benchTable builds a realistically sized operating-points upload — the
-// largest message on the wire and the one that makes per-frame buffer
-// allocation visible.
+// benchTable frames the real shape of the largest message on the wire: a
+// Raptor Lake operating-points upload with all 764 vectors (table764).
 func benchTable(t testing.TB) []byte {
-	tbl := &opoint.Table{App: "ep.C", Platform: "intel-raptorlake"}
-	for i := 0; i < 64; i++ {
-		tbl.Points = append(tbl.Points, opoint.OperatingPoint{
-			Utility:  float64(i),
-			Power:    10 + float64(i),
-			Measured: true,
-			Samples:  3,
-		})
-	}
-	return frames(t, 1, MsgOperatingPoints, OperatingPoints{Table: tbl})
+	return frames(t, 1, MsgOperatingPoints, OperatingPoints{Table: table764(t)})
 }
 
 func BenchmarkRead(b *testing.B) {
@@ -118,6 +130,27 @@ func BenchmarkReaderRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Reset(raw)
 		if _, err := rd.Read(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeTable764 is the upload path harpd runs per table: one
+// Reader.Read of the 764-point frame plus DecodeBody.
+func BenchmarkDecodeTable764(b *testing.B) {
+	raw := benchTable(b)
+	r := bytes.NewReader(raw)
+	rd := NewReader(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(raw)
+		env, err := rd.Read()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var up OperatingPoints
+		if err := DecodeBody(env, MsgOperatingPoints, &up); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,31 +1,78 @@
 #!/usr/bin/env bash
-# bench-record runs the repository benchmark once per workload at seed 1 and
-# appends one JSON line per workload to bench-history.jsonl at the repo root:
-# the commit measured (git describe, "-dirty" when tracked files have
-# uncommitted changes), the UTC date, the workload, the attempted and failed
-# operation counts and the six end-to-end metrics. Arguments are passed on to
-# benchmark/run.sh, e.g. `bash scripts/bench-record.sh --seconds 10`; the
-# default is the contract's 20 s. Run via `make bench-record`. Exits non-zero
-# when a workload failed an operation (its line is still recorded).
+# bench-record runs the repository benchmark three times per workload at
+# seed 1 and appends one JSON line per workload to bench-history.jsonl at the
+# repo root: the commit measured (git describe, "-dirty" when tracked files
+# have uncommitted changes), the UTC date, the workload, the number of runs,
+# the attempted and failed operation counts summed over the runs, and for
+# every metric the median of the runs with their min and max beside it.
+# Arguments are passed on to benchmark/run.sh, e.g.
+# `bash scripts/bench-record.sh --seconds 10`; the default is the contract's
+# 20 s. Run via `make bench-record`. Exits non-zero when a run failed an
+# operation (its workload is still recorded).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# runs is fixed: three runs bound cpu_ms_per_op within the A/A study's
+# spread (ROADMAP 1(a)), and a constant keeps every record comparable.
+runs=3
 
 commit=$(git describe --always --dirty --abbrev=12)
 status=0
 for w in daemon-admit daemon-retable churn-10k paper-eval; do
-	out=$(bash benchmark/run.sh --workload "$w" --seed 1 "$@") || status=1
-	printf '%s\n' "$out" | sed '$d' >&2
-	res=$(printf '%s\n' "$out" | tail -n 1)
-	case $res in
-	'{"correct":'*) ;;
-	*)
-		echo "bench-record: $w printed no result line" >&2
-		exit 1
-		;;
-	esac
-	# The result line is {"correct":…,"attempted":…,"failed":…,"metrics":{…}};
-	# the record keeps everything after "correct".
-	printf '{"commit":"%s","date":"%s","workload":"%s",%s\n' \
-		"$commit" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$w" "${res#*,}" >>bench-history.jsonl
+	results=""
+	for ((i = 1; i <= runs; i++)); do
+		out=$(bash benchmark/run.sh --workload "$w" --seed 1 "$@") || status=1
+		printf '%s\n' "$out" | sed '$d' >&2
+		res=$(printf '%s\n' "$out" | tail -n 1)
+		case $res in
+		'{"correct":'*) ;;
+		*)
+			echo "bench-record: $w printed no result line" >&2
+			exit 1
+			;;
+		esac
+		results+="$res"$'\n'
+	done
+	# Each result line is {"correct":…,"attempted":…,"failed":…,"metrics":
+	# {"<name>":{"value":…,"unit":"…"},…}}; the record keeps the counts
+	# summed and each metric's median, min and max.
+	printf '%s' "$results" | awk -v commit="$commit" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+		-v workload="$w" -v runs="$runs" '
+	function field(line, key,    m) {
+		if (!match(line, "\"" key "\":[0-9]+")) return 0
+		m = substr(line, RSTART, RLENGTH)
+		sub(/.*:/, "", m)
+		return m + 0
+	}
+	{
+		attempted += field($0, "attempted")
+		failed += field($0, "failed")
+		rest = $0
+		while (match(rest, /"[a-zA-Z0-9_.]+":\{"value":[^,}]+,"unit":"[^"]*"\}/)) {
+			m = substr(rest, RSTART, RLENGTH)
+			rest = substr(rest, RSTART + RLENGTH)
+			name = m; sub(/^"/, "", name); sub(/".*/, "", name)
+			v = m; sub(/.*"value":/, "", v); sub(/,.*/, "", v)
+			u = m; sub(/.*"unit":"/, "", u); sub(/".*/, "", u)
+			if (!(name in n)) order[++names] = name
+			vals[name, ++n[name]] = v + 0
+			unit[name] = u
+		}
+	}
+	END {
+		printf "{\"commit\":\"%s\",\"date\":\"%s\",\"workload\":\"%s\",\"runs\":%d,\"attempted\":%d,\"failed\":%d,\"metrics\":{", \
+			commit, date, workload, runs, attempted, failed
+		for (k = 1; k <= names; k++) {
+			name = order[k]
+			c = n[name]
+			for (i = 1; i <= c; i++) s[i] = vals[name, i]
+			for (i = 2; i <= c; i++) # insertion sort; c is the run count
+				for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+			med = (c % 2) ? s[(c + 1) / 2] : (s[c / 2] + s[c / 2 + 1]) / 2
+			printf "%s\"%s\":{\"value\":%.17g,\"min\":%.17g,\"max\":%.17g,\"unit\":\"%s\"}", \
+				(k > 1 ? "," : ""), name, med, s[1], s[c], unit[name]
+		}
+		print "}}"
+	}' >>bench-history.jsonl
 done
 exit $status
