@@ -40,7 +40,8 @@ race:
 # invariants runs the correctness harness (see CORRECTNESS.md): the exact
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
 # the incremental solver's delta contract and its positional pins against
-# the map-keyed reference merge, the full-run invariant suites
+# the map-keyed reference merge, improve and rescue against their plain
+# reference searches, the full-run invariant suites
 # over simulated chaos runs and random Manager operation sequences, and the
 # pinned decision-journal digests of the paper's Fig. 6 scenarios and of the
 # simulated fleet. Failures
@@ -48,7 +49,7 @@ race:
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestPositionalPinsMatchMapPins|TestPaperJournalDigests|TestClusterJournalDigests' \
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestPositionalPinsMatchMapPins|TestPaperJournalDigests|TestClusterJournalDigests' \
 		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/
 
 # invariants-long is the nightly sweep: the same harness over an order of
@@ -81,13 +82,15 @@ cluster-chaos-long:
 
 # fuzz-smoke briefly runs each wire-protocol and durable-state fuzzer —
 # enough to catch framing regressions, and any drift of the codec's fast
-# paths from encoding/json, on every push without a dedicated fuzzing farm.
+# paths from encoding/json, on every push without a dedicated fuzzing farm —
+# and the runtime Pareto front's fuzzer against the generic scan.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzWrite$$' -fuzztime 10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOperatingPoints$$' -fuzztime 10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzRuntimeFront$$' -fuzztime 10s ./internal/opoint/
 
 # bench-check runs the repository benchmark (BENCHMARK.json, benchmark/README.md)
 # for three seconds per workload. It is a correctness gate, not a timing

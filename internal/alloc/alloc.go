@@ -150,6 +150,7 @@ type solverScratch struct {
 	repBuf     []lagRep
 	fdBuf      []float64
 	seen       map[uint64]bool
+	rescue     rescueSearch
 }
 
 // ensureStates returns n reusable per-app states.
@@ -513,7 +514,9 @@ func (a *Allocator) emitTrace(stats Stats) {
 
 // buildState Pareto-filters the table and precomputes costs into a reusable
 // per-app state. Candidate demand vectors are carved from the state's demand
-// arena; the arena never escapes into returned Allocations.
+// arena; the arena never escapes into returned Allocations. Both front paths
+// — the table's memo and the partially usable table's own front — run
+// opoint.RuntimeFront, the demand-grid form of the runtime Pareto filter.
 //
 // Unusable points — zero vectors and points whose cost guard yields a
 // non-finite cost (e.g. a zero-power measurement) — are dropped BEFORE Pareto
@@ -540,7 +543,7 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 	if len(usable) == len(app.Table.Points) {
 		points = app.Table.ParetoPoints() // memoised fast path, same front
 	} else {
-		points = opoint.Pareto(usable, opoint.RuntimeObjectives)
+		points = opoint.RuntimeFront(usable)
 	}
 	st.id = app.ID
 	st.chosen = -1
@@ -851,6 +854,11 @@ const pairMoveMaxApps = 64
 // cheapest combination under which every kind stays within capacity, and
 // repeats until no deferred application can be lifted. The loop terminates:
 // each round clears at least one coalloc flag and rescue never sets one.
+//
+// The search (rescueSearch.dfs) skips every subtree in which no node can
+// fit but charges the budget the nodes the plain depth-first search would
+// have visited there, so it lifts exactly what the plain search lifts;
+// TestRescueMatchesScan holds it to that search.
 func (a *Allocator) rescue(states []*appState, capacity []int) {
 	deferred := 0
 	for _, st := range states {
@@ -861,99 +869,202 @@ func (a *Allocator) rescue(states []*appState, capacity []int) {
 	if deferred == 0 || deferred > rescueMaxDeferred {
 		return
 	}
-	nk := len(capacity)
-	remaining := make([]int, nk)
-	recompute := func() {
-		copy(remaining, capacity)
-		for _, st := range states {
-			if st.coalloc || st.chosen < 0 {
-				continue
-			}
-			for k, d := range st.cands[st.chosen].demand {
-				remaining[k] -= d
-			}
-		}
-	}
-	type switchTo struct {
-		app  *appState
-		cand int
-	}
+	r := &a.scratch.rescue
 	for changed := true; changed; {
 		changed = false
 		for _, st := range states {
 			if !st.coalloc {
 				continue
 			}
-			recompute()
-			var others []*appState
-			for _, o := range states {
-				if o != st && !o.coalloc && o.chosen >= 0 {
-					others = append(others, o)
-				}
-			}
-			bestCost := math.Inf(1)
-			bestCand := -1
-			var bestSw, curSw []switchTo
-			budget := rescueBudget
-			// need[k] > 0 means kind k still lacks cores for the candidate
-			// under the switches applied so far; need ≤ 0 everywhere is
-			// exactly "all isolated choices plus the candidate fit".
-			need := make([]int, nk)
-			var dfs func(oi, switches, ci int, delta float64)
-			dfs = func(oi, switches, ci int, delta float64) {
-				if budget--; budget < 0 {
-					return
-				}
-				fits := true
-				for _, n := range need {
-					if n > 0 {
-						fits = false
-						break
-					}
-				}
-				if fits {
-					if total := st.cands[ci].cost + delta; total < bestCost {
-						bestCost, bestCand = total, ci
-						bestSw = append(bestSw[:0], curSw...)
-					}
-					return
-				}
-				if oi >= len(others) || switches >= rescueMaxSwitches {
-					return
-				}
-				dfs(oi+1, switches, ci, delta) // leave others[oi] as is
-				o := others[oi]
-				cur := &o.cands[o.chosen]
-				for alt := range o.cands {
-					if alt == o.chosen {
-						continue
-					}
-					oc := &o.cands[alt]
-					for k := 0; k < nk; k++ {
-						need[k] += oc.demand[k] - cur.demand[k]
-					}
-					curSw = append(curSw, switchTo{o, alt})
-					dfs(oi+1, switches+1, ci, delta+oc.cost-cur.cost)
-					curSw = curSw[:len(curSw)-1]
-					for k := 0; k < nk; k++ {
-						need[k] -= oc.demand[k] - cur.demand[k]
-					}
-				}
-			}
-			for ci := range st.cands {
-				for k, d := range st.cands[ci].demand {
-					need[k] = d - remaining[k]
-				}
-				dfs(0, 0, ci, 0)
-			}
-			if bestCand >= 0 {
-				st.chosen = bestCand
+			r.prepare(st, states, capacity)
+			r.search()
+			if r.bestCand >= 0 {
+				st.chosen = r.bestCand
 				st.coalloc = false
-				for _, s := range bestSw {
-					s.app.chosen = s.cand
+				for _, sw := range r.bestSw {
+					sw.app.chosen = sw.cand
 				}
 				changed = true
 			}
+		}
+	}
+}
+
+// rescueSwitch moves isolated application app to candidate cand.
+type rescueSwitch struct {
+	app  *appState
+	cand int
+}
+
+// rescueRow is the number of switch counts a search node can have, 0 to
+// rescueMaxSwitches: node (oi, s) — others[oi:] still to decide, s switches
+// made — has row oi*rescueRow+s in rescueSearch's tables.
+const rescueRow = rescueMaxSwitches + 1
+
+// rescueSearch is rescue's depth-first search for one deferred application,
+// kept in the solver scratch so that the miss path allocates nothing once
+// its buffers have grown.
+//
+// Each node first asks whether anything below it can fit. Switching one
+// application changes kind k's need by no less than that application's
+// most negative single-switch change, so below node (oi, s) need[k] never
+// drops under need[k] + floor, floor being the sum of the
+// rescueMaxSwitches−s most negative such changes over others[oi:]. When
+// that is still positive for some kind, no node of the subtree fits, and
+// the plain search would visit all of its N(oi, s) nodes without effect:
+// N(oi, s) = 1 when oi = len(others) or s = rescueMaxSwitches, else
+// 1 + N(oi+1, s) + (len(cands)−1)·N(oi+1, s+1). The search charges that
+// count and returns. Every node that fits is still reached in the same
+// order with the same budget left, and exhaustion falls at the same point
+// (past it only the budget's sign matters), so the outcome is the plain
+// search's.
+type rescueSearch struct {
+	st     *appState
+	others []*appState
+	// remaining is the capacity the isolated applications leave.
+	remaining []int
+	// need[k] > 0 means kind k still lacks cores for the candidate under the
+	// switches applied so far; need ≤ 0 everywhere is exactly "all isolated
+	// choices plus the candidate fit".
+	need []int
+	// floor[row*nk+k] bounds how far kind k's need can fall below node row;
+	// size[row] is the node's N, saturated at rescueBudget+1 (a larger
+	// charge exhausts the budget just the same); top holds, per kind, the
+	// rescueMaxSwitches most negative single-switch changes seen while the
+	// tables are built, ascending.
+	floor, size, top []int
+
+	budget        int
+	bestCost      float64
+	bestCand      int
+	bestSw, curSw []rescueSwitch
+}
+
+// prepare sets the search up for deferred application st: the isolated
+// applications as others, the capacity they leave, and the floor and size
+// tables over others.
+func (r *rescueSearch) prepare(st *appState, states []*appState, capacity []int) {
+	nk := len(capacity)
+	r.st = st
+	r.remaining = resize(r.remaining, nk)
+	copy(r.remaining, capacity)
+	r.others = r.others[:0]
+	for _, o := range states {
+		if o.coalloc || o.chosen < 0 {
+			continue
+		}
+		for k, d := range o.cands[o.chosen].demand {
+			r.remaining[k] -= d
+		}
+		r.others = append(r.others, o)
+	}
+	n := len(r.others)
+	r.floor = resize(r.floor, (n+1)*rescueRow*nk)
+	r.size = resize(r.size, (n+1)*rescueRow)
+	r.top = resize(r.top, nk*rescueMaxSwitches)
+	clear(r.top)
+	for oi := n; oi >= 0; oi-- {
+		if oi < n {
+			o := r.others[oi]
+			cur := o.cands[o.chosen].demand
+			for k := range nk {
+				change := 0 // leaving o as it is
+				for alt := range o.cands {
+					if alt != o.chosen {
+						change = min(change, o.cands[alt].demand[k]-cur[k])
+					}
+				}
+				for m := k * rescueMaxSwitches; m < (k+1)*rescueMaxSwitches; m++ {
+					if change < r.top[m] {
+						change, r.top[m] = r.top[m], change
+					}
+				}
+			}
+		}
+		for s := range rescueRow {
+			row := oi*rescueRow + s
+			for k := range nk {
+				sum := 0
+				for _, c := range r.top[k*rescueMaxSwitches : (k+1)*rescueMaxSwitches-s] {
+					sum += c
+				}
+				r.floor[row*nk+k] = sum
+			}
+			r.size[row] = 1
+			if oi < n && s < rescueMaxSwitches {
+				below := r.size[row+rescueRow] + (len(r.others[oi].cands)-1)*r.size[row+rescueRow+1]
+				r.size[row] = min(1+below, rescueBudget+1)
+			}
+		}
+	}
+}
+
+// search runs the budgeted search over every candidate of the deferred
+// application, leaving the cheapest fitting combination in bestCand and
+// bestSw (bestCand -1: none).
+func (r *rescueSearch) search() {
+	r.budget = rescueBudget
+	r.bestCost, r.bestCand = math.Inf(1), -1
+	r.bestSw, r.curSw = r.bestSw[:0], r.curSw[:0]
+	r.need = resize(r.need, len(r.remaining))
+	for ci := range r.st.cands {
+		if r.budget < 0 {
+			return
+		}
+		for k, d := range r.st.cands[ci].demand {
+			r.need[k] = d - r.remaining[k]
+		}
+		r.dfs(0, 0, ci, 0)
+	}
+}
+
+// dfs visits node (oi, switches) for candidate ci, delta being the cost
+// change of the switches made so far.
+func (r *rescueSearch) dfs(oi, switches, ci int, delta float64) {
+	row := oi*rescueRow + switches
+	floor := r.floor[row*len(r.need) : (row+1)*len(r.need)]
+	fits := true
+	for k, n := range r.need {
+		if n > 0 {
+			fits = false
+			if n+floor[k] > 0 {
+				r.budget -= r.size[row] // nothing below fits
+				return
+			}
+		}
+	}
+	if r.budget--; r.budget < 0 {
+		return
+	}
+	if fits {
+		if total := r.st.cands[ci].cost + delta; total < r.bestCost {
+			r.bestCost, r.bestCand = total, ci
+			r.bestSw = append(r.bestSw[:0], r.curSw...)
+		}
+		return
+	}
+	if oi >= len(r.others) || switches >= rescueMaxSwitches {
+		return
+	}
+	r.dfs(oi+1, switches, ci, delta) // leave others[oi] as is
+	o := r.others[oi]
+	cur := &o.cands[o.chosen]
+	for alt := range o.cands {
+		if r.budget < 0 {
+			return
+		}
+		if alt == o.chosen {
+			continue
+		}
+		oc := &o.cands[alt]
+		for k := range r.need {
+			r.need[k] += oc.demand[k] - cur.demand[k]
+		}
+		r.curSw = append(r.curSw, rescueSwitch{o, alt})
+		r.dfs(oi+1, switches+1, ci, delta+oc.cost-cur.cost)
+		r.curSw = r.curSw[:len(r.curSw)-1]
+		for k := range r.need {
+			r.need[k] -= oc.demand[k] - cur.demand[k]
 		}
 	}
 }

@@ -51,6 +51,19 @@ func BenchmarkPareto764(b *testing.B) {
 	}
 }
 
+// BenchmarkRuntimeFront764 is BenchmarkPareto764 through the demand-grid
+// front the allocator and ParetoPoints use.
+func BenchmarkRuntimeFront764(b *testing.B) {
+	tbl := benchTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if front := RuntimeFront(tbl.Points); len(front) == 0 {
+			b.Fatal("empty front")
+		}
+	}
+}
+
 // BenchmarkTableLookup measures point lookup by resource vector.
 func BenchmarkTableLookup(b *testing.B) {
 	tbl := benchTable(b)

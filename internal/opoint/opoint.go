@@ -7,6 +7,7 @@
 package opoint
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -383,16 +384,128 @@ func RuntimeObjectives(dst []float64, op OperatingPoint) []float64 {
 	return dst
 }
 
-// ParetoPoints filters the table down to its runtime Pareto front. The front
-// is memoised with the table's facts until the table changes; callers must
-// treat the returned slice as read-only (the allocator and harpctl only
-// iterate it).
+// ParetoPoints filters the table down to its runtime Pareto front, computed
+// by RuntimeFront. The front is memoised with the table's facts until the
+// table changes; callers must treat the returned slice as read-only (the
+// allocator and harpctl only iterate it).
 func (t *Table) ParetoPoints() []OperatingPoint {
 	f := t.Facts()
 	if front := f.front.Load(); front != nil {
 		return *front
 	}
-	front := Pareto(t.Points, RuntimeObjectives)
+	front := RuntimeFront(t.Points)
 	f.front.Store(&front)
 	return front
 }
+
+// runtimeFrontMaxCells caps RuntimeFront's demand grid; a table whose
+// per-kind core demands span more cells takes the generic scan.
+const runtimeFrontMaxCells = 4096
+
+// frontKey is one point in RuntimeFront's scan order: its RuntimeObjectives
+// row, with the per-kind cores folded into their demand-grid cell.
+type frontKey struct {
+	negUtil, power float64
+	cell, idx      int32
+}
+
+// RuntimeFront returns Pareto(points, RuntimeObjectives), element for
+// element, testing each point with one lookup in a grid over core demand
+// instead of a scan of the front built so far.
+//
+// Pareto scans rows in lexicographic order — utility descending, then power,
+// then cores per kind, then index — so every point already on the front has
+// at least the utility of the point under test. That point is therefore
+// dropped exactly when some front point uses no more cores of any kind and
+// no more power. best[cell] keeps the least power of any front point whose
+// core demand fits inside cell, which makes the test one lookup; a point
+// joining the front lowers best over the box of cells containing its demand.
+// Cells are laid out with kind 0 most significant, so comparing cells
+// compares the per-kind cores lexicographically, as Pareto's rows do.
+//
+// Tables the grid cannot represent exactly take the generic scan: points
+// with different kind counts or negative demands, non-finite utilities or
+// powers (where the lexicographic order and the comparisons part ways), and
+// demand grids past runtimeFrontMaxCells.
+func RuntimeFront(points []OperatingPoint) []OperatingPoint {
+	if len(points) == 0 {
+		return nil
+	}
+	nk := len(points[0].Vector.Counts)
+	dims := make([]int, 4*nk)
+	// ext[k] bounds kind k's demand; stride[k] is the product of the extents
+	// of the kinds after k; lo and at walk the box a front point lowers.
+	ext, stride, lo, at := dims[:nk], dims[nk:2*nk], dims[2*nk:3*nk], dims[3*nk:]
+	for i := range points {
+		p := &points[i]
+		if len(p.Vector.Counts) != nk || !finite(p.Utility) || !finite(p.Power) {
+			return Pareto(points, RuntimeObjectives)
+		}
+		for k := range ext {
+			c := p.Vector.Cores(platform.KindID(k))
+			if c < 0 || c >= runtimeFrontMaxCells {
+				return Pareto(points, RuntimeObjectives)
+			}
+			ext[k] = max(ext[k], c+1)
+		}
+	}
+	cells := 1
+	for k := nk - 1; k >= 0; k-- {
+		stride[k] = cells
+		if cells *= ext[k]; cells > runtimeFrontMaxCells {
+			return Pareto(points, RuntimeObjectives)
+		}
+	}
+
+	keys := make([]frontKey, len(points))
+	for i := range points {
+		p := &points[i]
+		cell := 0
+		for k, s := range stride {
+			cell += p.Vector.Cores(platform.KindID(k)) * s
+		}
+		keys[i] = frontKey{negUtil: -p.Utility, power: p.Power, cell: int32(cell), idx: int32(i)}
+	}
+	slices.SortFunc(keys, func(x, y frontKey) int {
+		return cmp.Or(cmp.Compare(x.negUtil, y.negUtil), cmp.Compare(x.power, y.power),
+			cmp.Compare(x.cell, y.cell), cmp.Compare(x.idx, y.idx))
+	})
+
+	best := make([]float64, cells)
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	front := keys[:0] // the front only ever trails the scan
+	for _, key := range keys {
+		if best[key.cell] <= key.power {
+			continue
+		}
+		front = append(front, key)
+		// Lower best over the box of cells at or above the point's demand in
+		// every kind, walking it like an odometer with the last kind fastest.
+		cell := int(key.cell)
+		for k := range lo {
+			lo[k] = cell / stride[k] % ext[k]
+			at[k] = lo[k]
+		}
+		for k := 0; k >= 0; {
+			best[cell] = min(best[cell], key.power)
+			for k = nk - 1; k >= 0; k-- {
+				if at[k]+1 < ext[k] {
+					at[k]++
+					cell += stride[k]
+					break
+				}
+				cell -= (at[k] - lo[k]) * stride[k]
+				at[k] = lo[k]
+			}
+		}
+	}
+	out := make([]OperatingPoint, len(front))
+	for n, key := range front {
+		out[n] = points[key.idx]
+	}
+	return out
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

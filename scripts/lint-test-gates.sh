@@ -34,7 +34,10 @@ while IFS= read -r line; do
 	IFS='|' read -ra alts <<<"$pattern"
 	for alt in "${alts[@]}"; do
 		checked=$((checked + 1))
-		if ! printf '%s\n' "$names" | grep -qE -- "$alt"; then
+		# A here-string, not a pipe: grep -q exits at its first match, and
+		# under pipefail the printf it leaves writing would die of SIGPIPE
+		# and turn a match into a reported miss.
+		if ! grep -qE -- "$alt" <<<"$names"; then
 			echo "lint-test-gates: -run alternative '$alt' matches no test in$pkgs" >&2
 			status=1
 		fi
