@@ -26,7 +26,7 @@ func newMeasureServer(tb testing.TB, cfg ServerConfig) *Server {
 	for i := 0; i < 4; i++ {
 		app := fmt.Sprintf("app%d", i)
 		instance := fmt.Sprintf("%s/%d", app, i+1)
-		srv.sessions[instance] = &serverSession{instance: instance, pid: i + 1}
+		srv.addSessionLocked(instance, &serverSession{instance: instance, pid: i + 1})
 		if err := srv.mgr.Register(instance, app, workload.Scalable, false); err != nil {
 			tb.Fatal(err)
 		}

@@ -126,7 +126,7 @@ func TestWriteFailureEscalatesToReap(t *testing.T) {
 	const instance = "piped/1"
 	sess := &serverSession{instance: instance, pid: 1, conn: rmSide, lastSeen: time.Now()}
 	srv.mu.Lock()
-	srv.sessions[instance] = sess
+	srv.addSessionLocked(instance, sess)
 	if err := srv.mgr.Register(instance, "piped", workload.Static, false); err != nil {
 		srv.mu.Unlock()
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,7 +61,7 @@ type ServerConfig struct {
 	// Journal records one JSONL epoch per decision batch (nil disables).
 	Journal *telemetry.Journal
 	// Metrics receives the adaptation-loop instruments, including the
-	// allocation-latency and measure-loop-jitter histograms (nil disables).
+	// epoch-phase and measure-loop-jitter histograms (nil disables).
 	Metrics *telemetry.Metrics
 	// Energy accumulates per-session and fleet joules from the measure loop
 	// (nil disables energy accounting). The server rebinds the ledger's
@@ -158,7 +159,10 @@ type Server struct {
 	mu       sync.Mutex
 	mgr      *core.Manager
 	sessions map[string]*serverSession
-	store    *store.Store // nil without StateDir
+	// order caches the sorted keys of sessions (see instancesLocked).
+	order      []string
+	orderStale bool
+	store      *store.Store // nil without StateDir
 
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
@@ -427,7 +431,8 @@ func (s *Server) measureOnce() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
-	for instance, sess := range s.sessions {
+	for _, instance := range s.instancesLocked() {
+		sess := s.sessions[instance]
 		var utility, power float64
 		var have bool
 		if s.cfg.Sampler != nil {
@@ -464,6 +469,35 @@ func (s *Server) measureOnce() {
 	}
 }
 
+// addSessionLocked and dropSessionLocked are the only writers of
+// s.sessions; both mark the sorted instance order stale. Callers hold s.mu.
+func (s *Server) addSessionLocked(instance string, sess *serverSession) {
+	s.sessions[instance] = sess
+	s.orderStale = true
+}
+
+func (s *Server) dropSessionLocked(instance string) {
+	delete(s.sessions, instance)
+	s.orderStale = true
+}
+
+// instancesLocked returns the registered instances in sorted order, so the
+// measure and liveness sweeps, and the epochs they trigger, run in the same
+// order on every run. The slice is rebuilt only after the session set
+// changed; a sweep that drops the session it visits keeps ranging over the
+// old slice. Callers hold s.mu.
+func (s *Server) instancesLocked() []string {
+	if s.orderStale {
+		s.order = s.order[:0]
+		for instance := range s.sessions {
+			s.order = append(s.order, instance)
+		}
+		slices.Sort(s.order)
+		s.orderStale = false
+	}
+	return s.order
+}
+
 // writeLocked writes one framed message to the session connection under the
 // configured write deadline. A failure counts a probe strike and pins the
 // session suspect for the reaper. Callers hold sess.mu.
@@ -494,7 +528,8 @@ func (s *Server) livenessSweep() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
-	for instance, sess := range s.sessions {
+	for _, instance := range s.instancesLocked() {
+		sess := s.sessions[instance]
 		sess.mu.Lock()
 		age := now.Sub(sess.lastSeen)
 		fails := sess.probeFails
@@ -506,7 +541,7 @@ func (s *Server) livenessSweep() {
 		}
 
 		if s.cfg.Liveness.ShouldReap(age) || fails >= maxProbeFailures {
-			delete(s.sessions, instance)
+			s.dropSessionLocked(instance)
 			_ = s.mgr.Reap(instance)
 			// Closing the connection ends the reader goroutine; its deferred
 			// cleanup sees the session already replaced and stands down.
@@ -577,10 +612,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		// client retries after the old session is reaped.
 		err = fmt.Errorf("%w: %s", core.ErrDuplicateSession, instance)
 	} else {
-		s.sessions[instance] = sess
+		s.addSessionLocked(instance, sess)
 		err = s.mgr.Register(instance, reg.App, adaptivity, reg.OwnUtility)
 		if err != nil {
-			delete(s.sessions, instance)
+			s.dropSessionLocked(instance)
 		}
 	}
 	s.mu.Unlock()
@@ -606,7 +641,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// The liveness reaper may have replaced this session with a fresh
 		// registration of the same instance; only clean up our own entry.
 		if cur, ok := s.sessions[instance]; ok && cur == sess {
-			delete(s.sessions, instance)
+			s.dropSessionLocked(instance)
 			_ = s.mgr.Deregister(instance)
 		}
 		s.mu.Unlock()

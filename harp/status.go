@@ -41,7 +41,10 @@ type Status struct {
 	// Sessions lists the registered sessions in registration order.
 	Sessions []SessionStatus `json:"sessions"`
 
-	// EpochP99Sec is the p99 allocation latency (0 without metrics).
+	// EpochP99Sec is the p99 wall time of one epoch, read from the
+	// harp_epoch_phase_seconds{phase="epoch"} histogram. Phase histograms are
+	// observed only when a tracer is set (harpd always sets one); 0 without
+	// metrics or a tracer.
 	EpochP99Sec float64 `json:"epoch_p99_sec"`
 	// FleetJoules and BudgetOverrunSec are the energy ledger's cumulative
 	// accumulators (0 without a ledger).
@@ -109,7 +112,7 @@ func (s *Server) Status() Status {
 		}
 	}
 	if mt := s.cfg.Metrics; mt != nil {
-		st.EpochP99Sec = mt.AllocLatency.Quantile(0.99)
+		st.EpochP99Sec = mt.EpochPhase.With(telemetry.PhaseEpoch).Quantile(0.99)
 	}
 	tot := s.cfg.Energy.Totals()
 	st.FleetPowerW, st.BudgetW = tot.PowerW, tot.BudgetW

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/harp-rm/harp/internal/alloc"
+	"github.com/harp-rm/harp/internal/core"
 	"github.com/harp-rm/harp/internal/telemetry"
 )
 
@@ -17,14 +19,14 @@ import (
 func TestCacheTransparentInSimulation(t *testing.T) {
 	sc := intelScenario(t, "cg.C", "mg.C", "is.C")
 	tables := OfflineDSETables(sc.Platform, sc.Apps)
-	run := func(cacheSize int) (*Result, []telemetry.EpochRecord) {
+	run := func(allocator core.Allocator) (*Result, []telemetry.EpochRecord) {
 		var jbuf bytes.Buffer
 		res := mustRun(t, sc, Options{
-			Policy:         PolicyHARPOffline,
-			OfflineTables:  tables,
-			Seed:           5,
-			AllocCacheSize: cacheSize,
-			Journal:        telemetry.NewJournal(&jbuf),
+			Policy:        PolicyHARPOffline,
+			OfflineTables: tables,
+			Seed:          5,
+			Journal:       telemetry.NewJournal(&jbuf),
+			allocator:     allocator,
 		})
 		recs, err := telemetry.ReadJournal(bytes.NewReader(jbuf.Bytes()))
 		if err != nil {
@@ -32,8 +34,12 @@ func TestCacheTransparentInSimulation(t *testing.T) {
 		}
 		return res, recs
 	}
-	off, offRecs := run(-1)
-	on, onRecs := run(0)
+	uncached, err := alloc.New(sc.Platform) // no WithCache: caching off
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, offRecs := run(uncached)
+	on, onRecs := run(nil)
 
 	if off.MakespanSec != on.MakespanSec || off.EnergyJ != on.EnergyJ {
 		t.Errorf("cache changed the simulation: makespan %.4f vs %.4f, energy %.1f vs %.1f",

@@ -156,8 +156,8 @@ type Options struct {
 	// Journal records one JSONL epoch per decision batch (nil disables).
 	Journal *telemetry.Journal
 	// Metrics receives the adaptation-loop instruments (nil disables). The
-	// allocation-latency histogram stays empty: wall time would measure the
-	// host, not the simulated system.
+	// epoch phase histograms run on the tracer's virtual clock: wall time
+	// would measure the host, not the simulated system.
 	Metrics *telemetry.Metrics
 	// Energy attaches an energy ledger to the simulated RM (HARP policies
 	// only; nil disables). Its clock is rebound to the machine's virtual
@@ -183,13 +183,13 @@ type Options struct {
 	// harpd after kill -9. Empty disables persistence; rm-crash then
 	// restarts the RM cold.
 	StateDir string
-	// AllocCacheSize sizes the RM's fingerprinted solution cache (0 =
-	// default, negative = off). The cache is decision-transparent: the same
-	// scenario and seed produce byte-identical journals with it on or off
-	// except for the lambda_iters/solve_source bookkeeping fields.
-	AllocCacheSize int
 	// AllocWarmStart seeds each solve from the previous epoch's λ vector.
 	AllocWarmStart bool
+
+	// allocator replaces the RM's default solver (nil keeps it). Only tests
+	// set it: the cache-transparency test runs a cache-less solver against
+	// the default cached one.
+	allocator core.Allocator
 }
 
 // TimelineEvent is one applied allocation decision.

@@ -194,7 +194,7 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 		Journal:            opts.Journal,
 		Metrics:            opts.Metrics,
 		Energy:             opts.Energy,
-		AllocCacheSize:     opts.AllocCacheSize,
+		Allocator:          opts.allocator,
 		AllocWarmStart:     opts.AllocWarmStart,
 	}
 	mgr, st, err := core.OpenManager(coreCfg, opts.StateDir)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/store"
@@ -22,16 +23,25 @@ type churnMgr struct {
 	dec  []Decision
 }
 
-func newChurnMgr(t *testing.T, p *platform.Platform, tables map[string]*opoint.Table, cacheSize int) *churnMgr {
+// newChurnMgr builds a Manager with the default (cached) allocator, or with
+// a cache-less one when cached is false.
+func newChurnMgr(t *testing.T, p *platform.Platform, tables map[string]*opoint.Table, cached bool) *churnMgr {
 	t.Helper()
 	c := &churnMgr{jbuf: &bytes.Buffer{}}
-	m, err := NewManager(Config{
+	cfg := Config{
 		Platform:           p,
 		OfflineTables:      tables,
 		DisableExploration: true,
-		AllocCacheSize:     cacheSize,
 		Journal:            telemetry.NewJournal(c.jbuf),
-	})
+	}
+	if !cached {
+		a, err := alloc.New(p) // no WithCache: caching off
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Allocator = a
+	}
+	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +74,8 @@ func TestCacheChurnNeverStale(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			cached := newChurnMgr(t, p, tables, 0) // 0 → DefaultCacheSize
-			fresh := newChurnMgr(t, p, tables, -1) // negative → disabled
+			cached := newChurnMgr(t, p, tables, true)
+			fresh := newChurnMgr(t, p, tables, false)
 			rng := rand.New(rand.NewSource(seed))
 			nextID := 0
 			type sess struct{ id, app string }
@@ -86,8 +96,8 @@ func TestCacheChurnNeverStale(t *testing.T) {
 					// from their own snapshots (the cached one starting with an
 					// empty cache) and every live session re-registers.
 					cst, fst := cached.m.ExportState(), fresh.m.ExportState()
-					cached = newChurnMgr(t, p, tables, 0)
-					fresh = newChurnMgr(t, p, tables, -1)
+					cached = newChurnMgr(t, p, tables, true)
+					fresh = newChurnMgr(t, p, tables, false)
 					if err := cached.m.ImportState(cst, store.Recovery{}); err != nil {
 						t.Fatalf("op %d: import into cached manager: %v", op, err)
 					}

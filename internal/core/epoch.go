@@ -40,7 +40,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/explore"
@@ -63,12 +62,6 @@ func (m *Manager) reallocate(trigger string) {
 	if len(m.sessions) == 0 {
 		return
 	}
-	var t0 time.Duration
-	timed := m.cfg.LatencyClock != nil
-	if timed {
-		t0 = m.cfg.LatencyClock()
-	}
-
 	ep := m.cfg.Tracer.BeginPhase(telemetry.PhaseEpoch, m.epochHist)
 	defer ep.End()
 
@@ -98,11 +91,6 @@ func (m *Manager) reallocate(trigger string) {
 	m.pushEpoch(&sr)
 	pushSpan.End()
 
-	if timed {
-		if mt := m.cfg.Metrics; mt != nil {
-			mt.AllocLatency.Observe((m.cfg.LatencyClock() - t0).Seconds())
-		}
-	}
 	if mt := m.cfg.Metrics; mt != nil {
 		mt.Reallocations.Inc()
 		mt.CoresGranted.Set(float64(m.coresGranted))
@@ -409,14 +397,12 @@ func (m *Manager) quarantineForPanic(s *session, pv any) {
 	}
 }
 
-// markRung accounts one degraded epoch: the rung counter, the epoch
-// failure counter, the sticky error surfaces and an EvEpochDegraded trace
-// event.
+// markRung accounts one degraded epoch: the rung counter, the sticky error
+// surfaces and an EvEpochDegraded trace event.
 func (m *Manager) markRung(rung string, cause error) {
 	m.lastRung = rung
 	m.lastEpochErr = cause.Error()
 	if mt := m.cfg.Metrics; mt != nil {
-		mt.EpochFailures.Inc()
 		mt.EpochDegraded.With(rung).Inc()
 	}
 	m.cfg.Tracer.Emit(telemetry.Event{

@@ -132,7 +132,9 @@ type Allocator interface {
 type Config struct {
 	// Platform is the hardware description (required).
 	Platform *platform.Platform
-	// Allocator solves the MMKP; nil builds a default Lagrangian allocator.
+	// Allocator solves the MMKP; nil builds a default Lagrangian allocator
+	// with an alloc.DefaultCacheSize solution cache. The cache is
+	// content-addressed, so it is decision-transparent (see PERFORMANCE.md).
 	Allocator Allocator
 	// OfflineTables maps application names to pre-generated operating-point
 	// tables (the /etc/harp directory, §4.3).
@@ -154,10 +156,9 @@ type Config struct {
 	// and its clock: harp.Server binds wall time since startup, harpsim binds
 	// the machine's virtual clock.
 	Energy *telemetry.EnergyLedger
-	// LatencyClock, when set, times each allocation for the
-	// harp_allocation_seconds histogram. Servers inject wall time since
-	// startup; simulated runs leave it nil (the histogram would measure
-	// host speed, not simulated behaviour).
+	// LatencyClock, when set, arms the epoch deadline (EpochBudget); that is
+	// its only job. Servers inject wall time since startup; simulated runs
+	// leave it nil (a deadline would make decisions depend on host speed).
 	LatencyClock func() time.Duration
 	// Store receives one durable record per mutating operation (nil
 	// disables persistence). OpenManager sets it to the store it opens.
@@ -165,13 +166,6 @@ type Config struct {
 	// MaxSessions caps concurrent registrations (0 = unlimited). Attempts
 	// beyond the cap fail with ErrTooManySessions.
 	MaxSessions int
-	// AllocCacheSize sizes the default allocator's fingerprinted solution
-	// cache: 0 selects alloc.DefaultCacheSize, negative disables caching.
-	// Ignored when Allocator is set — a custom allocator manages its own
-	// caching. The cache is content-addressed, so it is decision-transparent:
-	// register/deregister/phase-change/table mutations change the fingerprint
-	// and miss naturally (see PERFORMANCE.md).
-	AllocCacheSize int
 	// AllocWarmStart seeds the default allocator's subgradient iteration
 	// from the previous epoch's λ vector. Warm-started solves converge in
 	// fewer iterations but are not guaranteed bit-identical to cold solves,
@@ -247,12 +241,9 @@ type session struct {
 	dirty    bool
 	gone     bool
 
-	// Telemetry state: the last smoothed sample, and the session's gauges
-	// cached at registration so the 50 ms hot path skips the GaugeVec map.
+	// The last smoothed sample, reported by Status and the journal.
 	lastUtility float64
 	lastPower   float64
-	utilGauge   *telemetry.Gauge
-	powerGauge  *telemetry.Gauge
 }
 
 // Manager is the HARP resource manager.
@@ -368,15 +359,11 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	allocator := cfg.Allocator
 	if allocator == nil {
-		cacheSize := cfg.AllocCacheSize
-		if cacheSize == 0 {
-			cacheSize = alloc.DefaultCacheSize
-		}
 		var err error
 		allocator, err = alloc.New(cfg.Platform,
 			alloc.WithTracer(cfg.Tracer),
 			alloc.WithMetrics(cfg.Metrics),
-			alloc.WithCache(cacheSize),
+			alloc.WithCache(alloc.DefaultCacheSize),
 			alloc.WithWarmStart(cfg.AllocWarmStart),
 			alloc.WithIncremental(cfg.AllocIncremental),
 		)
@@ -420,7 +407,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.snapshotHist = mt.EpochPhase.With(telemetry.PhaseSnapshot)
 		m.pushHist = mt.EpochPhase.With(telemetry.PhasePush)
 		m.journalHist = mt.EpochPhase.With(telemetry.PhaseJournal)
-		cfg.Energy.BindMetrics(mt.SessionEnergy, mt.EnergyTotal, mt.BudgetOverrunSeconds)
+		cfg.Energy.BindMetrics(mt.EnergyTotal, mt.BudgetOverrunSeconds)
 	}
 	return m, nil
 }
@@ -487,8 +474,6 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 	})
 	if mt := m.cfg.Metrics; mt != nil {
 		mt.Sessions.Set(float64(len(m.sessions)))
-		s.utilGauge = mt.SessionUtility.With(instance)
-		s.powerGauge = mt.SessionPower.With(instance)
 		if m.ended.has(instance) {
 			mt.Reconnects.Inc()
 		}
@@ -598,8 +583,6 @@ func (m *Manager) deregister(instance, trigger string, kind telemetry.EventKind)
 	})
 	if mt := m.cfg.Metrics; mt != nil {
 		mt.Sessions.Set(float64(len(m.sessions)))
-		mt.SessionUtility.Delete(instance)
-		mt.SessionPower.Delete(instance)
 	}
 	if len(m.sessions) == 0 {
 		m.standingPowerW = 0 // no rounding residue outlives the last session
@@ -713,8 +696,6 @@ func (m *Manager) Measure(instance string, utility, power float64) error {
 	})
 	if mt := m.cfg.Metrics; mt != nil {
 		mt.Samples.Inc()
-		s.utilGauge.Set(utility)
-		s.powerGauge.Set(power)
 	}
 	// Energy accrues for every sample — quarantined and co-allocated
 	// sessions still draw the watts they report, even while learning from

@@ -39,7 +39,6 @@ type EnergyLedger struct {
 	retiredUtilS  float64
 
 	// Optional metric bindings; all nil-safe.
-	sessionGauge   *GaugeVec     // harp_session_energy_joules{instance=…}
 	totalCounter   *FloatCounter // harp_energy_joules_total
 	overrunCounter *FloatCounter // harp_budget_overrun_seconds_total
 }
@@ -51,7 +50,6 @@ type sessionEnergy struct {
 	lastPower float64
 	lastUtil  float64
 	seen      bool // at least one observation since create/seed
-	gauge     *Gauge
 }
 
 // SessionEnergy is one row of the ledger's per-session view.
@@ -103,15 +101,14 @@ func (l *EnergyLedger) SetClock(clock func() time.Duration) {
 	l.mu.Unlock()
 }
 
-// BindMetrics attaches the ledger's metric outputs: the per-session joule
-// gauge, the fleet joule counter and the budget-overrun counter. Any of the
-// three may be nil.
-func (l *EnergyLedger) BindMetrics(session *GaugeVec, total, overrun *FloatCounter) {
+// BindMetrics attaches the ledger's metric outputs: the fleet joule counter
+// and the budget-overrun counter. Either may be nil. Per-session joules have
+// no metric: they are read from the ledger (Sessions) by the status surface.
+func (l *EnergyLedger) BindMetrics(total, overrun *FloatCounter) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	l.sessionGauge = session
 	l.totalCounter = total
 	l.overrunCounter = overrun
 	l.mu.Unlock()
@@ -130,9 +127,6 @@ func (l *EnergyLedger) Observe(instance string, utility, power float64) {
 	s := l.sessions[instance]
 	if s == nil {
 		s = &sessionEnergy{}
-		if l.sessionGauge != nil {
-			s.gauge = l.sessionGauge.With(instance)
-		}
 		l.sessions[instance] = s
 	} else if s.seen && now > s.lastAt {
 		dt := (now - s.lastAt).Seconds()
@@ -154,9 +148,6 @@ func (l *EnergyLedger) Observe(instance string, utility, power float64) {
 	s.lastPower = power
 	s.lastUtil = utility
 	s.seen = true
-	if s.gauge != nil {
-		s.gauge.Set(s.joules)
-	}
 	l.mu.Unlock()
 }
 
@@ -190,7 +181,7 @@ func (l *EnergyLedger) SetBudget(watts float64) {
 }
 
 // EndSession folds a departed session's accumulators into the retired
-// totals and drops its entry (and per-session gauge). Fleet totals are
+// totals and drops its entry. Fleet totals are
 // unchanged: the session's joules were already counted there.
 func (l *EnergyLedger) EndSession(instance string) {
 	if l == nil {
@@ -204,9 +195,6 @@ func (l *EnergyLedger) EndSession(instance string) {
 		l.retiredJoules += s.joules
 		l.retiredUtilS += s.utilS
 		delete(l.sessions, instance)
-		if l.sessionGauge != nil {
-			l.sessionGauge.Delete(instance)
-		}
 	}
 	l.mu.Unlock()
 }
@@ -316,12 +304,7 @@ func (l *EnergyLedger) Seed(st *EnergyState) {
 		return
 	}
 	l.mu.Lock()
-	for inst := range l.sessions {
-		if l.sessionGauge != nil {
-			l.sessionGauge.Delete(inst)
-		}
-		delete(l.sessions, inst)
-	}
+	clear(l.sessions)
 	l.fleetPowerW = 0
 	l.fleetSeen = false
 	if st != nil {
@@ -331,12 +314,7 @@ func (l *EnergyLedger) Seed(st *EnergyState) {
 		l.retiredJoules = st.RetiredJoules
 		l.retiredUtilS = st.RetiredUtilityS
 		for _, s := range st.Sessions {
-			se := &sessionEnergy{joules: s.Joules, utilS: s.UtilityS}
-			if l.sessionGauge != nil {
-				se.gauge = l.sessionGauge.With(s.Instance)
-				se.gauge.Set(se.joules)
-			}
-			l.sessions[s.Instance] = se
+			l.sessions[s.Instance] = &sessionEnergy{joules: s.Joules, utilS: s.UtilityS}
 		}
 	}
 	l.mu.Unlock()

@@ -85,41 +85,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// GaugeVec is a family of gauges keyed by one label value (e.g. per-session
-// utility keyed by instance).
-type GaugeVec struct {
-	label string
-	mu    sync.Mutex
-	vals  map[string]*Gauge
-}
-
-// With returns the gauge for the label value, creating it on first use.
-// Callers on hot paths should cache the returned *Gauge. Nil-safe: returns
-// a nil *Gauge whose methods are no-ops.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.vals[value]
-	if !ok {
-		g = &Gauge{}
-		v.vals[value] = g
-	}
-	return g
-}
-
-// Delete drops the gauge for the label value (e.g. on session exit).
-func (v *GaugeVec) Delete(value string) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	delete(v.vals, value)
-	v.mu.Unlock()
-}
-
 // CounterVec is a family of counters keyed by one label value (e.g.
 // degraded epochs keyed by ladder rung).
 type CounterVec struct {
@@ -257,7 +222,6 @@ type metric struct {
 	cv   *CounterVec
 	fc   *FloatCounter
 	g    *Gauge
-	gv   *GaugeVec
 	h    *Histogram
 	hv   *HistogramVec
 }
@@ -338,19 +302,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return m.g
 }
 
-// GaugeVec returns the named one-label gauge family, creating it on first
-// use.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	m := r.register(name, help, "gauge")
-	if m.gv == nil {
-		m.gv = &GaugeVec{label: label, vals: make(map[string]*Gauge)}
-	}
-	return m.gv
-}
-
 // Histogram returns the named histogram with the given bucket upper bounds
 // (sorted ascending, +Inf implicit), creating it on first use.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -418,17 +369,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.fc.Value()))
 		case m.g != nil:
 			fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.g.Value()))
-		case m.gv != nil:
-			m.gv.mu.Lock()
-			keys := make([]string, 0, len(m.gv.vals))
-			for k := range m.gv.vals {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(w, "%s{%s=%q} %s\n", m.name, m.gv.label, k, formatFloat(m.gv.vals[k].Value()))
-			}
-			m.gv.mu.Unlock()
 		case m.h != nil:
 			var cum uint64
 			for i, ub := range m.h.buckets {
@@ -500,16 +440,9 @@ type Metrics struct {
 	Sessions *Gauge
 	// CoresGranted gauges the isolated physical cores currently granted.
 	CoresGranted *Gauge
-	// AllocLatency observes wall seconds per allocation (server only — the
-	// clock is injected, simulated runs skip it).
-	AllocLatency *Histogram
 	// MeasureJitter observes the absolute deviation of the measure loop from
 	// its cadence, in seconds.
 	MeasureJitter *Histogram
-	// SessionUtility and SessionPower gauge each session's smoothed
-	// utility/power EMA, labelled by instance.
-	SessionUtility *GaugeVec
-	SessionPower   *GaugeVec
 
 	// SessionsLive gauges the sessions currently in the live state (not
 	// suspect, quarantined or gone).
@@ -557,12 +490,10 @@ type Metrics struct {
 
 	// EpochPhase observes the duration of each epoch flight-recorder phase
 	// (snapshot, fingerprint, solve, repair, push, journal, measure and the
-	// enclosing epoch), labelled by phase. Empty in simulation, like
-	// AllocLatency.
+	// enclosing epoch), labelled by phase. Observed only when a tracer is
+	// set, on the tracer's clock: wall time in harpd, virtual time in
+	// simulation.
 	EpochPhase *HistogramVec
-	// SessionEnergy gauges each active session's cumulative attributed
-	// joules, labelled by instance.
-	SessionEnergy *GaugeVec
 	// EnergyTotal counts fleet joules attributed by this process (counter
 	// semantics: not rewound or pre-loaded on warm restart — recovered totals
 	// surface through the ledger and journal).
@@ -580,9 +511,6 @@ type Metrics struct {
 	// degradation-ladder rung, labelled by rung (degraded-greedy,
 	// degraded-stale, frozen).
 	EpochDegraded *CounterVec
-	// EpochFailures counts epochs whose primary solve failed or blew its
-	// deadline budget — every degraded epoch and every hard allocator error.
-	EpochFailures *Counter
 	// EpochsCoalesced counts mutating events whose epoch was deferred into a
 	// shared coalesced solve instead of triggering its own (events minus
 	// solves; see internal/core coalesce.go).
@@ -624,10 +552,7 @@ func NewMetrics(r *Registry) *Metrics {
 		ExplorationSteps: r.Counter("harp_exploration_steps_total", "Exploration configurations started."),
 		Sessions:         r.Gauge("harp_sessions", "Registered application sessions."),
 		CoresGranted:     r.Gauge("harp_cores_granted", "Isolated physical cores currently granted."),
-		AllocLatency:     r.Histogram("harp_allocation_seconds", "Wall time per system-wide allocation.", LatencyBuckets),
 		MeasureJitter:    r.Histogram("harp_measure_jitter_seconds", "Absolute deviation of the measure loop from its cadence.", JitterBuckets),
-		SessionUtility:   r.GaugeVec("harp_session_utility", "Smoothed per-session utility EMA.", "instance"),
-		SessionPower:     r.GaugeVec("harp_session_power_watts", "Smoothed per-session power EMA.", "instance"),
 
 		SessionsLive:        r.Gauge("harp_sessions_live", "Sessions currently in the live state."),
 		SessionsReaped:      r.Counter("harp_sessions_reaped_total", "Sessions deregistered by the liveness reaper."),
@@ -649,14 +574,12 @@ func NewMetrics(r *Registry) *Metrics {
 		AllocWarmStartIters: r.Histogram("harp_alloc_warm_start_iters", "Subgradient iterations to convergence for warm-started solves.", IterationBuckets),
 
 		EpochPhase:           r.HistogramVec("harp_epoch_phase_seconds", "Wall time per epoch flight-recorder phase.", "phase", LatencyBuckets),
-		SessionEnergy:        r.GaugeVec("harp_session_energy_joules", "Cumulative attributed energy per active session.", "instance"),
 		EnergyTotal:          r.FloatCounter("harp_energy_joules_total", "Fleet energy attributed by this process."),
 		BudgetOverrunSeconds: r.FloatCounter("harp_budget_overrun_seconds_total", "Seconds the measured fleet power exceeded the epoch power budget."),
 		TracerDropped:        r.Counter("harp_tracer_dropped_total", "Events evicted from the tracer ring."),
 		JournalErrors:        r.Counter("harp_journal_errors_total", "Journal records lost to write errors."),
 
 		EpochDegraded:   r.CounterVec("harp_epoch_degraded_total", "Epochs resolved by a degradation-ladder rung.", "rung"),
-		EpochFailures:   r.Counter("harp_epoch_failures_total", "Epochs whose primary solve failed or exceeded its deadline budget."),
 		EpochsCoalesced: r.Counter("harp_epochs_coalesced_total", "Mutating events whose epoch was deferred into a shared coalesced solve."),
 		StoreRetries:    r.Counter("harp_store_retries_total", "Transient durable-state write errors absorbed by retry."),
 

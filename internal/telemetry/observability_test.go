@@ -229,7 +229,7 @@ func TestEnergyExportSeedRoundTrip(t *testing.T) {
 func TestEnergyLedgerNilIsSafe(t *testing.T) {
 	var led *EnergyLedger
 	led.SetClock(func() time.Duration { return 0 })
-	led.BindMetrics(nil, nil, nil)
+	led.BindMetrics(nil, nil)
 	led.Observe("a", 1, 2)
 	led.SetBudget(10)
 	led.EndSession("a")
@@ -245,14 +245,15 @@ func TestEnergyLedgerNilIsSafe(t *testing.T) {
 	}
 }
 
-// TestEnergyLedgerMetricsBinding: observations drive the bound gauge and
-// float counters, and Seed deliberately leaves the counters alone
+// TestEnergyLedgerMetricsBinding: observations drive the bound float
+// counters and the ledger's per-session rows, and Seed deliberately leaves
+// the counters alone
 // (Prometheus counter-reset semantics).
 func TestEnergyLedgerMetricsBinding(t *testing.T) {
 	reg := NewRegistry()
 	mt := NewMetrics(reg)
 	led, now := manualLedger()
-	led.BindMetrics(mt.SessionEnergy, mt.EnergyTotal, mt.BudgetOverrunSeconds)
+	led.BindMetrics(mt.EnergyTotal, mt.BudgetOverrunSeconds)
 
 	led.Observe("a", 1, 10)
 	led.SetBudget(5)
@@ -264,8 +265,8 @@ func TestEnergyLedgerMetricsBinding(t *testing.T) {
 	if got := mt.BudgetOverrunSeconds.Value(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("harp_budget_overrun_seconds_total = %.3f, want 2", got)
 	}
-	if got := mt.SessionEnergy.With("a").Value(); math.Abs(got-20) > 1e-12 {
-		t.Errorf("harp_session_energy_joules{instance=a} = %.3f, want 20", got)
+	if rows := led.Sessions(); len(rows) != 1 || math.Abs(rows[0].Joules-20) > 1e-12 {
+		t.Errorf("ledger session rows = %+v, want a with 20 J", rows)
 	}
 
 	led.Seed(led.Export())
@@ -316,10 +317,10 @@ func TestHistogramQuantile(t *testing.T) {
 // parseable one line per sample.
 func TestPrometheusHostileLabels(t *testing.T) {
 	reg := NewRegistry()
-	gv := reg.GaugeVec("g_metric", "gauge", "instance")
+	cv := reg.CounterVec("c_total", "counter", "instance")
 	hv := reg.HistogramVec("h_seconds", "hist", "phase", []float64{1})
 	hostile := "bad\"quote\\slash\nnewline"
-	gv.With(hostile).Set(1)
+	cv.With(hostile).Inc()
 	hv.With(hostile).Observe(0.5)
 
 	var buf bytes.Buffer
@@ -327,7 +328,7 @@ func TestPrometheusHostileLabels(t *testing.T) {
 	out := buf.String()
 	escaped := `bad\"quote\\slash\nnewline`
 	if !strings.Contains(out, `instance="`+escaped+`"`) {
-		t.Errorf("gauge label not escaped:\n%s", out)
+		t.Errorf("counter label not escaped:\n%s", out)
 	}
 	if !strings.Contains(out, `phase="`+escaped+`"`) {
 		t.Errorf("histogram label not escaped:\n%s", out)

@@ -127,12 +127,11 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", "")
 	g := r.Gauge("x", "")
-	gv := r.GaugeVec("x", "", "l")
+	cv := r.CounterVec("x", "", "l")
 	h := r.Histogram("x", "", nil)
 	c.Inc()
 	g.Set(1)
-	gv.With("a").Set(2)
-	gv.Delete("a")
+	cv.With("a").Inc()
 	h.Observe(3)
 	var m *Metrics = NewMetrics(nil)
 	if m != nil {
@@ -154,8 +153,8 @@ func TestPrometheusText(t *testing.T) {
 	m := NewMetrics(r)
 	m.Decisions.Add(7)
 	m.Sessions.Set(2)
-	m.SessionUtility.With("ep.C/1").Set(123.5)
-	m.AllocLatency.Observe(0.0007)
+	m.EpochDegraded.With("frozen").Inc()
+	m.MeasureJitter.Observe(0.0007)
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
 	text := buf.String()
@@ -163,10 +162,10 @@ func TestPrometheusText(t *testing.T) {
 		"# TYPE harp_decisions_total counter",
 		"harp_decisions_total 7",
 		"harp_sessions 2",
-		`harp_session_utility{instance="ep.C/1"} 123.5`,
-		"# TYPE harp_allocation_seconds histogram",
-		`harp_allocation_seconds_bucket{le="0.001"} 1`,
-		"harp_allocation_seconds_count 1",
+		`harp_epoch_degraded_total{rung="frozen"} 1`,
+		"# TYPE harp_measure_jitter_seconds histogram",
+		`harp_measure_jitter_seconds_bucket{le="0.001"} 1`,
+		"harp_measure_jitter_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus text missing %q:\n%s", want, text)
