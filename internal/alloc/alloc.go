@@ -131,7 +131,7 @@ type Allocator struct {
 
 // solverScratch is the per-Allocator arena reused across solves so the
 // steady-state pipeline stays off the heap: capacity/λ/demand vectors, the
-// per-app states with their candidate and demand buffers, and the
+// per-app states with their candidate and demand buffers, and the groups and
 // representative arenas of the subgradient iteration. Nothing in here may
 // escape into a returned Allocation — assignCores always builds fresh output
 // slices precisely because cache entries retain them.
@@ -146,7 +146,9 @@ type solverScratch struct {
 	limit      []int
 	stride     []int
 	nextFree   []int
-	reps       [][]lagRep
+	groups     []lagGroup
+	groupOf    []int32
+	slots      []int32
 	repBuf     []lagRep
 	fdBuf      []float64
 	seen       map[uint64]bool
@@ -265,7 +267,10 @@ type candidate struct {
 // scratch and are reset per solve; demandBuf is the arena the candidates'
 // demand slices are carved from.
 type appState struct {
-	id     string
+	id string
+	// hi and lo are the content hash of the table the candidates were built
+	// from (opoint.Facts.Hi/Lo): equal tables give equal candidate lists.
+	hi, lo uint64
 	cands  []candidate
 	chosen int // index into cands, -1 = none
 	// coalloc records that repair found no candidate fitting the remaining
@@ -531,7 +536,8 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 	if err := app.Table.Validate(a.plat); err != nil {
 		return err
 	}
-	vstar := app.Table.MaxUtility()
+	f := app.Table.Facts()
+	vstar := f.VStar
 	usable := a.scratch.usable[:0]
 	for _, op := range app.Table.Points {
 		if op.Usable(vstar) {
@@ -545,7 +551,7 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 	} else {
 		points = opoint.RuntimeFront(usable)
 	}
-	st.id = app.ID
+	st.id, st.hi, st.lo = app.ID, f.Hi, f.Lo
 	st.chosen = -1
 	st.coalloc = false
 	st.cands = st.cands[:0]
@@ -605,19 +611,35 @@ type lagRep struct {
 	demand []float64
 }
 
+// lagGroup is the applications of one solve whose candidate lists are
+// identical — the same cost bits and demands, in the same order — so the
+// relaxed minimisation picks the same index for all of them under any λ.
+// st is the first member in input order, n the member count and best the
+// index the current iteration picked.
+type lagGroup struct {
+	st   *appState
+	n    int
+	reps []lagRep
+	best int
+}
+
 // lagrangianSelect runs the subgradient iteration on the relaxed problem:
 // each application independently minimises cost + λ·demand, and λ rises on
 // over-demanded kinds. It returns the number of iterations actually
 // performed and retains the final λ for warm starts.
 //
-// Candidates sharing a core-demand vector see the same λ·demand penalty, so
-// within a demand group only the cheapest candidate — the first in cost
-// order — can win the relaxed minimisation. The iteration therefore scans
-// one representative per distinct demand vector (tens instead of hundreds),
-// with demands pre-converted to float64. Representatives keep first-occurrence
+// The minimisation depends only on λ and on the application's candidate
+// costs and demands, and thousands of sessions typically share a handful of
+// tables. The iteration therefore minimises once per group of identical
+// candidate lists (groupStates) and adds the group's demand times its size,
+// in integer arithmetic, so the sum is exact. Within a list, candidates
+// sharing a core-demand vector see the same λ·demand penalty, so only the
+// cheapest of them — the first in cost order — can win: the scan visits one
+// representative per distinct demand vector (tens instead of hundreds), with
+// demands pre-converted to float64. Representatives keep first-occurrence
 // order and the per-candidate arithmetic is unchanged, so the selected
-// indices, and with them the final allocation, are bit-identical to the full
-// scan.
+// indices, and with them the final allocation, are bit-identical to a scan
+// of every candidate of every application (TestGroupedLambdaMatchesScan).
 //
 // warm, when non-nil, seeds λ₀ instead of zeros (see warmstart.go); the
 // arithmetic is otherwise unchanged, so a nil warm reproduces the cold solve
@@ -645,11 +667,10 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 	s.lambdaPrev = resize(s.lambdaPrev, nk)
 	prev := s.lambdaPrev
 
-	// Scale for the multiplier updates: typical cost per core.
+	// Scale for the multiplier updates: typical cost per core, summed over
+	// every application in input order (float addition is order-sensitive).
 	var costSum, coreSum float64
-	totalCands := 0
 	for _, st := range states {
-		totalCands += len(st.cands)
 		for i := range st.cands {
 			costSum += st.cands[i].cost
 			for _, d := range st.cands[i].demand {
@@ -662,37 +683,8 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 		scale = costSum / coreSum
 	}
 
-	// Representatives are carved from per-solve arenas whose capacity is
-	// ensured up front (total candidates bounds the representative count),
-	// so carving never reallocates and the slices stay valid.
-	s.repBuf = slices.Grow(s.repBuf[:0], totalCands)
-	s.fdBuf = slices.Grow(s.fdBuf[:0], totalCands*nk)
-	s.reps = resize(s.reps, len(states))
-	repBuf, fdBuf, reps := s.repBuf, s.fdBuf, s.reps
-	if s.seen == nil {
-		s.seen = make(map[uint64]bool)
-	}
-	for si, st := range states {
-		clear(s.seen)
-		start := len(repBuf)
-		for i := range st.cands {
-			c := &st.cands[i]
-			key, ok := demandKey(c.demand)
-			if ok {
-				if s.seen[key] {
-					continue
-				}
-				s.seen[key] = true
-			}
-			fdStart := len(fdBuf)
-			for _, d := range c.demand {
-				fdBuf = append(fdBuf, float64(d))
-			}
-			repBuf = append(repBuf, lagRep{idx: i, cost: c.cost, demand: fdBuf[fdStart:len(fdBuf):len(fdBuf)]})
-		}
-		reps[si] = repBuf[start:len(repBuf):len(repBuf)]
-	}
-	s.repBuf, s.fdBuf = repBuf, fdBuf
+	groups := s.groupStates(states)
+	s.buildReps(groups, nk)
 
 	s.demand = resize(s.demand, nk)
 	demand := s.demand
@@ -708,10 +700,11 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 		for k := range demand {
 			demand[k] = 0
 		}
-		for si, st := range states {
+		for gi := range groups {
+			g := &groups[gi]
 			best := 0
 			bestVal := math.Inf(1)
-			for _, r := range reps[si] {
+			for _, r := range g.reps {
 				v := r.cost
 				for k, d := range r.demand {
 					v += lambda[k] * d
@@ -721,9 +714,9 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 					best = r.idx
 				}
 			}
-			st.chosen = best
-			for k, d := range st.cands[best].demand {
-				demand[k] += d
+			g.best = best
+			for k, d := range g.st.cands[best].demand {
+				demand[k] += g.n * d
 			}
 		}
 		copy(prev, lambda)
@@ -745,8 +738,104 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 			break
 		}
 	}
+	for si, st := range states {
+		st.chosen = groups[s.groupOf[si]].best
+	}
 	a.rememberLambda(lambda)
 	return iters
+}
+
+// groupStates partitions states into groups of identical candidate lists,
+// in order of first occurrence, and records each state's group in
+// s.groupOf. Candidate lists follow from the table content, so states are
+// bucketed by their table's content hash in an open-addressing table and
+// admitted to a group only after an exact comparison of costs and demands
+// (sameCands): a hash collision splits a group, it never merges two. Every
+// buffer is retained in the scratch, so a steady-state solve allocates
+// nothing here.
+func (s *solverScratch) groupStates(states []*appState) []lagGroup {
+	size := 1
+	for size < 2*len(states) {
+		size *= 2
+	}
+	s.slots = resize(s.slots, size)
+	clear(s.slots)
+	s.groupOf = resize(s.groupOf, len(states))
+	groups := s.groups[:0]
+	mask := uint64(size - 1)
+	for si, st := range states {
+		h := (st.hi ^ st.lo) & mask
+		for {
+			slot := s.slots[h]
+			if slot == 0 {
+				groups = append(groups, lagGroup{st: st})
+				slot = int32(len(groups))
+				s.slots[h] = slot
+			}
+			if g := &groups[slot-1]; g.st == st || g.st.hi == st.hi && g.st.lo == st.lo && sameCands(g.st.cands, st.cands) {
+				g.n++
+				s.groupOf[si] = slot - 1
+				break
+			}
+			h = (h + 1) & mask
+		}
+	}
+	s.groups = groups
+	return groups
+}
+
+// sameCands reports whether two candidate lists present the relaxed
+// minimisation with the same problem: equal length, and per position the
+// same cost bits and the same demand vector.
+func sameCands(x, y []candidate) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i].cost) != math.Float64bits(y[i].cost) || !slices.Equal(x[i].demand, y[i].demand) {
+			return false
+		}
+	}
+	return true
+}
+
+// buildReps fills each group's representatives: per distinct demand vector
+// of its candidate list, the first (cheapest) candidate. They are carved
+// from arenas whose capacity is ensured up front (the groups' candidate
+// count bounds the representative count), so carving never reallocates and
+// the slices stay valid.
+func (s *solverScratch) buildReps(groups []lagGroup, nk int) {
+	total := 0
+	for gi := range groups {
+		total += len(groups[gi].st.cands)
+	}
+	repBuf := slices.Grow(s.repBuf[:0], total)
+	fdBuf := slices.Grow(s.fdBuf[:0], total*nk)
+	if s.seen == nil {
+		s.seen = make(map[uint64]bool)
+	}
+	for gi := range groups {
+		g := &groups[gi]
+		clear(s.seen)
+		start := len(repBuf)
+		for i := range g.st.cands {
+			c := &g.st.cands[i]
+			key, ok := demandKey(c.demand)
+			if ok {
+				if s.seen[key] {
+					continue
+				}
+				s.seen[key] = true
+			}
+			fdStart := len(fdBuf)
+			for _, d := range c.demand {
+				fdBuf = append(fdBuf, float64(d))
+			}
+			repBuf = append(repBuf, lagRep{idx: i, cost: c.cost, demand: fdBuf[fdStart:len(fdBuf):len(fdBuf)]})
+		}
+		g.reps = repBuf[start:len(repBuf):len(repBuf)]
+	}
+	s.repBuf, s.fdBuf = repBuf, fdBuf
 }
 
 // floatsEqual reports element-wise equality (bitwise, as the fixpoint test

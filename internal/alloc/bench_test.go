@@ -200,15 +200,13 @@ func TestBenchCacheHitZeroAllocsRegime(t *testing.T) {
 	}
 }
 
-// BenchmarkIncrementalMerge10k is the incremental merge at churn scale:
-// 10 000 applications on a four-kind, eight-cores-per-kind machine, each
-// with one of sixteen shared two-point tables on one kind (the shape of
-// harpsim.ChurnPlatform(4, 8) and its churn tables). Each iteration departs
-// two to four applications at random positions, appends as many at the
-// tail, and merges; the cadence full solve and the cache are off, so every
-// solve is a merge. The input edits run inside the timed loop.
-func BenchmarkIncrementalMerge10k(b *testing.B) {
-	plat := &platform.Platform{Name: "merge-4x8", MemBWGips: 50, EnergySensors: "package", SimultaneousPMU: true}
+// churn10k is the churn-scale solve input: 10 000 applications on a
+// four-kind, eight-cores-per-kind machine, each with one of sixteen shared
+// two-point tables on one kind (the shape of harpsim.ChurnPlatform(4, 8)
+// and its churn tables). arrival returns the next application, cycling
+// through the tables.
+func churn10k() (plat *platform.Platform, inputs []AppInput, arrival func() AppInput) {
+	plat = &platform.Platform{Name: "merge-4x8", MemBWGips: 50, EnergySensors: "package", SimultaneousPMU: true}
 	for k := 0; k < 4; k++ {
 		plat.Kinds = append(plat.Kinds, platform.CoreKind{
 			Name: fmt.Sprintf("K%d", k), Count: 8, SMT: 1,
@@ -227,15 +225,31 @@ func BenchmarkIncrementalMerge10k(b *testing.B) {
 		tables[i] = tbl
 	}
 	next := 0
-	arrival := func() AppInput {
+	arrival = func() AppInput {
 		next++
 		return AppInput{ID: fmt.Sprintf("s%06d", next), Table: tables[next%len(tables)]}
 	}
-	inputs := make([]AppInput, 10000)
+	inputs = make([]AppInput, 10000)
 	for i := range inputs {
 		inputs[i] = arrival()
 	}
-	a, err := New(plat, WithIncremental(true), WithCache(-1))
+	return plat, inputs, arrival
+}
+
+// BenchmarkIncrementalMerge10k is the incremental merge at churn scale, on
+// the churn10k input. Each iteration departs two to four applications at
+// random positions, appends as many at the tail, and merges; the cadence
+// full solve is off, so every solve is a merge. The input edits run inside
+// the timed loop. The cache is off.
+func BenchmarkIncrementalMerge10k(b *testing.B) { benchmarkMerge10k(b, -1) }
+
+// BenchmarkIncrementalMerge10kCached is BenchmarkIncrementalMerge10k with
+// the default solution cache, which an accepted merge never probes.
+func BenchmarkIncrementalMerge10kCached(b *testing.B) { benchmarkMerge10k(b, DefaultCacheSize) }
+
+func benchmarkMerge10k(b *testing.B, cacheSize int) {
+	plat, inputs, arrival := churn10k()
+	a, err := New(plat, WithIncremental(true), WithCache(cacheSize))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -261,6 +275,30 @@ func BenchmarkIncrementalMerge10k(b *testing.B) {
 		}
 		if st.Source != SourceIncremental {
 			b.Fatalf("solve %d: source %q, want a merge", i, st.Source)
+		}
+	}
+}
+
+// BenchmarkFullSolve10k is the cadence full solve of a churn tick on the
+// churn10k input: the full pipeline from λ = 0 over every application,
+// re-pinning the solution for the merges that follow. The cache is off, so
+// every iteration solves.
+func BenchmarkFullSolve10k(b *testing.B) {
+	plat, inputs, _ := churn10k()
+	a, err := New(plat, WithIncremental(true), WithCache(-1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.incFullEvery = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := a.AllocateWithStats(inputs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Source != SourceCold {
+			b.Fatalf("solve %d: source %q, want a full solve", i, st.Source)
 		}
 	}
 }
