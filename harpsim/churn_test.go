@@ -145,11 +145,11 @@ func TestChurnOracleVerification(t *testing.T) {
 // decision on purpose updates them and says why.
 var churnJournalDigests = map[string]string{
 	"seed1/coalesced":  "c547e96bc3ae75bd798d9a317d3eaf54551f2e8023f3fc43ea0bdc9bddd12628",
-	"seed1/inline":     "d16d209ce6f204ec1483c4d25f66b2cf4b01238c8742c5b34fbc30d1cbbd1907",
+	"seed1/inline":     "755d23e50ea8f5cc21f073809c74f8c0703db2d5925a122fa4f8a8f911e2307d",
 	"seed7/coalesced":  "169d82dc1ba5122ae406a901835dbc069ca1637f74a2c67675420413a17bbc7b",
-	"seed7/inline":     "8007519f7e523de5264a081322d8b93e5cf3077b09abbd1b531c6054bbae374e",
+	"seed7/inline":     "1eb585337a43ebee814ac0630a3ef3b5491d2e06007ad16071c009a0c032b013",
 	"seed42/coalesced": "884b10c81871dad30b0c542cc7e58783b5d8ce752fe89e03992cfe1924ac1109",
-	"seed42/inline":    "ca36b731cb187a5e145bb34f0bcb1b3e10bd754fc4e868f7045afe4512d59c5c",
+	"seed42/inline":    "dda1be1116d3f7005ca3299274920415d84c7b4a891be24121eddd72358823c6",
 }
 
 // TestChurnJournalDigests replays the pinned RunChurn configurations and

@@ -372,6 +372,34 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 		return nil, stats, nil
 	}
 
+	s := &a.scratch
+	s.capacity = resize(s.capacity, len(a.plat.Kinds))
+	capacity := s.capacity
+	for k, kind := range a.plat.Kinds {
+		capacity[k] = kind.Count
+	}
+
+	// Incremental path (incremental.go): when pins from a previous solve
+	// exist and only a small changed set of applications differs, re-solve
+	// just that set against the residual capacity. Falls through to the
+	// cache and the full pipeline when ineligible, on drift or on the
+	// full-solve cadence.
+	if a.mergeable() {
+		sp := a.tracer.BeginPhase(telemetry.PhaseSolve, a.solveHist)
+		out, incStats, ok, err := a.tryIncremental(apps, capacity)
+		sp.End()
+		if err != nil {
+			return nil, stats, err
+		}
+		if ok {
+			a.emitTrace(incStats)
+			return out, incStats, nil
+		}
+	}
+
+	// The cache memoises the full pipeline, so it is probed only in front
+	// of it: a merge the incremental path accepted never pays the
+	// fingerprint.
 	var fp Fingerprint
 	fpOK := false
 	if a.cache != nil {
@@ -401,28 +429,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 		sp.End()
 	}
 
-	s := &a.scratch
-	s.capacity = resize(s.capacity, len(a.plat.Kinds))
-	capacity := s.capacity
-	for k, kind := range a.plat.Kinds {
-		capacity[k] = kind.Count
-	}
-
 	solveSpan := a.tracer.BeginPhase(telemetry.PhaseSolve, a.solveHist)
-
-	// Incremental path (incremental.go): when pins from a previous solve
-	// exist and only a small changed set of applications differs, re-solve
-	// just that set against the residual capacity. Falls through to the full
-	// pipeline when ineligible, on drift or on the full-solve cadence.
-	if out, incStats, ok, err := a.tryIncremental(apps, capacity); ok || err != nil {
-		solveSpan.End()
-		if err != nil {
-			return nil, stats, err
-		}
-		a.emitTrace(incStats)
-		return out, incStats, nil
-	}
-
 	states := s.ensureStates(len(apps))
 	for i, app := range apps {
 		if app.Table == nil {

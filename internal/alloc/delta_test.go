@@ -8,6 +8,7 @@ import (
 
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
+	"github.com/harp-rm/harp/internal/telemetry"
 )
 
 // deltaTable is a one- or two-kind table whose content is a pure function of
@@ -82,8 +83,8 @@ func deltaTestPlatform(t *testing.T) *platform.Platform {
 // differs from the previous answer for the same ID (or whose ID the previous
 // solve did not contain). The p<n> level solves each step's population n
 // times, holding each repeat to the same contract against the answer before
-// it; the repeats reach the cache and shift the full-solve cadence against
-// the population changes.
+// it; the repeats are no-change merges that shift the full-solve cadence
+// against the population changes.
 func TestChangedCoversTrueDiff(t *testing.T) {
 	p := deltaTestPlatform(t)
 	for _, passes := range []int{1, 2} {
@@ -178,21 +179,32 @@ func runDeltaScenario(t *testing.T, p *platform.Platform, solver *Allocator, see
 }
 
 // TestChangedNilForFullSolves pins the other half of the contract: a solve
-// that did not come from the incremental merge reports no delta at all.
+// that did not come from the incremental merge reports no delta at all. The
+// cache is probed only behind a merge the incremental path declined, so the
+// cached solve here restores the first population after a changed set
+// larger than half the input.
 func TestChangedNilForFullSolves(t *testing.T) {
 	p := incTestPlatform(t)
 	inputs := incTestInputs(t, p, 6)
+	original := slices.Clone(inputs)
+	moved := slices.Clone(inputs)
+	for i := range 4 {
+		moved[i].Table = incTestTable(t, p, moved[i].ID, 1-i%2, 7)
+	}
 	a, err := New(p, WithIncremental(true), WithCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{SourceCold, SourceCached} {
-		_, stats, err := a.AllocateWithStats(inputs)
+	for i, step := range []struct {
+		in   []AppInput
+		want string
+	}{{original, SourceCold}, {moved, SourceCold}, {original, SourceCached}} {
+		_, stats, err := a.AllocateWithStats(step.in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Source != want || stats.Changed != nil {
-			t.Fatalf("solve %d: source %q, Changed %v; want %q and nil", i, stats.Source, stats.Changed, want)
+		if stats.Source != step.want || stats.Changed != nil {
+			t.Fatalf("solve %d: source %q, Changed %v; want %q and nil", i, stats.Source, stats.Changed, step.want)
 		}
 	}
 	inputs[0].Table = incTestTable(t, p, "app00", 1, 9)
@@ -205,6 +217,52 @@ func TestChangedNilForFullSolves(t *testing.T) {
 	}
 	if !slices.Contains(stats.Changed, 0) {
 		t.Fatalf("Changed = %v does not list the application whose table changed", stats.Changed)
+	}
+}
+
+// TestAcceptedMergeSkipsCacheProbe pins the probe order: the cache memoises
+// the full pipeline and is probed only in front of it, so a merge the
+// incremental path accepts — an identical re-solve included — neither
+// fingerprints the input nor counts a cache miss, and a merge it declines
+// still reaches the cache.
+func TestAcceptedMergeSkipsCacheProbe(t *testing.T) {
+	p := incTestPlatform(t)
+	m := telemetry.NewMetrics(telemetry.NewRegistry())
+	a, err := New(p, WithIncremental(true), WithCache(8), WithMetrics(m), WithTracer(telemetry.NewTracer(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fingerprints := m.EpochPhase.With(telemetry.PhaseFingerprint)
+	solve := func(in []AppInput, want string) {
+		t.Helper()
+		if _, st, err := a.AllocateWithStats(in); err != nil || st.Source != want {
+			t.Fatalf("source %q, err %v; want %q", st.Source, err, want)
+		}
+	}
+	original := incTestInputs(t, p, 6)
+	solve(original, SourceCold)
+	misses, probes := m.AllocCacheMisses.Value(), fingerprints.Count()
+	if misses != 1 || probes != 1 {
+		t.Fatalf("first solve: %d misses, %d fingerprints; want 1 and 1", misses, probes)
+	}
+
+	retabled := slices.Clone(original)
+	retabled[2].Table = incTestTable(t, p, "app02", 0, 9)
+	for _, in := range [][]AppInput{original, retabled, original, retabled[:5]} {
+		solve(in, SourceIncremental)
+	}
+	if got, n := m.AllocCacheMisses.Value(), fingerprints.Count(); got != misses || n != probes {
+		t.Fatalf("accepted merges probed the cache: misses %d → %d, fingerprints %d → %d", misses, got, probes, n)
+	}
+
+	moved := slices.Clone(original)
+	for i := range 4 {
+		moved[i].Table = incTestTable(t, p, moved[i].ID, 1-i%2, 7)
+	}
+	solve(moved, SourceCold)
+	solve(original, SourceCached)
+	if h := m.AllocCacheHits.Value(); h != 1 || fingerprints.Count() != probes+2 {
+		t.Fatalf("declined merges: %d hits, %d fingerprints; want 1 and %d", h, fingerprints.Count(), probes+2)
 	}
 }
 

@@ -216,16 +216,20 @@ type incScratch struct {
 	avail      [][]int
 }
 
-// tryIncremental attempts the incremental path for one solve. ok reports
-// whether the merged solution should be returned; ok=false with a nil error
-// means "run the full pipeline" (ineligible, cadence, drift, oversized
-// changed set or an internal inconsistency), and leaves the pins as they
-// were. The merged solution is the pin arrays' allocations.
+// mergeable reports whether the next solve may try the incremental path:
+// incremental solving is on, a previous solve left pins, and the full-solve
+// cadence is not due.
+func (a *Allocator) mergeable() bool {
+	return a.inc && len(a.pins.id) > 0 && a.incSinceFull < a.incFullEvery
+}
+
+// tryIncremental attempts the incremental path for one solve the caller
+// found mergeable. ok reports whether the merged solution should be
+// returned; ok=false with a nil error means "run the full pipeline" (drift,
+// oversized changed set or an internal inconsistency), and leaves the pins
+// as they were. The merged solution is the pin arrays' allocations.
 func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocation, Stats, bool, error) {
 	pins := &a.pins
-	if !a.inc || len(pins.id) == 0 || a.incSinceFull >= a.incFullEvery {
-		return nil, Stats{}, false, nil
-	}
 	sc := &a.incScratch
 
 	// Re-solve (src[i] = -1) what changed since the previous solve, and the

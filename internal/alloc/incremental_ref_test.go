@@ -11,7 +11,8 @@ import (
 // incremental merge as it stood when pins were kept in a map by application
 // ID, each with the pin-epoch of the last solve that contained it, pruned
 // only once the map outgrew the live population. It drives an Allocator
-// with incremental solving off for the cache probe and the full pipeline,
+// with incremental solving off for the cache probe and the full pipeline
+// behind a declined merge,
 // and re-solves through that Allocator's own solver passes.
 type MapPins struct {
 	b            *Allocator
@@ -50,26 +51,18 @@ func NewIncrementalPair(p *platform.Platform, cadence int, drift float64, opts .
 }
 
 // AllocateWithStats is the Allocator's with the map-keyed incremental path:
-// the cache probe first, then the merge, then the full pipeline.
+// the merge first, then the cache probe, then the full pipeline.
 func (r *MapPins) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
 	b := r.b
 	if len(apps) == 0 {
 		return b.AllocateWithStats(apps)
 	}
-	hit := false
-	if b.cache != nil {
-		if fp, ok := b.fingerprintInputs(apps); ok && b.cache.get(fp) != nil {
-			hit = true
-		}
+	capacity := make([]int, len(b.plat.Kinds))
+	for k, kind := range b.plat.Kinds {
+		capacity[k] = kind.Count
 	}
-	if !hit {
-		capacity := make([]int, len(b.plat.Kinds))
-		for k, kind := range b.plat.Kinds {
-			capacity[k] = kind.Count
-		}
-		if out, st, ok, err := r.tryIncremental(apps, capacity); ok || err != nil {
-			return out, st, err
-		}
+	if out, st, ok, err := r.tryIncremental(apps, capacity); ok || err != nil {
+		return out, st, err
 	}
 	out, st, err := b.AllocateWithStats(apps)
 	if err == nil {
