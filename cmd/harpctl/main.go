@@ -254,6 +254,8 @@ func renderStatus(out io.Writer, st harp.Status) {
 		fmt.Fprintln(out, "no sessions")
 		return
 	}
+	// Overload regime: the share of sessions on time-shared cores.
+	fmt.Fprintf(out, "co-allocated %.1f%% of %d sessions\n", 100*st.CoAllocatedShare, len(st.Sessions))
 	fmt.Fprintf(out, "%-22s %-14s %-11s %-11s %6s %10s %9s  %-12s %7s %5s\n",
 		"INSTANCE", "APP", "STAGE", "LIVENESS", "AGE", "UTILITY", "POWER[W]", "VECTOR", "THREADS", "CORES")
 	for _, s := range st.Sessions {

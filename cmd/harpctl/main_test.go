@@ -35,6 +35,7 @@ var fakeStatus = harp.Status{
 	EpochP99Sec:      0.0021,
 	FleetJoules:      120.5,
 	BudgetOverrunSec: 0,
+	CoAllocatedShare: 0.5,
 	Sessions: []harp.SessionStatus{{
 		Instance: "ep.C/1", App: "ep.C", Stage: "stable",
 		Liveness: core.LivenessLive.String(), AgeSec: 0.2,
@@ -43,6 +44,7 @@ var fakeStatus = harp.Status{
 	}, {
 		Instance: "cg.C/2", App: "cg.C", Stage: "stable",
 		Liveness: core.LivenessQuarantined.String(), AgeSec: 4.8,
+		CoAllocated: true,
 	}},
 }
 
@@ -157,6 +159,19 @@ func TestStatusCommand(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("status output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStatusShowsCoAllocatedShare: the status header says how much of the
+// population shares cores, so an overloaded machine reads as one.
+func TestStatusShowsCoAllocatedShare(t *testing.T) {
+	sock := fakeHarpd(t)
+	var buf bytes.Buffer
+	if err := run([]string{"-control", sock, "status"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "co-allocated 50.0% of 2 sessions"; !strings.Contains(buf.String(), want) {
+		t.Errorf("status output missing %q:\n%s", want, buf.String())
 	}
 }
 

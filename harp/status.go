@@ -40,6 +40,11 @@ type Status struct {
 	BudgetW     float64      `json:"budget_w"`
 	// Sessions lists the registered sessions in registration order.
 	Sessions []SessionStatus `json:"sessions"`
+	// CoAllocatedShare is the fraction of Sessions whose standing decision
+	// shares its cores with others (0 without sessions). Near 1 the machine
+	// is overloaded: the solver is placing sessions on shared cores, not
+	// choosing isolated operating points (§4.2.2).
+	CoAllocatedShare float64 `json:"co_allocated_share"`
 
 	// EpochP99Sec is the p99 wall time of one epoch, read from the
 	// harp_epoch_phase_seconds{phase="epoch"} histogram. Phase histograms are
@@ -78,6 +83,9 @@ type SessionStatus struct {
 	Threads   int     `json:"threads"`
 	Cores     int     `json:"cores"`
 	Exploring bool    `json:"exploring,omitempty"`
+	// CoAllocated marks a standing decision on cores time-shared with other
+	// sessions; HARP suspends such a session's monitoring.
+	CoAllocated bool `json:"co_allocated,omitempty"`
 	// Measured counts the measured points in the session's table.
 	Measured int `json:"measured"`
 	// Joules and Efficiency (utility-seconds per joule) come from the
@@ -124,25 +132,33 @@ func (s *Server) Status() Status {
 	}
 	infos := s.sessionsLocked()
 	st.Sessions = make([]SessionStatus, len(infos))
+	coAllocated := 0
 	for i, info := range infos {
 		se := energy[info.Instance]
 		st.Sessions[i] = SessionStatus{
-			Instance:   info.Instance,
-			App:        info.App,
-			Stage:      info.Stage.String(),
-			Phase:      info.Phase,
-			Liveness:   info.Liveness.String(),
-			AgeSec:     info.LastReportAgeSec,
-			Utility:    info.Utility,
-			PowerW:     info.Power,
-			Vector:     info.Vector,
-			Threads:    info.Threads,
-			Cores:      info.Cores,
-			Exploring:  info.Exploring,
-			Measured:   info.Measured,
-			Joules:     se.Joules,
-			Efficiency: se.Efficiency(),
+			Instance:    info.Instance,
+			App:         info.App,
+			Stage:       info.Stage.String(),
+			Phase:       info.Phase,
+			Liveness:    info.Liveness.String(),
+			AgeSec:      info.LastReportAgeSec,
+			Utility:     info.Utility,
+			PowerW:      info.Power,
+			Vector:      info.Vector,
+			Threads:     info.Threads,
+			Cores:       info.Cores,
+			Exploring:   info.Exploring,
+			CoAllocated: info.CoAllocated,
+			Measured:    info.Measured,
+			Joules:      se.Joules,
+			Efficiency:  se.Efficiency(),
 		}
+		if info.CoAllocated {
+			coAllocated++
+		}
+	}
+	if len(infos) > 0 {
+		st.CoAllocatedShare = float64(coAllocated) / float64(len(infos))
 	}
 	return st
 }

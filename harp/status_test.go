@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/harp-rm/harp/internal/core"
+	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/telemetry"
 )
 
@@ -82,5 +83,39 @@ func TestStatusOfLiveServer(t *testing.T) {
 		if _, ok := row["liveness"].(string); !ok {
 			t.Errorf("liveness not a name on the wire: %v", row)
 		}
+	}
+}
+
+// TestStatusCoAllocatedShare reads the overload regime off a real server: on
+// a one-core machine the first of two sessions holds the core in isolation
+// and the second is co-allocated onto it, so exactly that row is marked and
+// the share is one half.
+func TestStatusCoAllocatedShare(t *testing.T) {
+	plat := &platform.Platform{
+		Name: "one-core", MemBWGips: 50, EnergySensors: "package", SimultaneousPMU: true,
+		Kinds: []platform.CoreKind{{Name: "P", Count: 1, SMT: 1, MaxFreqGHz: 3, MinFreqGHz: 0.5, IPC: 2, ActiveWatts: 2, IdleWatts: 0.2, SleepWatts: 0.02}},
+	}
+	srv, sock := startServer(t, ServerConfig{Platform: plat})
+	for pid, app := range []string{"first", "second"} {
+		c, err := Dial(sock, Registration{App: app, PID: pid + 1, Adaptivity: Static})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+	}
+	var st Status
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st = srv.Status(); len(st.Sessions) == 2 && st.Sessions[1].Cores > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw both sessions placed: %+v", st.Sessions)
+		}
+	}
+	if first, second := st.Sessions[0], st.Sessions[1]; first.CoAllocated || !second.CoAllocated {
+		t.Errorf("co-allocation flags %v/%v, want the first session isolated and the second co-allocated", first.CoAllocated, second.CoAllocated)
+	}
+	if st.CoAllocatedShare != 0.5 {
+		t.Errorf("co-allocated share %v, want 0.5", st.CoAllocatedShare)
 	}
 }
