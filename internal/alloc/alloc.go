@@ -365,7 +365,11 @@ func (a *Allocator) Allocate(apps []AppInput) ([]Allocation, error) {
 // overwrites. Grant lists are the exception in the caller's favour: once
 // built they are never written again, so a caller may keep a []CoreGrant
 // (the Manager's pushed decisions do) — but must copy anything else it wants
-// to outlive the next solve. Misses run the full pipeline and memoise it.
+// to outlive the next solve.
+//
+// Order: with incremental solving on, the merge runs first; the cache is
+// probed only when the merge declines, and a miss runs the full pipeline
+// and memoises it.
 func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
 	var stats Stats
 	if len(apps) == 0 {
@@ -772,20 +776,18 @@ func (s *solverScratch) groupStates(states []*appState) []lagGroup {
 	mask := uint64(size - 1)
 	for si, st := range states {
 		h := (st.hi ^ st.lo) & mask
-		for {
-			slot := s.slots[h]
-			if slot == 0 {
-				groups = append(groups, lagGroup{st: st})
-				slot = int32(len(groups))
-				s.slots[h] = slot
-			}
-			if g := &groups[slot-1]; g.st == st || g.st.hi == st.hi && g.st.lo == st.lo && sameCands(g.st.cands, st.cands) {
-				g.n++
-				s.groupOf[si] = slot - 1
+		for ; s.slots[h] != 0; h = (h + 1) & mask {
+			if g := groups[s.slots[h]-1].st; g.hi == st.hi && g.lo == st.lo && sameCands(g.cands, st.cands) {
 				break
 			}
-			h = (h + 1) & mask
 		}
+		if s.slots[h] == 0 {
+			groups = append(groups, lagGroup{st: st})
+			s.slots[h] = int32(len(groups))
+		}
+		gi := s.slots[h] - 1
+		groups[gi].n++
+		s.groupOf[si] = gi
 	}
 	s.groups = groups
 	return groups

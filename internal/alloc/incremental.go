@@ -29,11 +29,17 @@ package alloc
 //
 // Incremental results are deliberately NOT written to the solution cache:
 // cache entries stay pure full-pipeline outputs, so a cache hit never
-// depends on pin history. Like warm starts, incremental solving trades
-// bit-identical cold-solve equivalence for latency and is therefore opt-in;
-// every merged solution still satisfies the structural invariants
-// (check.CheckAllocations) because pins are fragments of previously valid
-// solutions and the re-solve only consumes capacity the pins left free.
+// depends on pin history. The merge also comes first: AllocateWithStats
+// fingerprints the input and probes the cache only when the merge declines,
+// in front of the full pipeline the cache memoises, so an accepted merge
+// never hashes its input. An input equal to a recent full solve's is then
+// served by a no-change merge rather than by the cache; both are valid
+// answers, not necessarily the same one. Like warm starts, incremental
+// solving trades bit-identical cold-solve equivalence for latency and is
+// therefore opt-in; every merged solution still satisfies the structural
+// invariants (check.CheckAllocations) because pins are fragments of
+// previously valid solutions and the re-solve only consumes capacity the
+// pins left free.
 //
 // A merge is also where the allocator knows exactly what moved: only the
 // re-solved positions can differ from the previous answer, so they are
