@@ -187,10 +187,7 @@ func TestChangedNilForFullSolves(t *testing.T) {
 	p := incTestPlatform(t)
 	inputs := incTestInputs(t, p, 6)
 	original := slices.Clone(inputs)
-	moved := slices.Clone(inputs)
-	for i := range 4 {
-		moved[i].Table = incTestTable(t, p, moved[i].ID, 1-i%2, 7)
-	}
+	moved := overHalfRetabled(t, p, inputs)
 	a, err := New(p, WithIncremental(true), WithCache(8))
 	if err != nil {
 		t.Fatal(err)
@@ -218,6 +215,17 @@ func TestChangedNilForFullSolves(t *testing.T) {
 	if !slices.Contains(stats.Changed, 0) {
 		t.Fatalf("Changed = %v does not list the application whose table changed", stats.Changed)
 	}
+}
+
+// overHalfRetabled returns a copy of six incTestInputs with the first four
+// tables changed: more than half the input, so the incremental path
+// declines the merge.
+func overHalfRetabled(t *testing.T, p *platform.Platform, inputs []AppInput) []AppInput {
+	moved := slices.Clone(inputs)
+	for i := range 4 {
+		moved[i].Table = incTestTable(t, p, moved[i].ID, 1-i%2, 7)
+	}
+	return moved
 }
 
 // TestAcceptedMergeSkipsCacheProbe pins the probe order: the cache memoises
@@ -255,11 +263,7 @@ func TestAcceptedMergeSkipsCacheProbe(t *testing.T) {
 		t.Fatalf("accepted merges probed the cache: misses %d → %d, fingerprints %d → %d", misses, got, probes, n)
 	}
 
-	moved := slices.Clone(original)
-	for i := range 4 {
-		moved[i].Table = incTestTable(t, p, moved[i].ID, 1-i%2, 7)
-	}
-	solve(moved, SourceCold)
+	solve(overHalfRetabled(t, p, original), SourceCold)
 	solve(original, SourceCached)
 	if h := m.AllocCacheHits.Value(); h != 1 || fingerprints.Count() != probes+2 {
 		t.Fatalf("declined merges: %d hits, %d fingerprints; want 1 and %d", h, fingerprints.Count(), probes+2)
