@@ -24,7 +24,9 @@ fmt-check:
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # lint-metrics cross-checks the harp_* metrics registered in code against
-# the table in OBSERVABILITY.md, both directions. See OBSERVABILITY.md.
+# the table in OBSERVABILITY.md, both directions, requires a reader (a test,
+# health check, status field, harpctl view or benchmark) for every family,
+# and checks every harp_* name in the top-level prose. See OBSERVABILITY.md.
 lint-metrics:
 	./scripts/lint-metrics.sh
 

@@ -26,6 +26,7 @@ func chaosRun(t *testing.T, sc Scenario, plan *faultsim.Plan, seed int64) (*Resu
 	t.Helper()
 	tables := OfflineDSETables(sc.Platform, sc.Apps)
 	mt := telemetry.NewMetrics(telemetry.NewRegistry())
+	tr := telemetry.NewTracer(1)
 	var journal bytes.Buffer
 	res := mustRun(t, sc, Options{
 		Policy:        PolicyHARPOffline,
@@ -34,12 +35,15 @@ func chaosRun(t *testing.T, sc Scenario, plan *faultsim.Plan, seed int64) (*Resu
 		Liveness:      chaosLiveness(),
 		Faults:        plan,
 		// The tracer's clock stamps journal epochs with virtual time; the
-		// event buffer itself is irrelevant here.
-		Tracer:         telemetry.NewTracer(1),
+		// one-slot ring overflows on the second event.
+		Tracer:         tr,
 		Journal:        telemetry.NewJournal(&journal),
 		Metrics:        mt,
 		RecordTimeline: true,
 	})
+	if got, want := mt.TracerDropped.Value(), tr.Dropped(); got == 0 || got != want {
+		t.Errorf("harp_tracer_dropped_total = %d, want the ring's %d evictions", got, want)
+	}
 	return res, journal.Bytes(), mt
 }
 

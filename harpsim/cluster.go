@@ -18,7 +18,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/harp-rm/harp/internal/check"
 	"github.com/harp-rm/harp/internal/cluster"
 	"github.com/harp-rm/harp/internal/core"
 	"github.com/harp-rm/harp/internal/faultsim"
@@ -68,8 +67,8 @@ type ClusterOptions struct {
 	// MachineJournal supplies per-machine decision-journal writers (nil
 	// disables).
 	MachineJournal func(id string) io.Writer
-	// Verify runs check.CheckFleet every tick (fleet-internal and from the
-	// harness side) and fails the run on any violation.
+	// Verify runs check.CheckFleet at the end of every fleet tick and fails
+	// the run on any violation.
 	Verify bool
 }
 
@@ -287,14 +286,10 @@ func RunCluster(opts ClusterOptions) (*ClusterResult, error) {
 			}
 		}
 
-		// Grade invariants and integrate the energy model on the post-tick
-		// view.
+		// Integrate the energy model on the post-tick view. With Verify set,
+		// Fleet.Tick has already graded the invariants on the same machines:
+		// the re-submits above only queue sessions at the coordinator.
 		view := fleet.View()
-		if opts.Verify {
-			if err := check.CheckFleet(view); err != nil {
-				return nil, fmt.Errorf("harpsim: cluster tick %d: %w", tick, err)
-			}
-		}
 		fleetPower := 0.0
 		for i := range view.Machines {
 			m := &view.Machines[i]

@@ -17,7 +17,9 @@ func tracedRun(t *testing.T, sc Scenario, opts Options) (journal, trace []byte, 
 	tr := telemetry.NewTracer(1 << 18)
 	opts.Tracer = tr
 	opts.Journal = telemetry.NewJournal(&jbuf)
-	opts.Metrics = telemetry.NewMetrics(telemetry.NewRegistry())
+	if opts.Metrics == nil {
+		opts.Metrics = telemetry.NewMetrics(telemetry.NewRegistry())
+	}
 	opts.Energy = telemetry.NewEnergyLedger()
 	opts.RecordTimeline = true
 	res = mustRun(t, sc, opts)
@@ -245,11 +247,21 @@ func TestSimOnlineExplorationTraced(t *testing.T) {
 	// (the last session's exit leaves nothing to decide about, so it only
 	// emits the session-exited event).
 	sc := intelScenario(t, "cg.C", "ep.C")
-	journal, _, events, _ := tracedRun(t, sc, Options{Policy: PolicyHARP, Seed: 5})
+	mt := telemetry.NewMetrics(telemetry.NewRegistry())
+	journal, _, events, _ := tracedRun(t, sc, Options{Policy: PolicyHARP, Seed: 5, Metrics: mt})
 
 	kinds := map[telemetry.EventKind]int{}
+	exploring := 0
 	for _, ev := range events {
 		kinds[ev.Kind]++
+		if ev.Kind == telemetry.EvDecisionPushed && ev.Exploring {
+			exploring++
+		}
+	}
+	// harp_exploration_steps_total counts exactly the exploring decisions
+	// pushed.
+	if got := mt.ExplorationSteps.Value(); got == 0 || got != uint64(exploring) {
+		t.Errorf("exploration steps counter = %d, want the %d exploring decisions pushed", got, exploring)
 	}
 	for _, k := range []telemetry.EventKind{
 		telemetry.EvSessionRegistered, telemetry.EvSessionExited,

@@ -83,6 +83,52 @@ func TestDifferentialCachedVsCold(t *testing.T) {
 	}
 }
 
+// TestDifferentialWarmCacheHit pins what the cache promises when warm starts
+// are on, as in harpd and paper-eval: a hit returns the answer of the solve
+// that filled it. It does not promise a fresh solve's answer: a warm solve
+// of A after B starts from B's λ and may pick a different, equally valid
+// selection from the one cached for A. The sweep solves A, then a perturbed
+// B, then A again: the third solve must be a hit, equal to the first and
+// within the strict oracle contract.
+func TestDifferentialWarmCacheHit(t *testing.T) {
+	n := diffSeedCount(t)
+	for seed := int64(0); seed < n; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			p, a := check.Gen(seed, diffConfig(seed))
+			_, b := check.Gen(seed, diffConfig(seed))
+			perturbInputs(b)
+
+			warm, err := alloc.New(p, alloc.WithMethod(alloc.Lagrangian), alloc.WithWarmStart(true), alloc.WithCache(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			filled, err := warm.Allocate(a)
+			if err != nil {
+				t.Fatalf("solve A: %v", err)
+			}
+			if _, err := warm.Allocate(b); err != nil {
+				t.Fatalf("solve B: %v", err)
+			}
+			hit, st, err := warm.AllocateWithStats(a)
+			if err != nil {
+				t.Fatalf("re-solve A: %v", err)
+			}
+			if st.Source != alloc.SourceCached {
+				t.Fatalf("re-solve of A: source = %q, want %q", st.Source, alloc.SourceCached)
+			}
+			if !reflect.DeepEqual(filled, hit) {
+				t.Fatalf("seed %d: cache hit diverges from the solve that filled it\nfilled: %+v\nhit:    %+v", seed, filled, hit)
+			}
+			if err := check.CheckAgainstOracle(p, a, hit, true); err != nil {
+				t.Fatalf("seed %d: cached solution fails oracle: %v\nrepro: %s", seed, err,
+					check.ReproLine("./internal/alloc/", "TestDifferentialWarmCacheHit", seed))
+			}
+		})
+	}
+}
+
 // TestDifferentialWarmVsOracle holds every warm-started solve to the same
 // strict oracle contract as a cold solve, on both an identical re-solve and a
 // perturbed "next epoch" instance, and proves the point of warm starting:

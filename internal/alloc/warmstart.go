@@ -14,11 +14,12 @@ package alloc
 //
 // Warm-started solves are NOT guaranteed bit-identical to cold solves (a
 // different λ₀ can converge to a different, equally feasible selection), so
-// warm starting is opt-in: the solution cache is transparent by
-// construction, warm starting trades exact cold-solve equivalence for
-// convergence speed. Every warm result still passes the full repair
-// pipeline, the allocation invariants and the differential oracle (see
-// warmstart_test.go).
+// warm starting is opt-in: it trades exact cold-solve equivalence for
+// convergence speed. With the solution cache on as well, a hit returns the
+// answer of the solve that filled the entry, which a warm re-solve of the
+// same input from a later λ need not repeat. Every warm result still passes
+// the full repair pipeline, the allocation invariants and the differential
+// oracle (see warmstart_test.go).
 
 // WithWarmStart enables seeding the subgradient iteration from the previous
 // solve's final λ vector (default off). Only the Lagrangian method warm

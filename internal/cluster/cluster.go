@@ -97,8 +97,6 @@ type Config struct {
 	// Tracer receives cluster transition events (and the machine managers'
 	// events); its clock is the harness's virtual clock. May be nil.
 	Tracer *telemetry.Tracer
-	// Metrics receives the harp_cluster_* instruments. May be nil.
-	Metrics *telemetry.Metrics
 	// Journal receives the coordinator's JSONL transition journal. May be
 	// nil. Same-seed runs write byte-identical journals.
 	Journal io.Writer
@@ -273,7 +271,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f.coord = f.newCoordinator(false)
 	f.redistributeCaps()
-	f.gauge()
 	return f, nil
 }
 
@@ -586,11 +583,7 @@ func (f *Fleet) heartbeats() {
 		f.stats.MachineDeaths++
 		f.journal(journalRec{Tick: f.tick, Ev: "machine-dead", Machine: m.id, N: orphans})
 		f.emit(telemetry.Event{Kind: telemetry.EvClusterMachineDead, Stage: m.id, Vals: [4]float64{float64(orphans)}})
-		if mt := f.cfg.Metrics; mt != nil {
-			mt.ClusterMachineDeaths.Inc()
-		}
 		f.redistributeCaps()
-		f.gauge()
 	}
 }
 
@@ -617,10 +610,6 @@ func (f *Fleet) completeMigrations() error {
 		f.stats.Migrations++
 		f.journal(journalRec{Tick: f.tick, Ev: "migrate-done", Instance: mv.instance, From: mv.from, To: mv.to})
 		f.emit(telemetry.Event{Kind: telemetry.EvClusterMigrated, Instance: mv.instance, Stage: mv.from + "→" + mv.to})
-		if mt := f.cfg.Metrics; mt != nil {
-			mt.ClusterMigrations.Inc()
-			mt.ClusterPlacements.Inc()
-		}
 	}
 	return nil
 }
@@ -823,9 +812,6 @@ func (f *Fleet) placeRec(rec *sessionRec) error {
 	if dst == nil {
 		f.stats.Rejected++
 		f.journal(journalRec{Tick: f.tick, Ev: "reject", Instance: rec.spec.Instance})
-		if mt := f.cfg.Metrics; mt != nil {
-			mt.ClusterPlacementsRejected.Inc()
-		}
 		return nil
 	}
 	if err := f.registerOn(dst, rec); err != nil {
@@ -836,9 +822,6 @@ func (f *Fleet) placeRec(rec *sessionRec) error {
 	f.stats.Placements++
 	f.journal(journalRec{Tick: f.tick, Ev: "place", Instance: rec.spec.Instance, Machine: dst.id, DemandW: rec.demandW})
 	f.emit(telemetry.Event{Kind: telemetry.EvClusterPlaced, Instance: rec.spec.Instance, Stage: dst.id, Power: rec.demandW})
-	if mt := f.cfg.Metrics; mt != nil {
-		mt.ClusterPlacements.Inc()
-	}
 	return nil
 }
 
@@ -943,10 +926,6 @@ func (f *Fleet) promote() error {
 	f.stats.Failovers++
 	f.journal(journalRec{Tick: f.tick, Ev: "failover", N: recovered, Orphans: orphans})
 	f.emit(telemetry.Event{Kind: telemetry.EvClusterFailover, Vals: [4]float64{float64(recovered), float64(orphans)}})
-	if mt := f.cfg.Metrics; mt != nil {
-		mt.ClusterFailovers.Inc()
-	}
-	f.gauge()
 	return nil
 }
 
@@ -1027,22 +1006,7 @@ func (f *Fleet) grade() error {
 		h.Status = "ok"
 	}
 	f.health = h
-	f.gauge()
 	return verr
-}
-
-func (f *Fleet) gauge() {
-	if mt := f.cfg.Metrics; mt == nil {
-		return
-	} else if f.coord != nil {
-		alive := 0
-		for _, m := range f.machines {
-			if !f.coord.dead[m.id] {
-				alive++
-			}
-		}
-		mt.ClusterMachinesAlive.Set(float64(alive))
-	}
 }
 
 func (f *Fleet) emit(ev telemetry.Event) {

@@ -82,35 +82,11 @@ func (m *Manager) Flush() error {
 	return nil
 }
 
-// flushPending runs the batched epoch. The deferred-events metric counts
-// events beyond the first — the solves coalescing saved.
-func (m *Manager) flushPending() {
-	trigger := m.pendingTrigger
-	events := m.pendingEvents
-	m.resetPending()
-	if events > 1 {
-		if mt := m.cfg.Metrics; mt != nil {
-			mt.EpochsCoalesced.Add(uint64(events - 1))
-		}
-	}
-	m.reallocate(trigger)
-}
+// flushPending runs the batched epoch (reallocate clears the pending state).
+func (m *Manager) flushPending() { m.reallocate(m.pendingTrigger) }
 
-// absorbPending folds a queued coalesced epoch into an inline solve that is
-// about to run anyway (cadence, graduation): every solve
-// covers all sessions, so the pending epoch is satisfied and all its events
-// count as coalesced. Called from reallocate.
-func (m *Manager) absorbPending() {
-	if !m.pendingEpoch {
-		return
-	}
-	events := m.pendingEvents
-	m.resetPending()
-	if mt := m.cfg.Metrics; mt != nil {
-		mt.EpochsCoalesced.Add(uint64(events))
-	}
-}
-
+// resetPending drops a queued coalesced epoch. reallocate calls it: every
+// solve covers all sessions, so any solve satisfies the pending epoch.
 func (m *Manager) resetPending() {
 	m.pendingEpoch = false
 	m.pendingTrigger = ""

@@ -55,10 +55,10 @@ import (
 // stage, and the periodic stable-stage cadence. A failed solve degrades the
 // epoch (see solveWithLadder); it never fails.
 func (m *Manager) reallocate(trigger string) {
-	// Any full solve satisfies a queued coalesced epoch — absorb it so an
+	// Any full solve satisfies a queued coalesced epoch — drop it so an
 	// inline trigger (cadence, graduation) never leaves a stale pending
 	// flush behind.
-	m.absorbPending()
+	m.resetPending()
 	if len(m.sessions) == 0 {
 		return
 	}

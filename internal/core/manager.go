@@ -134,7 +134,8 @@ type Config struct {
 	Platform *platform.Platform
 	// Allocator solves the MMKP; nil builds a default Lagrangian allocator
 	// with an alloc.DefaultCacheSize solution cache. The cache is
-	// content-addressed, so it is decision-transparent (see PERFORMANCE.md).
+	// content-addressed: a hit returns the answer of the solve that filled
+	// it, which a warm re-solve need not repeat (see PERFORMANCE.md).
 	Allocator Allocator
 	// OfflineTables maps application names to pre-generated operating-point
 	// tables (the /etc/harp directory, §4.3).

@@ -70,9 +70,8 @@ type Config struct {
 	// Nil selects degree-2 polynomial regression.
 	Model regress.Factory
 	// Tracer receives EvExplorationStep/EvTableUpdated events (nil disables).
+	// Explorers are per application, so the events carry App, not Instance.
 	Tracer *telemetry.Tracer
-	// Instance labels this explorer's trace events (the session instance).
-	Instance string
 }
 
 func (c Config) withDefaults() Config {
@@ -195,12 +194,11 @@ func (e *Explorer) Next(caps []int) (platform.ResourceVector, error) {
 	e.powerSum = 0
 	if e.cfg.Tracer.Enabled() { // guard: Key() builds a string
 		e.cfg.Tracer.Emit(telemetry.Event{
-			Kind:     telemetry.EvExplorationStep,
-			Instance: e.cfg.Instance,
-			App:      e.table.App,
-			Vector:   chosen.Key(),
-			Stage:    e.Stage().String(),
-			Seq:      len(candidates),
+			Kind:   telemetry.EvExplorationStep,
+			App:    e.table.App,
+			Vector: chosen.Key(),
+			Stage:  e.Stage().String(),
+			Seq:    len(candidates),
 		})
 	}
 	return chosen, nil
@@ -230,14 +228,13 @@ func (e *Explorer) Record(utility, power float64) (done bool, err error) {
 	e.predTable = nil
 	if e.cfg.Tracer.Enabled() {
 		e.cfg.Tracer.Emit(telemetry.Event{
-			Kind:     telemetry.EvTableUpdated,
-			Instance: e.cfg.Instance,
-			App:      e.table.App,
-			Vector:   e.current.Key(),
-			Stage:    e.Stage().String(),
-			Seq:      e.table.MeasuredCount(),
-			Utility:  e.utilSum / n,
-			Power:    e.powerSum / n,
+			Kind:    telemetry.EvTableUpdated,
+			App:     e.table.App,
+			Vector:  e.current.Key(),
+			Stage:   e.Stage().String(),
+			Seq:     e.table.MeasuredCount(),
+			Utility: e.utilSum / n,
+			Power:   e.powerSum / n,
 		})
 	}
 	e.hasCurrent = false

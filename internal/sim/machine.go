@@ -217,15 +217,6 @@ func (m *Machine) Proc(id ProcID) (*Proc, error) {
 	return p, nil
 }
 
-// Procs returns the live processes in start order.
-func (m *Machine) Procs() []*Proc {
-	out := make([]*Proc, 0, len(m.order))
-	for _, pid := range m.order {
-		out = append(out, m.procs[pid])
-	}
-	return out
-}
-
 // SetThreads changes a process's parallelisation degree (libharp's scalable
 // knob). Static applications cannot be rescaled. A migration stall is
 // charged.
@@ -294,16 +285,6 @@ func (m *Machine) SetRateTax(id ProcID, tax float64) error {
 		return fmt.Errorf("sim: rate tax %g", tax)
 	}
 	p.rateTax = tax
-	return nil
-}
-
-// OnExit registers a per-process exit callback.
-func (m *Machine) OnExit(id ProcID, fn func(*Proc)) error {
-	p, err := m.Proc(id)
-	if err != nil {
-		return err
-	}
-	p.onExit = append(p.onExit, fn)
 	return nil
 }
 
@@ -475,9 +456,6 @@ func (m *Machine) Step() error {
 			}
 		}
 		m.dirty = true
-		for _, fn := range p.onExit {
-			fn(p)
-		}
 		for _, fn := range m.onExit {
 			fn(p)
 		}
@@ -571,27 +549,6 @@ func (m *Machine) place() error {
 // effectiveAssignment returns the current placement of a process.
 func (m *Machine) effectiveAssignment(pid ProcID) []HWThread {
 	return m.placement[pid]
-}
-
-// Makespan returns the completion time of the latest-finishing process among
-// the given ones, or 0 if none finished.
-func Makespan(procs ...*Proc) time.Duration {
-	var max time.Duration
-	for _, p := range procs {
-		if p.Done() && p.FinishedAt() > max {
-			max = p.FinishedAt()
-		}
-	}
-	return max
-}
-
-// TotalCPUSeconds sums a counters snapshot's busy time across kinds.
-func TotalCPUSeconds(c Counters) float64 {
-	var s float64
-	for _, v := range c.CPUTimeByKind {
-		s += v
-	}
-	return s
 }
 
 // ValidEnergy sanity-checks a reading (non-negative, finite).

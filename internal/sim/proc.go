@@ -29,8 +29,6 @@ type Proc struct {
 
 	counters Counters
 	utilEMA  *mathx.EMA
-
-	onExit []func(*Proc)
 }
 
 // ID returns the process identifier.
@@ -64,9 +62,6 @@ func (p *Proc) StartedAt() time.Duration { return p.startedAt }
 
 // FinishedAt returns the virtual completion time (only meaningful once Done).
 func (p *Proc) FinishedAt() time.Duration { return p.finishedAt }
-
-// WorkLeft returns the remaining useful work in giga-instructions.
-func (p *Proc) WorkLeft() float64 { return p.workLeft }
 
 // Counters returns a snapshot of the accumulated execution metrics.
 func (p *Proc) Counters() Counters {

@@ -11,6 +11,7 @@ import (
 
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
+	"github.com/harp-rm/harp/internal/telemetry"
 )
 
 // pt builds a measured operating point on the Raptor Lake vector shape.
@@ -149,7 +150,8 @@ func TestTornWALTailTruncatesToLastValidRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := Open(dir, Options{})
+			mt := telemetry.NewMetrics(telemetry.NewRegistry())
+			s2, err := Open(dir, Options{Metrics: mt})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -168,6 +170,23 @@ func TestTornWALTailTruncatesToLastValidRecord(t *testing.T) {
 			// the third open sees only the new append in the WAL.
 			p3 := pt(t, 50, 5, 3)
 			appendAll(t, s2, Record{Kind: RecPoint, App: "ep", Point: &p3, Seq: 3})
+			// The store's families saw the truncation, the replay, the
+			// boot checkpoint and the append.
+			if got := mt.StoreCorruptions.Value(); got != 1 {
+				t.Errorf("harp_store_corruptions_total = %d, want 1", got)
+			}
+			if got := mt.StoreReplaySeconds.Value(); got != rec.Duration.Seconds() || got <= 0 {
+				t.Errorf("harp_store_replay_seconds = %g, want the recovery's %v", got, rec.Duration)
+			}
+			if got := mt.StoreSnapshotBytes.Value(); got <= 0 {
+				t.Errorf("harp_store_snapshot_bytes = %g after the boot checkpoint, want > 0", got)
+			}
+			if got := mt.StoreWALRecords.Value(); got != 1 {
+				t.Errorf("harp_store_wal_records_total = %d, want 1", got)
+			}
+			if age := s2.SnapshotAge(); age <= 0 || mt.StoreSnapshotAge.Value() != age.Seconds() {
+				t.Errorf("harp_store_snapshot_age_seconds = %g, want the store's %v", mt.StoreSnapshotAge.Value(), age)
+			}
 			s2.Close()
 			s3, err := Open(dir, Options{})
 			if err != nil {

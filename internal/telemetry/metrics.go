@@ -511,32 +511,9 @@ type Metrics struct {
 	// degradation-ladder rung, labelled by rung (degraded-greedy,
 	// degraded-stale, frozen).
 	EpochDegraded *CounterVec
-	// EpochsCoalesced counts mutating events whose epoch was deferred into a
-	// shared coalesced solve instead of triggering its own (events minus
-	// solves; see internal/core coalesce.go).
-	EpochsCoalesced *Counter
 	// StoreRetries counts transient durable-state write errors absorbed by
 	// the store's retry/backoff path.
 	StoreRetries *Counter
-
-	// ClusterMachinesAlive gauges fleet machines currently alive (only set
-	// when this process runs a cluster coordinator).
-	ClusterMachinesAlive *Gauge
-	// ClusterPlacements counts sessions placed onto a machine by the fleet
-	// coordinator, first placements and migration re-adds alike.
-	ClusterPlacements *Counter
-	// ClusterPlacementsRejected counts placements refused by worst-case
-	// admission control (no machine had power headroom).
-	ClusterPlacementsRejected *Counter
-	// ClusterMigrations counts completed session migrations between
-	// machines (hot-machine rebalance or dying-machine drain).
-	ClusterMigrations *Counter
-	// ClusterMachineDeaths counts machines declared dead after missed
-	// heartbeats.
-	ClusterMachineDeaths *Counter
-	// ClusterFailovers counts standby-coordinator promotions after the
-	// primary died.
-	ClusterFailovers *Counter
 }
 
 // NewMetrics creates the standard instrument bundle on the registry.
@@ -579,15 +556,7 @@ func NewMetrics(r *Registry) *Metrics {
 		TracerDropped:        r.Counter("harp_tracer_dropped_total", "Events evicted from the tracer ring."),
 		JournalErrors:        r.Counter("harp_journal_errors_total", "Journal records lost to write errors."),
 
-		EpochDegraded:   r.CounterVec("harp_epoch_degraded_total", "Epochs resolved by a degradation-ladder rung.", "rung"),
-		EpochsCoalesced: r.Counter("harp_epochs_coalesced_total", "Mutating events whose epoch was deferred into a shared coalesced solve."),
-		StoreRetries:    r.Counter("harp_store_retries_total", "Transient durable-state write errors absorbed by retry."),
-
-		ClusterMachinesAlive:      r.Gauge("harp_cluster_machines_alive", "Fleet machines currently alive."),
-		ClusterPlacements:         r.Counter("harp_cluster_placements_total", "Sessions placed onto a machine by the fleet coordinator."),
-		ClusterPlacementsRejected: r.Counter("harp_cluster_placements_rejected_total", "Placements refused by worst-case admission control."),
-		ClusterMigrations:         r.Counter("harp_cluster_migrations_total", "Completed session migrations between machines."),
-		ClusterMachineDeaths:      r.Counter("harp_cluster_machine_deaths_total", "Machines declared dead after missed heartbeats."),
-		ClusterFailovers:          r.Counter("harp_cluster_failovers_total", "Standby coordinator promotions after primary death."),
+		EpochDegraded: r.CounterVec("harp_epoch_degraded_total", "Epochs resolved by a degradation-ladder rung.", "rung"),
+		StoreRetries:  r.Counter("harp_store_retries_total", "Transient durable-state write errors absorbed by retry."),
 	}
 }

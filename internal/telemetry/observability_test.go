@@ -366,13 +366,15 @@ func TestTracerDropCounting(t *testing.T) {
 // including records suppressed by the sticky error.
 func TestJournalErrorCounting(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("journal_errors_total", "")
+	m := NewMetrics(reg)
 	j := NewJournal(failWriter{})
-	j.CountErrors(c)
+	j.CountErrors(m.JournalErrors)
 	_ = j.Record(EpochRecord{})
 	_ = j.Record(EpochRecord{})
 	_ = j.Record(EpochRecord{})
-	if got := c.Value(); got != 3 {
-		t.Errorf("journal error counter = %d, want 3", got)
+	var buf bytes.Buffer
+	reg.WritePrometheus(&buf)
+	if !strings.Contains(buf.String(), "\nharp_journal_errors_total 3\n") {
+		t.Errorf("scrape lacks harp_journal_errors_total 3 (counter = %d)", m.JournalErrors.Value())
 	}
 }
