@@ -8,7 +8,8 @@ package harpsim
 // the manager actually solves. It reads no wall clock: the event stream is a
 // pure function of the seed, so two same-seed runs produce byte-identical
 // decision journals; sampled epochs are differentially verified against
-// check.CheckAllocations through an instrumented allocator wrapper. Epoch
+// check.CheckAllocations and check.CheckPlacement through an instrumented
+// allocator wrapper. Epoch
 // latency at scale is the repository benchmark's to measure (churn-10k in
 // benchmark/README.md).
 
@@ -50,7 +51,7 @@ type ChurnOptions struct {
 	// tests compare its bytes across runs.
 	Journal io.Writer
 	// VerifyEvery differentially verifies every n-th solved epoch against
-	// check.CheckAllocations (0 disables).
+	// check.CheckAllocations and check.CheckPlacement (0 disables).
 	VerifyEvery int
 }
 
@@ -183,6 +184,9 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 			res.SolveSources[sourceLabel(verifier.lastSource)]++
 			if opts.VerifyEvery > 0 && verifier.solves%opts.VerifyEvery == 0 {
 				if cerr := check.CheckAllocations(plat, verifier.lastInputs, verifier.lastAllocs); cerr != nil {
+					return fmt.Errorf("harpsim: churn epoch %d failed oracle: %w", verifier.solves, cerr)
+				}
+				if cerr := check.CheckPlacement(plat, verifier.lastAllocs); cerr != nil {
 					return fmt.Errorf("harpsim: churn epoch %d failed oracle: %w", verifier.solves, cerr)
 				}
 				verified++

@@ -115,8 +115,8 @@ func TestChurnSolvePerEventBaseline(t *testing.T) {
 }
 
 // TestChurnOracleVerification pins the differential-verification hook: with
-// VerifyEvery set, sampled epochs run through check.CheckAllocations and the
-// run fails on any violation.
+// VerifyEvery set, sampled epochs run through check.CheckAllocations and
+// check.CheckPlacement, and the run fails on any violation.
 func TestChurnOracleVerification(t *testing.T) {
 	res, err := RunChurn(ChurnOptions{
 		Sessions:      40,
@@ -144,12 +144,12 @@ func TestChurnOracleVerification(t *testing.T) {
 // refactors of the epoch pipeline and the solver: a change that moves a
 // decision on purpose updates them and says why.
 var churnJournalDigests = map[string]string{
-	"seed1/coalesced":  "c547e96bc3ae75bd798d9a317d3eaf54551f2e8023f3fc43ea0bdc9bddd12628",
-	"seed1/inline":     "755d23e50ea8f5cc21f073809c74f8c0703db2d5925a122fa4f8a8f911e2307d",
-	"seed7/coalesced":  "169d82dc1ba5122ae406a901835dbc069ca1637f74a2c67675420413a17bbc7b",
-	"seed7/inline":     "1eb585337a43ebee814ac0630a3ef3b5491d2e06007ad16071c009a0c032b013",
-	"seed42/coalesced": "884b10c81871dad30b0c542cc7e58783b5d8ce752fe89e03992cfe1924ac1109",
-	"seed42/inline":    "dda1be1116d3f7005ca3299274920415d84c7b4a891be24121eddd72358823c6",
+	"seed1/coalesced":  "3d372633fe5b1df3811636ca9c69658efe2dacdc4fd9bb6c8b694837c932da42",
+	"seed1/inline":     "7542bb442ac3cb1d6ffd0bb8ecd482084a9fd82a9f39673950d6de023d557591",
+	"seed7/coalesced":  "347ffa7a6919ab1e256a66095573b6d986c005dc19b8ee99baca054f2466365f",
+	"seed7/inline":     "98304f75e98922838e8c0b8c195ab63198e7c3052ec95a33b86fbe8465921857",
+	"seed42/coalesced": "58a89c19eb0ca0d9ea617856941bf864b6ca115b7981ada991f9901cc67e4d44",
+	"seed42/inline":    "8a915c430f20e207a624bd464b4dcb51dc2f4ef005a4e53715de20c2ccd7d89c",
 }
 
 // TestChurnJournalDigests replays the pinned RunChurn configurations and

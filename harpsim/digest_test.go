@@ -93,9 +93,9 @@ func TestPaperJournalDigests(t *testing.T) {
 // for 4 machines, 200 sessions and 200 ticks with one machine kill and one
 // coordinator kill, keyed by seed.
 var clusterJournalDigests = map[string]string{
-	"seed1":  "49c5458cb235ea1f4c5c6c52027818a779d19b5d3c91d4edffcb76eee96ec17f",
-	"seed7":  "8fcf7ec8a6d9e86614d1367f7a9eee44d0f33b33b532c1fcb97dd184b5e363cf",
-	"seed42": "2b713849c658095515394a12d6927896bde1bb48756ec4b9b99df7436d250356",
+	"seed1":  "7e4e9271abf1c5340e628dd8b580a644e3da3673bc0f1e655f58ef7ffb2a62b2",
+	"seed7":  "16f1734d78f029d417abcc28ae3126237d4f58eab6ee37e22cf042a60990541d",
+	"seed42": "a3b311875fe0ca8c1e9c580d8ba60cbe9966e092fb134003d6b471b9435c442d",
 }
 
 // TestClusterJournalDigests replays the pinned fleet runs and compares

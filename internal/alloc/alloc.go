@@ -84,9 +84,9 @@ type Allocation struct {
 // Allocator solves the operating-point selection and core assignment.
 //
 // The Allocator is stateful — it owns a solution cache, the previous solve's
-// λ vector for warm starts and a reusable solver scratch arena — and is not
-// goroutine-safe; embedders (the Manager, benchmarks) serialise solves, as
-// they already do for the Manager itself.
+// λ vector for warm starts, the standing placement and a reusable solver
+// scratch arena — and is not goroutine-safe; embedders (the Manager,
+// benchmarks) serialise solves, as they already do for the Manager itself.
 type Allocator struct {
 	plat    *platform.Platform
 	method  Method
@@ -103,9 +103,16 @@ type Allocator struct {
 	prevLambda []float64
 	havePrev   bool
 
-	// Incremental re-solve state (incremental.go): the previous successful
-	// solve by input position, the merges since the last full solve, and the
-	// cost-slack baseline the drift bound compares against.
+	// The standing placement (placement.go): the allocations the previous
+	// successful solve returned, by input position. Placement keeps what it
+	// can of them, and the incremental merge pins them. spare is the buffer
+	// the next solve writes its result into; the two swap on every success.
+	standing, spare []Allocation
+
+	// Incremental re-solve state (incremental.go): per standing position the
+	// table hash and costs a merge compares against, the merges since the
+	// last full solve, and the cost-slack baseline the drift bound compares
+	// against.
 	inc           bool
 	incFullEvery  int
 	incDriftBound float64
@@ -131,10 +138,11 @@ type Allocator struct {
 
 // solverScratch is the per-Allocator arena reused across solves so the
 // steady-state pipeline stays off the heap: capacity/λ/demand vectors, the
-// per-app states with their candidate and demand buffers, and the groups and
-// representative arenas of the subgradient iteration. Nothing in here may
-// escape into a returned Allocation — assignCores always builds fresh output
-// slices precisely because cache entries retain them.
+// per-app states with their candidate and demand buffers, the groups and
+// representative arenas of the subgradient iteration, and the placement
+// pass's work arrays. Nothing in here escapes into a returned Allocation:
+// results live in the standing/spare pair, and grant lists are built fresh
+// because the standing placement shares them onward.
 type solverScratch struct {
 	capacity   []int
 	states     []*appState
@@ -153,6 +161,7 @@ type solverScratch struct {
 	fdBuf      []float64
 	seen       map[uint64]bool
 	rescue     rescueSearch
+	place      placeScratch
 }
 
 // ensureStates returns n reusable per-app states.
@@ -197,9 +206,9 @@ func WithTracer(t *telemetry.Tracer) Option {
 
 // WithCache enables the content-addressed solution cache with capacity n
 // (entries); n <= 0 disables caching, which is the default. DefaultCacheSize
-// is a sensible capacity for production managers. Cache hits return the
-// memoised []Allocation without copying — callers must treat it as
-// read-only.
+// is a sensible capacity for production managers. The cache memoises each
+// full solve's selection — the point and co-allocation flag per position —
+// and a hit places it against the standing placement, like any solve.
 func WithCache(n int) Option {
 	return optionFunc(func(a *Allocator) { a.cacheSize = n })
 }
@@ -235,7 +244,9 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 		a.cache = newSolutionCache(a.cacheSize)
 	}
 	if a.inc {
-		// Never nil: a nil Stats.Changed reads as "everything moved".
+		// Never nil: a nil Stats.Changed reads as "everything moved", and a
+		// nil placement list as "place every position".
+		a.incScratch.changed = make([]int, 0, 16)
 		a.incScratch.resolveIdx = make([]int, 0, 16)
 	}
 	a.fpBase = a.fingerprintBase()
@@ -274,8 +285,8 @@ type appState struct {
 	cands  []candidate
 	chosen int // index into cands, -1 = none
 	// coalloc records that repair found no candidate fitting the remaining
-	// capacity and deferred the application to co-allocation; assignCores
-	// wraps exactly these states around the capacity. A wrap attempt by any
+	// capacity and deferred the application to co-allocation; placement
+	// shares cores for exactly these states. Running out of cores for any
 	// other state is an internal accounting bug surfaced as *CapacityError.
 	coalloc   bool
 	demandBuf []int
@@ -359,17 +370,18 @@ func (a *Allocator) Allocate(apps []AppInput) ([]Allocation, error) {
 //
 // Result ownership: the returned allocations, their grant lists and
 // Stats.Changed belong to the allocator. They are read-only for the caller
-// and valid until the allocator's next solve — a cache hit returns the
-// memoised slice itself (zero heap allocations, Stats.Source = SourceCached),
-// an incremental merge its pinned solution, which the next solve
-// overwrites. Grant lists are the exception in the caller's favour: once
-// built they are never written again, so a caller may keep a []CoreGrant
-// (the Manager's pushed decisions do) — but must copy anything else it wants
-// to outlive the next solve.
+// and valid until the allocator's next solve: every solve writes its result
+// into a buffer the allocator reuses, which is what lets a cache hit cost
+// zero heap allocations (Stats.Source = SourceCached). Grant lists are the
+// exception in the caller's favour: once built they are never written
+// again, and an application whose choice did not change keeps the very same
+// list, so a caller may keep a []CoreGrant (the Manager's pushed decisions
+// do) — but must copy anything else it wants to outlive the next solve.
 //
 // Order: with incremental solving on, the merge runs first; the cache is
 // probed only when the merge declines, and a miss runs the full pipeline
-// and memoises it.
+// and memoises its selection. Every path places cores against the standing
+// placement (placement.go).
 func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
 	var stats Stats
 	if len(apps) == 0 {
@@ -382,15 +394,20 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 	for k, kind := range a.plat.Kinds {
 		capacity[k] = kind.Count
 	}
+	// Where each input stood in the previous solve, by ID.
+	var src []int32
+	inPlace := false
+	if len(a.standing) > 0 {
+		src, inPlace = a.align(apps)
+	}
 
-	// Incremental path (incremental.go): when pins from a previous solve
-	// exist and only a small changed set of applications differs, re-solve
-	// just that set against the residual capacity. Falls through to the
-	// cache and the full pipeline when ineligible, on drift or on the
-	// full-solve cadence.
+	// Incremental path (incremental.go): when only a small changed set of
+	// applications differs from the standing solution, re-solve just that
+	// set against the residual capacity. Falls through to the cache and the
+	// full pipeline when ineligible, on drift or on the full-solve cadence.
 	if a.mergeable() {
 		sp := a.tracer.BeginPhase(telemetry.PhaseSolve, a.solveHist)
-		out, incStats, ok, err := a.tryIncremental(apps, capacity)
+		out, incStats, ok, err := a.tryIncremental(apps, src, inPlace)
 		sp.End()
 		if err != nil {
 			return nil, stats, err
@@ -401,8 +418,8 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 		}
 	}
 
-	// The cache memoises the full pipeline, so it is probed only in front
-	// of it: a merge the incremental path accepted never pays the
+	// The cache memoises the full pipeline's selection, so it is probed only
+	// in front of it: a merge the incremental path accepted never pays the
 	// fingerprint.
 	var fp Fingerprint
 	fpOK := false
@@ -415,16 +432,17 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 				if a.metrics != nil {
 					a.metrics.AllocCacheHits.Inc()
 				}
+				out := resize(a.spare, len(apps))
+				copy(out, e.sel)
+				if _, err := a.placeCores(out, nil, src, false); err != nil {
+					return nil, stats, err
+				}
 				stats = e.stats
 				stats.Source = SourceCached
 				stats.LambdaIters = 0
-				// With incremental solving on, pins track the standing
-				// solution even across cache hits, so a later changed-set
-				// merge starts from what was actually returned. A no-op
-				// (and still zero-allocation) when incremental is off.
-				a.rememberFullSolve(apps, e.allocs)
+				a.rememberFullSolve(apps, out)
 				a.emitTrace(stats)
-				return e.allocs, stats, nil
+				return out, stats, nil
 			}
 			if a.metrics != nil {
 				a.metrics.AllocCacheMisses.Inc()
@@ -461,7 +479,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 
 	repairSpan := a.tracer.BeginPhase(telemetry.PhaseRepair, a.repairHist)
 	a.refine(states, capacity)
-	out, err := a.assignCores(states)
+	out, err := a.assignCores(states, src)
 	repairSpan.End()
 	if err != nil {
 		return nil, stats, err
@@ -472,7 +490,11 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 		}
 	}
 	if fpOK {
-		evicted := a.cache.put(fp, out, stats)
+		sel := make([]Allocation, len(out))
+		for i := range out {
+			sel[i] = Allocation{ID: out[i].ID, Point: out[i].Point, CoAllocated: out[i].CoAllocated}
+		}
+		evicted := a.cache.put(fp, sel, stats)
 		if a.metrics != nil && evicted > 0 {
 			a.metrics.AllocCacheEvictions.Add(uint64(evicted))
 		}
@@ -911,8 +933,8 @@ func (a *Allocator) repair(states []*appState, capacity []int) {
 		} else {
 			// Co-allocation fallback: smallest-demand candidate. Its demand
 			// is deliberately not taken from the accounting — the overflow is
-			// resolved by assignCores wrapping this state's grants around the
-			// capacity, not by starving later applications.
+			// resolved by placement sharing cores for this state, not by
+			// starving later applications.
 			st.chosen = smallestDemand(st.cands)
 			st.coalloc = true
 		}
@@ -1435,107 +1457,22 @@ func (e *CapacityError) Error() string {
 		e.App, e.Kind, e.Granted, e.Capacity)
 }
 
-// assignCores maps the selected operating points to concrete cores in two
-// passes. Pass one places the spatially isolated applications with a per-kind
-// cursor; repair accounted those choices as fitting the capacity, so running
-// out of cores here returns *CapacityError instead of quietly double-granting
-// a core. Pass two places the applications repair explicitly deferred to
-// co-allocation, wrapping round-robin from where the isolated cursor stopped
-// so genuinely free cores are shared first.
-//
-// assignCores deliberately builds fresh output slices on every call — never
-// scratch-arena memory — because the solution cache retains its result
-// beyond the solve.
-func (a *Allocator) assignCores(states []*appState) ([]Allocation, error) {
-	return a.assignCoresAvail(states, nil, nil)
-}
-
-// assignCoresAvail is assignCores against an explicit per-kind availability:
-// avail[kind] lists the free global core indices the assignment may draw
-// from, in the order they should be handed out. A nil avail means the full
-// kind ranges — bit-identical to the historical assignment. Incremental
-// re-solves pass the capacity left over by pinned allocations.
-//
-// Co-allocated states wrap around the kind's availability list; a kind with
-// no free cores at all wraps around its full range instead (the cores are
-// time-shared anyway, and a co-allocated grant may legally overlap pinned
-// isolated allocations).
-//
-// out, when non-nil, receives the allocations (len(out) == len(states)) in
-// place of a fresh slice; the grant lists are built fresh either way.
-func (a *Allocator) assignCoresAvail(states []*appState, avail [][]int, out []Allocation) ([]Allocation, error) {
-	coreAt := func(kindIdx, slot int) int {
-		if avail == nil {
-			lo, _ := a.plat.CoreRange(platform.KindID(kindIdx))
-			return lo + slot
-		}
-		return avail[kindIdx][slot]
-	}
-	totalOf := func(kindIdx int) int {
-		if avail == nil {
-			lo, hi := a.plat.CoreRange(platform.KindID(kindIdx))
-			return hi - lo
-		}
-		return len(avail[kindIdx])
-	}
-	a.scratch.nextFree = resize(a.scratch.nextFree, len(a.plat.Kinds))
-	nextFree := a.scratch.nextFree
-	clear(nextFree)
-	if out == nil {
-		out = make([]Allocation, len(states))
-	}
-	for si, st := range states {
+// assignCores places the selected operating points on concrete cores
+// against the standing placement, aligned by src (see placeCores). Repair
+// accounted every isolated choice as fitting the capacity, so running out
+// of cores here returns *CapacityError instead of quietly double-granting a
+// core. States repair deferred to co-allocation share cores, idle ones
+// first.
+func (a *Allocator) assignCores(states []*appState, src []int32) ([]Allocation, error) {
+	out := resize(a.spare, len(states))
+	for i, st := range states {
 		if st.chosen < 0 || st.chosen >= len(st.cands) {
 			return nil, errors.New("alloc: internal: no chosen candidate")
 		}
-		cand := st.cands[st.chosen]
-		out[si] = Allocation{ID: st.id, Point: cand.op}
-		if st.coalloc {
-			continue
-		}
-		for kindIdx, counts := range cand.op.Vector.Counts {
-			total := totalOf(kindIdx)
-			for tIdx, cores := range counts {
-				for c := 0; c < cores; c++ {
-					slot := nextFree[kindIdx]
-					if slot >= total {
-						return nil, &CapacityError{App: st.id, Kind: kindIdx, Granted: slot, Capacity: total}
-					}
-					out[si].Grants = append(out[si].Grants, CoreGrant{
-						Core:    coreAt(kindIdx, slot),
-						Threads: tIdx + 1,
-					})
-					nextFree[kindIdx]++
-				}
-			}
-		}
+		out[i] = Allocation{ID: st.id, Point: st.cands[st.chosen].op, CoAllocated: st.coalloc}
 	}
-	for si, st := range states {
-		if !st.coalloc {
-			continue
-		}
-		out[si].CoAllocated = true
-		cand := st.cands[st.chosen]
-		for kindIdx, counts := range cand.op.Vector.Counts {
-			total := totalOf(kindIdx)
-			wrapFull := total == 0
-			lo, hi := a.plat.CoreRange(platform.KindID(kindIdx))
-			for tIdx, cores := range counts {
-				for c := 0; c < cores; c++ {
-					var core int
-					if wrapFull {
-						core = lo + nextFree[kindIdx]%(hi-lo)
-					} else {
-						core = coreAt(kindIdx, nextFree[kindIdx]%total)
-					}
-					out[si].Grants = append(out[si].Grants, CoreGrant{
-						Core:    core,
-						Threads: tIdx + 1,
-					})
-					nextFree[kindIdx]++
-				}
-			}
-		}
+	if _, err := a.placeCores(out, nil, src, false); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

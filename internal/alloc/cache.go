@@ -1,19 +1,21 @@
 package alloc
 
-// Solution cache: a content-addressed, in-process LRU memoising complete
-// solver outputs keyed by the input Fingerprint. HARP's adaptation loop
-// re-solves the MMKP every epoch, yet in steady state most epochs see inputs
-// identical to the previous one (long stable phases between adaptations);
-// the cache makes those epochs O(lookup) instead of O(solve). It is a
-// process-local memo: snapshots do not carry it (see PERFORMANCE.md).
+// Solution cache: a content-addressed, in-process LRU memoising each full
+// solve's selection — per input position the ID, the chosen operating point
+// and the co-allocation flag — keyed by the input Fingerprint. HARP's
+// adaptation loop re-solves the MMKP every epoch, yet in steady state most
+// epochs see inputs identical to the previous one (long stable phases
+// between adaptations); the cache makes those epochs O(lookup + placement)
+// instead of O(solve). A hit places the memoised selection against the
+// standing placement like any solve, so a cached and a cache-less allocator
+// return the same cores for the same history, and a repeated input keeps
+// every grant list and allocates nothing. It is a process-local memo:
+// snapshots do not carry it (see PERFORMANCE.md).
 //
 // Correctness rests entirely on content addressing: the Fingerprint covers
 // every input the solver reads (see Fingerprint.go), so there is no
 // invalidation protocol to get wrong — register, deregister, phase change or
-// table mutation each change the fingerprint and miss naturally. Cached
-// slices are returned WITHOUT copying (the zero-allocation hit path) and
-// must be treated as read-only by callers; the Manager already clones what
-// it mutates.
+// table mutation each change the fingerprint and miss naturally.
 
 // DefaultCacheSize is the solution-cache capacity used when a caller enables
 // caching without choosing a size. Steady-state harpd sees a handful of
@@ -49,10 +51,11 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// cacheEntry is one resident solution on the intrusive LRU list.
+// cacheEntry is one resident selection on the intrusive LRU list: sel
+// holds the selection as allocations without grants.
 type cacheEntry struct {
 	key        Fingerprint
-	allocs     []Allocation
+	sel        []Allocation
 	stats      Stats // stats of the original cold/warm solve
 	prev, next *cacheEntry
 }
@@ -89,31 +92,31 @@ func (c *solutionCache) get(fp Fingerprint) *cacheEntry {
 	return e
 }
 
-// put inserts (or refreshes) a solution, evicting the least recently used
+// put inserts (or refreshes) a selection, evicting the least recently used
 // entries at the entry capacity or the cacheMaxAllocations budget; it returns
 // how many entries were evicted.
-func (c *solutionCache) put(fp Fingerprint, allocs []Allocation, stats Stats) int {
+func (c *solutionCache) put(fp Fingerprint, sel []Allocation, stats Stats) int {
 	if e, ok := c.entries[fp]; ok {
-		c.weight += len(allocs) - len(e.allocs)
-		e.allocs, e.stats = allocs, stats
+		c.weight += len(sel) - len(e.sel)
+		e.sel, e.stats = sel, stats
 		c.moveToFront(e)
 		return 0
 	}
 	evicted := 0
-	for len(c.entries) >= c.cap || c.weight+len(allocs) > cacheMaxAllocations {
+	for len(c.entries) >= c.cap || c.weight+len(sel) > cacheMaxAllocations {
 		lru := c.tail
 		if lru == nil {
 			break
 		}
 		c.unlink(lru)
 		delete(c.entries, lru.key)
-		c.weight -= len(lru.allocs)
+		c.weight -= len(lru.sel)
 		c.evictions++
 		evicted++
 	}
-	e := &cacheEntry{key: fp, allocs: allocs, stats: stats}
+	e := &cacheEntry{key: fp, sel: sel, stats: stats}
 	c.entries[fp] = e
-	c.weight += len(allocs)
+	c.weight += len(sel)
 	c.pushFront(e)
 	return evicted
 }

@@ -14,6 +14,7 @@ import (
 
 	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/check"
+	"github.com/harp-rm/harp/internal/opoint"
 )
 
 // perturbInputs applies a small deterministic content change to the first
@@ -84,12 +85,16 @@ func TestDifferentialCachedVsCold(t *testing.T) {
 }
 
 // TestDifferentialWarmCacheHit pins what the cache promises when warm starts
-// are on, as in harpd and paper-eval: a hit returns the answer of the solve
-// that filled it. It does not promise a fresh solve's answer: a warm solve
-// of A after B starts from B's λ and may pick a different, equally valid
-// selection from the one cached for A. The sweep solves A, then a perturbed
-// B, then A again: the third solve must be a hit, equal to the first and
-// within the strict oracle contract.
+// are on, as in harpd and paper-eval: a hit returns the selection of the
+// solve that filled it — the point and co-allocation flag per application —
+// placed against the standing placement. It does not promise a fresh
+// solve's answer: a warm solve of A after B starts from B's λ and may pick a
+// different, equally valid selection from the one cached for A. Nor does it
+// promise the filling solve's cores. The sweep solves A, then a perturbed B,
+// then A again: the third solve must be a hit with the first solve's
+// selection, valid, within the strict oracle contract, and its co-allocated
+// applications whose choice B shares keep B's grants except for the moves
+// the placement invariant makes.
 func TestDifferentialWarmCacheHit(t *testing.T) {
 	n := diffSeedCount(t)
 	for seed := int64(0); seed < n; seed++ {
@@ -108,9 +113,12 @@ func TestDifferentialWarmCacheHit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("solve A: %v", err)
 			}
-			if _, err := warm.Allocate(b); err != nil {
+			filled = cloneAllocs(filled)
+			solvedB, err := warm.Allocate(b)
+			if err != nil {
 				t.Fatalf("solve B: %v", err)
 			}
+			solvedB = cloneAllocs(solvedB)
 			hit, st, err := warm.AllocateWithStats(a)
 			if err != nil {
 				t.Fatalf("re-solve A: %v", err)
@@ -118,8 +126,29 @@ func TestDifferentialWarmCacheHit(t *testing.T) {
 			if st.Source != alloc.SourceCached {
 				t.Fatalf("re-solve of A: source = %q, want %q", st.Source, alloc.SourceCached)
 			}
-			if !reflect.DeepEqual(filled, hit) {
-				t.Fatalf("seed %d: cache hit diverges from the solve that filled it\nfilled: %+v\nhit:    %+v", seed, filled, hit)
+			if got, want := selectionOf(hit), selectionOf(filled); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: cache hit's selection diverges from the solve that filled it\nfilled: %+v\nhit:    %+v", seed, want, got)
+			}
+			if err := check.CheckAllocations(p, a, hit); err != nil {
+				t.Fatalf("seed %d: cache hit: %v", seed, err)
+			}
+			if err := check.CheckPlacement(p, hit); err != nil {
+				t.Fatalf("seed %d: cache hit: %v", seed, err)
+			}
+			moved := 0
+			for i, al := range hit {
+				w := solvedB[i]
+				if w.ID != al.ID || !al.CoAllocated || !w.CoAllocated || !w.Point.Vector.Equal(al.Point.Vector) {
+					continue
+				}
+				for gi := range al.Grants {
+					if al.Grants[gi] != w.Grants[gi] {
+						moved++
+					}
+				}
+			}
+			if bound := changedCores(p, solvedB, hit); moved > bound {
+				t.Fatalf("seed %d: %d co-allocated grants moved against solve B, more than the %d cores that changed", seed, moved, bound)
 			}
 			if err := check.CheckAgainstOracle(p, a, hit, true); err != nil {
 				t.Fatalf("seed %d: cached solution fails oracle: %v\nrepro: %s", seed, err,
@@ -127,6 +156,21 @@ func TestDifferentialWarmCacheHit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// selection is what the solution cache memoises for one application.
+type selection struct {
+	ID          string
+	Point       opoint.OperatingPoint
+	CoAllocated bool
+}
+
+func selectionOf(allocs []alloc.Allocation) []selection {
+	out := make([]selection, len(allocs))
+	for i, al := range allocs {
+		out[i] = selection{al.ID, al.Point, al.CoAllocated}
+	}
+	return out
 }
 
 // TestDifferentialWarmVsOracle holds every warm-started solve to the same

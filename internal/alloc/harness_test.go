@@ -188,7 +188,7 @@ func TestAssignCoresCapacityError(t *testing.T) {
 		demand: over.CoreDemand(),
 	}}, chosen: 0}
 
-	_, err := a.assignCores([]*appState{corrupt})
+	_, err := a.assignCores([]*appState{corrupt}, nil)
 	var capErr *CapacityError
 	if !errors.As(err, &capErr) {
 		t.Fatalf("assignCores = %v, want *CapacityError", err)
@@ -203,7 +203,7 @@ func TestAssignCoresCapacityError(t *testing.T) {
 	// The same over-demand explicitly deferred to co-allocation is legal and
 	// wraps around the capacity instead.
 	corrupt.coalloc = true
-	allocs, err := a.assignCores([]*appState{corrupt})
+	allocs, err := a.assignCores([]*appState{corrupt}, nil)
 	if err != nil {
 		t.Fatalf("co-allocated over-demand rejected: %v", err)
 	}

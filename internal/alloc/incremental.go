@@ -1,18 +1,17 @@
 package alloc
 
 // Incremental re-solves: the churn-scale answer to "one session changed, why
-// re-optimise all N?". The Allocator keeps its previous successful solve by
-// input position in flat arrays (pinSet): per position the application ID,
-// the content hash of the table it was solved under, its costs and its
-// allocation. The next solve aligns its input to those positions by ID
-// (align); when the inputs differ only in a small changed set — new
-// applications, departed ones, tables whose content hash moved — the
-// unchanged applications stay pinned at their standing allocations and only
-// the changed set, plus a bounded neighbourhood of co-allocated pins that
-// might now fit in isolation, is re-optimised against the residual capacity
-// the pins leave free. An ID the previous solve did not contain is re-solved
-// even if an older solve contained it, so re-admission never depends on
-// what else left in between.
+// re-optimise all N?". The standing placement holds the previous successful
+// solve by input position, and the pins (pinSet) hold, per position, the
+// content hash of the table it was solved under and its costs. The next solve
+// aligns its input to those positions by ID (align); when the inputs differ
+// only in a small changed set — new applications, departed ones, tables
+// whose content hash moved — the unchanged applications stay pinned at their
+// standing allocations and only the changed set, plus a bounded
+// neighbourhood of co-allocated pins that might now fit in isolation, is
+// re-optimised against the residual capacity the pins leave free. An ID the
+// previous solve did not contain is re-solved even if an older solve
+// contained it, so re-admission never depends on what else left in between.
 //
 // Guard rails keep the merged solution honest:
 //
@@ -24,11 +23,11 @@ package alloc
 //     DefaultIncrementalDriftBound;
 //   - a changed set larger than half the input falls through to the full
 //     pipeline, which is cheaper at that point;
-//   - any internal inconsistency (negative residual, pin/grant mismatch)
-//     falls back to the full pipeline instead of erroring.
+//   - any internal inconsistency (negative residual, a placement that does
+//     not fit) falls back to the full pipeline instead of erroring.
 //
 // Incremental results are deliberately NOT written to the solution cache:
-// cache entries stay pure full-pipeline outputs, so a cache hit never
+// cache entries stay pure full-pipeline selections, so a cache hit never
 // depends on pin history. The merge also comes first: AllocateWithStats
 // fingerprints the input and probes the cache only when the merge declines,
 // in front of the full pipeline the cache memoises, so an accepted merge
@@ -42,12 +41,13 @@ package alloc
 // pins left free.
 //
 // A merge is also where the allocator knows exactly what moved: only the
-// re-solved positions can differ from the previous answer, so they are
-// reported in Stats.Changed and the Manager pushes only those. The merge
-// happens in place (place), and the pins' allocations are the result handed
-// back — see the result-ownership rule on AllocateWithStats. Every per-solve
-// work list lives in incScratch, so a steady-state merge allocates only the
-// grants of the applications it re-solved.
+// re-solved positions, and the pins whose grants the placement invariant
+// moved, can differ from the previous answer, so they are reported in
+// Stats.Changed and the Manager pushes only those. The merge places only
+// the re-solved positions, around the pins (placement.go), and updates the
+// standing placement in place, so a pin keeps its grant list itself. Every
+// per-solve work list lives in incScratch, so a steady-state merge
+// allocates only the grants of the applications it re-placed.
 
 import (
 	"math"
@@ -83,86 +83,81 @@ func WithIncremental(on bool) Option {
 	return optionFunc(func(a *Allocator) { a.inc = on })
 }
 
-// pinSet is the previous successful solve by input position: everything a
-// merge needs to detect change, free capacity and account drift without
-// touching a table. The allocations' grants are shared with the caller's
-// results and the solution cache; all treat a grant list as immutable once
-// built, so nothing is deep-copied.
+// pinSet holds, per standing position, what a merge needs to detect change
+// and account drift without touching a table or an allocation: the content
+// hash of the table the position was solved under, its costs and its
+// co-allocation flag. Kept only with incremental solving on.
 type pinSet struct {
-	id      []string
-	hi, lo  []uint64 // the content hash of the table the pin was solved under
+	hi, lo  []uint64
 	chosen  []float64
 	minCost []float64 // the table's own (opoint.Facts.MinCost, at its v*)
 	coAlloc []bool
-	alloc   []Allocation
 }
 
 func (s *pinSet) resize(n int) {
-	s.id, s.hi, s.lo = resize(s.id, n), resize(s.hi, n), resize(s.lo, n)
+	s.hi, s.lo = resize(s.hi, n), resize(s.lo, n)
 	s.chosen, s.minCost = resize(s.chosen, n), resize(s.minCost, n)
-	s.coAlloc, s.alloc = resize(s.coAlloc, n), resize(s.alloc, n)
+	s.coAlloc = resize(s.coAlloc, n)
 }
 
-// set records position i's standing allocation and returns the table's
-// minimum cost.
-func (s *pinSet) set(i int, app *AppInput, al Allocation, chosenCost float64) float64 {
+// set records position i's pin and returns the table's minimum cost.
+func (s *pinSet) set(i int, app *AppInput, coAlloc bool, chosenCost float64) float64 {
 	f := app.Table.Facts()
-	s.id[i], s.hi[i], s.lo[i] = app.ID, f.Hi, f.Lo
+	s.hi[i], s.lo[i] = f.Hi, f.Lo
 	s.chosen[i], s.minCost[i] = chosenCost, f.MinCost
-	s.coAlloc[i], s.alloc[i] = al.CoAllocated, al
+	s.coAlloc[i] = coAlloc
 	return f.MinCost
 }
 
 // move copies the n pins at positions from.. of src to positions to.. of s;
 // src may share s's arrays, with overlapping ranges.
 func (s *pinSet) move(to int, src *pinSet, from, n int) {
-	copy(s.id[to:to+n], src.id[from:from+n])
 	copy(s.hi[to:to+n], src.hi[from:from+n])
 	copy(s.lo[to:to+n], src.lo[from:from+n])
 	copy(s.chosen[to:to+n], src.chosen[from:from+n])
 	copy(s.minCost[to:to+n], src.minCost[from:from+n])
 	copy(s.coAlloc[to:to+n], src.coAlloc[from:from+n])
-	copy(s.alloc[to:to+n], src.alloc[from:from+n])
 }
 
-// align maps every input to the position its ID held in the previous solve
-// (src[i], -1 when that solve did not contain it), exactly, whatever the
+// align maps every input to the position its ID holds in the standing
+// placement (src[i], -1 when that solve did not contain it), exactly, whatever the
 // edit. A cursor walks the previous positions: an input keeps the pin at the
 // cursor or, stepping over departures, one within the look-ahead; once every
 // previous position is matched the remaining inputs are new. Past a failed
 // look-ahead the unmatched positions are sorted by ID and the remaining
-// inputs looked up. inPlace reports a mapping that is increasing and never
+// inputs looked up. The standing positions left unmatched are the departed
+// ones (placeScratch.departed). inPlace reports a mapping that is increasing and never
 // moves a pin toward the back — departures and tail arrivals, not inserts or
 // reorders — so place can apply it in place.
 func (a *Allocator) align(apps []AppInput) (src []int32, inPlace bool) {
 	sc := &a.incScratch
-	ids, unmatched := a.pins.id, sc.unmatched[:0]
+	was, unmatched := a.standing, sc.unmatched[:0]
 	sc.src = resize(sc.src, len(apps))
 	src = sc.src
 	p, i := 0, 0
 	for ; i < len(apps); i++ {
-		end := min(len(ids), p+incLookAhead+1)
+		end := min(len(was), p+incLookAhead+1)
 		q := p
-		for q < end && ids[q] != apps[i].ID {
+		for q < end && was[q].ID != apps[i].ID {
 			q++
 		}
-		if q == end && (p < len(ids) || len(unmatched) > 0) {
+		if q == end && (p < len(was) || len(unmatched) > 0) {
 			break
 		}
 		src[i] = -1
 		if q < end {
 			for ; p < q; p++ {
-				unmatched = append(unmatched, idAt{ids[p], int32(p)})
+				unmatched = append(unmatched, idAt{was[p].ID, int32(p)})
 			}
 			src[i] = int32(q)
 			p++
 		}
 	}
 	inPlace = true
+	for k := p; k < len(was); k++ {
+		unmatched = append(unmatched, idAt{was[k].ID, int32(k)})
+	}
 	if i < len(apps) {
-		for k := p; k < len(ids); k++ {
-			unmatched = append(unmatched, idAt{ids[k], int32(k)})
-		}
 		byID := func(e idAt, id string) int { return strings.Compare(e.id, id) }
 		slices.SortFunc(unmatched, func(x, y idAt) int { return byID(x, y.id) })
 		for last := int32(p - 1); i < len(apps); i++ {
@@ -174,6 +169,13 @@ func (a *Allocator) align(apps []AppInput) (src []int32, inPlace bool) {
 			}
 		}
 	}
+	departed := a.scratch.place.departed[:0]
+	for _, u := range unmatched {
+		if u.pos >= 0 {
+			departed = append(departed, u.pos)
+		}
+	}
+	a.scratch.place.departed = departed
 	clear(unmatched)
 	sc.unmatched = unmatched[:0]
 	return src, inPlace
@@ -185,16 +187,18 @@ type idAt struct {
 	pos int32
 }
 
-// place moves every kept pin to its new position: src[i] is where position
-// i's pin sits now, or -1 when position i is re-solved (the caller sets it).
-// Each run of consecutive pins moves in one copy. An inPlace mapping moves
-// runs only toward the front, in ascending order, so no run overwrites a pin
-// still to move; any other is gathered into new arrays.
+// place moves every pin and standing allocation to its new position: src[i]
+// is where position i's sits now, or -1 when position i is new (the caller
+// sets it, as it does for every re-solved position). Each run of
+// consecutive positions moves in one copy. An inPlace mapping moves runs
+// only toward the front, in ascending order, so no run overwrites one still
+// to move; any other is gathered into new pin arrays and the spare buffer.
 func (a *Allocator) place(src []int32, inPlace bool) {
-	from := a.pins
+	from, was := a.pins, a.standing
 	if !inPlace {
 		a.pins = pinSet{}
 		a.pins.resize(len(src))
+		a.standing, a.spare = resize(a.spare, len(src)), a.standing
 	}
 	for i := 0; i < len(src); {
 		p, j := src[i], i+1
@@ -203,45 +207,47 @@ func (a *Allocator) place(src []int32, inPlace bool) {
 		}
 		if p >= 0 && (int(p) != i || !inPlace) {
 			a.pins.move(i, &from, int(p), j-i)
+			copy(a.standing[i:j], was[p:int(p)+j-i])
 		}
 		i = j
 	}
 	a.pins.resize(len(src))
+	a.standing = resize(a.standing, len(src))
 }
 
 // incScratch holds the incremental path's per-solve work lists, reused
-// across solves; only resolveIdx escapes, as Stats.Changed (valid until the
+// across solves; only changed escapes, as Stats.Changed (valid until the
 // next solve).
 type incScratch struct {
 	src        []int32
 	unmatched  []idAt
-	solved     []Allocation
 	resolveIdx []int
+	changed    []int
 	residual   []int
-	pinnedCore []bool
-	avail      [][]int
+	solved     []Allocation
 }
 
 // mergeable reports whether the next solve may try the incremental path:
 // incremental solving is on, a previous solve left pins, and the full-solve
 // cadence is not due.
 func (a *Allocator) mergeable() bool {
-	return a.inc && len(a.pins.id) > 0 && a.incSinceFull < a.incFullEvery
+	return a.inc && len(a.standing) > 0 && a.incSinceFull < a.incFullEvery
 }
 
 // tryIncremental attempts the incremental path for one solve the caller
-// found mergeable. ok reports whether the merged solution should be
-// returned; ok=false with a nil error means "run the full pipeline" (drift,
-// oversized changed set or an internal inconsistency), and leaves the pins
-// as they were. The merged solution is the pin arrays' allocations.
-func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocation, Stats, bool, error) {
+// found mergeable; src and inPlace are the input's alignment to the standing
+// placement. ok reports whether the merged solution should be returned;
+// ok=false with a nil error means "run the full pipeline" (drift, oversized
+// changed set or an internal inconsistency), and leaves the standing
+// placement and the pins as they were. The merged solution is the standing
+// placement, updated in place.
+func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool) ([]Allocation, Stats, bool, error) {
 	pins := &a.pins
 	sc := &a.incScratch
 
-	// Re-solve (src[i] = -1) what changed since the previous solve, and the
-	// first few pinned co-allocated applications: they hold no exclusive
-	// capacity, so re-solving them can only lift them toward isolation.
-	src, inPlace := a.align(apps)
+	// Re-solve what changed since the previous solve, and the first few
+	// pinned co-allocated applications: they hold no exclusive capacity, so
+	// re-solving them can only lift them toward isolation.
 	resolveIdx := sc.resolveIdx[:0]
 	budget := incNeighbourhood
 	for i, p := range src {
@@ -256,7 +262,6 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 			} else if same {
 				continue
 			}
-			src[i] = -1
 		}
 		resolveIdx = append(resolveIdx, i)
 	}
@@ -266,42 +271,20 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 		return nil, Stats{}, false, nil // full pipeline is cheaper from here
 	}
 
-	// Residual capacity and the concrete free cores the pins leave behind.
-	residual := append(sc.residual[:0], capacity...)
-	pinnedCore := resize(sc.pinnedCore, a.plat.NumCores())
-	clear(pinnedCore)
-	sc.residual, sc.pinnedCore, sc.avail = residual, pinnedCore, resize(sc.avail, len(capacity))
-	for _, p := range src {
-		if p < 0 || pins.coAlloc[p] {
-			continue
-		}
-		al := &pins.alloc[p]
-		for k := range residual {
-			residual[k] -= al.Point.Vector.Cores(platform.KindID(k))
-		}
-		for _, g := range al.Grants {
-			if g.Core < 0 || g.Core >= len(pinnedCore) {
-				return nil, Stats{}, false, nil // pin off the platform; full solve
-			}
-			pinnedCore[g.Core] = true
-		}
-	}
-	avail := sc.avail
+	// The residual capacity: per kind, the cores no isolated pin holds.
+	w := a.beginPlacement(resolveIdx, src)
+	residual := sc.residual[:0]
 	for k := range a.plat.Kinds {
-		if residual[k] < 0 {
-			return nil, Stats{}, false, nil // pins no longer fit; full solve
-		}
-		avail[k] = avail[k][:0]
 		lo, hi := a.plat.CoreRange(platform.KindID(k))
-		for c := lo; c < hi; c++ {
-			if !pinnedCore[c] {
-				avail[k] = append(avail[k], c)
+		free := 0
+		for _, held := range w.iso[lo:hi] {
+			if !held {
+				free++
 			}
 		}
-		if len(avail[k]) != residual[k] {
-			return nil, Stats{}, false, nil // pin accounting disagrees; full solve
-		}
+		residual = append(residual, free)
 	}
+	sc.residual = residual
 
 	// Re-solve the changed set against the residual capacity.
 	states := a.scratch.ensureStates(len(resolveIdx))
@@ -313,43 +296,54 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 		cands += len(states[ri].cands)
 	}
 	var iters int
-	var solved []Allocation
 	if len(resolveIdx) > 0 {
 		iters = a.selectPoints(states, residual, nil)
 		a.refine(states, residual)
-		sc.solved = resize(sc.solved, len(states))
-		var err error
-		if solved, err = a.assignCoresAvail(states, avail, sc.solved); err != nil {
-			return nil, Stats{}, false, nil // inconsistent; full solve recovers
-		}
 	}
 
 	// Measure the merged solution's cost slack for the drift bound, summed
 	// in input order, before anything is committed.
+	sel := resize(sc.solved, len(resolveIdx))
+	sc.solved = sel
 	var chosenSum, minSum float64
 	ri := 0
 	for i, p := range src {
-		if p >= 0 {
-			chosenSum += pins.chosen[p]
-			minSum += pins.minCost[p]
+		if ri < len(resolveIdx) && resolveIdx[ri] == i {
+			st := states[ri]
+			if st.chosen < 0 || st.chosen >= len(st.cands) {
+				return nil, Stats{}, false, nil // inconsistent; full solve recovers
+			}
+			sel[ri] = Allocation{ID: apps[i].ID, Point: st.cands[st.chosen].op, CoAllocated: st.coalloc}
+			chosenSum += st.cands[st.chosen].cost
+			minSum += apps[i].Table.Facts().MinCost
+			ri++
 			continue
 		}
-		st := states[ri]
-		chosenSum += st.cands[st.chosen].cost
-		minSum += apps[i].Table.Facts().MinCost
-		ri++
+		chosenSum += pins.chosen[p]
+		minSum += pins.minCost[p]
 	}
 	slack := (1 + chosenSum) / (1 + minSum)
 	if slack > a.incDriftBound*a.incBaseSlack+1e-9 {
 		return nil, Stats{}, false, nil // drifted past the bound; full solve
 	}
 
+	// Place the re-solved set around the pins.
+	moved, err := a.placeCores(sel, resolveIdx, src, true)
+	if err != nil {
+		return nil, Stats{}, false, nil // inconsistent; full solve recovers
+	}
+
 	// Commit: merge in input order (the CheckAllocations contract).
 	a.place(src, inPlace)
 	for ri, i := range resolveIdx {
 		st := states[ri]
-		pins.set(i, &apps[i], solved[ri], st.cands[st.chosen].cost)
+		pins.set(i, &apps[i], st.coalloc, st.cands[st.chosen].cost)
+		a.standing[i] = sel[ri]
 	}
+	for _, m := range a.scratch.place.pinMoves {
+		a.standing[m.pos].Grants = m.grants
+	}
+	a.commitPlacement()
 	a.incSinceFull++
 	coAllocated := 0
 	for _, c := range pins.coAlloc {
@@ -357,7 +351,8 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 			coAllocated++
 		}
 	}
-	return pins.alloc, Stats{
+	sc.changed = mergeSorted(sc.changed[:0], resolveIdx, moved)
+	return a.standing, Stats{
 		Apps:        len(apps),
 		Candidates:  cands,
 		LambdaIters: iters,
@@ -365,15 +360,32 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 		Source:      SourceIncremental,
 		Pinned:      len(apps) - len(resolveIdx),
 		Resolved:    len(resolveIdx),
-		Changed:     resolveIdx,
+		Changed:     sc.changed,
 	}, true, nil
 }
 
-// rememberFullSolve re-pins every position at the full solve's (or cache
-// hit's) allocations and re-anchors the drift baseline and the full-solve
-// cadence. A no-op unless incremental solving is enabled.
+// mergeSorted appends the union of two ascending lists to dst, ascending.
+func mergeSorted(dst, x, y []int) []int {
+	for len(x) > 0 || len(y) > 0 {
+		switch {
+		case len(y) == 0 || (len(x) > 0 && x[0] < y[0]):
+			dst, x = append(dst, x[0]), x[1:]
+		case len(x) == 0 || y[0] < x[0]:
+			dst, y = append(dst, y[0]), y[1:]
+		default:
+			dst, x, y = append(dst, x[0]), x[1:], y[1:]
+		}
+	}
+	return dst
+}
+
+// rememberFullSolve makes a full solve's (or cache hit's) allocations the
+// standing placement and, with incremental solving on, re-pins every
+// position and re-anchors the drift baseline and the full-solve cadence.
 func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation) {
-	if !a.inc || len(allocs) != len(apps) {
+	a.standing, a.spare = allocs, a.standing
+	a.commitPlacement()
+	if !a.inc {
 		return
 	}
 	pins := &a.pins
@@ -382,7 +394,7 @@ func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation) {
 	for i := range apps {
 		cost := a.chosenCostOf(&apps[i], &allocs[i])
 		chosenSum += cost
-		minSum += pins.set(i, &apps[i], allocs[i], cost)
+		minSum += pins.set(i, &apps[i], allocs[i].CoAllocated, cost)
 	}
 	a.incSinceFull = 0
 	a.incBaseSlack = (1 + chosenSum) / (1 + minSum)
@@ -401,7 +413,8 @@ func (a *Allocator) chosenCostOf(app *AppInput, al *Allocation) float64 {
 
 // IncrementalStats reports the incremental solver's bookkeeping: how many
 // merges have run since the last full solve and how many applications are
-// pinned — the previous successful solve's population.
+// pinned — the previous successful solve's population (0 with incremental
+// solving off).
 func (a *Allocator) IncrementalStats() (sinceFull, pinned int) {
-	return a.incSinceFull, len(a.pins.id)
+	return a.incSinceFull, len(a.pins.hi)
 }

@@ -141,6 +141,9 @@ func runPinsDifferential(t *testing.T, p *platform.Platform, seed int64, reentry
 		if err := check.CheckAllocations(p, inputs, got); err != nil {
 			t.Fatalf("step %d (%s): %v", step, gotStats.Source, err)
 		}
+		if err := check.CheckPlacement(p, got); err != nil {
+			t.Fatalf("step %d (%s): %v", step, gotStats.Source, err)
+		}
 		if err := alloc.CheckChanged(inputs, got, gotStats, prev); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}

@@ -12,13 +12,15 @@ import (
 // ID, each with the pin-epoch of the last solve that contained it, pruned
 // only once the map outgrew the live population. It drives an Allocator
 // with incremental solving off for the cache probe and the full pipeline
-// behind a declined merge,
-// and re-solves through that Allocator's own solver passes.
+// behind a declined merge, handing it the reference's own last answer as
+// the standing placement, and re-solves and places through that
+// Allocator's own solver and placement passes, aligned by a map.
 type MapPins struct {
 	b            *Allocator
 	fullEvery    int
 	driftBound   float64
 	pins         map[string]*refPin
+	last         []Allocation
 	seq          uint64
 	sinceFull    int
 	baseSlack    float64
@@ -61,6 +63,7 @@ func (r *MapPins) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error
 	for k, kind := range b.plat.Kinds {
 		capacity[k] = kind.Count
 	}
+	b.standing = slices.Clone(r.last)
 	if out, st, ok, err := r.tryIncremental(apps, capacity); ok || err != nil {
 		return out, st, err
 	}
@@ -111,34 +114,16 @@ func (r *MapPins) tryIncremental(apps []AppInput, capacity []int) ([]Allocation,
 	}
 
 	residual := slices.Clone(capacity)
-	pinnedCore := make([]bool, a.plat.NumCores())
 	for i := range apps {
 		if inResolve[i] || pins[i].alloc.CoAllocated {
 			continue
 		}
-		al := &pins[i].alloc
 		for k := range residual {
-			residual[k] -= al.Point.Vector.Cores(platform.KindID(k))
-		}
-		for _, g := range al.Grants {
-			if g.Core < 0 || g.Core >= len(pinnedCore) {
-				return nil, Stats{}, false, nil
-			}
-			pinnedCore[g.Core] = true
+			residual[k] -= pins[i].alloc.Point.Vector.Cores(platform.KindID(k))
 		}
 	}
-	avail := make([][]int, len(capacity))
-	for k := range a.plat.Kinds {
-		if residual[k] < 0 {
-			return nil, Stats{}, false, nil
-		}
-		lo, hi := a.plat.CoreRange(platform.KindID(k))
-		for c := lo; c < hi; c++ {
-			if !pinnedCore[c] {
-				avail[k] = append(avail[k], c)
-			}
-		}
-		if len(avail[k]) != residual[k] {
+	for _, r := range residual {
+		if r < 0 {
 			return nil, Stats{}, false, nil
 		}
 	}
@@ -152,26 +137,20 @@ func (r *MapPins) tryIncremental(apps []AppInput, capacity []int) ([]Allocation,
 		cands += len(states[ri].cands)
 	}
 	var iters int
-	var solved []Allocation
 	if len(resolveIdx) > 0 {
 		iters = a.selectPoints(states, residual, nil)
 		a.refine(states, residual)
-		var err error
-		solved, err = a.assignCoresAvail(states, avail, make([]Allocation, len(states)))
-		if err != nil {
-			return nil, Stats{}, false, nil
-		}
 	}
 
 	out := make([]Allocation, len(apps))
-	changed := r.changedSlice[:0]
+	var changed []int
 	var chosenSum, minSum float64
 	coAllocated := 0
 	ri := 0
 	for i := range apps {
 		if inResolve[i] {
-			out[i] = solved[ri]
 			st := states[ri]
+			out[i] = Allocation{ID: apps[i].ID, Point: st.cands[st.chosen].op, CoAllocated: st.coalloc}
 			chosenSum += st.cands[st.chosen].cost
 			minSum += apps[i].Table.Facts().MinCost
 			changed = append(changed, i)
@@ -184,24 +163,46 @@ func (r *MapPins) tryIncremental(apps []AppInput, capacity []int) ([]Allocation,
 			if pin.seen != r.seq {
 				changed = append(changed, i)
 			}
-			pin.seen = r.seq + 1
 		}
 		if out[i].CoAllocated {
 			coAllocated++
 		}
 	}
-	r.changedSlice = changed[:0]
 	slack := (1 + chosenSum) / (1 + minSum)
 	if r.haveBase && slack > r.driftBound*r.baseSlack+1e-9 {
 		return nil, Stats{}, false, nil
 	}
+	at := make(map[string]int32, len(r.last))
+	for p := range r.last {
+		at[r.last[p].ID] = int32(p)
+	}
+	src := make([]int32, len(apps))
+	for i := range apps {
+		p, ok := at[apps[i].ID]
+		src[i] = -1
+		if ok {
+			src[i] = p
+		}
+	}
+	moved, err := a.placeCores(out, nil, src, true)
+	if err != nil {
+		return nil, Stats{}, false, nil
+	}
+	changed = mergeSorted(r.changedSlice[:0], changed, moved)
+	r.changedSlice = changed[:0]
 
 	r.seq++
+	for i := range apps {
+		if pin := pins[i]; pin != nil && !inResolve[i] {
+			pin.alloc, pin.seen = out[i], r.seq
+		}
+	}
 	for ri, i := range resolveIdx {
 		st := states[ri]
-		r.setPin(&apps[i], solved[ri], st.cands[st.chosen].cost)
+		r.setPin(&apps[i], out[i], st.cands[st.chosen].cost)
 	}
 	r.prunePins(apps)
+	r.last = out
 	r.sinceFull++
 	return out, Stats{
 		Apps:        len(apps),
@@ -219,6 +220,7 @@ func (r *MapPins) rememberFullSolve(apps []AppInput, allocs []Allocation) {
 	if len(allocs) != len(apps) {
 		return
 	}
+	r.last = slices.Clone(allocs)
 	r.seq++
 	var chosenSum, minSum float64
 	for i := range apps {

@@ -284,3 +284,40 @@ func TestCheckTimelineIsolation(t *testing.T) {
 		t.Fatalf("same-batch handoff rejected: %v", err)
 	}
 }
+
+func TestCheckPlacement(t *testing.T) {
+	// Two kinds of two cores: cores 0-1 and 2-3.
+	p := &platform.Platform{Name: "two-by-two", Kinds: []platform.CoreKind{
+		{Name: "big", Count: 2, SMT: 1, MaxFreqGHz: 2, MinFreqGHz: 1, IPC: 1, ActiveWatts: 1, IdleWatts: 0.1},
+		{Name: "little", Count: 2, SMT: 1, MaxFreqGHz: 1, MinFreqGHz: 0.5, IPC: 1, ActiveWatts: 0.5, IdleWatts: 0.1},
+	}}
+	iso := func(id string, cores ...int) alloc.Allocation {
+		al := alloc.Allocation{ID: id}
+		for _, c := range cores {
+			al.Grants = append(al.Grants, alloc.CoreGrant{Core: c, Threads: 1})
+		}
+		return al
+	}
+	co := func(id string, cores ...int) alloc.Allocation {
+		al := iso(id, cores...)
+		al.CoAllocated = true
+		return al
+	}
+	for _, tc := range []struct {
+		name   string
+		allocs []alloc.Allocation
+		ok     bool
+	}{
+		{"shares the idle core first", []alloc.Allocation{iso("a", 0), co("b", 1), co("c", 1)}, true},
+		{"shares an isolated core once none is idle", []alloc.Allocation{iso("a", 0), co("b", 1), co("c", 0)}, true},
+		{"another kind's idle core does not count", []alloc.Allocation{iso("a", 0), co("b", 1), co("c", 0), iso("d", 2)}, true},
+		{"shares an isolated core while one is idle", []alloc.Allocation{iso("a", 0), co("b", 0)}, false},
+		{"idle little core under a shared little core", []alloc.Allocation{iso("a", 2), co("b", 2, 0)}, false},
+		{"grant off the platform", []alloc.Allocation{co("a", 4)}, false},
+	} {
+		err := CheckPlacement(p, tc.allocs)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: CheckPlacement = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/platform"
@@ -73,8 +74,49 @@ func CheckAllocations(p *platform.Platform, inputs []alloc.AppInput, allocs []al
 	return nil
 }
 
+// CheckPlacement verifies the placement invariant of one solve: while a
+// core kind has a core that no allocation holds, no co-allocated grant of
+// that kind sits on a core an isolated allocation holds. Co-allocated
+// applications share idle cores before they share an isolated application's
+// cores; a placement that keeps standing grants must move one that breaks
+// this. Grants off the platform are reported (CheckAllocations details
+// them).
+func CheckPlacement(p *platform.Platform, allocs []alloc.Allocation) error {
+	nc := p.NumCores()
+	used, iso := make([]bool, nc), make([]bool, nc)
+	for _, al := range allocs {
+		for _, g := range al.Grants {
+			if g.Core < 0 || g.Core >= nc {
+				return fmt.Errorf("check: %s: grant on core %d, off the platform", al.ID, g.Core)
+			}
+			used[g.Core] = true
+			iso[g.Core] = iso[g.Core] || !al.CoAllocated
+		}
+	}
+	for k, kind := range p.Kinds {
+		lo, hi := p.CoreRange(platform.KindID(k))
+		idle := slices.Index(used[lo:hi], false)
+		if idle < 0 {
+			continue
+		}
+		for _, al := range allocs {
+			if !al.CoAllocated {
+				continue
+			}
+			for _, g := range al.Grants {
+				if g.Core >= lo && g.Core < hi && iso[g.Core] {
+					return fmt.Errorf("check: co-allocated %s shares isolated core %d while %s core %d is idle",
+						al.ID, g.Core, kind.Name, lo+idle)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // CheckAgainstOracle runs the differential comparison for one instance: the
-// heuristic solution must be structurally valid, must never beat the exact
+// heuristic solution must be structurally valid and hold the placement
+// invariant (CheckPlacement), must never beat the exact
 // optimum (that would mean the oracle — or the cost accounting — is wrong),
 // and when the oracle proves the instance infeasible the solver must have
 // co-allocated — claiming an isolated solution there is a hard bug.
@@ -87,6 +129,9 @@ func CheckAllocations(p *platform.Platform, inputs []alloc.AppInput, allocs []al
 // precisely the behaviour the Lagrangian solver exists to avoid.
 func CheckAgainstOracle(p *platform.Platform, inputs []alloc.AppInput, allocs []alloc.Allocation, strict bool) error {
 	if err := CheckAllocations(p, inputs, allocs); err != nil {
+		return err
+	}
+	if err := CheckPlacement(p, allocs); err != nil {
 		return err
 	}
 	inst := FromInputs(p, inputs)

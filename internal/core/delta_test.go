@@ -166,6 +166,9 @@ func (h *deltaHarness) checkAgainstSolution(step int, rung string) {
 	if err := check.CheckAllocations(h.p, inputs, standing); err != nil {
 		h.t.Fatalf("step %d (%s): standing decisions: %v", step, rung, err)
 	}
+	if err := check.CheckPlacement(h.p, standing); err != nil {
+		h.t.Fatalf("step %d (%s): standing decisions: %v", step, rung, err)
+	}
 }
 
 // checkAggregates asserts the incrementally maintained gauges against a

@@ -71,6 +71,9 @@ func checkStandingDecisions(t *testing.T, m *Manager) {
 	if err := check.CheckAllocations(m.cfg.Platform, inputs, standing); err != nil {
 		t.Fatalf("standing decisions: %v", err)
 	}
+	if err := check.CheckPlacement(m.cfg.Platform, standing); err != nil {
+		t.Fatalf("standing decisions: %v", err)
+	}
 }
 
 // TestSolverFailuresDegradeTheEpoch drives each way an injected primary

@@ -1,24 +1,30 @@
 #!/usr/bin/env bash
 # bench-record runs the repository benchmark three times per workload at
 # seed 1 and appends one JSON line per workload to bench-history.jsonl at the
-# repo root: the commit measured (git describe, "-dirty" when tracked files
-# have uncommitted changes), the UTC date, the workload, the number of runs,
-# the attempted and failed operation counts summed over the runs, and for
-# every metric the median of the runs with their min and max beside it, and
-# the median and max of the host CPU steal each run printed ("steal N %"),
-# so a record taken on a noisy host says so.
+# repo root: the commit measured (git describe), the UTC date, the workload,
+# the number of runs, the attempted and failed operation counts summed over
+# the runs, and for every metric the median of the runs with their min and
+# max beside it, and the median and max of the host CPU steal each run
+# printed ("steal N %"), so a record taken on a noisy host says so.
 # Arguments are passed on to benchmark/run.sh, e.g.
 # `bash scripts/bench-record.sh --seconds 10`; the default is the contract's
-# 20 s. Run via `make bench-record`. Exits non-zero when a run failed an
-# operation (its workload is still recorded).
+# 20 s. Run via `make bench-record`. It refuses a tree whose tracked files
+# differ from the commit, before it runs anything, so every line names the
+# commit that holds the measured code: commit first, then record. Exits
+# non-zero when a run failed an operation (its workload is still recorded).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if ! git diff --quiet HEAD --; then
+	echo "bench-record: tracked files differ from HEAD; commit them first, so the record names the measured commit" >&2
+	exit 1
+fi
 
 # runs is fixed: three runs bound cpu_ms_per_op within the A/A study's
 # spread (ROADMAP 1(a)), and a constant keeps every record comparable.
 runs=3
 
-commit=$(git describe --always --dirty --abbrev=12)
+commit=$(git describe --always --abbrev=12)
 status=0
 for w in daemon-admit daemon-retable churn-10k paper-eval; do
 	results=""
