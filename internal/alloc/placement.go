@@ -109,12 +109,11 @@ func (a *Allocator) commitPlacement() {
 
 // placeCores fills the Grants of the selections in sel. sel[j] carries the
 // ID, Point and CoAllocated of position list[j], placed against the work
-// occupancy beginPlacement prepared; a nil list places every position, sel[j]
-// being position j's, from empty cores. src[i]
-// is the position of position i's ID in the standing placement, or -1 (src
-// nil: no standing placement). sel must not share memory with the standing
-// placement. keepIsolated lets isolated applications keep their cores too
-// (the merge).
+// occupancy beginPlacement prepared; a nil list places every position,
+// sel[j] being position j's, from empty cores. src[i] is the position of
+// position i's ID in the standing placement, or -1 (src nil: no standing
+// placement). sel must not share memory with the standing placement.
+// keepIsolated lets isolated applications keep their cores too (the merge).
 //
 // It returns the positions whose kept grants the placement invariant moved,
 // ascending (scratch, valid until the next placement). The moves of listed
