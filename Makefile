@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check race bench-check bench-record bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-metrics lint-test-gates soak cluster-chaos cluster-chaos-long
+.PHONY: build test check fmt-check race bench-check bench-record bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-api lint-metrics lint-test-gates size soak cluster-chaos cluster-chaos-long
 
 build:
 	$(GO) build ./...
@@ -9,12 +9,12 @@ test:
 	$(GO) test ./...
 
 # check is the pre-PR gate (run it before every pull request; CI runs the
-# same thing): formatting, vet, the metrics-docs cross-check, the check that
-# every test a gate names still exists, plus the full test suite under the
-# race detector. The race run covers the
+# same thing): formatting, vet, the API reader check, the metrics-docs
+# cross-check, the check that every test a gate names still exists, plus the
+# full test suite under the race detector. The race run covers the
 # internal/parallel worker pool, the session-resilience chaos suites and every
 # experiment driver fanning units across it.
-check: fmt-check lint-metrics lint-test-gates
+check: fmt-check lint-api lint-metrics lint-test-gates
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
@@ -22,6 +22,19 @@ check: fmt-check lint-metrics lint-test-gates
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
+
+# lint-api runs the API reader check (api_test.go, also part of go test
+# ./...): every exported identifier, exported method and struct field of an
+# internal/ package has a reader among the module's non-test files, unless
+# apiAllow names why not, and every backticked Go name in the prose resolves.
+lint-api:
+	$(GO) test -count=1 -run 'TestAPIReaders|TestCheckAPIRules' ./
+
+# size prints non-test Go, test Go and prose lines per directory at BASE and
+# in the working tree, with the delta (scripts/size.sh). Every CHANGES.md
+# entry states its three totals: make size BASE=<parent commit>.
+size:
+	./scripts/size.sh $(BASE)
 
 # lint-metrics cross-checks the harp_* metrics registered in code against
 # the table in OBSERVABILITY.md, both directions, requires a reader (a test,

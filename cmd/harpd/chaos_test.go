@@ -248,7 +248,11 @@ func TestHarpdKill9WarmRestart(t *testing.T) {
 	if st.Generation() != 3 {
 		t.Fatalf("generation = %d, want 3 (two daemon boots + this open)", st.Generation())
 	}
-	if st.RecoveredState().MeasuredPoints() == 0 {
+	measured := 0
+	for _, tbl := range st.RecoveredState().Tables {
+		measured += tbl.MeasuredCount()
+	}
+	if measured == 0 {
 		t.Fatal("final snapshot lost the learned operating points")
 	}
 }

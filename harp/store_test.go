@@ -208,7 +208,11 @@ func TestServerCloseSnapshotAfterLastEpoch(t *testing.T) {
 	if !rec.SnapshotLoaded || rec.WALRecords != 0 {
 		t.Fatalf("recovery after graceful close = %+v, want snapshot only", rec)
 	}
-	if st.RecoveredState().MeasuredPoints() == 0 {
+	measured := 0
+	for _, tbl := range st.RecoveredState().Tables {
+		measured += tbl.MeasuredCount()
+	}
+	if measured == 0 {
 		t.Fatal("graceful snapshot lost the learned table")
 	}
 }

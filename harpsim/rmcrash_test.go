@@ -83,7 +83,11 @@ func TestRMCrashWarmRestartMidRun(t *testing.T) {
 	if rec.ColdStart || !rec.SnapshotLoaded {
 		t.Fatalf("post-run recovery = %+v, want warm snapshot", rec)
 	}
-	if st.RecoveredState().MeasuredPoints() == 0 {
+	measured := 0
+	for _, tbl := range st.RecoveredState().Tables {
+		measured += tbl.MeasuredCount()
+	}
+	if measured == 0 {
 		t.Fatal("final snapshot lost the learned operating points")
 	}
 }

@@ -153,7 +153,6 @@ type solverScratch struct {
 	remaining  []int
 	limit      []int
 	stride     []int
-	nextFree   []int
 	groups     []lagGroup
 	groupOf    []int32
 	slots      []int32

@@ -410,11 +410,3 @@ func (a *Allocator) chosenCostOf(app *AppInput, al *Allocation) float64 {
 	}
 	return c
 }
-
-// IncrementalStats reports the incremental solver's bookkeeping: how many
-// merges have run since the last full solve and how many applications are
-// pinned — the previous successful solve's population (0 with incremental
-// solving off).
-func (a *Allocator) IncrementalStats() (sinceFull, pinned int) {
-	return a.incSinceFull, len(a.pins.hi)
-}

@@ -147,7 +147,7 @@ func runPinsDifferential(t *testing.T, p *platform.Platform, seed int64, reentry
 		if err := alloc.CheckChanged(inputs, got, gotStats, prev); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		if _, pinned := a.IncrementalStats(); pinned != len(inputs) {
+		if pinned := a.Pinned(); pinned != len(inputs) {
 			t.Fatalf("step %d: %d pins after a solve of %d inputs", step, pinned, len(inputs))
 		}
 		sources[gotStats.Source]++

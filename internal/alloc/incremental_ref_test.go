@@ -52,6 +52,10 @@ func NewIncrementalPair(p *platform.Platform, cadence int, drift float64, opts .
 	return a, &MapPins{b: b, fullEvery: cadence, driftBound: drift, pins: map[string]*refPin{}, changedSlice: make([]int, 0, 16)}, nil
 }
 
+// Pinned is the population the positional pins hold; after a successful
+// solve it is that solve's input.
+func (a *Allocator) Pinned() int { return len(a.pins.hi) }
+
 // AllocateWithStats is the Allocator's with the map-keyed incremental path:
 // the merge first, then the cache probe, then the full pipeline.
 func (r *MapPins) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {

@@ -292,7 +292,7 @@ func TestIncrementalOffIsByteStable(t *testing.T) {
 			}
 		}
 	}
-	if since, pinned := a.IncrementalStats(); since != 0 || pinned != 0 {
+	if since, pinned := a.incSinceFull, len(a.pins.hi); since != 0 || pinned != 0 {
 		t.Fatalf("incremental bookkeeping (%d, %d) active although the option is off", since, pinned)
 	}
 }
@@ -318,7 +318,7 @@ func TestReadmissionIsResolved(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertStructurallyValid(t, p, inputs, allocs)
-			if _, pinned := a.IncrementalStats(); pinned != len(inputs) {
+			if pinned := len(a.pins.hi); pinned != len(inputs) {
 				t.Fatalf("%d pins after a solve of %d inputs", pinned, len(inputs))
 			}
 			return stats

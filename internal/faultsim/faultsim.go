@@ -8,7 +8,6 @@ package faultsim
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -118,14 +117,6 @@ func (k Kind) RMKind() bool {
 // SimKinds are the failure modes injectable into the simulator's session
 // model (no real sockets there).
 func SimKinds() []Kind { return []Kind{KindCrash, KindHang, KindDropout} }
-
-// AllKinds lists every client-side failure mode. The RM-targeted kinds
-// (rm-crash, solver-stall, store-io) are excluded: they hit the RM, not an
-// application instance, so they are scheduled by hand (Generate assigns
-// application targets).
-func AllKinds() []Kind {
-	return []Kind{KindCrash, KindHang, KindDropout, KindSlowReader, KindDisconnect, KindDelayWrites}
-}
 
 // Fault is one scheduled failure.
 type Fault struct {
@@ -238,22 +229,6 @@ func (p *Plan) Encode(w io.Writer) error {
 	return nil
 }
 
-// DecodePlan reads a JSON plan and validates it.
-func DecodePlan(r io.Reader) (*Plan, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("faultsim: read plan: %w", err)
-	}
-	var p Plan
-	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("faultsim: decode plan: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
 // Cursor walks a plan in time order, handing out the faults that have come
 // due. Not safe for concurrent use; drive it from one clock.
 type Cursor struct {
@@ -281,10 +256,3 @@ func (c *Cursor) Due(now time.Duration) []Fault {
 	}
 	return c.faults[start:c.next]
 }
-
-// Remaining reports how many faults have not been delivered yet.
-func (c *Cursor) Remaining() int { return len(c.faults) - c.next }
-
-// ErrExhausted is returned by plan helpers when no faults remain (reserved
-// for future schedule composition).
-var ErrExhausted = errors.New("faultsim: plan exhausted")

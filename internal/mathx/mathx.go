@@ -234,8 +234,5 @@ func (e *EMA) Add(sample float64) float64 {
 // Value returns the current average (0 before any sample).
 func (e *EMA) Value() float64 { return e.value }
 
-// Primed reports whether at least one sample has been added.
-func (e *EMA) Primed() bool { return e.primed }
-
 // Reset clears the average back to the unprimed state.
 func (e *EMA) Reset() { e.value, e.primed = 0, false }

@@ -251,7 +251,7 @@ func TestClamp(t *testing.T) {
 
 func TestEMAPrimingAndSmoothing(t *testing.T) {
 	e := NewEMA(0.5)
-	if e.Primed() {
+	if e.primed {
 		t.Fatal("new EMA should not be primed")
 	}
 	if got := e.Add(10); got != 10 {
@@ -260,11 +260,11 @@ func TestEMAPrimingAndSmoothing(t *testing.T) {
 	if got := e.Add(20); !almostEqual(got, 15, 1e-12) {
 		t.Fatalf("second Add = %g, want 15", got)
 	}
-	if !e.Primed() || e.Value() != 15 {
-		t.Fatalf("state = (%v, %g), want (true, 15)", e.Primed(), e.Value())
+	if !e.primed || e.Value() != 15 {
+		t.Fatalf("state = (%v, %g), want (true, 15)", e.primed, e.Value())
 	}
 	e.Reset()
-	if e.Primed() || e.Value() != 0 {
+	if e.primed || e.Value() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }

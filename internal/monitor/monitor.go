@@ -176,17 +176,6 @@ func (m *Monitor) Untrack(id sim.ProcID) float64 {
 	return st.totalJ
 }
 
-// Tracked returns the number of tracked processes.
-func (m *Monitor) Tracked() int { return len(m.apps) }
-
-// AttributedEnergy returns the energy attributed to a tracked process so far.
-func (m *Monitor) AttributedEnergy(id sim.ProcID) float64 {
-	if st, ok := m.apps[id]; ok {
-		return st.totalJ
-	}
-	return 0
-}
-
 // ResetSmoothing clears a process's EMA streams — HARP does this when an
 // application switches to a new operating point so old-configuration samples
 // don't bleed into the new one.

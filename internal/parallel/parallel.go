@@ -97,14 +97,6 @@ func Map[T any](parallelism, n int, fn func(int) (T, error)) ([]T, error) {
 	return results, nil
 }
 
-// Run is Map for functions without a result value.
-func Run(parallelism, n int, fn func(int) error) error {
-	_, err := Map(parallelism, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 // call invokes fn(i), converting a panic into an error that names the index.
 func call[T any](i int, fn func(int) (T, error)) (v T, err error) {
 	defer func() {

@@ -130,19 +130,6 @@ func TestMapPanicSequential(t *testing.T) {
 	}
 }
 
-func TestRun(t *testing.T) {
-	var sum atomic.Int64
-	if err := Run(4, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum.Load())
-	}
-}
-
 func TestDefaultParallelism(t *testing.T) {
 	if got := DefaultParallelism(0); got != runtime.NumCPU() {
 		t.Fatalf("DefaultParallelism(0) = %d, want NumCPU %d", got, runtime.NumCPU())

@@ -210,16 +210,6 @@ func (p *Platform) Capacity() ResourceVector {
 	return rv
 }
 
-// MaxPower returns the package power with every hardware thread fully busy,
-// useful for sanity checks and normalisation.
-func (p *Platform) MaxPower() float64 {
-	w := p.UncoreWatts
-	for _, k := range p.Kinds {
-		w += float64(k.Count) * (k.IdleWatts + float64(k.SMT)*k.ActiveWatts)
-	}
-	return w
-}
-
 // String returns a compact human-readable summary.
 func (p *Platform) String() string {
 	parts := make([]string, 0, len(p.Kinds))

@@ -151,11 +151,3 @@ func TestStringSummary(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxPowerPositive(t *testing.T) {
-	for _, p := range []*Platform{RaptorLake(), OdroidXU3()} {
-		if w := p.MaxPower(); w <= p.UncoreWatts {
-			t.Errorf("%s: MaxPower = %g, want > uncore %g", p.Name, w, p.UncoreWatts)
-		}
-	}
-}

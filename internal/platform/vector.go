@@ -145,18 +145,6 @@ func (rv ResourceVector) Threads() int {
 	return n
 }
 
-// ThreadsOfKind returns the hardware threads in use on one kind.
-func (rv ResourceVector) ThreadsOfKind(kind KindID) int {
-	if int(kind) >= len(rv.Counts) {
-		return 0
-	}
-	var n int
-	for t, c := range rv.Counts[kind] {
-		n += (t + 1) * c
-	}
-	return n
-}
-
 // CoreDemand returns the per-kind physical core demand — the multidimensional
 // weight used in the MMKP resource constraint (Eq. 1b).
 func (rv ResourceVector) CoreDemand() []int {
@@ -198,22 +186,6 @@ func (rv ResourceVector) Sub(other ResourceVector) (ResourceVector, error) {
 		}
 	}
 	return out, nil
-}
-
-// FitsWithinCores reports whether the per-kind core demand of rv fits within
-// the given per-kind capacity. This is the constraint check of Eq. 1b — HARP
-// partitions physical cores, so two single-thread allocations of the same
-// P-core still conflict.
-func (rv ResourceVector) FitsWithinCores(capacity []int) bool {
-	for kind := range rv.Counts {
-		if kind >= len(capacity) {
-			return rv.Cores(KindID(kind)) == 0
-		}
-		if rv.Cores(KindID(kind)) > capacity[kind] {
-			return false
-		}
-	}
-	return true
 }
 
 // Key returns a canonical string form usable as a map key, e.g. "1,2|4".

@@ -38,9 +38,6 @@ func TestVectorPaperExample(t *testing.T) {
 	if got := rv.CoreDemand(); got[0] != 3 || got[1] != 4 {
 		t.Errorf("CoreDemand = %v, want [3 4]", got)
 	}
-	if got := rv.ThreadsOfKind(0); got != 5 {
-		t.Errorf("ThreadsOfKind(P) = %d, want 5", got)
-	}
 }
 
 func TestVectorOfShapeErrors(t *testing.T) {
@@ -107,28 +104,6 @@ func TestVectorAddShapeMismatch(t *testing.T) {
 	}
 	if _, err := intel.Sub(odroid); err == nil {
 		t.Error("Sub across platforms accepted")
-	}
-}
-
-func TestFitsWithinCores(t *testing.T) {
-	_, rv := paperExample(t) // demands 3 P, 4 E
-	tests := []struct {
-		name     string
-		capacity []int
-		want     bool
-	}{
-		{name: "exact", capacity: []int{3, 4}, want: true},
-		{name: "roomy", capacity: []int{8, 16}, want: true},
-		{name: "tight P", capacity: []int{2, 16}, want: false},
-		{name: "tight E", capacity: []int{8, 3}, want: false},
-		{name: "short capacity vector", capacity: []int{8}, want: false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := rv.FitsWithinCores(tt.capacity); got != tt.want {
-				t.Errorf("FitsWithinCores(%v) = %v, want %v", tt.capacity, got, tt.want)
-			}
-		})
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -71,10 +70,9 @@ type Machine struct {
 	onExit  []func(*Proc)
 
 	// scratch buffers reused across steps
-	loads      []int
-	busyCore   []int
-	busyByHW   []float64
-	coreOffset int
+	loads    []int
+	busyCore []int
+	busyByHW []float64
 }
 
 // New creates a machine for the platform with the given OS-level scheduler.
@@ -126,9 +124,6 @@ func New(plat *platform.Platform, sched Scheduler, opts ...Option) (*Machine, er
 // Platform returns the machine's hardware description.
 func (m *Machine) Platform() *platform.Platform { return m.plat }
 
-// Governor returns the active governor model.
-func (m *Machine) Governor() Governor { return m.governor }
-
 // Now returns the current virtual time.
 func (m *Machine) Now() time.Duration { return m.now }
 
@@ -136,17 +131,6 @@ func (m *Machine) Now() time.Duration { return m.now }
 func (m *Machine) Topology() []HWInfo {
 	out := make([]HWInfo, len(m.topo))
 	copy(out, m.topo)
-	return out
-}
-
-// HWThreadsOfKind returns the hardware-thread IDs belonging to a core kind.
-func (m *Machine) HWThreadsOfKind(kind platform.KindID) []HWThread {
-	var out []HWThread
-	for _, info := range m.topo {
-		if info.Kind == kind {
-			out = append(out, info.ID)
-		}
-	}
 	return out
 }
 
@@ -549,15 +533,4 @@ func (m *Machine) place() error {
 // effectiveAssignment returns the current placement of a process.
 func (m *Machine) effectiveAssignment(pid ProcID) []HWThread {
 	return m.placement[pid]
-}
-
-// ValidEnergy sanity-checks a reading (non-negative, finite).
-func ValidEnergy(e EnergyReading) bool {
-	vals := append([]float64{e.PackageJ, e.UncoreJ}, e.ByKindJ...)
-	for _, v := range vals {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -191,13 +191,3 @@ func (s *State) Clone() *State {
 	}
 	return out
 }
-
-// MeasuredPoints returns the total measured points across all tables — the
-// quantity warm restart exists to preserve.
-func (s *State) MeasuredPoints() int {
-	var n int
-	for _, t := range s.Tables {
-		n += t.MeasuredCount()
-	}
-	return n
-}

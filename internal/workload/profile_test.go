@@ -435,9 +435,14 @@ func TestRespondInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Power must be non-negative and bounded by the platform maximum.
+		// Power must be non-negative and bounded by the slots' power at
+		// their full shares.
 		rv := plat.Capacity()
-		if p := AllocPower(plat, rv, slots, resp.Busy); p < 0 || p > plat.MaxPower() {
+		shares := make([]float64, n)
+		for i, s := range slots {
+			shares[i] = s.Share
+		}
+		if p := AllocPower(plat, rv, slots, resp.Busy); p < 0 || p > AllocPower(plat, rv, slots, shares)+1e-9 {
 			return false
 		}
 		return true

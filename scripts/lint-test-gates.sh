@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # lint-test-gates checks that every test a gate selects by name still
 # exists: each alternative of the -run pattern in the invariants,
-# cluster-chaos, cluster-chaos-long and soak targets, and in the CI
+# cluster-chaos, cluster-chaos-long, soak and lint-api targets, and in the CI
 # workflow's `run: go test` steps (the kill -9 crash-restart step), must
 # match at least one test that `go test -list` reports for the packages that
 # command runs. Without it, renaming a gated test silently drops it from its
@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 # One line per gated command: the Makefile recipes as make would run them
 # (backslash continuations joined), then the workflow's go test steps.
 cmds=$(
-	make -n --no-print-directory invariants cluster-chaos cluster-chaos-long soak GO=go |
+	make -n --no-print-directory invariants cluster-chaos cluster-chaos-long soak lint-api GO=go |
 		sed -e ':a' -e '/\\$/N; s/\\\n//; ta'
 	grep -E '^[[:space:]]*run: go test ' .github/workflows/ci.yml
 )
