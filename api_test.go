@@ -79,7 +79,33 @@ type apiDoc struct{ name, text string }
 // non-test files of its packages and reads the prose documents that
 // scripts/lint-metrics.sh checks.
 func loadAPIModule() (apiModule, error) {
-	out, err := exec.Command("go", "list", "-e", "-deps", "-export", "-json", "./...").Output()
+	m, err := listAPI("./...")
+	if err != nil {
+		return apiModule{}, err
+	}
+	script, err := os.ReadFile("scripts/lint-metrics.sh")
+	if err != nil {
+		return apiModule{}, err
+	}
+	list := regexp.MustCompile(`(?m)^prose="([^"]+)"`).FindSubmatch(script)
+	if list == nil {
+		return apiModule{}, fmt.Errorf("scripts/lint-metrics.sh: no prose= document list")
+	}
+	for _, name := range strings.Fields(string(list[1])) {
+		text, err := os.ReadFile(name)
+		if err != nil {
+			return apiModule{}, err
+		}
+		m.docs = append(m.docs, apiDoc{name, string(text)})
+	}
+	return m, nil
+}
+
+// listAPI runs `go list -deps -export` on patterns and parses the non-test
+// files of the module packages it lists; standard-library packages are
+// resolved from their export data.
+func listAPI(patterns ...string) (apiModule, error) {
+	out, err := exec.Command("go", append([]string{"list", "-e", "-deps", "-export", "-json"}, patterns...)...).Output()
 	if err != nil {
 		return apiModule{}, fmt.Errorf("go list: %w", err)
 	}
@@ -134,21 +160,6 @@ func loadAPIModule() (apiModule, error) {
 		}
 		return os.Open(exports[path])
 	})
-	script, err := os.ReadFile("scripts/lint-metrics.sh")
-	if err != nil {
-		return apiModule{}, err
-	}
-	list := regexp.MustCompile(`(?m)^prose="([^"]+)"`).FindSubmatch(script)
-	if list == nil {
-		return apiModule{}, fmt.Errorf("scripts/lint-metrics.sh: no prose= document list")
-	}
-	for _, name := range strings.Fields(string(list[1])) {
-		text, err := os.ReadFile(name)
-		if err != nil {
-			return apiModule{}, err
-		}
-		m.docs = append(m.docs, apiDoc{name, string(text)})
-	}
 	return m, nil
 }
 
@@ -160,12 +171,14 @@ func loadAPIModule() (apiModule, error) {
 // An identifier is read when a non-test file uses it; a type is also read
 // when one of its fields or methods is. A method is exempt when a method of
 // its name is called anywhere (calls through interfaces and type
-// assertions), or when its type implements a module or standard-library
-// interface that declares it. A field is written by an unkeyed composite
+// assertions), or when its type implements an interface that declares it
+// and that is declared in the module, is one of implicitIfaces, or is one a
+// value of the type is converted to (ifaceFlows). A field is written by an unkeyed composite
 // literal too; embedded, blank and JSON-tagged wire fields are exempt.
 func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
@@ -219,34 +232,40 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 		}
 	}
 
-	var ifaces []*types.Interface
-	addIfaces := func(scope *types.Scope) {
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !isGeneric(tn.Type()) {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-					ifaces = append(ifaces, it)
-				}
-			}
-		}
-	}
-	addIfaces(types.Universe)
-	for _, path := range m.std {
-		if strings.Contains(path, "internal") || strings.Contains(path, "vendor") {
-			continue
-		}
-		if p, err := m.imp.Import(path); err == nil {
-			addIfaces(p.Scope())
+	var ifaces []*types.Interface // declared in the module, or looked for in any value
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !isGeneric(t) {
+			ifaces = append(ifaces, it)
 		}
 	}
 	for _, p := range m.pkgs {
-		addIfaces(checked[p.path].Scope())
-	}
-	satisfies := func(t types.Type, method string) bool {
-		if isGeneric(t) {
-			return false
+		scope := checked[p.path].Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
 		}
-		for _, it := range ifaces {
-			if !types.Implements(t, it) && !types.Implements(types.NewPointer(t), it) {
+	}
+	std := map[string]bool{}
+	for _, path := range m.std {
+		std[path] = true
+	}
+	for _, key := range implicitIfaces {
+		i := strings.LastIndex(key, ".")
+		obj := types.Universe.Lookup(key)
+		if path := key[:max(i, 0)]; std[path] {
+			if p, err := m.imp.Import(path); err == nil {
+				obj = p.Scope().Lookup(key[i+1:])
+			}
+		}
+		if obj != nil {
+			addIface(obj.Type())
+		}
+	}
+	convertedTo := ifaceFlows(m, info)
+	declares := func(its []*types.Interface, t types.Type, method string) bool {
+		for _, it := range its {
+			if t != nil && !types.Implements(t, it) && !types.Implements(types.NewPointer(t), it) {
 				continue
 			}
 			for i := 0; i < it.NumMethods(); i++ {
@@ -256,6 +275,9 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 			}
 		}
 		return false
+	}
+	satisfies := func(tn *types.TypeName, method string) bool {
+		return !isGeneric(tn.Type()) && declares(ifaces, tn.Type(), method) || declares(convertedTo[tn], nil, method)
 	}
 
 	type finding struct{ pos, key string }
@@ -285,7 +307,7 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 				fn := named.Method(i)
 				if used[fn] {
 					read = true
-				} else if fn.Exported() && !called[fn.Name()] && !satisfies(named, fn.Name()) {
+				} else if fn.Exported() && !called[fn.Name()] && !satisfies(named.Obj(), fn.Name()) {
 					members = append(members, at(fn, key+"."+fn.Name()))
 				}
 			}
@@ -328,6 +350,145 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 	}
 	sort.Strings(problems)
 	return append(problems, proseProblems(m, checked)...), nil
+}
+
+// implicitIfaces are the interfaces that fmt and encoding/json look for in a
+// value of any type: a type implementing one is used as it wherever its
+// values are printed or encoded, with no conversion in the source.
+var implicitIfaces = []string{"error", "fmt.Stringer", "fmt.GoStringer", "fmt.Formatter",
+	"encoding/json.Marshaler", "encoding/json.Unmarshaler", "encoding.TextMarshaler", "encoding.TextUnmarshaler"}
+
+// ifaceFlows returns, per named type, the interfaces that its values or
+// pointers to them are converted to in the module's non-test files:
+// explicitly, or as a call argument, an assigned, declared, returned or sent
+// value, or a composite-literal element.
+func ifaceFlows(m apiModule, info *types.Info) map[*types.TypeName][]*types.Interface {
+	flows := map[*types.TypeName][]*types.Interface{}
+	flow := func(e ast.Expr, to types.Type) {
+		if to == nil {
+			return
+		}
+		it, ok := to.Underlying().(*types.Interface)
+		t := info.TypeOf(e)
+		if !ok || t == nil {
+			return
+		}
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			flows[n.Origin().Obj()] = append(flows[n.Origin().Obj()], it)
+		}
+	}
+	returns := func(body *ast.BlockStmt, sig *types.Signature) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false // its returns are its own
+			case *ast.ReturnStmt:
+				if len(n.Results) == sig.Results().Len() {
+					for i, e := range n.Results {
+						flow(e, sig.Results().At(i).Type())
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Body != nil {
+						returns(n.Body, info.Defs[n.Name].Type().(*types.Signature))
+					}
+				case *ast.FuncLit:
+					returns(n.Body, info.TypeOf(n).(*types.Signature))
+				case *ast.CallExpr:
+					if tv := info.Types[n.Fun]; tv.IsType() {
+						if len(n.Args) == 1 {
+							flow(n.Args[0], tv.Type)
+						}
+						break
+					}
+					sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature)
+					if !ok {
+						break
+					}
+					params := sig.Params()
+					for i, a := range n.Args {
+						switch last := params.Len() - 1; {
+						case sig.Variadic() && i >= last && !n.Ellipsis.IsValid():
+							if s, ok := params.At(last).Type().Underlying().(*types.Slice); ok {
+								flow(a, s.Elem())
+							}
+						case i <= last:
+							flow(a, params.At(i).Type())
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+						for i, e := range n.Rhs {
+							flow(e, info.TypeOf(n.Lhs[i]))
+						}
+					}
+				case *ast.ValueSpec:
+					if n.Type != nil {
+						for _, e := range n.Values {
+							flow(e, info.TypeOf(n.Type))
+						}
+					}
+				case *ast.SendStmt:
+					if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+						flow(n.Value, ch.Elem())
+					}
+				case *ast.CompositeLit:
+					compositeFlows(n, info.TypeOf(n), flow)
+				}
+				return true
+			})
+		}
+	}
+	return flows
+}
+
+// compositeFlows passes each element of lit, of type t, to flow with the
+// type it is stored as.
+func compositeFlows(lit *ast.CompositeLit, t types.Type, flow func(ast.Expr, types.Type)) {
+	if t == nil {
+		return
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	for i, e := range lit.Elts {
+		kv, keyed := e.(*ast.KeyValueExpr)
+		if keyed {
+			e = kv.Value
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			if !keyed {
+				flow(e, u.Field(i).Type())
+				continue
+			}
+			for j := 0; j < u.NumFields(); j++ {
+				if id, ok := kv.Key.(*ast.Ident); ok && u.Field(j).Name() == id.Name {
+					flow(e, u.Field(j).Type())
+				}
+			}
+		case *types.Slice:
+			flow(e, u.Elem())
+		case *types.Array:
+			flow(e, u.Elem())
+		case *types.Map:
+			if keyed {
+				flow(kv.Key, u.Key())
+			}
+			flow(e, u.Elem())
+		}
+	}
 }
 
 // proseName is a backticked `pkg.Name` or `pkg.Type.Member`, optionally
@@ -468,6 +629,23 @@ func (Other) Side() float64 { return 2 }
 			want: []string{"internal/a/a.go:11:11: a.Sq.Extra has no non-test reader"},
 		},
 		{
+			name: "a standard-library interface exempts a method only when the type is used as it",
+			a: `package a
+
+type W struct{}
+
+func (W) Write(p []byte) (int, error) { return len(p), nil }
+
+func (W) Close() error { return nil }
+
+type S struct{}
+
+func (S) String() string { return "s" }
+`,
+			main: "package main\n\nimport (\n\t\"fmt\"\n\n\t\"m/internal/a\"\n)\n\nfunc main() { fmt.Fprint(a.W{}, a.S{}) }\n",
+			want: []string{"internal/a/a.go:7:10: a.W.Close has no non-test reader"},
+		},
+		{
 			name: "a JSON-tagged field is exempt, a field nothing reads or writes is not",
 			a: "package a\n\ntype Rec struct {\n\tID   string `json:\"id\"`\n\tSeen int\n\tnote string\n}\n\n" +
 				"type Pair struct{ X, Y int }\n\ntype Twin struct{ X, Y int }\n\nfunc Both(t Twin) Pair { return Pair(t) }\n",
@@ -493,9 +671,13 @@ func (Other) Side() float64 { return 2 }
 			want:  []string{`api_test.go: apiAllow entry "a.Used" covers no unread identifier; delete it`},
 		},
 	}
+	std, err := listAPI("fmt") // the fixtures' standard-library imports
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			m := apiModule{fset: token.NewFileSet(), docs: []apiDoc{{"DOC.md", tt.doc}}}
+			m := apiModule{fset: std.fset, std: std.std, imp: std.imp, docs: []apiDoc{{"DOC.md", tt.doc}}}
 			for _, p := range []struct{ path, rel, src string }{
 				{"m/internal/a", "internal/a", tt.a},
 				{"m/cmd/c", "cmd/c", tt.main},

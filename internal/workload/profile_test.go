@@ -435,14 +435,14 @@ func TestRespondInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Power must be non-negative and bounded by the slots' power at
-		// their full shares.
-		rv := plat.Capacity()
-		shares := make([]float64, n)
-		for i, s := range slots {
-			shares[i] = s.Share
+		// Power must be non-negative and bounded by the package power with
+		// every hardware thread fully busy.
+		ceiling := plat.UncoreWatts
+		for _, k := range plat.Kinds {
+			ceiling += float64(k.Count) * (k.IdleWatts + float64(k.SMT)*k.ActiveWatts)
 		}
-		if p := AllocPower(plat, rv, slots, resp.Busy); p < 0 || p > AllocPower(plat, rv, slots, shares)+1e-9 {
+		rv := plat.Capacity()
+		if p := AllocPower(plat, rv, slots, resp.Busy); p < 0 || p > ceiling {
 			return false
 		}
 		return true
