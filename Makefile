@@ -57,7 +57,9 @@ race:
 # the incremental solver's delta contract and its positional pins against
 # the map-keyed reference merge, improve, rescue and the grouped λ loop
 # against their plain reference searches, placement against the cursor it
-# replaced and its stickiness and placement invariant, the full-run
+# replaced and its stickiness and placement invariant, the polynomial's
+# prediction, the lazily fitted predicted table and the simulator's step with
+# reused buffers against their allocating references, the full-run
 # invariant suites over simulated chaos and churn runs and random Manager
 # operation sequences, and the
 # pinned decision-journal digests of the paper's Fig. 6 scenarios and of the
@@ -66,8 +68,8 @@ race:
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests' \
-		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference' \
+		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/
 
 # invariants-long is the nightly sweep: the same harness over an order of
 # magnitude more seeded scenarios (20000 differential seeds per solver).

@@ -33,6 +33,7 @@ var apiAllow = map[string]string{
 	"faultsim.Listener.Conns":   faultWrappers,
 	"faultsim.Generate":         "seeded plan generator of faultsim's tests and of harpsim's chaos, invariant and overload suites",
 	"telemetry.ReadJournal":     "harpsim's invariant and chaos tests replay journals with it; ROADMAP 15's checkpointed journal reads it in the program",
+	"core.Config.ShardedAlloc":  "a deprecated no-op the frozen benchmark/ still sets; ROADMAP 1(d) deletes it with the other sharding shims",
 }
 
 const faultWrappers = "harp's chaos test drives the socket wrappers; ROADMAP 6(b) runs the real transport under them"
@@ -198,9 +199,7 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 	}
 
 	used := map[types.Object]bool{}
-	for _, obj := range info.Uses {
-		used[origin(obj)] = true
-	}
+	written := map[*ast.Ident]bool{} // the field keys of keyed struct literals
 	called := map[string]bool{}
 	for _, sel := range info.Selections {
 		if sel.Kind() != types.FieldVal {
@@ -213,9 +212,18 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 				var whole types.Type // a struct value written or read field by field
 				switch n := n.(type) {
 				case *ast.CompositeLit:
-					if len(n.Elts) > 0 {
-						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
-							whole = info.TypeOf(n)
+					for i, e := range n.Elts {
+						kv, keyed := e.(*ast.KeyValueExpr)
+						if !keyed {
+							if i == 0 {
+								whole = info.TypeOf(n)
+							}
+							break
+						}
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+								written[id] = true
+							}
 						}
 					}
 				case *ast.CallExpr:
@@ -229,6 +237,11 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 				markFields(used, whole)
 				return true
 			})
+		}
+	}
+	for id, obj := range info.Uses {
+		if !written[id] {
+			used[origin(obj)] = true
 		}
 	}
 
@@ -651,6 +664,24 @@ func (S) String() string { return "s" }
 				"type Pair struct{ X, Y int }\n\ntype Twin struct{ X, Y int }\n\nfunc Both(t Twin) Pair { return Pair(t) }\n",
 			main: reader + "func main() { _ = a.Rec{}.Seen; _ = a.Both(a.Twin{1, 2}) }\n",
 			want: []string{"internal/a/a.go:6:2: a.Rec.note has no non-test reader"},
+		},
+		{
+			name: "a keyed struct literal writes its fields and reads none; a map key is read",
+			a: `package a
+
+type Stats struct {
+	N      int
+	Pinned int
+}
+
+func Get() Stats { return Stats{N: 1, Pinned: 2} }
+
+const K = 1
+
+var M = map[int]bool{K: true}
+`,
+			main: reader + "func main() { _ = a.Get().N; _ = a.M }\n",
+			want: []string{"internal/a/a.go:5:2: a.Stats.Pinned has no non-test reader"},
 		},
 		{
 			name: "an unresolved prose name is flagged",

@@ -300,9 +300,10 @@ func TestServerEnergySurvivesRestart(t *testing.T) {
 	for _, se := range led1.Sessions() {
 		sum += se.Joules
 	}
-	if diff := sum + before.RetiredJoules - before.Joules; diff > 1e-9 || diff < -1e-9 {
+	retired := led1.Export().RetiredJoules
+	if diff := sum + retired - before.Joules; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("energy conservation violated: sessions %.12f + retired %.12f != fleet %.12f",
-			sum, before.RetiredJoules, before.Joules)
+			sum, retired, before.Joules)
 	}
 	closeWithin(t, srv1, 5*time.Second)
 

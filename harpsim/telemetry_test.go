@@ -205,16 +205,17 @@ func TestSimEnergyAccounting(t *testing.T) {
 	if tot.Joules <= 0 {
 		t.Fatalf("fleet joules = %.6f, want > 0 from a managed run", tot.Joules)
 	}
-	if tot.UtilityS <= 0 {
-		t.Errorf("fleet utility-seconds = %.6f, want > 0", tot.UtilityS)
+	st := led.Export()
+	if st.FleetUtilityS <= 0 {
+		t.Errorf("fleet utility-seconds = %.6f, want > 0", st.FleetUtilityS)
 	}
 	var sum float64
 	for _, se := range led.Sessions() {
 		sum += se.Joules
 	}
-	if diff := sum + tot.RetiredJoules - tot.Joules; math.Abs(diff) > 1e-9 {
+	if diff := sum + st.RetiredJoules - tot.Joules; math.Abs(diff) > 1e-9 {
 		t.Errorf("energy conservation violated: sessions %.12f + retired %.12f != fleet %.12f",
-			sum, tot.RetiredJoules, tot.Joules)
+			sum, st.RetiredJoules, tot.Joules)
 	}
 
 	epochs, err := telemetry.ReadJournal(bytes.NewReader(jbuf.Bytes()))

@@ -339,10 +339,6 @@ type Stats struct {
 	// Source tells where the solution came from: SourceCold, SourceWarm,
 	// SourceCached or SourceIncremental.
 	Source string
-	// Pinned and Resolved break an incremental solve down: Pinned
-	// applications kept their standing allocation, Resolved went through the
-	// residual re-solve (both 0 for full solves).
-	Pinned, Resolved int
 	// Changed is the solve's delta: the input positions, ascending, whose
 	// allocation may differ from the one the previous successful solve
 	// returned for the same application ID. Applications that solve did not

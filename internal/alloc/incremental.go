@@ -358,8 +358,6 @@ func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool) (
 		LambdaIters: iters,
 		CoAllocated: coAllocated,
 		Source:      SourceIncremental,
-		Pinned:      len(apps) - len(resolveIdx),
-		Resolved:    len(resolveIdx),
 		Changed:     sc.changed,
 	}, true, nil
 }

@@ -214,8 +214,6 @@ func (r *MapPins) tryIncremental(apps []AppInput, capacity []int) ([]Allocation,
 		LambdaIters: iters,
 		CoAllocated: coAllocated,
 		Source:      SourceIncremental,
-		Pinned:      len(apps) - len(resolveIdx),
-		Resolved:    len(resolveIdx),
 		Changed:     changed,
 	}, true, nil
 }

@@ -132,9 +132,9 @@ func TestIncrementalPinsUnchangedApps(t *testing.T) {
 	if stats.Source != SourceIncremental {
 		t.Fatalf("second solve source = %q, want %q", stats.Source, SourceIncremental)
 	}
-	if stats.Resolved < 1 || stats.Pinned < len(inputs)/2 {
-		t.Fatalf("resolved=%d pinned=%d: expected a small changed set with most apps pinned",
-			stats.Resolved, stats.Pinned)
+	if len(stats.Changed) < 1 || len(stats.Changed) > len(inputs)/2 {
+		t.Fatalf("changed %v of %d: expected a small changed set with most apps pinned",
+			stats.Changed, len(inputs))
 	}
 	assertStructurallyValid(t, p, inputs, second)
 
@@ -256,8 +256,15 @@ func TestIncrementalHandlesDepartures(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStructurallyValid(t, p, survivors, allocs)
-	if stats.Source == SourceIncremental && stats.Pinned+stats.Resolved != len(survivors) {
-		t.Fatalf("pinned %d + resolved %d != %d survivors", stats.Pinned, stats.Resolved, len(survivors))
+	for i, al := range allocs {
+		if al.ID != survivors[i].ID {
+			t.Fatalf("allocation %d is %q, want survivor %q", i, al.ID, survivors[i].ID)
+		}
+	}
+	for _, i := range stats.Changed {
+		if i >= len(survivors) {
+			t.Fatalf("changed %v names a position past the %d survivors", stats.Changed, len(survivors))
+		}
 	}
 }
 
@@ -337,9 +344,9 @@ func TestReadmissionIsResolved(t *testing.T) {
 	}
 	few, many := comeback(2), comeback(30)
 	for _, st := range []Stats{few, many} {
-		if st.Source != SourceIncremental || st.Resolved != 1 || st.Pinned != 3 || !slices.Equal(st.Changed, []int{3}) {
-			t.Fatalf("returning application: source %q, resolved %d, pinned %d, changed %v; want it alone re-solved",
-				st.Source, st.Resolved, st.Pinned, st.Changed)
+		if st.Source != SourceIncremental || !slices.Equal(st.Changed, []int{3}) {
+			t.Fatalf("returning application: source %q, changed %v; want it alone re-solved",
+				st.Source, st.Changed)
 		}
 	}
 }

@@ -142,8 +142,7 @@ type sessionRec struct {
 
 // machine is one fleet member.
 type machine struct {
-	id  string
-	idx int
+	id string
 	// mgr is the machine-local resource manager; nil once the coordinator
 	// declared the machine dead and discarded it.
 	mgr *core.Manager
@@ -267,7 +266,7 @@ func New(cfg Config) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.machines = append(f.machines, &machine{id: id, idx: i, mgr: mgr})
+		f.machines = append(f.machines, &machine{id: id, mgr: mgr})
 	}
 	f.coord = f.newCoordinator(false)
 	f.redistributeCaps()

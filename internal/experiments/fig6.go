@@ -21,7 +21,6 @@ type Fig6Row struct {
 	Scenario       string
 	Multi          bool
 	CFSMakespanSec float64
-	CFSEnergyJ     float64
 	Factors        map[string]Factor
 }
 
@@ -143,7 +142,6 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 			Scenario:       m.sc.Name,
 			Multi:          m.multi,
 			CFSMakespanSec: cfs.MakespanSec,
-			CFSEnergyJ:     cfs.EnergyJ,
 			Factors: map[string]Factor{
 				"itd":            factorOf(cfs, runs[s*nPolicies+1]),
 				"harp":           factorOf(cfs, runs[s*nPolicies+2]),

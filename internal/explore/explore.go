@@ -260,23 +260,28 @@ func (e *Explorer) PredictedTable() *opoint.Table {
 	return e.predTable
 }
 
-// predictedTable builds the prediction table uncached.
+// predictedTable builds the prediction table uncached. The models are fitted
+// on the first configuration the table lacks, so a table that covers the
+// whole space is returned as its clone without a fit.
 func (e *Explorer) predictedTable() *opoint.Table {
 	out := e.table.Clone()
 	if e.Stage() == StageInitial {
-		return out
-	}
-	uModel, pModel, err := e.fitModels(e.measuredPoints())
-	if err != nil {
 		return out
 	}
 	known := make(map[string]bool, len(e.table.Points))
 	for _, op := range e.table.Points {
 		known[op.Vector.Key()] = true
 	}
+	var uModel, pModel regress.Model
 	for _, rv := range platform.EnumerateVectors(e.plat, 0) {
 		if known[rv.Key()] {
 			continue
+		}
+		if uModel == nil {
+			var err error
+			if uModel, pModel, err = e.fitModels(e.measuredPoints()); err != nil {
+				return out
+			}
 		}
 		feats := rv.Features()
 		u, uErr := uModel.Predict(feats)

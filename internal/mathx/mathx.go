@@ -115,15 +115,6 @@ func LeastSquares(x [][]float64, y []float64, ridge float64) ([]float64, error) 
 	return SolveLinear(xtx, xty)
 }
 
-// Dot returns the inner product of two equally sized vectors.
-func Dot(a, b []float64) float64 {
-	var sum float64
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

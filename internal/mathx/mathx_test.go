@@ -94,6 +94,15 @@ func TestLeastSquaresRecoversLine(t *testing.T) {
 	}
 }
 
+// dot returns the inner product of two equally sized vectors.
+func dot(a, b []float64) float64 {
+	var sum float64
+	for i := range a {
+		sum += a[i] * b[i]
+	}
+	return sum
+}
+
 func TestLeastSquaresRidgeHandlesCollinear(t *testing.T) {
 	// Duplicate feature columns are singular without ridge.
 	xs := [][]float64{{1, 1}, {2, 2}, {3, 3}}
@@ -107,7 +116,7 @@ func TestLeastSquaresRidgeHandlesCollinear(t *testing.T) {
 	}
 	// Prediction quality matters, not the individual weights.
 	for i, row := range xs {
-		if got := Dot(w, row); !almostEqual(got, ys[i], 1e-3) {
+		if got := dot(w, row); !almostEqual(got, ys[i], 1e-3) {
 			t.Errorf("pred(%v) = %g, want %g", row, got, ys[i])
 		}
 	}
@@ -162,7 +171,7 @@ func TestSolveLinearProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if !almostEqual(Dot(orig[i], x), origB[i], 1e-6) {
+			if !almostEqual(dot(orig[i], x), origB[i], 1e-6) {
 				return false
 			}
 		}

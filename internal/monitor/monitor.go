@@ -62,10 +62,6 @@ type Measurement struct {
 	// exploration consumes.
 	SmoothedIPS   float64
 	SmoothedPower float64
-	// EnergyJ is the attributed energy for the sample interval.
-	EnergyJ float64
-	// Interval is the wall (virtual) time covered by the sample.
-	Interval time.Duration
 }
 
 type appState struct {
@@ -354,8 +350,6 @@ func (m *Monitor) finish(st *appState, exec, used, joules, dt, multiplex float64
 		PowerW:        power,
 		SmoothedIPS:   st.ipsEMA.Add(ips),
 		SmoothedPower: st.powerEMA.Add(power),
-		EnergyJ:       joules,
-		Interval:      time.Duration(dt * float64(time.Second)),
 	}
 }
 

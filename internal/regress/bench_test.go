@@ -29,6 +29,7 @@ func BenchmarkPoly2Predict(b *testing.B) {
 		b.Fatal(err)
 	}
 	probe := []float64{2, 3, 5}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Predict(probe); err != nil {

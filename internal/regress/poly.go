@@ -15,6 +15,9 @@ type Polynomial struct {
 	nFeatures int
 	weights   []float64
 	scale     []float64
+	// terms are the exponent vectors of the monomials, in the order of
+	// weights; Fit stores them so Predict enumerates nothing.
+	terms [][]int
 }
 
 var _ Model = (*Polynomial)(nil)
@@ -59,7 +62,10 @@ func (p *Polynomial) Fit(x [][]float64, y []float64) error {
 	terms := monomials(nf, p.degree)
 	design := make([][]float64, len(x))
 	for i, row := range x {
-		design[i] = expand(row, scale, terms)
+		design[i] = make([]float64, len(terms))
+		for t, exps := range terms {
+			design[i][t] = monomial(row, scale, exps)
+		}
 	}
 	w, err := mathx.LeastSquares(design, y, 1e-6)
 	if err != nil {
@@ -68,6 +74,7 @@ func (p *Polynomial) Fit(x [][]float64, y []float64) error {
 	p.nFeatures = nf
 	p.weights = w
 	p.scale = scale
+	p.terms = terms
 	return nil
 }
 
@@ -79,8 +86,11 @@ func (p *Polynomial) Predict(x []float64) (float64, error) {
 	if len(x) != p.nFeatures {
 		return 0, fmt.Errorf("regress: %d features, model has %d", len(x), p.nFeatures)
 	}
-	terms := monomials(p.nFeatures, p.degree)
-	return mathx.Dot(p.weights, expand(x, p.scale, terms)), nil
+	var sum float64
+	for t, exps := range p.terms {
+		sum += p.weights[t] * monomial(x, p.scale, exps)
+	}
+	return sum, nil
 }
 
 // monomials enumerates the exponent vectors of all monomials of total degree
@@ -106,17 +116,14 @@ func monomials(nf, degree int) [][]int {
 	return out
 }
 
-// expand evaluates each monomial on the scaled input.
-func expand(x, scale []float64, terms [][]int) []float64 {
-	out := make([]float64, len(terms))
-	for t, exps := range terms {
-		v := 1.0
-		for j, e := range exps {
-			for k := 0; k < e; k++ {
-				v *= x[j] / scale[j]
-			}
+// monomial evaluates the term with the given exponents on the scaled input,
+// one factor x[j]/scale[j] at a time.
+func monomial(x, scale []float64, exps []int) float64 {
+	v := 1.0
+	for j, e := range exps {
+		for k := 0; k < e; k++ {
+			v *= x[j] / scale[j]
 		}
-		out[t] = v
 	}
-	return out
+	return v
 }

@@ -57,7 +57,7 @@ func distinctCores(topo []sim.HWInfo, asg []sim.HWThread) int {
 
 func TestCFSSpreadsAcrossCoresBeforeSMT(t *testing.T) {
 	topo := intelTopo(t)
-	procs := []sim.ProcView{{ID: 1, Name: "a", Threads: 8}}
+	procs := []sim.ProcView{{ID: 1, Threads: 8}}
 	asg := CFS{}.Place(topo, procs)[1]
 	if len(asg) != 8 {
 		t.Fatalf("placed %d threads, want 8", len(asg))
@@ -73,7 +73,7 @@ func TestCFSSpreadsAcrossCoresBeforeSMT(t *testing.T) {
 
 func TestCFSFullMachineOneThreadPerHW(t *testing.T) {
 	topo := intelTopo(t)
-	procs := []sim.ProcView{{ID: 1, Name: "a", Threads: 32}}
+	procs := []sim.ProcView{{ID: 1, Threads: 32}}
 	asg := CFS{}.Place(topo, procs)[1]
 	seen := make(map[sim.HWThread]int)
 	for _, hw := range asg {
@@ -92,7 +92,7 @@ func TestCFSFullMachineOneThreadPerHW(t *testing.T) {
 func TestCFSRespectsAffinity(t *testing.T) {
 	topo := intelTopo(t)
 	aff := []sim.HWThread{16, 17, 18, 19} // four E threads
-	procs := []sim.ProcView{{ID: 1, Name: "a", Threads: 8, Affinity: aff}}
+	procs := []sim.ProcView{{ID: 1, Threads: 8, Affinity: aff}}
 	asg := CFS{}.Place(topo, procs)[1]
 	if len(asg) != 8 {
 		t.Fatalf("placed %d, want 8", len(asg))
@@ -108,8 +108,8 @@ func TestCFSRespectsAffinity(t *testing.T) {
 func TestCFSBalancesMultipleApps(t *testing.T) {
 	topo := intelTopo(t)
 	procs := []sim.ProcView{
-		{ID: 1, Name: "a", Threads: 32},
-		{ID: 2, Name: "b", Threads: 32},
+		{ID: 1, Threads: 32},
+		{ID: 2, Threads: 32},
 	}
 	placement := CFS{}.Place(topo, procs)
 	load := make(map[sim.HWThread]int)
@@ -128,8 +128,8 @@ func TestCFSBalancesMultipleApps(t *testing.T) {
 func TestEASPlacesLowUtilOnLittle(t *testing.T) {
 	topo := odroidTopo(t)
 	procs := []sim.ProcView{
-		{ID: 1, Name: "lowutil", Threads: 2, AvgThreadUtil: 0.2},
-		{ID: 2, Name: "highutil", Threads: 2, AvgThreadUtil: 0.95},
+		{ID: 1, Threads: 2, AvgThreadUtil: 0.2},
+		{ID: 2, Threads: 2, AvgThreadUtil: 0.95},
 	}
 	placement := EAS{}.Place(topo, procs)
 	low := kindCounts(topo, placement[1])
@@ -144,7 +144,7 @@ func TestEASPlacesLowUtilOnLittle(t *testing.T) {
 
 func TestEASUnprimedDefaultsToBig(t *testing.T) {
 	topo := odroidTopo(t)
-	procs := []sim.ProcView{{ID: 1, Name: "new", Threads: 2, AvgThreadUtil: 0}}
+	procs := []sim.ProcView{{ID: 1, Threads: 2, AvgThreadUtil: 0}}
 	placement := EAS{}.Place(topo, procs)
 	if got := kindCounts(topo, placement[1])[0]; got != 2 {
 		t.Errorf("unprimed threads on big = %d, want 2", got)
@@ -156,8 +156,8 @@ func TestITDSteersByMemoryBoundedness(t *testing.T) {
 	plat := platform.RaptorLake()
 	itd := ITD{Platform: plat}
 	procs := []sim.ProcView{
-		{ID: 1, Name: "compute", Threads: 8, MemBound: 0.05},
-		{ID: 2, Name: "membound", Threads: 8, MemBound: 0.9},
+		{ID: 1, Threads: 8, MemBound: 0.05},
+		{ID: 2, Threads: 8, MemBound: 0.9},
 	}
 	placement := itd.Place(topo, procs)
 	comp := kindCounts(topo, placement[1])
@@ -173,7 +173,7 @@ func TestITDSteersByMemoryBoundedness(t *testing.T) {
 func TestITDSingleAppFullMachineLikeCFS(t *testing.T) {
 	topo := intelTopo(t)
 	itd := ITD{Platform: platform.RaptorLake()}
-	procs := []sim.ProcView{{ID: 1, Name: "a", Threads: 32, MemBound: 0.05}}
+	procs := []sim.ProcView{{ID: 1, Threads: 32, MemBound: 0.05}}
 	asg := itd.Place(topo, procs)[1]
 	seen := make(map[sim.HWThread]bool)
 	for _, hw := range asg {
@@ -187,7 +187,7 @@ func TestITDSingleAppFullMachineLikeCFS(t *testing.T) {
 
 func TestITDWithoutPlatformIsNeutral(t *testing.T) {
 	topo := intelTopo(t)
-	procs := []sim.ProcView{{ID: 1, Name: "a", Threads: 4, MemBound: 0.9}}
+	procs := []sim.ProcView{{ID: 1, Threads: 4, MemBound: 0.9}}
 	asg := ITD{}.Place(topo, procs)[1]
 	if len(asg) != 4 {
 		t.Fatalf("placed %d, want 4", len(asg))

@@ -21,6 +21,7 @@ func BenchmarkMachineStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Step(); err != nil {

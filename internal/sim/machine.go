@@ -69,10 +69,22 @@ type Machine struct {
 	onStart []func(*Proc)
 	onExit  []func(*Proc)
 
-	// scratch buffers reused across steps
+	// scratch buffers reused across steps; Step carves each process's
+	// slots and busy fractions out of slots and busy
 	loads    []int
 	busyCore []int
 	busyByHW []float64
+	states   []evalState
+	slots    []workload.Slot
+	busy     []float64
+}
+
+// evalState is one process's response within a quantum.
+type evalState struct {
+	proc  *Proc
+	slots []workload.Slot
+	hws   []HWThread
+	resp  workload.Response
 }
 
 // New creates a machine for the platform with the given OS-level scheduler.
@@ -104,10 +116,9 @@ func New(plat *platform.Platform, sched Scheduler, opts ...Option) (*Machine, er
 		for c := 0; c < k.Count; c++ {
 			for s := 0; s < k.SMT; s++ {
 				m.topo = append(m.topo, HWInfo{
-					ID:      id,
-					Core:    core,
-					Kind:    platform.KindID(kindIdx),
-					Sibling: s,
+					ID:   id,
+					Core: core,
+					Kind: platform.KindID(kindIdx),
 				})
 				id++
 			}
@@ -305,22 +316,27 @@ func (m *Machine) Step() error {
 	busyFreq := m.governor.busyFreqScale()
 
 	// First pass: unconstrained responses.
-	type evalState struct {
-		proc  *Proc
-		slots []workload.Slot
-		hws   []HWThread
-		resp  workload.Response
+	need := 0
+	for _, pid := range m.order {
+		need += len(m.effectiveAssignment(pid))
 	}
-	states := make([]evalState, 0, len(m.order))
+	if need > len(m.slots) {
+		m.slots = make([]workload.Slot, need)
+		m.busy = make([]float64, need)
+	}
+	states := m.states[:0]
+	off := 0
 	var totalTraffic float64
 	for _, pid := range m.order {
 		p := m.procs[pid]
-		st := evalState{proc: p}
+		states = append(states, evalState{proc: p})
+		st := &states[len(states)-1]
 		if m.now >= p.stallUntil {
 			asg := m.effectiveAssignment(pid)
 			if len(asg) > 0 {
+				end := off + len(asg)
 				st.hws = asg
-				st.slots = make([]workload.Slot, len(asg))
+				st.slots = m.slots[off:end:end]
 				for i, hw := range asg {
 					info := m.topo[hw]
 					st.slots[i] = workload.Slot{
@@ -330,11 +346,11 @@ func (m *Machine) Step() error {
 						FreqScale:  busyFreq,
 					}
 				}
-				st.resp = p.profile.Respond(m.plat, st.slots, workload.Conditions{MemBWGips: m.plat.MemBWGips})
+				st.resp = p.profile.Respond(m.plat, st.slots, workload.Conditions{MemBWGips: m.plat.MemBWGips}, m.busy[off:end:end])
 				totalTraffic += st.resp.MemTraffic
+				off = end
 			}
 		}
-		states = append(states, st)
 	}
 
 	// Memory-bandwidth arbitration: if aggregate traffic exceeds the
@@ -346,7 +362,7 @@ func (m *Machine) Step() error {
 				continue
 			}
 			share := m.plat.MemBWGips * st.resp.MemTraffic / totalTraffic
-			st.resp = st.proc.profile.Respond(m.plat, st.slots, workload.Conditions{MemBWGips: share})
+			st.resp = st.proc.profile.Respond(m.plat, st.slots, workload.Conditions{MemBWGips: share}, st.resp.Busy)
 		}
 	}
 
@@ -396,6 +412,8 @@ func (m *Machine) Step() error {
 			}
 		}
 	}
+	clear(states) // keep no finished process alive through the scratch
+	m.states = states[:0]
 
 	// Machine-level energy metering.
 	uncore := m.plat.UncoreWatts * dt

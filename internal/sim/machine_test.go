@@ -77,7 +77,7 @@ func TestTopologyShape(t *testing.T) {
 		t.Fatalf("topology size = %d, want 32", len(topo))
 	}
 	// First two hw threads are siblings on P core 0.
-	if topo[0].Core != 0 || topo[1].Core != 0 || topo[0].Sibling != 0 || topo[1].Sibling != 1 {
+	if topo[0].Core != 0 || topo[1].Core != 0 || topo[2].Core != 1 {
 		t.Errorf("P core siblings wrong: %+v %+v", topo[0], topo[1])
 	}
 	// hw 16 is the first E thread (8 P cores × 2).

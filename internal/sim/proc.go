@@ -90,11 +90,9 @@ func (p *Proc) CountersInto(c *Counters) {
 func (p *Proc) view() ProcView {
 	return ProcView{
 		ID:            p.id,
-		Name:          p.name,
 		Threads:       p.threads,
 		Affinity:      p.Affinity(),
 		MemBound:      p.profile.MemBound,
-		SMTFriendly:   p.profile.SMTFriendly,
 		AvgThreadUtil: p.utilEMA.Value(),
 	}
 }

@@ -19,10 +19,9 @@ type HWThread int
 
 // HWInfo describes one hardware thread of the simulated machine.
 type HWInfo struct {
-	ID      HWThread
-	Core    int             // global physical core index
-	Kind    platform.KindID // core kind
-	Sibling int             // hardware-thread index within the core (0-based)
+	ID   HWThread
+	Core int             // global physical core index
+	Kind platform.KindID // core kind
 }
 
 // Governor selects the DVFS/idle-state policy, mirroring the paper's
@@ -74,17 +73,15 @@ func (g Governor) idleWatts(k platform.CoreKind) float64 {
 }
 
 // ProcView is the read-only process information exposed to schedulers. The
-// behavioural hints (MemBound, SMTFriendly) stand in for what real systems
-// learn from hardware instruction-mix monitoring (e.g. Intel Thread
-// Director); they are visible to the *OS-level* scheduler models only, never
-// to HARP, which must learn behaviour through measurements.
+// behavioural hint MemBound stands in for what real systems learn from
+// hardware instruction-mix monitoring (e.g. Intel Thread Director); it is
+// visible to the *OS-level* scheduler models only, never to HARP, which must
+// learn behaviour through measurements.
 type ProcView struct {
-	ID          ProcID
-	Name        string
-	Threads     int
-	Affinity    []HWThread // nil = unrestricted
-	MemBound    float64
-	SMTFriendly float64
+	ID       ProcID
+	Threads  int
+	Affinity []HWThread // nil = unrestricted
+	MemBound float64
 	// AvgThreadUtil is a PELT-style exponentially smoothed per-thread busy
 	// fraction in [0, 1], as Linux EAS would track.
 	AvgThreadUtil float64

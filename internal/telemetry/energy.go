@@ -57,7 +57,6 @@ type SessionEnergy struct {
 	Instance string
 	Joules   float64
 	UtilityS float64
-	PowerW   float64 // last observed smoothed power
 }
 
 // Efficiency returns utility-seconds bought per joule (0 when no energy has
@@ -71,13 +70,10 @@ func (s SessionEnergy) Efficiency() float64 {
 
 // EnergyTotals is a consistent snapshot of the ledger's fleet accumulators.
 type EnergyTotals struct {
-	Joules          float64 // cumulative fleet joules (includes retired)
-	UtilityS        float64 // cumulative fleet utility-seconds
-	PowerW          float64 // current Σ power of active sessions
-	BudgetW         float64 // current budget (0 = none set)
-	OverrunSec      float64 // cumulative seconds fleet power exceeded budget
-	RetiredJoules   float64 // portion of Joules from ended sessions
-	RetiredUtilityS float64
+	Joules     float64 // cumulative fleet joules (includes retired)
+	PowerW     float64 // current Σ power of active sessions
+	BudgetW    float64 // current budget (0 = none set)
+	OverrunSec float64 // cumulative seconds fleet power exceeded budget
 }
 
 // NewEnergyLedger returns a ledger on a wall-clock-since-creation time base;
@@ -207,13 +203,10 @@ func (l *EnergyLedger) Totals() EnergyTotals {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return EnergyTotals{
-		Joules:          l.fleetJoules,
-		UtilityS:        l.fleetUtilS,
-		PowerW:          l.fleetPowerW,
-		BudgetW:         l.budgetW,
-		OverrunSec:      l.overrunSec,
-		RetiredJoules:   l.retiredJoules,
-		RetiredUtilityS: l.retiredUtilS,
+		Joules:     l.fleetJoules,
+		PowerW:     l.fleetPowerW,
+		BudgetW:    l.budgetW,
+		OverrunSec: l.overrunSec,
 	}
 }
 
@@ -229,7 +222,6 @@ func (l *EnergyLedger) Sessions() []SessionEnergy {
 			Instance: inst,
 			Joules:   s.joules,
 			UtilityS: s.utilS,
-			PowerW:   s.lastPower,
 		})
 	}
 	l.mu.Unlock()

@@ -87,7 +87,6 @@ type EpochRecord struct {
 // disabled journal. Safe for concurrent use.
 type Journal struct {
 	mu     sync.Mutex
-	w      io.Writer
 	enc    *json.Encoder
 	epochs int
 	err    error
@@ -96,7 +95,7 @@ type Journal struct {
 
 // NewJournal creates a journal writing to w.
 func NewJournal(w io.Writer) *Journal {
-	return &Journal{w: w, enc: json.NewEncoder(w)}
+	return &Journal{enc: json.NewEncoder(w)}
 }
 
 // Enabled reports whether records are being written.

@@ -425,9 +425,6 @@ var (
 // selectors below are only reached through nil-guarded call sites, and each
 // instrument is itself nil-safe.
 type Metrics struct {
-	// Registry backs the bundle (exported for /metrics handlers).
-	Registry *Registry
-
 	// Decisions counts pushed allocation decisions.
 	Decisions *Counter
 	// Reallocations counts system-wide allocation recomputations.
@@ -522,7 +519,6 @@ func NewMetrics(r *Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Registry:         r,
 		Decisions:        r.Counter("harp_decisions_total", "Allocation decisions pushed to applications."),
 		Reallocations:    r.Counter("harp_reallocations_total", "System-wide allocation recomputations."),
 		Samples:          r.Counter("harp_measure_samples_total", "Measurement samples fed to the resource manager."),

@@ -133,8 +133,8 @@ func TestEnergyTrapezoid(t *testing.T) {
 	if math.Abs(tot.Joules-30) > 1e-12 {
 		t.Errorf("joules = %.6f, want 1s·(20+40)/2 = 30", tot.Joules)
 	}
-	if math.Abs(tot.UtilityS-20) > 1e-12 {
-		t.Errorf("utility-seconds = %.6f, want 1s·(10+30)/2 = 20", tot.UtilityS)
+	if utilS := led.Export().FleetUtilityS; math.Abs(utilS-20) > 1e-12 {
+		t.Errorf("utility-seconds = %.6f, want 1s·(10+30)/2 = 20", utilS)
 	}
 	if tot.PowerW != 40 {
 		t.Errorf("fleet power = %.1f W, want the last sample's 40", tot.PowerW)
@@ -153,14 +153,14 @@ func TestEnergyConservation(t *testing.T) {
 	}
 	check := func(stage string) {
 		t.Helper()
-		tot := led.Totals()
+		st := led.Export()
 		var sum float64
 		for _, se := range led.Sessions() {
 			sum += se.Joules
 		}
-		if diff := sum + tot.RetiredJoules - tot.Joules; math.Abs(diff) > 1e-9 {
+		if diff := sum + st.RetiredJoules - led.Totals().Joules; math.Abs(diff) > 1e-9 {
 			t.Fatalf("%s: sessions %.12f + retired %.12f != fleet %.12f",
-				stage, sum, tot.RetiredJoules, tot.Joules)
+				stage, sum, st.RetiredJoules, led.Totals().Joules)
 		}
 	}
 	check("both live")

@@ -18,7 +18,7 @@ func BenchmarkRespond(b *testing.B) {
 	cond := Conditions{MemBWGips: plat.MemBWGips}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp := prof.Respond(plat, slots, cond)
+		resp := prof.Respond(plat, slots, cond, nil)
 		if resp.UsefulRate <= 0 {
 			b.Fatal("no progress")
 		}

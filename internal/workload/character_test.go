@@ -44,8 +44,8 @@ func TestIntelBenchmarkCharacter(t *testing.T) {
 			// Bandwidth-boundedness: the cap is binding when doubling the
 			// available bandwidth makes the full-machine rate faster.
 			slots := SlotsForVector(plat, plat.Capacity())
-			normal := prof.Respond(plat, slots, Conditions{MemBWGips: plat.MemBWGips})
-			doubled := prof.Respond(plat, slots, Conditions{MemBWGips: 2 * plat.MemBWGips})
+			normal := prof.Respond(plat, slots, Conditions{MemBWGips: plat.MemBWGips}, nil)
+			doubled := prof.Respond(plat, slots, Conditions{MemBWGips: 2 * plat.MemBWGips}, nil)
 			binding := doubled.UsefulRate > normal.UsefulRate*1.03
 			if binding != tt.bwBound {
 				t.Errorf("bwBound = %v, want %v (rate %.1f, with 2×BW %.1f)",
@@ -77,11 +77,11 @@ func TestWorkloadScalingMonotonicity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev := EvaluateVector(plat, prof, rv)
-				if ev.UsefulRate+1e-9 < prev {
-					t.Fatalf("rate dropped when adding E-core %d: %.3f → %.3f", e, prev, ev.UsefulRate)
+				rate := usefulRate(plat, prof, rv)
+				if rate+1e-9 < prev {
+					t.Fatalf("rate dropped when adding E-core %d: %.3f → %.3f", e, prev, rate)
 				}
-				prev = ev.UsefulRate
+				prev = rate
 			}
 		})
 	}

@@ -214,19 +214,23 @@ type Response struct {
 }
 
 // Respond evaluates the profile on a set of slots (one per application
-// thread). It returns the zero Response for an empty placement.
-func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions) Response {
+// thread). It returns the zero Response for an empty placement. The
+// response's Busy is written into busy when it holds one entry per slot, and
+// allocated otherwise.
+func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions, busy []float64) Response {
 	n := len(slots)
 	if n == 0 {
 		return Response{}
 	}
+	if len(busy) != n {
+		busy = make([]float64, n)
+	}
 
 	// Per-thread delivered rates and raw capacity.
-	rates := make([]float64, n)
 	var sumShare float64
 	minRate, maxRate := math.Inf(1), 0.0
 	var sumRate float64
-	for i, s := range slots {
+	for _, s := range slots {
 		kind := plat.Kinds[s.Kind]
 		base := kind.ComputeRate() * s.FreqScale * (1 - p.MemBound*kind.MemPenalty)
 		smt := 1.0
@@ -235,7 +239,6 @@ func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions
 			smt = gain / float64(s.BusyOnCore)
 		}
 		r := base * smt * s.Share
-		rates[i] = r
 		sumRate += r
 		sumShare += s.Share
 		minRate = math.Min(minRate, r)
@@ -253,9 +256,6 @@ func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions
 		sumRate *= eff
 		minRate *= eff
 		maxRate *= eff
-		for i := range rates {
-			rates[i] *= eff
-		}
 	}
 
 	// Parallel aggregate: statically split barrier apps are paced by the
@@ -297,7 +297,7 @@ func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions
 
 	resp := Response{
 		UsefulRate: useful,
-		Busy:       make([]float64, n),
+		Busy:       busy,
 		MemTraffic: useful * p.MemBound,
 	}
 	switch p.Wait {
@@ -354,12 +354,10 @@ func SlotsForVector(plat *platform.Platform, rv platform.ResourceVector) []Slot 
 // the allocation, and the projected execution time for the whole profile.
 func EvaluateVector(plat *platform.Platform, p *Profile, rv platform.ResourceVector) VectorEval {
 	slots := SlotsForVector(plat, rv)
-	resp := p.Respond(plat, slots, Conditions{MemBWGips: plat.MemBWGips})
+	resp := p.Respond(plat, slots, Conditions{MemBWGips: plat.MemBWGips}, nil)
 	power := AllocPower(plat, rv, slots, resp.Busy)
 
 	eval := VectorEval{
-		Vector:     rv,
-		UsefulRate: resp.UsefulRate,
 		IPS:        resp.ExecRate,
 		PowerWatts: power,
 	}
@@ -379,8 +377,6 @@ func EvaluateVector(plat *platform.Platform, p *Profile, rv platform.ResourceVec
 
 // VectorEval is the result of EvaluateVector.
 type VectorEval struct {
-	Vector     platform.ResourceVector
-	UsefulRate float64 // GI/s of useful work
 	IPS        float64 // GI/s observed by perf
 	Utility    float64 // utility metric HARP would see
 	PowerWatts float64 // CPU power attributable to the allocation

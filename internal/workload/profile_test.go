@@ -95,7 +95,7 @@ func TestDefaultThreads(t *testing.T) {
 
 func TestRespondEmptyPlacement(t *testing.T) {
 	ep := mustProfile(t, IntelApps(), "ep.C")
-	resp := ep.Respond(platform.RaptorLake(), nil, Conditions{MemBWGips: 60})
+	resp := ep.Respond(platform.RaptorLake(), nil, Conditions{MemBWGips: 60}, nil)
 	if resp.UsefulRate != 0 || resp.ExecRate != 0 {
 		t.Fatalf("empty placement response = %+v, want zero", resp)
 	}
@@ -127,6 +127,12 @@ func TestSlotsForVectorShape(t *testing.T) {
 	}
 }
 
+// usefulRate is the useful rate EvaluateVector bases its times on: the
+// profile's response on the vector's exclusive slots.
+func usefulRate(p *platform.Platform, prof *Profile, rv platform.ResourceVector) float64 {
+	return prof.Respond(p, SlotsForVector(p, rv), Conditions{MemBWGips: p.MemBWGips}, nil).UsefulRate
+}
+
 // ep must scale with more resources and benefit from full SMT pairs (Fig. 1a).
 func TestEPScalesAndLikesSMT(t *testing.T) {
 	p := platform.RaptorLake()
@@ -138,11 +144,11 @@ func TestEPScalesAndLikesSMT(t *testing.T) {
 		t.Errorf("ep full machine (%.2fs) not faster than E-only (%.2fs)", full.TimeSec, eOnly.TimeSec)
 	}
 
-	smtPairs := EvaluateVector(p, ep, mustVector(t, p, []int{0, 4}, []int{0}))  // 4 cores, 8 threads
-	smtSingle := EvaluateVector(p, ep, mustVector(t, p, []int{4, 0}, []int{0})) // 4 cores, 4 threads
-	if smtPairs.UsefulRate <= smtSingle.UsefulRate {
+	smtPairs := usefulRate(p, ep, mustVector(t, p, []int{0, 4}, []int{0}))  // 4 cores, 8 threads
+	smtSingle := usefulRate(p, ep, mustVector(t, p, []int{4, 0}, []int{0})) // 4 cores, 4 threads
+	if smtPairs <= smtSingle {
 		t.Errorf("ep with SMT pairs (%.1f GI/s) not above single-thread cores (%.1f GI/s)",
-			smtPairs.UsefulRate, smtSingle.UsefulRate)
+			smtPairs, smtSingle)
 	}
 }
 
@@ -197,11 +203,11 @@ func TestBarrierPacingOnMixedCores(t *testing.T) {
 	stealing := &Profile{
 		Name: "s", Adaptivity: Scalable, WorkGI: 100, Wait: Block, DynamicLoad: true,
 	}
-	rb := EvaluateVector(p, barrier, mixed)
-	rs := EvaluateVector(p, stealing, mixed)
-	if rb.UsefulRate >= rs.UsefulRate {
+	rb := usefulRate(p, barrier, mixed)
+	rs := usefulRate(p, stealing, mixed)
+	if rb >= rs {
 		t.Errorf("barrier app rate %.1f not below work-stealing rate %.1f on mixed cores",
-			rb.UsefulRate, rs.UsefulRate)
+			rb, rs)
 	}
 	// The barrier app must be paced at ≈ 16 × E-rate.
 	slots := SlotsForVector(p, mixed)
@@ -214,8 +220,8 @@ func TestBarrierPacingOnMixedCores(t *testing.T) {
 		}
 	}
 	want := 16 * eRate
-	if math.Abs(rb.UsefulRate-want)/want > 0.05 {
-		t.Errorf("barrier pacing = %.1f GI/s, want ≈ %.1f (16 × E-rate)", rb.UsefulRate, want)
+	if math.Abs(rb-want)/want > 0.05 {
+		t.Errorf("barrier pacing = %.1f GI/s, want ≈ %.1f (16 × E-rate)", rb, want)
 	}
 }
 
@@ -232,8 +238,8 @@ func TestSpinInflatesIPSAndPower(t *testing.T) {
 	spin := EvaluateVector(p, mk(Spin), mixed)
 	block := EvaluateVector(p, mk(Block), mixed)
 
-	if spin.UsefulRate != block.UsefulRate {
-		t.Errorf("wait policy changed useful rate: %.2f vs %.2f", spin.UsefulRate, block.UsefulRate)
+	if su, bu := usefulRate(p, mk(Spin), mixed), usefulRate(p, mk(Block), mixed); su != bu {
+		t.Errorf("wait policy changed useful rate: %.2f vs %.2f", su, bu)
 	}
 	if spin.IPS <= block.IPS {
 		t.Errorf("spin IPS %.1f not above block IPS %.1f", spin.IPS, block.IPS)
@@ -262,10 +268,10 @@ func TestOversubscriptionPenalty(t *testing.T) {
 	barrier := &Profile{Name: "b", Adaptivity: Static, WorkGI: 1, Wait: Block, Barrier: true}
 	loose := &Profile{Name: "l", Adaptivity: Static, WorkGI: 1, Wait: Block, DynamicLoad: true}
 
-	exB := barrier.Respond(p, exclusive, cond).UsefulRate
-	shB := barrier.Respond(p, shared, cond).UsefulRate
-	exL := loose.Respond(p, exclusive, cond).UsefulRate
-	shL := loose.Respond(p, shared, cond).UsefulRate
+	exB := barrier.Respond(p, exclusive, cond, nil).UsefulRate
+	shB := barrier.Respond(p, shared, cond, nil).UsefulRate
+	exL := loose.Respond(p, exclusive, cond, nil).UsefulRate
+	shL := loose.Respond(p, shared, cond, nil).UsefulRate
 
 	if shB >= exB || shL >= exL {
 		t.Fatalf("time-sharing not penalised: barrier %.2f→%.2f, loose %.2f→%.2f", exB, shB, exL, shL)
@@ -282,13 +288,13 @@ func TestOversubscriptionPenalty(t *testing.T) {
 func TestMemoryBandwidthCap(t *testing.T) {
 	p := platform.RaptorLake()
 	mg := mustProfile(t, IntelApps(), "mg.C")
-	resp := mg.Respond(p, SlotsForVector(p, p.Capacity()), Conditions{MemBWGips: p.MemBWGips})
+	resp := mg.Respond(p, SlotsForVector(p, p.Capacity()), Conditions{MemBWGips: p.MemBWGips}, nil)
 	cap := p.MemBWGips / mg.MemBound
 	if resp.UsefulRate > cap+1e-9 {
 		t.Errorf("useful rate %.1f exceeds BW cap %.1f", resp.UsefulRate, cap)
 	}
 	// Halving the available bandwidth must reduce the rate.
-	half := mg.Respond(p, SlotsForVector(p, p.Capacity()), Conditions{MemBWGips: p.MemBWGips / 2})
+	half := mg.Respond(p, SlotsForVector(p, p.Capacity()), Conditions{MemBWGips: p.MemBWGips / 2}, nil)
 	if half.UsefulRate >= resp.UsefulRate {
 		t.Errorf("halving bandwidth did not slow mg: %.1f vs %.1f", half.UsefulRate, resp.UsefulRate)
 	}
@@ -299,7 +305,7 @@ func TestBusyFractionsBounded(t *testing.T) {
 	p := platform.RaptorLake()
 	for _, prof := range IntelApps() {
 		slots := SlotsForVector(p, p.Capacity())
-		resp := prof.Respond(p, slots, Conditions{MemBWGips: p.MemBWGips})
+		resp := prof.Respond(p, slots, Conditions{MemBWGips: p.MemBWGips}, nil)
 		if len(resp.Busy) != len(slots) {
 			t.Fatalf("%s: busy len %d, want %d", prof.Name, len(resp.Busy), len(slots))
 		}
@@ -333,8 +339,8 @@ func TestUtilityMetricSelection(t *testing.T) {
 	rv := p.Capacity()
 
 	ev := EvaluateVector(p, vgg, rv)
-	if math.Abs(ev.Utility-ev.UsefulRate*vgg.UtilityScale) > 1e-9 {
-		t.Errorf("vgg utility = %g, want useful·scale = %g", ev.Utility, ev.UsefulRate*vgg.UtilityScale)
+	if useful := usefulRate(p, vgg, rv); math.Abs(ev.Utility-useful*vgg.UtilityScale) > 1e-9 {
+		t.Errorf("vgg utility = %g, want useful·scale = %g", ev.Utility, useful*vgg.UtilityScale)
 	}
 	ee := EvaluateVector(p, ep, rv)
 	if ee.Utility != ee.IPS {
@@ -420,7 +426,7 @@ func TestRespondInvariantsProperty(t *testing.T) {
 				FreqScale:  0.9 + 0.1*r.Float64(),
 			}
 		}
-		resp := prof.Respond(plat, slots, Conditions{MemBWGips: plat.MemBWGips})
+		resp := prof.Respond(plat, slots, Conditions{MemBWGips: plat.MemBWGips}, nil)
 		if resp.UsefulRate < 0 || resp.ExecRate+1e-9 < resp.UsefulRate {
 			return false
 		}
