@@ -58,8 +58,9 @@ race:
 # the map-keyed reference merge, improve, rescue and the grouped λ loop
 # against their plain reference searches, placement against the cursor it
 # replaced and its stickiness and placement invariant, the polynomial's
-# prediction, the lazily fitted predicted table and the simulator's step with
-# reused buffers against their allocating references, the full-run
+# prediction, the lazily fitted predicted table, the configuration-space walk,
+# the explorer's choices on it and the simulator's step with reused buffers
+# and skipped re-placements against their references, the full-run
 # invariant suites over simulated chaos and churn runs and random Manager
 # operation sequences, and the
 # pinned decision-journal digests of the paper's Fig. 6 scenarios and of the
@@ -68,8 +69,8 @@ race:
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference' \
-		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference' \
+		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/ ./internal/platform/
 
 # invariants-long is the nightly sweep: the same harness over an order of
 # magnitude more seeded scenarios (20000 differential seeds per solver).

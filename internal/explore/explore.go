@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/harp-rm/harp/internal/mathx"
 	"github.com/harp-rm/harp/internal/opoint"
@@ -94,8 +95,9 @@ type Explorer struct {
 	table *opoint.Table
 	// refinementAfter is the number of measured points needed to fit a
 	// preliminary model: enough to determine a degree-2 fit on the
-	// platform's feature width.
+	// platform's feature width, nf.
 	refinementAfter int
+	nf              int
 
 	current    platform.ResourceVector
 	hasCurrent bool
@@ -118,7 +120,7 @@ func New(plat *platform.Platform, app string, cfg Config) *Explorer {
 	// A platform whose whole configuration space is smaller than the stable
 	// threshold is stable once the space is exhausted (the Odroid has only
 	// 24 coarse configurations).
-	if space := len(platform.EnumerateVectors(plat, 0)); space < cfg.StableAfter {
+	if space := platform.SpaceWithin(plat, nil).Len(); space < cfg.StableAfter {
 		cfg.StableAfter = space
 	}
 	nf := len(platform.NewResourceVector(plat).Features())
@@ -127,6 +129,7 @@ func New(plat *platform.Platform, app string, cfg Config) *Explorer {
 		cfg:             cfg,
 		table:           &opoint.Table{App: app, Platform: plat.Name},
 		refinementAfter: regress.NewPolynomial(2).MinSamples(nf),
+		nf:              nf,
 	}
 }
 
@@ -172,8 +175,8 @@ func (e *Explorer) Current() (platform.ResourceVector, bool) {
 // core caps the allocator granted this application. The chosen configuration
 // becomes Current until enough measurements are recorded.
 func (e *Explorer) Next(caps []int) (platform.ResourceVector, error) {
-	candidates := e.unmeasured(caps)
-	if len(candidates) == 0 {
+	candidates := e.candidates(caps)
+	if candidates.n == 0 {
 		return platform.ResourceVector{}, ErrNoCandidates
 	}
 
@@ -198,7 +201,7 @@ func (e *Explorer) Next(caps []int) (platform.ResourceVector, error) {
 			App:    e.table.App,
 			Vector: chosen.Key(),
 			Stage:  e.Stage().String(),
-			Seq:    len(candidates),
+			Seq:    candidates.n,
 		})
 	}
 	return chosen, nil
@@ -268,75 +271,102 @@ func (e *Explorer) predictedTable() *opoint.Table {
 	if e.Stage() == StageInitial {
 		return out
 	}
-	known := make(map[string]bool, len(e.table.Points))
-	for _, op := range e.table.Points {
-		known[op.Vector.Key()] = true
-	}
+	missing := e.candidates(nil)
+	out.Points = slices.Grow(out.Points, missing.n)
+	// The predictions' vectors are carved from two arrays sized for them.
+	// The clone's are not: the allocator's solution cache keeps the points
+	// it chose, and a cached point must not pin a table-sized array.
+	kinds := len(e.plat.Kinds)
+	rows, counts := make([][]int, missing.n*kinds), make([]int, missing.n*e.nf)
 	var uModel, pModel regress.Model
-	for _, rv := range platform.EnumerateVectors(e.plat, 0) {
-		if known[rv.Key()] {
-			continue
-		}
+	for w := e.walk(missing); missing.next(&w); {
 		if uModel == nil {
 			var err error
-			if uModel, pModel, err = e.fitModels(e.measuredPoints()); err != nil {
+			if uModel, pModel, err = fitOn(e.cfg.Model, e.measuredPoints()); err != nil {
 				return out
 			}
 		}
-		feats := rv.Features()
-		u, uErr := uModel.Predict(feats)
-		p, pErr := pModel.Predict(feats)
+		u, uErr := uModel.Predict(w.Features)
+		p, pErr := pModel.Predict(w.Features)
 		if uErr != nil || pErr != nil {
 			continue
 		}
 		if p < 0 {
 			p = 0
 		}
+		rv := platform.ResourceVector{Counts: rows[:0:kinds]}
+		rows = rows[kinds:]
+		for _, c := range w.Vector.Counts {
+			rv.Counts = append(rv.Counts, append(counts[:0:len(c)], c...))
+			counts = counts[len(c):]
+		}
 		out.Points = append(out.Points, opoint.OperatingPoint{Vector: rv, Utility: u, Power: p})
 	}
 	return out
 }
 
-// unmeasured lists configurations within caps that have no measured point.
-func (e *Explorer) unmeasured(caps []int) []platform.ResourceVector {
-	measured := make(map[string]bool, len(e.table.Points))
+// candidates is the space within caps less the positions skip marks. It
+// holds positions, never vectors, and lives for one call.
+type candidates struct {
+	platform.Space
+	skip []bool
+	n    int // configurations not skipped
+}
+
+// candidates returns the space within caps less the table's points, all
+// of them measured (Record and SeedTable are the table's only writers).
+func (e *Explorer) candidates(caps []int) candidates {
+	c := candidates{Space: platform.SpaceWithin(e.plat, caps)}
+	c.n = c.Len()
+	c.skip = make([]bool, c.n)
 	for _, op := range e.table.Points {
-		if op.Measured {
-			measured[op.Vector.Key()] = true
+		if i := c.Position(op.Vector); i >= 0 && !c.skip[i] {
+			c.skip[i] = true
+			c.n--
 		}
 	}
-	var out []platform.ResourceVector
-	for _, rv := range platform.EnumerateVectorsWithin(e.plat, caps) {
-		if measured[rv.Key()] {
-			continue
+	return c
+}
+
+// walk starts a walk of c on fresh scratch, to be advanced by c.next; a
+// vector kept past a step is copied out (keep).
+func (e *Explorer) walk(c candidates) platform.Walk {
+	return c.Walk(platform.NewResourceVector(e.plat), make([]float64, e.nf))
+}
+
+// next advances w to the next configuration c does not skip.
+func (c *candidates) next(w *platform.Walk) bool {
+	for w.Next() {
+		if !c.skip[w.Index()] {
+			return true
 		}
-		out = append(out, rv)
 	}
-	return out
+	return false
+}
+
+// keep copies the walk's current vector into dst, which has its shape.
+func keep(dst platform.ResourceVector, w *platform.Walk) {
+	for i, c := range w.Vector.Counts {
+		copy(dst.Counts[i], c)
+	}
 }
 
 // farthestPoint implements the initial-stage heuristic: the candidate whose
 // feature vector maximises the minimum distance to all measured
 // configurations (the zero configuration counts as measured — it anchors the
 // space).
-func (e *Explorer) farthestPoint(candidates []platform.ResourceVector) platform.ResourceVector {
-	measured := [][]float64{platform.NewResourceVector(e.plat).Features()}
-	for _, op := range e.table.Points {
-		if op.Measured {
-			measured = append(measured, op.Vector.Features())
-		}
-	}
-	best := candidates[0]
+func (e *Explorer) farthestPoint(c candidates) platform.ResourceVector {
+	measured := append([][]float64{make([]float64, e.nf)}, e.measuredPoints().xs...)
+	best := platform.NewResourceVector(e.plat)
 	bestDist := -1.0
-	for _, rv := range candidates {
-		feats := rv.Features()
+	for w := e.walk(c); c.next(&w); {
 		minDist := math.Inf(1)
 		for _, m := range measured {
-			minDist = math.Min(minDist, dist(feats, m))
+			minDist = min(minDist, dist(w.Features, m))
 		}
 		if minDist > bestDist {
 			bestDist = minDist
-			best = rv
+			keep(best, &w)
 		}
 	}
 	return best
@@ -345,115 +375,96 @@ func (e *Explorer) farthestPoint(candidates []platform.ResourceVector) platform.
 // refinementPoint implements the refinement-stage heuristic: first target
 // configurations with negative predictions (largest geometric mean of the
 // negative deviations), otherwise the largest disagreement between the
-// primary model and a zero-anchored auxiliary model (§5.3).
-func (e *Explorer) refinementPoint(candidates []platform.ResourceVector) (platform.ResourceVector, error) {
+// primary model and a zero-anchored auxiliary model (§5.3). Both are scored
+// in one walk, the primary models evaluated once per candidate; the
+// auxiliary model is consulted only until a negative prediction turns up,
+// since that candidate wins regardless.
+func (e *Explorer) refinementPoint(c candidates) (platform.ResourceVector, error) {
 	measured := e.measuredPoints()
-	uPrimary, pPrimary, err := e.fitModels(measured)
+	uPrimary, pPrimary, err := fitOn(e.cfg.Model, measured)
 	if err != nil {
 		return platform.ResourceVector{}, err
 	}
+	uAux, pAux, auxErr := fitOn(e.cfg.Model, measured.anchored(e.nf))
 
-	// 1) Negative-prediction repair.
-	var best platform.ResourceVector
-	bestScore := 0.0
+	negBest, auxBest := platform.NewResourceVector(e.plat), platform.NewResourceVector(e.plat)
+	negScore, auxScore := 0.0, -1.0
 	found := false
-	for _, rv := range candidates {
-		feats := rv.Features()
-		u, uErr := uPrimary.Predict(feats)
-		p, pErr := pPrimary.Predict(feats)
-		if uErr != nil || pErr != nil {
+	for w := e.walk(c); c.next(&w); {
+		u1, err1 := uPrimary.Predict(w.Features)
+		p1, err2 := pPrimary.Predict(w.Features)
+		if err1 != nil || err2 != nil {
 			continue
 		}
-		negU := math.Max(0, -u)
-		negP := math.Max(0, -p)
-		if negU == 0 && negP == 0 {
+		// 1) Negative-prediction repair.
+		if negU, negP := max(0, -u1), max(0, -p1); negU != 0 || negP != 0 {
+			if score := mathx.GeoMean([]float64{negU, negP}); score > negScore {
+				negScore = score
+				keep(negBest, &w)
+				found = true
+			}
+		}
+		// 2) Disagreement with the zero-anchored auxiliary model.
+		if found || auxErr != nil {
 			continue
 		}
-		score := mathx.GeoMean([]float64{negU, negP})
-		if score > bestScore {
-			bestScore = score
-			best = rv
-			found = true
-		}
-	}
-	if found {
-		return best, nil
-	}
-
-	// 2) Disagreement with the zero-anchored auxiliary model.
-	anchored := append(measuredSamples(measured), sample{
-		feats: platform.NewResourceVector(e.plat).Features(),
-	})
-	uAux, pAux, err := fitOn(e.cfg.Model, anchored)
-	if err != nil {
-		return platform.ResourceVector{}, err
-	}
-	bestScore = -1
-	for _, rv := range candidates {
-		feats := rv.Features()
-		u1, err1 := uPrimary.Predict(feats)
-		p1, err2 := pPrimary.Predict(feats)
-		u2, err3 := uAux.Predict(feats)
-		p2, err4 := pAux.Predict(feats)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+		u2, err3 := uAux.Predict(w.Features)
+		p2, err4 := pAux.Predict(w.Features)
+		if err3 != nil || err4 != nil {
 			continue
 		}
-		score := mathx.GeoMean([]float64{math.Abs(u1 - u2), math.Abs(p1 - p2)})
-		if score > bestScore {
-			bestScore = score
-			best = rv
+		if score := mathx.GeoMean([]float64{math.Abs(u1 - u2), math.Abs(p1 - p2)}); score > auxScore {
+			auxScore = score
+			keep(auxBest, &w)
 		}
 	}
-	if bestScore < 0 {
+	switch {
+	case found:
+		return negBest, nil
+	case auxErr != nil:
+		return platform.ResourceVector{}, auxErr
+	case auxScore < 0:
 		return platform.ResourceVector{}, ErrNoCandidates
 	}
-	return best, nil
+	return auxBest, nil
 }
 
-type sample struct {
-	feats   []float64
-	utility float64
-	power   float64
+// samples are measured points as regression inputs: features, utilities
+// and powers.
+type samples struct {
+	xs     [][]float64
+	us, ps []float64
 }
 
-func (e *Explorer) measuredPoints() []sample {
-	var out []sample
+func (e *Explorer) measuredPoints() samples {
+	var s samples
 	for _, op := range e.table.Points {
 		if op.Measured {
-			out = append(out, sample{feats: op.Vector.Features(), utility: op.Utility, power: op.Power})
+			s.xs = append(s.xs, op.Vector.Features())
+			s.us = append(s.us, op.Utility)
+			s.ps = append(s.ps, op.Power)
 		}
 	}
-	return out
+	return s
 }
 
-func measuredSamples(s []sample) []sample {
-	out := make([]sample, len(s))
-	copy(out, s)
-	return out
+// anchored returns s plus the zero configuration at zero utility and power,
+// leaving s as it was.
+func (s samples) anchored(nf int) samples {
+	n := len(s.xs)
+	return samples{append(s.xs[:n:n], make([]float64, nf)), append(s.us[:n:n], 0), append(s.ps[:n:n], 0)}
 }
 
-func (e *Explorer) fitModels(samples []sample) (utility, power regress.Model, err error) {
-	return fitOn(e.cfg.Model, samples)
-}
-
-func fitOn(factory regress.Factory, samples []sample) (utility, power regress.Model, err error) {
-	if len(samples) == 0 {
+func fitOn(factory regress.Factory, s samples) (utility, power regress.Model, err error) {
+	if len(s.xs) == 0 {
 		return nil, nil, regress.ErrTooFewSamples
 	}
-	xs := make([][]float64, len(samples))
-	us := make([]float64, len(samples))
-	ps := make([]float64, len(samples))
-	for i, s := range samples {
-		xs[i] = s.feats
-		us[i] = s.utility
-		ps[i] = s.power
-	}
 	uModel := factory()
-	if err := uModel.Fit(xs, us); err != nil {
+	if err := uModel.Fit(s.xs, s.us); err != nil {
 		return nil, nil, fmt.Errorf("explore: utility model: %w", err)
 	}
 	pModel := factory()
-	if err := pModel.Fit(xs, ps); err != nil {
+	if err := pModel.Fit(s.xs, s.ps); err != nil {
 		return nil, nil, fmt.Errorf("explore: power model: %w", err)
 	}
 	return uModel, pModel, nil

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -85,20 +86,7 @@ func (rv ResourceVector) Clone() ResourceVector {
 
 // Equal reports whether two vectors are identical in shape and counts.
 func (rv ResourceVector) Equal(other ResourceVector) bool {
-	if len(rv.Counts) != len(other.Counts) {
-		return false
-	}
-	for i := range rv.Counts {
-		if len(rv.Counts[i]) != len(other.Counts[i]) {
-			return false
-		}
-		for j := range rv.Counts[i] {
-			if rv.Counts[i][j] != other.Counts[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(rv.Counts, other.Counts, slices.Equal[[]int])
 }
 
 // IsZero reports whether the vector requests no resources at all.
@@ -153,39 +141,6 @@ func (rv ResourceVector) CoreDemand() []int {
 		demand[kind] = rv.Cores(KindID(kind))
 	}
 	return demand
-}
-
-// Add returns rv + other element-wise. Shapes must match.
-func (rv ResourceVector) Add(other ResourceVector) (ResourceVector, error) {
-	if !sameShape(rv, other) {
-		return ResourceVector{}, fmt.Errorf("platform: adding vectors of different shapes")
-	}
-	out := rv.Clone()
-	for i := range out.Counts {
-		for j := range out.Counts[i] {
-			out.Counts[i][j] += other.Counts[i][j]
-		}
-	}
-	return out, nil
-}
-
-// Sub returns rv − other element-wise, erroring if any count would go
-// negative.
-func (rv ResourceVector) Sub(other ResourceVector) (ResourceVector, error) {
-	if !sameShape(rv, other) {
-		return ResourceVector{}, fmt.Errorf("platform: subtracting vectors of different shapes")
-	}
-	out := rv.Clone()
-	for i := range out.Counts {
-		for j := range out.Counts[i] {
-			out.Counts[i][j] -= other.Counts[i][j]
-			if out.Counts[i][j] < 0 {
-				return ResourceVector{}, fmt.Errorf(
-					"platform: subtraction underflow at kind %d, %d threads", i, j+1)
-			}
-		}
-	}
-	return out, nil
 }
 
 // Key returns a canonical string form usable as a map key, e.g. "1,2|4".
@@ -253,12 +208,9 @@ func (rv ResourceVector) String() string { return "[" + rv.Key() + "]" }
 // the coarse-grained configuration space explored at runtime (§5.3) and swept
 // offline for Fig. 1.
 func EnumerateVectors(p *Platform, maxCoresPerKind int) []ResourceVector {
-	caps := make([]int, len(p.Kinds))
-	for i, k := range p.Kinds {
-		caps[i] = k.Count
-		if maxCoresPerKind > 0 && maxCoresPerKind < caps[i] {
-			caps[i] = maxCoresPerKind
-		}
+	var caps []int
+	if maxCoresPerKind > 0 {
+		caps = slices.Repeat([]int{maxCoresPerKind}, len(p.Kinds))
 	}
 	return EnumerateVectorsWithin(p, caps)
 }
@@ -266,78 +218,141 @@ func EnumerateVectors(p *Platform, maxCoresPerKind int) []ResourceVector {
 // EnumerateVectorsWithin returns every non-zero vector whose per-kind core
 // demand stays within the given caps — the configuration space available to
 // one application during exploration, bounded by the resources the allocator
-// granted it (§5.3).
+// granted it (§5.3) — materialised in the order of Space.Walk.
 func EnumerateVectorsWithin(p *Platform, caps []int) []ResourceVector {
-	perKind := make([][][]int, len(p.Kinds))
-	for kindIdx, k := range p.Kinds {
-		limit := k.Count
-		if kindIdx < len(caps) && caps[kindIdx] < limit {
-			limit = caps[kindIdx]
-		}
-		if limit < 0 {
-			limit = 0
-		}
-		perKind[kindIdx] = enumerateKind(k.SMT, limit)
+	s := SpaceWithin(p, caps)
+	out := make([]ResourceVector, 0, s.Len())
+	for w := s.Walk(NewResourceVector(p), nil); w.Next(); {
+		out = append(out, w.Vector.Clone())
 	}
+	return out
+}
 
-	var out []ResourceVector
-	var build func(kind int, acc [][]int)
-	build = func(kind int, acc [][]int) {
-		if kind == len(perKind) {
-			rv := ResourceVector{Counts: make([][]int, len(acc))}
-			nonZero := false
-			for i, counts := range acc {
-				rv.Counts[i] = make([]int, len(counts))
-				copy(rv.Counts[i], counts)
-				for _, c := range counts {
-					if c != 0 {
-						nonZero = true
-					}
+// Space is the set of non-zero vectors whose demand on each kind k stays
+// within min(caps[k], Count), a missing cap counting as Count and a negative
+// one as 0. It holds only the platform and the caps: Walk decodes its
+// vectors one at a time and Position locates one, so nothing is built.
+type Space struct {
+	plat *Platform
+	caps []int
+}
+
+// SpaceWithin returns the space within caps (nil: the whole platform).
+func SpaceWithin(p *Platform, caps []int) Space { return Space{plat: p, caps: caps} }
+
+// limit is the core budget of kind k.
+func (s Space) limit(k int) int {
+	limit := s.plat.Kinds[k].Count
+	if k < len(s.caps) && s.caps[k] < limit {
+		limit = s.caps[k]
+	}
+	return max(limit, 0)
+}
+
+// Len returns the number of vectors in the space.
+func (s Space) Len() int {
+	n := 1
+	for k, kind := range s.plat.Kinds {
+		n *= tuples(kind.SMT, s.limit(k))
+	}
+	return n - 1 // the zero vector is not a configuration
+}
+
+// Position returns rv's index in the walk of s, or -1 when rv is not in s.
+// The walk is lexicographic over the flattened counts, so the index is a
+// mixed-radix number whose digit for kind k ranks that kind's counts among
+// the tuples within its limit.
+func (s Space) Position(rv ResourceVector) int {
+	if len(rv.Counts) != len(s.plat.Kinds) {
+		return -1
+	}
+	pos := 0
+	for k, counts := range rv.Counts {
+		if len(counts) != s.plat.Kinds[k].SMT {
+			return -1
+		}
+		limit := s.limit(k)
+		rank, used := 0, 0
+		for t, c := range counts {
+			if c < 0 || used+c > limit {
+				return -1
+			}
+			// The tuples sharing the prefix before t and holding v < c at
+			// t, summed over v by the hockey-stick identity.
+			r := len(counts) - t
+			rank += tuples(r, limit-used) - tuples(r, limit-used-c)
+			used += c
+		}
+		pos = pos*tuples(len(counts), limit) + rank
+	}
+	return pos - 1
+}
+
+// tuples returns the number of n-tuples of non-negative counts summing to
+// at most limit: C(limit+n, n).
+func tuples(n, limit int) int {
+	c := 1
+	for i := 1; i <= n; i++ {
+		c = c * (limit + i) / i
+	}
+	return c
+}
+
+// Walk returns a walk of the space that decodes each vector into rv and its
+// Features into feats (grown if short). Both are the caller's scratch, rv
+// shaped for the platform (NewResourceVector); every Next overwrites them,
+// so a vector kept past the next step must be copied out.
+func (s Space) Walk(rv ResourceVector, feats []float64) Walk {
+	for _, counts := range rv.Counts {
+		clear(counts)
+	}
+	return Walk{Space: s, Vector: rv, Features: feats, index: -1}
+}
+
+// Walk steps through a Space in EnumerateVectorsWithin's order without
+// allocating: each Next advances the scratch vector to its lexicographic
+// successor within the per-kind limits.
+type Walk struct {
+	Space
+	// Vector and Features hold the current configuration (caller scratch).
+	Vector   ResourceVector
+	Features []float64
+	index    int
+}
+
+// Next advances to the next vector, reporting false once the space is
+// exhausted.
+func (w *Walk) Next() bool {
+	counts := w.Vector.Counts
+	for k := len(counts) - 1; k >= 0; k-- {
+		used, limit := 0, w.limit(k)
+		for _, c := range counts[k] {
+			used += c
+		}
+		// Increment the last slot whose prefix (used) leaves room, zeroing
+		// the slots after it.
+		for t := len(counts[k]) - 1; t >= 0; t-- {
+			if used >= limit {
+				used -= counts[k][t]
+				continue
+			}
+			counts[k][t]++
+			clear(counts[k][t+1:])
+			for _, later := range counts[k+1:] {
+				clear(later)
+			}
+			w.Features = w.Features[:0]
+			for _, kind := range counts {
+				for _, c := range kind {
+					w.Features = append(w.Features, float64(c))
 				}
 			}
-			if nonZero {
-				out = append(out, rv)
-			}
-			return
-		}
-		for _, counts := range perKind[kind] {
-			build(kind+1, append(acc, counts))
+			w.index++
+			return true
 		}
 	}
-	build(0, make([][]int, 0, len(p.Kinds)))
-	return out
+	return false
 }
 
-// enumerateKind lists all (c_1, …, c_smt) with Σc_t ≤ limit.
-func enumerateKind(smt, limit int) [][]int {
-	var out [][]int
-	counts := make([]int, smt)
-	var rec func(slot, used int)
-	rec = func(slot, used int) {
-		if slot == smt {
-			c := make([]int, smt)
-			copy(c, counts)
-			out = append(out, c)
-			return
-		}
-		for c := 0; c <= limit-used; c++ {
-			counts[slot] = c
-			rec(slot+1, used+c)
-		}
-		counts[slot] = 0
-	}
-	rec(0, 0)
-	return out
-}
-
-func sameShape(a, b ResourceVector) bool {
-	if len(a.Counts) != len(b.Counts) {
-		return false
-	}
-	for i := range a.Counts {
-		if len(a.Counts[i]) != len(b.Counts[i]) {
-			return false
-		}
-	}
-	return true
-}
+// Index returns the current vector's position in the walk: its Position.
+func (w *Walk) Index() int { return w.index }

@@ -10,7 +10,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/sim"
@@ -84,9 +84,8 @@ func candidateThreads(topo []sim.HWInfo, p sim.ProcView) []sim.HWThread {
 		}
 		return out
 	}
-	out := make([]sim.HWThread, len(p.Affinity))
-	copy(out, p.Affinity)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(p.Affinity)
+	slices.Sort(out)
 	return out
 }
 
@@ -97,6 +96,9 @@ func candidateThreads(topo []sim.HWInfo, p sim.ProcView) []sim.HWThread {
 type CFS struct{}
 
 var _ sim.Scheduler = CFS{}
+
+// TracksUtil implements sim.Scheduler.
+func (CFS) TracksUtil() bool { return false }
 
 // Name implements sim.Scheduler.
 func (CFS) Name() string { return "cfs" }
@@ -120,6 +122,9 @@ type EAS struct{}
 const easBigThreshold = 0.65
 
 var _ sim.Scheduler = EAS{}
+
+// TracksUtil implements sim.Scheduler.
+func (EAS) TracksUtil() bool { return true }
 
 // Name implements sim.Scheduler.
 func (EAS) Name() string { return "eas" }
@@ -161,6 +166,9 @@ type ITD struct {
 const itdBenefitThreshold = 1.35
 
 var _ sim.Scheduler = ITD{}
+
+// TracksUtil implements sim.Scheduler.
+func (ITD) TracksUtil() bool { return false }
 
 // Name implements sim.Scheduler.
 func (ITD) Name() string { return "itd" }

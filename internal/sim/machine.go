@@ -3,7 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/harp-rm/harp/internal/mathx"
@@ -18,8 +18,9 @@ const (
 	// DefaultMigrationStall is the progress lost when the resource manager
 	// moves a process to different cores (cache refill, thread migration).
 	DefaultMigrationStall = 8 * time.Millisecond
-	// rebalanceEvery is how often the OS scheduler re-places threads even
-	// without topology changes (load-balancing ticks).
+	// rebalanceEvery is how often an OS scheduler that tracks utilisation
+	// re-places threads even without topology changes (load-balancing
+	// ticks).
 	rebalanceEvery = 200 * time.Millisecond
 )
 
@@ -139,17 +140,12 @@ func (m *Machine) Platform() *platform.Platform { return m.plat }
 func (m *Machine) Now() time.Duration { return m.now }
 
 // Topology returns a copy of the hardware-thread table.
-func (m *Machine) Topology() []HWInfo {
-	out := make([]HWInfo, len(m.topo))
-	copy(out, m.topo)
-	return out
-}
+func (m *Machine) Topology() []HWInfo { return slices.Clone(m.topo) }
 
 // Energy returns a snapshot of the machine's energy sensors.
 func (m *Machine) Energy() EnergyReading {
 	e := m.energy
-	e.ByKindJ = make([]float64, len(m.energy.ByKindJ))
-	copy(e.ByKindJ, m.energy.ByKindJ)
+	e.ByKindJ = slices.Clone(e.ByKindJ)
 	return e
 }
 
@@ -248,20 +244,14 @@ func (m *Machine) SetAffinity(id ProcID, hw []HWThread) error {
 		if len(hw) == 0 {
 			return fmt.Errorf("sim: empty affinity for %s", p.name)
 		}
-		seen := make(map[HWThread]bool, len(hw))
-		cp := make([]HWThread, 0, len(hw))
 		for _, h := range hw {
 			if h < 0 || int(h) >= len(m.topo) {
 				return fmt.Errorf("sim: hardware thread %d out of range", h)
 			}
-			if seen[h] {
-				continue
-			}
-			seen[h] = true
-			cp = append(cp, h)
 		}
-		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-		p.affinity = cp
+		cp := slices.Clone(hw)
+		slices.Sort(cp)
+		p.affinity = slices.Compact(cp)
 	}
 	p.stallUntil = m.now + m.migrationStall
 	m.dirty = true
@@ -285,7 +275,7 @@ func (m *Machine) SetRateTax(id ProcID, tax float64) error {
 
 // Step advances the machine by one quantum.
 func (m *Machine) Step() error {
-	if m.now-m.lastPlace >= rebalanceEvery {
+	if m.now-m.lastPlace >= rebalanceEvery && m.sched.TracksUtil() {
 		m.dirty = true
 	}
 	if m.dirty {
@@ -304,7 +294,7 @@ func (m *Machine) Step() error {
 		m.busyCore[i] = 0
 	}
 	for _, pid := range m.order {
-		for _, hw := range m.effectiveAssignment(pid) {
+		for _, hw := range m.placement[pid] {
 			m.loads[hw]++
 		}
 	}
@@ -318,7 +308,7 @@ func (m *Machine) Step() error {
 	// First pass: unconstrained responses.
 	need := 0
 	for _, pid := range m.order {
-		need += len(m.effectiveAssignment(pid))
+		need += len(m.placement[pid])
 	}
 	if need > len(m.slots) {
 		m.slots = make([]workload.Slot, need)
@@ -332,7 +322,7 @@ func (m *Machine) Step() error {
 		states = append(states, evalState{proc: p})
 		st := &states[len(states)-1]
 		if m.now >= p.stallUntil {
-			asg := m.effectiveAssignment(pid)
+			asg := m.placement[pid]
 			if len(asg) > 0 {
 				end := off + len(asg)
 				st.hws = asg
@@ -377,7 +367,7 @@ func (m *Machine) Step() error {
 			hw := st.hws[j]
 			m.busyByHW[hw] += b
 			info := m.topo[hw]
-			kind := m.plat.Kinds[info.Kind]
+			kind := &m.plat.Kinds[info.Kind]
 			p.counters.CPUTimeByKind[info.Kind] += b * dt
 			p.counters.DynEnergyJ += kind.ActiveWatts * kind.PowerShare(m.busyCore[info.Core]) *
 				b * busyFreq * busyFreq * dt
@@ -451,12 +441,7 @@ func (m *Machine) Step() error {
 	for _, pid := range finished {
 		p := m.procs[pid]
 		delete(m.procs, pid)
-		for i, id := range m.order {
-			if id == pid {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
+		m.order = slices.DeleteFunc(m.order, func(id ProcID) bool { return id == pid })
 		m.dirty = true
 		for _, fn := range m.onExit {
 			fn(p)
@@ -504,14 +489,14 @@ func (m *Machine) RunUntilIdle(horizon time.Duration) error {
 	return nil
 }
 
-// place invokes the scheduler and validates its output.
+// place invokes the scheduler and validates its output, which the machine
+// keeps as the placement.
 func (m *Machine) place() error {
 	views := make([]ProcView, 0, len(m.order))
 	for _, pid := range m.order {
 		views = append(views, m.procs[pid].view())
 	}
 	asg := m.sched.Place(m.Topology(), views)
-	placement := make(map[ProcID][]HWThread, len(m.order))
 	for _, pid := range m.order {
 		p := m.procs[pid]
 		hws, ok := asg[pid]
@@ -522,33 +507,19 @@ func (m *Machine) place() error {
 			return fmt.Errorf("sim: scheduler %s placed %d threads for %s, want %d",
 				m.sched.Name(), len(hws), p.name, p.threads)
 		}
-		allowed := map[HWThread]bool{}
-		if p.affinity != nil {
-			for _, h := range p.affinity {
-				allowed[h] = true
-			}
-		}
-		cp := make([]HWThread, len(hws))
-		for i, h := range hws {
+		for _, h := range hws {
 			if h < 0 || int(h) >= len(m.topo) {
 				return fmt.Errorf("sim: scheduler %s placed %s on bad hw thread %d",
 					m.sched.Name(), p.name, h)
 			}
-			if p.affinity != nil && !allowed[h] {
+			if p.affinity != nil && !slices.Contains(p.affinity, h) {
 				return fmt.Errorf("sim: scheduler %s violated affinity of %s (hw %d)",
 					m.sched.Name(), p.name, h)
 			}
-			cp[i] = h
 		}
-		placement[pid] = cp
 	}
-	m.placement = placement
+	m.placement = asg
 	m.dirty = false
 	m.lastPlace = m.now
 	return nil
-}
-
-// effectiveAssignment returns the current placement of a process.
-func (m *Machine) effectiveAssignment(pid ProcID) []HWThread {
-	return m.placement[pid]
 }

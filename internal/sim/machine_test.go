@@ -16,6 +16,8 @@ type spreadSched struct{}
 
 func (spreadSched) Name() string { return "spread" }
 
+func (spreadSched) TracksUtil() bool { return false }
+
 func (spreadSched) Place(topo []HWInfo, procs []ProcView) map[ProcID][]HWThread {
 	out := make(map[ProcID][]HWThread, len(procs))
 	for _, p := range procs {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"github.com/harp-rm/harp/internal/mathx"
@@ -45,14 +46,7 @@ func (p *Proc) Threads() int { return p.threads }
 
 // Affinity returns the allowed hardware threads (nil = unrestricted). The
 // returned slice is a copy.
-func (p *Proc) Affinity() []HWThread {
-	if p.affinity == nil {
-		return nil
-	}
-	out := make([]HWThread, len(p.affinity))
-	copy(out, p.affinity)
-	return out
-}
+func (p *Proc) Affinity() []HWThread { return slices.Clone(p.affinity) }
 
 // Done reports whether the process has finished its work.
 func (p *Proc) Done() bool { return p.done }
@@ -66,8 +60,7 @@ func (p *Proc) FinishedAt() time.Duration { return p.finishedAt }
 // Counters returns a snapshot of the accumulated execution metrics.
 func (p *Proc) Counters() Counters {
 	c := p.counters
-	c.CPUTimeByKind = make([]float64, len(p.counters.CPUTimeByKind))
-	copy(c.CPUTimeByKind, p.counters.CPUTimeByKind)
+	c.CPUTimeByKind = slices.Clone(c.CPUTimeByKind)
 	return c
 }
 

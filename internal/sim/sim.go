@@ -88,11 +88,18 @@ type ProcView struct {
 }
 
 // Scheduler is the OS-level thread placement policy. Place is invoked
-// whenever the process set, thread counts or affinities change; it must
-// return, for every process, one hardware thread per application thread
-// (duplicates allowed — they time-share).
+// whenever the process set, thread counts or affinities change and, for a
+// scheduler whose TracksUtil reports true, also on every 200 ms
+// load-balancing tick; it must return, for every process, one hardware
+// thread per application thread (duplicates allowed — they time-share),
+// in a map the machine keeps until the next placement.
 type Scheduler interface {
 	Name() string
+	// TracksUtil reports whether Place reads ProcView.AvgThreadUtil, which
+	// moves every quantum. A scheduler that reads only the process set,
+	// thread counts, affinities and MemBound places the same way until one
+	// of them changes, so the machine skips its periodic re-placement.
+	TracksUtil() bool
 	Place(topo []HWInfo, procs []ProcView) map[ProcID][]HWThread
 }
 

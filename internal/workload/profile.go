@@ -231,7 +231,7 @@ func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions
 	minRate, maxRate := math.Inf(1), 0.0
 	var sumRate float64
 	for _, s := range slots {
-		kind := plat.Kinds[s.Kind]
+		kind := &plat.Kinds[s.Kind]
 		base := kind.ComputeRate() * s.FreqScale * (1 - p.MemBound*kind.MemPenalty)
 		smt := 1.0
 		if s.BusyOnCore > 1 {
@@ -241,13 +241,13 @@ func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions
 		r := base * smt * s.Share
 		sumRate += r
 		sumShare += s.Share
-		minRate = math.Min(minRate, r)
-		maxRate = math.Max(maxRate, r)
+		minRate = min(minRate, r)
+		maxRate = max(maxRate, r)
 	}
 
 	// Time-sharing overheads: context switching for everyone, lock-holder
 	// preemption on top for barrier-coupled apps.
-	oversub := float64(n) / math.Max(sumShare, 1e-9)
+	oversub := float64(n) / max(sumShare, 1e-9)
 	if oversub > 1 {
 		eff := 1 / (1 + csOverheadAlpha*(oversub-1))
 		if p.Barrier && !p.DynamicLoad {
@@ -279,7 +279,7 @@ func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions
 
 	// Memory bandwidth ceiling.
 	if p.MemBound > 0 && cond.MemBWGips > 0 {
-		parallel = math.Min(parallel, cond.MemBWGips/p.MemBound)
+		parallel = min(parallel, cond.MemBWGips/p.MemBound)
 	}
 
 	// Amdahl blend: serial phases run on the fastest granted thread.
@@ -292,7 +292,7 @@ func (p *Profile) Respond(plat *platform.Platform, slots []Slot, cond Conditions
 	// is useful versus waiting.
 	phi := 1.0
 	if sumRate > 0 {
-		phi = math.Min(1, useful/sumRate)
+		phi = min(1, useful/sumRate)
 	}
 
 	resp := Response{
