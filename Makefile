@@ -60,17 +60,18 @@ race:
 # replaced and its stickiness and placement invariant, the polynomial's
 # prediction, the lazily fitted predicted table, the configuration-space walk,
 # the explorer's choices on it and the simulator's step with reused buffers
-# and skipped re-placements against their references, the full-run
-# invariant suites over simulated chaos and churn runs and random Manager
-# operation sequences, and the
+# and skipped re-placements against their references, the store's upload
+# merge against the Upsert loop, the full-run invariant suites over
+# simulated chaos and churn runs and random Manager operation sequences, the
+# check that no table or decision vector is written once handed out, and the
 # pinned decision-journal digests of the paper's Fig. 6 scenarios and of the
 # simulated fleet. Failures
 # print a shrunk counterexample and a one-line repro; set HARP_CHECK_ARTIFACTS
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference' \
-		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/ ./internal/platform/
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference|TestHandedOutTablesNeverChange|TestReplayedUploadsMatchUpsertLoop' \
+		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/ ./internal/platform/ ./internal/store/
 
 # invariants-long is the nightly sweep: the same harness over an order of
 # magnitude more seeded scenarios (20000 differential seeds per solver).
@@ -116,9 +117,13 @@ fuzz-smoke:
 # for three seconds per workload. It is a correctness gate, not a timing
 # verdict: the run exits non-zero when an operation fails or an output check
 # (the activation checks, the sampled check.CheckAllocations over the standing
-# decisions, the energy_x guards) is violated. Builds into .bench_build/.
+# decisions, the energy_x guards) is violated. It then gates the tick: a
+# traced three-second churn-10k run fails when more than 1 % of its ticks take
+# over 50 ms, or when the metric is missing (scripts/tick-gate.sh). Builds
+# into .bench_build/.
 bench-check:
 	bash benchmark/run.sh --seconds 3
+	./scripts/tick-gate.sh
 
 # bench-record appends this checkout's benchmark numbers — every workload
 # three times at seed 1, the contract's 20 s — to the committed

@@ -32,6 +32,7 @@ var apiAllow = map[string]string{
 	"faultsim.WrapListener":     faultWrappers,
 	"faultsim.Listener.Conns":   faultWrappers,
 	"faultsim.Generate":         "seeded plan generator of faultsim's tests and of harpsim's chaos, invariant and overload suites",
+	"store.Store.Err":           "the one reader of the store's sticky error is TestStoreErrIsStickyButNonFatal; the record stays for an embedder to surface",
 	"telemetry.ReadJournal":     "harpsim's invariant and chaos tests replay journals with it; ROADMAP 15's checkpointed journal reads it in the program",
 	"core.Config.ShardedAlloc":  "a deprecated no-op the frozen benchmark/ still sets; ROADMAP 1(d) deletes it with the other sharding shims",
 }
@@ -170,11 +171,12 @@ func listAPI(patterns ...string) (apiModule, error) {
 // nothing.
 //
 // An identifier is read when a non-test file uses it; a type is also read
-// when one of its fields or methods is. A method is exempt when a method of
-// its name is called anywhere (calls through interfaces and type
-// assertions), or when its type implements an interface that declares it
-// and that is declared in the module, is one of implicitIfaces, or is one a
-// value of the type is converted to (ifaceFlows). A field is written by an unkeyed composite
+// when one of its fields or methods is. A method is read when a selection
+// resolves to it, or when its type implements an interface declaring it
+// that is declared in the module, is selected on (a type assertion's
+// interface literal), is one of implicitIfaces, or is one a value of the
+// type is converted to (ifaceFlows) — and the interface's method is itself
+// selected, unless the standard library declares it. A field is written by an unkeyed composite
 // literal too; embedded, blank and JSON-tagged wire fields are exempt.
 func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 	info := &types.Info{
@@ -200,12 +202,6 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 
 	used := map[types.Object]bool{}
 	written := map[*ast.Ident]bool{} // the field keys of keyed struct literals
-	called := map[string]bool{}
-	for _, sel := range info.Selections {
-		if sel.Kind() != types.FieldVal {
-			called[sel.Obj().Name()] = true
-		}
-	}
 	for _, p := range m.pkgs {
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -245,10 +241,22 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 		}
 	}
 
-	var ifaces []*types.Interface // declared in the module, or looked for in any value
+	// ifaces are the interfaces a method may be read through: declared in
+	// the module, selected on (the type assertions' interface literals), or
+	// looked for in any value. An interface method declared in the module
+	// counts only when a non-test selection resolves to it; the standard
+	// library calls its own.
+	var ifaces []*types.Interface
+	selected := map[types.Object]bool{}
 	addIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !isGeneric(t) {
 			ifaces = append(ifaces, it)
+		}
+	}
+	for _, sel := range info.Selections {
+		if sel.Kind() != types.FieldVal && types.IsInterface(sel.Recv()) {
+			selected[sel.Obj()] = true
+			addIface(sel.Recv())
 		}
 	}
 	for _, p := range m.pkgs {
@@ -282,7 +290,8 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 				continue
 			}
 			for i := 0; i < it.NumMethods(); i++ {
-				if it.Method(i).Name() == method {
+				fn := it.Method(i)
+				if fn.Name() == method && (selected[fn] || fn.Pkg() == nil || checked[fn.Pkg().Path()] == nil) {
 					return true
 				}
 			}
@@ -320,7 +329,7 @@ func checkAPI(m apiModule, allow map[string]string) ([]string, error) {
 				fn := named.Method(i)
 				if used[fn] {
 					read = true
-				} else if fn.Exported() && !called[fn.Name()] && !satisfies(named.Obj(), fn.Name()) {
+				} else if fn.Exported() && !satisfies(named.Obj(), fn.Name()) {
 					members = append(members, at(fn, key+"."+fn.Name()))
 				}
 			}
@@ -621,10 +630,13 @@ func TestCheckAPIRules(t *testing.T) {
 			want: []string{"internal/a/a.go:5:6: a.Unread has no non-test reader"},
 		},
 		{
-			name: "an interface-satisfying method or a called name is exempt",
+			name: "a method read through a module interface is exempt only when the interface's method is selected",
 			a: `package a
 
-type Shape interface{ Area() float64 }
+type Shape interface {
+	Area() float64
+	Side() float64
+}
 
 type Sq struct{}
 
@@ -633,13 +645,24 @@ func (Sq) Area() float64 { return 1 }
 func (Sq) Side() float64 { return 1 }
 
 func (Sq) Extra() int { return 0 }
-
-type Other struct{}
-
-func (Other) Side() float64 { return 2 }
 `,
-			main: reader + "func main() { var s a.Shape = a.Sq{}; _ = s; _ = a.Other{}.Side() }\n",
-			want: []string{"internal/a/a.go:11:11: a.Sq.Extra has no non-test reader"},
+			main: reader + "func main() { var s a.Shape = a.Sq{}; _ = s.Area() }\n",
+			want: []string{
+				"internal/a/a.go:12:11: a.Sq.Side has no non-test reader",
+				"internal/a/a.go:14:11: a.Sq.Extra has no non-test reader",
+			},
+		},
+		{
+			name: "of two types with a same-named method, only the called one is read",
+			a:    "package a\n\ntype A struct{}\n\nfunc (A) Run() {}\n\ntype B struct{}\n\nfunc (B) Run() {}\n",
+			main: reader + "func main() { a.A{}.Run(); _ = a.B{} }\n",
+			want: []string{"internal/a/a.go:9:10: a.B.Run has no non-test reader"},
+		},
+		{
+			name: "a method selected through a type assertion's interface literal is read",
+			a:    "package a\n\ntype P struct{}\n\nfunc (P) Probe() {}\n\nfunc (P) Skip() {}\n\nfunc New() any { return P{} }\n",
+			main: reader + "func main() {\n\tif p, ok := a.New().(interface{ Probe() }); ok {\n\t\tp.Probe()\n\t}\n\t_, _ = a.New().(interface{ Skip() })\n}\n",
+			want: []string{"internal/a/a.go:7:10: a.P.Skip has no non-test reader"},
 		},
 		{
 			name: "a standard-library interface exempts a method only when the type is used as it",

@@ -2,8 +2,10 @@ package harp
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -121,7 +123,11 @@ func TestLoadPlatform(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hw.json")
-	if err := platform.OdroidXU3().SaveFile(path); err != nil {
+	desc, err := json.Marshal(platform.OdroidXU3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, desc, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	p, err = LoadPlatform(path)

@@ -367,7 +367,8 @@ func (s *Server) sessionsLocked() []core.SessionInfo {
 	return infos
 }
 
-// TableSnapshot returns a session's operating-point table (for harpctl).
+// TableSnapshot returns a session's operating-point table (for harpctl). The
+// table is shared, never written: later learning replaces it.
 func (s *Server) TableSnapshot(instance string) (*opoint.Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -53,6 +53,10 @@ type ChurnOptions struct {
 	// VerifyEvery differentially verifies every n-th solved epoch against
 	// check.CheckAllocations and check.CheckPlacement (0 disables).
 	VerifyEvery int
+
+	// allocator replaces the run's solver (nil builds the cached one). Only
+	// tests set it, as Options.allocator.
+	allocator core.Allocator
 }
 
 // ChurnResult reports one churn run.
@@ -143,12 +147,15 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	tracer := telemetry.NewTracer(16)
 	tracer.SetClock(func() time.Duration { return now })
 
-	inner, err := alloc.New(plat,
-		alloc.WithCache(alloc.DefaultCacheSize),
-		alloc.WithIncremental(opts.Incremental),
-	)
-	if err != nil {
-		return nil, err
+	inner := opts.allocator
+	if inner == nil {
+		var err error
+		if inner, err = alloc.New(plat,
+			alloc.WithCache(alloc.DefaultCacheSize),
+			alloc.WithIncremental(opts.Incremental),
+		); err != nil {
+			return nil, err
+		}
 	}
 	verifier := &verifyingAllocator{inner: inner}
 

@@ -259,7 +259,8 @@ type Snapshot struct {
 	// AllStable reports whether every application had reached the stable
 	// stage.
 	AllStable bool
-	// Tables are deep copies of the per-application operating-point tables.
+	// Tables are the per-application operating-point tables, shared and never
+	// written: later learning replaces a table instead of editing it.
 	Tables map[string]*opoint.Table
 }
 

@@ -3,8 +3,10 @@ package check
 import (
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/harp-rm/harp/internal/alloc"
+	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
 )
 
@@ -17,13 +19,13 @@ type FailFunc func(p *platform.Platform, inputs []alloc.AppInput) error
 // whole applications, then individual operating points, keeping every
 // reduction under which fail still returns an error, until a fixpoint. The
 // returned instance is the smallest found, together with the failure it
-// still produces. Inputs are never mutated; shrunk tables are copies.
+// still produces. Inputs are never written; shrunk tables are new tables.
 //
 // Greedy one-at-a-time deletion is not globally minimal, but in practice it
 // collapses 4-app × 8-point counterexamples to the 2-app × 2-point core of
 // the bug, which is what a human needs to see.
 func Shrink(p *platform.Platform, inputs []alloc.AppInput, fail FailFunc) ([]alloc.AppInput, error) {
-	cur := cloneInputs(inputs)
+	cur := slices.Clone(inputs)
 	err := fail(p, cur)
 	if err == nil {
 		return cur, nil
@@ -35,48 +37,34 @@ func Shrink(p *platform.Platform, inputs []alloc.AppInput, fail FailFunc) ([]all
 			if len(cur) == 1 {
 				break
 			}
-			cand := append(append([]alloc.AppInput{}, cur[:i]...), cur[i+1:]...)
+			cand := slices.Delete(slices.Clone(cur), i, i+1)
 			if e := fail(p, cand); e != nil {
 				cur, err = cand, e
 				shrunk = true
 				i--
 			}
 		}
-		// Drop individual operating points.
+		// Drop individual operating points. Each attempt builds a fresh
+		// table: the solver under test may have read (and memoised) the
+		// current one.
 		for i := 0; i < len(cur); i++ {
-			tbl := cur[i].Table
-			if tbl == nil {
-				continue
-			}
-			for j := 0; j < len(tbl.Points); j++ {
+			for j := 0; cur[i].Table != nil && j < len(cur[i].Table.Points); j++ {
+				tbl := cur[i].Table
 				if len(tbl.Points) == 1 {
 					break
 				}
-				cand := cloneInputs(cur)
-				ct := cand[i].Table
-				ct.Points = append(ct.Points[:j], ct.Points[j+1:]...)
-				ct.Invalidate()
+				cand := slices.Clone(cur)
+				cand[i].Table = &opoint.Table{App: tbl.App, Platform: tbl.Platform,
+					Points: slices.Delete(slices.Clone(tbl.Points), j, j+1)}
 				if e := fail(p, cand); e != nil {
 					cur, err = cand, e
 					shrunk = true
 					j--
-					tbl = cur[i].Table
 				}
 			}
 		}
 	}
 	return cur, err
-}
-
-func cloneInputs(inputs []alloc.AppInput) []alloc.AppInput {
-	out := make([]alloc.AppInput, len(inputs))
-	for i, in := range inputs {
-		out[i] = in
-		if in.Table != nil {
-			out[i].Table = in.Table.Clone()
-		}
-	}
-	return out
 }
 
 // WriteArtifact saves a counterexample dump under $HARP_CHECK_ARTIFACTS for

@@ -533,7 +533,7 @@ func TestEndedSetIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.ended.len(); got > recentDepartures {
+	if got := len(m.ended.at); got > recentDepartures {
 		t.Fatalf("%d departed instances remembered after 50k cycles, bound is %d", got, recentDepartures)
 	}
 	if got := len(m.ended.ring); got > recentDepartures {
@@ -563,7 +563,7 @@ func TestRecentSet(t *testing.T) {
 	}
 	r.add("b") // takes b's own stale slot; c survives
 	r.add("e") // evicts c
-	if r.has("c") || !r.has("d") || !r.has("b") || !r.has("e") || r.len() != 3 {
+	if r.has("c") || !r.has("d") || !r.has("b") || !r.has("e") || len(r.at) != 3 {
 		t.Fatalf("after wrap: %v", r.at)
 	}
 }

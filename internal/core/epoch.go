@@ -802,8 +802,9 @@ func (m *Manager) pushParked(s *session) {
 }
 
 // pushBase pushes an allocator decision unchanged. The allocation is
-// compared with the standing decision first; the Decision — a vector clone
-// and a heap-held struct — is only built when something actually moved.
+// compared with the standing decision first; the Decision — a heap-held
+// struct sharing the allocation's vector and grants — is only built when
+// something actually moved.
 func (m *Manager) pushBase(s *session, al *alloc.Allocation) {
 	threads := m.threadsFor(s, al.Point.Vector)
 	if d := s.last; d != nil && !d.Exploring && d.Threads == threads && d.CoAllocated == al.CoAllocated &&
@@ -812,7 +813,7 @@ func (m *Manager) pushBase(s *session, al *alloc.Allocation) {
 	}
 	m.commit(s, &Decision{
 		Instance:        s.instance,
-		Vector:          al.Point.Vector.Clone(),
+		Vector:          al.Point.Vector,
 		Threads:         threads,
 		Grants:          al.Grants,
 		CoAllocated:     al.CoAllocated,
@@ -839,9 +840,9 @@ func (m *Manager) push(s *session, d Decision) {
 }
 
 // commit makes d the session's standing decision and announces it. The
-// decision's slices are shared with every receiver and must never be written
-// again: Grants alias the solver's (immutable) grant list, Vector is the
-// decision's own clone.
+// decision's slices are shared, never written: Grants alias the solver's
+// (immutable) grant list, Vector the chosen point's vector or the explorer's
+// probe.
 func (m *Manager) commit(s *session, d *Decision) {
 	m.seq++
 	d.Seq = m.seq

@@ -98,7 +98,7 @@ func TestExhaustedBoundWaitsForCadence(t *testing.T) {
 	if got := measured(); got != 1 {
 		t.Fatalf("x measured %d configurations, want 1", got)
 	}
-	if st, _ := m.Stage("x"); st == explore.StageStable {
+	if stageOf(t, m, "x") == explore.StageStable {
 		t.Fatal("x graduated; the fixture needs it still exploring")
 	}
 	if rec.last["x"].Exploring {

@@ -113,8 +113,9 @@ type SessionInfo struct {
 //   - Ownership. The returned allocations, their grant lists and
 //     Stats.Changed belong to the solver: the Manager only reads them, and
 //     only until it calls the solver again. What it keeps beyond that — a
-//     pushed Decision — holds its own clone of the vector and shares the grant
-//     list, which a solver must therefore never write again once returned.
+//     pushed Decision — shares the chosen point's vector, which is never
+//     written once built (opoint.Table), and the grant list, which a solver
+//     must therefore never write again once returned.
 //     A wrapper that forwards a solve (the benchmark's tracing seam does)
 //     passes allocations and Stats through untouched.
 //   - Delta. Stats.Changed, when non-nil, lists the input positions whose
@@ -805,18 +806,6 @@ func (m *Manager) session(instance string) (*session, error) {
 	return s, nil
 }
 
-// Stage returns a session's exploration maturity.
-func (m *Manager) Stage(instance string) (explore.Stage, error) {
-	s, err := m.session(instance)
-	if err != nil {
-		return 0, err
-	}
-	if m.cfg.DisableExploration {
-		return explore.StageStable, nil
-	}
-	return s.explorer.Stage(), nil
-}
-
 // AllStable reports whether every session has reached the stable stage
 // (Fig. 8's background shading).
 func (m *Manager) AllStable() bool {
@@ -873,23 +862,23 @@ func (m *Manager) Sessions() []SessionInfo {
 // distributed per-machine power cap.
 func (m *Manager) StandingPowerW() float64 { return m.standingPowerW }
 
-// Table returns a snapshot of a session's learned operating points —
-// harpctl uses this, and Fig. 8 snapshots it every 5 s.
+// Table returns a session's learned operating points — harpctl uses this.
+// The table is shared, never written: later learning replaces it.
 func (m *Manager) Table(instance string) (*opoint.Table, error) {
 	s, err := m.session(instance)
 	if err != nil {
 		return nil, err
 	}
-	return s.explorer.Table().Clone(), nil
+	return s.explorer.Table(), nil
 }
 
-// LearnedTables returns a deep copy of every application's operating-point
-// table, keyed by application name — what /etc/harp accumulates over time
-// and what Fig. 8 snapshots during the learning phase.
+// LearnedTables returns every application's operating-point table, keyed by
+// application name — what /etc/harp accumulates over time and what Fig. 8
+// snapshots during the learning phase. The tables are shared, never written.
 func (m *Manager) LearnedTables() map[string]*opoint.Table {
 	out := make(map[string]*opoint.Table, len(m.explorers))
 	for app, e := range m.explorers {
-		out[app] = e.Table().Clone()
+		out[app] = e.Table()
 	}
 	return out
 }

@@ -108,9 +108,6 @@ func TestUnknownSessionErrors(t *testing.T) {
 	if err := m.Deregister("ghost"); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("Deregister(ghost) = %v", err)
 	}
-	if _, err := m.Stage("ghost"); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("Stage(ghost) = %v", err)
-	}
 	if _, err := m.Table("ghost"); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("Table(ghost) = %v", err)
 	}
@@ -135,10 +132,7 @@ func TestOfflineModeUsesDescriptionTables(t *testing.T) {
 	if d.Exploring {
 		t.Error("offline-mode decision marked exploring")
 	}
-	stage, err := m.Stage("mg-1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stage := stageOf(t, m, "mg-1")
 	if stage != explore.StageStable {
 		t.Errorf("offline stage = %v, want stable", stage)
 	}
@@ -167,10 +161,7 @@ func TestOnlineLearningReachesStable(t *testing.T) {
 	}
 
 	for i := 0; i < 500; i++ {
-		stage, err := m.Stage("ft-1")
-		if err != nil {
-			t.Fatal(err)
-		}
+		stage := stageOf(t, m, "ft-1")
 		if stage == explore.StageStable {
 			break
 		}
@@ -180,10 +171,7 @@ func TestOnlineLearningReachesStable(t *testing.T) {
 			t.Fatalf("Measure: %v", err)
 		}
 	}
-	stage, err := m.Stage("ft-1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stage := stageOf(t, m, "ft-1")
 	if stage != explore.StageStable {
 		t.Fatalf("stage after learning = %v, want stable", stage)
 	}
@@ -391,10 +379,7 @@ func TestUploadTable(t *testing.T) {
 	if err := m.UploadTable("e", offlineTable(p, prof)); err != nil {
 		t.Fatalf("UploadTable: %v", err)
 	}
-	stage, err := m.Stage("e")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stage := stageOf(t, m, "e")
 	if stage != explore.StageStable {
 		t.Errorf("stage after full table upload = %v, want stable", stage)
 	}

@@ -56,5 +56,3 @@ func (r *recentSet) has(id string) bool {
 	_, ok := r.at[id]
 	return ok
 }
-
-func (r *recentSet) len() int { return len(r.at) }

@@ -59,12 +59,14 @@ type SnapshotWriter interface {
 // ExportState captures the Manager's durable state: every application's
 // learned operating-point table, the registered sessions, and the
 // decision-sequence high-water. Sessions are sorted by instance so the
-// snapshot bytes are deterministic.
+// snapshot bytes are deterministic. The tables are the explorers' own,
+// shared and never written, so the state can be encoded while the manager
+// runs on.
 func (m *Manager) ExportState() *store.State {
 	st := store.NewState()
 	st.Seq = m.seq
 	for app, e := range m.explorers {
-		st.Tables[app] = e.Table().Clone()
+		st.Tables[app] = e.Table()
 	}
 	for _, s := range m.order {
 		if s == nil {

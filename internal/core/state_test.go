@@ -12,14 +12,24 @@ import (
 	"github.com/harp-rm/harp/internal/workload"
 )
 
+// stageOf reads a session's exploration stage from Sessions.
+func stageOf(t *testing.T, m *Manager, instance string) explore.Stage {
+	t.Helper()
+	for _, info := range m.Sessions() {
+		if info.Instance == instance {
+			return info.Stage
+		}
+	}
+	t.Fatalf("no session %s", instance)
+	return 0
+}
+
 // driveToStable feeds Measure samples until the session graduates (or the
 // iteration budget runs out).
 func driveToStable(t *testing.T, m *Manager, instance string) {
 	t.Helper()
 	for i := 0; i < 500; i++ {
-		if stage, err := m.Stage(instance); err != nil {
-			t.Fatal(err)
-		} else if stage == explore.StageStable {
+		if stageOf(t, m, instance) == explore.StageStable {
 			return
 		}
 		if err := m.Measure(instance, 100+float64(i), 10); err != nil {
@@ -89,10 +99,7 @@ func TestWarmRestartThroughStore(t *testing.T) {
 	if err := m2.Register("ep-1", "ep.C", workload.Scalable, false); err != nil {
 		t.Fatal(err)
 	}
-	stage, err := m2.Stage("ep-1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stage := stageOf(t, m2, "ep-1")
 	if stage != explore.StageStable {
 		t.Fatalf("resumed stage = %v, want stable", stage)
 	}

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/harp-rm/harp/internal/mathx"
 	"github.com/harp-rm/harp/internal/opoint"
@@ -105,13 +104,12 @@ type Explorer struct {
 	utilSum    float64
 	powerSum   float64
 
-	// predTable memoises PredictedTable until the explorer's own table
-	// changes: between new measurements the models, and hence the
-	// predictions, are unchanged, so the allocator can reuse the same table
-	// (and its memoised facts) across reallocations. A SeedTable that changed
-	// the table and a committed Record — the only writers of the table —
-	// reset it to nil.
-	predTable *opoint.Table
+	// predTable memoises PredictedTable for the table predFrom. The table is
+	// replaced, never edited, whenever it changes (SeedTable, Record), so
+	// between new measurements the pointer — and with it the models and the
+	// predictions — is unchanged, and the allocator reuses the same table
+	// (and its memoised facts) across reallocations.
+	predTable, predFrom *opoint.Table
 }
 
 // New creates an explorer for the application on the given platform.
@@ -135,17 +133,17 @@ func New(plat *platform.Platform, app string, cfg Config) *Explorer {
 
 // SeedTable merges offline-generated operating points (e.g. from a
 // description file) into the explorer's table as measured points, and
-// reports whether the table changed. An identical re-upload changes nothing:
-// PredictedTable keeps returning the same table.
+// reports whether the table changed. A change replaces the table; an
+// identical re-upload allocates nothing, and Table and PredictedTable keep
+// returning the same tables.
 func (e *Explorer) SeedTable(t *opoint.Table) bool {
-	if !e.table.UpsertAll(t.Points, true) {
-		return false
-	}
-	e.predTable = nil
-	return true
+	old := e.table
+	e.table = old.Merge(t.Points, true)
+	return e.table != old
 }
 
-// Table returns the live operating-point table (measured points only).
+// Table returns the operating-point table (measured points only). It is
+// shared and never written: a change replaces it.
 func (e *Explorer) Table() *opoint.Table { return e.table }
 
 // Stage returns the application's maturity stage. Once stable, an
@@ -168,7 +166,7 @@ func (e *Explorer) Current() (platform.ResourceVector, bool) {
 	if !e.hasCurrent {
 		return platform.ResourceVector{}, false
 	}
-	return e.current.Clone(), true
+	return e.current, true
 }
 
 // Next selects the next configuration to measure, bounded by the per-kind
@@ -190,7 +188,7 @@ func (e *Explorer) Next(caps []int) (platform.ResourceVector, error) {
 			chosen = e.farthestPoint(candidates)
 		}
 	}
-	e.current = chosen.Clone()
+	e.current = chosen
 	e.hasCurrent = true
 	e.samples = 0
 	e.utilSum = 0
@@ -221,14 +219,13 @@ func (e *Explorer) Record(utility, power float64) (done bool, err error) {
 		return false, nil
 	}
 	n := float64(e.samples)
-	e.table.Upsert(opoint.OperatingPoint{
-		Vector:   e.current.Clone(),
+	e.table = e.table.Merge([]opoint.OperatingPoint{{
+		Vector:   e.current,
 		Utility:  e.utilSum / n,
 		Power:    e.powerSum / n,
 		Measured: true,
 		Samples:  e.samples,
-	})
-	e.predTable = nil
+	}}, false)
 	if e.cfg.Tracer.Enabled() {
 		e.cfg.Tracer.Emit(telemetry.Event{
 			Kind:    telemetry.EvTableUpdated,
@@ -254,38 +251,38 @@ func (e *Explorer) Abort() { e.hasCurrent = false }
 // points are returned.
 //
 // The result is memoised until the next measurement lands in the table, so
-// repeated calls (one per reallocation) return the same table; callers must
-// treat it as read-only.
+// repeated calls (one per reallocation) return the same table. Like Table,
+// it is shared and never written.
 func (e *Explorer) PredictedTable() *opoint.Table {
-	if e.predTable == nil {
-		e.predTable = e.predictedTable()
+	if e.predFrom != e.table {
+		e.predTable, e.predFrom = e.predictedTable(), e.table
 	}
 	return e.predTable
 }
 
-// predictedTable builds the prediction table uncached. The models are fitted
-// on the first configuration the table lacks, so a table that covers the
-// whole space is returned as its clone without a fit.
+// predictedTable builds the prediction table uncached. With nothing to
+// predict — the initial stage, a table covering the whole space, or a failed
+// fit — it is the table itself; otherwise a new table holding the table's
+// points, vectors shared, and the predictions.
 func (e *Explorer) predictedTable() *opoint.Table {
-	out := e.table.Clone()
 	if e.Stage() == StageInitial {
-		return out
+		return e.table
 	}
 	missing := e.candidates(nil)
-	out.Points = slices.Grow(out.Points, missing.n)
-	// The predictions' vectors are carved from two arrays sized for them.
-	// The clone's are not: the allocator's solution cache keeps the points
-	// it chose, and a cached point must not pin a table-sized array.
+	if missing.n == 0 {
+		return e.table
+	}
+	uModel, pModel, err := fitOn(e.cfg.Model, e.measuredPoints())
+	if err != nil {
+		return e.table
+	}
+	out := &opoint.Table{App: e.table.App, Platform: e.table.Platform,
+		Points: append(make([]opoint.OperatingPoint, 0, len(e.table.Points)+missing.n), e.table.Points...)}
+	// The predictions' vectors are carved from two arrays sized for them, so
+	// a cached prediction pins those arrays, not a table-sized one.
 	kinds := len(e.plat.Kinds)
 	rows, counts := make([][]int, missing.n*kinds), make([]int, missing.n*e.nf)
-	var uModel, pModel regress.Model
 	for w := e.walk(missing); missing.next(&w); {
-		if uModel == nil {
-			var err error
-			if uModel, pModel, err = fitOn(e.cfg.Model, e.measuredPoints()); err != nil {
-				return out
-			}
-		}
 		u, uErr := uModel.Predict(w.Features)
 		p, pErr := pModel.Predict(w.Features)
 		if uErr != nil || pErr != nil {

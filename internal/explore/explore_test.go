@@ -302,8 +302,6 @@ type negModel struct {
 	fitted bool
 }
 
-func (m *negModel) Name() string { return "neg" }
-
 func (m *negModel) Fit(x [][]float64, y []float64) error {
 	m.fitted = true
 	return nil
@@ -389,6 +387,49 @@ func TestIdenticalUploadKeepsPredictedTable(t *testing.T) {
 	}
 	if changed := e.PredictedTable(); changed == first || changed.Facts().Hi == first.Facts().Hi {
 		t.Fatalf("after a changed upload: same table %v; want a fresh table with new content", changed == first)
+	}
+}
+
+// The explorer replaces its table instead of editing it, so what it hands out
+// costs nothing: an identical re-upload allocates nothing and keeps Table,
+// Current allocates nothing, and the predicted table of a table covering
+// the whole space is that table. A changed upload leaves the table handed
+// out before it as it was.
+func TestUnchangedUploadAllocatesNothing(t *testing.T) {
+	plat := platform.OdroidXU3()
+	full := &opoint.Table{App: "x", Platform: plat.Name}
+	for i, rv := range platform.EnumerateVectors(plat, 0) {
+		full.Upsert(opoint.OperatingPoint{Vector: rv, Utility: float64(1 + i%7), Power: 1})
+	}
+	e := New(plat, "x", Config{})
+	e.SeedTable(full)
+	seeded := e.Table()
+	if allocs := testing.AllocsPerRun(10, func() { e.SeedTable(full) }); allocs != 0 {
+		t.Errorf("an identical re-upload allocates %.0f times, want 0", allocs)
+	}
+	if e.Table() != seeded {
+		t.Error("an identical re-upload replaced the table")
+	}
+	if e.PredictedTable() != seeded {
+		t.Error("the predicted table of a covering table is not the table itself")
+	}
+
+	changed := full.Clone()
+	changed.Points[0].Utility = 100
+	before := seeded.Points[0]
+	if !e.SeedTable(changed) || e.Table() == seeded {
+		t.Fatal("a changed upload did not replace the table")
+	}
+	if !reflect.DeepEqual(seeded.Points[0], before) {
+		t.Error("a changed upload wrote the table handed out before it")
+	}
+
+	e = odroidExplorer(Config{})
+	if _, err := e.Next([]int{4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.Current() }); allocs != 0 {
+		t.Errorf("Current allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -7,9 +7,7 @@
 package faultsim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -212,19 +210,6 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faultsim: fault %d: out of order (%v after %v)", i, f.At, prev)
 		}
 		prev = f.At
-	}
-	return nil
-}
-
-// Encode writes the plan as JSON.
-func (p *Plan) Encode(w io.Writer) error {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("faultsim: encode plan: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("faultsim: write plan: %w", err)
 	}
 	return nil
 }

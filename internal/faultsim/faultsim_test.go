@@ -17,10 +17,10 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("same seed produced different plans")
 	}
 	var ab, bb bytes.Buffer
-	if err := a.Encode(&ab); err != nil {
+	if err := json.NewEncoder(&ab).Encode(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Encode(&bb); err != nil {
+	if err := json.NewEncoder(&bb).Encode(b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
@@ -53,7 +53,7 @@ func TestPlanRoundTrip(t *testing.T) {
 	p := Generate(3, []string{"a", "b"}, 10*time.Second, 8,
 		KindCrash, KindHang, KindDropout, KindSlowReader, KindDisconnect, KindDelayWrites)
 	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(p); err != nil {
 		t.Fatal(err)
 	}
 	got := &Plan{}

@@ -61,13 +61,19 @@ func (o OperatingPoint) Usable(maxUtility float64) bool {
 
 // Table is an application's set of operating points.
 //
+// A table is written only by its builder, and never once it leaves it:
+// handed to an allocator, a snapshot, a caller or a Decision, a table and
+// the resource vectors of its points are shared and read-only. A table that
+// learns something new is replaced by a copy (Merge), never edited, so a
+// reader holding the old pointer keeps a consistent view without copying
+// it. See DESIGN.md ("Table facts").
+//
 // The table memoises its derived Facts (content hash, v*, footprint, Pareto
 // front) and its last clean validation, because the allocator reads them for
-// every application on every reallocation. All mutations must go through
-// Upsert/Sort, or call Invalidate after modifying Points in place; appends
-// that change len(Points) are detected without it. See DESIGN.md ("Table
-// facts"). Tables must not be mutated while another goroutine reads them,
-// but concurrent read-only use is safe and lock-free.
+// every application on every reallocation. A builder's Upsert and Sort keep
+// them current; a builder that edits Points in place calls Invalidate, and
+// appends that change len(Points) are detected without it. Concurrent
+// read-only use is safe and lock-free.
 type Table struct {
 	// App names the application the table belongs to.
 	App string `json:"app"`
@@ -111,10 +117,10 @@ type validation struct {
 	n    int
 }
 
-// Invalidate drops every memoised derived value. Callers that modify Points
-// in place (rather than through Upsert) must call it before the next read of
-// a derived value, otherwise stale values may be served. Length changes are
-// detected automatically; in-place edits are not.
+// Invalidate drops every memoised derived value. A builder that edits Points
+// in place (rather than through Upsert) calls it before the table leaves it;
+// length changes are detected without it. A table that has left its builder
+// is never edited, so no reader needs it.
 func (t *Table) Invalidate() {
 	t.facts.Store(nil)
 	t.valid.Store(nil)
@@ -203,59 +209,67 @@ func (t *Table) Lookup(rv platform.ResourceVector) (OperatingPoint, bool) {
 
 // Upsert inserts the point or replaces an existing one with the same vector.
 func (t *Table) Upsert(op OperatingPoint) {
-	defer t.Invalidate()
-	t.upsert(op, -1)
+	t.set(t.index(op.Vector, -1), op)
+	t.Invalidate()
 }
 
-// UpsertAll upserts every point of ops in order, marking each measured when
-// measured is set, and reports whether any point of the table changed. On a
-// table whose vectors are distinct — which Upsert and UpsertAll keep them —
-// the result equals an Upsert loop. It is built for re-uploads: a
-// description arrives in its own enumeration order, so each point is first
-// tried against the slot at its own index, and merging a table into one
-// holding the same vectors costs O(n) comparisons instead of O(n²). An
-// upload that changes nothing leaves the table — and its memoised facts —
-// as it was.
-func (t *Table) UpsertAll(ops []OperatingPoint, measured bool) (changed bool) {
+// Merge returns the table with every point of ops upserted in order, each
+// marked measured when measured is set. The receiver is never written: an
+// ops that changes nothing returns the receiver itself, allocating nothing
+// and keeping its memoised facts; otherwise the result is a new table whose
+// unchanged points share the receiver's vectors. On a table whose vectors
+// are distinct — which Upsert and Merge keep them — the content equals an
+// Upsert loop's. It is built for re-uploads: a description arrives in its
+// own enumeration order, so each point is first tried against the slot at
+// its own index, and merging a table into one holding the same vectors costs
+// O(n) comparisons instead of O(n²).
+func (t *Table) Merge(ops []OperatingPoint, measured bool) *Table {
+	out := t
 	for i, op := range ops {
 		op.Measured = op.Measured || measured
-		if t.upsert(op, i) {
-			changed = true
+		j := out.index(op.Vector, i)
+		if j >= 0 && out.Points[j].sameValues(op) {
+			continue // same vector, same values: nothing to write
 		}
+		if out == t {
+			out = t.Clone()
+		}
+		out.set(j, op)
 	}
-	if changed {
-		t.Invalidate()
-	}
-	return changed
+	return out
 }
 
-// upsert is Upsert without the invalidation, trying index hint before the
-// scan (hint < 0: no hint), and reports whether the table changed. With
-// distinct vectors a hit there is the only match, so the hint never changes
-// the outcome.
-func (t *Table) upsert(op OperatingPoint, hint int) bool {
-	i := hint
-	if i < 0 || i >= len(t.Points) || !t.Points[i].Vector.Equal(op.Vector) {
-		i = -1
-		for j := range t.Points {
-			if t.Points[j].Vector.Equal(op.Vector) {
-				i = j
-				break
-			}
+// index returns the position of the point with vector rv, trying index hint
+// before the scan, or -1. With distinct vectors a hit at the hint is the
+// only match, so the hint never changes the outcome.
+func (t *Table) index(rv platform.ResourceVector, hint int) int {
+	if hint >= 0 && hint < len(t.Points) && t.Points[hint].Vector.Equal(rv) {
+		return hint
+	}
+	for j := range t.Points {
+		if t.Points[j].Vector.Equal(rv) {
+			return j
 		}
 	}
+	return -1
+}
+
+// set appends op (i < 0) or replaces point i with it, keeping the stored,
+// equal vector: a decoded upload's vectors share one backing array
+// (internal/proto), which one adopted vector would pin.
+func (t *Table) set(i int, op OperatingPoint) {
 	if i < 0 {
 		t.Points = append(t.Points, op)
-		return true
+		return
 	}
-	if old := &t.Points[i]; old.Utility == op.Utility && old.Power == op.Power && old.Measured == op.Measured && old.Samples == op.Samples {
-		return false // same vector, same values: nothing to write
-	}
-	// Keep the stored, equal vector: a decoded upload's vectors share one
-	// backing array (internal/proto), which one adopted vector would pin.
 	op.Vector = t.Points[i].Vector
 	t.Points[i] = op
-	return true
+}
+
+// sameValues reports whether o carries op's values: replacing it by op would
+// write nothing.
+func (o *OperatingPoint) sameValues(op OperatingPoint) bool {
+	return o.Utility == op.Utility && o.Power == op.Power && o.Measured == op.Measured && o.Samples == op.Samples
 }
 
 // MeasuredCount returns the number of measured (not predicted) points.
@@ -279,14 +293,10 @@ func (t *Table) Sort() {
 	t.Invalidate()
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns a copy of the table that owns its points and shares their
+// vectors, which are never written (see Table).
 func (t *Table) Clone() *Table {
-	out := &Table{App: t.App, Platform: t.Platform, Points: make([]OperatingPoint, len(t.Points))}
-	for i, op := range t.Points {
-		op.Vector = op.Vector.Clone()
-		out.Points[i] = op
-	}
-	return out
+	return &Table{App: t.App, Platform: t.Platform, Points: slices.Clone(t.Points)}
 }
 
 // Pareto returns the subset of xs that is Pareto-optimal under the given

@@ -31,29 +31,3 @@ func LoadFile(path string) (*Platform, error) {
 	defer f.Close()
 	return Load(f)
 }
-
-// Save writes the platform as indented JSON to w.
-func (p *Platform) Save(w io.Writer) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p); err != nil {
-		return fmt.Errorf("platform: encode description: %w", err)
-	}
-	return nil
-}
-
-// SaveFile writes the platform description to path.
-func (p *Platform) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("platform: %w", err)
-	}
-	if err := p.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -23,8 +23,6 @@ var (
 // Model approximates a scalar response (utility or power) from an extended
 // resource vector's feature form.
 type Model interface {
-	// Name identifies the model family, e.g. "poly2".
-	Name() string
 	// Fit trains on the design matrix x (one row per sample) and targets y.
 	Fit(x [][]float64, y []float64) error
 	// Predict evaluates the fitted model; it returns an error if called

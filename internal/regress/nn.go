@@ -36,9 +36,6 @@ func NewNeuralNet(seed int64) *NeuralNet {
 	return &NeuralNet{seed: seed, hidden: 16, epochs: 300, lr: 0.01}
 }
 
-// Name implements Model.
-func (n *NeuralNet) Name() string { return "nn" }
-
 // Fit implements Model.
 func (n *NeuralNet) Fit(x [][]float64, y []float64) error {
 	nf, err := checkDesign(x, y)

@@ -30,9 +30,6 @@ func NewPolynomial(degree int) *Polynomial {
 	return &Polynomial{degree: degree}
 }
 
-// Name implements Model.
-func (p *Polynomial) Name() string { return fmt.Sprintf("poly%d", p.degree) }
-
 // MinSamples returns the number of samples needed to determine the model.
 func (p *Polynomial) MinSamples(nFeatures int) int {
 	return len(monomials(nFeatures, p.degree))

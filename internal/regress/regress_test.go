@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/mathx"
@@ -45,14 +46,21 @@ func subset(xs [][]float64, ys []float64, n int, seed int64) ([][]float64, []flo
 
 func TestRegistryNames(t *testing.T) {
 	reg := Registry(1)
-	for _, name := range []string{"poly1", "poly2", "poly3", "nn", "svm"} {
+	want := map[string]Model{
+		"poly1": NewPolynomial(1), "poly2": NewPolynomial(2), "poly3": NewPolynomial(3),
+		"nn": NewNeuralNet(1), "svm": NewSVM(),
+	}
+	if len(reg) != len(want) {
+		t.Errorf("registry holds %d factories, want %d", len(reg), len(want))
+	}
+	for name, m := range want {
 		f, ok := reg[name]
 		if !ok {
 			t.Errorf("registry missing %q", name)
 			continue
 		}
-		if got := f().Name(); got != name {
-			t.Errorf("factory %q builds model named %q", name, got)
+		if got := f(); !reflect.DeepEqual(got, m) {
+			t.Errorf("factory %q builds %T %+v, want %+v", name, got, got, m)
 		}
 	}
 }

@@ -28,9 +28,6 @@ var _ Model = (*SVM)(nil)
 // NewSVM returns an LS-SVM with default regularisation C = 10.
 func NewSVM() *SVM { return &SVM{c: 10} }
 
-// Name implements Model.
-func (s *SVM) Name() string { return "svm" }
-
 // Fit implements Model.
 func (s *SVM) Fit(x [][]float64, y []float64) error {
 	nf, err := checkDesign(x, y)

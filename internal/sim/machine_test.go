@@ -246,7 +246,7 @@ func TestSetThreadsRules(t *testing.T) {
 	if err := m.SetThreads(scalable.ID(), 4); err != nil {
 		t.Fatalf("SetThreads: %v", err)
 	}
-	if got := scalable.Threads(); got != 4 {
+	if got := scalable.view().Threads; got != 4 {
 		t.Errorf("threads = %d, want 4", got)
 	}
 	if err := m.SetThreads(scalable.ID(), 0); err == nil {

@@ -41,9 +41,6 @@ func (p *Proc) Name() string { return p.name }
 // Profile returns the application's behaviour model.
 func (p *Proc) Profile() *workload.Profile { return p.profile }
 
-// Threads returns the current parallelisation degree.
-func (p *Proc) Threads() int { return p.threads }
-
 // Affinity returns the allowed hardware threads (nil = unrestricted). The
 // returned slice is a copy.
 func (p *Proc) Affinity() []HWThread { return slices.Clone(p.affinity) }

@@ -164,30 +164,14 @@ func (s *State) table(app, platformName string) *opoint.Table {
 	return t
 }
 
-// mergeTable upserts every point of an uploaded table into the app's stored
-// table, so a later upload refines rather than forgets earlier learning.
+// mergeTable merges an uploaded table into the app's stored table, so a
+// later upload refines rather than forgets earlier learning. It merges as
+// the explorer does (opoint.Table.Merge): a re-upload of the same vectors
+// costs O(n) comparisons.
 func (s *State) mergeTable(app string, up *opoint.Table) {
-	t := s.table(app, up.Platform)
+	t := s.table(app, up.Platform).Merge(up.Points, false)
 	if t.Platform == "" {
 		t.Platform = up.Platform
 	}
-	for _, p := range up.Points {
-		t.Upsert(p)
-	}
-}
-
-// Clone returns a deep copy (tables included), safe to hand to a Manager.
-func (s *State) Clone() *State {
-	out := &State{
-		Generation: s.Generation,
-		WALSeq:     s.WALSeq,
-		Seq:        s.Seq,
-		Sessions:   append([]SessionState(nil), s.Sessions...),
-		Energy:     s.Energy.Clone(),
-		Tables:     make(map[string]*opoint.Table, len(s.Tables)),
-	}
-	for app, t := range s.Tables {
-		out.Tables[app] = t.Clone()
-	}
-	return out
+	s.Tables[app] = t
 }

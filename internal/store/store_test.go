@@ -87,7 +87,7 @@ func TestSnapshotRotatesWALAndReplays(t *testing.T) {
 		Record{Kind: RecRegister, Instance: "mg/7", App: "mg", Adaptivity: "scalable", Seq: 1},
 		Record{Kind: RecPoint, App: "mg", Point: &p1, Seq: 2},
 	)
-	st := s.RecoveredState().Clone()
+	st := NewState()
 	st.Seq = 2
 	st.Sessions = []SessionState{{Instance: "mg/7", App: "mg", Adaptivity: "scalable"}}
 	st.Tables["mg"] = &opoint.Table{App: "mg", Points: []opoint.OperatingPoint{p1}}
