@@ -630,7 +630,7 @@ func TestCheckAPIRules(t *testing.T) {
 			want: []string{"internal/a/a.go:5:6: a.Unread has no non-test reader"},
 		},
 		{
-			name: "a method read through a module interface is exempt only when the interface's method is selected",
+			name: "a module interface's method counts only when selected",
 			a: `package a
 
 type Shape interface {
@@ -653,13 +653,13 @@ func (Sq) Extra() int { return 0 }
 			},
 		},
 		{
-			name: "of two types with a same-named method, only the called one is read",
+			name: "of two same-named methods only the called one is read",
 			a:    "package a\n\ntype A struct{}\n\nfunc (A) Run() {}\n\ntype B struct{}\n\nfunc (B) Run() {}\n",
 			main: reader + "func main() { a.A{}.Run(); _ = a.B{} }\n",
 			want: []string{"internal/a/a.go:9:10: a.B.Run has no non-test reader"},
 		},
 		{
-			name: "a method selected through a type assertion's interface literal is read",
+			name: "a type assertion's interface literal reads its method",
 			a:    "package a\n\ntype P struct{}\n\nfunc (P) Probe() {}\n\nfunc (P) Skip() {}\n\nfunc New() any { return P{} }\n",
 			main: reader + "func main() {\n\tif p, ok := a.New().(interface{ Probe() }); ok {\n\t\tp.Probe()\n\t}\n\t_, _ = a.New().(interface{ Skip() })\n}\n",
 			want: []string{"internal/a/a.go:7:10: a.P.Skip has no non-test reader"},
