@@ -56,8 +56,10 @@ race:
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
 # the incremental solver's delta contract and its positional pins against
 # the map-keyed reference merge, improve, rescue and the grouped λ loop
-# against their plain reference searches, placement against the cursor it
-# replaced and its stickiness and placement invariant, the polynomial's
+# against their plain reference searches, solves on shared tables against
+# the same solves on cloned ones, the table's memoised front against the
+# usable front, placement against the cursor it replaced and its
+# stickiness, ring order and placement invariant, the polynomial's
 # prediction, the lazily fitted predicted table, the configuration-space walk,
 # the explorer's choices on it and the simulator's step with reused buffers
 # and skipped re-placements against their references, the store's upload
@@ -70,8 +72,8 @@ race:
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference|TestHandedOutTablesNeverChange|TestReplayedUploadsMatchUpsertLoop' \
-		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/ ./internal/platform/ ./internal/store/
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestMergeKeepsPositionZero|TestCoAllocationRingIdleFirst|TestTableSharingIsInvisible|TestParetoPointsIsUsableFront|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference|TestHandedOutTablesNeverChange|TestReplayedUploadsMatchUpsertLoop' \
+		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/ ./internal/platform/ ./internal/store/ ./internal/opoint/
 
 # invariants-long is the nightly sweep: the same harness over an order of
 # magnitude more seeded scenarios (20000 differential seeds per solver).

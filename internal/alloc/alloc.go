@@ -146,7 +146,6 @@ type Allocator struct {
 type solverScratch struct {
 	capacity   []int
 	states     []*appState
-	usable     []opoint.OperatingPoint
 	lambda     []float64
 	lambdaPrev []float64
 	demand     []int
@@ -154,20 +153,24 @@ type solverScratch struct {
 	limit      []int
 	stride     []int
 	groups     []lagGroup
-	groupOf    []int32
-	slots      []int32
 	repBuf     []lagRep
 	fdBuf      []float64
 	seen       map[uint64]bool
 	rescue     rescueSearch
 	place      placeScratch
+	// built maps each table of the current build sequence to the state that
+	// built its candidate list (see buildState).
+	built map[*opoint.Table]*appState
 }
 
-// ensureStates returns n reusable per-app states.
+// ensureStates returns n reusable per-app states and starts a build
+// sequence: the states buildState fills next share no list with any built
+// before.
 func (s *solverScratch) ensureStates(n int) []*appState {
 	for len(s.states) < n {
 		s.states = append(s.states, new(appState))
 	}
+	clear(s.built)
 	return s.states[:n]
 }
 
@@ -233,6 +236,7 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	}
 	a := &Allocator{plat: plat, method: Lagrangian,
 		incFullEvery: DefaultIncrementalFullEvery, incDriftBound: DefaultIncrementalDriftBound}
+	a.scratch.built = make(map[*opoint.Table]*appState)
 	for _, o := range opts {
 		o.apply(a)
 	}
@@ -274,21 +278,25 @@ type candidate struct {
 }
 
 // appState is the per-application solver view. States live in the solver
-// scratch and are reset per solve; demandBuf is the arena the candidates'
-// demand slices are carved from.
+// scratch and are reset per solve.
 type appState struct {
 	id string
-	// hi and lo are the content hash of the table the candidates were built
-	// from (opoint.Facts.Hi/Lo): equal tables give equal candidate lists.
-	hi, lo uint64
-	cands  []candidate
-	chosen int // index into cands, -1 = none
+	// cands is the candidate list, read-only. owner built it into its own
+	// candBuf, carving the demand slices from its demandBuf; owner is the
+	// state itself or the first state of the build sequence with the same
+	// table (buildState). A state that aliases another's list never writes
+	// its buffers.
+	cands     []candidate
+	owner     *appState
+	candBuf   []candidate
+	demandBuf []int
+	group     int32 // an owner's λ group (groupStates)
+	chosen    int   // index into cands, -1 = none
 	// coalloc records that repair found no candidate fitting the remaining
 	// capacity and deferred the application to co-allocation; placement
 	// shares cores for exactly these states. Running out of cores for any
 	// other state is an internal accounting bug surfaced as *CapacityError.
-	coalloc   bool
-	demandBuf []int
+	coalloc bool
 	// grid is improve's first-fit lookup over cands (see buildFit), carved
 	// from gridBuf and rebuilt per improve call; nil when the state has none.
 	grid, gridBuf []int32
@@ -545,44 +553,34 @@ func (a *Allocator) emitTrace(stats Stats) {
 	})
 }
 
-// buildState Pareto-filters the table and precomputes costs into a reusable
-// per-app state. Candidate demand vectors are carved from the state's demand
-// arena; the arena never escapes into returned Allocations. Both front paths
-// — the table's memo and the partially usable table's own front — run
-// opoint.RuntimeFront, the demand-grid form of the runtime Pareto filter.
+// buildState gives st the solver view of app's table: one candidate per
+// point of the table's usable Pareto front (opoint.Table.ParetoPoints, which
+// says why unusable points go before the filter), with its cost and core
+// demand, sorted by cost — or the free fallback candidate when no point is
+// usable.
 //
-// Unusable points — zero vectors and points whose cost guard yields a
-// non-finite cost (e.g. a zero-power measurement) — are dropped BEFORE Pareto
-// filtering. The Pareto objectives score low power and low demand as better,
-// so a degenerate zero-power or zero-vector point dominates every honest
-// point and, filtered afterwards, would evict the whole usable front and
-// silently collapse the application onto the free fallback candidate (found
-// by the differential oracle; see CORRECTNESS.md). Among usable points
-// domination is cost-monotone — higher utility and lower power both lower
-// cost = power/vhat² — so pre-filtering keeps the front lossless.
+// The view depends only on the table, and the Manager hands every session
+// of one application the same table pointer, so a solve derives it once per
+// table: the first state of the build sequence (ensureStates) built from a
+// table validates it and builds the list into its own buffers, and every
+// later state with the same pointer shares that list, read-only. A table is
+// never written once handed out (opoint.Table), so the pointer stands for
+// its content for the whole solve. Candidate demand vectors are carved from
+// the owner's demand arena; neither buffer escapes into returned Allocations.
 func (a *Allocator) buildState(st *appState, app AppInput) error {
+	st.id = app.ID
+	st.chosen = -1
+	st.coalloc = false
+	if owner := a.scratch.built[app.Table]; owner != nil {
+		st.cands, st.owner = owner.cands, owner
+		return nil
+	}
 	if err := app.Table.Validate(a.plat); err != nil {
 		return err
 	}
-	f := app.Table.Facts()
-	vstar := f.VStar
-	usable := a.scratch.usable[:0]
-	for _, op := range app.Table.Points {
-		if op.Usable(vstar) {
-			usable = append(usable, op)
-		}
-	}
-	a.scratch.usable = usable[:0]
-	var points []opoint.OperatingPoint
-	if len(usable) == len(app.Table.Points) {
-		points = app.Table.ParetoPoints() // memoised fast path, same front
-	} else {
-		points = opoint.RuntimeFront(usable)
-	}
-	st.id, st.hi, st.lo = app.ID, f.Hi, f.Lo
-	st.chosen = -1
-	st.coalloc = false
-	st.cands = st.cands[:0]
+	vstar := app.Table.Facts().VStar
+	points := app.Table.ParetoPoints()
+	cands := st.candBuf[:0]
 	// Size the demand arena up front: carving then never reallocates, so the
 	// candidates' demand slices stay valid.
 	nk := len(a.plat.Kinds)
@@ -593,20 +591,20 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 		for kind := range op.Vector.Counts {
 			buf = append(buf, op.Vector.Cores(platform.KindID(kind)))
 		}
-		st.cands = append(st.cands, candidate{
+		cands = append(cands, candidate{
 			op:     op,
 			cost:   op.Cost(vstar),
 			demand: buf[start:len(buf):len(buf)],
 		})
 	}
 	st.demandBuf = buf
-	if len(st.cands) == 0 {
+	if len(cands) == 0 {
 		// No usable characteristics yet (fresh application): fall back to a
 		// single core of the most efficient kind so the app can run and be
 		// explored.
-		st.cands = append(st.cands, a.fallbackCandidate())
+		cands = append(cands, a.fallbackCandidate())
 	}
-	slices.SortFunc(st.cands, func(x, y candidate) int {
+	slices.SortFunc(cands, func(x, y candidate) int {
 		if x.cost != y.cost {
 			if x.cost < y.cost {
 				return -1
@@ -615,6 +613,8 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 		}
 		return strings.Compare(x.op.Vector.Key(), y.op.Vector.Key())
 	})
+	st.candBuf, st.cands, st.owner = cands, cands, st
+	a.scratch.built[app.Table] = st
 	return nil
 }
 
@@ -639,11 +639,11 @@ type lagRep struct {
 	demand []float64
 }
 
-// lagGroup is the applications of one solve whose candidate lists are
-// identical — the same cost bits and demands, in the same order — so the
-// relaxed minimisation picks the same index for all of them under any λ.
-// st is the first member in input order, n the member count and best the
-// index the current iteration picked.
+// lagGroup is the applications of one solve that share one candidate list —
+// they were built from the same table (buildState) — so the relaxed
+// minimisation picks the same index for all of them under any λ. st is the
+// first member in input order, n the member count and best the index the
+// current iteration picked.
 type lagGroup struct {
 	st   *appState
 	n    int
@@ -658,9 +658,11 @@ type lagGroup struct {
 //
 // The minimisation depends only on λ and on the application's candidate
 // costs and demands, and thousands of sessions typically share a handful of
-// tables. The iteration therefore minimises once per group of identical
-// candidate lists (groupStates) and adds the group's demand times its size,
-// in integer arithmetic, so the sum is exact. Within a list, candidates
+// tables. The iteration therefore minimises once per distinct table — once
+// per group of states sharing one candidate list (groupStates) — and adds
+// the group's demand times its size, in integer arithmetic, so the sum is
+// exact. Two pointers to equal content make two groups, which costs one more
+// minimisation and picks the same indices. Within a list, candidates
 // sharing a core-demand vector see the same λ·demand penalty, so only the
 // cheapest of them — the first in cost order — can win: the scan visits one
 // representative per distinct demand vector (tens instead of hundreds), with
@@ -766,63 +768,30 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 			break
 		}
 	}
-	for si, st := range states {
-		st.chosen = groups[s.groupOf[si]].best
+	for _, st := range states {
+		st.chosen = groups[st.owner.group].best
 	}
 	a.rememberLambda(lambda)
 	return iters
 }
 
-// groupStates partitions states into groups of identical candidate lists,
-// in order of first occurrence, and records each state's group in
-// s.groupOf. Candidate lists follow from the table content, so states are
-// bucketed by their table's content hash in an open-addressing table and
-// admitted to a group only after an exact comparison of costs and demands
-// (sameCands): a hash collision splits a group, it never merges two. Every
-// buffer is retained in the scratch, so a steady-state solve allocates
-// nothing here.
+// groupStates partitions states into one group per candidate list — per
+// owner, and so per distinct table pointer — in order of first occurrence,
+// and records each owner's group in its group field. buildState runs in
+// input order, so an owner precedes every state that shares its list. The
+// group buffer is retained in the scratch, so a steady-state solve
+// allocates nothing here.
 func (s *solverScratch) groupStates(states []*appState) []lagGroup {
-	size := 1
-	for size < 2*len(states) {
-		size *= 2
-	}
-	s.slots = resize(s.slots, size)
-	clear(s.slots)
-	s.groupOf = resize(s.groupOf, len(states))
 	groups := s.groups[:0]
-	mask := uint64(size - 1)
-	for si, st := range states {
-		h := (st.hi ^ st.lo) & mask
-		for ; s.slots[h] != 0; h = (h + 1) & mask {
-			if g := groups[s.slots[h]-1].st; g.hi == st.hi && g.lo == st.lo && sameCands(g.cands, st.cands) {
-				break
-			}
-		}
-		if s.slots[h] == 0 {
+	for _, st := range states {
+		if st.owner == st {
+			st.group = int32(len(groups))
 			groups = append(groups, lagGroup{st: st})
-			s.slots[h] = int32(len(groups))
 		}
-		gi := s.slots[h] - 1
-		groups[gi].n++
-		s.groupOf[si] = gi
+		groups[st.owner.group].n++
 	}
 	s.groups = groups
 	return groups
-}
-
-// sameCands reports whether two candidate lists present the relaxed
-// minimisation with the same problem: equal length, and per position the
-// same cost bits and the same demand vector.
-func sameCands(x, y []candidate) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if math.Float64bits(x[i].cost) != math.Float64bits(y[i].cost) || !slices.Equal(x[i].demand, y[i].demand) {
-			return false
-		}
-	}
-	return true
 }
 
 // buildReps fills each group's representatives: per distinct demand vector

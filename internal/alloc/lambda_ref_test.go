@@ -20,10 +20,6 @@ type LambdaCase struct {
 	// CutAt, when positive, installs an overBudget probe that reports the
 	// deadline from iteration CutAt on.
 	CutAt int
-	// OneBucket gives every state the same table hash, so every candidate
-	// list lands in one bucket and only the exact comparison keeps distinct
-	// lists apart.
-	OneBucket bool
 }
 
 // LambdaAgainstScan builds the solver states for inputs and runs the grouped
@@ -33,9 +29,6 @@ func (a *Allocator) LambdaAgainstScan(inputs []AppInput, capacity []int, c Lambd
 	for i, in := range inputs {
 		if err := a.buildState(states[i], in); err != nil {
 			return got, want, err
-		}
-		if c.OneBucket {
-			states[i].hi, states[i].lo = 1, 1
 		}
 	}
 	defer a.SetOverBudget(a.overBudget)
@@ -68,7 +61,7 @@ func (r LambdaResult) Equal(o LambdaResult) bool {
 }
 
 // lagrangianSelectScan is the reference the grouped λ loop must reproduce:
-// the iteration as it stood before it grouped identical candidate lists,
+// the iteration as it stood before it grouped states by candidate list,
 // minimising every application separately in every iteration. It leaves the
 // final λ in the scratch and the choices in the states.
 func (a *Allocator) lagrangianSelectScan(states []*appState, capacity []int, warm []float64) int {

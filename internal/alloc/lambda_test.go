@@ -14,14 +14,14 @@ import (
 )
 
 // TestGroupedLambdaMatchesScan is the differential gate for the λ loop's
-// grouping of identical candidate lists: on the same states, the grouped
-// loop must leave every application on the candidate the per-application
-// scan leaves it on, with the same final λ bits and the same iteration
-// count. Instances cover churn-shaped populations (sixteen shared tables
-// under 100 to 10 000 sessions), Raptor Lake tables shared by pointer and
-// copied by content, check.Gen instances with repeated tables, warm λ₀,
-// residual capacity with a kind at zero, a deadline that cuts the loop at
-// iteration k, and distinct candidate lists forced into one hash bucket.
+// grouping of states by table: on the same states, the grouped loop must
+// leave every application on the candidate the per-application scan leaves
+// it on, with the same final λ bits and the same iteration count. Instances
+// cover churn-shaped populations (sixteen shared tables under 100 to 10 000
+// sessions), Raptor Lake tables shared by pointer and copied by content —
+// equal content in split groups — check.Gen instances with repeated tables,
+// warm λ₀, residual capacity with a kind at zero, and a deadline that cuts
+// the loop at iteration k.
 func TestGroupedLambdaMatchesScan(t *testing.T) {
 	type instance struct {
 		name     string
@@ -49,7 +49,6 @@ func TestGroupedLambdaMatchesScan(t *testing.T) {
 		cases = append(cases,
 			instance{fmt.Sprintf("churn/%d", n), churn, inputs, full(churn), alloc.LambdaCase{}},
 			instance{fmt.Sprintf("churn/%d/cut3", n), churn, inputs, full(churn), alloc.LambdaCase{CutAt: 3}},
-			instance{fmt.Sprintf("churn/%d/onebucket", n), churn, inputs, full(churn), alloc.LambdaCase{OneBucket: true}},
 		)
 	}
 
@@ -69,7 +68,7 @@ func TestGroupedLambdaMatchesScan(t *testing.T) {
 			}
 			inputs[i] = alloc.AppInput{ID: fmt.Sprintf("app%d", i), Table: tbl}
 		}
-		c := alloc.LambdaCase{CutAt: int(seed % 4 * 5), OneBucket: seed%3 == 0}
+		c := alloc.LambdaCase{CutAt: int(seed % 4 * 5)}
 		if seed%5 == 0 {
 			c.Warm = randomLambda(r, len(intel.Kinds))
 		}
@@ -92,7 +91,7 @@ func TestGroupedLambdaMatchesScan(t *testing.T) {
 			}
 			capacity[r.Intn(len(capacity))] = 0
 		}
-		c := alloc.LambdaCase{CutAt: int(seed % 7), OneBucket: seed%4 == 0}
+		c := alloc.LambdaCase{CutAt: int(seed % 7)}
 		if seed%5 == 0 {
 			c.Warm = randomLambda(r, len(p.Kinds))
 		}

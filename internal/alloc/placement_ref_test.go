@@ -66,9 +66,8 @@ func (a *Allocator) CursorPlacement(inputs []AppInput) ([]Allocation, error) {
 	for k, kind := range a.plat.Kinds {
 		capacity[k] = kind.Count
 	}
-	states := make([]*appState, len(inputs))
+	states := a.scratch.ensureStates(len(inputs))
 	for i, in := range inputs {
-		states[i] = new(appState)
 		if err := a.buildState(states[i], in); err != nil {
 			return nil, err
 		}

@@ -7,8 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/harp-rm/harp/harpsim"
 	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/check"
+	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
 )
 
@@ -146,6 +148,96 @@ func TestPlacementStaysPut(t *testing.T) {
 	if kept == 0 || merges == 0 {
 		t.Fatalf("kept %d, merges %d: the sweep tested too little", kept, merges)
 	}
+}
+
+// TestMergeKeepsPositionZero pins that an isolated application whose vector
+// is unchanged keeps its cores across an incremental merge at every standing
+// position, the first included. x departs from the front, so a stands at
+// position 0 on core 1 with core 0 free; a's table then changes without
+// changing its vector, and the merge re-solves a. Keeping leaves a on core
+// 1, where filling the holes in ascending order would move it to core 0.
+func TestMergeKeepsPositionZero(t *testing.T) {
+	p := harpsim.ChurnPlatform(1, 4)
+	x, a, b := onePoint(p, "x", 4, 1), onePoint(p, "a", 4, 1), onePoint(p, "b", 4, 1)
+	retabled := onePoint(p, "a", 5, 1) // new content, the same vector
+	al, err := alloc.New(p, alloc.WithIncremental(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onCore1 := []alloc.CoreGrant{{Core: 1, Threads: 1}}
+	for i, step := range []struct {
+		tables []*opoint.Table
+		source string
+	}{
+		{[]*opoint.Table{x, a, b}, alloc.SourceCold},
+		{[]*opoint.Table{a, b}, alloc.SourceIncremental},        // x departs
+		{[]*opoint.Table{retabled, b}, alloc.SourceIncremental}, // a is re-solved
+	} {
+		inputs := make([]alloc.AppInput, len(step.tables))
+		for j, tbl := range step.tables {
+			inputs[j] = alloc.AppInput{ID: tbl.App, Table: tbl}
+		}
+		out, st, err := al.AllocateWithStats(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Source != step.source {
+			t.Fatalf("step %d: source %s, want %s", i, st.Source, step.source)
+		}
+		if i == 2 && !slices.Equal(st.Changed, []int{0}) {
+			t.Fatalf("step %d: changed %v, want [0]: a was not re-solved", i, st.Changed)
+		}
+		aAt := len(step.tables) - 2
+		if !slices.Equal(out[aAt].Grants, onCore1) {
+			t.Fatalf("step %d: a holds %v, want %v", i, out[aAt].Grants, onCore1)
+		}
+	}
+}
+
+// TestCoAllocationRingIdleFirst pins the co-allocation ring's order
+// (DESIGN.md §4.11): a co-allocated application placed afresh takes its
+// kind's idle cores before the cores that kept co-allocated grants use. a
+// holds every K1 core, so b and then c, which each need one, are
+// co-allocated. b stands on K0 core 0 and keeps it; c's K0 core must be the
+// idle core 1, not b's core 0.
+func TestCoAllocationRingIdleFirst(t *testing.T) {
+	p := harpsim.ChurnPlatform(2, 3) // K0: cores 0-2, K1: cores 3-5
+	a, b, c := onePoint(p, "a", 4, 0, 3), onePoint(p, "b", 4, 1, 1), onePoint(p, "c", 4, 1, 1)
+	al, err := alloc.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []alloc.AppInput{{ID: "a", Table: a}, {ID: "b", Table: b}}
+	first, err := al.Allocate(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bGrants := []alloc.CoreGrant{{Core: 0, Threads: 1}, {Core: 3, Threads: 1}}
+	if !first[1].CoAllocated || !slices.Equal(first[1].Grants, bGrants) {
+		t.Fatalf("b = %+v, want co-allocated on %v", first[1], bGrants)
+	}
+	out, err := al.Allocate(append(inputs, alloc.AppInput{ID: "c", Table: c}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out[1].Grants, bGrants) {
+		t.Fatalf("b moved from %v to %v", bGrants, out[1].Grants)
+	}
+	if want := []alloc.CoreGrant{{Core: 1, Threads: 1}, {Core: 3, Threads: 1}}; !out[2].CoAllocated || !slices.Equal(out[2].Grants, want) {
+		t.Fatalf("c = %+v, want co-allocated on %v: the idle K0 core first", out[2], want)
+	}
+}
+
+// onePoint is a table of one measured point on cores[k] single-threaded
+// cores of kind k.
+func onePoint(p *platform.Platform, app string, utility float64, cores ...int) *opoint.Table {
+	rv := platform.NewResourceVector(p)
+	for k, n := range cores {
+		rv.Counts[k][0] = n
+	}
+	tbl := &opoint.Table{App: app, Platform: p.Name}
+	tbl.Upsert(opoint.OperatingPoint{Vector: rv, Utility: utility, Power: 1, Measured: true})
+	return tbl
 }
 
 // changedCores counts the cores whose state differs between two solves —

@@ -159,3 +159,31 @@ func TestValidateMemoIsPerPlatform(t *testing.T) {
 		t.Fatal("Validate served a clean result for an edited, invalidated table")
 	}
 }
+
+// TestParetoPointsIsUsableFront pins what the memoised front is: RuntimeFront
+// of the points usable at v*, in table order. A zero-power point and a
+// zero-vector point would dominate honest points on the unfiltered front;
+// the memo drops them first. On a fully usable table it is RuntimeFront of
+// every point.
+func TestParetoPointsIsUsableFront(t *testing.T) {
+	p := platform.RaptorLake()
+	tbl := &Table{App: "x", Platform: p.Name}
+	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{1, 0}, []int{0}), Utility: 10, Power: 5})
+	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{2, 0}, []int{0}), Utility: 18, Power: 9})
+	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{1}), Utility: 4, Power: 1})
+	if got, want := tbl.ParetoPoints(), RuntimeFront(tbl.Points, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fully usable table: memo %v, RuntimeFront %v", got, want)
+	}
+
+	usable := tbl.Points
+	degenerate := tbl.Clone()
+	degenerate.Upsert(OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{2}), Utility: 6, Power: 0})
+	degenerate.Upsert(OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{0}), Utility: 20, Power: 1})
+	want := RuntimeFront(usable, nil)
+	if got := degenerate.ParetoPoints(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("memo %v, want the usable front %v", got, want)
+	}
+	if reflect.DeepEqual(RuntimeFront(degenerate.Points, nil), want) {
+		t.Fatal("the degenerate points leave the unfiltered front as it is: the case tests nothing")
+	}
+}

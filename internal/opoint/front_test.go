@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/platform"
@@ -12,15 +13,21 @@ import (
 )
 
 // TestRuntimeFrontMatchesPareto holds RuntimeFront to the generic scan it
-// replaces, element for element: the full 764-vector Raptor Lake tables of
-// every Intel profile, exact and jittered, and random tables on both
-// built-in platforms whose integer utilities and powers tie often and whose
-// points repeat earlier ones.
+// replaces, element for element, over every point and over the points a
+// keep function selects: the full 764-vector Raptor Lake tables of every
+// Intel profile, exact and jittered, and random tables on both built-in
+// platforms whose integer utilities and powers tie often and whose points
+// repeat earlier ones.
 func TestRuntimeFrontMatchesPareto(t *testing.T) {
+	keep := func(op *OperatingPoint) bool { return op.Power > 2 }
 	check := func(name string, pts []OperatingPoint) {
 		t.Helper()
-		if got, want := RuntimeFront(pts), Pareto(pts, RuntimeObjectives); !reflect.DeepEqual(got, want) {
+		if got, want := RuntimeFront(pts, nil), Pareto(pts, RuntimeObjectives); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: RuntimeFront kept %d points, Pareto %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
+		}
+		kept := slices.DeleteFunc(slices.Clone(pts), func(op OperatingPoint) bool { return !keep(&op) })
+		if got, want := RuntimeFront(pts, keep), Pareto(kept, RuntimeObjectives); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, power > 2: RuntimeFront kept %d points, Pareto %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
 		}
 	}
 	intel := platform.RaptorLake()
@@ -116,7 +123,8 @@ func fuzzPoints(data []byte) []OperatingPoint {
 
 // FuzzRuntimeFront checks that RuntimeFront keeps exactly the points the
 // generic Pareto scan keeps, in the same order, or panics exactly when it
-// does (rows of different widths), on any table fuzzPoints decodes.
+// does (rows of different widths), on any table fuzzPoints decodes — over
+// every point, and over the even-numbered ones.
 func FuzzRuntimeFront(f *testing.F) {
 	f.Add([]byte{2, 3, 4, 1, 2, 2, 3, 4, 2, 1, 2, 5, 1, 0, 0})       // plain two-kind table
 	f.Add([]byte{2, 240, 4, 1, 2, 2, 3, 240, 2, 1})                  // NaN utility and power
@@ -136,10 +144,18 @@ func FuzzRuntimeFront(f *testing.F) {
 			}
 			return kept, false
 		}
-		got, gotPanic := run(RuntimeFront)
-		want, wantPanic := run(func(pts []OperatingPoint) []OperatingPoint { return Pareto(pts, RuntimeObjectives) })
-		if gotPanic != wantPanic || !reflect.DeepEqual(got, want) {
-			t.Fatalf("RuntimeFront kept %v (panicked %v), Pareto %v (panicked %v) of %v", got, gotPanic, want, wantPanic, pts)
+		even := func(op *OperatingPoint) bool { return op.Samples%2 == 0 }
+		for _, keep := range []func(*OperatingPoint) bool{nil, even} {
+			got, gotPanic := run(func(pts []OperatingPoint) []OperatingPoint { return RuntimeFront(pts, keep) })
+			want, wantPanic := run(func(pts []OperatingPoint) []OperatingPoint {
+				if keep != nil {
+					pts = slices.DeleteFunc(slices.Clone(pts), func(op OperatingPoint) bool { return !keep(&op) })
+				}
+				return Pareto(pts, RuntimeObjectives)
+			})
+			if gotPanic != wantPanic || !reflect.DeepEqual(got, want) {
+				t.Fatalf("RuntimeFront (keep %v) kept %v (panicked %v), Pareto %v (panicked %v) of %v", keep != nil, got, gotPanic, want, wantPanic, pts)
+			}
 		}
 	})
 }

@@ -90,8 +90,8 @@ type Table struct {
 }
 
 // Facts are the values derived from one table content. They are computed
-// once, on the first read after a mutation, and are read-only. The Pareto
-// front — the one fact that is super-linear to compute and that the
+// once, on the first read after a mutation, and are read-only. The usable
+// Pareto front — the one fact that is super-linear to compute and that the
 // allocator reads only for the applications it re-solves — is filled in on
 // the first ParetoPoints call.
 type Facts struct {
@@ -106,7 +106,7 @@ type Facts struct {
 	MinCost float64
 	// n is the len(Points) the facts describe.
 	n int
-	// front is the runtime Pareto front, nil until ParetoPoints.
+	// front is the usable runtime Pareto front, nil until ParetoPoints.
 	front atomic.Pointer[[]OperatingPoint]
 }
 
@@ -394,16 +394,26 @@ func RuntimeObjectives(dst []float64, op OperatingPoint) []float64 {
 	return dst
 }
 
-// ParetoPoints filters the table down to its runtime Pareto front, computed
-// by RuntimeFront. The front is memoised with the table's facts until the
-// table changes; callers must treat the returned slice as read-only (the
-// allocator and harpctl only iterate it).
+// ParetoPoints filters the table down to its usable runtime Pareto front:
+// RuntimeFront of the points that are Usable at v*. The front is memoised with the table's facts until the table changes; callers
+// must treat the returned slice as read-only (the allocator and harpctl only
+// iterate it).
+//
+// Unusable points — zero vectors and points whose cost guard yields a
+// non-finite cost (e.g. a zero-power measurement) — are dropped BEFORE the
+// Pareto filter. The runtime objectives score low power and low demand as
+// better, so a degenerate zero-power or zero-vector point dominates every
+// honest point and, filtered afterwards, would evict the whole usable front
+// and silently collapse the application onto the allocator's free fallback
+// candidate (found by the differential oracle; see CORRECTNESS.md). Among
+// usable points domination is cost-monotone — higher utility and lower power
+// both lower cost = power/v̂² — so filtering first keeps the front lossless.
 func (t *Table) ParetoPoints() []OperatingPoint {
 	f := t.Facts()
 	if front := f.front.Load(); front != nil {
 		return *front
 	}
-	front := RuntimeFront(t.Points)
+	front := RuntimeFront(t.Points, func(op *OperatingPoint) bool { return op.Usable(f.VStar) })
 	f.front.Store(&front)
 	return front
 }
@@ -419,9 +429,11 @@ type frontKey struct {
 	cell, idx      int32
 }
 
-// RuntimeFront returns Pareto(points, RuntimeObjectives), element for
-// element, testing each point with one lookup in a grid over core demand
-// instead of a scan of the front built so far.
+// RuntimeFront returns Pareto(kept, RuntimeObjectives), element for element,
+// kept being the points keep reports true for, in order — every point when
+// keep is nil. It skips the others without copying the rest, and tests each
+// kept point with one lookup in a grid over core demand instead of a scan of
+// the front built so far.
 //
 // Pareto scans rows in lexicographic order — utility descending, then power,
 // then cores per kind, then index — so every point already on the front has
@@ -433,48 +445,61 @@ type frontKey struct {
 // Cells are laid out with kind 0 most significant, so comparing cells
 // compares the per-kind cores lexicographically, as Pareto's rows do.
 //
-// Tables the grid cannot represent exactly take the generic scan: points
-// with different kind counts or negative demands, non-finite utilities or
-// powers (where the lexicographic order and the comparisons part ways), and
-// demand grids past runtimeFrontMaxCells.
-func RuntimeFront(points []OperatingPoint) []OperatingPoint {
+// Tables the grid cannot represent exactly take the generic scan: kept
+// points with kind counts other than the first point's or negative demands,
+// non-finite utilities or powers (where the lexicographic order and the
+// comparisons part ways), and demand grids past runtimeFrontMaxCells.
+func RuntimeFront(points []OperatingPoint, keep func(*OperatingPoint) bool) []OperatingPoint {
 	if len(points) == 0 {
 		return nil
+	}
+	generic := func() []OperatingPoint {
+		if keep != nil {
+			points = slices.DeleteFunc(slices.Clone(points), func(op OperatingPoint) bool { return !keep(&op) })
+		}
+		return Pareto(points, RuntimeObjectives)
 	}
 	nk := len(points[0].Vector.Counts)
 	dims := make([]int, 4*nk)
 	// ext[k] bounds kind k's demand; stride[k] is the product of the extents
 	// of the kinds after k; lo and at walk the box a front point lowers.
 	ext, stride, lo, at := dims[:nk], dims[nk:2*nk], dims[2*nk:3*nk], dims[3*nk:]
+	keys := make([]frontKey, 0, len(points))
 	for i := range points {
 		p := &points[i]
+		if keep != nil && !keep(p) {
+			continue
+		}
 		if len(p.Vector.Counts) != nk || !finite(p.Utility) || !finite(p.Power) {
-			return Pareto(points, RuntimeObjectives)
+			return generic()
 		}
 		for k := range ext {
 			c := p.Vector.Cores(platform.KindID(k))
 			if c < 0 || c >= runtimeFrontMaxCells {
-				return Pareto(points, RuntimeObjectives)
+				return generic()
 			}
 			ext[k] = max(ext[k], c+1)
 		}
+		keys = append(keys, frontKey{negUtil: -p.Utility, power: p.Power, idx: int32(i)})
+	}
+	if len(keys) == 0 {
+		return nil
 	}
 	cells := 1
 	for k := nk - 1; k >= 0; k-- {
 		stride[k] = cells
 		if cells *= ext[k]; cells > runtimeFrontMaxCells {
-			return Pareto(points, RuntimeObjectives)
+			return generic()
 		}
 	}
 
-	keys := make([]frontKey, len(points))
-	for i := range points {
-		p := &points[i]
+	for i := range keys {
+		v := points[keys[i].idx].Vector
 		cell := 0
 		for k, s := range stride {
-			cell += p.Vector.Cores(platform.KindID(k)) * s
+			cell += v.Cores(platform.KindID(k)) * s
 		}
-		keys[i] = frontKey{negUtil: -p.Utility, power: p.Power, cell: int32(cell), idx: int32(i)}
+		keys[i].cell = int32(cell)
 	}
 	slices.SortFunc(keys, func(x, y frontKey) int {
 		return cmp.Or(cmp.Compare(x.negUtil, y.negUtil), cmp.Compare(x.power, y.power),
