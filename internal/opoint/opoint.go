@@ -395,9 +395,9 @@ func RuntimeObjectives(dst []float64, op OperatingPoint) []float64 {
 }
 
 // ParetoPoints filters the table down to its usable runtime Pareto front:
-// RuntimeFront of the points that are Usable at v*. The front is memoised with the table's facts until the table changes; callers
-// must treat the returned slice as read-only (the allocator and harpctl only
-// iterate it).
+// RuntimeFront of the points that are Usable at v*. The front is memoised
+// with the table's facts until the table changes; callers must treat the
+// returned slice as read-only (the allocator and harpctl only iterate it).
 //
 // Unusable points — zero vectors and points whose cost guard yields a
 // non-finite cost (e.g. a zero-power measurement) — are dropped BEFORE the
