@@ -443,7 +443,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 				stats = e.stats
 				stats.Source = SourceCached
 				stats.LambdaIters = 0
-				a.rememberFullSolve(apps, out)
+				a.rememberFullSolve(apps, out, nil)
 				a.emitTrace(stats)
 				return out, stats, nil
 			}
@@ -502,7 +502,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 			a.metrics.AllocCacheEvictions.Add(uint64(evicted))
 		}
 	}
-	a.rememberFullSolve(apps, out)
+	a.rememberFullSolve(apps, out, states)
 	a.emitTrace(stats)
 	return out, stats, nil
 }

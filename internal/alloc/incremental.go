@@ -380,7 +380,9 @@ func mergeSorted(dst, x, y []int) []int {
 // rememberFullSolve makes a full solve's (or cache hit's) allocations the
 // standing placement and, with incremental solving on, re-pins every
 // position and re-anchors the drift baseline and the full-solve cadence.
-func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation) {
+// states are the full solve's, whose chosen candidates already carry each
+// position's cost; a cache hit has none (nil) and recomputes the costs.
+func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation, states []*appState) {
 	a.standing, a.spare = allocs, a.standing
 	a.commitPlacement()
 	if !a.inc {
@@ -390,7 +392,12 @@ func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation) {
 	pins.resize(len(apps))
 	var chosenSum, minSum float64
 	for i := range apps {
-		cost := a.chosenCostOf(&apps[i], &allocs[i])
+		var cost float64
+		if states != nil {
+			cost = states[i].cands[states[i].chosen].cost
+		} else {
+			cost = a.chosenCostOf(&apps[i], &allocs[i])
+		}
 		chosenSum += cost
 		minSum += pins.set(i, &apps[i], allocs[i].CoAllocated, cost)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/harp-rm/harp/harpsim"
 	"github.com/harp-rm/harp/internal/alloc"
@@ -23,8 +22,6 @@ type AllocAblationRow struct {
 	GreedyCost      float64
 	LagrangianCoAll int
 	GreedyCoAll     int
-	LagrangianUs    float64
-	GreedyUs        float64
 }
 
 // AllocAblationResult compares the Lagrangian-relaxation solver against the
@@ -69,12 +66,10 @@ func AllocAblation(cfg Config) (*AllocAblationResult, error) {
 			if err != nil {
 				return row, err
 			}
-			start := time.Now()
 			allocs, err := a.Allocate(inputs)
 			if err != nil {
 				return row, err
 			}
-			elapsed := float64(time.Since(start).Microseconds())
 			cost := alloc.TotalCost(allocs, inputs)
 			var coAll int
 			for _, al := range allocs {
@@ -83,9 +78,9 @@ func AllocAblation(cfg Config) (*AllocAblationResult, error) {
 				}
 			}
 			if method == alloc.Lagrangian {
-				row.LagrangianCost, row.LagrangianCoAll, row.LagrangianUs = cost, coAll, elapsed
+				row.LagrangianCost, row.LagrangianCoAll = cost, coAll
 			} else {
-				row.GreedyCost, row.GreedyCoAll, row.GreedyUs = cost, coAll, elapsed
+				row.GreedyCost, row.GreedyCoAll = cost, coAll
 			}
 		}
 		return row, nil
@@ -99,12 +94,10 @@ func AllocAblation(cfg Config) (*AllocAblationResult, error) {
 // Format writes the allocator ablation table.
 func (r *AllocAblationResult) Format(w io.Writer) {
 	writeHeader(w, "Ablation: MMKP solver — Lagrangian relaxation vs greedy")
-	fmt.Fprintf(w, "%-44s %12s %12s %6s %6s %9s %9s\n",
-		"mix", "lagr cost", "greedy cost", "l-co", "g-co", "lagr[µs]", "grdy[µs]")
+	fmt.Fprintf(w, "%-44s %12s %12s %6s %6s\n", "mix", "lagr cost", "greedy cost", "l-co", "g-co")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-44s %12.1f %12.1f %6d %6d %9.0f %9.0f\n",
-			row.Scenario, row.LagrangianCost, row.GreedyCost,
-			row.LagrangianCoAll, row.GreedyCoAll, row.LagrangianUs, row.GreedyUs)
+		fmt.Fprintf(w, "%-44s %12.1f %12.1f %6d %6d\n",
+			row.Scenario, row.LagrangianCost, row.GreedyCost, row.LagrangianCoAll, row.GreedyCoAll)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"github.com/harp-rm/harp/harpsim"
 	"github.com/harp-rm/harp/internal/mathx"
-	"github.com/harp-rm/harp/internal/parallel"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/workload"
 )
@@ -40,31 +39,22 @@ func Attribution(cfg Config) (*AttributionResult, error) {
 	plat := platform.RaptorLake()
 	suite := workload.IntelApps()
 
-	scenarios := [][]string{
+	multis := [][]string{
 		{"cg.C", "mg.C"},
 		{"ep.C", "ft.C"},
 		{"ft.C", "mg.C", "cg.C"},
 		{"bt.C", "cg.C", "ft.C", "is.C"},
 	}
 	if cfg.Quick {
-		scenarios = scenarios[:2]
+		multis = multis[:2]
+	}
+	scs, err := scenarioSet(plat, suite, nil, multis)
+	if err != nil {
+		return nil, err
 	}
 	offline := harpsim.OfflineDSETablesParallel(plat, suite, cfg.Parallelism)
-
-	scs := make([]harpsim.Scenario, len(scenarios))
-	for i, names := range scenarios {
-		sc, err := scenarioOf(plat, suite, names...)
-		if err != nil {
-			return nil, err
-		}
-		scs[i] = sc
-	}
-	runs, err := parallel.Map(cfg.Parallelism, len(scs), func(i int) (*harpsim.Result, error) {
-		return harpsim.Run(scs[i], harpsim.Options{
-			Policy:        harpsim.PolicyHARPOffline,
-			OfflineTables: offline,
-			Seed:          cfg.Seed,
-		})
+	runs, err := runArms(cfg, scs, []arm{
+		policyArm(harpsim.Options{Seed: cfg.Seed}, harpsim.PolicyHARPOffline, offline),
 	})
 	if err != nil {
 		return nil, err
@@ -72,7 +62,8 @@ func Attribution(cfg Config) (*AttributionResult, error) {
 
 	res := &AttributionResult{}
 	var truths, attrs []float64
-	for i, run := range runs {
+	for i, r := range runs {
+		run := r[0]
 		// Iterate the per-app results in sorted order: the Apps map has no
 		// deterministic range order, and the MAPE sums in row order.
 		apps := make([]string, 0, len(run.Apps))

@@ -8,10 +8,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"github.com/harp-rm/harp/harpsim"
 	"github.com/harp-rm/harp/internal/mathx"
+	"github.com/harp-rm/harp/internal/opoint"
+	"github.com/harp-rm/harp/internal/parallel"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/workload"
 )
@@ -68,22 +71,78 @@ func geoMeanFactors(fs []Factor) Factor {
 	return Factor{Time: mathx.GeoMean(times), Energy: mathx.GeoMean(energies)}
 }
 
-// scenarioOf builds a named scenario from profile names within a suite.
-func scenarioOf(plat *platform.Platform, suite []*workload.Profile, names ...string) (harpsim.Scenario, error) {
-	var apps []*workload.Profile
-	label := ""
-	for i, n := range names {
-		p, err := workload.ByName(suite, n)
-		if err != nil {
-			return harpsim.Scenario{}, err
-		}
-		apps = append(apps, p)
-		if i > 0 {
-			label += "+"
-		}
-		label += n
+// scenarioSet builds the single-application scenarios, then the mixes, from
+// profile names within a suite: row s is multi-application exactly when
+// s >= len(singles).
+func scenarioSet(plat *platform.Platform, suite []*workload.Profile, singles []string, multis [][]string) ([]harpsim.Scenario, error) {
+	lists := make([][]string, 0, len(singles)+len(multis))
+	for _, name := range singles {
+		lists = append(lists, []string{name})
 	}
-	return harpsim.Scenario{Name: label, Platform: plat, Apps: apps}, nil
+	lists = append(lists, multis...)
+	scs := make([]harpsim.Scenario, len(lists))
+	for i, names := range lists {
+		scs[i] = harpsim.Scenario{Name: strings.Join(names, "+"), Platform: plat}
+		for _, n := range names {
+			p, err := workload.ByName(suite, n)
+			if err != nil {
+				return nil, err
+			}
+			scs[i].Apps = append(scs[i].Apps, p)
+		}
+	}
+	return scs, nil
+}
+
+// arm is one configuration every scenario of a set runs under: a policy
+// with its tables, or, when learnFor is set, HARP on the operating points it
+// first learns online for that long (§6.3: behaviour during learning is
+// Fig. 8's subject). The learned tables are the unit's own state.
+type arm struct {
+	opts     harpsim.Options
+	learnFor time.Duration
+}
+
+// policyArm runs the scenario under policy p with the given offline tables.
+func policyArm(base harpsim.Options, p harpsim.Policy, tables map[string]*opoint.Table) arm {
+	base.Policy, base.OfflineTables = p, tables
+	return arm{opts: base}
+}
+
+// learnedArm chains HARP's online-learning warm-up with the measured run.
+func learnedArm(base harpsim.Options, learnFor time.Duration) arm {
+	base.Policy = harpsim.PolicyHARP
+	return arm{opts: base, learnFor: learnFor}
+}
+
+func (a arm) run(sc harpsim.Scenario) (*harpsim.Result, error) {
+	opts := a.opts
+	if a.learnFor > 0 {
+		learned, err := harpsim.LearnTables(sc, a.learnFor, 0, opts)
+		if err != nil {
+			return nil, err
+		}
+		opts.OfflineTables = learned.Tables
+	}
+	return harpsim.Run(sc, opts)
+}
+
+// runArms fans every scenario × arm unit across the worker pool and returns
+// runs[s][a]. Each unit builds its own machine from the scenario and the
+// shared read-only tables, and results merge in submission order, so the
+// matrix is bit-identical at any parallelism.
+func runArms(cfg Config, scs []harpsim.Scenario, arms []arm) ([][]*harpsim.Result, error) {
+	flat, err := parallel.Map(cfg.Parallelism, len(scs)*len(arms), func(u int) (*harpsim.Result, error) {
+		return arms[u%len(arms)].run(scs[u/len(arms)])
+	})
+	if err != nil {
+		return nil, err
+	}
+	runs := make([][]*harpsim.Result, len(scs))
+	for s := range runs {
+		runs[s] = flat[s*len(arms) : (s+1)*len(arms)]
+	}
+	return runs, nil
 }
 
 // writeHeader prints a section header.

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"github.com/harp-rm/harp/harpsim"
-	"github.com/harp-rm/harp/internal/parallel"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/sim"
 	"github.com/harp-rm/harp/internal/workload"
@@ -72,61 +70,19 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		multis = [][]string{{"cg.C", "mg.C"}, {"ft.C", "mg.C", "cg.C"}}
 	}
 
+	scs, err := scenarioSet(plat, suite, singles, multis)
+	if err != nil {
+		return nil, err
+	}
 	offline := harpsim.OfflineDSETablesParallel(plat, suite, cfg.Parallelism)
-
-	type scMeta struct {
-		sc    harpsim.Scenario
-		multi bool
-	}
-	var metas []scMeta
-	for _, name := range singles {
-		sc, err := scenarioOf(plat, suite, name)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, false})
-	}
-	for _, names := range multis {
-		sc, err := scenarioOf(plat, suite, names...)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, true})
-	}
-
-	// Fan scenario × policy units across the pool: every unit builds its own
-	// machine from the scenario and the shared read-only tables, so results
-	// are bit-identical at any parallelism level. The "harp" unit chains its
-	// online-learning warm-up with the measured run (the learned tables are
-	// unit-local state).
-	const nPolicies = 5 // cfs, itd, harp (learn+run), harp-offline, harp-noscaling
-	runs, err := parallel.Map(cfg.Parallelism, len(metas)*nPolicies, func(u int) (*harpsim.Result, error) {
-		m := metas[u/nPolicies]
-		base := harpsim.Options{Seed: cfg.Seed, Governor: sim.GovernorPowersave}
-		switch u % nPolicies {
-		case 0:
-			return harpsim.Run(m.sc, withPolicy(base, harpsim.PolicyCFS))
-		case 1:
-			return harpsim.Run(m.sc, withPolicy(base, harpsim.PolicyITD))
-		case 2:
-			// HARP with stable operating points learned online (§6.3:
-			// behaviour during learning is Fig. 8's subject).
-			learned, err := harpsim.LearnTables(m.sc, cfg.LearnFor, 0, base)
-			if err != nil {
-				return nil, err
-			}
-			opts := withPolicy(base, harpsim.PolicyHARP)
-			opts.OfflineTables = learned.Tables
-			return harpsim.Run(m.sc, opts)
-		case 3:
-			opts := withPolicy(base, harpsim.PolicyHARPOffline)
-			opts.OfflineTables = offline
-			return harpsim.Run(m.sc, opts)
-		default:
-			opts := withPolicy(base, harpsim.PolicyHARPNoScaling)
-			opts.OfflineTables = offline
-			return harpsim.Run(m.sc, opts)
-		}
+	base := harpsim.Options{Seed: cfg.Seed, Governor: sim.GovernorPowersave}
+	// CFS, then one arm per Fig6Labels entry, in that order.
+	runs, err := runArms(cfg, scs, []arm{
+		policyArm(base, harpsim.PolicyCFS, nil),
+		policyArm(base, harpsim.PolicyITD, nil),
+		learnedArm(base, cfg.LearnFor),
+		policyArm(base, harpsim.PolicyHARPOffline, offline),
+		policyArm(base, harpsim.PolicyHARPNoScaling, offline),
 	})
 	if err != nil {
 		return nil, err
@@ -136,56 +92,35 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		GeoSingle: make(map[string]Factor),
 		GeoMulti:  make(map[string]Factor),
 	}
-	for s, m := range metas {
-		cfs := runs[s*nPolicies]
-		res.Rows = append(res.Rows, Fig6Row{
-			Scenario:       m.sc.Name,
-			Multi:          m.multi,
-			CFSMakespanSec: cfs.MakespanSec,
-			Factors: map[string]Factor{
-				"itd":            factorOf(cfs, runs[s*nPolicies+1]),
-				"harp":           factorOf(cfs, runs[s*nPolicies+2]),
-				"harp-offline":   factorOf(cfs, runs[s*nPolicies+3]),
-				"harp-noscaling": factorOf(cfs, runs[s*nPolicies+4]),
-			},
-		})
-	}
-
-	for _, label := range Fig6Labels {
-		var single, multi []Factor
-		for _, row := range res.Rows {
-			if f, ok := row.Factors[label]; ok {
-				if row.Multi {
-					multi = append(multi, f)
-				} else {
-					single = append(single, f)
-				}
-			}
+	for s, sc := range scs {
+		row := Fig6Row{
+			Scenario:       sc.Name,
+			Multi:          s >= len(singles),
+			CFSMakespanSec: runs[s][0].MakespanSec,
+			Factors:        make(map[string]Factor, len(Fig6Labels)),
 		}
-		res.GeoSingle[label] = geoMeanFactors(single)
-		res.GeoMulti[label] = geoMeanFactors(multi)
+		for l, label := range Fig6Labels {
+			row.Factors[label] = factorOf(runs[s][0], runs[s][l+1])
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	for _, label := range Fig6Labels {
+		fs := make([]Factor, len(res.Rows))
+		for s, row := range res.Rows {
+			fs[s] = row.Factors[label]
+		}
+		res.GeoSingle[label] = geoMeanFactors(fs[:len(singles)])
+		res.GeoMulti[label] = geoMeanFactors(fs[len(singles):])
 	}
 	return res, nil
-}
-
-func withPolicy(o harpsim.Options, p harpsim.Policy) harpsim.Options {
-	o.Policy = p
-	return o
 }
 
 // Format writes the Fig. 6 table.
 func (r *Fig6Result) Format(w io.Writer) {
 	writeHeader(w, "Figure 6: improvement factors over CFS — Intel Raptor Lake i9-13900K")
 	fmt.Fprintf(w, "%-28s %9s  %s\n", "scenario", "CFS[s]", formatFactorHeader())
-	rows := append([]Fig6Row(nil), r.Rows...)
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Multi != rows[j].Multi {
-			return !rows[i].Multi
-		}
-		return false
-	})
 	lastMulti := false
-	for _, row := range rows {
+	for _, row := range r.Rows {
 		if row.Multi && !lastMulti {
 			fmt.Fprintln(w, strings.Repeat("-", 100))
 			lastMulti = true

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/harp-rm/harp/harpsim"
-	"github.com/harp-rm/harp/internal/parallel"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/sim"
 	"github.com/harp-rm/harp/internal/workload"
@@ -63,66 +62,35 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 		multis = [][]string{{"cg.A", "mg.A"}}
 	}
 
+	scs, err := scenarioSet(plat, suite, singles, multis)
+	if err != nil {
+		return nil, err
+	}
 	offline := harpsim.OfflineDSETablesParallel(plat, suite, cfg.Parallelism)
 	base := harpsim.Options{Seed: cfg.Seed, Governor: sim.GovernorSchedutil}
-
-	type scMeta struct {
-		sc    harpsim.Scenario
-		multi bool
-	}
-	var metas []scMeta
-	for _, name := range singles {
-		sc, err := scenarioOf(plat, suite, name)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, false})
-	}
-	for _, names := range multis {
-		sc, err := scenarioOf(plat, suite, names...)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, true})
-	}
-
-	// Scenario × policy units (EAS baseline, HARP offline), merged in
-	// submission order.
-	runs, err := parallel.Map(cfg.Parallelism, len(metas)*2, func(u int) (*harpsim.Result, error) {
-		m := metas[u/2]
-		if u%2 == 0 {
-			return harpsim.Run(m.sc, withPolicy(base, harpsim.PolicyEAS))
-		}
-		opts := withPolicy(base, harpsim.PolicyHARPOffline)
-		opts.OfflineTables = offline
-		return harpsim.Run(m.sc, opts)
+	runs, err := runArms(cfg, scs, []arm{
+		policyArm(base, harpsim.PolicyEAS, nil),
+		policyArm(base, harpsim.PolicyHARPOffline, offline),
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Fig7Result{}
-	for s, m := range metas {
-		eas, harp := runs[2*s], runs[2*s+1]
+	fs := make([]Factor, len(scs))
+	for s, sc := range scs {
+		eas := runs[s][0]
+		fs[s] = factorOf(eas, runs[s][1])
 		res.Rows = append(res.Rows, Fig7Row{
-			Scenario:    m.sc.Name,
-			Multi:       m.multi,
+			Scenario:    sc.Name,
+			Multi:       s >= len(singles),
 			EASMakespan: eas.MakespanSec,
 			EASEnergyJ:  eas.EnergyJ,
-			Factor:      factorOf(eas, harp),
+			Factor:      fs[s],
 		})
 	}
-
-	var single, multi []Factor
-	for _, row := range res.Rows {
-		if row.Multi {
-			multi = append(multi, row.Factor)
-		} else {
-			single = append(single, row.Factor)
-		}
-	}
-	res.GeoSingle = geoMeanFactors(single)
-	res.GeoMulti = geoMeanFactors(multi)
+	res.GeoSingle = geoMeanFactors(fs[:len(singles)])
+	res.GeoMulti = geoMeanFactors(fs[len(singles):])
 	return res, nil
 }
 

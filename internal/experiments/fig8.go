@@ -68,26 +68,10 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 		multis = [][]string{{"cg.C", "mg.C"}}
 	}
 
-	type scMeta struct {
-		sc    harpsim.Scenario
-		multi bool
+	scs, err := scenarioSet(plat, suite, singles, multis)
+	if err != nil {
+		return nil, err
 	}
-	var metas []scMeta
-	for _, name := range singles {
-		sc, err := scenarioOf(plat, suite, name)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, false})
-	}
-	for _, names := range multis {
-		sc, err := scenarioOf(plat, suite, names...)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, true})
-	}
-
 	base := harpsim.Options{Seed: cfg.Seed}
 
 	// Phase 1 — per scenario: the CFS baseline and the learning run with 5 s
@@ -96,16 +80,17 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 		cfs *harpsim.Result
 		lr  *harpsim.LearnResult
 	}
-	preps, err := parallel.Map(cfg.Parallelism, len(metas), func(s int) (prep, error) {
-		cfs, err := harpsim.Run(metas[s].sc, withPolicy(base, harpsim.PolicyCFS))
+	cfs := policyArm(base, harpsim.PolicyCFS, nil)
+	preps, err := parallel.Map(cfg.Parallelism, len(scs), func(s int) (prep, error) {
+		res, err := cfs.run(scs[s])
 		if err != nil {
 			return prep{}, err
 		}
-		lr, err := harpsim.LearnTables(metas[s].sc, cfg.LearnFor, 5*time.Second, base)
+		lr, err := harpsim.LearnTables(scs[s], cfg.LearnFor, 5*time.Second, base)
 		if err != nil {
 			return prep{}, err
 		}
-		return prep{cfs, lr}, nil
+		return prep{res, lr}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -123,20 +108,19 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	}
 	replays, err := parallel.Map(cfg.Parallelism, len(keys), func(u int) (*harpsim.Result, error) {
 		k := keys[u]
-		opts := withPolicy(base, harpsim.PolicyHARPOffline)
-		opts.OfflineTables = preps[k.s].lr.Snapshots[k.snap].Tables
-		return harpsim.Run(metas[k.s].sc, opts)
+		tables := preps[k.s].lr.Snapshots[k.snap].Tables
+		return policyArm(base, harpsim.PolicyHARPOffline, tables).run(scs[k.s])
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Fig8Result{}
-	rows := make([]Fig8Scenario, len(metas))
-	for s, m := range metas {
+	rows := make([]Fig8Scenario, len(scs))
+	for s, sc := range scs {
 		rows[s] = Fig8Scenario{
-			Scenario:       m.sc.Name,
-			Multi:          m.multi,
+			Scenario:       sc.Name,
+			Multi:          s >= len(singles),
 			StableAfterSec: preps[s].lr.StableAfterSec,
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/harp-rm/harp/harpsim"
-	"github.com/harp-rm/harp/internal/parallel"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/sim"
 	"github.com/harp-rm/harp/internal/workload"
@@ -29,13 +28,18 @@ func Governor(cfg Config) (*GovernorResult, error) {
 	plat := platform.RaptorLake()
 	suite := workload.IntelApps()
 
-	scenarios := [][]string{
-		{"ep.C"}, {"mg.C"}, {"ft.C"}, {"lu.C"}, {"binpack"},
+	singles := []string{"ep.C", "mg.C", "ft.C", "lu.C", "binpack"}
+	multis := [][]string{
 		{"cg.C", "mg.C"}, {"ft.C", "mg.C", "cg.C"},
 		{"ep.C", "cg.C", "ft.C", "mg.C", "sp.C"},
 	}
 	if cfg.Quick {
-		scenarios = [][]string{{"mg.C"}, {"cg.C", "mg.C"}}
+		singles = []string{"mg.C"}
+		multis = [][]string{{"cg.C", "mg.C"}}
+	}
+	scs, err := scenarioSet(plat, suite, singles, multis)
+	if err != nil {
+		return nil, err
 	}
 	offline := harpsim.OfflineDSETablesParallel(plat, suite, cfg.Parallelism)
 	govNames := []string{"powersave", "performance"}
@@ -44,43 +48,17 @@ func Governor(cfg Config) (*GovernorResult, error) {
 		"performance": sim.GovernorPerformance,
 	}
 
-	scs := make([]harpsim.Scenario, len(scenarios))
-	for i, names := range scenarios {
-		sc, err := scenarioOf(plat, suite, names...)
-		if err != nil {
-			return nil, err
-		}
-		scs[i] = sc
+	// Per governor: the CFS baseline, the learn-then-run HARP chain and HARP
+	// (Offline), all under that governor.
+	var arms []arm
+	for _, g := range govNames {
+		base := harpsim.Options{Seed: cfg.Seed, Governor: govs[g]}
+		arms = append(arms,
+			policyArm(base, harpsim.PolicyCFS, nil),
+			learnedArm(base, cfg.LearnFor),
+			policyArm(base, harpsim.PolicyHARPOffline, offline))
 	}
-
-	// Governor × scenario units; each runs its own CFS baseline, the
-	// learn-then-run HARP chain, and HARP (Offline).
-	type pair struct{ harp, off Factor }
-	units, err := parallel.Map(cfg.Parallelism, len(govNames)*len(scs), func(u int) (pair, error) {
-		sc := scs[u%len(scs)]
-		base := harpsim.Options{Seed: cfg.Seed, Governor: govs[govNames[u/len(scs)]]}
-		cfs, err := harpsim.Run(sc, withPolicy(base, harpsim.PolicyCFS))
-		if err != nil {
-			return pair{}, err
-		}
-		lr, err := harpsim.LearnTables(sc, cfg.LearnFor, 0, base)
-		if err != nil {
-			return pair{}, err
-		}
-		harpOpts := withPolicy(base, harpsim.PolicyHARP)
-		harpOpts.OfflineTables = lr.Tables
-		harp, err := harpsim.Run(sc, harpOpts)
-		if err != nil {
-			return pair{}, err
-		}
-		offOpts := withPolicy(base, harpsim.PolicyHARPOffline)
-		offOpts.OfflineTables = offline
-		off, err := harpsim.Run(sc, offOpts)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{harp: factorOf(cfs, harp), off: factorOf(cfs, off)}, nil
-	})
+	runs, err := runArms(cfg, scs, arms)
 	if err != nil {
 		return nil, err
 	}
@@ -94,10 +72,10 @@ func Governor(cfg Config) (*GovernorResult, error) {
 	}
 	for g, govName := range govNames {
 		var harpFactors, offFactors []Factor
-		for s := range scs {
-			u := units[g*len(scs)+s]
-			harpFactors = append(harpFactors, u.harp)
-			offFactors = append(offFactors, u.off)
+		for _, r := range runs {
+			cfs := r[3*g]
+			harpFactors = append(harpFactors, factorOf(cfs, r[3*g+1]))
+			offFactors = append(offFactors, factorOf(cfs, r[3*g+2]))
 		}
 		res.Factors["harp"][govName] = geoMeanFactors(harpFactors)
 		res.Factors["harp-offline"][govName] = geoMeanFactors(offFactors)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/harp-rm/harp/harpsim"
 	"github.com/harp-rm/harp/internal/mathx"
-	"github.com/harp-rm/harp/internal/parallel"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/workload"
 )
@@ -16,7 +15,6 @@ import (
 // dropped in libharp, so applications remain CFS-scheduled (§6.6).
 type OverheadRow struct {
 	Scenario        string
-	Multi           bool
 	CFSMakespanSec  float64
 	OverheadPercent float64
 }
@@ -47,60 +45,32 @@ func Overhead(cfg Config) (*OverheadResult, error) {
 		multis = [][]string{{"cg.C", "mg.C", "ft.C"}}
 	}
 
-	type scMeta struct {
-		sc    harpsim.Scenario
-		multi bool
+	scs, err := scenarioSet(plat, suite, singles, multis)
+	if err != nil {
+		return nil, err
 	}
-	var metas []scMeta
-	for _, name := range singles {
-		sc, err := scenarioOf(plat, suite, name)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, false})
-	}
-	for _, names := range multis {
-		sc, err := scenarioOf(plat, suite, names...)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, scMeta{sc, true})
-	}
-
-	// Scenario × policy units (CFS baseline, HARP with adaptation dropped).
 	base := harpsim.Options{Seed: cfg.Seed}
-	runs, err := parallel.Map(cfg.Parallelism, len(metas)*2, func(u int) (*harpsim.Result, error) {
-		sc := metas[u/2].sc
-		if u%2 == 0 {
-			return harpsim.Run(sc, withPolicy(base, harpsim.PolicyCFS))
-		}
-		return harpsim.Run(sc, withPolicy(base, harpsim.PolicyHARPOverhead))
+	runs, err := runArms(cfg, scs, []arm{
+		policyArm(base, harpsim.PolicyCFS, nil),
+		policyArm(base, harpsim.PolicyHARPOverhead, nil),
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &OverheadResult{}
-	for s, m := range metas {
-		cfs, ovh := runs[2*s], runs[2*s+1]
+	pcts := make([]float64, len(scs))
+	for s, sc := range scs {
+		cfs := runs[s][0]
+		pcts[s] = 100 * (runs[s][1].MakespanSec/cfs.MakespanSec - 1)
 		res.Rows = append(res.Rows, OverheadRow{
-			Scenario:        m.sc.Name,
-			Multi:           m.multi,
+			Scenario:        sc.Name,
 			CFSMakespanSec:  cfs.MakespanSec,
-			OverheadPercent: 100 * (ovh.MakespanSec/cfs.MakespanSec - 1),
+			OverheadPercent: pcts[s],
 		})
 	}
-
-	var single, multi []float64
-	for _, row := range res.Rows {
-		if row.Multi {
-			multi = append(multi, row.OverheadPercent)
-		} else {
-			single = append(single, row.OverheadPercent)
-		}
-	}
-	res.SingleMean = mathx.Mean(single)
-	res.MultiMean = mathx.Mean(multi)
+	res.SingleMean = mathx.Mean(pcts[:len(singles)])
+	res.MultiMean = mathx.Mean(pcts[len(singles):])
 	return res, nil
 }
 
