@@ -106,7 +106,8 @@ cluster-chaos-long:
 # fuzz-smoke briefly runs each wire-protocol and durable-state fuzzer —
 # enough to catch framing regressions, and any drift of the codec's fast
 # paths from encoding/json, on every push without a dedicated fuzzing farm —
-# and the runtime Pareto front's fuzzer against the generic scan.
+# the runtime Pareto front's fuzzer against the generic scan, and the
+# description loader's single-pass decoder against json.Decoder.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzWrite$$' -fuzztime 10s ./internal/proto/
@@ -114,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzRuntimeFront$$' -fuzztime 10s ./internal/opoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/opoint/
 
 # bench-check runs the repository benchmark (BENCHMARK.json, benchmark/README.md)
 # for three seconds per workload. It is a correctness gate, not a timing

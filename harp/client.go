@@ -219,16 +219,21 @@ func (c *Client) Activation() (Activation, bool) {
 
 // UploadDescription sends an application description file's operating
 // points to the RM (§4.1.1 step 2). The reader must yield the JSON format of
-// opoint.Table. The table is remembered so an auto-reconnecting client can
-// re-upload it when resuming the session.
+// opoint.Table. A description in the shape json.Marshal or json.Encoder
+// writes goes out as the bytes read, which decoding it has validated; any
+// other is marshalled from its decoded table. The table is remembered so an
+// auto-reconnecting client can re-upload it when resuming the session.
 func (c *Client) UploadDescription(r io.Reader) error {
-	tbl, err := opoint.Load(r)
+	tbl, raw, err := opoint.LoadRaw(r)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	c.lastTable = tbl
 	c.mu.Unlock()
+	if raw != nil {
+		return c.send(func(w io.Writer) error { return proto.WriteTable(w, raw) })
+	}
 	return c.write(proto.MsgOperatingPoints, proto.OperatingPoints{Table: tbl})
 }
 
@@ -300,6 +305,12 @@ func (c *Client) Err() error {
 }
 
 func (c *Client) write(typ proto.MsgType, body any) error {
+	return c.send(func(w io.Writer) error { return proto.Write(w, typ, body) })
+}
+
+// send runs one frame writer against the current connection, under the
+// write lock and the WriteTimeout deadline.
+func (c *Client) send(frame func(io.Writer) error) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.mu.Lock()
@@ -309,7 +320,7 @@ func (c *Client) write(typ proto.MsgType, body any) error {
 		_ = conn.SetWriteDeadline(time.Now().Add(d))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	return proto.Write(conn, typ, body)
+	return frame(conn)
 }
 
 // run owns the client's lifecycle: it reads RM pushes off the current

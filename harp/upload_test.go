@@ -3,6 +3,8 @@ package harp
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -151,5 +153,98 @@ func TestMalformedUploads(t *testing.T) {
 	}
 	if !hasSession(srv, "mg.C/1") || !hasSession(srv, "invalid/3") || len(srv.Sessions()) != 2 {
 		t.Fatalf("sessions = %+v, want mg.C/1 and invalid/3", srv.Sessions())
+	}
+}
+
+// pipeClient is a Client whose connection is one end of a net.Pipe; the
+// other end is returned for the test to read what the client sends.
+func pipeClient(tb testing.TB) (*Client, net.Conn) {
+	tb.Helper()
+	local, remote := net.Pipe()
+	tb.Cleanup(func() { local.Close(); remote.Close() })
+	return &Client{conn: local, reg: Registration{WriteTimeout: 2 * time.Second}}, remote
+}
+
+// encoded764 is a 764-point Raptor Lake description as json.Encoder writes
+// it, the form the benchmark's clients upload.
+func encoded764(tb testing.TB) []byte {
+	tb.Helper()
+	plat := platform.RaptorLake()
+	tbl := &opoint.Table{App: "ep.C", Platform: plat.Name}
+	for i, rv := range platform.EnumerateVectors(plat, 0) {
+		tbl.Points = append(tbl.Points, opoint.OperatingPoint{
+			Vector: rv, Utility: 1e9 + float64(i)*1.25e6, Power: 5 + float64(i)/8, Measured: i%3 != 0, Samples: i % 4,
+		})
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(tbl); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestUploadDescriptionForwardsDecodedBytes checks that a description the
+// single-pass decoder takes goes on the wire as the bytes read — a number
+// json.Marshal would rewrite stays as written — and that an indented one
+// is marshalled from its table.
+func TestUploadDescriptionForwardsDecodedBytes(t *testing.T) {
+	compact := `{"app":"a","platform":"p","points":[{"vector":{"counts":[[1,0],[2]]},"utility":1.50,"power":2E1}]}`
+	var indented bytes.Buffer
+	tbl := &opoint.Table{App: "a", Platform: "p", Points: []opoint.OperatingPoint{
+		{Vector: platform.ResourceVector{Counts: [][]int{{1, 0}, {2}}}, Utility: 1.5, Power: 20},
+	}}
+	if err := tbl.Save(&indented); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		desc, body string
+	}{
+		{compact + "\n", `{"table":` + compact + `}`},
+		{indented.String(), `{"table":{"app":"a","platform":"p","points":[{"vector":{"counts":[[1,0],[2]]},"utility":1.5,"power":20}]}}`},
+	} {
+		var want bytes.Buffer
+		if err := proto.Write(&want, proto.MsgOperatingPoints, json.RawMessage(c.body)); err != nil {
+			t.Fatal(err)
+		}
+		client, remote := pipeClient(t)
+		frame := make(chan []byte, 1)
+		go func() {
+			b := make([]byte, want.Len())
+			_, _ = io.ReadFull(remote, b)
+			frame <- b
+		}()
+		if err := client.UploadDescription(bytes.NewReader([]byte(c.desc))); err != nil {
+			t.Fatal(err)
+		}
+		sent := <-frame
+		if !bytes.Equal(sent, want.Bytes()) {
+			t.Fatalf("upload of %q sent %q, want %q", c.desc, sent, want.Bytes())
+		}
+		env, err := proto.Read(bytes.NewReader(sent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var up proto.OperatingPoints
+		if err := proto.DecodeBody(env, proto.MsgOperatingPoints, &up); err != nil || !reflect.DeepEqual(up.Table, tbl) {
+			t.Fatalf("upload of %q decodes to %+v (err %v), want %+v", c.desc, up.Table, err, tbl)
+		}
+	}
+}
+
+// BenchmarkUploadDescription764 is the client's share of a table upload:
+// UploadDescription of the 764-point description to a connection that
+// discards what it receives.
+func BenchmarkUploadDescription764(b *testing.B) {
+	desc := encoded764(b)
+	client, remote := pipeClient(b)
+	go func() { _, _ = io.Copy(io.Discard, remote) }()
+	r := bytes.NewReader(desc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(desc)
+		if err := client.UploadDescription(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

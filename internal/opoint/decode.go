@@ -1,10 +1,10 @@
-package proto
+package opoint
 
 import (
+	"math"
 	"strconv"
 	"sync"
-
-	"github.com/harp-rm/harp/internal/opoint"
+	"unicode/utf8"
 )
 
 // span is a half-open range [lo, hi) of a tableDecoder scratch slice; a
@@ -13,52 +13,51 @@ type span struct{ lo, hi int }
 
 var nullSpan = span{-1, -1}
 
-// tableDecoder is the state of one decodeTable call. Its scratch slices are
-// pooled, so their growth is paid once per process rather than per upload,
+// tableDecoder is the state of one Decode call. Its scratch slices are
+// pooled, so their growth is paid once per process rather than per table,
 // and they never hold a pointer into a decoded table.
 type tableDecoder struct {
-	b []byte // the body being decoded
+	b []byte // the input being decoded
 	i int    // read position in b
 
-	pts  []opoint.OperatingPoint // decoded points, Vector left empty
-	vecs []span                  // per point: its rows in rows
-	rows []span                  // per row: its cells in ints
+	pts  []OperatingPoint // decoded points, Vector left empty
+	vecs []span           // per point: its rows in rows
+	rows []span           // per row: its cells in ints
 	ints []int
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(tableDecoder) }}
 
-// decodeTable decodes an OperatingPoints body in one pass, accepting only
-// what json.Marshal produces for one:
+// Decode decodes one table in a single pass, accepting only the shape
+// json.Marshal produces for one:
 //
-//	{"table":{"app":S,"platform":S,"points":null|[P,…]}}
+//	{"app":S,"platform":S,"points":null|[P,…]}
 //	P = {"vector":{"counts":null|[null|[I,…],…]},"utility":N,"power":N[,"measured":B][,"samples":I]}
 //
-// with strings free of escapes and control characters and numbers in the
-// strict JSON grammar, parsed by strconv as encoding/json parses them. The
-// points, the rows and the ints of the table each live in one allocation of
-// exactly the decoded length, and every row and Counts slice has its
-// capacity clipped, so an append to one cannot reach its neighbour and no
-// slack stays resident with a table that is kept. ok is false for anything
-// else; the caller then decodes with json.Unmarshal, which also decides every
-// error. On what decodeTable accepts the two agree
-// (FuzzDecodeOperatingPoints).
-func decodeTable(body []byte) (*opoint.Table, bool) {
+// with nothing before or after it, strings free of escapes and control
+// characters, and numbers in the strict JSON grammar, parsed as
+// encoding/json parses them. The points, the rows and the ints of the table
+// each live in one allocation of exactly the decoded length, and every row
+// and Counts slice has its capacity clipped, so an append to one cannot
+// reach its neighbour and no slack stays resident with a table that is
+// kept. ok is false for anything else; the caller then decodes with
+// encoding/json, which also decides every error. On what Decode accepts the
+// two agree (FuzzLoad, and proto's FuzzDecodeOperatingPoints).
+func Decode(b []byte) (t *Table, ok bool) {
 	d := decoderPool.Get().(*tableDecoder)
-	d.b, d.i = body, 0
+	d.b, d.i = b, 0
 	d.pts, d.vecs, d.rows, d.ints = d.pts[:0], d.vecs[:0], d.rows[:0], d.ints[:0]
-	var tbl *opoint.Table
 	if app, plat, nullPoints, ok := d.table(); ok {
-		tbl = d.build(app, plat, nullPoints)
+		t = d.build(app, plat, nullPoints)
 	}
 	d.b = nil
 	decoderPool.Put(d)
-	return tbl, tbl != nil
+	return t, t != nil
 }
 
-// table parses the whole body, leaving the points in the scratch slices.
+// table parses the whole input, leaving the points in the scratch slices.
 func (d *tableDecoder) table() (app, plat []byte, nullPoints, ok bool) {
-	if !d.lit(`{"table":{"app":"`) {
+	if !d.lit(`{"app":"`) {
 		return nil, nil, false, false
 	}
 	if app, ok = d.str(); !ok || !d.lit(`,"platform":"`) {
@@ -71,24 +70,24 @@ func (d *tableDecoder) table() (app, plat []byte, nullPoints, ok bool) {
 	if !nullPoints && !d.list(d.point) {
 		return nil, nil, false, false
 	}
-	if !d.lit("}}") || d.i != len(d.b) {
+	if !d.lit("}") || d.i != len(d.b) {
 		return nil, nil, false, false
 	}
 	return app, plat, nullPoints, true
 }
 
 // build makes the table from the scratch.
-func (d *tableDecoder) build(app, plat []byte, nullPoints bool) *opoint.Table {
-	tbl := &opoint.Table{App: string(app), Platform: string(plat)}
+func (d *tableDecoder) build(app, plat []byte, nullPoints bool) *Table {
+	t := &Table{App: string(app), Platform: string(plat)}
 	if !nullPoints {
-		tbl.Points, _, _ = d.storage()
+		t.Points, _, _ = d.storage()
 	}
-	return tbl
+	return t
 }
 
 // storage copies the scratch into exactly sized points, rows and ints. Each
 // point's Counts slices rows and each row slices ints, capacity clipped.
-func (d *tableDecoder) storage() (points []opoint.OperatingPoint, rows [][]int, ints []int) {
+func (d *tableDecoder) storage() (points []OperatingPoint, rows [][]int, ints []int) {
 	ints = make([]int, len(d.ints))
 	copy(ints, d.ints)
 	rows = make([][]int, len(d.rows))
@@ -97,7 +96,7 @@ func (d *tableDecoder) storage() (points []opoint.OperatingPoint, rows [][]int, 
 			rows[i] = ints[r.lo:r.hi:r.hi]
 		}
 	}
-	points = make([]opoint.OperatingPoint, len(d.pts))
+	points = make([]OperatingPoint, len(d.pts))
 	copy(points, d.pts)
 	for i, v := range d.vecs {
 		if v.lo >= 0 {
@@ -120,7 +119,7 @@ func (d *tableDecoder) point() bool {
 		}
 		vec.hi = len(d.rows)
 	}
-	var op opoint.OperatingPoint
+	var op OperatingPoint
 	var ok bool
 	if !d.lit(`},"utility":`) {
 		return false
@@ -205,20 +204,28 @@ func (d *tableDecoder) lit(s string) bool {
 }
 
 // str consumes the rest of a string whose opening quote lit already took,
-// returning its contents.
+// returning its contents: only a string encoding/json would not rewrite,
+// without escapes or control characters and valid UTF-8.
 func (d *tableDecoder) str() ([]byte, bool) {
-	end := plainStringEnd(d.b[d.i:])
-	if end < 0 {
-		return nil, false
+	for i, c := range d.b[d.i:] {
+		switch {
+		case c == '"':
+			s := d.b[d.i : d.i+i]
+			if !utf8.Valid(s) {
+				return nil, false
+			}
+			d.i += i + 1
+			return s, true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		}
 	}
-	s := d.b[d.i : d.i+end]
-	d.i += end + 1
-	return s, true
+	return nil, false
 }
 
 // float consumes a number and parses it as encoding/json parses a float64.
 func (d *tableDecoder) float() (float64, bool) {
-	num, _, ok := d.number()
+	num, _, _, ok := d.number()
 	if !ok {
 		return 0, false
 	}
@@ -226,40 +233,52 @@ func (d *tableDecoder) float() (float64, bool) {
 	return f, err == nil
 }
 
-// integer consumes an integer literal and parses it as encoding/json parses
-// an int: a fraction, an exponent or overflow declines.
+// integer consumes an integer literal as encoding/json parses an int: a
+// fraction, an exponent or overflow declines.
 func (d *tableDecoder) integer() (int, bool) {
-	num, integer, ok := d.number()
-	if !ok || !integer {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(string(num), 10, strconv.IntSize)
-	return int(n), err == nil
+	_, n, isInt, ok := d.number()
+	return n, ok && isInt
 }
 
 // number consumes a number in the strict JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it is
-// an integer literal, without fraction or exponent.
-func (d *tableDecoder) number() (num []byte, integer, ok bool) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its text. When
+// it is an integer literal, without fraction or exponent, whose value fits
+// an int, isInt is true and n is that value, summed up from the digits as
+// the scan passes them.
+func (d *tableDecoder) number() (num []byte, n int, isInt, ok bool) {
 	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	// limit is the largest magnitude an int holds with this sign.
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	var mag uint64
+	isInt = true
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			digit := uint64(b[i] - '0')
+			if mag > (limit-digit)/10 {
+				isInt = false // overflow: keep scanning, decline as an int
+			} else {
+				mag = mag*10 + digit
+			}
+		}
 	default:
-		return nil, false, false
+		return nil, 0, false, false
 	}
-	integer = true
 	if i < len(b) && b[i] == '.' {
 		j := digits(b, i+1)
 		if j == i+1 {
-			return nil, false, false
+			return nil, 0, false, false
 		}
-		i, integer = j, false
+		i, isInt = j, false
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
@@ -268,12 +287,19 @@ func (d *tableDecoder) number() (num []byte, integer, ok bool) {
 		}
 		j := digits(b, i)
 		if j == i {
-			return nil, false, false
+			return nil, 0, false, false
 		}
-		i, integer = j, false
+		i, isInt = j, false
 	}
 	num, d.i = b[d.i:i], i
-	return num, integer, true
+	if !isInt {
+		return num, 0, false, true
+	}
+	n = int(mag)
+	if neg {
+		n = -n // for math.MinInt, int(mag) wraps to it and negation keeps it
+	}
+	return num, n, true, true
 }
 
 // digits returns the index of the first non-digit at or after i.

@@ -1,7 +1,9 @@
 package opoint
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,18 +13,45 @@ import (
 // Load reads an application description file (JSON) and validates it against
 // nothing — call Table.Validate with a platform to check vector shapes.
 // Description files are what ships alongside applications or lives under
-// /etc/harp (§4.3).
+// /etc/harp (§4.3). Load reads r to its end. It tries the single-pass
+// Decode on what it read, trailing whitespace trimmed, so it takes what
+// json.Marshal and json.Encoder write for a table; anything Decode declines
+// goes through encoding/json with unknown fields disallowed, which decides
+// every error. A description without an application name is an error
+// either way.
 func Load(r io.Reader) (*Table, error) {
-	var t Table
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
-		return nil, fmt.Errorf("opoint: decode description: %w", err)
+	t, _, err := LoadRaw(r)
+	return t, err
+}
+
+// LoadRaw is Load that also returns the description's bytes when Decode took
+// them: raw is then exactly one table in the shape json.Marshal writes, the
+// input without its trailing whitespace. It is nil when encoding/json
+// decoded the description.
+func LoadRaw(r io.Reader) (t *Table, raw []byte, err error) {
+	var buf bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(sized.Len() + bytes.MinRead) // one buffer, EOF read included
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, nil, fmt.Errorf("opoint: read description: %w", err)
+	}
+	trimmed := bytes.TrimRight(buf.Bytes(), " \t\r\n")
+	t, ok := Decode(trimmed)
+	if ok {
+		raw = trimmed
+	} else {
+		t = new(Table)
+		dec := json.NewDecoder(&buf)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(t); err != nil {
+			return nil, nil, fmt.Errorf("opoint: decode description: %w", err)
+		}
 	}
 	if t.App == "" {
-		return nil, fmt.Errorf("opoint: description without application name")
+		return nil, nil, errors.New("opoint: description without application name")
 	}
-	return &t, nil
+	return t, raw, nil
 }
 
 // LoadFile reads the description at path.

@@ -54,9 +54,15 @@ func seedFrames(f *testing.F) {
 // panic, every accepted envelope must carry a type, and accepted envelopes
 // must survive a re-encode/re-read round trip. The same bytes, taken as one
 // frame's payload, hold the hand-parsed envelope to json.Unmarshal: whatever
-// parseEnvelope accepts, json.Unmarshal decodes to the same envelope.
+// parseEnvelope accepts, json.Unmarshal decodes to the same envelope. An
+// upload parseEnvelope decoded carries its table in place of the body; the
+// table must be the one json.Unmarshal decodes from that body.
 func FuzzRead(f *testing.F) {
 	seedFrames(f)
+	upload := string(marshalBody(f, smallTable()))
+	f.Add([]byte(`{"type":"operating-points","body":` + upload + `}`))
+	f.Add([]byte(`{"type":"operating-points","body":` + upload[:len(upload)-1] + `}`))
+	f.Add([]byte(`{"type":"operating-points","body":{"table":null}}`))
 	f.Add([]byte(`{"type":"exit","body":null}`))
 	f.Add([]byte(`{"type":"x","body": 1}`))
 	f.Add([]byte(`{"type":"x","body":1,"type":"y"}`))
@@ -66,6 +72,16 @@ func FuzzRead(f *testing.F) {
 			var want Envelope
 			if err := json.Unmarshal(data, &want); err != nil {
 				t.Fatalf("parseEnvelope accepted a payload json.Unmarshal rejects (%v): %q", err, data)
+			}
+			if env.table != nil {
+				var up OperatingPoints
+				if err := json.Unmarshal(want.Body, &up); err != nil {
+					t.Fatalf("parseEnvelope decoded an upload json.Unmarshal rejects (%v): %q", err, data)
+				}
+				if !reflect.DeepEqual(env.table, up.Table) || env.Body != nil {
+					t.Fatalf("parseEnvelope decoded %#v (body %q), json.Unmarshal %#v from %q", env.table, env.Body, up.Table, data)
+				}
+				env.table, env.Body = nil, want.Body
 			}
 			if !reflect.DeepEqual(env, want) {
 				t.Fatalf("parseEnvelope = %+v, json.Unmarshal = %+v for %q", env, want, data)
@@ -85,6 +101,9 @@ func FuzzRead(f *testing.F) {
 			if len(env.Body) > 0 {
 				body = env.Body
 			}
+			if env.table != nil {
+				body = OperatingPoints{Table: env.table}
+			}
 			if err := Write(&buf, env.Type, body); err != nil {
 				t.Fatalf("accepted envelope does not re-encode: %v", err)
 			}
@@ -102,7 +121,8 @@ func FuzzRead(f *testing.F) {
 // FuzzWrite drives the framer with arbitrary message types and JSON bodies:
 // Write must accept and reject what the reference encoder does, with
 // byte-identical frames, and whenever it accepts, Read must hand back the
-// same type and an equivalent body.
+// same type and an equivalent body — for an upload Read decoded, the table
+// json.Unmarshal decodes from the body.
 func FuzzWrite(f *testing.F) {
 	f.Add(string(MsgRegister), []byte(`{"pid":1,"app":"x","adaptivity":"static"}`))
 	f.Add(string(MsgActivate), []byte(`{"seq":1,"vectorKey":"1|2","cores":[{"core":0,"threads":1}]}`))
@@ -110,6 +130,7 @@ func FuzzWrite(f *testing.F) {
 	f.Add(string(MsgExit), []byte(nil))
 	f.Add(string(MsgPong), []byte(`null`))
 	f.Add("custom-extension", []byte(`{"future":"field"}`))
+	f.Add(string(MsgOperatingPoints), marshalBody(f, smallTable()))
 	f.Fuzz(func(t *testing.T, typ string, body []byte) {
 		var payload any
 		if len(body) > 0 {
@@ -139,6 +160,13 @@ func FuzzWrite(f *testing.F) {
 		}
 		if env.Type != MsgType(typ) {
 			t.Fatalf("type = %q, want %q", env.Type, typ)
+		}
+		if env.table != nil {
+			var up OperatingPoints
+			if err := json.Unmarshal(body, &up); err != nil || !reflect.DeepEqual(env.table, up.Table) {
+				t.Fatalf("Read decoded %#v, json.Unmarshal %#v (err %v) from %q", env.table, up.Table, err, body)
+			}
+			return
 		}
 		if len(body) > 0 && json.Valid(body) {
 			var want, got any

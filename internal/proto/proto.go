@@ -5,13 +5,14 @@
 // while the encoding stays stdlib-only.
 //
 // The codec does one write per frame out and one scan per frame in. Write
-// marshals the body once and sends header and envelope in a single w.Write.
-// Read parses the envelope shape Write produces by hand, validates the body
-// with one json.Valid scan and copies it out of the frame buffer. DecodeBody
-// decodes an operating-points upload in a single pass into exactly sized
-// storage (table.go). Any other shape falls back to encoding/json, which
-// defines what decodes and how; the fast paths are held to it by
-// differential fuzzers.
+// marshals the body once and sends header and envelope in a single w.Write;
+// WriteTable frames a table's JSON that the caller already holds. Read parses
+// the envelope shape Write produces by hand. An operating-points upload in
+// that shape is decoded right there, in a single pass into exactly sized
+// storage (opoint.Decode), and DecodeBody hands the table over; any other
+// body is validated with one json.Valid scan and copied out of the frame
+// buffer. Any other shape falls back to encoding/json, which defines what
+// decodes and how; the fast paths are held to it by differential fuzzers.
 package proto
 
 import (
@@ -76,10 +77,14 @@ const (
 	MsgPong MsgType = "pong"
 )
 
-// Envelope frames one message.
+// Envelope frames one message. Body is nil for an operating-points upload
+// that Read decoded: its table rides in the envelope, and DecodeBody hands it
+// over.
 type Envelope struct {
 	Type MsgType         `json:"type"`
 	Body json.RawMessage `json:"body,omitempty"`
+
+	table *opoint.Table // the upload Read decoded, or nil
 }
 
 // Register announces an application to the RM.
@@ -164,6 +169,27 @@ func Write(w io.Writer, typ MsgType, body any) error {
 		}
 		raw = b
 	}
+	return writeFrame(w, typ, raw)
+}
+
+// WriteTable writes an operating-points upload whose table the caller holds
+// as JSON: the frame Write produces for OperatingPoints{Table: t} when table
+// is what json.Marshal writes for t, as opoint.LoadRaw returns it. The bytes
+// go out as they are, neither checked nor marshalled again.
+func WriteTable(w io.Writer, table []byte) error {
+	return writeFrame(w, MsgOperatingPoints, []byte(tableKey), table, []byte("}"))
+}
+
+// tableKey opens the JSON of an OperatingPoints body.
+const tableKey = `{"table":`
+
+// writeFrame frames the body, the concatenation of parts, under typ and
+// writes it in one w.Write; "body" is omitted when the parts are empty.
+func writeFrame(w io.Writer, typ MsgType, parts ...[]byte) error {
+	bodyLen := 0
+	for _, p := range parts {
+		bodyLen += len(p)
+	}
 	// The type's JSON literal: quoted as is when it needs no escape, which
 	// holds for every protocol type, else through the encoder.
 	var quoted []byte
@@ -177,8 +203,8 @@ func Write(w io.Writer, typ MsgType, body any) error {
 	}
 	const typeKey, bodyKey = `{"type":`, `,"body":`
 	n := len(typeKey) + typeLen + 1
-	if len(raw) > 0 {
-		n += len(bodyKey) + len(raw)
+	if bodyLen > 0 {
+		n += len(bodyKey) + bodyLen
 	}
 	if n > MaxFrame {
 		return ErrFrameTooLarge
@@ -193,9 +219,11 @@ func Write(w io.Writer, typ MsgType, body any) error {
 		frame = append(frame, typ...)
 		frame = append(frame, '"')
 	}
-	if len(raw) > 0 {
+	if bodyLen > 0 {
 		frame = append(frame, bodyKey...)
-		frame = append(frame, raw...)
+		for _, p := range parts {
+			frame = append(frame, p...)
+		}
 	}
 	frame = append(frame, '}')
 	if _, err := w.Write(frame); err != nil {
@@ -229,11 +257,12 @@ func Read(r io.Reader) (Envelope, error) {
 }
 
 // Reader reads framed messages from a single connection, reusing one frame
-// buffer across calls. Decoding is safe despite the reuse: readFrame copies
-// Envelope.Body out of the frame buffer into an allocation of its own (on
-// the fallback path json.RawMessage's UnmarshalJSON makes that copy), so
-// nothing returned by Read aliases it. A Reader is not safe for concurrent
-// use — one per connection, like the read loop that owns it.
+// buffer across calls. Decoding is safe despite the reuse: nothing returned
+// by Read aliases the buffer. A decoded upload's table lives in storage of
+// its own, and any other Envelope.Body is copied out of the buffer (on the
+// fallback path json.RawMessage's UnmarshalJSON makes that copy). A Reader
+// is not safe for concurrent use — one per connection, like the read loop
+// that owns it.
 type Reader struct {
 	r      io.Reader
 	header [4]byte
@@ -295,10 +324,13 @@ func readFrame(r io.Reader, buf []byte) (Envelope, error) {
 }
 
 // parseEnvelope decodes {"type":"<string>"} and {"type":"<string>","body":
-// <value>} — exactly what Write produces for a type without escapes — with
-// one json.Valid scan of the body, which it copies out of buf. ok is false
-// for every other shape, including whitespace around the body; json.Unmarshal
-// then decides, and on what parseEnvelope accepts the two agree (FuzzRead).
+// <value>} — exactly what Write produces for a type without escapes. The
+// body of an operating-points upload goes to decodeTable first, and a table
+// it takes rides in the envelope in place of Body: decoding is the body's
+// validation, and nothing is copied. Every other body gets one json.Valid
+// scan and is copied out of buf. ok is false for every other shape,
+// including whitespace around the body; json.Unmarshal then decides, and on
+// what parseEnvelope accepts the two agree (FuzzRead).
 func parseEnvelope(buf []byte) (env Envelope, ok bool) {
 	const typeKey, bodyKey = `{"type":"`, `,"body":`
 	if !bytes.HasPrefix(buf, []byte(typeKey)) || buf[len(buf)-1] != '}' {
@@ -318,6 +350,11 @@ func parseEnvelope(buf []byte) (env Envelope, ok bool) {
 		return Envelope{}, false
 	}
 	body := rest[len(bodyKey) : len(rest)-1]
+	if env.Type == MsgOperatingPoints {
+		if env.table, ok = decodeTable(body); ok {
+			return env, true
+		}
+	}
 	if len(body) == 0 || isSpace(body[0]) || isSpace(body[len(body)-1]) || !json.Valid(body) {
 		return Envelope{}, false
 	}
@@ -351,9 +388,11 @@ func isSpace(c byte) bool {
 }
 
 // DecodeBody unmarshals an envelope's body into out after checking the type.
-// An operating-points upload into an empty *OperatingPoints takes the
-// single-pass decoder first (decodeTable); every other body, and any upload
-// that decoder declines, goes through json.Unmarshal.
+// An operating-points upload into an empty *OperatingPoints gets the table
+// Read already decoded, or else takes the single-pass decoder first
+// (decodeTable); every other body, and any upload that decoder declines,
+// goes through json.Unmarshal. An upload Read decoded, into any other out,
+// is marshalled back for json.Unmarshal.
 func DecodeBody(env Envelope, want MsgType, out any) error {
 	if env.Type != want {
 		return fmt.Errorf("%w: got %q, want %q", ErrUnknownType, env.Type, want)
@@ -361,17 +400,42 @@ func DecodeBody(env Envelope, want MsgType, out any) error {
 	if out == nil {
 		return nil
 	}
-	if len(env.Body) == 0 {
+	up, emptyUpload := out.(*OperatingPoints)
+	emptyUpload = emptyUpload && up.Table == nil
+	body := env.Body
+	if env.table != nil {
+		if emptyUpload {
+			up.Table = env.table
+			return nil
+		}
+		b, err := json.Marshal(OperatingPoints{Table: env.table})
+		if err != nil {
+			return fmt.Errorf("proto: decode %s: %w", want, err)
+		}
+		body = b
+	}
+	if len(body) == 0 {
 		return fmt.Errorf("proto: %s without body", want)
 	}
-	if up, ok := out.(*OperatingPoints); ok && up.Table == nil {
-		if tbl, ok := decodeTable(env.Body); ok {
+	if emptyUpload {
+		if tbl, ok := decodeTable(body); ok {
 			up.Table = tbl
 			return nil
 		}
 	}
-	if err := json.Unmarshal(env.Body, out); err != nil {
+	if err := json.Unmarshal(body, out); err != nil {
 		return fmt.Errorf("proto: decode %s: %w", want, err)
 	}
 	return nil
+}
+
+// decodeTable decodes an OperatingPoints body in one pass: {"table":T}, with
+// T as opoint.Decode takes it. ok is false for anything else; the caller then
+// decodes with json.Unmarshal, which also decides every error. On what
+// decodeTable accepts the two agree (FuzzDecodeOperatingPoints).
+func decodeTable(body []byte) (*opoint.Table, bool) {
+	if !bytes.HasPrefix(body, []byte(tableKey)) || body[len(body)-1] != '}' {
+		return nil, false
+	}
+	return opoint.Decode(body[len(tableKey) : len(body)-1])
 }

@@ -134,6 +134,60 @@ func TestWriteMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWriteTableMatchesWrite checks that framing a table's json.Marshal
+// bytes gives the frame Write marshals for the table itself.
+func TestWriteTableMatchesWrite(t *testing.T) {
+	for _, tbl := range []*opoint.Table{smallTable(), table764(t)} {
+		table, err := json.Marshal(tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		calls := &countingWriter{w: &got}
+		if err := WriteTable(calls, table); err != nil {
+			t.Fatal(err)
+		}
+		if err := Write(&want, MsgOperatingPoints, OperatingPoints{Table: tbl}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || calls.n != 1 {
+			t.Fatalf("WriteTable made %d writes of %q, want one of %q", calls.n, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestDecodeBodyOfDecodedUpload checks that an upload Read decoded still
+// unmarshals into any destination as its body would: into a generic value,
+// and into an OperatingPoints that already holds a table.
+func TestDecodeBodyOfDecodedUpload(t *testing.T) {
+	body := marshalBody(t, smallTable())
+	frame := frames(t, 1, MsgOperatingPoints, json.RawMessage(body))
+	env, err := Read(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.table == nil || env.Body != nil {
+		t.Fatal("Read did not decode the upload")
+	}
+	var got, want any
+	if err := DecodeBody(env, MsgOperatingPoints, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeBody gave %v, json.Unmarshal %v", got, want)
+	}
+	held := OperatingPoints{Table: &opoint.Table{App: "old"}}
+	if err := DecodeBody(env, MsgOperatingPoints, &held); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(held.Table, smallTable()) {
+		t.Fatalf("DecodeBody into a held table gave %+v", held.Table)
+	}
+}
+
 type countingWriter struct {
 	w io.Writer
 	n int
@@ -173,9 +227,9 @@ func TestDecodeTableAcceptsMarshalled(t *testing.T) {
 }
 
 // TestDecodedTableIsExactlySized pins the retained-memory properties of a
-// decoded 764-point upload: the points, the one [][]int all vectors share
-// and the one []int all rows share have cap == len, and no point's Counts —
-// nor any of its rows — can append into a neighbour's storage.
+// decoded 764-point upload: the points have cap == len, and no point's
+// Counts — nor any of its rows — can append into a neighbour's storage.
+// opoint's TestDecodeStorageIsExactlySized pins the shared backings.
 func TestDecodedTableIsExactlySized(t *testing.T) {
 	raw := benchTable(t)
 	env, err := Read(bytes.NewReader(raw))
@@ -190,24 +244,6 @@ func TestDecodedTableIsExactlySized(t *testing.T) {
 		t.Fatal("decoded table differs from the uploaded one")
 	}
 	assertExactlySized(t, up.Table)
-
-	// The shared backings themselves: decode once more, keeping them.
-	d := &tableDecoder{b: env.Body}
-	if _, _, _, ok := d.table(); !ok {
-		t.Fatal("fast path declined the 764-point upload")
-	}
-	points, rows, ints := d.storage()
-	nRows, nInts := 0, 0
-	for _, p := range points {
-		nRows += len(p.Vector.Counts)
-		for _, r := range p.Vector.Counts {
-			nInts += len(r)
-		}
-	}
-	if cap(points) != 764 || len(rows) != nRows || cap(rows) != nRows || len(ints) != nInts || cap(ints) != nInts {
-		t.Fatalf("storage: points %d/%d, rows %d/%d (want %d), ints %d/%d (want %d)",
-			len(points), cap(points), len(rows), cap(rows), nRows, len(ints), cap(ints), nInts)
-	}
 }
 
 // assertExactlySized checks cap == len for the points, for each Counts and
