@@ -34,8 +34,9 @@ var decoderPool = sync.Pool{New: func() any { return new(tableDecoder) }}
 //	{"app":S,"platform":S,"points":null|[P,…]}
 //	P = {"vector":{"counts":null|[null|[I,…],…]},"utility":N,"power":N[,"measured":B][,"samples":I]}
 //
-// with nothing before or after it, strings free of escapes and control
-// characters, and numbers in the strict JSON grammar, parsed as
+// with nothing before or after it (Load trims trailing whitespace first, so
+// json.Encoder output takes this path too), strings free of escapes and
+// control characters, and numbers in the strict JSON grammar, parsed as
 // encoding/json parses them. The points, the rows and the ints of the table
 // each live in one allocation of exactly the decoded length, and every row
 // and Counts slice has its capacity clipped, so an append to one cannot
