@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check race bench-check bench-record bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-api lint-metrics lint-test-gates size soak cluster-chaos cluster-chaos-long
+.PHONY: build test check fmt-check race bench-check bench-smoke bench-record bench-parallel trace-demo fuzz-smoke invariants invariants-long lint-api lint-metrics lint-test-gates size soak cluster-chaos cluster-chaos-long
 
 build:
 	$(GO) build ./...
@@ -58,7 +58,9 @@ race:
 # the map-keyed reference merge, improve, rescue and the grouped λ loop
 # against their plain reference searches, solves on shared tables against
 # the same solves on cloned ones, the table's memoised front against the
-# usable front, placement against the cursor it replaced and its
+# usable front in solver order, the candidate lists kept across solves
+# against freshly built ones and the allocation regime of a retable solve,
+# placement against the cursor it replaced and its
 # stickiness, ring order and placement invariant, the polynomial's
 # prediction, the lazily fitted predicted table, the configuration-space walk,
 # the explorer's choices on it and the simulator's step with reused buffers
@@ -72,7 +74,7 @@ race:
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestMergeKeepsPositionZero|TestCoAllocationRingIdleFirst|TestTableSharingIsInvisible|TestParetoPointsIsUsableFront|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference|TestHandedOutTablesNeverChange|TestReplayedUploadsMatchUpsertLoop|TestQuickRecordDigests' \
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestMergeKeepsPositionZero|TestCoAllocationRingIdleFirst|TestTableSharingIsInvisible|TestParetoPointsIsUsableFront|TestSolverListsReusedOnlyForSameFacts|TestRetableSolveAllocRegime|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference|TestHandedOutTablesNeverChange|TestReplayedUploadsMatchUpsertLoop|TestQuickRecordDigests' \
 		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/ ./internal/platform/ ./internal/store/ ./internal/opoint/ ./internal/experiments/
 
 # invariants-long is the nightly sweep: the same harness over an order of
@@ -128,6 +130,14 @@ fuzz-smoke:
 bench-check:
 	bash benchmark/run.sh --seconds 3
 	./scripts/tick-gate.sh
+
+# bench-smoke runs every benchmark of the allocator and the operating-point
+# table once. It is no timing verdict: it runs the regime assertions the
+# benchmarks make with b.Fatal (a warm source where a warm start is expected,
+# no stamped solve served from the cache, zero allocations on a cache hit, …),
+# which no test runs otherwise. About two seconds.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/alloc ./internal/opoint
 
 # bench-record appends this checkout's benchmark numbers — every workload
 # three times at seed 1, the contract's 20 s — to the committed

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/harp-rm/harp/harpsim"
@@ -47,11 +46,11 @@ func run() error {
 	}
 	fmt.Printf("\nstable stage reached after %.1f s (paper: ≈ 30 s)\n", lr.StableAfterSec)
 
-	// Show the best learned operating points by energy-utility cost.
+	// Show the best learned operating points by energy-utility cost: the
+	// front comes in cost order, and it is shared, so it is read, not sorted.
 	tbl := lr.Tables[prof.Name]
 	vstar := tbl.MaxUtility()
 	pts := tbl.ParetoPoints()
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Cost(vstar) < pts[j].Cost(vstar) })
 	fmt.Println("\nbest learned operating points (by energy-utility cost ζ):")
 	fmt.Printf("%-12s %12s %10s %12s\n", "vector", "utility", "power[W]", "cost ζ")
 	for i, op := range pts {

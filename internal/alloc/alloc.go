@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
@@ -126,6 +125,10 @@ type Allocator struct {
 	// partial selection feasible). See SetOverBudget.
 	overBudget func() bool
 
+	// fallback is the free candidate of an application with no usable
+	// point (see buildState); its point is the allocator's own.
+	fallback candidate
+
 	// Flight-recorder phase histograms, resolved once in New so the hot path
 	// never touches the HistogramVec map (nil when metrics are off — the
 	// span API is nil-safe).
@@ -138,9 +141,8 @@ type Allocator struct {
 
 // solverScratch is the per-Allocator arena reused across solves so the
 // steady-state pipeline stays off the heap: capacity/λ/demand vectors, the
-// per-app states with their candidate and demand buffers, the groups and
-// representative arenas of the subgradient iteration, and the placement
-// pass's work arrays. Nothing in here escapes into a returned Allocation:
+// per-app states with their candidate lists, the groups of the subgradient
+// iteration, and the placement pass's work arrays. Nothing in here escapes into a returned Allocation:
 // results live in the standing/spare pair, and grant lists are built fresh
 // because the standing placement shares them onward.
 type solverScratch struct {
@@ -153,8 +155,6 @@ type solverScratch struct {
 	limit      []int
 	stride     []int
 	groups     []lagGroup
-	repBuf     []lagRep
-	fdBuf      []float64
 	seen       map[uint64]bool
 	rescue     rescueSearch
 	place      placeScratch
@@ -253,6 +253,9 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 		a.incScratch.resolveIdx = make([]int, 0, 16)
 	}
 	a.fpBase = a.fingerprintBase()
+	rv := platform.NewResourceVector(plat)
+	rv.Counts[len(plat.Kinds)-1][0] = 1
+	a.fallback = candidate{op: &opoint.OperatingPoint{Vector: rv}, demand: rv.CoreDemand()}
 	if a.metrics != nil {
 		a.fingerprintHist = a.metrics.EpochPhase.With(telemetry.PhaseFingerprint)
 		a.solveHist = a.metrics.EpochPhase.With(telemetry.PhaseSolve)
@@ -270,15 +273,18 @@ func NewSharded(plat *platform.Platform, _ int, _ float64, opts ...Option) (*All
 	return New(plat, opts...)
 }
 
-// candidate is an operating point with its precomputed cost and demand.
+// candidate is an operating point with its precomputed cost and demand. op
+// points into a table's memoised front (opoint.Table.ParetoPoints), or at
+// the allocator's fallback point; both are read-only.
 type candidate struct {
-	op     opoint.OperatingPoint
+	op     *opoint.OperatingPoint
 	cost   float64
 	demand []int
 }
 
 // appState is the per-application solver view. States live in the solver
-// scratch and are reset per solve.
+// scratch; a solve resets their choices, and a state's own list outlives the
+// solve for as long as its table does (buildState).
 type appState struct {
 	id string
 	// cands is the candidate list, read-only. owner built it into its own
@@ -286,12 +292,10 @@ type appState struct {
 	// state itself or the first state of the build sequence with the same
 	// table (buildState). A state that aliases another's list never writes
 	// its buffers.
-	cands     []candidate
-	owner     *appState
-	candBuf   []candidate
-	demandBuf []int
-	group     int32 // an owner's λ group (groupStates)
-	chosen    int   // index into cands, -1 = none
+	cands  []candidate
+	owner  *appState
+	group  int32 // an owner's λ group (groupStates)
+	chosen int   // index into cands, -1 = none
 	// coalloc records that repair found no candidate fitting the remaining
 	// capacity and deferred the application to co-allocation; placement
 	// shares cores for exactly these states. Running out of cores for any
@@ -299,7 +303,20 @@ type appState struct {
 	coalloc bool
 	// grid is improve's first-fit lookup over cands (see buildFit), carved
 	// from gridBuf and rebuilt per improve call; nil when the state has none.
-	grid, gridBuf []int32
+	grid []int32
+
+	// The owner's side, read once per list rather than once per state, and
+	// kept after the fields every state reads.
+	candBuf   []candidate
+	demandBuf []int
+	// facts are the table facts candBuf was built from, nil before the first
+	// build: the same pointer again means the same list.
+	facts *opoint.Facts
+	// reps are the λ representatives of candBuf (buildReps), with their
+	// demands carved from fdBuf; empty until built for the current list.
+	reps    []lagRep
+	fdBuf   []float64
+	gridBuf []int32
 }
 
 // Solve sources reported in Stats.Source and journaled per epoch.
@@ -556,8 +573,8 @@ func (a *Allocator) emitTrace(stats Stats) {
 // buildState gives st the solver view of app's table: one candidate per
 // point of the table's usable Pareto front (opoint.Table.ParetoPoints, which
 // says why unusable points go before the filter), with its cost and core
-// demand, sorted by cost — or the free fallback candidate when no point is
-// usable.
+// demand, in the front's order, which is cost order — or the free fallback
+// candidate when no point is usable.
 //
 // The view depends only on the table, and the Manager hands every session
 // of one application the same table pointer, so a solve derives it once per
@@ -567,6 +584,14 @@ func (a *Allocator) emitTrace(stats Stats) {
 // never written once handed out (opoint.Table), so the pointer stands for
 // its content for the whole solve. Candidate demand vectors are carved from
 // the owner's demand arena; neither buffer escapes into returned Allocations.
+//
+// The list depends only on the table's facts, so it also outlives the
+// solve: an owner whose table comes back with the same facts pointer keeps
+// its list, and its λ representatives, as they stand. Facts are a new
+// pointer whenever the content may have changed (opoint.Table.Invalidate,
+// a length change, a new table), and the state holds the pointer it built
+// from, so that address is never reused for other facts. A state rebuilds,
+// recycling its buffers, only when its table is replaced.
 func (a *Allocator) buildState(st *appState, app AppInput) error {
 	st.id = app.ID
 	st.chosen = -1
@@ -578,57 +603,41 @@ func (a *Allocator) buildState(st *appState, app AppInput) error {
 	if err := app.Table.Validate(a.plat); err != nil {
 		return err
 	}
-	vstar := app.Table.Facts().VStar
+	a.scratch.built[app.Table] = st
+	st.owner = st
+	facts := app.Table.Facts()
+	if st.facts == facts {
+		st.cands = st.candBuf
+		return nil
+	}
 	points := app.Table.ParetoPoints()
 	cands := st.candBuf[:0]
 	// Size the demand arena up front: carving then never reallocates, so the
 	// candidates' demand slices stay valid.
 	nk := len(a.plat.Kinds)
-	st.demandBuf = slices.Grow(st.demandBuf[:0], max(len(points), 1)*nk)
+	st.demandBuf = slices.Grow(st.demandBuf[:0], len(points)*nk)
 	buf := st.demandBuf
-	for _, op := range points {
+	for i := range points {
+		op := &points[i]
 		start := len(buf)
 		for kind := range op.Vector.Counts {
 			buf = append(buf, op.Vector.Cores(platform.KindID(kind)))
 		}
 		cands = append(cands, candidate{
 			op:     op,
-			cost:   op.Cost(vstar),
+			cost:   op.Cost(facts.VStar),
 			demand: buf[start:len(buf):len(buf)],
 		})
 	}
 	st.demandBuf = buf
 	if len(cands) == 0 {
 		// No usable characteristics yet (fresh application): fall back to a
-		// single core of the most efficient kind so the app can run and be
-		// explored.
-		cands = append(cands, a.fallbackCandidate())
+		// single core (one hardware thread) of the most efficient kind, at a
+		// neutral cost, so the app can run and be explored.
+		cands = append(cands, a.fallback)
 	}
-	slices.SortFunc(cands, func(x, y candidate) int {
-		if x.cost != y.cost {
-			if x.cost < y.cost {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(x.op.Vector.Key(), y.op.Vector.Key())
-	})
-	st.candBuf, st.cands, st.owner = cands, cands, st
-	a.scratch.built[app.Table] = st
+	st.candBuf, st.cands, st.facts, st.reps = cands, cands, facts, st.reps[:0]
 	return nil
-}
-
-// fallbackCandidate is one core (one hardware thread) of the most efficient
-// kind with a neutral cost.
-func (a *Allocator) fallbackCandidate() candidate {
-	rv := platform.NewResourceVector(a.plat)
-	kind := len(a.plat.Kinds) - 1
-	rv.Counts[kind][0] = 1
-	return candidate{
-		op:     opoint.OperatingPoint{Vector: rv},
-		cost:   0,
-		demand: rv.CoreDemand(),
-	}
 }
 
 // lagRep is one representative candidate in the subgradient scan: its index
@@ -642,12 +651,11 @@ type lagRep struct {
 // lagGroup is the applications of one solve that share one candidate list —
 // they were built from the same table (buildState) — so the relaxed
 // minimisation picks the same index for all of them under any λ. st is the
-// first member in input order, n the member count and best the index the
-// current iteration picked.
+// first member in input order, the list's owner; n is the member count and
+// best the index the current iteration picked.
 type lagGroup struct {
 	st   *appState
 	n    int
-	reps []lagRep
 	best int
 }
 
@@ -714,7 +722,7 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 	}
 
 	groups := s.groupStates(states)
-	s.buildReps(groups, nk)
+	s.buildReps(groups)
 
 	s.demand = resize(s.demand, nk)
 	demand := s.demand
@@ -734,7 +742,7 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 			g := &groups[gi]
 			best := 0
 			bestVal := math.Inf(1)
-			for _, r := range g.reps {
+			for _, r := range g.st.reps {
 				v := r.cost
 				for k, d := range r.demand {
 					v += lambda[k] * d
@@ -794,27 +802,26 @@ func (s *solverScratch) groupStates(states []*appState) []lagGroup {
 	return groups
 }
 
-// buildReps fills each group's representatives: per distinct demand vector
-// of its candidate list, the first (cheapest) candidate. They are carved
-// from arenas whose capacity is ensured up front (the groups' candidate
-// count bounds the representative count), so carving never reallocates and
-// the slices stay valid.
-func (s *solverScratch) buildReps(groups []lagGroup, nk int) {
-	total := 0
+// buildReps gives each group's owner the representatives of its candidate
+// list: per distinct demand vector, the first (cheapest) candidate. They
+// depend only on the list, so an owner that kept its list (buildState) keeps
+// them too. They are carved from the owner's own arenas, whose capacity is
+// ensured up front (the list's length bounds the representative count), so
+// carving never reallocates and the slices stay valid.
+func (s *solverScratch) buildReps(groups []lagGroup) {
 	for gi := range groups {
-		total += len(groups[gi].st.cands)
-	}
-	repBuf := slices.Grow(s.repBuf[:0], total)
-	fdBuf := slices.Grow(s.fdBuf[:0], total*nk)
-	if s.seen == nil {
-		s.seen = make(map[uint64]bool)
-	}
-	for gi := range groups {
-		g := &groups[gi]
+		st := groups[gi].st
+		if len(st.reps) > 0 {
+			continue
+		}
+		if s.seen == nil {
+			s.seen = make(map[uint64]bool)
+		}
 		clear(s.seen)
-		start := len(repBuf)
-		for i := range g.st.cands {
-			c := &g.st.cands[i]
+		reps := slices.Grow(st.reps[:0], len(st.cands))
+		fdBuf := slices.Grow(st.fdBuf[:0], len(st.cands)*len(st.cands[0].demand))
+		for i := range st.cands {
+			c := &st.cands[i]
 			key, ok := demandKey(c.demand)
 			if ok {
 				if s.seen[key] {
@@ -826,11 +833,10 @@ func (s *solverScratch) buildReps(groups []lagGroup, nk int) {
 			for _, d := range c.demand {
 				fdBuf = append(fdBuf, float64(d))
 			}
-			repBuf = append(repBuf, lagRep{idx: i, cost: c.cost, demand: fdBuf[fdStart:len(fdBuf):len(fdBuf)]})
+			reps = append(reps, lagRep{idx: i, cost: c.cost, demand: fdBuf[fdStart:len(fdBuf):len(fdBuf)]})
 		}
-		g.reps = repBuf[start:len(repBuf):len(repBuf)]
+		st.reps, st.fdBuf = reps, fdBuf
 	}
-	s.repBuf, s.fdBuf = repBuf, fdBuf
 }
 
 // floatsEqual reports element-wise equality (bitwise, as the fixpoint test
@@ -1433,7 +1439,7 @@ func (a *Allocator) assignCores(states []*appState, src []int32) ([]Allocation, 
 		if st.chosen < 0 || st.chosen >= len(st.cands) {
 			return nil, errors.New("alloc: internal: no chosen candidate")
 		}
-		out[i] = Allocation{ID: st.id, Point: st.cands[st.chosen].op, CoAllocated: st.coalloc}
+		out[i] = Allocation{ID: st.id, Point: *st.cands[st.chosen].op, CoAllocated: st.coalloc}
 	}
 	if _, err := a.placeCores(out, nil, src, false); err != nil {
 		return nil, err

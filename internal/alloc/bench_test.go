@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/opoint"
@@ -124,21 +125,22 @@ func BenchmarkAllocateWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocateRetable8 is the solver's share of a table re-upload on a
-// busy daemon: eight Intel applications with full 764-point tables, the
-// first jittered by ±1 % per point as a re-measured description would be,
-// solved by an allocator configured as the daemon's (solution cache, warm
-// start). Every iteration rewrites one useless point of the first table with
-// a unique utility stamp, so the fingerprint never repeats and every solve
-// is a cache miss that rebuilds the table's Pareto front, as an upload does.
-func BenchmarkAllocateRetable8(b *testing.B) {
+// retable8 is the solver's share of a table re-upload on a busy daemon:
+// eight Intel applications with full 764-point tables, the first jittered by
+// ±1 % per point as a re-measured description would be, and an allocator
+// configured as the daemon's (solution cache, warm start). stamp(i) rewrites
+// one useless point of the first table with utility stamp i, so the
+// fingerprint never repeats and the next solve is a cache miss that rebuilds
+// the table's Pareto front, as an upload does; the other seven tables do not
+// change.
+func retable8(tb testing.TB) (a *Allocator, inputs []AppInput, stamp func(i int)) {
+	tb.Helper()
 	plat := platform.RaptorLake()
 	rng := rand.New(rand.NewSource(1))
-	var inputs []AppInput
 	for i, name := range []string{"ep.C", "mg.C", "cg.C", "ft.C", "sp.C", "bt.C", "lu.C", "ua.C"} {
 		prof, err := workload.ByName(workload.IntelApps(), name)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		tbl := tableFor(plat, prof)
 		if i == 0 {
@@ -150,21 +152,30 @@ func BenchmarkAllocateRetable8(b *testing.B) {
 		inputs = append(inputs, AppInput{ID: name, Table: tbl})
 	}
 	active := inputs[0].Table
-	stamp := 0 // the point with the most cores: never worth choosing
+	at := 0 // the point with the most cores: never worth choosing
 	for p, op := range active.Points {
-		if op.Vector.TotalCores() > active.Points[stamp].Vector.TotalCores() {
-			stamp = p
+		if op.Vector.TotalCores() > active.Points[at].Vector.TotalCores() {
+			at = p
 		}
 	}
 	a, err := New(plat, WithCache(DefaultCacheSize), WithWarmStart(true))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return a, inputs, func(i int) {
+		active.Points[at].Utility = 1 + float64(i)*1e-9
+		active.Invalidate()
+	}
+}
+
+// BenchmarkAllocateRetable8 solves the retable8 input once per stamp: every
+// solve is a cache miss over one changed table and seven unchanged ones.
+func BenchmarkAllocateRetable8(b *testing.B) {
+	a, inputs, stamp := retable8(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		active.Points[stamp].Utility = 1 + float64(i)*1e-9
-		active.Invalidate()
+		stamp(i)
 		_, st, err := a.AllocateWithStats(inputs)
 		if err != nil {
 			b.Fatal(err)
@@ -172,6 +183,39 @@ func BenchmarkAllocateRetable8(b *testing.B) {
 		if st.Source == SourceCached {
 			b.Fatal("stamped solve served from the cache")
 		}
+	}
+}
+
+// TestRetableSolveAllocRegime pins the heap cost of a stamped retable8
+// solve: the changed table's facts, front and validation, the cache entry
+// and the grants of the applications that moved, and nothing per unchanged
+// table — at most 10 allocations and 41 000 bytes.
+func TestRetableSolveAllocRegime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size tables are slow to build in -short mode")
+	}
+	a, inputs, stamp := retable8(t)
+	i := 0
+	solve := func() {
+		i++
+		stamp(i)
+		if _, st, err := a.AllocateWithStats(inputs); err != nil || st.Source == SourceCached {
+			t.Fatalf("unexpected solve: source=%q err=%v", st.Source, err)
+		}
+	}
+	solve() // the first solve builds every list
+	const runs = 50
+	if avg := testing.AllocsPerRun(runs, solve); avg > 10 {
+		t.Errorf("stamped retable solve allocates %.1f times per run, want at most 10", avg)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 41000 {
+		t.Errorf("stamped retable solve allocates %d bytes per run, want at most 41000", perRun)
 	}
 }
 

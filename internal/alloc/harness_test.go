@@ -144,7 +144,7 @@ func TestRescueLiftsDeferredAppRegression(t *testing.T) {
 func TestImproveRespectsExhaustedKind(t *testing.T) {
 	p := testTwoKindPlatform(t) // capacity [3,1]
 	mk := func(v platform.ResourceVector, cost float64) candidate {
-		return candidate{op: opoint.OperatingPoint{Vector: v}, cost: cost, demand: v.CoreDemand()}
+		return candidate{op: &opoint.OperatingPoint{Vector: v}, cost: cost, demand: v.CoreDemand()}
 	}
 	// st1 holds 2×K0 at cost 5; its cheaper alternative wants all 3×K0. st2
 	// owns the third K0 core and has nowhere else to go, so K0 stays
@@ -184,7 +184,7 @@ func TestAssignCoresCapacityError(t *testing.T) {
 	over := platform.NewResourceVector(p)
 	over.Counts[0][0] = 5 // 5 big cores on a 4-big-core platform
 	corrupt := &appState{id: "x", cands: []candidate{{
-		op:     opoint.OperatingPoint{Vector: over},
+		op:     &opoint.OperatingPoint{Vector: over},
 		demand: over.CoreDemand(),
 	}}, chosen: 0}
 

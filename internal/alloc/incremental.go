@@ -313,7 +313,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool) (
 			if st.chosen < 0 || st.chosen >= len(st.cands) {
 				return nil, Stats{}, false, nil // inconsistent; full solve recovers
 			}
-			sel[ri] = Allocation{ID: apps[i].ID, Point: st.cands[st.chosen].op, CoAllocated: st.coalloc}
+			sel[ri] = Allocation{ID: apps[i].ID, Point: *st.cands[st.chosen].op, CoAllocated: st.coalloc}
 			chosenSum += st.cands[st.chosen].cost
 			minSum += apps[i].Table.Facts().MinCost
 			ri++

@@ -154,7 +154,7 @@ func (r *MapPins) tryIncremental(apps []AppInput, capacity []int) ([]Allocation,
 	for i := range apps {
 		if inResolve[i] {
 			st := states[ri]
-			out[i] = Allocation{ID: apps[i].ID, Point: st.cands[st.chosen].op, CoAllocated: st.coalloc}
+			out[i] = Allocation{ID: apps[i].ID, Point: *st.cands[st.chosen].op, CoAllocated: st.coalloc}
 			chosenSum += st.cands[st.chosen].cost
 			minSum += apps[i].Table.Facts().MinCost
 			changed = append(changed, i)

@@ -19,7 +19,7 @@ func (a *Allocator) cursorAssign(states []*appState) ([]Allocation, error) {
 			return nil, errors.New("alloc: internal: no chosen candidate")
 		}
 		cand := st.cands[st.chosen]
-		out[si] = Allocation{ID: st.id, Point: cand.op}
+		out[si] = Allocation{ID: st.id, Point: *cand.op}
 		if st.coalloc {
 			continue
 		}

@@ -58,7 +58,7 @@ func BenchmarkRuntimeFront764(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if front := RuntimeFront(tbl.Points, nil); len(front) == 0 {
+		if front := runtimeFront(tbl.Points, nil, 0); len(front) == 0 {
 			b.Fatal("empty front")
 		}
 	}

@@ -1,7 +1,11 @@
 package opoint
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -160,30 +164,84 @@ func TestValidateMemoIsPerPlatform(t *testing.T) {
 	}
 }
 
-// TestParetoPointsIsUsableFront pins what the memoised front is: RuntimeFront
-// of the points usable at v*, in table order. A zero-power point and a
+// TestParetoPointsIsUsableFront pins what the memoised front is: runtimeFront
+// of the points usable at v*, permuted into solver order — by cost at v*,
+// then by vector key, then in runtimeFront's order. A zero-power point and a
 // zero-vector point would dominate honest points on the unfiltered front;
-// the memo drops them first. On a fully usable table it is RuntimeFront of
-// every point.
+// the memo drops them first. On a fully usable table it is runtimeFront of
+// every point, reordered.
 func TestParetoPointsIsUsableFront(t *testing.T) {
 	p := platform.RaptorLake()
 	tbl := &Table{App: "x", Platform: p.Name}
 	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{1, 0}, []int{0}), Utility: 10, Power: 5})
 	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{2, 0}, []int{0}), Utility: 18, Power: 9})
 	tbl.Upsert(OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{1}), Utility: 4, Power: 1})
-	if got, want := tbl.ParetoPoints(), RuntimeFront(tbl.Points, nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fully usable table: memo %v, RuntimeFront %v", got, want)
+	if got, want := tbl.ParetoPoints(), inSolverOrder(runtimeFront(tbl.Points, nil, 0), tbl.MaxUtility()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fully usable table: memo %v, runtimeFront in solver order %v", got, want)
 	}
 
 	usable := tbl.Points
 	degenerate := tbl.Clone()
 	degenerate.Upsert(OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{2}), Utility: 6, Power: 0})
 	degenerate.Upsert(OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{0}), Utility: 20, Power: 1})
-	want := RuntimeFront(usable, nil)
+	want := inSolverOrder(runtimeFront(usable, nil, 0), degenerate.MaxUtility())
 	if got := degenerate.ParetoPoints(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("memo %v, want the usable front %v", got, want)
 	}
-	if reflect.DeepEqual(RuntimeFront(degenerate.Points, nil), want) {
+	if reflect.DeepEqual(runtimeFront(degenerate.Points, nil, 0), runtimeFront(usable, nil, 0)) {
 		t.Fatal("the degenerate points leave the unfiltered front as it is: the case tests nothing")
 	}
+
+	// A table whose runtimeFront order (utility descending) is not its
+	// solver order: the cheapest point has middling utility, and the two
+	// points tied at cost 20 sort by key, where "0,0|10" < "0,0|2".
+	y := OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{2}), Utility: 20, Power: 20}
+	z := OperatingPoint{Vector: vec(t, p, []int{1, 0}, []int{0}), Utility: 12, Power: 4}
+	x := OperatingPoint{Vector: vec(t, p, []int{0, 0}, []int{10}), Utility: 10, Power: 5}
+	ordered := &Table{App: "y", Platform: p.Name, Points: []OperatingPoint{y, z, x}}
+	if got, want := runtimeFront(ordered.Points, nil, 0), []OperatingPoint{y, z, x}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("runtimeFront %v, want utility order %v", got, want)
+	}
+	if got, want := ordered.ParetoPoints(), []OperatingPoint{z, x, y}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("memo %v, want solver order %v", got, want)
+	}
+
+	// Random tables whose small integer characteristics tie in cost often,
+	// with repeated vectors, on the demand grid and — one point past the
+	// grid's cap — on the generic scan.
+	vectors := platform.EnumerateVectors(p, 0)
+	huge := vec(t, p, []int{0, 0}, []int{0})
+	huge.Counts[1][0] = 5000
+	for seed := int64(1); seed <= 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tbl := &Table{App: "r", Platform: p.Name}
+		for i := 0; i < 1+r.Intn(200); i++ {
+			tbl.Points = append(tbl.Points, OperatingPoint{
+				Vector:  vectors[r.Intn(1+r.Intn(len(vectors)))],
+				Utility: float64(r.Intn(10)),
+				Power:   float64(r.Intn(10)),
+				Samples: i,
+			})
+		}
+		for _, generic := range []bool{false, true} {
+			if generic {
+				tbl = tbl.Clone()
+				tbl.Points = append(tbl.Points, OperatingPoint{Vector: huge, Utility: 1, Power: 1, Samples: -1})
+			}
+			vstar := tbl.MaxUtility()
+			usable := slices.DeleteFunc(slices.Clone(tbl.Points), func(op OperatingPoint) bool { return !op.Usable(vstar) })
+			if got, want := tbl.ParetoPoints(), inSolverOrder(runtimeFront(usable, nil, 0), vstar); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, generic scan %v: memo %v, want %v", seed, generic, got, want)
+			}
+		}
+	}
+}
+
+// inSolverOrder is the solver order by its definition: front stably sorted
+// by cost at vstar, then by vector key.
+func inSolverOrder(front []OperatingPoint, vstar float64) []OperatingPoint {
+	slices.SortStableFunc(front, func(a, b OperatingPoint) int {
+		return cmp.Or(cmp.Compare(a.Cost(vstar), b.Cost(vstar)), strings.Compare(a.Vector.Key(), b.Vector.Key()))
+	})
+	return front
 }

@@ -12,7 +12,7 @@ import (
 	"github.com/harp-rm/harp/internal/workload"
 )
 
-// TestRuntimeFrontMatchesPareto holds RuntimeFront to the generic scan it
+// TestRuntimeFrontMatchesPareto holds runtimeFront to the generic scan it
 // replaces, element for element, over every point and over the points a
 // keep function selects: the full 764-vector Raptor Lake tables of every
 // Intel profile, exact and jittered, and random tables on both built-in
@@ -22,12 +22,12 @@ func TestRuntimeFrontMatchesPareto(t *testing.T) {
 	keep := func(op *OperatingPoint) bool { return op.Power > 2 }
 	check := func(name string, pts []OperatingPoint) {
 		t.Helper()
-		if got, want := RuntimeFront(pts, nil), Pareto(pts, RuntimeObjectives); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: RuntimeFront kept %d points, Pareto %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
+		if got, want := runtimeFront(pts, nil, 0), Pareto(pts, RuntimeObjectives); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: runtimeFront kept %d points, Pareto %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
 		}
 		kept := slices.DeleteFunc(slices.Clone(pts), func(op OperatingPoint) bool { return !keep(&op) })
-		if got, want := RuntimeFront(pts, keep), Pareto(kept, RuntimeObjectives); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s, power > 2: RuntimeFront kept %d points, Pareto %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
+		if got, want := runtimeFront(pts, keep, 0), Pareto(kept, RuntimeObjectives); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, power > 2: runtimeFront kept %d points, Pareto %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
 		}
 	}
 	intel := platform.RaptorLake()
@@ -121,7 +121,7 @@ func fuzzPoints(data []byte) []OperatingPoint {
 	return pts
 }
 
-// FuzzRuntimeFront checks that RuntimeFront keeps exactly the points the
+// FuzzRuntimeFront checks that runtimeFront keeps exactly the points the
 // generic Pareto scan keeps, in the same order, or panics exactly when it
 // does (rows of different widths), on any table fuzzPoints decodes — over
 // every point, and over the even-numbered ones.
@@ -146,7 +146,7 @@ func FuzzRuntimeFront(f *testing.F) {
 		}
 		even := func(op *OperatingPoint) bool { return op.Samples%2 == 0 }
 		for _, keep := range []func(*OperatingPoint) bool{nil, even} {
-			got, gotPanic := run(func(pts []OperatingPoint) []OperatingPoint { return RuntimeFront(pts, keep) })
+			got, gotPanic := run(func(pts []OperatingPoint) []OperatingPoint { return runtimeFront(pts, keep, 0) })
 			want, wantPanic := run(func(pts []OperatingPoint) []OperatingPoint {
 				if keep != nil {
 					pts = slices.DeleteFunc(slices.Clone(pts), func(op OperatingPoint) bool { return !keep(&op) })
@@ -154,7 +154,7 @@ func FuzzRuntimeFront(f *testing.F) {
 				return Pareto(pts, RuntimeObjectives)
 			})
 			if gotPanic != wantPanic || !reflect.DeepEqual(got, want) {
-				t.Fatalf("RuntimeFront (keep %v) kept %v (panicked %v), Pareto %v (panicked %v) of %v", keep != nil, got, gotPanic, want, wantPanic, pts)
+				t.Fatalf("runtimeFront (keep %v) kept %v (panicked %v), Pareto %v (panicked %v) of %v", keep != nil, got, gotPanic, want, wantPanic, pts)
 			}
 		}
 	})

@@ -7,12 +7,12 @@
 package opoint
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"github.com/harp-rm/harp/internal/platform"
@@ -106,7 +106,8 @@ type Facts struct {
 	MinCost float64
 	// n is the len(Points) the facts describe.
 	n int
-	// front is the usable runtime Pareto front, nil until ParetoPoints.
+	// front is the usable runtime Pareto front in solver order, nil until
+	// ParetoPoints.
 	front atomic.Pointer[[]OperatingPoint]
 }
 
@@ -395,9 +396,12 @@ func RuntimeObjectives(dst []float64, op OperatingPoint) []float64 {
 }
 
 // ParetoPoints filters the table down to its usable runtime Pareto front:
-// RuntimeFront of the points that are Usable at v*. The front is memoised
-// with the table's facts until the table changes; callers must treat the
-// returned slice as read-only (the allocator and harpctl only iterate it).
+// runtimeFront of the points that are Usable at v*, in solver order — by
+// cost at v* (Facts.VStar), ties broken by Vector.Key() and then by
+// runtimeFront's order. The allocator's candidate list is this front in this
+// order, so a solve sorts nothing. The front is memoised with the table's
+// facts until the table changes; callers must treat the returned slice as
+// read-only: every solve over the table reads it.
 //
 // Unusable points — zero vectors and points whose cost guard yields a
 // non-finite cost (e.g. a zero-power measurement) — are dropped BEFORE the
@@ -413,27 +417,30 @@ func (t *Table) ParetoPoints() []OperatingPoint {
 	if front := f.front.Load(); front != nil {
 		return *front
 	}
-	front := RuntimeFront(t.Points, func(op *OperatingPoint) bool { return op.Usable(f.VStar) })
+	front := runtimeFront(t.Points, func(op *OperatingPoint) bool { return op.Usable(f.VStar) }, f.VStar)
 	f.front.Store(&front)
 	return front
 }
 
-// runtimeFrontMaxCells caps RuntimeFront's demand grid; a table whose
+// runtimeFrontMaxCells caps runtimeFront's demand grid; a table whose
 // per-kind core demands span more cells takes the generic scan.
 const runtimeFrontMaxCells = 4096
 
-// frontKey is one point in RuntimeFront's scan order: its RuntimeObjectives
+// frontKey is one point in runtimeFront's scan order: its RuntimeObjectives
 // row, with the per-kind cores folded into their demand-grid cell.
 type frontKey struct {
 	negUtil, power float64
 	cell, idx      int32
 }
 
-// RuntimeFront returns Pareto(kept, RuntimeObjectives), element for element,
+// runtimeFront returns Pareto(kept, RuntimeObjectives), element for element,
 // kept being the points keep reports true for, in order — every point when
 // keep is nil. It skips the others without copying the rest, and tests each
 // kept point with one lookup in a grid over core demand instead of a scan of
-// the front built so far.
+// the front built so far. When vstar is positive the front comes permuted
+// into solver order by cost at vstar (see ParetoPoints); the grid path sorts
+// the front's keys before it copies the points out, so the order costs no
+// allocation.
 //
 // Pareto scans rows in lexicographic order — utility descending, then power,
 // then cores per kind, then index — so every point already on the front has
@@ -449,7 +456,7 @@ type frontKey struct {
 // points with kind counts other than the first point's or negative demands,
 // non-finite utilities or powers (where the lexicographic order and the
 // comparisons part ways), and demand grids past runtimeFrontMaxCells.
-func RuntimeFront(points []OperatingPoint, keep func(*OperatingPoint) bool) []OperatingPoint {
+func runtimeFront(points []OperatingPoint, keep func(*OperatingPoint) bool, vstar float64) []OperatingPoint {
 	if len(points) == 0 {
 		return nil
 	}
@@ -457,7 +464,16 @@ func RuntimeFront(points []OperatingPoint, keep func(*OperatingPoint) bool) []Op
 		if keep != nil {
 			points = slices.DeleteFunc(slices.Clone(points), func(op OperatingPoint) bool { return !keep(&op) })
 		}
-		return Pareto(points, RuntimeObjectives)
+		front := Pareto(points, RuntimeObjectives)
+		if vstar <= 0 {
+			return front
+		}
+		keys := make([]frontKey, len(front))
+		for i := range front {
+			keys[i] = frontKey{negUtil: -front[i].Utility, power: front[i].Power, idx: int32(i)}
+		}
+		solverOrder(keys, front, vstar)
+		return copyOut(keys, front)
 	}
 	nk := len(points[0].Vector.Counts)
 	dims := make([]int, 4*nk)
@@ -501,10 +517,7 @@ func RuntimeFront(points []OperatingPoint, keep func(*OperatingPoint) bool) []Op
 		}
 		keys[i].cell = int32(cell)
 	}
-	slices.SortFunc(keys, func(x, y frontKey) int {
-		return cmp.Or(cmp.Compare(x.negUtil, y.negUtil), cmp.Compare(x.power, y.power),
-			cmp.Compare(x.cell, y.cell), cmp.Compare(x.idx, y.idx))
-	})
+	slices.SortFunc(keys, frontKey.compare)
 
 	best := make([]float64, cells)
 	for i := range best {
@@ -536,11 +549,70 @@ func RuntimeFront(points []OperatingPoint, keep func(*OperatingPoint) bool) []Op
 			}
 		}
 	}
-	out := make([]OperatingPoint, len(front))
-	for n, key := range front {
+	if vstar > 0 {
+		solverOrder(front, points, vstar)
+	}
+	return copyOut(front, points)
+}
+
+// compare orders keys as Pareto scans rows: utility descending, then power,
+// then cores per kind, then index. It compares field by field with early
+// exit; every value is finite, so the plain comparisons order exactly as
+// cmp.Compare would.
+func (x frontKey) compare(y frontKey) int {
+	switch {
+	case x.negUtil != y.negUtil:
+		return compareLess(x.negUtil < y.negUtil)
+	case x.power != y.power:
+		return compareLess(x.power < y.power)
+	case x.cell != y.cell:
+		return compareLess(x.cell < y.cell)
+	case x.idx != y.idx:
+		return compareLess(x.idx < y.idx)
+	}
+	return 0
+}
+
+// solverOrder sorts front, the keys of a usable front over points in
+// runtimeFront's order, into solver order: by cost at vstar, then by vector
+// key, then as before. Usable points have finite costs, so the plain
+// comparisons order exactly as cmp.Compare would.
+func solverOrder(front []frontKey, points []OperatingPoint, vstar float64) {
+	slices.SortFunc(front, func(x, y frontKey) int {
+		if cx, cy := x.cost(vstar), y.cost(vstar); cx != cy {
+			return compareLess(cx < cy)
+		}
+		if x == y {
+			return 0
+		}
+		if c := strings.Compare(points[x.idx].Vector.Key(), points[y.idx].Vector.Key()); c != 0 {
+			return c
+		}
+		return x.compare(y)
+	})
+}
+
+// cost is the key's point's cost at vstar (OperatingPoint.Cost).
+func (x frontKey) cost(vstar float64) float64 {
+	return OperatingPoint{Utility: -x.negUtil, Power: x.power}.Cost(vstar)
+}
+
+// copyOut returns the points the keys index, in key order.
+func copyOut(keys []frontKey, points []OperatingPoint) []OperatingPoint {
+	out := make([]OperatingPoint, len(keys))
+	for n, key := range keys {
 		out[n] = points[key.idx]
 	}
 	return out
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// compareLess is a comparator's result for two keys known to differ: -1 when
+// the first sorts first.
+func compareLess(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
+}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"unicode/utf8"
 
 	"github.com/harp-rm/harp/internal/opoint"
@@ -175,13 +176,33 @@ func Write(w io.Writer, typ MsgType, body any) error {
 // WriteTable writes an operating-points upload whose table the caller holds
 // as JSON: the frame Write produces for OperatingPoints{Table: t} when table
 // is what json.Marshal writes for t, as opoint.LoadRaw returns it. The bytes
-// go out as they are, neither checked nor marshalled again.
+// go out as they are, neither checked nor marshalled again, nor copied: on a
+// net.Conn the frame's head, the table and the closing braces go out as one
+// vectored write (net.Buffers, a single writev on a socket); any other
+// writer gets the frame in one w.Write.
 func WriteTable(w io.Writer, table []byte) error {
-	return writeFrame(w, MsgOperatingPoints, []byte(tableKey), table, []byte("}"))
+	conn, ok := w.(net.Conn)
+	if !ok {
+		return writeFrame(w, MsgOperatingPoints, []byte(tableKey), table, []byte("}"))
+	}
+	bodyLen := len(tableKey) + len(table) + 1
+	head, err := frameHead(MsgOperatingPoints, bodyLen, len(tableKey))
+	if err != nil {
+		return err
+	}
+	bufs := net.Buffers{append(head, tableKey...), table, tableEnd}
+	if _, err := bufs.WriteTo(conn); err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
+	}
+	return nil
 }
 
 // tableKey opens the JSON of an OperatingPoints body.
 const tableKey = `{"table":`
+
+// tableEnd closes an OperatingPoints body and its frame. It is only ever
+// read: a vectored write advances its own slice headers, not the bytes.
+var tableEnd = []byte("}}")
 
 // writeFrame frames the body, the concatenation of parts, under typ and
 // writes it in one w.Write; "body" is omitted when the parts are empty.
@@ -190,6 +211,24 @@ func writeFrame(w io.Writer, typ MsgType, parts ...[]byte) error {
 	for _, p := range parts {
 		bodyLen += len(p)
 	}
+	frame, err := frameHead(typ, bodyLen, bodyLen+1)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	frame = append(frame, '}')
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
+	}
+	return nil
+}
+
+// frameHead returns the frame of a bodyLen-byte body under typ up to the
+// body itself: the length prefix, the type and, when bodyLen > 0, the body
+// key. The slice has room for extra more bytes.
+func frameHead(typ MsgType, bodyLen, extra int) ([]byte, error) {
 	// The type's JSON literal: quoted as is when it needs no escape, which
 	// holds for every protocol type, else through the encoder.
 	var quoted []byte
@@ -197,7 +236,7 @@ func writeFrame(w io.Writer, typ MsgType, parts ...[]byte) error {
 	if !plainType(typ) {
 		b, err := json.Marshal(string(typ))
 		if err != nil {
-			return fmt.Errorf("proto: marshal envelope: %w", err)
+			return nil, fmt.Errorf("proto: marshal envelope: %w", err)
 		}
 		quoted, typeLen = b, len(b)
 	}
@@ -207,9 +246,9 @@ func writeFrame(w io.Writer, typ MsgType, parts ...[]byte) error {
 		n += len(bodyKey) + bodyLen
 	}
 	if n > MaxFrame {
-		return ErrFrameTooLarge
+		return nil, ErrFrameTooLarge
 	}
-	frame := make([]byte, 4, 4+n)
+	frame := make([]byte, 4, 4+n-bodyLen-1+extra)
 	binary.BigEndian.PutUint32(frame, uint32(n))
 	frame = append(frame, typeKey...)
 	if quoted != nil {
@@ -221,15 +260,8 @@ func writeFrame(w io.Writer, typ MsgType, parts ...[]byte) error {
 	}
 	if bodyLen > 0 {
 		frame = append(frame, bodyKey...)
-		for _, p := range parts {
-			frame = append(frame, p...)
-		}
 	}
-	frame = append(frame, '}')
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("proto: write frame: %w", err)
-	}
-	return nil
+	return frame, nil
 }
 
 // plainType reports whether json.Marshal quotes typ verbatim: printable
