@@ -142,9 +142,10 @@ type Allocator struct {
 // solverScratch is the per-Allocator arena reused across solves so the
 // steady-state pipeline stays off the heap: capacity/λ/demand vectors, the
 // per-app states with their candidate lists, the groups of the subgradient
-// iteration, and the placement pass's work arrays. Nothing in here escapes into a returned Allocation:
-// results live in the standing/spare pair, and grant lists are built fresh
-// because the standing placement shares them onward.
+// iteration, and the placement pass's work arrays. Nothing in here escapes
+// into a returned Allocation: results live in the standing/spare pair, and
+// grant lists are built fresh because the standing placement shares them
+// onward.
 type solverScratch struct {
 	capacity   []int
 	states     []*appState
@@ -809,13 +810,13 @@ func (s *solverScratch) groupStates(states []*appState) []lagGroup {
 // ensured up front (the list's length bounds the representative count), so
 // carving never reallocates and the slices stay valid.
 func (s *solverScratch) buildReps(groups []lagGroup) {
+	if s.seen == nil {
+		s.seen = make(map[uint64]bool)
+	}
 	for gi := range groups {
 		st := groups[gi].st
 		if len(st.reps) > 0 {
 			continue
-		}
-		if s.seen == nil {
-			s.seen = make(map[uint64]bool)
 		}
 		clear(s.seen)
 		reps := slices.Grow(st.reps[:0], len(st.cands))
