@@ -55,7 +55,9 @@ race:
 # invariants runs the correctness harness (see CORRECTNESS.md): the exact
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
 # the incremental solver's delta contract and its positional pins against
-# the map-keyed reference merge, improve, rescue and the grouped λ loop
+# the map-keyed reference merge, the merge fed by the Manager's edit against
+# the merge that aligns by ID and every edit the Manager hands out against
+# the ID walk, improve, rescue and the grouped λ loop
 # against their plain reference searches, solves on shared tables against
 # the same solves on cloned ones, the table's memoised front against the
 # usable front in solver order, the candidate lists kept across solves
@@ -74,7 +76,7 @@ race:
 # to also write it to a file.
 invariants:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestCheckPlacement|TestPlacementStaysPut|TestMergeKeepsPositionZero|TestCoAllocationRingIdleFirst|TestTableSharingIsInvisible|TestParetoPointsIsUsableFront|TestSolverListsReusedOnlyForSameFacts|TestRetableSolveAllocRegime|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference|TestHandedOutTablesNeverChange|TestReplayedUploadsMatchUpsertLoop|TestQuickRecordDigests' \
+		-run 'TestDifferential|TestBugCrop|TestOracle|TestShrink|TestCheckTimeline|TestSimInvariants|TestSimJournalMatchesPushedInvariant|TestSimTimelineIsolation|TestManagerInvariants|TestRegisterRollback|TestSolverFailuresDegradeTheEpoch|TestManagerSameSeed|TestCacheChurnNeverStale|TestCacheTransparentInSimulation|TestChangedCoversTrueDiff|TestImproveMatchesScan|TestFitGridIsFirstFit|TestRescueMatchesScan|TestRescueSubtreeSizes|TestGroupedLambdaMatchesScan|TestPositionalPinsMatchMapPins|TestEditMatchesDerivedAlignment|TestManagerEditsMatchIDWalk|TestCheckPlacement|TestPlacementStaysPut|TestMergeKeepsPositionZero|TestCoAllocationRingIdleFirst|TestTableSharingIsInvisible|TestParetoPointsIsUsableFront|TestSolverListsReusedOnlyForSameFacts|TestRetableSolveAllocRegime|TestDeltaEpochsMatchFullSolution|TestChurnOracleVerification|TestPaperJournalDigests|TestClusterJournalDigests|TestPolynomialPredictMatchesReference|TestPredictedTableMatchesEagerFit|TestStepMatchesReference|TestWalkMatchesEnumeration|TestNextMatchesReference|TestHandedOutTablesNeverChange|TestReplayedUploadsMatchUpsertLoop|TestQuickRecordDigests' \
 		./internal/check/ ./internal/alloc/ ./internal/core/ ./harpsim/ ./internal/regress/ ./internal/explore/ ./internal/sim/ ./internal/platform/ ./internal/store/ ./internal/opoint/ ./internal/experiments/
 
 # invariants-long is the nightly sweep: the same harness over an order of
@@ -131,13 +133,14 @@ bench-check:
 	bash benchmark/run.sh --seconds 3
 	./scripts/tick-gate.sh
 
-# bench-smoke runs every benchmark of the allocator and the operating-point
-# table once. It is no timing verdict: it runs the regime assertions the
-# benchmarks make with b.Fatal (a warm source where a warm start is expected,
-# no stamped solve served from the cache, zero allocations on a cache hit, …),
-# which no test runs otherwise. About two seconds.
+# bench-smoke runs every benchmark of the allocator, the operating-point
+# table and the Manager once. It is no timing verdict: it runs the regime
+# assertions the benchmarks make with b.Fatal (a warm source where a warm
+# start is expected, no stamped solve served from the cache, zero allocations
+# on a cache hit, a merge where a merge is expected, no degraded tick, …),
+# which no test runs otherwise. A few seconds.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/alloc ./internal/opoint
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/alloc ./internal/opoint ./internal/core
 
 # bench-record appends this checkout's benchmark numbers — every workload
 # three times at seed 1, the contract's 20 s — to the committed

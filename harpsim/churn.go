@@ -117,6 +117,24 @@ type verifyingAllocator struct {
 
 func (v *verifyingAllocator) AllocateWithStats(apps []alloc.AppInput) ([]alloc.Allocation, alloc.Stats, error) {
 	allocs, stats, err := v.inner.AllocateWithStats(apps)
+	return v.record(apps, allocs, stats, err)
+}
+
+// AllocateEdit forwards the Manager's edit when the inner solver takes one,
+// so a churn run solves through it as a daemon's Manager does.
+func (v *verifyingAllocator) AllocateEdit(apps []alloc.AppInput, ed *alloc.Edit) ([]alloc.Allocation, alloc.Stats, error) {
+	e, ok := v.inner.(interface {
+		AllocateEdit([]alloc.AppInput, *alloc.Edit) ([]alloc.Allocation, alloc.Stats, error)
+	})
+	if !ok {
+		return v.AllocateWithStats(apps)
+	}
+	allocs, stats, err := e.AllocateEdit(apps, ed)
+	return v.record(apps, allocs, stats, err)
+}
+
+// record counts a successful solve and keeps it for the oracle.
+func (v *verifyingAllocator) record(apps []alloc.AppInput, allocs []alloc.Allocation, stats alloc.Stats, err error) ([]alloc.Allocation, alloc.Stats, error) {
 	if err != nil {
 		return allocs, stats, err
 	}

@@ -109,13 +109,14 @@ type Allocator struct {
 	standing, spare []Allocation
 
 	// Incremental re-solve state (incremental.go): per standing position the
-	// table hash and costs a merge compares against, the merges since the
-	// last full solve, and the cost-slack baseline the drift bound compares
-	// against.
+	// table hash and costs a merge compares against, how many pins are
+	// co-allocated, the merges since the last full solve, and the cost-slack
+	// baseline the drift bound compares against.
 	inc           bool
 	incFullEvery  int
 	incDriftBound float64
 	pins          pinSet
+	coAllocated   int // co-allocated pins
 	incSinceFull  int
 	incBaseSlack  float64
 	incScratch    incScratch
@@ -404,6 +405,21 @@ func (a *Allocator) Allocate(apps []AppInput) ([]Allocation, error) {
 // and memoises its selection. Every path places cores against the standing
 // placement (placement.go).
 func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
+	return a.allocate(apps, nil)
+}
+
+// AllocateEdit is AllocateWithStats for a caller that recorded how apps
+// differs from the input this allocator last solved (see Edit): the merge
+// then visits what the edit names instead of comparing every ID and table
+// with the standing placement. The result is the one AllocateWithStats
+// returns for the same history. An edit that does not describe the
+// standing placement is ignored, and the solve aligns by ID.
+func (a *Allocator) AllocateEdit(apps []AppInput, ed *Edit) ([]Allocation, Stats, error) {
+	return a.allocate(apps, ed)
+}
+
+// allocate is the one solve behind AllocateWithStats and AllocateEdit.
+func (a *Allocator) allocate(apps []AppInput, ed *Edit) ([]Allocation, Stats, error) {
 	var stats Stats
 	if len(apps) == 0 {
 		return nil, stats, nil
@@ -415,11 +431,19 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 	for k, kind := range a.plat.Kinds {
 		capacity[k] = kind.Count
 	}
-	// Where each input stood in the previous solve, by ID.
+	// Where each input stood in the previous solve: from the caller's edit
+	// when it describes the standing placement, by ID otherwise.
 	var src []int32
-	inPlace := false
+	inPlace, edited := false, false
 	if len(a.standing) > 0 {
-		src, inPlace = a.align(apps)
+		if src, edited = a.alignEdit(apps, ed); edited {
+			inPlace = true
+		} else {
+			src, inPlace = a.align(apps)
+		}
+	}
+	if !edited {
+		ed = nil
 	}
 
 	// Incremental path (incremental.go): when only a small changed set of
@@ -428,7 +452,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 	// full pipeline when ineligible, on drift or on the full-solve cadence.
 	if a.mergeable() {
 		sp := a.tracer.BeginPhase(telemetry.PhaseSolve, a.solveHist)
-		out, incStats, ok, err := a.tryIncremental(apps, src, inPlace)
+		out, incStats, ok, err := a.tryIncremental(apps, src, inPlace, ed)
 		sp.End()
 		if err != nil {
 			return nil, stats, err
@@ -511,11 +535,7 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 		}
 	}
 	if fpOK {
-		sel := make([]Allocation, len(out))
-		for i := range out {
-			sel[i] = Allocation{ID: out[i].ID, Point: out[i].Point, CoAllocated: out[i].CoAllocated}
-		}
-		evicted := a.cache.put(fp, sel, stats)
+		evicted := a.cache.put(fp, out, stats)
 		if a.metrics != nil && evicted > 0 {
 			a.metrics.AllocCacheEvictions.Add(uint64(evicted))
 		}
@@ -743,7 +763,12 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 			g := &groups[gi]
 			best := 0
 			bestVal := math.Inf(1)
-			for _, r := range g.st.reps {
+			// By index: a by-value range copies each 40-byte representative
+			// onto the stack, and that copy's speed depends on where the
+			// goroutine's stack happens to sit.
+			reps := g.st.reps
+			for ri := range reps {
+				r := &reps[ri]
 				v := r.cost
 				for k, d := range r.demand {
 					v += lambda[k] * d
@@ -972,8 +997,8 @@ func (a *Allocator) rescue(states []*appState, capacity []int) {
 			if r.bestCand >= 0 {
 				st.chosen = r.bestCand
 				st.coalloc = false
-				for _, sw := range r.bestSw {
-					sw.app.chosen = sw.cand
+				for i := range r.bestSw {
+					r.bestSw[i].app.chosen = r.bestSw[i].cand
 				}
 				changed = true
 			}

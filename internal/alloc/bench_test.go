@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/opoint"
@@ -281,17 +282,23 @@ func churn10k() (plat *platform.Platform, inputs []AppInput, arrival func() AppI
 }
 
 // BenchmarkIncrementalMerge10k is the incremental merge at churn scale, on
-// the churn10k input. Each iteration departs two to four applications at
-// random positions, appends as many at the tail, and merges; the cadence
-// full solve is off, so every solve is a merge. The input edits run inside
-// the timed loop. The cache is off.
-func BenchmarkIncrementalMerge10k(b *testing.B) { benchmarkMerge10k(b, -1) }
+// the churn10k input, driven as the Manager drives it: through the edit
+// (AllocateEdit). Each iteration departs two to four applications at random
+// positions, appends as many at the tail, and merges; the cadence full solve
+// is off, so every solve is a merge. The input edits run inside the timed
+// loop. The cache is off.
+func BenchmarkIncrementalMerge10k(b *testing.B) { benchmarkMerge10k(b, -1, true) }
+
+// BenchmarkIncrementalMerge10kWalk is BenchmarkIncrementalMerge10k with the
+// alignment derived by the ID walk (AllocateWithStats), as a caller that
+// records no edit solves.
+func BenchmarkIncrementalMerge10kWalk(b *testing.B) { benchmarkMerge10k(b, -1, false) }
 
 // BenchmarkIncrementalMerge10kCached is BenchmarkIncrementalMerge10k with
 // the default solution cache, which an accepted merge never probes.
-func BenchmarkIncrementalMerge10kCached(b *testing.B) { benchmarkMerge10k(b, DefaultCacheSize) }
+func BenchmarkIncrementalMerge10kCached(b *testing.B) { benchmarkMerge10k(b, DefaultCacheSize, true) }
 
-func benchmarkMerge10k(b *testing.B, cacheSize int) {
+func benchmarkMerge10k(b *testing.B, cacheSize int, edit bool) {
 	plat, inputs, arrival := churn10k()
 	a, err := New(plat, WithIncremental(true), WithCache(cacheSize))
 	if err != nil {
@@ -302,18 +309,30 @@ func benchmarkMerge10k(b *testing.B, cacheSize int) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	var ed Edit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 2 + rng.Intn(3)
-		for k := 0; k < n; k++ {
-			at := rng.Intn(len(inputs))
-			inputs = append(inputs[:at], inputs[at+1:]...)
+		ed.Base, ed.Gone = len(inputs), ed.Gone[:0]
+		for len(ed.Gone) < n {
+			if at := rng.Intn(len(inputs)); !slices.Contains(ed.Gone, at) {
+				ed.Gone = append(ed.Gone, at)
+			}
+		}
+		slices.Sort(ed.Gone)
+		for k := len(ed.Gone) - 1; k >= 0; k-- {
+			inputs = slices.Delete(inputs, ed.Gone[k], ed.Gone[k]+1)
 		}
 		for k := 0; k < n; k++ {
 			inputs = append(inputs, arrival())
 		}
-		_, st, err := a.AllocateWithStats(inputs)
+		var st Stats
+		if edit {
+			_, st, err = a.AllocateEdit(inputs, &ed)
+		} else {
+			_, st, err = a.AllocateWithStats(inputs)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

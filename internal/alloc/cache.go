@@ -92,30 +92,51 @@ func (c *solutionCache) get(fp Fingerprint) *cacheEntry {
 	return e
 }
 
-// put inserts (or refreshes) a selection, evicting the least recently used
-// entries at the entry capacity or the cacheMaxAllocations budget; it returns
-// how many entries were evicted.
-func (c *solutionCache) put(fp Fingerprint, sel []Allocation, stats Stats) int {
-	if e, ok := c.entries[fp]; ok {
-		c.weight += len(sel) - len(e.sel)
-		e.sel, e.stats = sel, stats
-		c.moveToFront(e)
-		return 0
-	}
+// put inserts (or refreshes) the selection of a placed solution — per
+// position its ID, point and co-allocation flag, without grants — evicting
+// the least recently used entries at the entry capacity or the
+// cacheMaxAllocations budget; it returns how many entries were evicted. The
+// cache owns its entries and a hit copies out, so an evicted entry's struct
+// and selection are written over rather than dropped: at churn scale every
+// cadence full solve evicts the one solution the budget holds, and a fresh
+// selection per put was a megabyte each time.
+func (c *solutionCache) put(fp Fingerprint, out []Allocation, stats Stats) int {
 	evicted := 0
-	for len(c.entries) >= c.cap || c.weight+len(sel) > cacheMaxAllocations {
-		lru := c.tail
-		if lru == nil {
-			break
+	e, ok := c.entries[fp]
+	if ok {
+		c.unlink(e)
+		c.weight -= len(e.sel)
+	} else {
+		for len(c.entries) >= c.cap || c.weight+len(out) > cacheMaxAllocations {
+			lru := c.tail
+			if lru == nil {
+				break
+			}
+			c.unlink(lru)
+			delete(c.entries, lru.key)
+			c.weight -= len(lru.sel)
+			c.evictions++
+			evicted++
+			if e == nil || cap(lru.sel) > cap(e.sel) {
+				e = lru
+			}
 		}
-		c.unlink(lru)
-		delete(c.entries, lru.key)
-		c.weight -= len(lru.sel)
-		c.evictions++
-		evicted++
+		if e == nil {
+			e = new(cacheEntry)
+		}
+		e.key = fp
+		c.entries[fp] = e
 	}
-	e := &cacheEntry{key: fp, sel: sel, stats: stats}
-	c.entries[fp] = e
+	sel := e.sel
+	if len(out) > cap(sel) {
+		sel = make([]Allocation, len(out))
+	} else {
+		sel = resize(sel, len(out))
+	}
+	for i := range out {
+		sel[i] = Allocation{ID: out[i].ID, Point: out[i].Point, CoAllocated: out[i].CoAllocated}
+	}
+	e.sel, e.stats = sel, stats
 	c.weight += len(sel)
 	c.pushFront(e)
 	return evicted

@@ -271,3 +271,40 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 		t.Fatalf("cache-hit solve allocates %.1f times per run, want 0", avg)
 	}
 }
+
+// TestCachePutRecyclesEvictedSelection pins what a cadence full solve at
+// churn scale pays the cache: at 10 000 sessions the allocation budget holds
+// one selection, so every put evicts the last one, and a steady-state miss
+// followed by its put writes over that selection and its entry instead of
+// allocating new ones. The entry holds the selection without grants.
+func TestCachePutRecyclesEvictedSelection(t *testing.T) {
+	_, inputs, _ := churn10k()
+	out := make([]Allocation, len(inputs))
+	for i := range out {
+		out[i] = Allocation{ID: inputs[i].ID, CoAllocated: i%3 == 0, Grants: []CoreGrant{{Core: i % 32, Threads: 1}}}
+	}
+	c := newSolutionCache(DefaultCacheSize)
+	var key uint64
+	missThenPut := func() {
+		key++
+		fp := Fingerprint{Hi: key}
+		if c.get(fp) != nil {
+			t.Fatal("a fresh fingerprint hit")
+		}
+		c.put(fp, out, Stats{Apps: len(out)})
+	}
+	missThenPut()
+	missThenPut()
+	if allocs := testing.AllocsPerRun(20, missThenPut); allocs != 0 {
+		t.Fatalf("a miss and its put allocate %.1f times at %d sessions, want 0", allocs, len(out))
+	}
+	e := c.get(Fingerprint{Hi: key})
+	if len(c.entries) != 1 || e == nil || len(e.sel) != len(out) || e.stats.Apps != len(out) {
+		t.Fatalf("%d entries resident after the puts, want the last one", len(c.entries))
+	}
+	for i, al := range e.sel {
+		if al.ID != out[i].ID || al.CoAllocated != out[i].CoAllocated || al.Grants != nil {
+			t.Fatalf("cached position %d is %+v, want %q without grants", i, al, out[i].ID)
+		}
+	}
+}

@@ -1,0 +1,168 @@
+package alloc_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/harp-rm/harp/harpsim"
+	"github.com/harp-rm/harp/internal/alloc"
+	"github.com/harp-rm/harp/internal/opoint"
+)
+
+// TestEditMatchesDerivedAlignment drives random edit sequences through
+// AllocateEdit and, on a twin allocator with the same history, through
+// AllocateWithStats, which derives the alignment by comparing IDs and table
+// hashes: the allocations, grants included, and the Stats must be equal at
+// every step. The sequences hold mid-order departures, bursts of more
+// consecutive departures than the ID walk's look-ahead, arrivals (some of
+// which leave again before the solve, so the edit never sees them), retables
+// to a copy of the same content and to new content, epochs in which nothing
+// changed, and edits with a stale Base, which the allocator must ignore.
+func TestEditMatchesDerivedAlignment(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runEditDifferential(t, seed)
+		})
+	}
+}
+
+func runEditDifferential(t *testing.T, seed int64) {
+	p := harpsim.ChurnPlatform(3, 8)
+	rng := rand.New(rand.NewSource(seed))
+	cadence := 4 + rng.Intn(40)
+	drift := alloc.DefaultIncrementalDriftBound
+	if seed%3 == 0 {
+		drift = 1.02 // tight enough to fall back now and then
+	}
+	opts := []alloc.Option{alloc.WithCache(-1)}
+	if seed%2 == 1 {
+		opts = []alloc.Option{alloc.WithCache(4), alloc.WithWarmStart(true)}
+	}
+	edited, _, err := alloc.NewIncrementalPair(p, cadence, drift, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked, _, err := alloc.NewIncrementalPair(p, cadence, drift, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nk := len(p.Kinds)
+	table := func(id string) *opoint.Table {
+		ks := []int{rng.Intn(nk)}
+		if rng.Intn(6) == 0 {
+			ks = append(ks, (ks[0]+1)%nk)
+		}
+		return pinsTable(p, id, ks, 3+float64(rng.Intn(8)))
+	}
+	nextID := 0
+	arrival := func() alloc.AppInput {
+		id := fmt.Sprintf("app%04d", nextID)
+		nextID++
+		return alloc.AppInput{ID: id, Table: table(id)}
+	}
+	var solved []alloc.AppInput
+	for i := 0; i < 120; i++ {
+		solved = append(solved, arrival())
+	}
+
+	var ed alloc.Edit
+	counts := map[string]int{}
+	for step := 0; step < 150; step++ {
+		// The next input: the survivors of the solved one in order, then
+		// the arrivals. gone marks departed positions of the solved input.
+		next := slices.Clone(solved)
+		gone := make([]bool, len(solved))
+		var arrivals []alloc.AppInput
+		for e := rng.Intn(3); e >= 0; e-- {
+			switch roll := rng.Intn(20); {
+			case roll < 4 || len(solved) < 70:
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					arrivals = append(arrivals, arrival())
+				}
+				counts["arrivals"]++
+			case roll < 5 && len(arrivals) > 0:
+				i := rng.Intn(len(arrivals)) // leaves before the solve
+				arrivals = slices.Delete(arrivals, i, i+1)
+				counts["arrival left"]++
+			case roll < 9:
+				gone[rng.Intn(len(solved))] = true
+				counts["departure"]++
+			case roll < 11 && len(solved) > 100:
+				n := 65 + rng.Intn(20) // past the ID walk's 64-position look-ahead
+				at := rng.Intn(len(solved) - n + 1)
+				for i := at; i < at+n; i++ {
+					gone[i] = true
+				}
+				counts["burst"]++
+			case roll < 13:
+				i := rng.Intn(len(next))
+				next[i].Table = next[i].Table.Clone() // same content, new pointer
+				counts["same-content retable"]++
+			case roll < 16:
+				i := rng.Intn(len(next))
+				next[i].Table = table(next[i].ID)
+				counts["retable"]++
+			case roll < 17 && len(arrivals) > 0:
+				i := rng.Intn(len(arrivals))
+				arrivals[i].Table = table(arrivals[i].ID)
+				counts["arrival retable"]++
+			default:
+				counts["nothing"]++ // a phase change: the input stands
+			}
+		}
+		ed.Base, ed.Gone, ed.Retabled = len(solved), ed.Gone[:0], ed.Retabled[:0]
+		inputs := make([]alloc.AppInput, 0, len(solved)+len(arrivals))
+		for i, in := range next {
+			if gone[i] {
+				ed.Gone = append(ed.Gone, i)
+				continue
+			}
+			if in.Table != solved[i].Table {
+				ed.Retabled = append(ed.Retabled, len(inputs))
+			}
+			inputs = append(inputs, in)
+		}
+		for _, in := range arrivals {
+			if rng.Intn(3) == 0 {
+				ed.Retabled = append(ed.Retabled, len(inputs)) // arrivals may be listed
+			}
+			inputs = append(inputs, in)
+		}
+		if rng.Intn(25) == 0 {
+			ed.Base += 1 - 2*rng.Intn(2) // stale: the allocator aligns by ID
+			counts["stale base"]++
+		}
+
+		got, gotStats, err := edited.AllocateEdit(inputs, &ed)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want, wantStats, err := walked.AllocateWithStats(inputs)
+		if err != nil {
+			t.Fatalf("step %d: walk: %v", step, err)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("step %d (edit %+v): stats\ngot  %+v\nwant %+v", step, ed, gotStats, wantStats)
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("step %d (%s): position %d\ngot  %+v\nwant %+v", step, gotStats.Source, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("step %d: %d allocations, want %d", step, len(got), len(want))
+		}
+		counts[gotStats.Source]++
+		solved = inputs
+	}
+	for _, c := range []string{alloc.SourceIncremental, "burst", "departure", "arrival left", "same-content retable", "retable", "nothing", "stale base"} {
+		if counts[c] == 0 {
+			t.Fatalf("%v: no %q: the sequence tested too little", counts, c)
+		}
+	}
+	t.Logf("%v", counts)
+}

@@ -187,6 +187,75 @@ type idAt struct {
 	pos int32
 }
 
+// Edit is how a solve's input differs from the input the allocator last
+// solved, as the caller that made the change recorded it (AllocateEdit).
+// The survivors of that input keep their order, followed by the arrivals in
+// order:
+//
+//   - Base is the length of the input the allocator last solved;
+//   - Gone holds that input's departed positions, ascending;
+//   - Retabled holds the new input's positions whose table pointer changed,
+//     ascending; arrivals may be listed or not.
+//
+// Every survivor not in Retabled carries the very table it was last solved
+// under, and a table is never written once it is handed to a solver
+// (TestHandedOutTablesNeverChange), so the allocator reads no table hash of
+// a kept position: only the retabled ones are compared with their pins.
+type Edit struct {
+	Base           int
+	Gone, Retabled []int
+}
+
+// alignEdit is align for a caller that recorded the edit (nil: none): the
+// survivors map past the departures in order and the arrivals are new, so
+// no ID is compared, the departed positions are Gone and the mapping is
+// always in place. ok is false when there is no edit or it cannot describe
+// this input against the standing placement — Base is not its length, a
+// list is not ascending within its range, or the survivors do not fit — and
+// the caller aligns by ID instead.
+func (a *Allocator) alignEdit(apps []AppInput, ed *Edit) (src []int32, ok bool) {
+	if ed == nil {
+		return nil, false
+	}
+	kept := ed.Base - len(ed.Gone)
+	if ed.Base != len(a.standing) || kept < 0 || kept > len(apps) ||
+		!ascendingBelow(ed.Gone, ed.Base) || !ascendingBelow(ed.Retabled, len(apps)) {
+		return nil, false
+	}
+	sc := &a.incScratch
+	sc.src = resize(sc.src, len(apps))
+	src = sc.src
+	departed := a.scratch.place.departed[:0]
+	i, p := 0, 0
+	for _, g := range ed.Gone {
+		for ; p < g; p, i = p+1, i+1 {
+			src[i] = int32(p)
+		}
+		departed = append(departed, int32(g))
+		p++
+	}
+	for ; p < ed.Base; p, i = p+1, i+1 {
+		src[i] = int32(p)
+	}
+	for ; i < len(apps); i++ {
+		src[i] = -1
+	}
+	a.scratch.place.departed = departed
+	return src, true
+}
+
+// ascendingBelow reports whether xs is strictly ascending within [0, n).
+func ascendingBelow(xs []int, n int) bool {
+	last := -1
+	for _, x := range xs {
+		if x <= last || x >= n {
+			return false
+		}
+		last = x
+	}
+	return true
+}
+
 // place moves every pin and standing allocation to its new position: src[i]
 // is where position i's sits now, or -1 when position i is new (the caller
 // sets it, as it does for every re-solved position). Each run of
@@ -221,6 +290,7 @@ func (a *Allocator) place(src []int32, inPlace bool) {
 type incScratch struct {
 	src        []int32
 	unmatched  []idAt
+	retabled   []int
 	resolveIdx []int
 	changed    []int
 	residual   []int
@@ -236,36 +306,29 @@ func (a *Allocator) mergeable() bool {
 
 // tryIncremental attempts the incremental path for one solve the caller
 // found mergeable; src and inPlace are the input's alignment to the standing
-// placement. ok reports whether the merged solution should be returned;
-// ok=false with a nil error means "run the full pipeline" (drift, oversized
-// changed set or an internal inconsistency), and leaves the standing
-// placement and the pins as they were. The merged solution is the standing
-// placement, updated in place.
-func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool) ([]Allocation, Stats, bool, error) {
+// placement, and ed is the caller's edit when alignEdit took it (nil: src
+// came from the ID walk). ok reports whether the merged solution should be
+// returned; ok=false with a nil error means "run the full pipeline" (drift,
+// oversized changed set or an internal inconsistency), and leaves the
+// standing placement and the pins as they were. The merged solution is the
+// standing placement, updated in place.
+func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool, ed *Edit) ([]Allocation, Stats, bool, error) {
 	pins := &a.pins
 	sc := &a.incScratch
 
 	// Re-solve what changed since the previous solve, and the first few
 	// pinned co-allocated applications: they hold no exclusive capacity, so
 	// re-solving them can only lift them toward isolation.
-	resolveIdx := sc.resolveIdx[:0]
-	budget := incNeighbourhood
-	for i, p := range src {
-		if apps[i].Table == nil {
-			return nil, Stats{}, false, nil // full path reports the error
-		}
-		if p >= 0 {
-			f := apps[i].Table.Facts()
-			same := f.Hi == pins.hi[p] && f.Lo == pins.lo[p]
-			if same && pins.coAlloc[p] && budget > 0 {
-				budget-- // a neighbour joins
-			} else if same {
-				continue
-			}
-		}
-		resolveIdx = append(resolveIdx, i)
+	var resolveIdx []int
+	var ok bool
+	if ed != nil {
+		resolveIdx, ok = a.editedSet(apps, src, ed)
+	} else {
+		resolveIdx, ok = a.changedSet(apps, src)
 	}
-	sc.resolveIdx = resolveIdx
+	if !ok {
+		return nil, Stats{}, false, nil // full path reports the error
+	}
 
 	if 2*len(resolveIdx) > len(apps) {
 		return nil, Stats{}, false, nil // full pipeline is cheaper from here
@@ -333,33 +396,121 @@ func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool) (
 		return nil, Stats{}, false, nil // inconsistent; full solve recovers
 	}
 
-	// Commit: merge in input order (the CheckAllocations contract).
+	// Commit: merge in input order (the CheckAllocations contract). The
+	// co-allocated count loses the departed and re-solved pins and gains
+	// the re-solved results.
+	for _, p := range a.scratch.place.departed {
+		if pins.coAlloc[p] {
+			a.coAllocated--
+		}
+	}
+	for _, i := range resolveIdx {
+		if p := src[i]; p >= 0 && pins.coAlloc[p] {
+			a.coAllocated--
+		}
+	}
 	a.place(src, inPlace)
 	for ri, i := range resolveIdx {
 		st := states[ri]
 		pins.set(i, &apps[i], st.coalloc, st.cands[st.chosen].cost)
 		a.standing[i] = sel[ri]
+		if st.coalloc {
+			a.coAllocated++
+		}
 	}
 	for _, m := range a.scratch.place.pinMoves {
 		a.standing[m.pos].Grants = m.grants
 	}
 	a.commitPlacement()
 	a.incSinceFull++
-	coAllocated := 0
-	for _, c := range pins.coAlloc {
-		if c {
-			coAllocated++
-		}
-	}
 	sc.changed = mergeSorted(sc.changed[:0], resolveIdx, moved)
 	return a.standing, Stats{
 		Apps:        len(apps),
 		Candidates:  cands,
 		LambdaIters: iters,
-		CoAllocated: coAllocated,
+		CoAllocated: a.coAllocated,
 		Source:      SourceIncremental,
 		Changed:     sc.changed,
 	}, true, nil
+}
+
+// changedSet returns the positions a merge re-solves, found by visiting
+// every position: the new ones, the pins whose table's content hash moved,
+// and the first incNeighbourhood unchanged co-allocated pins. ok is false
+// when an input has no table.
+func (a *Allocator) changedSet(apps []AppInput, src []int32) (resolveIdx []int, ok bool) {
+	pins := &a.pins
+	resolveIdx = a.incScratch.resolveIdx[:0]
+	budget := incNeighbourhood
+	for i, p := range src {
+		if apps[i].Table == nil {
+			return nil, false
+		}
+		if p >= 0 {
+			f := apps[i].Table.Facts()
+			same := f.Hi == pins.hi[p] && f.Lo == pins.lo[p]
+			if same && pins.coAlloc[p] && budget > 0 {
+				budget-- // a neighbour joins
+			} else if same {
+				continue
+			}
+		}
+		resolveIdx = append(resolveIdx, i)
+	}
+	a.incScratch.resolveIdx = resolveIdx
+	return resolveIdx, true
+}
+
+// editedSet returns the same positions as changedSet from the caller's
+// edit (alignEdit took it), visiting only what the edit names: the
+// arrivals, the retabled survivors whose content hash moved, and the
+// survivors from position 0 until the neighbourhood budget is spent or no
+// co-allocated survivor is left to find.
+func (a *Allocator) editedSet(apps []AppInput, src []int32, ed *Edit) (resolveIdx []int, ok bool) {
+	pins, sc := &a.pins, &a.incScratch
+	kept := ed.Base - len(ed.Gone)
+	moved := sc.retabled[:0]
+	for _, i := range ed.Retabled {
+		if i >= kept {
+			break // an arrival: re-solved as one
+		}
+		t := apps[i].Table
+		if t == nil {
+			return nil, false
+		}
+		if f, p := t.Facts(), src[i]; f.Hi != pins.hi[p] || f.Lo != pins.lo[p] {
+			moved = append(moved, i)
+		}
+	}
+	sc.retabled = moved
+	coKept := a.coAllocated
+	for _, g := range ed.Gone {
+		if pins.coAlloc[g] {
+			coKept--
+		}
+	}
+	resolveIdx = sc.resolveIdx[:0]
+	budget, seen, m := incNeighbourhood, 0, 0
+	for i := 0; i < kept && budget > 0 && seen < coKept; i++ {
+		co := pins.coAlloc[src[i]]
+		if co {
+			seen++
+		}
+		if m < len(moved) && moved[m] == i {
+			resolveIdx, m = append(resolveIdx, i), m+1
+		} else if co {
+			resolveIdx, budget = append(resolveIdx, i), budget-1 // a neighbour joins
+		}
+	}
+	resolveIdx = append(resolveIdx, moved[m:]...)
+	for i := kept; i < len(apps); i++ {
+		if apps[i].Table == nil {
+			return nil, false
+		}
+		resolveIdx = append(resolveIdx, i)
+	}
+	sc.resolveIdx = resolveIdx
+	return resolveIdx, true
 }
 
 // mergeSorted appends the union of two ascending lists to dst, ascending.
@@ -391,7 +542,11 @@ func (a *Allocator) rememberFullSolve(apps []AppInput, allocs []Allocation, stat
 	pins := &a.pins
 	pins.resize(len(apps))
 	var chosenSum, minSum float64
+	a.coAllocated = 0
 	for i := range apps {
+		if allocs[i].CoAllocated {
+			a.coAllocated++
+		}
 		var cost float64
 		if states != nil {
 			cost = states[i].cands[states[i].chosen].cost

@@ -118,6 +118,17 @@ type inputEdits struct {
 	gone []int
 	// retable marks an application's predicted table changed.
 	retable bool
+	// rejoined marks a registration of an instance that departed recently,
+	// perhaps since the last solve: the solver's ID walk maps it to its old
+	// position, which the edit would call an arrival (see syncInputs).
+	rejoined bool
+}
+
+// editAllocator is a solver that takes the Manager's record of what changed
+// since its last solve (alloc.Allocator does): the Manager hands it the edit
+// instead of letting it compare every ID and table.
+type editAllocator interface {
+	AllocateEdit(apps []alloc.AppInput, ed *alloc.Edit) ([]alloc.Allocation, alloc.Stats, error)
 }
 
 // appendInput gives a registered session the tail position of the solve
@@ -133,18 +144,37 @@ func (m *Manager) appendInput(s *session) {
 // removing the departed positions one copy per run, refreshing the tables
 // that moved — and rebuilds the set from Manager.order only after a
 // quarantine or readmission.
+//
+// When the primary solver's standing input is the set as the last healthy
+// primary solve left it (Manager.solved), the same edits become the
+// alloc.Edit the next primary solve receives: the departed positions below
+// that input's length (those at or past it are arrivals that left before a
+// solve), and the positions the table refresh changed; the arrivals are the
+// positions appended since. Any sync invalidates the base until a primary
+// solve succeeds again, so a degraded rung, a quarantine probe or a sync
+// that ends with no solve leaves the next solve to align by ID.
 func (m *Manager) syncInputs() {
 	ed := &m.edits
+	base := m.solved
+	m.solved, m.editOK = -1, false
 	if ed.rebuild {
 		m.rebuildInputs()
 	} else {
 		m.dropGone(ed.gone)
+		edit := &m.edit
+		edit.Retabled = edit.Retabled[:0]
 		if ed.retable {
 			for i := range m.inputs {
 				if t := m.inputAt[i].exp.PredictedTable(); t != m.inputs[i].Table {
 					m.inputs[i].Table = t
+					edit.Retabled = append(edit.Retabled, i)
 				}
 			}
+		}
+		if base >= 0 && !ed.rejoined {
+			n, _ := slices.BinarySearch(ed.gone, base)
+			edit.Base, edit.Gone = base, append(edit.Gone[:0], ed.gone[:n]...)
+			m.editOK = true
 		}
 	}
 	*ed = inputEdits{gone: ed.gone[:0]}
@@ -268,6 +298,7 @@ func (m *Manager) solveWithLadder() solveResult {
 			cause = err
 		default:
 			if cause = m.checkResult(allocs, stats.Changed, m.deltaOK && stats.Changed != nil); cause == nil {
+				m.solved = len(m.inputs)
 				m.lastRung = ""
 				m.haveGood = len(allocs) > 0
 				return solveResult{allocs: allocs, stats: stats, primary: true}
@@ -277,7 +308,7 @@ func (m *Manager) solveWithLadder() solveResult {
 
 	// Rung 2: greedy fallback. Cheap, deterministic, and independent of
 	// the primary solver's cache and warm state.
-	if allocs, stats, pv, err := m.runAllocator(m.fallback, m.inputs); err == nil && pv == nil {
+	if allocs, stats, pv, err := m.runAllocator(m.fallback, m.inputs, nil); err == nil && pv == nil {
 		stats.Source = alloc.SourceDegradedGreedy
 		stats.LambdaIters = 0
 		m.markRung(alloc.SourceDegradedGreedy, cause)
@@ -346,19 +377,28 @@ func (m *Manager) solvePrimary() ([]alloc.Allocation, alloc.Stats, any, error) {
 		m.deadlineArmed = true
 		defer func() { m.deadlineArmed = false }()
 	}
-	return m.runAllocator(m.allocator, m.inputs)
+	var ed *alloc.Edit
+	if m.editOK {
+		ed = &m.edit
+	}
+	return m.runAllocator(m.allocator, m.inputs, ed)
 }
 
-// runAllocator invokes one solver with panic containment; panicked is the
+// runAllocator invokes one solver with panic containment, handing it the
+// edit when there is one and the solver takes it; panicked is the
 // recovered panic value (nil when the solve returned normally).
-func (m *Manager) runAllocator(a Allocator, inputs []alloc.AppInput) (allocs []alloc.Allocation, stats alloc.Stats, panicked any, err error) {
+func (m *Manager) runAllocator(a Allocator, inputs []alloc.AppInput, ed *alloc.Edit) (allocs []alloc.Allocation, stats alloc.Stats, panicked any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			allocs, stats, err = nil, alloc.Stats{}, nil
 			panicked = r
 		}
 	}()
-	allocs, stats, err = a.AllocateWithStats(inputs)
+	if e, ok := a.(editAllocator); ok && ed != nil {
+		allocs, stats, err = e.AllocateEdit(inputs, ed)
+	} else {
+		allocs, stats, err = a.AllocateWithStats(inputs)
+	}
 	return
 }
 
@@ -369,7 +409,7 @@ func (m *Manager) runAllocator(a Allocator, inputs []alloc.AppInput) (allocs []a
 // ladder handles the epoch without isolation.
 func (m *Manager) quarantinePanicking() {
 	for i := range m.inputs {
-		if _, _, pv, _ := m.runAllocator(m.allocator, m.inputs[i:i+1:i+1]); pv != nil {
+		if _, _, pv, _ := m.runAllocator(m.allocator, m.inputs[i:i+1:i+1], nil); pv != nil {
 			m.quarantineForPanic(m.inputAt[i].s, pv)
 		}
 	}

@@ -275,12 +275,15 @@ type Manager struct {
 
 	// The epoch pipeline's standing state (epoch.go): the solve input set in
 	// solve order with what the Manager keeps per position, the edits made
-	// to it since the last epoch, the sessions the next push walk must visit
-	// whatever the solver's delta says, and whether that delta may be
-	// trusted at all.
+	// to it since the last epoch and the solver's record of them, the
+	// sessions the next push walk must visit whatever the solver's delta
+	// says, and whether that delta may be trusted at all.
 	inputs    []alloc.AppInput
 	inputAt   []inputPos
 	edits     inputEdits
+	solved    int        // the input length of the last healthy primary solve, or -1 (syncInputs)
+	edit      alloc.Edit // what the next primary solve receives, when editOK
+	editOK    bool
 	dirty     []*session
 	deltaOK   bool
 	visit     []*session // push-walk scratch
@@ -394,6 +397,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		maxDirty:     DefaultCoalesceMaxDirty,
 		ended:        newRecentSet(recentDepartures),
 		priorPhase:   make(map[string]string),
+		solved:       -1,
 		coreHolders:  make([]int32, cfg.Platform.NumCores()),
 		usedCores:    make([]bool, cfg.Platform.NumCores()),
 	}
@@ -474,9 +478,11 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 		App:      app,
 		Stage:    s.explorer.Stage().String(),
 	})
+	rejoined := m.ended.has(instance)
+	m.edits.rejoined = m.edits.rejoined || rejoined
 	if mt := m.cfg.Metrics; mt != nil {
 		mt.Sessions.Set(float64(len(m.sessions)))
-		if m.ended.has(instance) {
+		if rejoined {
 			mt.Reconnects.Inc()
 		}
 	}

@@ -15,9 +15,12 @@ type Polynomial struct {
 	nFeatures int
 	weights   []float64
 	scale     []float64
-	// terms are the exponent vectors of the monomials, in the order of
-	// weights; Fit stores them so Predict enumerates nothing.
-	terms [][]int
+	// factors and ends store the monomials in the order of weights, each as
+	// its list of features: term t is the product of the scaled features
+	// factors[ends[t-1]:ends[t]], one entry per unit of exponent in
+	// ascending feature order (x0·x2 is [0 2], x1² is [1 1]). Fit stores
+	// them so Predict enumerates nothing and walks no zero exponent.
+	factors, ends []int
 }
 
 var _ Model = (*Polynomial)(nil)
@@ -57,11 +60,24 @@ func (p *Polynomial) Fit(x [][]float64, y []float64) error {
 	}
 
 	terms := monomials(nf, p.degree)
+	var factors, ends []int
+	for _, exps := range terms {
+		for j, e := range exps {
+			for ; e > 0; e-- {
+				factors = append(factors, j)
+			}
+		}
+		ends = append(ends, len(factors))
+	}
 	design := make([][]float64, len(x))
+	z := make([]float64, nf)
 	for i, row := range x {
 		design[i] = make([]float64, len(terms))
-		for t, exps := range terms {
-			design[i][t] = monomial(row, scale, exps)
+		scaled(z, row, scale)
+		start := 0
+		for t, end := range ends {
+			design[i][t] = product(z, factors[start:end])
+			start = end
 		}
 	}
 	w, err := mathx.LeastSquares(design, y, 1e-6)
@@ -71,7 +87,7 @@ func (p *Polynomial) Fit(x [][]float64, y []float64) error {
 	p.nFeatures = nf
 	p.weights = w
 	p.scale = scale
-	p.terms = terms
+	p.factors, p.ends = factors, ends
 	return nil
 }
 
@@ -83,11 +99,37 @@ func (p *Polynomial) Predict(x []float64) (float64, error) {
 	if len(x) != p.nFeatures {
 		return 0, fmt.Errorf("regress: %d features, model has %d", len(x), p.nFeatures)
 	}
+	var buf [8]float64
+	z := buf[:0]
+	if len(x) > len(buf) {
+		z = make([]float64, len(x))
+	}
+	z = z[:len(x)]
+	scaled(z, x, p.scale)
 	var sum float64
-	for t, exps := range p.terms {
-		sum += p.weights[t] * monomial(x, p.scale, exps)
+	start := 0
+	for t, end := range p.ends {
+		sum += p.weights[t] * product(z, p.factors[start:end])
+		start = end
 	}
 	return sum, nil
+}
+
+// scaled writes each feature divided by its scale into z.
+func scaled(z, x, scale []float64) {
+	for j := range x {
+		z[j] = x[j] / scale[j]
+	}
+}
+
+// product multiplies the listed scaled features, one factor at a time in
+// the stored order, starting from 1.
+func product(z []float64, factors []int) float64 {
+	v := 1.0
+	for _, j := range factors {
+		v *= z[j]
+	}
+	return v
 }
 
 // monomials enumerates the exponent vectors of all monomials of total degree
@@ -111,16 +153,4 @@ func monomials(nf, degree int) [][]int {
 	}
 	rec(0, degree)
 	return out
-}
-
-// monomial evaluates the term with the given exponents on the scaled input,
-// one factor x[j]/scale[j] at a time.
-func monomial(x, scale []float64, exps []int) float64 {
-	v := 1.0
-	for j, e := range exps {
-		for k := 0; k < e; k++ {
-			v *= x[j] / scale[j]
-		}
-	}
-	return v
 }
