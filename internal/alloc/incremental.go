@@ -4,14 +4,26 @@ package alloc
 // re-optimise all N?". The standing placement holds the previous successful
 // solve by input position, and the pins (pinSet) hold, per position, the
 // content hash of the table it was solved under and its costs. The next solve
-// aligns its input to those positions by ID (align); when the inputs differ
-// only in a small changed set — new applications, departed ones, tables
-// whose content hash moved — the unchanged applications stay pinned at their
-// standing allocations and only the changed set, plus a bounded
-// neighbourhood of co-allocated pins that might now fit in isolation, is
-// re-optimised against the residual capacity the pins leave free. An ID the
-// previous solve did not contain is re-solved even if an older solve
-// contained it, so re-admission never depends on what else left in between.
+// aligns its input to those positions; when the inputs differ only in a
+// small changed set — new applications, departed ones, tables whose content
+// hash moved — the unchanged applications stay pinned at their standing
+// allocations and only the changed set, plus a bounded neighbourhood of
+// co-allocated pins that might now fit in isolation, is re-optimised against
+// the residual capacity the pins leave free. An ID the previous solve did
+// not contain is re-solved even if an older solve contained it, so
+// re-admission never depends on what else left in between.
+//
+// The alignment and the changed set come from one of two places, and both
+// give the same ones. A caller that recorded its edit (Edit, AllocateEdit:
+// the Manager does) hands over the departed positions and the retabled
+// ones; the merge then compares no ID, reads the table hash of the retabled
+// positions only, and finds its neighbours by scanning from position 0 until
+// the budget is spent (alignEdit, editedSet). A caller that records nothing
+// (AllocateWithStats) gets the alignment by ID (align) and the changed set
+// by comparing every position's table hash (changedSet). What a merge still
+// visits at every position is the input-order drift sum and the moves of the
+// kept pins to their new positions; the co-allocated count is kept as it
+// changes.
 //
 // Guard rails keep the merged solution honest:
 //

@@ -35,7 +35,8 @@ func NewPolynomial(degree int) *Polynomial {
 
 // MinSamples returns the number of samples needed to determine the model.
 func (p *Polynomial) MinSamples(nFeatures int) int {
-	return len(monomials(nFeatures, p.degree))
+	_, ends := terms(nFeatures, p.degree)
+	return len(ends)
 }
 
 // Fit implements Model.
@@ -59,20 +60,11 @@ func (p *Polynomial) Fit(x [][]float64, y []float64) error {
 		}
 	}
 
-	terms := monomials(nf, p.degree)
-	var factors, ends []int
-	for _, exps := range terms {
-		for j, e := range exps {
-			for ; e > 0; e-- {
-				factors = append(factors, j)
-			}
-		}
-		ends = append(ends, len(factors))
-	}
+	factors, ends := terms(nf, p.degree)
 	design := make([][]float64, len(x))
 	z := make([]float64, nf)
 	for i, row := range x {
-		design[i] = make([]float64, len(terms))
+		design[i] = make([]float64, len(ends))
 		scaled(z, row, scale)
 		start := 0
 		for t, end := range ends {
@@ -132,25 +124,50 @@ func product(z []float64, factors []int) float64 {
 	return v
 }
 
-// monomials enumerates the exponent vectors of all monomials of total degree
-// ≤ degree over nf variables, including the constant term.
-func monomials(nf, degree int) [][]int {
-	var out [][]int
+// terms lists the monomials of total degree ≤ degree over nf features as
+// factor lists (Polynomial.factors, .ends), their exponent vectors in
+// lexicographic order, the constant term first. It counts them first, so
+// the two lists are allocated once at their size.
+func terms(nf, degree int) (factors, ends []int) {
 	exp := make([]int, nf)
-	var rec func(pos, remaining int)
-	rec = func(pos, remaining int) {
-		if pos == nf {
-			cp := make([]int, nf)
-			copy(cp, exp)
-			out = append(out, cp)
-			return
-		}
-		for d := 0; d <= remaining; d++ {
-			exp[pos] = d
-			rec(pos+1, remaining-d)
-		}
-		exp[pos] = 0
+	n, m := 0, 0
+	for sum, ok := 0, true; ok; sum, ok = nextMonomial(exp, sum, degree) {
+		n, m = n+1, m+sum
 	}
-	rec(0, degree)
-	return out
+	clear(exp)
+	factors, ends = make([]int, 0, m), make([]int, 0, n)
+	for sum, ok := 0, true; ok; sum, ok = nextMonomial(exp, sum, degree) {
+		for j, e := range exp {
+			for ; e > 0; e-- {
+				factors = append(factors, j)
+			}
+		}
+		ends = append(ends, len(factors))
+	}
+	return factors, ends
+}
+
+// nextMonomial advances exp, an exponent vector of total degree sum, to the
+// next one of total degree ≤ degree in lexicographic order and returns its
+// total degree; ok is false after the last, (degree, 0, …, 0).
+func nextMonomial(exp []int, sum, degree int) (next int, ok bool) {
+	last := len(exp) - 1
+	if last < 0 {
+		return 0, false
+	}
+	if sum < degree {
+		exp[last]++
+		return sum + 1, true
+	}
+	k := last
+	for k >= 0 && exp[k] == 0 {
+		k--
+	}
+	if k <= 0 {
+		return 0, false
+	}
+	sum -= exp[k] - 1
+	exp[k] = 0
+	exp[k-1]++
+	return sum, true
 }

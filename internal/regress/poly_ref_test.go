@@ -89,3 +89,27 @@ func TestPolynomialPredictAllocatesNothing(t *testing.T) {
 		t.Fatalf("Predict allocates %v times per call, want 0", allocs)
 	}
 }
+
+// monomials is the reference enumeration: the exponent vectors of all
+// monomials of total degree ≤ degree over nf variables, including the
+// constant term, in the order terms lists them.
+func monomials(nf, degree int) [][]int {
+	var out [][]int
+	exp := make([]int, nf)
+	var rec func(pos, remaining int)
+	rec = func(pos, remaining int) {
+		if pos == nf {
+			cp := make([]int, nf)
+			copy(cp, exp)
+			out = append(out, cp)
+			return
+		}
+		for d := 0; d <= remaining; d++ {
+			exp[pos] = d
+			rec(pos+1, remaining-d)
+		}
+		exp[pos] = 0
+	}
+	rec(0, degree)
+	return out
+}
