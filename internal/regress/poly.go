@@ -92,11 +92,10 @@ func (p *Polynomial) Predict(x []float64) (float64, error) {
 		return 0, fmt.Errorf("regress: %d features, model has %d", len(x), p.nFeatures)
 	}
 	var buf [8]float64
-	z := buf[:0]
+	z := buf[:]
 	if len(x) > len(buf) {
 		z = make([]float64, len(x))
 	}
-	z = z[:len(x)]
 	scaled(z, x, p.scale)
 	var sum float64
 	start := 0
