@@ -26,9 +26,11 @@ fmt-check:
 # lint-api runs the API reader check (api_test.go, also part of go test
 # ./...): every exported identifier, exported method and struct field of an
 # internal/ package has a reader among the module's non-test files, unless
-# apiAllow names why not, and every backticked Go name in the prose resolves.
+# apiAllow names why not, every backticked Go name in the prose resolves, and
+# every *.md file a Go file, script, this Makefile, a CI workflow or a
+# top-level document names exists.
 lint-api:
-	$(GO) test -count=1 -run 'TestAPIReaders|TestCheckAPIRules' ./
+	$(GO) test -count=1 -run 'TestAPIReaders|TestCheckAPIRules|TestDocumentReferences' ./
 
 # size prints non-test Go, test Go and prose lines per directory at BASE and
 # in the working tree, with the delta (scripts/size.sh). Every CHANGES.md
@@ -37,9 +39,9 @@ size:
 	./scripts/size.sh $(BASE)
 
 # lint-metrics cross-checks the harp_* metrics registered in code against
-# the table in OBSERVABILITY.md, both directions, requires a reader (a test,
+# the table in OPERATIONS.md, both directions, requires a reader (a test,
 # health check, status field, harpctl view or benchmark) for every family,
-# and checks every harp_* name in the top-level prose. See OBSERVABILITY.md.
+# and checks every harp_* name in the top-level prose. See OPERATIONS.md.
 lint-metrics:
 	./scripts/lint-metrics.sh
 
@@ -52,7 +54,7 @@ lint-test-gates:
 race:
 	$(GO) test -race ./...
 
-# invariants runs the correctness harness (see CORRECTNESS.md): the exact
+# invariants runs the correctness harness (see DESIGN.md §6): the exact
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
 # the incremental solver's delta contract and its positional pins against
 # the map-keyed reference merge, the merge fed by the Manager's edit against
@@ -85,14 +87,14 @@ invariants-long:
 	HARP_CHECK_LONG=1 $(MAKE) invariants
 
 # soak runs the overload suite plus the long overload soak (see
-# RESILIENCE.md, "Overload and the degradation ladder"): minutes of virtual
+# OPERATIONS.md, "Overload and the degradation ladder"): minutes of virtual
 # time under dense solver stalls, store outages and client churn, under the
 # race detector. CI runs this nightly; locally it finishes in seconds
 # (virtual clock).
 soak:
 	HARP_SOAK=1 $(GO) test -race -count=1 -v -run 'TestOverload' ./harpsim/
 
-# cluster-chaos runs the fleet failover suites (see RESILIENCE.md, "Fleet
+# cluster-chaos runs the fleet failover suites (see OPERATIONS.md, "Fleet
 # failover and session migration") under the race detector: machine kills,
 # coordinator kills, kill-during-migration, per-tick fleet invariants and
 # byte-identical same-seed journals. CI runs this on every push.
@@ -158,7 +160,7 @@ bench-parallel:
 
 # trace-demo runs the Fig. 1 applications under HARP and leaves behind a
 # sample Chrome trace (open harp.trace.json in https://ui.perfetto.dev) and
-# the matching per-epoch decision journal. See OBSERVABILITY.md.
+# the matching per-epoch decision journal. See OPERATIONS.md.
 trace-demo:
 	$(GO) run ./cmd/harp-sim run -platform intel -apps ep.C,mg.C \
 		-policy harp-offline -trace harp.trace.json -journal harp.journal.jsonl

@@ -103,6 +103,59 @@ func loadAPIModule() (apiModule, error) {
 	return m, nil
 }
 
+// historyDocs are the top-level documents that record the project's past
+// and the change asked of it, so they may name documents that are gone or
+// not yet written.
+var historyDocs = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+
+// docRef is a file name ending in .md, such as `DESIGN.md` or
+// `benchmark/README.md`.
+var docRef = regexp.MustCompile(`[A-Za-z0-9_.][A-Za-z0-9_./-]*\.md\b`)
+
+// TestDocumentReferences checks that every *.md file named in a Go file, a
+// shell script, the Makefile, a CI workflow or a top-level document exists,
+// against the repository root or against the naming file's directory.
+// Without it, a reference to a deleted document passes every other gate.
+func TestDocumentReferences(t *testing.T) {
+	exists := func(name string) bool {
+		_, err := os.Stat(name)
+		return err == nil
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == ".git" || path == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(path)
+		switch {
+		case strings.HasSuffix(name, ".go"), strings.HasSuffix(name, ".sh"), name == "Makefile",
+			dir == ".github/workflows/", dir == "" && strings.HasSuffix(name, ".md") && !historyDocs[name]:
+		default:
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, ref := range docRef.FindAllString(line, -1) {
+				if !exists(ref) && !exists(filepath.Join(dir, ref)) {
+					t.Errorf("%s:%d: names %s, which does not exist", path, i+1, ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // listAPI runs `go list -deps -export` on patterns and parses the non-test
 // files of the module packages it lists; standard-library packages are
 // resolved from their export data.
@@ -713,8 +766,8 @@ var M = map[int]bool{K: true}
 			doc: "`a.T`, `a.T.N`, `a.T.M()` and `a.{T, U}` resolve;\n" +
 				"`a.tick_ms_p50`, `a.go` and `x.Y` are skipped;\n`a.U` and `a.T.Z(x)` do not.\n",
 			want: []string{
-				"DOC.md:3: `a.U` names no declaration",
-				"DOC.md:3: `a.T.Z(x)` names no declaration",
+				"DOC:3: `a.U` names no declaration",
+				"DOC:3: `a.T.Z(x)` names no declaration",
 			},
 		},
 		{
@@ -731,7 +784,7 @@ var M = map[int]bool{K: true}
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			m := apiModule{fset: std.fset, std: std.std, imp: std.imp, docs: []apiDoc{{"DOC.md", tt.doc}}}
+			m := apiModule{fset: std.fset, std: std.std, imp: std.imp, docs: []apiDoc{{"DOC", tt.doc}}}
 			for _, p := range []struct{ path, rel, src string }{
 				{"m/internal/a", "internal/a", tt.a},
 				{"m/cmd/c", "cmd/c", tt.main},

@@ -1,6 +1,6 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation as Go benchmarks — one benchmark per artefact (see DESIGN.md
-// §3 for the experiment index and EXPERIMENTS.md for paper-vs-measured).
+// §3 for the experiment index and §7 for paper-vs-measured).
 //
 // By default the benchmarks run the trimmed "quick" configuration so the
 // whole suite finishes in a few minutes; set HARP_FULL_EXPERIMENTS=1 to run

@@ -135,7 +135,7 @@ func runScenario(args []string, out io.Writer) error {
 		opts.Journal = telemetry.NewJournal(f)
 		if policy.IsHARP() {
 			// Journalled HARP runs carry the energy ledger so each epoch
-			// records energy_j / budget_headroom_w (see OBSERVABILITY.md).
+			// records energy_j / budget_headroom_w (see OPERATIONS.md).
 			opts.Energy = telemetry.NewEnergyLedger()
 		}
 	}

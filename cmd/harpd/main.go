@@ -13,12 +13,12 @@
 //	      [-state-dir /var/lib/harp] [-max-sessions 64] [-epoch-budget 20ms]
 //
 // -liveness enables session health tracking (suspect → quarantine → reap,
-// see RESILIENCE.md); the three deadline flags tune it and imply -liveness on
+// see OPERATIONS.md); the three deadline flags tune it and imply -liveness on
 // their own. harpctl status shows each session's state and report age.
 //
 // -write-timeout bounds each message write to a session socket;
 // -epoch-budget bounds each epoch's solve before the degradation ladder
-// engages (RESILIENCE.md). The solver always runs with a 64-entry solution
+// engages (OPERATIONS.md). The solver always runs with a 64-entry solution
 // cache and warm starts.
 //
 // -state-dir makes the daemon durable: learned operating-point tables and
@@ -27,7 +27,7 @@
 // WAL-logged, and a graceful shutdown writes a final snapshot. Corrupt state
 // is quarantined and the daemon cold-starts rather than refusing to boot.
 // -max-sessions caps concurrent registrations (rejections are journalled and
-// counted). See RESILIENCE.md, "Warm restart".
+// counted). See OPERATIONS.md, "Warm restart".
 //
 // The daemon always keeps a ring buffer of adaptation-loop events (harpctl
 // trace) and a metrics registry. -telemetry additionally serves them over
@@ -74,7 +74,7 @@ func run(args []string) error {
 		controlPath   = fs.String("control", "/tmp/harpctl.sock", "Unix socket for harpctl")
 		configDir     = fs.String("config", "", "configuration directory (hardware description, opoints/)")
 		noExploration = fs.Bool("no-exploration", false, "disable online exploration (HARP Offline)")
-		liveness      = fs.Bool("liveness", false, "enable session liveness tracking with the default deadlines (see RESILIENCE.md)")
+		liveness      = fs.Bool("liveness", false, "enable session liveness tracking with the default deadlines (see OPERATIONS.md)")
 		suspectAfter  = fs.Duration("suspect-after", 0, "mark sessions suspect after this much silence (implies -liveness)")
 		quarantine    = fs.Duration("quarantine-after", 0, "quarantine sessions after this much silence (implies -liveness)")
 		reapAfter     = fs.Duration("reap-after", 0, "deregister sessions after this much silence (implies -liveness)")

@@ -84,19 +84,19 @@ type ServerConfig struct {
 	// recovered from the directory's snapshot + WAL at startup (warm
 	// restart), every mutating operation is WAL-logged, and Close writes a
 	// final snapshot. Empty disables persistence (the pre-durability
-	// behaviour). See RESILIENCE.md, "Warm restart".
+	// behaviour). See OPERATIONS.md, "Warm restart".
 	StateDir string
 	// MaxSessions caps concurrently registered sessions (0 = unlimited).
 	// Over-cap registrations are acked with core.ErrTooManySessions.
 	MaxSessions int
 	// AllocWarmStart seeds each solve's subgradient iteration from the
 	// previous epoch's λ vector (fewer iterations on perturbed inputs; see
-	// PERFORMANCE.md). Ignored when Allocator is set.
+	// DESIGN.md §5). Ignored when Allocator is set.
 	AllocWarmStart bool
 	// EpochBudget bounds each epoch's solve on the wall clock: past the
 	// budget the subgradient loop cuts off early and, if the solve still
 	// cannot complete, the manager walks the degradation ladder (see
-	// RESILIENCE.md, "Overload and the degradation ladder"). 0 selects
+	// OPERATIONS.md, "Overload and the degradation ladder"). 0 selects
 	// core.DefaultEpochBudget; negative disables the deadline.
 	EpochBudget time.Duration
 }

@@ -2,7 +2,7 @@
 // complete simulated runs, including fault injection and liveness
 // escalation. These are the system-level half of the correctness harness
 // (the per-solve half lives in internal/alloc/differential_test.go); see
-// CORRECTNESS.md.
+// DESIGN.md §6.
 package harpsim
 
 import (

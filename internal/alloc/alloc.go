@@ -964,7 +964,7 @@ const pairMoveMaxApps = 64
 // repair walks applications in order without backtracking, so early
 // applications holding large points can push a later one into co-allocation
 // even when rearranging their choices would make everything fit — a
-// systematic gap the differential oracle exposed (see CORRECTNESS.md). For
+// systematic gap the differential oracle exposed (see DESIGN.md §6). For
 // each deferred application, rescue searches its candidates combined with up
 // to rescueMaxSwitches switches in other isolated applications, applies the
 // cheapest combination under which every kind stays within capacity, and
@@ -1192,7 +1192,7 @@ func (r *rescueSearch) dfs(oi, switches, ci int, delta float64) {
 // fits and the summed cost still drops). The pairwise neighbourhood matters:
 // the subgradient iteration can terminate with app A squatting on the cores
 // whose release would let app B take a far cheaper point, a local optimum no
-// single move escapes (found by the differential oracle; see CORRECTNESS.md).
+// single move escapes (found by the differential oracle; see DESIGN.md §6).
 //
 // Both neighbourhoods take the first move of a fixed scan order — states in
 // order, each state's candidates by index — and candidates are cost-sorted,

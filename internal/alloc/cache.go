@@ -10,7 +10,7 @@ package alloc
 // standing placement like any solve, so a cached and a cache-less allocator
 // return the same cores for the same history, and a repeated input keeps
 // every grant list and allocates nothing. It is a process-local memo:
-// snapshots do not carry it (see PERFORMANCE.md).
+// snapshots do not carry it (see DESIGN.md §5).
 //
 // Correctness rests entirely on content addressing: the Fingerprint covers
 // every input the solver reads (see Fingerprint.go), so there is no

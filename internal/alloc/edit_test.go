@@ -20,7 +20,8 @@ import (
 // consecutive departures than the ID walk's look-ahead, arrivals (some of
 // which leave again before the solve, so the edit never sees them), retables
 // to a copy of the same content and to new content, epochs in which nothing
-// changed, and edits with a stale Base, which the allocator must ignore.
+// changed, and edits with a stale Base or a repeated Gone or Retabled
+// entry, which the allocator must ignore.
 func TestEditMatchesDerivedAlignment(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -32,6 +33,7 @@ func TestEditMatchesDerivedAlignment(t *testing.T) {
 func runEditDifferential(t *testing.T, seed int64) {
 	p := harpsim.ChurnPlatform(3, 8)
 	rng := rand.New(rand.NewSource(seed))
+	bad := rand.New(rand.NewSource(^seed))
 	cadence := 4 + rng.Intn(40)
 	drift := alloc.DefaultIncrementalDriftBound
 	if seed%3 == 0 {
@@ -136,6 +138,19 @@ func runEditDifferential(t *testing.T, seed int64) {
 			ed.Base += 1 - 2*rng.Intn(2) // stale: the allocator aligns by ID
 			counts["stale base"]++
 		}
+		// A repeated entry makes the edit malformed, and the allocator
+		// aligns by ID. It is drawn from its own stream, so the sequence
+		// above stays as it was.
+		switch roll := bad.Intn(10); {
+		case roll == 0 && len(ed.Gone) > 0:
+			i := bad.Intn(len(ed.Gone))
+			ed.Gone = slices.Insert(ed.Gone, i, ed.Gone[i])
+			counts["repeated gone"]++
+		case roll == 1 && len(ed.Retabled) > 0:
+			i := bad.Intn(len(ed.Retabled))
+			ed.Retabled = slices.Insert(ed.Retabled, i, ed.Retabled[i])
+			counts["repeated retabled"]++
+		}
 
 		got, gotStats, err := edited.AllocateEdit(inputs, &ed)
 		if err != nil {
@@ -159,7 +174,7 @@ func runEditDifferential(t *testing.T, seed int64) {
 		counts[gotStats.Source]++
 		solved = inputs
 	}
-	for _, c := range []string{alloc.SourceIncremental, "burst", "departure", "arrival left", "same-content retable", "retable", "nothing", "stale base"} {
+	for _, c := range []string{alloc.SourceIncremental, "burst", "departure", "arrival left", "same-content retable", "retable", "nothing", "stale base", "repeated gone", "repeated retabled"} {
 		if counts[c] == 0 {
 			t.Fatalf("%v: no %q: the sequence tested too little", counts, c)
 		}

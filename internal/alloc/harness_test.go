@@ -1,5 +1,5 @@
 // Regression tests pinned from the correctness-harness bug crop (see
-// CORRECTNESS.md): demandKey cross-length collisions, the Pareto filter
+// DESIGN.md §6): demandKey cross-length collisions, the Pareto filter
 // evicting usable points, the repair order trap, and the assignCores
 // capacity guard. These exercise unexported internals, so they live in
 // package alloc; the seed-replay forms live in differential_test.go.

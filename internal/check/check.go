@@ -7,7 +7,7 @@
 // The package deliberately re-derives everything it checks from first
 // principles — candidate costs, feasibility, optimal assignments — instead of
 // reusing the allocator's own plumbing, so a bug in internal/alloc cannot
-// hide itself from the oracle. See CORRECTNESS.md for how to run the harness
+// hide itself from the oracle. See DESIGN.md §6 for how to run the harness
 // and how to read a shrunk counterexample.
 package check
 

@@ -10,7 +10,7 @@ import (
 )
 
 // GenConfig bounds the random instance generator. The zero value selects the
-// oracle-friendly defaults from ISSUE/CORRECTNESS.md: small platforms and at
+// oracle-friendly defaults (DESIGN.md §6): small platforms and at
 // most 4 applications × 8 candidate points, comfortably inside the exact
 // solver's budget.
 type GenConfig struct {

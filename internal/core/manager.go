@@ -136,7 +136,7 @@ type Config struct {
 	// Allocator solves the MMKP; nil builds a default Lagrangian allocator
 	// with an alloc.DefaultCacheSize solution cache. The cache is
 	// content-addressed: a hit returns the answer of the solve that filled
-	// it, which a warm re-solve need not repeat (see PERFORMANCE.md).
+	// it, which a warm re-solve need not repeat (see DESIGN.md §5).
 	Allocator Allocator
 	// OfflineTables maps application names to pre-generated operating-point
 	// tables (the /etc/harp directory, §4.3).

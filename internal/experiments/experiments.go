@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) on the simulated platforms. Each experiment returns typed
 // rows plus formatted text output; bench_test.go at the repository root
-// exposes one benchmark per experiment, and EXPERIMENTS.md records the
+// exposes one benchmark per experiment, and DESIGN.md §7 records the
 // paper-versus-measured comparison.
 package experiments
 

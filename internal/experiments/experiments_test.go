@@ -7,7 +7,7 @@ import (
 )
 
 // quickCfg keeps the experiment tests fast; the full-scale runs back
-// EXPERIMENTS.md and the root benchmarks.
+// DESIGN.md §7 and the root benchmarks.
 func quickCfg() Config { return Config{Seed: 1, Quick: true} }
 
 func TestFig1Shapes(t *testing.T) {

@@ -188,9 +188,11 @@ func TestConnDelaysAndStalls(t *testing.T) {
 	}
 
 	fc.DelayWrites(0)
+	// The stall runs from StallReads, so the clock starts before it: taken
+	// after, any delay in between would shorten the stall it measures.
+	start = time.Now()
 	fc.StallReads(60 * time.Millisecond)
 	go func() { _, _ = b.Write([]byte("y")) }()
-	start = time.Now()
 	buf := make([]byte, 8)
 	if _, err := fc.Read(buf); err != nil {
 		t.Fatal(err)

@@ -409,7 +409,7 @@ func RuntimeObjectives(dst []float64, op OperatingPoint) []float64 {
 // better, so a degenerate zero-power or zero-vector point dominates every
 // honest point and, filtered afterwards, would evict the whole usable front
 // and silently collapse the application onto the allocator's free fallback
-// candidate (found by the differential oracle; see CORRECTNESS.md). Among
+// candidate (found by the differential oracle; see DESIGN.md §6). Among
 // usable points domination is cost-monotone — higher utility and lower power
 // both lower cost = power/v̂² — so filtering first keeps the front lossless.
 func (t *Table) ParetoPoints() []OperatingPoint {

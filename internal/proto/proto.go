@@ -420,11 +420,11 @@ func isSpace(c byte) bool {
 }
 
 // DecodeBody unmarshals an envelope's body into out after checking the type.
-// An operating-points upload into an empty *OperatingPoints gets the table
-// Read already decoded, or else takes the single-pass decoder first
-// (decodeTable); every other body, and any upload that decoder declines,
-// goes through json.Unmarshal. An upload Read decoded, into any other out,
-// is marshalled back for json.Unmarshal.
+// An operating-points upload into an *OperatingPoints sets its Table to a
+// fresh table and never writes the one it held, which its holder may have
+// handed out: the table Read already decoded, else the single-pass
+// decoder's (decodeTable), else json.Unmarshal's. An upload Read decoded
+// goes into nothing else. Every other body goes through json.Unmarshal.
 func DecodeBody(env Envelope, want MsgType, out any) error {
 	if env.Type != want {
 		return fmt.Errorf("%w: got %q, want %q", ErrUnknownType, env.Type, want)
@@ -432,30 +432,25 @@ func DecodeBody(env Envelope, want MsgType, out any) error {
 	if out == nil {
 		return nil
 	}
-	up, emptyUpload := out.(*OperatingPoints)
-	emptyUpload = emptyUpload && up.Table == nil
-	body := env.Body
+	up, isUpload := out.(*OperatingPoints)
 	if env.table != nil {
-		if emptyUpload {
-			up.Table = env.table
-			return nil
+		if !isUpload {
+			return fmt.Errorf("proto: decode %s into %T: a decoded upload goes only into *OperatingPoints", want, out)
 		}
-		b, err := json.Marshal(OperatingPoints{Table: env.table})
-		if err != nil {
-			return fmt.Errorf("proto: decode %s: %w", want, err)
-		}
-		body = b
+		up.Table = env.table
+		return nil
 	}
-	if len(body) == 0 {
+	if len(env.Body) == 0 {
 		return fmt.Errorf("proto: %s without body", want)
 	}
-	if emptyUpload {
-		if tbl, ok := decodeTable(body); ok {
-			up.Table = tbl
+	if isUpload {
+		// A declined decode leaves Table nil, for json.Unmarshal to fill.
+		var ok bool
+		if up.Table, ok = decodeTable(env.Body); ok {
 			return nil
 		}
 	}
-	if err := json.Unmarshal(body, out); err != nil {
+	if err := json.Unmarshal(env.Body, out); err != nil {
 		return fmt.Errorf("proto: decode %s: %w", want, err)
 	}
 	return nil

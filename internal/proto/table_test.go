@@ -156,35 +156,46 @@ func TestWriteTableMatchesWrite(t *testing.T) {
 	}
 }
 
-// TestDecodeBodyOfDecodedUpload checks that an upload Read decoded still
-// unmarshals into any destination as its body would: into a generic value,
-// and into an OperatingPoints that already holds a table.
+// TestDecodeBodyOfDecodedUpload checks that an upload into an
+// OperatingPoints that already holds a table replaces the table and leaves
+// the held one as it was, whether Read decoded the upload, the single-pass
+// decoder takes its body or json.Unmarshal does; and that an upload Read
+// decoded goes into no other destination.
 func TestDecodeBodyOfDecodedUpload(t *testing.T) {
 	body := marshalBody(t, smallTable())
 	frame := frames(t, 1, MsgOperatingPoints, json.RawMessage(body))
-	env, err := Read(bytes.NewReader(frame))
+	decoded, err := Read(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.table == nil || env.Body != nil {
+	if decoded.table == nil || decoded.Body != nil {
 		t.Fatal("Read did not decode the upload")
 	}
-	var got, want any
-	if err := DecodeBody(env, MsgOperatingPoints, &got); err != nil {
-		t.Fatal(err)
+	spaced := append([]byte(`{"table": `), body[len(tableKey):]...)
+	for _, c := range []struct {
+		name string
+		env  Envelope
+	}{
+		{"read", decoded},
+		{"body", Envelope{Type: MsgOperatingPoints, Body: body}},
+		{"unmarshal", Envelope{Type: MsgOperatingPoints, Body: spaced}},
+	} {
+		name, env := c.name, c.env
+		old := &opoint.Table{App: "old"}
+		held := OperatingPoints{Table: old}
+		if err := DecodeBody(env, MsgOperatingPoints, &held); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(held.Table, smallTable()) {
+			t.Fatalf("%s: DecodeBody into a held table gave %+v", name, held.Table)
+		}
+		if held.Table == old || old.App != "old" || old.Points != nil {
+			t.Fatalf("%s: DecodeBody wrote the held table: %+v", name, old)
+		}
 	}
-	if err := json.Unmarshal(body, &want); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeBody gave %v, json.Unmarshal %v", got, want)
-	}
-	held := OperatingPoints{Table: &opoint.Table{App: "old"}}
-	if err := DecodeBody(env, MsgOperatingPoints, &held); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(held.Table, smallTable()) {
-		t.Fatalf("DecodeBody into a held table gave %+v", held.Table)
+	var got any
+	if err := DecodeBody(decoded, MsgOperatingPoints, &got); err == nil || got != nil {
+		t.Fatalf("DecodeBody of a decoded upload into %T: %v, %v; want an error", &got, got, err)
 	}
 }
 

@@ -3,7 +3,7 @@
 // append-only write-ahead log of the mutations since. Together they let the
 // RM restart warm — reconnecting applications resume with their replayed
 // operating-point tables at their prior exploration stage instead of
-// re-learning (see RESILIENCE.md, "Warm restart").
+// re-learning (see OPERATIONS.md, "Warm restart").
 //
 // The layer is deliberately small: the only state worth money is what §4.2
 // exploration spends dozens of epochs acquiring (measured operating-point

@@ -2,7 +2,7 @@
 # lint-metrics checks the harp_* metric families registered in code
 # (internal/telemetry/metrics.go) against everything that names them:
 #
-#   1. The metrics table in OBSERVABILITY.md agrees with the code in both
+#   1. The metrics table in OPERATIONS.md agrees with the code in both
 #      directions: every registered family has a row, every row is registered.
 #   2. No family carries an `instance` label: per-session facts live in the
 #      status document and the decision journal, and a per-session series
@@ -25,7 +25,7 @@ set -euf # -f: tokens such as harp_store_* are data, never globs
 cd "$(dirname "$0")/.."
 
 metrics=internal/telemetry/metrics.go
-prose="README.md DESIGN.md OBSERVABILITY.md RESILIENCE.md PERFORMANCE.md CORRECTNESS.md EXPERIMENTS.md"
+prose="README.md DESIGN.md OPERATIONS.md"
 
 code=$(grep -oE '\br\.(Counter|Gauge|Histogram|CounterVec|FloatCounter|HistogramVec)\("harp_[a-z0-9_]+"' \
 	"$metrics" | grep -oE 'harp_[a-z0-9_]+' | sort -u)
@@ -33,7 +33,7 @@ code=$(grep -oE '\br\.(Counter|Gauge|Histogram|CounterVec|FloatCounter|Histogram
 fields=$(sed -nE 's/^[[:space:]]+([A-Za-z]+):[[:space:]]+r\.[A-Za-z]+\("(harp_[a-z0-9_]+)".*/\1 \2/p' "$metrics" | sort -k2)
 # Table rows look like "| `harp_name` | ..." or "| `harp_name{label=…}` | ...";
 # the name ends at the closing backtick or the label brace.
-docs=$(sed -n 's/^| `\(harp_[a-z0-9_]*\)[`{].*/\1/p' OBSERVABILITY.md | sort -u)
+docs=$(sed -n 's/^| `\(harp_[a-z0-9_]*\)[`{].*/\1/p' OPERATIONS.md | sort -u)
 
 if [ -z "$code" ]; then
 	echo "lint-metrics: no registered harp_* metrics found — extraction broke" >&2
@@ -58,13 +58,13 @@ if [ -n "$per_session" ]; then
 fi
 undocumented=$(comm -23 <(printf '%s\n' "$code") <(printf '%s\n' "$docs"))
 if [ -n "$undocumented" ]; then
-	echo "lint-metrics: registered in code but missing from OBSERVABILITY.md:" >&2
+	echo "lint-metrics: registered in code but missing from OPERATIONS.md:" >&2
 	printf '  %s\n' $undocumented >&2
 	status=1
 fi
 stale=$(comm -13 <(printf '%s\n' "$code") <(printf '%s\n' "$docs"))
 if [ -n "$stale" ]; then
-	echo "lint-metrics: documented in OBSERVABILITY.md but not registered in code:" >&2
+	echo "lint-metrics: documented in OPERATIONS.md but not registered in code:" >&2
 	printf '  %s\n' $stale >&2
 	status=1
 fi
