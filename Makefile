@@ -58,8 +58,9 @@ race:
 # MMKP oracle differential tests against the Lagrangian and greedy solvers,
 # the incremental solver's delta contract and its positional pins against
 # the map-keyed reference merge, the merge fed by the Manager's edit against
-# the merge that aligns by ID and every edit the Manager hands out against
-# the ID walk, improve, rescue and the grouped λ loop
+# the one fed by an edit derived from IDs, that edit against a plain ID map
+# and every edit the Manager hands out against the IDs it last solved,
+# improve, rescue and the grouped λ loop
 # against their plain reference searches, solves on shared tables against
 # the same solves on cloned ones, the table's memoised front against the
 # usable front in solver order, the candidate lists kept across solves

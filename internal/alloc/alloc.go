@@ -239,6 +239,7 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	a := &Allocator{plat: plat, method: Lagrangian,
 		incFullEvery: DefaultIncrementalFullEvery, incDriftBound: DefaultIncrementalDriftBound}
 	a.scratch.built = make(map[*opoint.Table]*appState)
+	a.incScratch.ids = make(map[string]int32)
 	for _, o := range opts {
 		o.apply(a)
 	}
@@ -403,7 +404,8 @@ func (a *Allocator) Allocate(apps []AppInput) ([]Allocation, error) {
 // Order: with incremental solving on, the merge runs first; the cache is
 // probed only when the merge declines, and a miss runs the full pipeline
 // and memoises its selection. Every path places cores against the standing
-// placement (placement.go).
+// placement (placement.go). The merge's input is an Edit derived from IDs;
+// an input no edit describes, such as a reorder, gets a full solve.
 func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, error) {
 	return a.allocate(apps, nil)
 }
@@ -411,9 +413,9 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 // AllocateEdit is AllocateWithStats for a caller that recorded how apps
 // differs from the input this allocator last solved (see Edit): the merge
 // then visits what the edit names instead of comparing every ID and table
-// with the standing placement. The result is the one AllocateWithStats
-// returns for the same history. An edit that does not describe the
-// standing placement is ignored, and the solve aligns by ID.
+// with the standing placement, and an instance that left and returned may
+// be a departure plus an arrival. An edit that does not describe the
+// standing placement is ignored, and one is derived from IDs instead.
 func (a *Allocator) AllocateEdit(apps []AppInput, ed *Edit) ([]Allocation, Stats, error) {
 	return a.allocate(apps, ed)
 }
@@ -431,28 +433,21 @@ func (a *Allocator) allocate(apps []AppInput, ed *Edit) ([]Allocation, Stats, er
 	for k, kind := range a.plat.Kinds {
 		capacity[k] = kind.Count
 	}
-	// Where each input stood in the previous solve: from the caller's edit
-	// when it describes the standing placement, by ID otherwise.
-	var src []int32
-	inPlace, edited := false, false
-	if len(a.standing) > 0 {
-		if src, edited = a.alignEdit(apps, ed); edited {
-			inPlace = true
-		} else {
-			src, inPlace = a.align(apps)
-		}
+	// Where each input stood in the previous solve: by the caller's edit
+	// when it describes the standing placement, else by one derived from
+	// IDs; an input no edit describes is aligned by ID and not merged.
+	if !a.describes(apps, ed) {
+		ed = a.deriveEdit(apps)
 	}
-	if !edited {
-		ed = nil
-	}
+	src := a.alignEdit(apps, ed)
 
 	// Incremental path (incremental.go): when only a small changed set of
 	// applications differs from the standing solution, re-solve just that
 	// set against the residual capacity. Falls through to the cache and the
 	// full pipeline when ineligible, on drift or on the full-solve cadence.
-	if a.mergeable() {
+	if ed != nil && a.mergeable() {
 		sp := a.tracer.BeginPhase(telemetry.PhaseSolve, a.solveHist)
-		out, incStats, ok, err := a.tryIncremental(apps, src, inPlace, ed)
+		out, incStats, ok, err := a.tryIncremental(apps, src, ed)
 		sp.End()
 		if err != nil {
 			return nil, stats, err

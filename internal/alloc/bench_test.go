@@ -289,10 +289,10 @@ func churn10k() (plat *platform.Platform, inputs []AppInput, arrival func() AppI
 // loop. The cache is off.
 func BenchmarkIncrementalMerge10k(b *testing.B) { benchmarkMerge10k(b, -1, true) }
 
-// BenchmarkIncrementalMerge10kWalk is BenchmarkIncrementalMerge10k with the
-// alignment derived by the ID walk (AllocateWithStats), as a caller that
-// records no edit solves.
-func BenchmarkIncrementalMerge10kWalk(b *testing.B) { benchmarkMerge10k(b, -1, false) }
+// BenchmarkIncrementalMerge10kDerived is BenchmarkIncrementalMerge10k
+// through AllocateWithStats, which derives the edit from IDs, as for a
+// caller that records none.
+func BenchmarkIncrementalMerge10kDerived(b *testing.B) { benchmarkMerge10k(b, -1, false) }
 
 // BenchmarkIncrementalMerge10kCached is BenchmarkIncrementalMerge10k with
 // the default solution cache, which an accepted merge never probes.

@@ -14,14 +14,16 @@ import (
 
 // TestEditMatchesDerivedAlignment drives random edit sequences through
 // AllocateEdit and, on a twin allocator with the same history, through
-// AllocateWithStats, which derives the alignment by comparing IDs and table
-// hashes: the allocations, grants included, and the Stats must be equal at
-// every step. The sequences hold mid-order departures, bursts of more
-// consecutive departures than the ID walk's look-ahead, arrivals (some of
-// which leave again before the solve, so the edit never sees them), retables
-// to a copy of the same content and to new content, epochs in which nothing
-// changed, and edits with a stale Base or a repeated Gone or Retabled
-// entry, which the allocator must ignore.
+// AllocateWithStats, which derives its edit from IDs: the allocations,
+// grants included, and the Stats must be equal at every step, and the
+// derived edit and alignment must be a plain ID map's (alloc.AlignByMap).
+// The sequences hold mid-order departures, bursts of consecutive
+// departures, arrivals (some of which leave again before the solve, so the
+// edit never sees them), retables to a copy of the same content and to new
+// content, epochs in which nothing changed, edits with a stale Base or a
+// repeated Gone or Retabled entry, which the allocator must ignore, and
+// inputs no edit describes: two survivors swapped, an arrival inserted
+// before a survivor.
 func TestEditMatchesDerivedAlignment(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -72,6 +74,7 @@ func runEditDifferential(t *testing.T, seed int64) {
 	}
 
 	var ed alloc.Edit
+	var last []alloc.Allocation // the twin's standing placement
 	counts := map[string]int{}
 	for step := 0; step < 150; step++ {
 		// The next input: the survivors of the solved one in order, then
@@ -94,7 +97,7 @@ func runEditDifferential(t *testing.T, seed int64) {
 				gone[rng.Intn(len(solved))] = true
 				counts["departure"]++
 			case roll < 11 && len(solved) > 100:
-				n := 65 + rng.Intn(20) // past the ID walk's 64-position look-ahead
+				n := 65 + rng.Intn(20)
 				at := rng.Intn(len(solved) - n + 1)
 				for i := at; i < at+n; i++ {
 					gone[i] = true
@@ -135,12 +138,14 @@ func runEditDifferential(t *testing.T, seed int64) {
 			inputs = append(inputs, in)
 		}
 		if rng.Intn(25) == 0 {
-			ed.Base += 1 - 2*rng.Intn(2) // stale: the allocator aligns by ID
+			ed.Base += 1 - 2*rng.Intn(2) // stale: the allocator derives its own
 			counts["stale base"]++
 		}
 		// A repeated entry makes the edit malformed, and the allocator
-		// aligns by ID. It is drawn from its own stream, so the sequence
-		// above stays as it was.
+		// derives its own; after a swap of two survivors or an arrival
+		// inserted before one, no edit describes the input. Both are drawn
+		// from their own stream, so the sequence above stays as it was.
+		kept, reordered := len(inputs)-len(arrivals), false
 		switch roll := bad.Intn(10); {
 		case roll == 0 && len(ed.Gone) > 0:
 			i := bad.Intn(len(ed.Gone))
@@ -150,6 +155,20 @@ func runEditDifferential(t *testing.T, seed int64) {
 			i := bad.Intn(len(ed.Retabled))
 			ed.Retabled = slices.Insert(ed.Retabled, i, ed.Retabled[i])
 			counts["repeated retabled"]++
+		case roll == 2 && kept >= 2 && last != nil:
+			i := bad.Intn(kept - 1)
+			if j := i + 1 + bad.Intn(kept-1-i); len(arrivals) == 0 || bad.Intn(2) == 0 {
+				inputs[i], inputs[j] = inputs[j], inputs[i]
+				counts["swap"]++
+			} else {
+				inputs = slices.Insert(inputs[:len(inputs)-1], i, inputs[len(inputs)-1])
+				counts["mid-order insert"]++
+			}
+			ed.Base, reordered = -1, true
+		}
+		wantEd, wantSrc := alloc.AlignByMap(last, inputs)
+		if gotEd, gotSrc := walked.DerivedAlignment(inputs); fmt.Sprint(gotEd, gotSrc) != fmt.Sprint(wantEd, wantSrc) || reordered != (wantEd == nil) {
+			t.Fatalf("step %d: derived edit %v src %v, the map gives %v src %v", step, gotEd, gotSrc, wantEd, wantSrc)
 		}
 
 		got, gotStats, err := edited.AllocateEdit(inputs, &ed)
@@ -172,9 +191,9 @@ func runEditDifferential(t *testing.T, seed int64) {
 			t.Fatalf("step %d: %d allocations, want %d", step, len(got), len(want))
 		}
 		counts[gotStats.Source]++
-		solved = inputs
+		solved, last = inputs, want
 	}
-	for _, c := range []string{alloc.SourceIncremental, "burst", "departure", "arrival left", "same-content retable", "retable", "nothing", "stale base", "repeated gone", "repeated retabled"} {
+	for _, c := range []string{alloc.SourceIncremental, "burst", "departure", "arrival left", "same-content retable", "retable", "nothing", "stale base", "repeated gone", "repeated retabled", "swap", "mid-order insert"} {
 		if counts[c] == 0 {
 			t.Fatalf("%v: no %q: the sequence tested too little", counts, c)
 		}

@@ -13,17 +13,17 @@ package alloc
 // not contain is re-solved even if an older solve contained it, so
 // re-admission never depends on what else left in between.
 //
-// The alignment and the changed set come from one of two places, and both
-// give the same ones. A caller that recorded its edit (Edit, AllocateEdit:
-// the Manager does) hands over the departed positions and the retabled
-// ones; the merge then compares no ID, reads the table hash of the retabled
-// positions only, and finds its neighbours by scanning from position 0 until
-// the budget is spent (alignEdit, editedSet). A caller that records nothing
-// (AllocateWithStats) gets the alignment by ID (align) and the changed set
-// by comparing every position's table hash (changedSet). What a merge still
-// visits at every position is the input-order drift sum and the moves of the
-// kept pins to their new positions; the co-allocated count is kept as it
-// changes.
+// A merge has one input, an Edit: the departed positions and the retabled
+// ones. The Manager hands over the edit it recorded (AllocateEdit); any
+// other caller, and an edit that does not describe the standing placement,
+// gets one derived from IDs that lists every survivor as retabled
+// (deriveEdit). The merge compares no ID, reads the table hash of the
+// retabled positions only, and finds its neighbours by scanning from
+// position 0 until the budget is spent (alignEdit, editedSet). An input no
+// edit describes — a reorder, an insert before a survivor — is aligned by
+// ID for placement only, so cores stay put, and gets a full solve. What a
+// merge still visits at every position is the drift sum and the moves of
+// the kept pins; the co-allocated count is kept as it changes.
 //
 // Guard rails keep the merged solution honest:
 //
@@ -63,8 +63,6 @@ package alloc
 
 import (
 	"math"
-	"slices"
-	"strings"
 
 	"github.com/harp-rm/harp/internal/platform"
 )
@@ -81,9 +79,6 @@ const (
 	// incremental re-solve: the likeliest candidates to be lifted back into
 	// spatial isolation when a change freed capacity.
 	incNeighbourhood = 8
-	// incLookAhead is how far past the alignment cursor the walk looks for
-	// an input's ID before it falls back to an index.
-	incLookAhead = 64
 )
 
 // WithIncremental enables incremental re-solves (default off). Incremental
@@ -121,88 +116,20 @@ func (s *pinSet) set(i int, app *AppInput, coAlloc bool, chosenCost float64) flo
 	return f.MinCost
 }
 
-// move copies the n pins at positions from.. of src to positions to.. of s;
-// src may share s's arrays, with overlapping ranges.
-func (s *pinSet) move(to int, src *pinSet, from, n int) {
-	copy(s.hi[to:to+n], src.hi[from:from+n])
-	copy(s.lo[to:to+n], src.lo[from:from+n])
-	copy(s.chosen[to:to+n], src.chosen[from:from+n])
-	copy(s.minCost[to:to+n], src.minCost[from:from+n])
-	copy(s.coAlloc[to:to+n], src.coAlloc[from:from+n])
-}
-
-// align maps every input to the position its ID holds in the standing
-// placement (src[i], -1 when that solve did not contain it), exactly, whatever the
-// edit. A cursor walks the previous positions: an input keeps the pin at the
-// cursor or, stepping over departures, one within the look-ahead; once every
-// previous position is matched the remaining inputs are new. Past a failed
-// look-ahead the unmatched positions are sorted by ID and the remaining
-// inputs looked up. The standing positions left unmatched are the departed
-// ones (placeScratch.departed). inPlace reports a mapping that is increasing and never
-// moves a pin toward the back — departures and tail arrivals, not inserts or
-// reorders — so place can apply it in place.
-func (a *Allocator) align(apps []AppInput) (src []int32, inPlace bool) {
-	sc := &a.incScratch
-	was, unmatched := a.standing, sc.unmatched[:0]
-	sc.src = resize(sc.src, len(apps))
-	src = sc.src
-	p, i := 0, 0
-	for ; i < len(apps); i++ {
-		end := min(len(was), p+incLookAhead+1)
-		q := p
-		for q < end && was[q].ID != apps[i].ID {
-			q++
-		}
-		if q == end && (p < len(was) || len(unmatched) > 0) {
-			break
-		}
-		src[i] = -1
-		if q < end {
-			for ; p < q; p++ {
-				unmatched = append(unmatched, idAt{was[p].ID, int32(p)})
-			}
-			src[i] = int32(q)
-			p++
-		}
-	}
-	inPlace = true
-	for k := p; k < len(was); k++ {
-		unmatched = append(unmatched, idAt{was[k].ID, int32(k)})
-	}
-	if i < len(apps) {
-		byID := func(e idAt, id string) int { return strings.Compare(e.id, id) }
-		slices.SortFunc(unmatched, func(x, y idAt) int { return byID(x, y.id) })
-		for last := int32(p - 1); i < len(apps); i++ {
-			src[i] = -1
-			if j, ok := slices.BinarySearchFunc(unmatched, apps[i].ID, byID); ok && unmatched[j].pos >= 0 {
-				src[i], unmatched[j].pos = unmatched[j].pos, -1
-				inPlace = inPlace && src[i] > last && int(src[i]) >= i
-				last = src[i]
-			}
-		}
-	}
-	departed := a.scratch.place.departed[:0]
-	for _, u := range unmatched {
-		if u.pos >= 0 {
-			departed = append(departed, u.pos)
-		}
-	}
-	a.scratch.place.departed = departed
-	clear(unmatched)
-	sc.unmatched = unmatched[:0]
-	return src, inPlace
-}
-
-// idAt is a previous position and the ID it held.
-type idAt struct {
-	id  string
-	pos int32
+// move copies the n pins at positions from.. to positions to..; the ranges
+// may overlap.
+func (s *pinSet) move(to, from, n int) {
+	copy(s.hi[to:to+n], s.hi[from:from+n])
+	copy(s.lo[to:to+n], s.lo[from:from+n])
+	copy(s.chosen[to:to+n], s.chosen[from:from+n])
+	copy(s.minCost[to:to+n], s.minCost[from:from+n])
+	copy(s.coAlloc[to:to+n], s.coAlloc[from:from+n])
 }
 
 // Edit is how a solve's input differs from the input the allocator last
-// solved, as the caller that made the change recorded it (AllocateEdit).
-// The survivors of that input keep their order, followed by the arrivals in
-// order:
+// solved, and the one way a solve relates its input to the standing
+// placement. The survivors of that input keep their order, followed by the
+// arrivals in order:
 //
 //   - Base is the length of the input the allocator last solved;
 //   - Gone holds that input's departed positions, ascending;
@@ -212,48 +139,25 @@ type idAt struct {
 // Every survivor not in Retabled carries the very table it was last solved
 // under, and a table is never written once it is handed to a solver
 // (TestHandedOutTablesNeverChange), so the allocator reads no table hash of
-// a kept position: only the retabled ones are compared with their pins.
+// a kept position: only the retabled ones are compared with their pins. A
+// caller that hands over none gets an edit derived from IDs (deriveEdit),
+// and an input no edit describes — a reorder, an insert before a survivor —
+// gets a full solve.
 type Edit struct {
 	Base           int
 	Gone, Retabled []int
 }
 
-// alignEdit is align for a caller that recorded the edit (nil: none): the
-// survivors map past the departures in order and the arrivals are new, so
-// no ID is compared, the departed positions are Gone and the mapping is
-// always in place. ok is false when there is no edit or it cannot describe
-// this input against the standing placement — Base is not its length, a
-// list is not ascending within its range, or the survivors do not fit — and
-// the caller aligns by ID instead.
-func (a *Allocator) alignEdit(apps []AppInput, ed *Edit) (src []int32, ok bool) {
+// describes reports whether ed describes apps against the standing
+// placement: Base is its length, each list is ascending within its range
+// and the survivors fit.
+func (a *Allocator) describes(apps []AppInput, ed *Edit) bool {
 	if ed == nil {
-		return nil, false
+		return false
 	}
 	kept := ed.Base - len(ed.Gone)
-	if ed.Base != len(a.standing) || kept < 0 || kept > len(apps) ||
-		!ascendingBelow(ed.Gone, ed.Base) || !ascendingBelow(ed.Retabled, len(apps)) {
-		return nil, false
-	}
-	sc := &a.incScratch
-	sc.src = resize(sc.src, len(apps))
-	src = sc.src
-	departed := a.scratch.place.departed[:0]
-	i, p := 0, 0
-	for _, g := range ed.Gone {
-		for ; p < g; p, i = p+1, i+1 {
-			src[i] = int32(p)
-		}
-		departed = append(departed, int32(g))
-		p++
-	}
-	for ; p < ed.Base; p, i = p+1, i+1 {
-		src[i] = int32(p)
-	}
-	for ; i < len(apps); i++ {
-		src[i] = -1
-	}
-	a.scratch.place.departed = departed
-	return src, true
+	return ed.Base == len(a.standing) && kept >= 0 && kept <= len(apps) &&
+		ascendingBelow(ed.Gone, ed.Base) && ascendingBelow(ed.Retabled, len(apps))
 }
 
 // ascendingBelow reports whether xs is strictly ascending within [0, n).
@@ -268,27 +172,99 @@ func ascendingBelow(xs []int, n int) bool {
 	return true
 }
 
+// deriveEdit is the edit of a caller that recorded none, walking the
+// standing IDs in order against the input's, one compare per position: a
+// standing ID the input does not hold next has departed. Every survivor is
+// listed in Retabled, so the merge compares each one's table hash with its
+// pin. It returns nil when the input is not the survivors in order followed
+// by arrivals: when an arrival's ID is a departed one.
+func (a *Allocator) deriveEdit(apps []AppInput) *Edit {
+	sc, was := &a.incScratch, a.standing
+	ed := &sc.derived
+	ed.Base, ed.Gone, ed.Retabled = len(was), ed.Gone[:0], ed.Retabled[:0]
+	kept := 0
+	for p := range was {
+		if kept < len(apps) && apps[kept].ID == was[p].ID {
+			ed.Retabled = append(ed.Retabled, kept)
+			kept++
+		} else {
+			ed.Gone = append(ed.Gone, p)
+		}
+	}
+	if len(ed.Gone) == 0 || kept == len(apps) {
+		return ed
+	}
+	for _, p := range ed.Gone {
+		sc.ids[was[p].ID] = int32(p)
+	}
+	back := false
+	for i := kept; i < len(apps) && !back; i++ {
+		_, back = sc.ids[apps[i].ID]
+	}
+	for _, p := range ed.Gone {
+		delete(sc.ids, was[p].ID)
+	}
+	if back {
+		return nil
+	}
+	return ed
+}
+
+// alignEdit maps each input to where its pin and standing allocation sit
+// now (src[i], -1 for an arrival). With an edit that describes the input,
+// the survivors map past the departures in order, and no ID is compared.
+// Without one (nil), each input maps to the standing position of its ID
+// through an index over every standing ID: placement keeps grants by it,
+// so cores stay put, but the solve is a full one.
+func (a *Allocator) alignEdit(apps []AppInput, ed *Edit) []int32 {
+	sc := &a.incScratch
+	sc.src = resize(sc.src, len(apps))
+	src := sc.src
+	if ed == nil {
+		for p := range a.standing {
+			sc.ids[a.standing[p].ID] = int32(p)
+		}
+		for i := range apps {
+			p, ok := sc.ids[apps[i].ID]
+			src[i] = -1
+			if ok {
+				src[i] = p
+				delete(sc.ids, apps[i].ID)
+			}
+		}
+		clear(sc.ids)
+		return src
+	}
+	i, p := 0, 0
+	for _, g := range ed.Gone {
+		for ; p < g; p, i = p+1, i+1 {
+			src[i] = int32(p)
+		}
+		p++
+	}
+	for ; p < ed.Base; p, i = p+1, i+1 {
+		src[i] = int32(p)
+	}
+	for ; i < len(apps); i++ {
+		src[i] = -1
+	}
+	return src
+}
+
 // place moves every pin and standing allocation to its new position: src[i]
 // is where position i's sits now, or -1 when position i is new (the caller
 // sets it, as it does for every re-solved position). Each run of
-// consecutive positions moves in one copy. An inPlace mapping moves runs
-// only toward the front, in ascending order, so no run overwrites one still
-// to move; any other is gathered into new pin arrays and the spare buffer.
-func (a *Allocator) place(src []int32, inPlace bool) {
-	from, was := a.pins, a.standing
-	if !inPlace {
-		a.pins = pinSet{}
-		a.pins.resize(len(src))
-		a.standing, a.spare = resize(a.spare, len(src)), a.standing
-	}
+// consecutive positions moves in one copy, toward the front and in
+// ascending order, so no run overwrites one still to move (alignEdit).
+func (a *Allocator) place(src []int32) {
 	for i := 0; i < len(src); {
 		p, j := src[i], i+1
 		for j < len(src) && p >= 0 && src[j] == p+int32(j-i) {
 			j++
 		}
-		if p >= 0 && (int(p) != i || !inPlace) {
-			a.pins.move(i, &from, int(p), j-i)
-			copy(a.standing[i:j], was[p:int(p)+j-i])
+		if p >= 0 && int(p) != i {
+			a.pins.move(i, int(p), j-i)
+			copy(a.standing[i:j], a.standing[p:int(p)+j-i])
 		}
 		i = j
 	}
@@ -296,12 +272,13 @@ func (a *Allocator) place(src []int32, inPlace bool) {
 	a.standing = resize(a.standing, len(src))
 }
 
-// incScratch holds the incremental path's per-solve work lists, reused
-// across solves; only changed escapes, as Stats.Changed (valid until the
-// next solve).
+// incScratch holds the alignment's and the merge's per-solve work lists,
+// reused across solves; only changed escapes, as Stats.Changed (valid until
+// the next solve). ids is empty between solves.
 type incScratch struct {
 	src        []int32
-	unmatched  []idAt
+	derived    Edit
+	ids        map[string]int32
 	retabled   []int
 	resolveIdx []int
 	changed    []int
@@ -317,27 +294,20 @@ func (a *Allocator) mergeable() bool {
 }
 
 // tryIncremental attempts the incremental path for one solve the caller
-// found mergeable; src and inPlace are the input's alignment to the standing
-// placement, and ed is the caller's edit when alignEdit took it (nil: src
-// came from the ID walk). ok reports whether the merged solution should be
-// returned; ok=false with a nil error means "run the full pipeline" (drift,
-// oversized changed set or an internal inconsistency), and leaves the
-// standing placement and the pins as they were. The merged solution is the
-// standing placement, updated in place.
-func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool, ed *Edit) ([]Allocation, Stats, bool, error) {
+// found mergeable; ed describes the input against the standing placement
+// and src is its alignment (alignEdit). ok reports whether the merged
+// solution should be returned; ok=false with a nil error means "run the
+// full pipeline" (drift, oversized changed set or an internal
+// inconsistency), and leaves the standing placement and the pins as they
+// were. The merged solution is the standing placement, updated in place.
+func (a *Allocator) tryIncremental(apps []AppInput, src []int32, ed *Edit) ([]Allocation, Stats, bool, error) {
 	pins := &a.pins
 	sc := &a.incScratch
 
 	// Re-solve what changed since the previous solve, and the first few
 	// pinned co-allocated applications: they hold no exclusive capacity, so
 	// re-solving them can only lift them toward isolation.
-	var resolveIdx []int
-	var ok bool
-	if ed != nil {
-		resolveIdx, ok = a.editedSet(apps, src, ed)
-	} else {
-		resolveIdx, ok = a.changedSet(apps, src)
-	}
+	resolveIdx, ok := a.editedSet(apps, src, ed)
 	if !ok {
 		return nil, Stats{}, false, nil // full path reports the error
 	}
@@ -347,7 +317,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool, e
 	}
 
 	// The residual capacity: per kind, the cores no isolated pin holds.
-	w := a.beginPlacement(resolveIdx, src)
+	w := a.beginPlacement(resolveIdx, src, ed.Gone)
 	residual := sc.residual[:0]
 	for k := range a.plat.Kinds {
 		lo, hi := a.plat.CoreRange(platform.KindID(k))
@@ -411,7 +381,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool, e
 	// Commit: merge in input order (the CheckAllocations contract). The
 	// co-allocated count loses the departed and re-solved pins and gains
 	// the re-solved results.
-	for _, p := range a.scratch.place.departed {
+	for _, p := range ed.Gone {
 		if pins.coAlloc[p] {
 			a.coAllocated--
 		}
@@ -421,7 +391,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool, e
 			a.coAllocated--
 		}
 	}
-	a.place(src, inPlace)
+	a.place(src)
 	for ri, i := range resolveIdx {
 		st := states[ri]
 		pins.set(i, &apps[i], st.coalloc, st.cands[st.chosen].cost)
@@ -446,38 +416,12 @@ func (a *Allocator) tryIncremental(apps []AppInput, src []int32, inPlace bool, e
 	}, true, nil
 }
 
-// changedSet returns the positions a merge re-solves, found by visiting
-// every position: the new ones, the pins whose table's content hash moved,
-// and the first incNeighbourhood unchanged co-allocated pins. ok is false
-// when an input has no table.
-func (a *Allocator) changedSet(apps []AppInput, src []int32) (resolveIdx []int, ok bool) {
-	pins := &a.pins
-	resolveIdx = a.incScratch.resolveIdx[:0]
-	budget := incNeighbourhood
-	for i, p := range src {
-		if apps[i].Table == nil {
-			return nil, false
-		}
-		if p >= 0 {
-			f := apps[i].Table.Facts()
-			same := f.Hi == pins.hi[p] && f.Lo == pins.lo[p]
-			if same && pins.coAlloc[p] && budget > 0 {
-				budget-- // a neighbour joins
-			} else if same {
-				continue
-			}
-		}
-		resolveIdx = append(resolveIdx, i)
-	}
-	a.incScratch.resolveIdx = resolveIdx
-	return resolveIdx, true
-}
-
-// editedSet returns the same positions as changedSet from the caller's
-// edit (alignEdit took it), visiting only what the edit names: the
-// arrivals, the retabled survivors whose content hash moved, and the
-// survivors from position 0 until the neighbourhood budget is spent or no
-// co-allocated survivor is left to find.
+// editedSet returns the positions a merge re-solves, visiting only what the
+// edit names: the arrivals, the retabled survivors whose table's content
+// hash moved, and the first incNeighbourhood co-allocated survivors that
+// are not re-solved already, found from position 0 until the budget is
+// spent or no co-allocated survivor is left. ok is false when a visited
+// input has no table.
 func (a *Allocator) editedSet(apps []AppInput, src []int32, ed *Edit) (resolveIdx []int, ok bool) {
 	pins, sc := &a.pins, &a.incScratch
 	kept := ed.Base - len(ed.Gone)

@@ -16,10 +16,10 @@ import (
 
 // TestPositionalPinsMatchMapPins is the differential gate for the
 // positional pins: random edit sequences — tail arrivals, departures
-// anywhere, bursts of more consecutive departures than the alignment's
-// look-ahead, table changes and inputs a caller reordered — solved by the
-// positional allocator and by the map-keyed reference (alloc.MapPins) must
-// give identical allocations and Stats whenever no ID re-enters after being
+// anywhere, bursts of consecutive departures, table changes and inputs a
+// caller reordered, which both solve in full — solved by the positional
+// allocator and by the map-keyed reference (alloc.MapPins) must give
+// identical allocations and Stats whenever no ID re-enters after being
 // absent. The re-entry sequences may differ (the reference keeps a
 // returning ID's old pin while its map has not been pruned; the positional
 // pins re-solve it), so for them, as for every sequence, each result is
@@ -107,7 +107,7 @@ func runPinsDifferential(t *testing.T, p *platform.Platform, seed int64, reentry
 			case roll < 8:
 				depart(rng.Intn(len(inputs)), 1)
 			case roll < 10 && len(inputs) > 100:
-				n := 65 + rng.Intn(20) // past the 64-position look-ahead
+				n := 65 + rng.Intn(20)
 				depart(rng.Intn(len(inputs)-n+1), n)
 				bursts++
 			case roll < 13:

@@ -14,7 +14,9 @@ import (
 // with incremental solving off for the cache probe and the full pipeline
 // behind a declined merge, handing it the reference's own last answer as
 // the standing placement, and re-solves and places through that
-// Allocator's own solver and placement passes, aligned by a map.
+// Allocator's own solver and placement passes, aligned by a map. Like the
+// Allocator, it merges only an input that is the last answer's survivors in
+// order followed by arrivals (AlignByMap); any other input is a full solve.
 type MapPins struct {
 	b            *Allocator
 	fullEvery    int
@@ -82,6 +84,10 @@ func (r *MapPins) tryIncremental(apps []AppInput, capacity []int) ([]Allocation,
 	a := r.b
 	if len(r.pins) == 0 || r.sinceFull >= r.fullEvery {
 		return nil, Stats{}, false, nil
+	}
+	ed, src := AlignByMap(r.last, apps)
+	if ed == nil {
+		return nil, Stats{}, false, nil // reordered: no edit describes it
 	}
 	pins := make([]*refPin, len(apps))
 	inResolve := make([]bool, len(apps))
@@ -175,18 +181,6 @@ func (r *MapPins) tryIncremental(apps []AppInput, capacity []int) ([]Allocation,
 	slack := (1 + chosenSum) / (1 + minSum)
 	if r.haveBase && slack > r.driftBound*r.baseSlack+1e-9 {
 		return nil, Stats{}, false, nil
-	}
-	at := make(map[string]int32, len(r.last))
-	for p := range r.last {
-		at[r.last[p].ID] = int32(p)
-	}
-	src := make([]int32, len(apps))
-	for i := range apps {
-		p, ok := at[apps[i].ID]
-		src[i] = -1
-		if ok {
-			src[i] = p
-		}
 	}
 	moved, err := a.placeCores(out, nil, src, true)
 	if err != nil {

@@ -35,7 +35,6 @@ package alloc
 // stay where they stand, and their grants are already counted.
 
 import (
-	"errors"
 	"slices"
 
 	"github.com/harp-rm/harp/internal/platform"
@@ -66,7 +65,6 @@ type placeScratch struct {
 	// occ is the standing placement's occupancy; work is the placement in
 	// progress. A committed solve swaps them.
 	occ, work occupancy
-	departed  []int32     // standing positions the input no longer contains
 	kept      []bool      // per placed selection: the standing grants were kept
 	next      []int       // per kind: the hole cursor, then the ring or idle cursor
 	ring      []int       // per core, within its kind's range: the co-allocation order
@@ -84,13 +82,13 @@ type pinMove struct {
 // beginPlacement prepares the work occupancy for a merge that places the
 // listed positions, src aligning them to the standing placement: the
 // unlisted positions stay where they stand, so the work occupancy is the
-// standing one without the departed positions and the listed ones.
-func (a *Allocator) beginPlacement(list []int, src []int32) *occupancy {
+// standing one without the departed positions (gone) and the listed ones.
+func (a *Allocator) beginPlacement(list []int, src []int32, gone []int) *occupancy {
 	ps := &a.scratch.place
 	w := &ps.work
 	w.iso = append(w.iso[:0], ps.occ.iso...)
 	w.coUse = append(w.coUse[:0], ps.occ.coUse...)
-	for _, p := range ps.departed {
+	for _, p := range gone {
 		w.take(&a.standing[p], -1)
 	}
 	for _, i := range list {
@@ -205,9 +203,6 @@ func (a *Allocator) placeCores(sel []Allocation, list []int, src []int32, keepIs
 		for k, counts := range al.Point.Vector.Counts {
 			lo, hi := a.plat.CoreRange(platform.KindID(k))
 			for t, n := range counts {
-				if n > 0 && hi == lo {
-					return nil, errors.New("alloc: internal: co-allocated grant on a kind without cores")
-				}
 				for ; n > 0; n-- {
 					c := ring[lo+next[k]%(hi-lo)]
 					next[k]++

@@ -60,15 +60,16 @@ func TestDifferentialPlacementVsCursor(t *testing.T) {
 	}
 }
 
-// TestPlacementStaysPut is the stickiness property: after one arrival or one
-// departure, an application whose vector and co-allocation flag are
-// unchanged keeps its grant list bit-for-bit — co-allocated ones on every
-// solve, isolated ones across incremental merges (a full solve hands
-// isolated cores out with the cursor) — except for grants the placement
-// invariant moves. Moves are counted and bounded: each lands on a distinct
-// core that was idle, so there are never more than the cores whose state
-// (idle, isolated holder) differs between the two solves or that an
-// arriving, departing or changed application holds in either.
+// TestPlacementStaysPut is the stickiness property: after one arrival, one
+// departure or a swap of two applications, an application whose vector and
+// co-allocation flag are unchanged keeps its grant list bit-for-bit —
+// co-allocated ones on every solve, isolated ones across incremental merges
+// (a full solve hands isolated cores out with the cursor) — except for
+// grants the placement invariant moves; an arrival inserted before a
+// survivor and a swap never merge. Moves are counted and bounded: each
+// lands on a distinct core that was idle, so there are never more than the
+// cores whose state (idle, isolated holder) differs between the two solves
+// or that an arriving, departing or changed application holds in either.
 func TestPlacementStaysPut(t *testing.T) {
 	seeds := int64(300)
 	if testing.Short() {
@@ -92,12 +93,18 @@ func TestPlacementStaysPut(t *testing.T) {
 					t.Fatal(err)
 				}
 				before = cloneAllocs(before)
-				next := slices.Clone(inputs)
-				if r.Intn(2) == 0 || len(next) < 2 {
-					next = slices.Insert(next, r.Intn(len(next)+1), spare)
-				} else {
+				next, reordered := slices.Clone(inputs), false
+				switch ev := r.Intn(3); {
+				case ev == 0 || len(next) < 2:
+					at := r.Intn(len(next) + 1)
+					next, reordered = slices.Insert(next, at, spare), at < len(inputs)
+				case ev == 1:
 					i := r.Intn(len(next))
 					next = slices.Delete(next, i, i+1)
+				default:
+					i := r.Intn(len(next) - 1)
+					j := i + 1 + r.Intn(len(next)-1-i)
+					next[i], next[j], reordered = next[j], next[i], true
 				}
 				after, st, err := a.AllocateWithStats(next)
 				if err != nil {
@@ -110,7 +117,9 @@ func TestPlacementStaysPut(t *testing.T) {
 					t.Fatal(err)
 				}
 				merged := st.Source == alloc.SourceIncremental
-				if merged {
+				if merged && reordered {
+					t.Fatalf("a reordered input merged")
+				} else if merged {
 					merges++
 				}
 				was := map[string]alloc.Allocation{}

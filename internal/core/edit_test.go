@@ -13,9 +13,10 @@ import (
 )
 
 // editChecker wraps an incremental allocator and holds every edit the
-// Manager hands it to the ID walk: against the input it last solved, the
-// survivors must come first in order, the departed positions must be Gone,
-// and every survivor whose table pointer changed must be Retabled. fault
+// Manager hands it to the one the IDs give: against the input it last
+// solved, the survivors must come first in order, the departed positions
+// must be Gone, and every survivor whose table pointer changed must be
+// Retabled. A returning instance is a departure plus an arrival. fault
 // makes the next solve with two or more inputs fail ("error") or return one
 // allocation short ("short") after the inner solve took it, so its standing
 // placement moves on while the Manager degrades, or panic before it.
@@ -63,7 +64,8 @@ func (c *editChecker) solve(apps []alloc.AppInput, ed *alloc.Edit) ([]alloc.Allo
 }
 
 // verify derives the edit from the IDs and table pointers of the last
-// solved input and compares it with ed.
+// solved input and compares it with ed. A last-solved ID that ed puts among
+// the arrivals has returned: its old position is Gone.
 func (c *editChecker) verify(apps []alloc.AppInput, ed *alloc.Edit) error {
 	if ed.Base != len(c.prev) {
 		return fmt.Errorf("base %d, the allocator last solved %d inputs", ed.Base, len(c.prev))
@@ -77,7 +79,7 @@ func (c *editChecker) verify(apps []alloc.AppInput, ed *alloc.Edit) error {
 	kept := 0
 	for p, in := range c.prev {
 		i, ok := at[in.ID]
-		if !ok {
+		if !ok || i >= ed.Base-len(ed.Gone) {
 			gone = append(gone, p)
 			continue
 		}
@@ -90,7 +92,7 @@ func (c *editChecker) verify(apps []alloc.AppInput, ed *alloc.Edit) error {
 		kept++
 	}
 	if !slices.Equal(ed.Gone, gone) {
-		return fmt.Errorf("gone %v, the ID walk finds %v", ed.Gone, gone)
+		return fmt.Errorf("gone %v, the IDs give %v", ed.Gone, gone)
 	}
 	var listed []int
 	for _, i := range ed.Retabled {
@@ -99,7 +101,7 @@ func (c *editChecker) verify(apps []alloc.AppInput, ed *alloc.Edit) error {
 		}
 	}
 	if !slices.Equal(listed, retabled) {
-		return fmt.Errorf("retabled survivors %v, the ID walk finds %v", listed, retabled)
+		return fmt.Errorf("retabled survivors %v, the IDs give %v", listed, retabled)
 	}
 	return nil
 }
@@ -110,8 +112,8 @@ func (c *editChecker) verify(apps []alloc.AppInput, ed *alloc.Edit) error {
 // they left — inline and coalesced, with degraded rungs (a stall, a failed
 // solve, a malformed one), liveness quarantines and readmissions, and a
 // panic whose quarantine probe solves single inputs. Every edit the Manager
-// passes must match the ID walk (editChecker), and more solves must take an
-// edit than align by ID.
+// passes must match the one the IDs give (editChecker), and more solves
+// must take an edit than derive one.
 func TestManagerEditsMatchIDWalk(t *testing.T) {
 	for _, coalesce := range []bool{false, true} {
 		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
@@ -258,7 +260,7 @@ func runManagerEdits(t *testing.T, coalesce bool) {
 		}
 	}
 	if checker.edits < checker.walked {
-		t.Fatalf("%d solves took an edit, %d aligned by ID: the Manager hands out too few edits", checker.edits, checker.walked)
+		t.Fatalf("%d solves took an edit, %d derived one: the Manager hands out too few edits", checker.edits, checker.walked)
 	}
-	t.Logf("%d solves took an edit, %d aligned by ID; %v", checker.edits, checker.walked, counts)
+	t.Logf("%d solves took an edit, %d derived one; %v", checker.edits, checker.walked, counts)
 }

@@ -109,7 +109,7 @@ type inputPos struct {
 }
 
 // inputEdits are the changes to the solve input set that the next epoch
-// applies (a registration appends its position at once).
+// applies (a registration appends its position at once): the alloc.Edit.
 type inputEdits struct {
 	// rebuild redoes the set from Manager.order; the other edits are then
 	// moot.
@@ -118,10 +118,6 @@ type inputEdits struct {
 	gone []int
 	// retable marks an application's predicted table changed.
 	retable bool
-	// rejoined marks a registration of an instance that departed recently,
-	// perhaps since the last solve: the solver's ID walk maps it to its old
-	// position, which the edit would call an arrival (see syncInputs).
-	rejoined bool
 }
 
 // editAllocator is a solver that takes the Manager's record of what changed
@@ -150,9 +146,11 @@ func (m *Manager) appendInput(s *session) {
 // alloc.Edit the next primary solve receives: the departed positions below
 // that input's length (those at or past it are arrivals that left before a
 // solve), and the positions the table refresh changed; the arrivals are the
-// positions appended since. Any sync invalidates the base until a primary
-// solve succeeds again, so a degraded rung, a quarantine probe or a sync
-// that ends with no solve leaves the next solve to align by ID.
+// positions appended since, a returning instance among them. Any sync
+// invalidates the base until a primary solve succeeds again: after a
+// degraded rung, a quarantine probe, a solve-less sync or a rebuild the
+// solver derives the edit from IDs, and a readmission's mid-order insert,
+// which no edit describes, gets a full solve.
 func (m *Manager) syncInputs() {
 	ed := &m.edits
 	base := m.solved
@@ -171,7 +169,7 @@ func (m *Manager) syncInputs() {
 				}
 			}
 		}
-		if base >= 0 && !ed.rejoined {
+		if base >= 0 {
 			n, _ := slices.BinarySearch(ed.gone, base)
 			edit.Base, edit.Gone = base, append(edit.Gone[:0], ed.gone[:n]...)
 			m.editOK = true

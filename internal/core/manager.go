@@ -478,11 +478,9 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 		App:      app,
 		Stage:    s.explorer.Stage().String(),
 	})
-	rejoined := m.ended.has(instance)
-	m.edits.rejoined = m.edits.rejoined || rejoined
 	if mt := m.cfg.Metrics; mt != nil {
 		mt.Sessions.Set(float64(len(m.sessions)))
-		if rejoined {
+		if m.ended.has(instance) {
 			mt.Reconnects.Inc()
 		}
 	}
